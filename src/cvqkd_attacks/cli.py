@@ -281,10 +281,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     sc = scenario_from(cfg)
     try:
         grid = default_gamma_grid(sc, cfg.gamma_count, cfg.gamma_lo, cfg.gamma_hi)
+        table = sweep(sc, cfg.beta, grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    table = sweep(sc, cfg.beta, grid)
     try:
         write_sweep_csv(table, cfg.output, cfg.precision)
     except OSError as exc:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -58,10 +57,21 @@ def _refined_spectrum(matrix: np.ndarray) -> np.ndarray:
     # carries absolute noise up to ~eps * ||matrix|| * (eigenvector
     # conditioning), which at large amplifier gains (entries ~1e10) swamps
     # the 1e-9 physicality margin even when the stored matrix is physical.
+    # With sigma = L L^T, i Omega sigma is similar to the Hermitian
+    # i L^T Omega L, whose eigenvalues are the same +/- nu pairs; a Hermitian
+    # eigensolve is several times cheaper than a general one on Omega sigma.
+    # A matrix without a Cholesky factor is not positive definite, hence
+    # unphysical; the general route then reports its spectrum as before.
     n = matrix.shape[0] // 2
     with mpmath.mp.workdps(30):
-        k = mpmath.matrix((symplectic_form(n) @ matrix).tolist())
-        eigs = mpmath.eig(k, left=False, right=False)
+        try:
+            chol = mpmath.cholesky(mpmath.matrix(matrix.tolist()))
+        except ValueError:
+            k = mpmath.matrix((symplectic_form(n) @ matrix).tolist())
+            eigs = mpmath.eig(k, left=False, right=False)
+        else:
+            herm = chol.T * mpmath.matrix(symplectic_form(n).tolist()) * chol * 1j
+            eigs = mpmath.eighe(herm, eigvals_only=True)
     nus = sorted((abs(z) for z in eigs), reverse=True)
     return np.array([float(nus[2 * i]) for i in range(n)])
 
@@ -195,9 +205,12 @@ def _tmsv_entries(gamma: float) -> tuple[float, float]:
     denom = 1.0 - gamma * gamma
     a = (1.0 + gamma * gamma) / denom
     c = 2.0 * gamma / denom
-    exact_a = Fraction(a)
+    # the test runs on the exact binary values: with a = p/q and c = r/s
+    # (q, s powers of two), a^2 - c^2 >= 1 is p^2 s^2 - r^2 q^2 >= q^2 s^2
+    p, q = a.as_integer_ratio()
     for _ in range(64):
-        if (exact_a - Fraction(c)) * (exact_a + Fraction(c)) >= 1:
+        r, s = c.as_integer_ratio()
+        if (p * s) ** 2 - (r * q) ** 2 >= (q * s) ** 2:
             break
         c = math.nextafter(c, 0.0)
     return a, c

@@ -61,6 +61,11 @@ def default_gamma_grid(
     (the interesting physics crowds toward gamma -> 1). Endpoints exact."""
     if gamma_lo is None:
         gamma_lo = gamma_min(sc.channel)
+        if gamma_lo >= 1.0:
+            raise ValueError(
+                "gamma_min = 1 for the identity channel: no finite resource can "
+                "simulate it"
+            )
     if count < 2:
         raise ValueError(f"grid needs at least 2 points, got {count}")
     if not 0.0 <= gamma_lo < gamma_hi < 1.0:
@@ -80,10 +85,14 @@ def sweep(sc: AttackScenario, beta: float, gamma_grid: tuple[float, ...]) -> Swe
 
     Infeasible resources produce NaN-valued rows flagged feasible=false; the
     Holevo bound is a scenario constant repeated for plotting convenience.
+    A row that fails raises ValueError naming its gamma.
     """
     rows = []
     for gamma in gamma_grid:
-        res = optimize_attack(sc, gamma)
+        try:
+            res = optimize_attack(sc, gamma)
+        except ValueError as exc:
+            raise ValueError(f"row gamma = {gamma!r}: {exc}") from exc
         rows.append(
             SweepRow(
                 gamma=res.gamma,

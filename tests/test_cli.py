@@ -162,6 +162,39 @@ def test_sweep_unwritable_output_exits_2(capsys, tmp_path):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_sweep_identity_channel_exits_2(capsys):
+    assert main(["sweep", "--tau", "1", "--v", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "gamma_min = 1" in err
+    assert "identity channel" in err
+
+
+@pytest.mark.parametrize(
+    "flags,needle",
+    [
+        # ROADMAP defect 1: a pure-loss row fails validation at g = 1e6
+        (
+            ["--epsilon", "1.0", "--gamma-count", "6"],
+            "unphysical covariance matrix: smallest symplectic eigenvalue 0.999999997516",
+        ),
+        # ROADMAP defect 2: double precision breaks down at g = 1e8
+        (
+            ["--g-policy", "finite:1e8", "--gamma-count", "2"],
+            "Eve's information 0.2266839599148156 outside [0, Holevo bound",
+        ),
+    ],
+    ids=["pure-loss", "gain-1e8"],
+)
+def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, needle):
+    out = tmp_path / "never.csv"
+    assert main(["sweep", *flags, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: row gamma = ")
+    assert needle in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_telesim_identity_environment(capsys):
     code = main(["telesim", "--gamma", "0.5", "--lam", "1", "--tau", "1", "--gain", "1e6"])
     assert code == 0

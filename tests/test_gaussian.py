@@ -1,16 +1,22 @@
 """Covariance-matrix layer: construction, transforms, spectra, conditioning."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from cvqkd_attacks.attacks import _match_kappa, _pipeline_raw, _resource_matrix
+from cvqkd_attacks.channels import GaussChannel
 from cvqkd_attacks.gaussian import (
+    _HP_SCALE,
     CovMat,
     Symplectic,
     TwoModeStd,
+    _refined_spectrum,
+    _tmsv_entries,
     apply_symplectic,
     beam_splitter,
     condition_heterodyne,
@@ -278,3 +284,74 @@ def test_physicality_audit_tracks_minimum():
     min_nu, count = physicality_audit()
     assert count == 2
     assert min_nu >= 1.0 - 1e-9
+
+
+def _tmsv_entries_fraction(gamma: float) -> tuple[float, float]:
+    # reference: the same one-ulp walk with the physicality test run on
+    # Fractions instead of the integer ratios the package uses
+    denom = 1.0 - gamma * gamma
+    a = (1.0 + gamma * gamma) / denom
+    c = 2.0 * gamma / denom
+    exact_a = Fraction(a)
+    for _ in range(64):
+        if (exact_a - Fraction(c)) * (exact_a + Fraction(c)) >= 1:
+            break
+        c = math.nextafter(c, 0.0)
+    return a, c
+
+
+def test_tmsv_entries_match_fraction_reference():
+    rng = np.random.default_rng(20261017)
+    near_one = [1.0 - 10.0**-k for k in range(1, 16)] + [math.nextafter(1.0, 0.0)]
+    gammas = np.concatenate(
+        [
+            [0.0, 0.5, 0.9999],
+            near_one,
+            rng.uniform(0.0, 1.0, 2000),
+            1.0 - rng.uniform(0.0, 1e-4, 1000),
+            1.0 - rng.uniform(0.0, 1e-12, 500),
+        ]
+    )
+    for gamma in gammas:
+        gamma = float(gamma)
+        if gamma >= 1.0:
+            continue
+        assert _tmsv_entries(gamma) == _tmsv_entries_fraction(gamma), gamma
+
+
+def _spectrum_by_general_eig(matrix: np.ndarray, dps: int) -> np.ndarray:
+    # general eigensolver on Omega sigma, the route the Hermitian solve replaced
+    n = matrix.shape[0] // 2
+    with mpmath.mp.workdps(dps):
+        k = mpmath.matrix((symplectic_form(n) @ matrix).tolist())
+        eigs = mpmath.eig(k, left=False, right=False)
+    nus = sorted((abs(z) for z in eigs), reverse=True)
+    return np.array([float(nus[2 * i]) for i in range(n)])
+
+
+@pytest.mark.parametrize("g", [1e6, 1e8])
+@pytest.mark.parametrize("gamma,eta", [(0.9, 0.2994), (0.99685, 0.25136), (0.9999, 0.250037)])
+def test_refined_spectrum_matches_80_digit_oracle(g, gamma, eta):
+    # Eve's 8x8 block of the amplified attack state near the sweep's optima
+    ch = GaussChannel(0.25, 0.7575)
+    kappa = _match_kappa(gamma, eta, ch.tau, ch.v, g)
+    assert kappa is not None
+    alice = tmsv(0.7, ("A", "B")).matrix
+    mat, _ = _pipeline_raw(alice, ("A", "B"), "B", ch, _resource_matrix(gamma), eta, kappa, g)
+    eve = mat[4:, 4:]
+    assert np.abs(eve).max() > _HP_SCALE
+    np.testing.assert_array_max_ulp(_refined_spectrum(eve), _spectrum_by_general_eig(eve, 80), 1)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.diag([0.6, -0.4]), np.diag([3.0e6, 3.0e6, 0.6, -0.4])],
+    ids=["unit-scale", "high-scale"],
+)
+def test_non_positive_definite_matrix_reports_general_spectrum(matrix):
+    # no Cholesky factor: the rejection must name the nu of the general route
+    nu_min = float(_spectrum_by_general_eig(matrix, 30).min())
+    assert nu_min < 1.0
+    message = f"unphysical covariance matrix: smallest symplectic eigenvalue {nu_min:.12g}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        CovMat(matrix, tuple(f"m{i}" for i in range(matrix.shape[0] // 2)))
