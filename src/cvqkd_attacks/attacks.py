@@ -24,25 +24,19 @@ from .channels import (
     is_entanglement_breaking,
 )
 from .gaussian import (
-    _HP_SCALE,
     CovMat,
-    _channel_on_mode,
-    _embed_pair,
-    _entropy_term,
-    _schur_heterodyne_hp,
-    _symplectic_spectrum,
+    _condition_heterodyne_raw,
+    _raw_entropy,
     apply_symplectic,
     beam_splitter,
     condition_heterodyne,
     direct_sum,
     partial_trace,
-    symplectic_form,
     thermal,
     tmsv,
-    two_mode_squeezer,
     von_neumann_entropy,
 )
-from .teleportation import ASYMPTOTIC_GAIN
+from .teleportation import ASYMPTOTIC_GAIN, _is_pure_loss_like, _pipeline_raw
 
 _ROOT_TOL = 1e-12
 _FEASIBLE_RESIDUAL = 1e-8
@@ -54,7 +48,6 @@ class AttackScenario:
 
     channel: the physical Alice-to-Bob channel (loss channels in scope).
     zeta: squeezing of Alice's source tmsv.
-    detection: only "heterodyne" is supported (both parties).
     reconciliation: "reverse" conditions on Bob, "direct" on Alice.
     gain: amplifier gain for the teleportation attack; math.inf selects the
         asymptotic protocol, realized numerically at ASYMPTOTIC_GAIN.
@@ -62,15 +55,12 @@ class AttackScenario:
 
     channel: GaussChannel
     zeta: float
-    detection: str = "heterodyne"
     reconciliation: str = "reverse"
     gain: float = math.inf
 
     def __post_init__(self):
         if not 0.0 <= self.zeta < 1.0:
             raise ValueError(f"source squeezing must lie in [0, 1), got {self.zeta}")
-        if self.detection != "heterodyne":
-            raise ValueError(f"unsupported detection {self.detection!r}")
         if self.reconciliation not in ("direct", "reverse"):
             raise ValueError(f"reconciliation must be 'direct' or 'reverse', got {self.reconciliation!r}")
         if not (self.gain > 1.0 or math.isinf(self.gain)):
@@ -228,70 +218,11 @@ def cloner_attack(sc: AttackScenario) -> AttackResult:
     )
 
 
-def _is_pure_loss_like(kind: ChannelKind) -> bool:
-    return kind in (ChannelKind.PURE_LOSS, ChannelKind.IDENTITY)
-
-
 def _resource_matrix(gamma: float) -> np.ndarray:
     """Eve's resource tmsv(gamma) on (R1, R2), validated."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"resource squeezing must lie in [0, 1), got {gamma}")
     return tmsv(gamma, ("R1", "R2")).matrix
-
-
-def _pipeline_raw(
-    input_matrix: np.ndarray,
-    input_labels: tuple[str, ...],
-    signal_label: str,
-    channel: GaussChannel,
-    resource: np.ndarray,
-    eta: float,
-    kappa: float,
-    g: float,
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """All-optical attack circuit on an arbitrary input, environment traced out.
-
-    Resource matrix (from _resource_matrix) on (R1, R2); auxiliary
-    tmsv(kappa) on (F1, F2), or a single vacuum F1 for pure-loss channels.
-    Order: squeeze (signal, R1) at gain g, send the signal through the
-    channel, mix (R2, F1) at eta, recombine (signal, R2) at t = 1/g. Tracing
-    the channel's environment commutes with the later optics, so the channel
-    map is applied in place of its dilation. Returns the raw kept matrix and
-    its labels; the amplified entries grow to ~g * a(gamma), which is why no
-    state object is built here.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"mixing transmissivity must lie in [0, 1], got {eta}")
-    if not 0.0 <= kappa < 1.0:
-        raise ValueError(f"auxiliary squeezing must lie in [0, 1), got {kappa}")
-    if not (g > 1.0 and math.isfinite(g)):
-        raise ValueError(f"amplifier gain must be a finite value > 1, got {g}")
-
-    pure_loss = _is_pure_loss_like(classify(channel))
-    if pure_loss and kappa != 0.0:
-        raise ValueError("pure-loss channel pins the auxiliary state to vacuum (kappa = 0)")
-    aux = thermal(1.0, "F1") if pure_loss else tmsv(kappa, ("F1", "F2"))
-
-    blocks = [input_matrix, resource, aux.matrix]
-    labels = tuple(input_labels) + ("R1", "R2", "F1") + (() if pure_loss else ("F2",))
-    dim = sum(b.shape[0] for b in blocks)
-    joint = np.zeros((dim, dim))
-    at = 0
-    for b in blocks:
-        joint[at : at + b.shape[0], at : at + b.shape[0]] = b
-        at += b.shape[0]
-
-    n = dim // 2
-    slot = {lbl: i for i, lbl in enumerate(labels)}
-    sig = slot[signal_label]
-    amp = _embed_pair(two_mode_squeezer(g).matrix, n, sig, slot["R1"])
-    joint = amp @ joint @ amp.T
-    joint = _channel_on_mode(joint, sig, channel.tau, channel.v)
-    mix = _embed_pair(beam_splitter(eta).matrix, n, slot["R2"], slot["F1"])
-    joint = mix @ joint @ mix.T
-    recomb = _embed_pair(beam_splitter(1.0 / g).matrix, n, sig, slot["R2"])
-    joint = recomb @ joint @ recomb.T
-    return 0.5 * (joint + joint.T), labels
 
 
 def ao_attack_state(
@@ -302,7 +233,7 @@ def ao_attack_state(
     resource = _resource_matrix(gamma)
     alice = tmsv(sc.zeta, ("A", "B"))
     mat, labels = _pipeline_raw(
-        alice.matrix, alice.labels, "B", sc.channel, resource, eta, kappa, g
+        alice.matrix, alice.labels, "B", sc.channel, resource, eta, kappa, g, 1.0 / g
     )
     return CovMat(mat, labels)
 
@@ -316,34 +247,14 @@ def simulation_residual(
 
     def transform(probe: CovMat) -> CovMat:
         mat, _ = _pipeline_raw(
-            probe.matrix, probe.labels, probe.labels[1], sc.channel, resource, eta, kappa, g
+            probe.matrix, probe.labels, probe.labels[1], sc.channel, resource, eta, kappa, g,
+            1.0 / g,
         )
         # the probe modes occupy the first two slots
         return CovMat(mat[:4, :4], probe.labels)
 
     eff = effective_channel(transform)
     return abs(eff.tau - sc.channel.tau) + abs(eff.v - sc.channel.v)
-
-
-def _plain_entropy(mat: np.ndarray) -> float:
-    # Entropy from the fast eigensolver alone. Good to ~1e-7 bits on the
-    # amplified matrices, which is all the optimizer's comparisons need.
-    n = mat.shape[0] // 2
-    nus = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ mat)))[::-1][::2]
-    return float(sum(_entropy_term(float(nu)) for nu in nus))
-
-
-def _exact_entropy(mat: np.ndarray) -> float:
-    # Entropy from the scale-escalated spectrum: ~1e-12 bits at any gain.
-    return float(sum(_entropy_term(float(nu)) for nu in _symplectic_spectrum(mat)))
-
-
-def _conditioning_blocks(mat: np.ndarray, labels: tuple[str, ...], meas_label: str):
-    meas = labels.index(meas_label)
-    rest = [j for j in range(len(labels)) if j != meas]
-    rows = np.concatenate([[2 * j, 2 * j + 1] for j in rest])
-    mrows = np.array([2 * meas, 2 * meas + 1])
-    return mat[np.ix_(rows, rows)], mat[np.ix_(rows, mrows)], mat[np.ix_(mrows, mrows)]
 
 
 def _eve_info_objective(
@@ -366,15 +277,12 @@ def _eve_info_objective(
     19 ms a call at g = 1e6 against 0.3-0.4 ms for exact=False (one core
     of a 2.1 GHz Xeon), which is why only the final polish uses it.
     """
-    mat, labels = _pipeline_raw(alice, ("A", "B"), "B", sc.channel, resource, eta, kappa, g)
-    a, c, b = _conditioning_blocks(mat, labels, sc.conditioned_label)
-    if exact and float(np.abs(mat).max()) > _HP_SCALE:
-        cond = _schur_heterodyne_hp(a, c, b)
-    else:
-        cond = a - c @ np.linalg.inv(b + np.eye(2)) @ c.T
-    entropy = _exact_entropy if exact else _plain_entropy
+    mat, labels = _pipeline_raw(
+        alice, ("A", "B"), "B", sc.channel, resource, eta, kappa, g, 1.0 / g
+    )
+    cond, _ = _condition_heterodyne_raw(mat, labels, sc.conditioned_label, exact)
     # after removing A or B the Eve block starts at the second remaining mode
-    return entropy(mat[4:, 4:]) - entropy(cond[2:, 2:])
+    return _raw_entropy(mat[4:, 4:], exact) - _raw_entropy(cond[2:, 2:], exact)
 
 
 def _ao_v_eff(gamma: float, eta: float, kappa: float, tau: float, v: float, g: float) -> float:
@@ -494,7 +402,7 @@ def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) ->
     if gamma < gamma_min(ch) - 1e-9:
         return _infeasible(gamma, chi)
 
-    if _is_pure_loss_like(classify(ch)):
+    if _is_pure_loss_like(ch):
         eta = min(ch.tau / (gamma * gamma), 1.0)
         info = eve_info(ao_attack_state(sc, gamma, eta, 0.0, gain), sc)
         residual = simulation_residual(sc, gamma, eta, 0.0, gain)

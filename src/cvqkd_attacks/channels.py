@@ -11,10 +11,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gaussian import (
     CovMat,
+    _channel_on_mode,
     apply_symplectic,
     beam_splitter,
     direct_sum,
@@ -91,13 +90,7 @@ def is_entanglement_breaking(channel: GaussChannel) -> bool:
 
 def apply_channel(state: CovMat, channel: GaussChannel, target_label: str) -> CovMat:
     """Act with the channel on one mode of a multimode state."""
-    i = state.index(target_label)
-    n = state.n_modes
-    scale = np.ones(2 * n)
-    scale[2 * i : 2 * i + 2] = math.sqrt(channel.tau)
-    out = state.matrix * np.outer(scale, scale)
-    out[2 * i, 2 * i] += channel.v
-    out[2 * i + 1, 2 * i + 1] += channel.v
+    out = _channel_on_mode(state.matrix, state.index(target_label), channel.tau, channel.v)
     return CovMat(out, state.labels)
 
 

@@ -59,34 +59,61 @@ class RunConfig:
     precision: int = 9
 
 
-_CONFIG_KEYS = (
-    "tau",
-    "epsilon",
-    "v",
-    "zeta",
-    "beta",
-    "reconciliation",
-    "g_policy",
-    "gamma_min",
-    "gamma_max",
-    "gamma_count",
-    "output",
-    "precision",
-)
-
-
-def _parse_float(field: str, raw: str) -> float:
+def _parse_float(field: str, raw) -> float:
     try:
         return float(raw)
     except ValueError:
         raise ConfigError(f"field {field!r}: expected a number, got {raw!r}") from None
 
 
-def _parse_int(field: str, raw: str) -> int:
+def _parse_int(field: str, raw) -> int:
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"field {field!r}: expected an integer, got {raw!r}") from None
+
+
+def _parse_str(field: str, raw: str) -> str:
+    return raw
+
+
+def _parse_gamma_min(field: str, raw: str) -> float | None:
+    return None if raw == "auto" else _parse_float(field, raw)
+
+
+# Config key (also the flag's dest) -> (RunConfig field, parser), in the
+# order serialize_config writes them.
+_FIELDS = {
+    "tau": ("tau", _parse_float),
+    "epsilon": ("epsilon", _parse_float),
+    "v": ("v", _parse_float),
+    "zeta": ("zeta", _parse_float),
+    "beta": ("beta", _parse_float),
+    "reconciliation": ("reconciliation", _parse_str),
+    "g_policy": ("g_policy", _parse_str),
+    "gamma_min": ("gamma_lo", _parse_gamma_min),
+    "gamma_max": ("gamma_hi", _parse_float),
+    "gamma_count": ("gamma_count", _parse_int),
+    "output": ("output", _parse_str),
+    "precision": ("precision", _parse_int),
+}
+_CONFIG_KEYS = tuple(_FIELDS)
+
+
+def _override(cfg: RunConfig, values: dict) -> RunConfig:
+    """cfg with every config key present (not None) in values parsed into its
+    field. epsilon and v are two spellings of the channel noise, so setting
+    one clears the other; callers reject values that set both."""
+    fields = {
+        field: parse(key, values[key])
+        for key, (field, parse) in _FIELDS.items()
+        if values.get(key) is not None
+    }
+    if "v" in fields:
+        fields["epsilon"] = None
+    elif "epsilon" in fields:
+        fields["v"] = None
+    return replace(cfg, **fields)
 
 
 def resolve_g_policy(policy: str) -> float:
@@ -164,54 +191,21 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     if "epsilon" in seen and "v" in seen:
         raise ConfigError(f"{source}: keys 'epsilon' and 'v' are mutually exclusive")
 
-    cfg = RunConfig()
-    if "v" in seen:
-        cfg = replace(cfg, epsilon=None, v=_parse_float("v", seen["v"]))
-    elif "epsilon" in seen:
-        cfg = replace(cfg, epsilon=_parse_float("epsilon", seen["epsilon"]), v=None)
-    if "tau" in seen:
-        cfg = replace(cfg, tau=_parse_float("tau", seen["tau"]))
-    if "zeta" in seen:
-        cfg = replace(cfg, zeta=_parse_float("zeta", seen["zeta"]))
-    if "beta" in seen:
-        cfg = replace(cfg, beta=_parse_float("beta", seen["beta"]))
-    if "reconciliation" in seen:
-        cfg = replace(cfg, reconciliation=seen["reconciliation"])
-    if "g_policy" in seen:
-        cfg = replace(cfg, g_policy=seen["g_policy"])
-    if "gamma_min" in seen:
-        raw = seen["gamma_min"]
-        cfg = replace(cfg, gamma_lo=None if raw == "auto" else _parse_float("gamma_min", raw))
-    if "gamma_max" in seen:
-        cfg = replace(cfg, gamma_hi=_parse_float("gamma_max", seen["gamma_max"]))
-    if "gamma_count" in seen:
-        cfg = replace(cfg, gamma_count=_parse_int("gamma_count", seen["gamma_count"]))
-    if "output" in seen:
-        cfg = replace(cfg, output=seen["output"])
-    if "precision" in seen:
-        cfg = replace(cfg, precision=_parse_int("precision", seen["precision"]))
+    cfg = _override(RunConfig(), seen)
     validate_config(cfg)
     return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical config text; parse(serialize(cfg)) == cfg."""
-    lines = [f"tau = {cfg.tau!r}"]
-    if cfg.v is not None:
-        lines.append(f"v = {cfg.v!r}")
-    else:
-        lines.append(f"epsilon = {cfg.epsilon!r}")
-    lines += [
-        f"zeta = {cfg.zeta!r}",
-        f"beta = {cfg.beta!r}",
-        f"reconciliation = {cfg.reconciliation}",
-        f"g_policy = {cfg.g_policy}",
-        f"gamma_min = {'auto' if cfg.gamma_lo is None else repr(cfg.gamma_lo)}",
-        f"gamma_max = {cfg.gamma_hi!r}",
-        f"gamma_count = {cfg.gamma_count}",
-        f"output = {cfg.output}",
-        f"precision = {cfg.precision}",
-    ]
+    lines = []
+    for key, (field, _) in _FIELDS.items():
+        value = getattr(cfg, field)
+        if value is None:
+            if key != "gamma_min":
+                continue  # the unset one of epsilon and v
+            value = "auto"
+        lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -227,7 +221,6 @@ def scenario_from(cfg: RunConfig) -> AttackScenario:
     return AttackScenario(
         channel=channel_from(cfg),
         zeta=cfg.zeta,
-        detection="heterodyne",
         reconciliation=cfg.reconciliation,
         gain=resolve_g_policy(cfg.g_policy),
     )
@@ -386,30 +379,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
     if args.epsilon is not None and args.v is not None:
         raise ConfigError("flags --epsilon and --v are mutually exclusive")
-    if args.epsilon is not None:
-        cfg = replace(cfg, epsilon=args.epsilon, v=None)
-    if args.v is not None:
-        cfg = replace(cfg, v=args.v, epsilon=None)
-    overrides = (
-        ("tau", "tau"),
-        ("zeta", "zeta"),
-        ("beta", "beta"),
-        ("reconciliation", "reconciliation"),
-        ("g_policy", "g_policy"),
-        ("gamma_max", "gamma_hi"),
-        ("gamma_count", "gamma_count"),
-        ("output", "output"),
-        ("precision", "precision"),
-    )
-    for arg_name, cfg_name in overrides:
-        value = getattr(args, arg_name)
-        if value is not None:
-            cfg = replace(cfg, **{cfg_name: value})
-    if args.gamma_min is not None:
-        cfg = replace(
-            cfg,
-            gamma_lo=None if args.gamma_min == "auto" else _parse_float("gamma_min", args.gamma_min),
-        )
+    cfg = _override(cfg, vars(args))
     validate_config(cfg)
     return cfg
 

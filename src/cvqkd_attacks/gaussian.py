@@ -76,18 +76,30 @@ def _refined_spectrum(matrix: np.ndarray) -> np.ndarray:
     return np.array([float(nus[2 * i]) for i in range(n)])
 
 
-def _symplectic_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a symmetric matrix, descending, one per mode."""
-    if float(np.abs(matrix).max()) > _HP_SCALE:
-        return _refined_spectrum(matrix)
+def _fast_spectrum(matrix: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues from the double-precision eigensolver alone."""
     n = matrix.shape[0] // 2
     eigs = np.linalg.eigvals(symplectic_form(n) @ matrix)
     # |eigs| carries each nu twice (the +/- i*nu pair); sorting makes the
     # pairs adjacent so taking every second entry deduplicates them.
-    nus = np.sort(np.abs(eigs))[::-1][::2].copy()
+    return np.sort(np.abs(eigs))[::-1][::2].copy()
+
+
+def _symplectic_spectrum(matrix: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of a symmetric matrix, descending, one per mode."""
+    if float(np.abs(matrix).max()) > _HP_SCALE:
+        return _refined_spectrum(matrix)
+    nus = _fast_spectrum(matrix)
     if float(nus.min()) < 1.0 - _REFINE_TRIGGER:
         return _refined_spectrum(matrix)
     return nus
+
+
+def _mode_index(labels: tuple[str, ...], label: str) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise ValueError(f"unknown mode label {label!r}; state has {labels}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +111,8 @@ class CovMat:
         2x2 diagonal blocks.
 
     Construction validates symmetry and physicality (every symplectic
-    eigenvalue >= 1 - 1e-9) and freezes the array.
+    eigenvalue >= 1 - 1e-9, and the matrix positive definite) and freezes
+    the array.
     """
 
     matrix: np.ndarray
@@ -128,6 +141,12 @@ class CovMat:
             raise ValueError(
                 f"unphysical covariance matrix: smallest symplectic eigenvalue {nu_min:.12g}"
             )
+        # |eig(Omega sigma)| cannot see the sign of sigma: sigma + i Omega >= 0
+        # also needs sigma > 0, which an indefinite matrix fails
+        try:
+            np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            raise ValueError("unphysical covariance matrix: not positive definite") from None
         mat.flags.writeable = False
         nus.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -139,10 +158,7 @@ class CovMat:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown mode label {label!r}; state has {self.labels}") from None
+        return _mode_index(self.labels, label)
 
     def block(self, label_row: str, label_col: str) -> np.ndarray:
         """The 2x2 block coupling two modes (a copy)."""
@@ -279,18 +295,8 @@ def direct_sum(*states: CovMat) -> CovMat:
     """Combine independent states into one; labels are concatenated and must stay unique."""
     if not states:
         raise ValueError("direct_sum needs at least one state")
-    mats = [s.matrix for s in states]
-    labels: tuple[str, ...] = ()
-    for s in states:
-        labels = labels + s.labels
-    n_total = sum(m.shape[0] for m in mats)
-    out = np.zeros((n_total, n_total))
-    offset = 0
-    for m in mats:
-        k = m.shape[0]
-        out[offset : offset + k, offset : offset + k] = m
-        offset += k
-    return CovMat(out, labels)
+    labels = tuple(lbl for s in states for lbl in s.labels)
+    return CovMat(_block_diag(*(s.matrix for s in states)), labels)
 
 
 def apply_symplectic(state: CovMat, s: Symplectic, target_labels: tuple[str, ...]) -> CovMat:
@@ -302,14 +308,7 @@ def apply_symplectic(state: CovMat, s: Symplectic, target_labels: tuple[str, ...
     idx = [state.index(lbl) for lbl in target]
     if len(set(idx)) != len(idx):
         raise ValueError(f"target labels must be distinct, got {target}")
-    n = state.n_modes
-    full = np.eye(2 * n)
-    for a, ia in enumerate(idx):
-        for b, ib in enumerate(idx):
-            full[2 * ia : 2 * ia + 2, 2 * ib : 2 * ib + 2] = s.matrix[
-                2 * a : 2 * a + 2, 2 * b : 2 * b + 2
-            ]
-    return CovMat(full @ state.matrix @ full.T, state.labels)
+    return CovMat(_act_on_modes(state.matrix, s.matrix, idx), state.labels)
 
 
 def partial_trace(state: CovMat, keep_labels: tuple[str, ...]) -> CovMat:
@@ -345,23 +344,14 @@ def _entropy_term(nu: float) -> float:
     return hi * math.log2(hi) - lo * math.log2(lo)
 
 
+def _spectrum_entropy(nus) -> float:
+    """Von Neumann entropy in bits of a symplectic spectrum."""
+    return float(sum(_entropy_term(float(nu)) for nu in nus))
+
+
 def von_neumann_entropy(state: CovMat) -> float:
     """Von Neumann entropy in bits, summed over the symplectic eigenvalues."""
-    return float(sum(_entropy_term(float(nu)) for nu in symplectic_eigenvalues(state)))
-
-
-def _split_for_measurement(state: CovMat, measured_label: str):
-    if state.n_modes < 2:
-        raise ValueError("cannot condition away the only remaining mode")
-    i = state.index(measured_label)
-    rest = [j for j in range(state.n_modes) if j != i]
-    rest_rows = np.concatenate([[2 * j, 2 * j + 1] for j in rest])
-    meas_rows = np.array([2 * i, 2 * i + 1])
-    a = state.matrix[np.ix_(rest_rows, rest_rows)]
-    c = state.matrix[np.ix_(rest_rows, meas_rows)]
-    b = state.matrix[np.ix_(meas_rows, meas_rows)]
-    labels = tuple(state.labels[j] for j in rest)
-    return a, c, b, labels
+    return _spectrum_entropy(state._nus)
 
 
 def _schur_heterodyne_hp(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -383,19 +373,14 @@ def condition_heterodyne(state: CovMat, measured_label: str) -> CovMat:
     The conditional matrix sigma_rest - sigma_cross (sigma_meas + I)^-1
     sigma_cross^T does not depend on the measurement outcome.
     """
-    a, c, b, labels = _split_for_measurement(state, measured_label)
-    if float(np.abs(state.matrix).max()) > _HP_SCALE:
-        cond = _schur_heterodyne_hp(a, c, b)
-    else:
-        cond = a - c @ np.linalg.inv(b + np.eye(2)) @ c.T
-    return CovMat(cond, labels)
+    return CovMat(*_condition_heterodyne_raw(state.matrix, state.labels, measured_label))
 
 
 def condition_homodyne(state: CovMat, measured_label: str, quadrature: str = "x") -> CovMat:
     """Remaining covariance after an ideal homodyne measurement of one quadrature."""
     if quadrature not in ("x", "p"):
         raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
-    a, c, b, labels = _split_for_measurement(state, measured_label)
+    a, c, b, labels = _split_for_measurement(state.matrix, state.labels, measured_label)
     proj = np.diag([1.0, 0.0]) if quadrature == "x" else np.diag([0.0, 1.0])
     cond = a - c @ np.linalg.pinv(proj @ b @ proj) @ c.T
     return CovMat(cond, labels)
@@ -404,19 +389,31 @@ def condition_homodyne(state: CovMat, measured_label: str, quadrature: str = "x"
 # Raw-array plumbing for the multimode pipelines. Intermediate states of a
 # long interferometer are scratch arithmetic, not results; working on bare
 # ndarrays here keeps CovMat construction (and its physicality audit) at the
-# contract boundaries where a state is actually handed back.
+# contract boundaries where a state is actually handed back. The state-level
+# operations above call the same functions, so each Gaussian operation, and
+# the choice of when to switch to high precision, lives here once.
 
 
-def _embed_pair(s4: np.ndarray, n_modes: int, i: int, j: int) -> np.ndarray:
-    """Embed a 4x4 two-mode matrix into 2n x 2n acting on mode slots (i, j)."""
-    full = np.eye(2 * n_modes)
-    idx = (i, j)
-    for a in range(2):
-        for b in range(2):
-            full[2 * idx[a] : 2 * idx[a] + 2, 2 * idx[b] : 2 * idx[b] + 2] = s4[
-                2 * a : 2 * a + 2, 2 * b : 2 * b + 2
-            ]
-    return full
+def _block_diag(*mats: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of independent modes' covariance blocks."""
+    dim = sum(m.shape[0] for m in mats)
+    out = np.zeros((dim, dim))
+    at = 0
+    for m in mats:
+        k = m.shape[0]
+        out[at : at + k, at : at + k] = m
+        at += k
+    return out
+
+
+def _act_on_modes(mat: np.ndarray, s: np.ndarray, idx) -> np.ndarray:
+    """sigma -> S sigma S^T for a symplectic S on the mode slots idx, embedded
+    as identity on every other mode."""
+    full = np.eye(mat.shape[0])
+    for a, ia in enumerate(idx):
+        for b, ib in enumerate(idx):
+            full[2 * ia : 2 * ia + 2, 2 * ib : 2 * ib + 2] = s[2 * a : 2 * a + 2, 2 * b : 2 * b + 2]
+    return full @ mat @ full.T
 
 
 def _channel_on_mode(mat: np.ndarray, i: int, tau: float, v: float) -> np.ndarray:
@@ -428,3 +425,39 @@ def _channel_on_mode(mat: np.ndarray, i: int, tau: float, v: float) -> np.ndarra
     out[:, sl] *= root
     out[sl, sl] += v * np.eye(2)
     return out
+
+
+def _raw_entropy(mat: np.ndarray, exact: bool) -> float:
+    """Entropy in bits of a raw matrix. exact=False takes the double-precision
+    spectrum at any scale; exact=True the one CovMat validation uses."""
+    return _spectrum_entropy(_symplectic_spectrum(mat) if exact else _fast_spectrum(mat))
+
+
+def _split_for_measurement(mat: np.ndarray, labels: tuple[str, ...], measured_label: str):
+    """(rest, cross, measured) blocks of a raw matrix and the surviving labels."""
+    if len(labels) < 2:
+        raise ValueError("cannot condition away the only remaining mode")
+    i = _mode_index(labels, measured_label)
+    rest = [j for j in range(len(labels)) if j != i]
+    rest_rows = np.concatenate([[2 * j, 2 * j + 1] for j in rest])
+    meas_rows = np.array([2 * i, 2 * i + 1])
+    a = mat[np.ix_(rest_rows, rest_rows)]
+    c = mat[np.ix_(rest_rows, meas_rows)]
+    b = mat[np.ix_(meas_rows, meas_rows)]
+    return a, c, b, tuple(labels[j] for j in rest)
+
+
+def _condition_heterodyne_raw(
+    mat: np.ndarray, labels: tuple[str, ...], measured_label: str, exact: bool = True
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Heterodyne Schur complement of a raw matrix and the surviving labels.
+
+    exact=False stays in double precision at every scale; exact=True
+    switches to high precision above _HP_SCALE.
+    """
+    a, c, b, rest = _split_for_measurement(mat, labels, measured_label)
+    if exact and float(np.abs(mat).max()) > _HP_SCALE:
+        cond = _schur_heterodyne_hp(a, c, b)
+    else:
+        cond = a - c @ np.linalg.inv(b + np.eye(2)) @ c.T
+    return cond, rest

@@ -4,7 +4,8 @@ Two protocols are covered: the standard measurement-based one (here only via
 its closed-form effective channel) and the all-optical variant built from a
 two-mode squeezer, the physical channel between the stations, and a beam
 splitter. Both turn the teleporter into a phase-insensitive GaussChannel
-acting on the teleported mode.
+acting on the teleported mode. The all-optical circuit, with a tap on its
+second resource arm, is also the one the teleportation attack runs.
 """
 
 from __future__ import annotations
@@ -14,14 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import GaussChannel
+from .channels import ChannelKind, GaussChannel, classify
 from .gaussian import (
     CovMat,
     TwoModeStd,
+    _act_on_modes,
+    _block_diag,
     _channel_on_mode,
-    _embed_pair,
     _tmsv_entries,
     beam_splitter,
+    thermal,
+    tmsv,
     two_mode_squeezer,
 )
 
@@ -137,6 +141,57 @@ def ao_effective_channel(res: ResourceState, cfg: TeleportConfig) -> GaussChanne
         raise ValueError(f"resource cannot realize this gain: {exc}") from None
 
 
+def _is_pure_loss_like(channel: GaussChannel) -> bool:
+    return classify(channel) in (ChannelKind.PURE_LOSS, ChannelKind.IDENTITY)
+
+
+def _pipeline_raw(
+    input_matrix: np.ndarray,
+    input_labels: tuple[str, ...],
+    signal_label: str,
+    channel: GaussChannel,
+    resource: np.ndarray,
+    eta: float,
+    kappa: float,
+    g: float,
+    t: float,
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The all-optical teleporter with a tap on its second resource arm, run
+    on an arbitrary input with the channel's environment traced out.
+
+    Resource matrix on (R1, R2); auxiliary tmsv(kappa) on (F1, F2), or a
+    single vacuum F1 for pure-loss channels. Order: squeeze (signal, R1) at
+    gain g, send the signal through the channel, mix (R2, F1) at eta,
+    recombine (signal, R2) at t. eta = 1 is an exact identity on (R2, F1),
+    which leaves the plain teleporter. Tracing the channel's environment
+    commutes with the later optics, so the channel map is applied in place
+    of its dilation. Returns the raw kept matrix on the input modes, then
+    R1, R2, F1 (and F2), with its labels; the amplified entries grow to
+    ~g * a, which is why no state object is built here.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"mixing transmissivity must lie in [0, 1], got {eta}")
+    if not 0.0 <= kappa < 1.0:
+        raise ValueError(f"auxiliary squeezing must lie in [0, 1), got {kappa}")
+    if not (g > 1.0 and math.isfinite(g)):
+        raise ValueError(f"amplifier gain must be a finite value > 1, got {g}")
+
+    pure_loss = _is_pure_loss_like(channel)
+    if pure_loss and kappa != 0.0:
+        raise ValueError("pure-loss channel pins the auxiliary state to vacuum (kappa = 0)")
+    aux = thermal(1.0, "F1") if pure_loss else tmsv(kappa, ("F1", "F2"))
+
+    joint = _block_diag(input_matrix, resource, aux.matrix)
+    labels = tuple(input_labels) + ("R1", "R2") + aux.labels
+    sig = input_labels.index(signal_label)
+    r1, r2, f1 = len(input_labels), len(input_labels) + 1, len(input_labels) + 2
+    joint = _act_on_modes(joint, two_mode_squeezer(g).matrix, (sig, r1))
+    joint = _channel_on_mode(joint, sig, channel.tau, channel.v)
+    joint = _act_on_modes(joint, beam_splitter(eta).matrix, (r2, f1))
+    joint = _act_on_modes(joint, beam_splitter(t).matrix, (sig, r2))
+    return 0.5 * (joint + joint.T), labels
+
+
 def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMat:
     """Run the all-optical pipeline on a two-mode state, teleporting its
     second mode, and return the surviving two-mode state.
@@ -145,19 +200,19 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
     two-mode squeezer of gain g, send the amplified signal through the
     physical channel, recombine (signal, resource arm 2) on the beam splitter
     of transmissivity t = lam/(g tau), then trace out both resource arms.
+    This is _pipeline_raw with its tap at eta = 1 and a vacuum auxiliary.
     """
     if state.n_modes != 2:
         raise ValueError(f"expected a two-mode input state, got {state.n_modes} modes")
-    ref, sig = state.labels
-    # Mode slots: ref 0, signal 1, resource arms 2 and 3. The amplified
-    # intermediates (entries ~ g * a) stay raw; only the surviving two-mode
-    # block becomes a state again.
-    joint = np.zeros((8, 8))
-    joint[:4, :4] = state.matrix
-    joint[4:, 4:] = res.to_covmat().matrix
-    amp = _embed_pair(two_mode_squeezer(cfg.gain).matrix, 4, 1, 2)
-    joint = amp @ joint @ amp.T
-    joint = _channel_on_mode(joint, 1, cfg.env.tau, cfg.env.v)
-    mix = _embed_pair(beam_splitter(cfg.splitter_transmissivity()).matrix, 4, 1, 3)
-    joint = mix @ joint @ mix.T
-    return CovMat(joint[:4, :4], (ref, sig))
+    mat, _ = _pipeline_raw(
+        state.matrix,
+        state.labels,
+        state.labels[1],
+        cfg.env,
+        res.to_covmat().matrix,
+        1.0,
+        0.0,
+        cfg.gain,
+        cfg.splitter_transmissivity(),
+    )
+    return CovMat(mat[:4, :4], state.labels)

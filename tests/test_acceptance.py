@@ -20,13 +20,7 @@ from cvqkd_attacks.attacks import (
 )
 from cvqkd_attacks.channels import GaussChannel, effective_channel
 from cvqkd_attacks.cli import RunConfig, format_sweep_csv, scenario_from, write_sweep_csv
-from cvqkd_attacks.gaussian import (
-    partial_trace,
-    physicality_audit,
-    reset_physicality_audit,
-    tmsv,
-    von_neumann_entropy,
-)
+from cvqkd_attacks.gaussian import physicality_audit, reset_physicality_audit
 from cvqkd_attacks.keyrate import default_gamma_grid, mutual_information, sweep
 from cvqkd_attacks.teleportation import (
     ResourceState,
@@ -34,6 +28,11 @@ from cvqkd_attacks.teleportation import (
     ao_effective_channel,
     ao_simulate,
     bk_effective_channel,
+)
+from cvqkd_attacks.verify import (
+    _check_entanglement_entropy_oracle,
+    _check_gamma_min_pure_loss,
+    _check_minimal_resource_identity,
 )
 
 SC = scenario_from(RunConfig())
@@ -85,10 +84,7 @@ def test_criterion_01_gamma_min():
     got = gamma_min(GaussChannel(0.25, 0.7575))
     dev_anchor = abs(got - GAMMA_MIN_ANCHOR)
     dev_oracle = abs(got - _bisect_gamma_min(0.25, 0.7575))
-    worst_pure = max(
-        abs(gamma_min(GaussChannel(k / 10.0, 1.0 - k / 10.0)) - math.sqrt(k / 10.0))
-        for k in range(1, 10)
-    )
+    worst_pure = _check_gamma_min_pure_loss()
     ok = dev_anchor <= 1e-6 and dev_oracle <= 1e-12 and worst_pure <= 1e-12
     _report(
         1,
@@ -99,23 +95,14 @@ def test_criterion_01_gamma_min():
 
 
 def test_criterion_02_entanglement_entropy():
-    worst = 0.0
-    for k in range(1, 10):
-        gamma = k / 10.0
-        reduced = partial_trace(tmsv(gamma, ("m1", "m2")), ("m1",))
-        worst = max(worst, abs(entropy_of_entanglement(gamma) - von_neumann_entropy(reduced)))
+    worst = _check_entanglement_entropy_oracle()
     dev_anchor = abs(entropy_of_entanglement(0.5) - 1.081704)
     ok = worst <= 1e-10 and dev_anchor <= 1e-5
     _report(2, ok, f"oracle worst {worst:.2e} <= 1e-10, E(0.5) dev {dev_anchor:.2e} <= 1e-5")
 
 
 def test_criterion_03_minimal_resource_identity():
-    worst = 0.0
-    for tau in (0.1, 0.3, 0.5, 0.7, 0.9):
-        for eps in (1.0, 1.05, 1.1, 1.15, 1.2):
-            ch = GaussChannel(tau, (1.0 - tau) * eps)
-            tel = bk_effective_channel(ResourceState.from_tmsv(gamma_min(ch)), ch.tau)
-            worst = max(worst, abs(tel.tau - ch.tau) + abs(tel.v - ch.v))
+    worst = _check_minimal_resource_identity()
     ok = worst <= 1e-9
     _report(3, ok, f"5x5 grid worst |dtau|+|dv| {worst:.2e} <= 1e-9")
 

@@ -35,8 +35,6 @@ def scenario(ch=THERMAL, **kw):
 def test_scenario_validation():
     with pytest.raises(ValueError, match="source squeezing"):
         AttackScenario(THERMAL, zeta=1.0)
-    with pytest.raises(ValueError, match="unsupported detection"):
-        AttackScenario(THERMAL, zeta=0.7, detection="homodyne")
     with pytest.raises(ValueError, match="reconciliation"):
         AttackScenario(THERMAL, zeta=0.7, reconciliation="sideways")
     with pytest.raises(ValueError, match="gain"):

@@ -1,5 +1,6 @@
 """CLI surface: config round trips, CSV formatting, exit codes."""
 
+import csv
 import math
 from pathlib import Path
 
@@ -193,6 +194,34 @@ def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, ne
     assert needle in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("g_policy", ["asymptotic", "finite:100"])
+@pytest.mark.parametrize("reconciliation", ["reverse", "direct"])
+@pytest.mark.parametrize("epsilon", ["1.0", "1.05"])
+@pytest.mark.parametrize("tau", ["0.25", "0.7"])
+def test_sweep_scenario_matrix_yields_a_table_or_exits_2(
+    capsys, tmp_path, tau, epsilon, reconciliation, g_policy
+):
+    # every accepted configuration either yields a sound table or exits 2
+    # with one line; an escaping exception fails the test
+    out = tmp_path / "matrix.csv"
+    flags = ["--tau", tau, "--epsilon", epsilon, "--reconciliation", reconciliation]
+    flags += ["--g-policy", g_policy, "--gamma-count", "3", "--precision", "17"]
+    code = main(["sweep", *flags, "--output", str(out)])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        return
+    assert code == 0
+    assert err == ""
+    rows = list(csv.DictReader(out.open(encoding="utf-8")))
+    assert len(rows) == 3
+    for row in rows:
+        if row["feasible"] == "true":
+            assert float(row["residual"]) <= 1e-8
+            assert float(row["eve_info_bits"]) <= float(row["holevo_bits"])
 
 
 def test_telesim_identity_environment(capsys):

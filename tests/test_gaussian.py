@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cvqkd_attacks.attacks import _match_kappa, _pipeline_raw, _resource_matrix
+from cvqkd_attacks.attacks import _match_kappa, _resource_matrix
 from cvqkd_attacks.channels import GaussChannel
 from cvqkd_attacks.gaussian import (
     _HP_SCALE,
@@ -32,6 +32,7 @@ from cvqkd_attacks.gaussian import (
     two_mode_squeezer,
     von_neumann_entropy,
 )
+from cvqkd_attacks.teleportation import _pipeline_raw
 
 
 def test_symplectic_form_blocks():
@@ -70,6 +71,30 @@ def test_covmat_rejects_asymmetry():
 def test_covmat_rejects_unphysical():
     with pytest.raises(ValueError, match="unphysical"):
         CovMat(0.5 * np.eye(2), ("m1",))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.diag([2.0, -1.0]),
+        # tmsv sign pattern with c > a: both symplectic eigenvalues are
+        # sqrt(c^2 - a^2) = 1.80, but a - c < 0 is an eigenvalue of sigma
+        np.array(
+            [
+                [3.0, 0.0, 3.5, 0.0],
+                [0.0, 3.0, 0.0, -3.5],
+                [3.5, 0.0, 3.0, 0.0],
+                [0.0, -3.5, 0.0, 3.0],
+            ]
+        ),
+    ],
+    ids=["diagonal", "tmsv-shape"],
+)
+def test_covmat_rejects_indefinite_matrix(matrix):
+    # every |eig(Omega sigma)| is >= 1 here, so only sigma > 0 can reject it
+    labels = tuple(f"m{i}" for i in range(matrix.shape[0] // 2))
+    with pytest.raises(ValueError, match="^unphysical covariance matrix: not positive definite$"):
+        CovMat(matrix, labels)
 
 
 def test_covmat_freezes_matrix():
@@ -337,7 +362,9 @@ def test_refined_spectrum_matches_80_digit_oracle(g, gamma, eta):
     kappa = _match_kappa(gamma, eta, ch.tau, ch.v, g)
     assert kappa is not None
     alice = tmsv(0.7, ("A", "B")).matrix
-    mat, _ = _pipeline_raw(alice, ("A", "B"), "B", ch, _resource_matrix(gamma), eta, kappa, g)
+    mat, _ = _pipeline_raw(
+        alice, ("A", "B"), "B", ch, _resource_matrix(gamma), eta, kappa, g, 1.0 / g
+    )
     eve = mat[4:, 4:]
     assert np.abs(eve).max() > _HP_SCALE
     np.testing.assert_array_max_ulp(_refined_spectrum(eve), _spectrum_by_general_eig(eve, 80), 1)
