@@ -36,7 +36,7 @@ from .gaussian import (
     tmsv,
     von_neumann_entropy,
 )
-from .teleportation import ASYMPTOTIC_GAIN, _is_pure_loss_like, _pipeline_raw
+from .teleportation import ASYMPTOTIC_GAIN, _check_gain, _is_pure_loss_like, _pipeline_raw
 
 _ROOT_TOL = 1e-12
 _FEASIBLE_RESIDUAL = 1e-8
@@ -233,7 +233,7 @@ def ao_attack_state(
     resource = _resource_matrix(gamma)
     alice = tmsv(sc.zeta, ("A", "B"))
     mat, labels = _pipeline_raw(
-        alice.matrix, alice.labels, "B", sc.channel, resource, eta, kappa, g, 1.0 / g
+        alice.matrix, alice.labels, "B", sc.channel, resource, eta, kappa, g
     )
     return CovMat(mat, labels)
 
@@ -247,8 +247,7 @@ def simulation_residual(
 
     def transform(probe: CovMat) -> CovMat:
         mat, _ = _pipeline_raw(
-            probe.matrix, probe.labels, probe.labels[1], sc.channel, resource, eta, kappa, g,
-            1.0 / g,
+            probe.matrix, probe.labels, probe.labels[1], sc.channel, resource, eta, kappa, g
         )
         # the probe modes occupy the first two slots
         return CovMat(mat[:4, :4], probe.labels)
@@ -261,28 +260,28 @@ def _eve_info_objective(
     sc: AttackScenario,
     alice: np.ndarray,
     resource: np.ndarray,
-    eta: float,
-    kappa: float,
+    eta,
+    kappa,
     g: float,
     exact: bool,
-) -> float:
+):
     """Objective-function twin of eve_info(ao_attack_state(...)) on raw arrays.
 
     alice is the tmsv(zeta) matrix on (A, B), resource the one from
-    _resource_matrix; both are row constants. exact=False uses the fast
-    eigensolver and double-precision conditioning throughout: good to ~1e-6
-    bits on the amplified matrices, enough for the optimizer's scan loops.
-    exact=True takes the scale-escalated spectrum and conditioning paths,
-    ~1e-12 bits at any gain. Above _HP_SCALE those run in mpmath: about
-    19 ms a call at g = 1e6 against 0.3-0.4 ms for exact=False (one core
-    of a 2.1 GHz Xeon), which is why only the final polish uses it.
+    _resource_matrix; both are row constants. eta and kappa are scalars, or
+    1-D arrays of matched pairs evaluated as one stack, one value each.
+    exact=False uses the fast eigensolver and double-precision conditioning
+    throughout: good to ~1e-6 bits on the amplified matrices, enough for the
+    optimizer's scan loops. exact=True takes the scale-escalated spectrum and
+    conditioning paths, ~1e-12 bits at any gain. Above _HP_SCALE those run in
+    mpmath: about 19 ms a point at g = 1e6 against 0.3-0.4 ms for a lone
+    exact=False call (one core of a 2.1 GHz Xeon), which is why only the
+    final polish uses it.
     """
-    mat, labels = _pipeline_raw(
-        alice, ("A", "B"), "B", sc.channel, resource, eta, kappa, g, 1.0 / g
-    )
+    mat, labels = _pipeline_raw(alice, ("A", "B"), "B", sc.channel, resource, eta, kappa, g)
     cond, _ = _condition_heterodyne_raw(mat, labels, sc.conditioned_label, exact)
     # after removing A or B the Eve block starts at the second remaining mode
-    return _raw_entropy(mat[4:, 4:], exact) - _raw_entropy(cond[2:, 2:], exact)
+    return _raw_entropy(mat[..., 4:, 4:], exact) - _raw_entropy(cond[..., 2:, 2:], exact)
 
 
 def _ao_v_eff(gamma: float, eta: float, kappa: float, tau: float, v: float, g: float) -> float:
@@ -395,6 +394,7 @@ def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) ->
     infeasible result rather than an error.
     """
     gain = sc.resolved_gain if g is None else float(g)
+    _check_gain(gain)
     ch = sc.channel
     chi = holevo_bound(sc)
     if not 0.0 <= gamma < 1.0:
@@ -440,11 +440,27 @@ def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) ->
     alice = tmsv(sc.zeta, ("A", "B")).matrix
     resource = _resource_matrix(gamma)
     etas = [w_lo + (w_hi - w_lo) * i / (_ETA_GRID_POINTS - 1) for i in range(_ETA_GRID_POINTS)]
-    values = [probe(e) for e in etas]
-    if best_info == -math.inf:
+    # the grid's matchable points run as one stacked evaluation; the first
+    # maximum in grid order wins, as it did point by point
+    kappas = [_match_kappa(gamma, e, tau, v, gain) for e in etas]
+    hits = [i for i, k in enumerate(kappas) if k is not None]
+    if not hits:
         return _infeasible(gamma, chi)
-
+    values = [-math.inf] * _ETA_GRID_POINTS
+    infos = _eve_info_objective(
+        sc,
+        alice,
+        resource,
+        np.array([etas[i] for i in hits]),
+        np.array([kappas[i] for i in hits]),
+        gain,
+        exact=False,
+    )
+    for i, info in zip(hits, infos.tolist()):
+        values[i] = info
     i_best = values.index(max(values))
+    best_info, best_eta, best_kappa = values[i_best], etas[i_best], kappas[i_best]
+
     a = etas[max(i_best - 1, 0)]
     b = etas[min(i_best + 1, _ETA_GRID_POINTS - 1)]
     x1 = b - _GOLDEN * (b - a)

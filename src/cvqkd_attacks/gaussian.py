@@ -77,22 +77,35 @@ def _refined_spectrum(matrix: np.ndarray) -> np.ndarray:
 
 
 def _fast_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues from the double-precision eigensolver alone."""
-    n = matrix.shape[0] // 2
+    """Symplectic eigenvalues from the double-precision eigensolver alone, of
+    one matrix or of each matrix in a (..., 2n, 2n) stack."""
+    n = matrix.shape[-1] // 2
     eigs = np.linalg.eigvals(symplectic_form(n) @ matrix)
     # |eigs| carries each nu twice (the +/- i*nu pair); sorting makes the
     # pairs adjacent so taking every second entry deduplicates them.
-    return np.sort(np.abs(eigs))[::-1][::2].copy()
+    return np.sort(np.abs(eigs), axis=-1)[..., ::-1][..., ::2].copy()
+
+
+def _above_hp_scale(matrix: np.ndarray) -> np.ndarray:
+    """Per-matrix flag: entries beyond _HP_SCALE, where double precision
+    cannot resolve near-unity symplectic eigenvalues."""
+    return np.abs(matrix).max(axis=(-2, -1)) > _HP_SCALE
 
 
 def _symplectic_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a symmetric matrix, descending, one per mode."""
-    if float(np.abs(matrix).max()) > _HP_SCALE:
-        return _refined_spectrum(matrix)
-    nus = _fast_spectrum(matrix)
-    if float(nus.min()) < 1.0 - _REFINE_TRIGGER:
-        return _refined_spectrum(matrix)
-    return nus
+    """Symplectic eigenvalues of a symmetric matrix, descending, one per mode;
+    of a stack, one row per matrix. Escalation to high precision is decided
+    per matrix, so one large member never sends the whole stack there."""
+    n = matrix.shape[-1] // 2
+    stack = matrix.reshape((-1,) + matrix.shape[-2:])
+    refine = _above_hp_scale(stack)
+    nus = np.zeros((len(stack), n))
+    if not refine.all():
+        nus[~refine] = _fast_spectrum(stack[~refine])
+        refine |= nus.min(axis=-1) < 1.0 - _REFINE_TRIGGER
+    for i in np.flatnonzero(refine):
+        nus[i] = _refined_spectrum(stack[i])
+    return nus.reshape(matrix.shape[:-2] + (n,))
 
 
 def _mode_index(labels: tuple[str, ...], label: str) -> int:
@@ -100,6 +113,38 @@ def _mode_index(labels: tuple[str, ...], label: str) -> int:
         return labels.index(label)
     except ValueError:
         raise ValueError(f"unknown mode label {label!r}; state has {labels}") from None
+
+
+def _check_physical(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a covariance matrix, or each of a (..., 2n, 2n) stack, and
+    return the symmetrized matrices with their symplectic spectra.
+
+    Symmetry to SYMMETRY_RTOL of the scale, every symplectic eigenvalue
+    >= 1 - PHYSICALITY_TOL, and positive definiteness. Each matrix counts
+    once in the physicality audit, as one CovMat construction would; a stack
+    with an unphysical member is counted whole, then rejected with the
+    message the first such member would raise on its own.
+    """
+    scale = np.maximum(np.abs(mats).max(axis=(-2, -1)), 1.0)
+    if np.any(np.abs(mats - np.swapaxes(mats, -1, -2)).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
+        raise ValueError("covariance matrix is not symmetric")
+    mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    nus = _symplectic_spectrum(mats)
+    nu_min = nus.min(axis=-1)
+    _audit["min_nu"] = min(_audit["min_nu"], float(nu_min.min(initial=math.inf)))
+    _audit["count"] += nu_min.size
+    low = nu_min < 1.0 - PHYSICALITY_TOL
+    if low.any():
+        raise ValueError(
+            f"unphysical covariance matrix: smallest symplectic eigenvalue {nu_min[low][0]:.12g}"
+        )
+    # |eig(Omega sigma)| cannot see the sign of sigma: sigma + i Omega >= 0
+    # also needs sigma > 0, which an indefinite matrix fails
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        raise ValueError("unphysical covariance matrix: not positive definite") from None
+    return mats, nus
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,25 +173,7 @@ class CovMat:
             raise ValueError(f"expected {n} mode labels, got {len(labels)}")
         if len(set(labels)) != n:
             raise ValueError(f"mode labels must be unique, got {labels}")
-        scale = max(float(np.abs(mat).max()), 1.0)
-        if float(np.abs(mat - mat.T).max()) > SYMMETRY_RTOL * scale:
-            raise ValueError("covariance matrix is not symmetric")
-        mat = 0.5 * (mat + mat.T)
-        nus = _symplectic_spectrum(mat)
-        nu_min = float(nus.min())
-        if nu_min < _audit["min_nu"]:
-            _audit["min_nu"] = nu_min
-        _audit["count"] += 1
-        if nu_min < 1.0 - PHYSICALITY_TOL:
-            raise ValueError(
-                f"unphysical covariance matrix: smallest symplectic eigenvalue {nu_min:.12g}"
-            )
-        # |eig(Omega sigma)| cannot see the sign of sigma: sigma + i Omega >= 0
-        # also needs sigma > 0, which an indefinite matrix fails
-        try:
-            np.linalg.cholesky(mat)
-        except np.linalg.LinAlgError:
-            raise ValueError("unphysical covariance matrix: not positive definite") from None
+        mat, nus = _check_physical(mat)
         mat.flags.writeable = False
         nus.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -177,33 +204,44 @@ class TwoModeStd:
     c_minus: float
 
     def to_covmat(self, labels: tuple[str, str] = ("m1", "m2")) -> CovMat:
-        m = np.diag([self.a, self.a, self.b, self.b]).astype(float)
-        m[0, 2] = m[2, 0] = self.c_plus
-        m[1, 3] = m[3, 1] = self.c_minus
-        return CovMat(m, labels)
+        return CovMat(_two_mode_std(self.a, self.b, self.c_plus, self.c_minus), labels)
+
+
+def _two_mode_std(a, b, c_plus, c_minus) -> np.ndarray:
+    """The raw standard-form two-mode matrix; array entries give a stack."""
+    m = np.zeros(np.broadcast(a, b, c_plus, c_minus).shape + (4, 4))
+    m[..., 0, 0] = m[..., 1, 1] = a
+    m[..., 2, 2] = m[..., 3, 3] = b
+    m[..., 0, 2] = m[..., 2, 0] = c_plus
+    m[..., 1, 3] = m[..., 3, 1] = c_minus
+    return m
 
 
 @dataclass(frozen=True, eq=False)
 class Symplectic:
-    """A real symplectic matrix acting on `arity` modes (S Omega S^T = Omega)."""
+    """A real symplectic matrix acting on `arity` modes (S Omega S^T = Omega),
+    or a (..., 2 arity, 2 arity) stack of them, each checked on its own."""
 
     matrix: np.ndarray
     arity: int
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=float)
-        if mat.shape != (2 * self.arity, 2 * self.arity):
+        if mat.shape[-2:] != (2 * self.arity, 2 * self.arity):
             raise ValueError(
                 f"symplectic on {self.arity} modes must be {2*self.arity}x{2*self.arity}, "
                 f"got {mat.shape}"
             )
         omega = symplectic_form(self.arity)
-        dev = float(np.abs(mat @ omega @ mat.T - omega).max())
+        dev = np.abs(mat @ omega @ np.swapaxes(mat, -1, -2) - omega).max(axis=(-2, -1))
         # S Omega S^T entries are products of two entries of S, so rounding
         # scales with |S|^2; the tolerance is relative to that scale.
-        scale = max(1.0, float(np.abs(mat).max()) ** 2)
-        if dev > SYMPLECTIC_TOL * scale:
-            raise ValueError(f"matrix is not symplectic (S Omega S^T deviates by {dev:.3g})")
+        scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)) ** 2)
+        bad = dev > SYMPLECTIC_TOL * scale
+        if bad.any():
+            raise ValueError(
+                f"matrix is not symplectic (S Omega S^T deviates by {dev[bad][0]:.3g})"
+            )
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -271,23 +309,23 @@ def two_mode_squeezer(g: float) -> Symplectic:
     return Symplectic(mat, 2)
 
 
-def beam_splitter(t: float) -> Symplectic:
-    """Beam splitter of transmissivity t in [0, 1].
+def beam_splitter(t) -> Symplectic:
+    """Beam splitter of transmissivity t in [0, 1]; an array of t gives the
+    stack of splitters, one per entry.
 
     First output = sqrt(t) m1 - sqrt(1-t) m2, second = sqrt(1-t) m1 + sqrt(t) m2.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"beam splitter transmissivity must lie in [0, 1], got {t}")
-    st = math.sqrt(t)
-    sr = math.sqrt(1.0 - t)
-    mat = np.array(
-        [
-            [st, 0.0, -sr, 0.0],
-            [0.0, st, 0.0, -sr],
-            [sr, 0.0, st, 0.0],
-            [0.0, sr, 0.0, st],
-        ]
-    )
+    t = np.asarray(t, dtype=float)
+    outside = ~((0.0 <= t) & (t <= 1.0))
+    if outside.any():
+        raise ValueError(f"beam splitter transmissivity must lie in [0, 1], got {t[outside][0]}")
+    st = np.sqrt(t)
+    sr = np.sqrt(1.0 - t)
+    mat = np.zeros(t.shape + (4, 4))
+    for k in range(4):
+        mat[..., k, k] = st
+    mat[..., 0, 2] = mat[..., 1, 3] = -sr
+    mat[..., 2, 0] = mat[..., 3, 1] = sr
     return Symplectic(mat, 2)
 
 
@@ -344,8 +382,12 @@ def _entropy_term(nu: float) -> float:
     return hi * math.log2(hi) - lo * math.log2(lo)
 
 
-def _spectrum_entropy(nus) -> float:
-    """Von Neumann entropy in bits of a symplectic spectrum."""
+def _spectrum_entropy(nus):
+    """Von Neumann entropy in bits of a symplectic spectrum; of a stack of
+    spectra, one entropy per row."""
+    nus = np.asarray(nus)
+    if nus.ndim > 1:
+        return np.array([_spectrum_entropy(row) for row in nus])
     return float(sum(_entropy_term(float(nu)) for nu in nus))
 
 
@@ -354,16 +396,23 @@ def von_neumann_entropy(state: CovMat) -> float:
     return _spectrum_entropy(state._nus)
 
 
-def _schur_heterodyne_hp(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _schur_hp(a: np.ndarray, c: np.ndarray, b: np.ndarray, quadrature: str | None) -> np.ndarray:
     # The subtraction cancels ~|sigma| down to O(1) entries, so double
     # precision would leave absolute errors ~eps * |sigma| in the result.
+    # quadrature None is heterodyne, a - c (b + I)^-1 c^T; "x" or "p" is the
+    # homodyne a - c_q c_q^T / b_qq on that quadrature's column.
     with mpmath.mp.workdps(40):
         am = mpmath.matrix(a.tolist())
         cm = mpmath.matrix(c.tolist())
         bm = mpmath.matrix(b.tolist())
-        bm[0, 0] += 1
-        bm[1, 1] += 1
-        x = am - cm * (bm**-1) * cm.T
+        if quadrature is None:
+            bm[0, 0] += 1
+            bm[1, 1] += 1
+            x = am - cm * (bm**-1) * cm.T
+        else:
+            q = "xp".index(quadrature)
+            cq = cm[:, q]
+            x = am - cq * cq.T / bm[q, q]
     return np.array([[float(x[i, j]) for j in range(x.cols)] for i in range(x.rows)])
 
 
@@ -377,12 +426,19 @@ def condition_heterodyne(state: CovMat, measured_label: str) -> CovMat:
 
 
 def condition_homodyne(state: CovMat, measured_label: str, quadrature: str = "x") -> CovMat:
-    """Remaining covariance after an ideal homodyne measurement of one quadrature."""
+    """Remaining covariance after an ideal homodyne measurement of one quadrature.
+
+    Above _HP_SCALE the Schur complement runs in high precision, as the
+    heterodyne one does.
+    """
     if quadrature not in ("x", "p"):
         raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
     a, c, b, labels = _split_for_measurement(state.matrix, state.labels, measured_label)
-    proj = np.diag([1.0, 0.0]) if quadrature == "x" else np.diag([0.0, 1.0])
-    cond = a - c @ np.linalg.pinv(proj @ b @ proj) @ c.T
+    if _above_hp_scale(state.matrix):
+        cond = _schur_hp(a, c, b, quadrature)
+    else:
+        proj = np.diag([1.0, 0.0]) if quadrature == "x" else np.diag([0.0, 1.0])
+        cond = a - c @ np.linalg.pinv(proj @ b @ proj) @ c.T
     return CovMat(cond, labels)
 
 
@@ -395,69 +451,81 @@ def condition_homodyne(state: CovMat, measured_label: str, quadrature: str = "x"
 
 
 def _block_diag(*mats: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix of independent modes' covariance blocks."""
-    dim = sum(m.shape[0] for m in mats)
-    out = np.zeros((dim, dim))
+    """Block-diagonal matrix of independent modes' covariance blocks. Members
+    may be (..., k, k) stacks; their leading axes broadcast."""
+    lead = np.broadcast_shapes(*(m.shape[:-2] for m in mats))
+    dim = sum(m.shape[-1] for m in mats)
+    out = np.zeros(lead + (dim, dim))
     at = 0
     for m in mats:
-        k = m.shape[0]
-        out[at : at + k, at : at + k] = m
+        k = m.shape[-1]
+        out[..., at : at + k, at : at + k] = m
         at += k
     return out
 
 
 def _act_on_modes(mat: np.ndarray, s: np.ndarray, idx) -> np.ndarray:
     """sigma -> S sigma S^T for a symplectic S on the mode slots idx, embedded
-    as identity on every other mode."""
-    full = np.eye(mat.shape[0])
+    as identity on every other mode. Either may be a stack; leading axes
+    broadcast."""
+    dim = mat.shape[-1]
+    full = np.broadcast_to(np.eye(dim), s.shape[:-2] + (dim, dim)).copy()
     for a, ia in enumerate(idx):
         for b, ib in enumerate(idx):
-            full[2 * ia : 2 * ia + 2, 2 * ib : 2 * ib + 2] = s[2 * a : 2 * a + 2, 2 * b : 2 * b + 2]
-    return full @ mat @ full.T
+            full[..., 2 * ia : 2 * ia + 2, 2 * ib : 2 * ib + 2] = s[
+                ..., 2 * a : 2 * a + 2, 2 * b : 2 * b + 2
+            ]
+    return full @ mat @ np.swapaxes(full, -1, -2)
 
 
 def _channel_on_mode(mat: np.ndarray, i: int, tau: float, v: float) -> np.ndarray:
-    """Apply a phase-insensitive channel (tau, v) to mode slot i of a raw matrix."""
+    """Apply a phase-insensitive channel (tau, v) to mode slot i of a raw
+    matrix or of each matrix in a stack."""
     out = mat.copy()
     sl = slice(2 * i, 2 * i + 2)
     root = math.sqrt(tau)
-    out[sl, :] *= root
-    out[:, sl] *= root
-    out[sl, sl] += v * np.eye(2)
+    out[..., sl, :] *= root
+    out[..., :, sl] *= root
+    out[..., sl, sl] += v * np.eye(2)
     return out
 
 
-def _raw_entropy(mat: np.ndarray, exact: bool) -> float:
-    """Entropy in bits of a raw matrix. exact=False takes the double-precision
-    spectrum at any scale; exact=True the one CovMat validation uses."""
+def _raw_entropy(mat: np.ndarray, exact: bool):
+    """Entropy in bits of a raw matrix, or one per matrix of a stack.
+    exact=False takes the double-precision spectrum at any scale; exact=True
+    the one CovMat validation uses."""
     return _spectrum_entropy(_symplectic_spectrum(mat) if exact else _fast_spectrum(mat))
 
 
 def _split_for_measurement(mat: np.ndarray, labels: tuple[str, ...], measured_label: str):
-    """(rest, cross, measured) blocks of a raw matrix and the surviving labels."""
+    """(rest, cross, measured) blocks of a raw matrix, or of each matrix in a
+    stack, and the surviving labels."""
     if len(labels) < 2:
         raise ValueError("cannot condition away the only remaining mode")
     i = _mode_index(labels, measured_label)
     rest = [j for j in range(len(labels)) if j != i]
     rest_rows = np.concatenate([[2 * j, 2 * j + 1] for j in rest])
     meas_rows = np.array([2 * i, 2 * i + 1])
-    a = mat[np.ix_(rest_rows, rest_rows)]
-    c = mat[np.ix_(rest_rows, meas_rows)]
-    b = mat[np.ix_(meas_rows, meas_rows)]
+    a = mat[..., rest_rows[:, None], rest_rows]
+    c = mat[..., rest_rows[:, None], meas_rows]
+    b = mat[..., meas_rows[:, None], meas_rows]
     return a, c, b, tuple(labels[j] for j in rest)
 
 
 def _condition_heterodyne_raw(
     mat: np.ndarray, labels: tuple[str, ...], measured_label: str, exact: bool = True
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Heterodyne Schur complement of a raw matrix and the surviving labels.
+    """Heterodyne Schur complement of a raw matrix, or of each matrix in a
+    stack, and the surviving labels.
 
     exact=False stays in double precision at every scale; exact=True
-    switches to high precision above _HP_SCALE.
+    switches each matrix above _HP_SCALE to high precision on its own.
     """
     a, c, b, rest = _split_for_measurement(mat, labels, measured_label)
-    if exact and float(np.abs(mat).max()) > _HP_SCALE:
-        cond = _schur_heterodyne_hp(a, c, b)
-    else:
-        cond = a - c @ np.linalg.inv(b + np.eye(2)) @ c.T
+    cond = a - c @ np.linalg.inv(b + np.eye(2)) @ np.swapaxes(c, -1, -2)
+    if exact:
+        hp = _above_hp_scale(mat)
+        for i in np.ndindex(hp.shape):
+            if hp[i]:
+                cond[i] = _schur_hp(a[i], c[i], b[i], None)
     return cond, rest

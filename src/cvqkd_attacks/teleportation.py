@@ -22,10 +22,11 @@ from .gaussian import (
     _act_on_modes,
     _block_diag,
     _channel_on_mode,
+    _check_physical,
     _tmsv_entries,
+    _two_mode_std,
     beam_splitter,
     thermal,
-    tmsv,
     two_mode_squeezer,
 )
 
@@ -145,16 +146,21 @@ def _is_pure_loss_like(channel: GaussChannel) -> bool:
     return classify(channel) in (ChannelKind.PURE_LOSS, ChannelKind.IDENTITY)
 
 
+def _check_gain(g: float) -> None:
+    if not (g > 1.0 and math.isfinite(g)):
+        raise ValueError(f"amplifier gain must be a finite value > 1, got {g}")
+
+
 def _pipeline_raw(
     input_matrix: np.ndarray,
     input_labels: tuple[str, ...],
     signal_label: str,
     channel: GaussChannel,
     resource: np.ndarray,
-    eta: float,
-    kappa: float,
+    eta,
+    kappa,
     g: float,
-    t: float,
+    t: float | None = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """The all-optical teleporter with a tap on its second resource arm, run
     on an arbitrary input with the channel's environment traced out.
@@ -162,34 +168,48 @@ def _pipeline_raw(
     Resource matrix on (R1, R2); auxiliary tmsv(kappa) on (F1, F2), or a
     single vacuum F1 for pure-loss channels. Order: squeeze (signal, R1) at
     gain g, send the signal through the channel, mix (R2, F1) at eta,
-    recombine (signal, R2) at t. eta = 1 is an exact identity on (R2, F1),
-    which leaves the plain teleporter. Tracing the channel's environment
-    commutes with the later optics, so the channel map is applied in place
-    of its dilation. Returns the raw kept matrix on the input modes, then
-    R1, R2, F1 (and F2), with its labels; the amplified entries grow to
-    ~g * a, which is why no state object is built here.
+    recombine (signal, R2) at t, which defaults to 1/g, the attack's choice.
+    eta = 1 is an exact identity on (R2, F1), which leaves the plain
+    teleporter. Tracing the channel's environment commutes with the later
+    optics, so the channel map is applied in place of its dilation. Returns
+    the raw kept matrix on the input modes, then R1, R2, F1 (and F2), with
+    its labels; the amplified entries grow to ~g * a, which is why no state
+    object is built here.
+
+    eta and kappa may be 1-D arrays of one length: the result is then the
+    stack of kept matrices, one per (eta, kappa) pair, with the auxiliary
+    states and splitters validated as stacks. Scalars give one 2-D matrix.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"mixing transmissivity must lie in [0, 1], got {eta}")
-    if not 0.0 <= kappa < 1.0:
-        raise ValueError(f"auxiliary squeezing must lie in [0, 1), got {kappa}")
-    if not (g > 1.0 and math.isfinite(g)):
-        raise ValueError(f"amplifier gain must be a finite value > 1, got {g}")
+    _check_gain(g)
+    eta = np.asarray(eta, dtype=float)
+    kappa = np.asarray(kappa, dtype=float)
+    outside = ~((0.0 <= eta) & (eta <= 1.0))
+    if outside.any():
+        raise ValueError(f"mixing transmissivity must lie in [0, 1], got {eta[outside][0]}")
+    outside = ~((0.0 <= kappa) & (kappa < 1.0))
+    if outside.any():
+        raise ValueError(f"auxiliary squeezing must lie in [0, 1), got {kappa[outside][0]}")
 
-    pure_loss = _is_pure_loss_like(channel)
-    if pure_loss and kappa != 0.0:
-        raise ValueError("pure-loss channel pins the auxiliary state to vacuum (kappa = 0)")
-    aux = thermal(1.0, "F1") if pure_loss else tmsv(kappa, ("F1", "F2"))
+    if _is_pure_loss_like(channel):
+        if (kappa != 0.0).any():
+            raise ValueError("pure-loss channel pins the auxiliary state to vacuum (kappa = 0)")
+        aux, aux_labels = thermal(1.0, "F1").matrix, ("F1",)
+    else:
+        # tmsv(kappa) for every kappa at once: the same entries, one check
+        a, c = np.array([_tmsv_entries(k) for k in kappa.ravel().tolist()]).T
+        a, c = a.reshape(kappa.shape), c.reshape(kappa.shape)
+        aux, _ = _check_physical(_two_mode_std(a, a, c, -c))
+        aux_labels = ("F1", "F2")
 
-    joint = _block_diag(input_matrix, resource, aux.matrix)
-    labels = tuple(input_labels) + ("R1", "R2") + aux.labels
+    joint = _block_diag(input_matrix, resource, aux)
+    labels = tuple(input_labels) + ("R1", "R2") + aux_labels
     sig = input_labels.index(signal_label)
     r1, r2, f1 = len(input_labels), len(input_labels) + 1, len(input_labels) + 2
     joint = _act_on_modes(joint, two_mode_squeezer(g).matrix, (sig, r1))
     joint = _channel_on_mode(joint, sig, channel.tau, channel.v)
     joint = _act_on_modes(joint, beam_splitter(eta).matrix, (r2, f1))
-    joint = _act_on_modes(joint, beam_splitter(t).matrix, (sig, r2))
-    return 0.5 * (joint + joint.T), labels
+    joint = _act_on_modes(joint, beam_splitter(1.0 / g if t is None else t).matrix, (sig, r2))
+    return 0.5 * (joint + np.swapaxes(joint, -1, -2)), labels
 
 
 def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMat:

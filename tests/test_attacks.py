@@ -2,14 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cvqkd_attacks.attacks import (
     AttackResult,
     AttackScenario,
     _ao_v_eff,
+    _eve_info_objective,
     _feasible_eta_window,
     _match_kappa,
+    _resource_matrix,
     ao_attack_state,
     cloner_attack,
     entanglement_lower_bound,
@@ -229,3 +232,46 @@ def test_optimize_thermal_smoke():
     # the reported operating point really presents the target channel
     direct = simulation_residual(sc, 0.6, res.eta_star, res.kappa_star, sc.resolved_gain)
     assert direct == res.residual
+
+
+@pytest.mark.parametrize("g", [0.0, -1.0, 0.5, 1.0, math.inf, math.nan])
+def test_bad_gain_gets_the_gain_message(g):
+    sc = scenario()
+    message = "amplifier gain must be a finite value > 1"
+    with pytest.raises(ValueError, match=message):
+        ao_attack_state(sc, 0.6, 0.5, 0.05, g)
+    with pytest.raises(ValueError, match=message):
+        simulation_residual(sc, 0.6, 0.5, 0.05, g)
+    with pytest.raises(ValueError, match=message):
+        optimize_attack(sc, 0.6, g)
+
+
+def _matched_points(gamma, ch, g, count, seed):
+    lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, 0.0)
+    etas, kappas = [], []
+    for eta in np.random.default_rng(seed).uniform(lo, hi, 3 * count):
+        kappa = _match_kappa(gamma, float(eta), ch.tau, ch.v, g)
+        if kappa is not None and len(etas) < count:
+            etas.append(float(eta))
+            kappas.append(kappa)
+    assert len(etas) == count
+    return np.array(etas), np.array(kappas)
+
+
+@pytest.mark.parametrize("g", [100.0, 1.0e6])
+@pytest.mark.parametrize("reconciliation", ["reverse", "direct"])
+@pytest.mark.parametrize("tau", [0.25, 0.7])
+def test_stacked_objective_equals_per_point_calls(tau, reconciliation, g):
+    ch = GaussChannel(tau, 1.01 * (1.0 - tau))
+    sc = scenario(ch, reconciliation=reconciliation)
+    gamma = 0.97
+    alice = tmsv(sc.zeta, ("A", "B")).matrix
+    resource = _resource_matrix(gamma)
+    etas, kappas = _matched_points(gamma, ch, g, 25, seed=int(100 * tau) + int(g))
+    stacked = _eve_info_objective(sc, alice, resource, etas, kappas, g, exact=False)
+    assert stacked.shape == (25,)
+    for eta, kappa, value in zip(etas.tolist(), kappas.tolist(), stacked.tolist()):
+        assert value == _eve_info_objective(sc, alice, resource, eta, kappa, g, exact=False)
+    exact = _eve_info_objective(sc, alice, resource, etas[:3], kappas[:3], g, exact=True)
+    for eta, kappa, value in zip(etas[:3].tolist(), kappas[:3].tolist(), exact.tolist()):
+        assert value == _eve_info_objective(sc, alice, resource, eta, kappa, g, exact=True)

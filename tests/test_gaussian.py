@@ -15,7 +15,11 @@ from cvqkd_attacks.gaussian import (
     CovMat,
     Symplectic,
     TwoModeStd,
+    _check_physical,
+    _condition_heterodyne_raw,
+    _fast_spectrum,
     _refined_spectrum,
+    _symplectic_spectrum,
     _tmsv_entries,
     apply_symplectic,
     beam_splitter,
@@ -382,3 +386,126 @@ def test_non_positive_definite_matrix_reports_general_spectrum(matrix):
     message = f"unphysical covariance matrix: smallest symplectic eigenvalue {nu_min:.12g}"
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         CovMat(matrix, tuple(f"m{i}" for i in range(matrix.shape[0] // 2)))
+
+
+def _amplified_pair_with_thermal_partner() -> CovMat:
+    # tmsv(0.7) on (x, y) with y amplified against a thermal partner z at
+    # g = 3e6: entries ~1e7, above _HP_SCALE
+    joint = direct_sum(tmsv(0.7, ("x", "y")), thermal(1.5, "z"))
+    return apply_symplectic(joint, two_mode_squeezer(3.0e6), ("y", "z"))
+
+
+@pytest.mark.parametrize("quadrature", ["x", "p"])
+def test_homodyne_conditioning_high_scale_matches_80_digit_oracle(quadrature):
+    st = _amplified_pair_with_thermal_partner()
+    assert np.abs(st.matrix).max() > _HP_SCALE
+    q = "xp".index(quadrature)
+    with mpmath.mp.workdps(80):
+        m = mpmath.matrix(st.matrix.tolist())
+        oracle = np.array(
+            [[float(m[i, j] - m[i, 4 + q] * m[j, 4 + q] / m[4 + q, 4 + q]) for j in range(4)]
+             for i in range(4)]
+        )
+    cond = condition_homodyne(st, "z", quadrature)
+    assert cond.labels == ("x", "y")
+    np.testing.assert_array_max_ulp(cond.matrix, oracle, 1)
+    assert symplectic_eigenvalues(cond).min() >= 1.0
+
+
+@pytest.mark.parametrize("quadrature", ["x", "p"])
+def test_homodyne_conditioning_below_high_scale_keeps_double_precision(quadrature):
+    joint = direct_sum(tmsv(0.7, ("x", "y")), thermal(1.5, "z"))
+    st = apply_symplectic(joint, two_mode_squeezer(1.0e3), ("y", "z"))
+    proj = np.diag([1.0, 0.0]) if quadrature == "x" else np.diag([0.0, 1.0])
+    a, c, b = st.matrix[:4, :4], st.matrix[:4, 4:], st.matrix[4:, 4:]
+    cond = a - c @ np.linalg.pinv(proj @ b @ proj) @ c.T
+    expected = 0.5 * (cond + cond.T)
+    assert np.array_equal(condition_homodyne(st, "z", quadrature).matrix, expected)
+
+
+def _attack_stack(g: float, count: int = 7) -> np.ndarray:
+    ch = GaussChannel(0.25, 0.7575)
+    rng = np.random.default_rng(20261018)
+    etas = rng.uniform(0.26, 0.29, count)
+    kappas = [_match_kappa(0.95, e, ch.tau, ch.v, g) for e in etas]
+    assert None not in kappas
+    alice = tmsv(0.7, ("A", "B")).matrix
+    mat, labels = _pipeline_raw(alice, ("A", "B"), "B", ch, _resource_matrix(0.95), etas, kappas, g)
+    return mat, labels
+
+
+@pytest.mark.parametrize("g", [100.0, 1e6])
+def test_stacked_fast_spectrum_and_conditioning_equal_per_matrix_calls(g):
+    mat, labels = _attack_stack(g)
+    assert mat.shape == (7, 12, 12)
+    nus = _fast_spectrum(mat)
+    for k in range(len(mat)):
+        assert np.array_equal(nus[k], _fast_spectrum(mat[k]))
+    for label in ("A", "B"):
+        for exact in (False, True):
+            cond, rest = _condition_heterodyne_raw(mat, labels, label, exact)
+            for k in range(len(mat)):
+                one, one_rest = _condition_heterodyne_raw(mat[k], labels, label, exact)
+                assert rest == one_rest
+                assert np.array_equal(cond[k], one), (label, exact, k)
+
+
+def test_stacked_spectrum_and_conditioning_escalate_per_matrix():
+    # one large member must not pull its small neighbours into high precision
+    small, labels = _attack_stack(100.0, 3)
+    large, _ = _attack_stack(1e6, 3)
+    mixed = np.concatenate([small, large[:1]])
+    eve = mixed[:, 4:, 4:]
+    nus = _symplectic_spectrum(eve)
+    assert np.array_equal(nus[:3], _fast_spectrum(eve[:3]))
+    assert np.array_equal(nus[3], _refined_spectrum(eve[3]))
+    cond, _ = _condition_heterodyne_raw(mixed, labels, "B", exact=True)
+    plain, _ = _condition_heterodyne_raw(small, labels, "B", exact=False)
+    assert np.array_equal(cond[:3], plain)
+    assert np.array_equal(cond[3], _condition_heterodyne_raw(large[0], labels, "B")[0])
+    assert not np.array_equal(cond[3], _condition_heterodyne_raw(large[0], labels, "B", False)[0])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.diag([0.6, 0.6, 1.0, 1.0]), np.diag([2.0, -1.0, 1.0, 1.0])],
+    ids=["unphysical", "indefinite"],
+)
+def test_check_physical_stack_rejects_like_single_constructions(bad):
+    members = [tmsv(0.3).matrix, bad, tmsv(0.8).matrix]
+    reset_physicality_audit()
+    messages = []
+    for m in members:
+        try:
+            CovMat(m, ("m1", "m2"))
+        except ValueError as exc:
+            messages.append(str(exc))
+    one_by_one = physicality_audit()
+    assert len(messages) == 1
+    reset_physicality_audit()
+    with pytest.raises(ValueError, match=re.escape(messages[0]) + "$"):
+        _check_physical(np.stack(members))
+    assert physicality_audit() == one_by_one
+    assert one_by_one[1] == 3
+
+
+def test_check_physical_stack_counts_each_member():
+    members = np.stack([tmsv(k).matrix for k in (0.0, 0.4, 0.9)])
+    reset_physicality_audit()
+    mats, nus = _check_physical(members)
+    assert physicality_audit()[1] == 3
+    for k, m in enumerate(members):
+        assert np.array_equal(mats[k], tmsv((0.0, 0.4, 0.9)[k]).matrix)
+        assert np.array_equal(nus[k], symplectic_eigenvalues(CovMat(m, ("a", "b"))))
+
+
+def test_stacked_beam_splitters_equal_single_ones_and_keep_the_domain():
+    ts = np.array([0.0, 0.3, 0.77, 1.0])
+    stack = beam_splitter(ts).matrix
+    assert stack.shape == (4, 4, 4)
+    for k, t in enumerate(ts):
+        assert np.array_equal(stack[k], beam_splitter(float(t)).matrix)
+    with pytest.raises(ValueError, match=re.escape("transmissivity must lie in [0, 1], got 1.3")):
+        beam_splitter(np.array([0.2, 1.3, 0.5]))
+    with pytest.raises(ValueError, match="not symplectic"):
+        Symplectic(np.stack([np.eye(4), np.diag([2.0, 2.0, 1.0, 1.0])]), 2)

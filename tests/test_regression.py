@@ -1,8 +1,12 @@
-"""Golden regression: a fresh sweep against the committed reference table.
+"""Golden regression: a fresh sweep against the committed reference tables.
 
 `data/sweep_gamma_count_6.csv` is `cvqkd-attacks sweep --gamma-count 6` at
 the defaults (rows 0, 8, ..., 40 of the default 41-row table), as computed
-before any optimization of the attack kernels. Run-to-run determinism alone
+before any optimization of the attack kernels.
+`data/sweep_lowgain_count_11.csv` is `sweep --g-policy finite:100
+--gamma-max 0.99 --gamma-count 11`, computed before the scan grid was
+batched: at g = 100 every matrix stays below the high-precision scale, so
+it pins the double-precision path alone. Run-to-run determinism alone
 cannot catch a refactor that drifts every run the same way; this can.
 """
 
@@ -10,9 +14,18 @@ import csv
 import math
 from pathlib import Path
 
+import pytest
+
 from cvqkd_attacks.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "sweep_gamma_count_6.csv"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDENS = {
+    "asymptotic": (DATA / "sweep_gamma_count_6.csv", ["--gamma-count", "6"]),
+    "lowgain": (
+        DATA / "sweep_lowgain_count_11.csv",
+        ["--g-policy", "finite:100", "--gamma-max", "0.99", "--gamma-count", "11"],
+    ),
+}
 
 # Absolute tolerance per column. 2e-6 bits admits the ~6e-8-bit correction an
 # exact g -> infinity protocol would bring and still catches an optimum one
@@ -35,12 +48,14 @@ def _rows(path: Path) -> list[dict[str, str]]:
         return list(csv.DictReader(fh))
 
 
-def test_default_sweep_matches_golden_table(tmp_path, capsys):
+@pytest.mark.parametrize("case", sorted(GOLDENS))
+def test_sweep_matches_golden_table(case, tmp_path, capsys):
+    golden_path, args = GOLDENS[case]
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--gamma-count", "6", "--output", str(out)]) == 0
+    assert main(["sweep", *args, "--output", str(out)]) == 0
     capsys.readouterr()
-    fresh, golden = _rows(out), _rows(GOLDEN)
-    assert len(fresh) == len(golden) == 6
+    fresh, golden = _rows(out), _rows(golden_path)
+    assert len(fresh) == len(golden) == int(args[-1])
     for got, want in zip(fresh, golden):
         assert got["feasible"] == want["feasible"], want["gamma"]
         for column, tol in TOLERANCES.items():
