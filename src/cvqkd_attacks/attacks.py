@@ -284,25 +284,6 @@ def _eve_info_objective(
     return _raw_entropy(mat[..., 4:, 4:], exact) - _raw_entropy(cond[..., 2:, 2:], exact)
 
 
-def _ao_v_eff(gamma: float, eta: float, kappa: float, tau: float, v: float, g: float) -> float:
-    # Closed form of the attack's added noise at lam = tau. Raw floats on
-    # purpose: bisection iterates pass through unphysical intermediate values
-    # that CovMat/GaussChannel constructors would reject.
-    g2 = gamma * gamma
-    a = (1.0 + g2) / (1.0 - g2)
-    c = 2.0 * gamma / (1.0 - g2)
-    k2 = kappa * kappa
-    a_phi = (1.0 + k2) / (1.0 - k2)
-    b_eff = eta * a + (1.0 - eta) * a_phi
-    c_eff = math.sqrt(eta) * c
-    return (
-        a * tau
-        - 2.0 * c_eff * math.sqrt(tau) * (g - 1.0) / g
-        - (a * tau + b_eff - v) / g
-        + b_eff
-    )
-
-
 def _feasible_eta_window(gamma: float, tau: float, v: float, lo: float):
     """Exact eta interval on which a vacuum auxiliary undershoots the target
     noise (so that some kappa >= 0 can match it), intersected with [lo, 1].
@@ -336,34 +317,31 @@ def _feasible_eta_window(gamma: float, tau: float, v: float, lo: float):
     return eta_lo, eta_hi
 
 
-def _match_kappa(gamma: float, eta: float, tau: float, v: float, g: float):
+def _match_kappa(gamma: float, eta, tau: float, v: float, g: float):
     """Auxiliary squeezing that makes the attack's noise equal the channel's,
-    or None when no kappa in [0, 1) does."""
+    for a scalar eta or an array of them; NaN where no kappa in [0, 1) does.
 
-    def f(k: float) -> float:
-        return _ao_v_eff(gamma, eta, k, tau, v, g) - v
-
-    f0 = f(0.0)
-    if abs(f0) <= _ROOT_TOL:
-        return 0.0
-    if f0 > 0.0:
-        return None  # vacuum auxiliary already overshoots the target noise
-    lo, hi = 0.0, 0.5
-    while f(hi) < 0.0:
-        lo = hi
-        hi = 0.5 * (hi + 1.0)
-        if 1.0 - hi < 1e-13:
-            return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= _ROOT_TOL:
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    The attack's added noise at lam = tau is the Braunstein-Kimble noise
+    a tau - 2 c sqrt(tau) + b on the tapped resource (a, eta a + d a_phi,
+    sqrt(eta) c), d = 1 - eta, amplified by the teleporter: with
+    m = v - a tau + 2 c sqrt(eta tau) - eta a it leaves
+    v_eff - v = (1 - 1/g)(d a_phi - m), a_phi = (1 + kappa^2)/(1 - kappa^2).
+    The root kappa^2 = (m - d)/(m + d) does not depend on g. When m < d
+    the vacuum auxiliary already overshoots and the ratio is negative or
+    above 1, so no kappa below 1 - 1e-13 (where matching gives up) exists;
+    a vacuum within _ROOT_TOL of the target still counts as matched (it
+    decides the gamma_min row at eta = 1).
+    """
+    g2 = gamma * gamma
+    a = (1.0 + g2) / (1.0 - g2)
+    c = 2.0 * gamma / (1.0 - g2)
+    eta = np.asarray(eta, dtype=float)
+    d = 1.0 - eta
+    m = v - a * tau + 2.0 * c * np.sqrt(eta * tau) - eta * a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.sqrt((m - d) / (m + d))
+    kappa = np.where(kappa < 1.0 - 1e-13, kappa, np.nan)
+    return np.where(np.abs((1.0 - 1.0 / g) * (d - m)) <= _ROOT_TOL, 0.0, kappa)[()]
 
 
 def _infeasible(gamma: float, chi: float) -> AttackResult:
@@ -380,18 +358,37 @@ def _infeasible(gamma: float, chi: float) -> AttackResult:
 
 
 _ETA_GRID_POINTS = 201
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _validated_result(
+    sc: AttackScenario, gamma: float, eta: float, kappa: float, g: float, chi: float
+) -> AttackResult:
+    # authoritative numbers come from the validated state path, not the
+    # raw objective used while searching
+    info = eve_info(ao_attack_state(sc, gamma, eta, kappa, g), sc)
+    residual = simulation_residual(sc, gamma, eta, kappa, g)
+    return AttackResult(
+        gamma=gamma,
+        ent_resource=entropy_of_entanglement(gamma),
+        eta_star=eta,
+        kappa_star=kappa,
+        eve_info_bits=info,
+        holevo_bits=chi,
+        residual=residual,
+        feasible=residual <= _FEASIBLE_RESIDUAL,
+    )
 
 
 def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) -> AttackResult:
     """Best (eta, kappa) for the teleportation attack at a given resource.
 
     The noise-matching constraint leaves one free direction: eta is scanned
-    on a grid, kappa root-found per eta, Eve's information evaluated on the
-    exactly matched pairs, and the best eta refined by golden-section search.
-    Pure-loss channels skip all of it (eta = tau / gamma^2, kappa = 0). A
-    resource below gamma_min, or a grid with no matchable eta, yields an
-    infeasible result rather than an error.
+    on a grid over the feasible window, kappa follows from each eta in closed
+    form, Eve's information is evaluated on the matched pairs, and the
+    grid's best eta is polished against the exact objective. Pure-loss
+    channels skip all of it (eta = tau / gamma^2, kappa = 0). A resource
+    below gamma_min, or a grid with no matchable eta, yields an infeasible
+    result rather than an error.
     """
     gain = sc.resolved_gain if g is None else float(g)
     _check_gain(gain)
@@ -403,35 +400,9 @@ def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) ->
         return _infeasible(gamma, chi)
 
     if _is_pure_loss_like(ch):
-        eta = min(ch.tau / (gamma * gamma), 1.0)
-        info = eve_info(ao_attack_state(sc, gamma, eta, 0.0, gain), sc)
-        residual = simulation_residual(sc, gamma, eta, 0.0, gain)
-        return AttackResult(
-            gamma=gamma,
-            ent_resource=entropy_of_entanglement(gamma),
-            eta_star=eta,
-            kappa_star=0.0,
-            eve_info_bits=info,
-            holevo_bits=chi,
-            residual=residual,
-            feasible=residual <= _FEASIBLE_RESIDUAL,
-        )
+        return _validated_result(sc, gamma, min(ch.tau / (gamma * gamma), 1.0), 0.0, gain, chi)
 
     tau, v = ch.tau, ch.v
-    best_info = -math.inf
-    best_eta = math.nan
-    best_kappa = math.nan
-
-    def probe(eta: float) -> float:
-        nonlocal best_info, best_eta, best_kappa
-        kappa = _match_kappa(gamma, eta, tau, v, gain)
-        if kappa is None:
-            return -math.inf
-        info = _eve_info_objective(sc, alice, resource, eta, kappa, gain, exact=False)
-        if info > best_info:
-            best_info, best_eta, best_kappa = info, eta, kappa
-        return info
-
     lo = max(0.8 * tau, 1e-4)
     window = _feasible_eta_window(gamma, tau, v, lo)
     if window is None:
@@ -439,44 +410,18 @@ def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) ->
     w_lo, w_hi = window
     alice = tmsv(sc.zeta, ("A", "B")).matrix
     resource = _resource_matrix(gamma)
-    etas = [w_lo + (w_hi - w_lo) * i / (_ETA_GRID_POINTS - 1) for i in range(_ETA_GRID_POINTS)]
-    # the grid's matchable points run as one stacked evaluation; the first
-    # maximum in grid order wins, as it did point by point
-    kappas = [_match_kappa(gamma, e, tau, v, gain) for e in etas]
-    hits = [i for i, k in enumerate(kappas) if k is not None]
-    if not hits:
+    etas = w_lo + (w_hi - w_lo) * np.arange(_ETA_GRID_POINTS) / (_ETA_GRID_POINTS - 1)
+    kappas = _match_kappa(gamma, etas, tau, v, gain)
+    hits = ~np.isnan(kappas)
+    if not hits.any():
         return _infeasible(gamma, chi)
-    values = [-math.inf] * _ETA_GRID_POINTS
-    infos = _eve_info_objective(
-        sc,
-        alice,
-        resource,
-        np.array([etas[i] for i in hits]),
-        np.array([kappas[i] for i in hits]),
-        gain,
-        exact=False,
+    # the grid's matchable points run as one stacked evaluation; the first
+    # maximum in grid order wins
+    values = np.full(_ETA_GRID_POINTS, -np.inf)
+    values[hits] = _eve_info_objective(
+        sc, alice, resource, etas[hits], kappas[hits], gain, exact=False
     )
-    for i, info in zip(hits, infos.tolist()):
-        values[i] = info
-    i_best = values.index(max(values))
-    best_info, best_eta, best_kappa = values[i_best], etas[i_best], kappas[i_best]
-
-    a = etas[max(i_best - 1, 0)]
-    b = etas[min(i_best + 1, _ETA_GRID_POINTS - 1)]
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = probe(x1), probe(x2)
-    for _ in range(40):
-        if b - a < 1e-7:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = probe(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = probe(x1)
+    best_eta = float(etas[np.argmax(values)])
 
     # the scan objective's ~1e-6 noise leaves the argmax off-peak by a
     # row-to-row varying amount that swamps the true trend in gamma, so
@@ -489,7 +434,7 @@ def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) ->
             kappa = _match_kappa(gamma, eta, tau, v, gain)
             exact_seen[eta] = (
                 -math.inf
-                if kappa is None
+                if math.isnan(kappa)
                 else _eve_info_objective(sc, alice, resource, eta, kappa, gain, exact=True)
             )
         return exact_seen[eta]
@@ -519,19 +464,6 @@ def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) ->
                 center = max((f_lo, center - h), (f_mid, center), (f_hi, center + h))[1]
         exact_at(min(max(center, w_lo), w_hi))
     best_eta = max(exact_seen, key=lambda e: exact_seen[e])
-    best_kappa = _match_kappa(gamma, best_eta, tau, v, gain)
-
-    # authoritative numbers come from the validated state path, not the
-    # raw objective used while searching
-    info = eve_info(ao_attack_state(sc, gamma, best_eta, best_kappa, gain), sc)
-    residual = simulation_residual(sc, gamma, best_eta, best_kappa, gain)
-    return AttackResult(
-        gamma=gamma,
-        ent_resource=entropy_of_entanglement(gamma),
-        eta_star=best_eta,
-        kappa_star=best_kappa,
-        eve_info_bits=info,
-        holevo_bits=chi,
-        residual=residual,
-        feasible=residual <= _FEASIBLE_RESIDUAL,
+    return _validated_result(
+        sc, gamma, best_eta, float(_match_kappa(gamma, best_eta, tau, v, gain)), gain, chi
     )

@@ -46,9 +46,9 @@ class GaussChannel:
     v: float
 
     def __post_init__(self):
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError(f"transmissivity must be positive, got {self.tau}")
-        if self.v < 0.0:
+        if not self.v >= 0.0:
             raise ValueError(f"added noise must be nonnegative, got {self.v}")
         floor = abs(1.0 - self.tau)
         if self.v < floor - _PHYS_SLACK:

@@ -135,10 +135,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"field 'tau': must lie in (0, 1], got {cfg.tau}")
     if (cfg.epsilon is None) == (cfg.v is None):
         raise ConfigError("fields 'epsilon'/'v': exactly one must be set")
-    if cfg.epsilon is not None and cfg.epsilon < 1.0:
+    if cfg.epsilon is not None and not cfg.epsilon >= 1.0:
         raise ConfigError(f"field 'epsilon': must be >= 1, got {cfg.epsilon}")
     if cfg.v is not None:
-        if cfg.v < 0.0:
+        if not cfg.v >= 0.0:
             raise ConfigError(f"field 'v': must be >= 0, got {cfg.v}")
         if cfg.v < 1.0 - cfg.tau - 1e-9:
             raise ConfigError(

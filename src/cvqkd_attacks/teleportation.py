@@ -49,9 +49,9 @@ class ResourceState:
     c: float
 
     def __post_init__(self):
-        if self.a < 1.0 or self.b < 1.0:
+        if not (self.a >= 1.0 and self.b >= 1.0):
             raise ValueError(f"resource diagonals must be >= 1, got a={self.a}, b={self.b}")
-        if self.c < 0.0:
+        if not self.c >= 0.0:
             raise ValueError(f"resource correlation must be >= 0, got c={self.c}")
         self.to_covmat()  # physicality check
 
@@ -84,7 +84,7 @@ class TeleportConfig:
     env: GaussChannel
 
     def __post_init__(self):
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ValueError(f"teleportation gain must be >= 0, got {self.lam}")
         if not (self.g > 1.0 or math.isinf(self.g)):
             raise ValueError(f"amplifier gain must be > 1 or inf, got {self.g}")
@@ -106,7 +106,7 @@ class TeleportConfig:
 def bk_effective_channel(res: ResourceState, lam: float) -> GaussChannel:
     """Channel realized by standard CV teleportation at gain lam:
     tau_tel = lam, v_tel = a lam - 2 c sqrt(lam) + b."""
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"teleportation gain must be >= 0, got {lam}")
     v_tel = res.a * lam - 2.0 * res.c * math.sqrt(lam) + res.b
     try:

@@ -8,7 +8,6 @@ import pytest
 from cvqkd_attacks.attacks import (
     AttackResult,
     AttackScenario,
-    _ao_v_eff,
     _eve_info_objective,
     _feasible_eta_window,
     _match_kappa,
@@ -25,7 +24,12 @@ from cvqkd_attacks.attacks import (
 )
 from cvqkd_attacks.channels import GaussChannel
 from cvqkd_attacks.gaussian import partial_trace, tmsv, von_neumann_entropy
-from cvqkd_attacks.teleportation import ASYMPTOTIC_GAIN
+from cvqkd_attacks.teleportation import (
+    ASYMPTOTIC_GAIN,
+    ResourceState,
+    TeleportConfig,
+    ao_effective_channel,
+)
 
 THERMAL = GaussChannel(0.25, 0.7575)
 PURE = GaussChannel(0.25, 0.75)
@@ -178,13 +182,128 @@ def test_feasible_window_brackets_the_matchable_etas():
     g = 1.0e3
     mid = 0.5 * (lo + hi)
     kappa = _match_kappa(0.6, mid, tau, v, g)
-    assert kappa is not None and 0.0 <= kappa < 1.0
-    assert abs(_ao_v_eff(0.6, mid, kappa, tau, v, g) - v) <= 1e-10
+    assert 0.0 <= kappa < 1.0
+    # the attack's state itself presents the target channel
+    assert simulation_residual(scenario(), 0.6, mid, kappa, g) <= 1e-10
     # outside the window the vacuum auxiliary already overshoots the noise
     if lo > 0.01:
-        assert _match_kappa(0.6, lo - 0.01, tau, v, g) is None
+        assert math.isnan(_match_kappa(0.6, lo - 0.01, tau, v, g))
     if hi < 0.99:
-        assert _match_kappa(0.6, hi + 0.01, tau, v, g) is None
+        assert math.isnan(_match_kappa(0.6, hi + 0.01, tau, v, g))
+
+
+def _bisected_kappa(gamma, eta, tau, v, g):
+    """Reference root-find: bisect the attack's added noise at lam = tau,
+    written out term by term, against v. Returns (kappa, excess at
+    kappa = 0); kappa is None when no kappa in [0, 1) matches, and a vacuum
+    auxiliary within 1e-12 of v counts as matched."""
+    g2 = gamma * gamma
+    a = (1.0 + g2) / (1.0 - g2)
+    c = 2.0 * gamma / (1.0 - g2)
+
+    def excess(kappa):
+        k2 = kappa * kappa
+        b_eff = eta * a + (1.0 - eta) * (1.0 + k2) / (1.0 - k2)
+        c_eff = math.sqrt(eta) * c
+        v_eff = (
+            a * tau
+            - 2.0 * c_eff * math.sqrt(tau) * (g - 1.0) / g
+            - (a * tau + b_eff - v) / g
+            + b_eff
+        )
+        return v_eff - v
+
+    f0 = excess(0.0)
+    if abs(f0) <= 1e-12:
+        return 0.0, f0
+    if f0 > 0.0:
+        return None, f0
+    lo, hi = 0.0, 0.5
+    while excess(hi) < 0.0:
+        lo, hi = hi, 0.5 * (hi + 1.0)
+        if 1.0 - hi < 1e-13:
+            return None, f0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = excess(mid)
+        if abs(fm) <= 1e-12:
+            return mid, f0
+        lo, hi = (mid, hi) if fm < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi), f0
+
+
+def _match_cases(count, seed):
+    """Seeded (gamma, etas, channel, g): thermal-loss channels, resources
+    from gamma_min to 0.9999, gains 1.3 to 1e6, and etas at both ends of
+    the feasible window and scattered in and around it."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        tau = float(rng.uniform(0.1, 0.9))
+        ch = GaussChannel(tau, (1.0 - tau) * float(rng.uniform(1.001, 1.2)))
+        g_min = gamma_min(ch)
+        gamma = g_min + (0.9999 - g_min) * float(rng.uniform())
+        g = 10.0 ** float(rng.uniform(math.log10(1.3), 6.0))
+        lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, 0.0)
+        spread = 0.2 * (hi - lo)
+        etas = np.clip(np.r_[lo, hi, rng.uniform(lo - spread, hi + spread, 6)], 0.0, 1.0)
+        cases.append((gamma, etas, ch, g))
+    return cases
+
+
+def test_closed_form_kappa_matches_the_bisection_oracle():
+    matched = unmatched = knife_edge = 0
+    for gamma, etas, ch, g in _match_cases(200, seed=20261018):
+        g2 = gamma * gamma
+        a = (1.0 + g2) / (1.0 - g2)
+        c = 2.0 * gamma / (1.0 - g2)
+        for eta in etas.tolist():
+            kappa = _match_kappa(gamma, eta, ch.tau, ch.v, g)
+            reference, f0 = _bisected_kappa(gamma, eta, ch.tau, ch.v, g)
+            if abs(abs(f0) - 1e-12) <= 1e-15 * a:
+                # the vacuum's excess sits within rounding (terms of size a)
+                # of the 1e-12 tolerance, so either verdict is right
+                knife_edge += 1
+                continue
+            assert math.isnan(kappa) == (reference is None), (gamma, eta, ch, g)
+            if reference is None:
+                unmatched += 1
+                continue
+            matched += 1
+            # the oracle stops once |excess| <= 1e-12, and the excess moves
+            # by (1 - 1/g)(1 - eta) da_phi/dkappa per unit of kappa
+            a_phi = (1.0 + kappa * kappa) / (1.0 - kappa * kappa)
+            slope = (1.0 - 1.0 / g) * (1.0 - eta) * 4.0 * kappa / (1.0 - kappa * kappa) ** 2
+            resolution = 1e-12 / slope if slope > 0.0 else 0.0
+            assert abs(kappa - reference) <= 1e-9 + resolution, (gamma, eta, ch, g)
+            # the teleporter's closed form on the tapped resource
+            # (a, eta a + (1 - eta) a_phi, sqrt(eta) c) returns the channel's
+            # noise; a vacuum auxiliary is accepted 1e-12 off it, plus the
+            # rounding of terms of size a
+            tapped = ResourceState(a, eta * a + (1.0 - eta) * a_phi, math.sqrt(eta) * c)
+            out = ao_effective_channel(tapped, TeleportConfig(ch.tau, g, ch))
+            bound = 1e-12 + 1e-15 * a if kappa == 0.0 else 1e-12
+            assert abs(out.v - ch.v) <= bound, (gamma, eta, ch, g)
+    assert matched > 800 and unmatched > 200
+    assert knife_edge <= 0.02 * (matched + unmatched)
+
+
+def test_kappa_array_call_equals_per_element_calls():
+    for gamma, etas, ch, g in _match_cases(50, seed=7):
+        stacked = _match_kappa(gamma, etas, ch.tau, ch.v, g)
+        assert stacked.shape == etas.shape
+        single = [_match_kappa(gamma, eta, ch.tau, ch.v, g) for eta in etas.tolist()]
+        assert all(isinstance(k, float) for k in single)
+        assert np.array_equal(stacked, np.array(single), equal_nan=True)
+
+
+@pytest.mark.parametrize("g", [1.3, 100.0, ASYMPTOTIC_GAIN])
+@pytest.mark.parametrize("ch", [THERMAL, GaussChannel(0.5, 0.55), GaussChannel(0.8, 0.25)])
+def test_kappa_at_gamma_min_and_full_tap_is_vacuum(ch, g):
+    # the minimal resource simulates the channel untapped with a vacuum
+    # auxiliary; a larger one cannot at eta = 1, whatever kappa
+    assert _match_kappa(gamma_min(ch), 1.0, ch.tau, ch.v, g) == 0.0
+    assert math.isnan(_match_kappa(0.5 * (gamma_min(ch) + 1.0), 1.0, ch.tau, ch.v, g))
 
 
 def test_feasible_window_empty_below_threshold():
@@ -251,7 +370,7 @@ def _matched_points(gamma, ch, g, count, seed):
     etas, kappas = [], []
     for eta in np.random.default_rng(seed).uniform(lo, hi, 3 * count):
         kappa = _match_kappa(gamma, float(eta), ch.tau, ch.v, g)
-        if kappa is not None and len(etas) < count:
+        if not math.isnan(kappa) and len(etas) < count:
             etas.append(float(eta))
             kappas.append(kappa)
     assert len(etas) == count

@@ -31,6 +31,16 @@ def test_channel_validation():
 
 
 @pytest.mark.parametrize(
+    "tau,v,needle",
+    [(math.nan, 0.5, "transmissivity"), (0.5, math.nan, "nonnegative")],
+    ids=["tau", "v"],
+)
+def test_channel_rejects_nan(tau, v, needle):
+    with pytest.raises(ValueError, match=needle):
+        GaussChannel(tau, v)
+
+
+@pytest.mark.parametrize(
     "tau,v,kind",
     [
         (1.0, 0.0, ChannelKind.IDENTITY),

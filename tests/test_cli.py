@@ -84,6 +84,8 @@ def test_parse_config_comments_and_auto():
         (RunConfig(gamma_count=1), "'gamma_count'"),
         (RunConfig(precision=0), "'precision'"),
         (RunConfig(output=""), "'output'"),
+        (RunConfig(epsilon=math.nan), "'epsilon'"),
+        (RunConfig(epsilon=None, v=math.nan), "'v'"),
     ],
 )
 def test_validate_config_errors(cfg, needle):
@@ -127,6 +129,25 @@ def test_bad_flag_exits_1(capsys):
 def test_bad_value_exits_1(capsys):
     assert main(["channel", "--tau", "1.5"]) == 1
     assert "'tau'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,code,needle",
+    [
+        (["channel", "--epsilon", "nan"], 1, "error: field 'epsilon': must be >= 1, got nan"),
+        (["sweep", "--v", "nan"], 1, "error: field 'v': must be >= 0, got nan"),
+        (["telesim", "--gamma", "0.5", "--lam", "nan"], 2, "teleportation gain must be >= 0"),
+    ],
+    ids=["channel-epsilon", "sweep-v", "telesim-lam"],
+)
+def test_nan_value_exits_with_one_line(capsys, tmp_path, argv, code, needle):
+    out = tmp_path / "never.csv"
+    assert main([*argv, "--output", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needle in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_channel_reports_entanglement_breaking(capsys):
@@ -181,7 +202,7 @@ def test_sweep_identity_channel_exits_2(capsys):
         # ROADMAP defect 2: double precision breaks down at g = 1e8
         (
             ["--g-policy", "finite:1e8", "--gamma-count", "2"],
-            "Eve's information 0.2266839599148156 outside [0, Holevo bound",
+            "Eve's information 0.22668395991854595 outside [0, Holevo bound",
         ),
     ],
     ids=["pure-loss", "gain-1e8"],

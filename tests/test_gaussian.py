@@ -364,7 +364,7 @@ def test_refined_spectrum_matches_80_digit_oracle(g, gamma, eta):
     # Eve's 8x8 block of the amplified attack state near the sweep's optima
     ch = GaussChannel(0.25, 0.7575)
     kappa = _match_kappa(gamma, eta, ch.tau, ch.v, g)
-    assert kappa is not None
+    assert not math.isnan(kappa)
     alice = tmsv(0.7, ("A", "B")).matrix
     mat, _ = _pipeline_raw(
         alice, ("A", "B"), "B", ch, _resource_matrix(gamma), eta, kappa, g, 1.0 / g
@@ -427,8 +427,8 @@ def _attack_stack(g: float, count: int = 7) -> np.ndarray:
     ch = GaussChannel(0.25, 0.7575)
     rng = np.random.default_rng(20261018)
     etas = rng.uniform(0.26, 0.29, count)
-    kappas = [_match_kappa(0.95, e, ch.tau, ch.v, g) for e in etas]
-    assert None not in kappas
+    kappas = _match_kappa(0.95, etas, ch.tau, ch.v, g)
+    assert not np.isnan(kappas).any()
     alice = tmsv(0.7, ("A", "B")).matrix
     mat, labels = _pipeline_raw(alice, ("A", "B"), "B", ch, _resource_matrix(0.95), etas, kappas, g)
     return mat, labels

@@ -37,6 +37,22 @@ def test_teleport_config_validation():
         TeleportConfig(1.0, 1.5, env)
 
 
+@pytest.mark.parametrize(
+    "build,needle",
+    [
+        (lambda: TeleportConfig(math.nan, 2.0, GaussChannel(0.5, 0.5)), ">= 0"),
+        (lambda: bk_effective_channel(ResourceState.from_tmsv(0.5), math.nan), ">= 0"),
+        (lambda: ResourceState(math.nan, 1.5, 0.5), "diagonals"),
+        (lambda: ResourceState(1.5, math.nan, 0.5), "diagonals"),
+        (lambda: ResourceState(1.5, 1.5, math.nan), "correlation"),
+    ],
+    ids=["config-lam", "bk-lam", "resource-a", "resource-b", "resource-c"],
+)
+def test_nan_parameters_are_rejected(build, needle):
+    with pytest.raises(ValueError, match=needle):
+        build()
+
+
 def test_asymptotic_gain_resolution():
     cfg = TeleportConfig(0.5, math.inf, GaussChannel(1.0, 0.0))
     assert cfg.gain == ASYMPTOTIC_GAIN
