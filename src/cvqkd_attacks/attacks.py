@@ -26,17 +26,22 @@ from .channels import (
 from .gaussian import (
     CovMat,
     _condition_heterodyne_raw,
+    _fast_spectrum,
     _raw_entropy,
+    _spectrum_entropy,
+    _tmsv_entries,
+    _two_mode_std,
     apply_symplectic,
     beam_splitter,
     condition_heterodyne,
     direct_sum,
     partial_trace,
+    symplectic_eigenvalues,
     thermal,
     tmsv,
     von_neumann_entropy,
 )
-from .teleportation import ASYMPTOTIC_GAIN, _check_gain, _is_pure_loss_like, _pipeline_raw
+from .teleportation import _bell_record_raw, _check_gain, _is_pure_loss_like, _pipeline_raw
 
 _ROOT_TOL = 1e-12
 _FEASIBLE_RESIDUAL = 1e-8
@@ -50,7 +55,8 @@ class AttackScenario:
     zeta: squeezing of Alice's source tmsv.
     reconciliation: "reverse" conditions on Bob, "direct" on Alice.
     gain: amplifier gain for the teleportation attack; math.inf selects the
-        asymptotic protocol, realized numerically at ASYMPTOTIC_GAIN.
+        asymptotic protocol, evaluated exactly at g = infinity, where Eve
+        holds a classical Bell record (see _bell_record_raw).
     """
 
     channel: GaussChannel
@@ -63,14 +69,10 @@ class AttackScenario:
             raise ValueError(f"source squeezing must lie in [0, 1), got {self.zeta}")
         if self.reconciliation not in ("direct", "reverse"):
             raise ValueError(f"reconciliation must be 'direct' or 'reverse', got {self.reconciliation!r}")
-        if not (self.gain > 1.0 or math.isinf(self.gain)):
+        if not self.gain > 1.0:
             raise ValueError(f"gain must be > 1 or inf, got {self.gain}")
         if is_entanglement_breaking(self.channel):
             raise ValueError("entanglement-breaking channel: no collective attack to analyze")
-
-    @property
-    def resolved_gain(self) -> float:
-        return ASYMPTOTIC_GAIN if math.isinf(self.gain) else self.gain
 
     @property
     def conditioned_label(self) -> str:
@@ -169,6 +171,17 @@ def eve_info(full_state: CovMat, sc: AttackScenario) -> float:
     return s_eve - _entropy_of(conditioned, eve_labels)
 
 
+def _channel_residual(ab: CovMat, alice: CovMat, ch: GaussChannel) -> float:
+    """|tau_eff - tau| + |v_eff - v| of the channel that took Alice's
+    tmsv(zeta) on (A, B) to ab, read off the x-quadrature entries (both
+    attacks are phase insensitive)."""
+    a_in = alice.matrix[0, 0]
+    c_in = alice.matrix[0, 2]
+    tau_eff = (ab.matrix[0, 2] / c_in) ** 2 if c_in else ch.tau
+    v_eff = ab.matrix[2, 2] - tau_eff * a_in
+    return abs(tau_eff - ch.tau) + abs(v_eff - ch.v)
+
+
 def cloner_attack(sc: AttackScenario) -> AttackResult:
     """Entangling-cloner attack on a loss channel.
 
@@ -199,13 +212,7 @@ def cloner_attack(sc: AttackScenario) -> AttackResult:
             f"purification check failed: S(x:E) = {info!r} but Holevo bound = {chi!r}"
         )
 
-    a_in = alice.matrix[0, 0]
-    c_in = alice.matrix[0, 2]
-    ab = partial_trace(full, ("A", "B"))
-    tau_eff = (ab.matrix[0, 2] / c_in) ** 2 if c_in else tau
-    v_eff = ab.matrix[2, 2] - tau_eff * a_in
-    residual = abs(tau_eff - tau) + abs(v_eff - v)
-
+    residual = _channel_residual(partial_trace(full, ("A", "B")), alice, sc.channel)
     return AttackResult(
         gamma=gamma_e,
         ent_resource=entropy_of_entanglement(gamma_e),
@@ -218,10 +225,16 @@ def cloner_attack(sc: AttackScenario) -> AttackResult:
     )
 
 
-def _resource_matrix(gamma: float) -> np.ndarray:
-    """Eve's resource tmsv(gamma) on (R1, R2), validated."""
+def _resource_matrix(gamma: float, validate: bool = True) -> np.ndarray:
+    """Eve's resource tmsv(gamma) on (R1, R2), validated as a CovMat unless
+    validate=False. _tmsv_entries already rounds the entries onto a physical
+    state, exactly; the check adds an audit count and, near gamma = 1, an
+    mpmath spectrum, which the g = inf route, using the entries alone, skips."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"resource squeezing must lie in [0, 1), got {gamma}")
+    if not validate:
+        a, c = _tmsv_entries(gamma)
+        return _two_mode_std(a, a, c, -c)
     return tmsv(gamma, ("R1", "R2")).matrix
 
 
@@ -256,6 +269,46 @@ def simulation_residual(
     return abs(eff.tau - sc.channel.tau) + abs(eff.v - sc.channel.v)
 
 
+def _bell_record_info(
+    sc: AttackScenario,
+    ab: np.ndarray,
+    given_u: np.ndarray,
+    labels: tuple[str, ...],
+    validate: bool = False,
+):
+    """Eve's information at g = inf from _bell_record_raw's matrices, or
+    from stacks of them:
+
+        chi = 1/2 log2(det(V_m + I) / det(V_m|u + I)) + S(F | u) - S(F | u, m)
+
+    Eve holds the classical record u and the modes F. S(x:E) = S(E) -
+    S(E | m), with m the heterodyne outcome on the reconciliation mode, and
+    S(E) = h(u) + S(F | u), where h(u) carries the record's g-dependent
+    constant that cancels. What is left of the record is the information
+    I(u:m) = h(u) - h(u | m) = h(m) - h(m | u), written with m's covariance
+    V_m + I and V_m|u + I given u, all O(1). So are the F blocks, whose
+    double-precision spectra are good to ~1e-15: only an exactly pure mode
+    counts as pure, since the rounded tmsv inputs leave conditional modes
+    up to ~1e-12 above nu = 1, worth up to 2e-11 bits. validate=True takes
+    the spectra of the F blocks as validated CovMats (scalar eta only).
+    """
+    i = labels.index(sc.conditioned_label)
+    m = slice(2 * i, 2 * i + 2)
+    cond, _ = _condition_heterodyne_raw(given_u, labels, sc.conditioned_label, exact=False)
+
+    def entropy(block):
+        if validate:
+            return _spectrum_entropy(symplectic_eigenvalues(CovMat(block, labels[2:])), 0.0)
+        return _spectrum_entropy(_fast_spectrum(block), 0.0)
+
+    eye = np.eye(2)
+    record = 0.5 * np.log2(
+        np.linalg.det(ab[..., m, m] + eye) / np.linalg.det(given_u[..., m, m] + eye)
+    )
+    # after removing A or B the F block starts at the second remaining mode
+    return record + entropy(given_u[..., 4:, 4:]) - entropy(cond[..., 2:, 2:])
+
+
 def _eve_info_objective(
     sc: AttackScenario,
     alice: np.ndarray,
@@ -265,19 +318,26 @@ def _eve_info_objective(
     g: float,
     exact: bool,
 ):
-    """Objective-function twin of eve_info(ao_attack_state(...)) on raw arrays.
+    """Eve's information on raw arrays, the optimizer's objective.
 
     alice is the tmsv(zeta) matrix on (A, B), resource the one from
     _resource_matrix; both are row constants. eta and kappa are scalars, or
     1-D arrays of matched pairs evaluated as one stack, one value each.
-    exact=False uses the fast eigensolver and double-precision conditioning
+
+    g = math.inf takes the Bell-record closed form (_bell_record_info): O(1)
+    entries in double precision, within 1e-13 bits of the 60-digit circuit
+    at g = 1e20 on the points tests/test_bell_record.py checks, whatever
+    exact says.
+    A finite g is the twin of eve_info(ao_attack_state(...)). exact=False
+    then uses the fast eigensolver and double-precision conditioning
     throughout: good to ~1e-6 bits on the amplified matrices, enough for the
-    optimizer's scan loops. exact=True takes the scale-escalated spectrum and
-    conditioning paths, ~1e-12 bits at any gain. Above _HP_SCALE those run in
-    mpmath: about 19 ms a point at g = 1e6 against 0.3-0.4 ms for a lone
-    exact=False call (one core of a 2.1 GHz Xeon), which is why only the
-    final polish uses it.
+    optimizer's scan. exact=True takes the scale-escalated spectrum and
+    conditioning paths; above _HP_SCALE those run in mpmath, about 19 ms a
+    point at g = 1e6 against 0.3-0.4 ms for a lone exact=False call (one
+    core of a 2.1 GHz Xeon), which is why only the polish uses it.
     """
+    if math.isinf(g):
+        return _bell_record_info(sc, *_bell_record_raw(alice, sc.channel, resource, eta, kappa))
     mat, labels = _pipeline_raw(alice, ("A", "B"), "B", sc.channel, resource, eta, kappa, g)
     cond, _ = _condition_heterodyne_raw(mat, labels, sc.conditioned_label, exact)
     # after removing A or B the Eve block starts at the second remaining mode
@@ -363,10 +423,19 @@ _ETA_GRID_POINTS = 201
 def _validated_result(
     sc: AttackScenario, gamma: float, eta: float, kappa: float, g: float, chi: float
 ) -> AttackResult:
-    # authoritative numbers come from the validated state path, not the
-    # raw objective used while searching
-    info = eve_info(ao_attack_state(sc, gamma, eta, kappa, g), sc)
-    residual = simulation_residual(sc, gamma, eta, kappa, g)
+    # authoritative numbers come from validated states, not the raw
+    # objective used while searching
+    if math.isinf(g):
+        # at g = infinity: the (A, B) state and Eve's conditional F blocks
+        alice = tmsv(sc.zeta, ("A", "B"))
+        ab, given_u, labels = _bell_record_raw(
+            alice.matrix, sc.channel, _resource_matrix(gamma, validate=False), eta, kappa
+        )
+        residual = _channel_residual(CovMat(ab, alice.labels), alice, sc.channel)
+        info = float(_bell_record_info(sc, ab, given_u, labels, validate=True))
+    else:
+        info = eve_info(ao_attack_state(sc, gamma, eta, kappa, g), sc)
+        residual = simulation_residual(sc, gamma, eta, kappa, g)
     return AttackResult(
         gamma=gamma,
         ent_resource=entropy_of_entanglement(gamma),
@@ -389,9 +458,15 @@ def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) ->
     channels skip all of it (eta = tau / gamma^2, kappa = 0). A resource
     below gamma_min, or a grid with no matchable eta, yields an infeasible
     result rather than an error.
+
+    g, a finite gain > 1, overrides the scenario's. The scenario's
+    math.inf, the asymptotic protocol, runs at g = infinity itself: scan
+    and polish both call the Bell-record closed form, which is already
+    exact, and the row is built from its validated states.
     """
-    gain = sc.resolved_gain if g is None else float(g)
-    _check_gain(gain)
+    gain = sc.gain if g is None else float(g)
+    if g is not None:
+        _check_gain(gain)
     ch = sc.channel
     chi = holevo_bound(sc)
     if not 0.0 <= gamma < 1.0:
@@ -409,7 +484,7 @@ def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) ->
         return _infeasible(gamma, chi)
     w_lo, w_hi = window
     alice = tmsv(sc.zeta, ("A", "B")).matrix
-    resource = _resource_matrix(gamma)
+    resource = _resource_matrix(gamma, validate=math.isfinite(gain))
     etas = w_lo + (w_hi - w_lo) * np.arange(_ETA_GRID_POINTS) / (_ETA_GRID_POINTS - 1)
     kappas = _match_kappa(gamma, etas, tau, v, gain)
     hits = ~np.isnan(kappas)

@@ -366,10 +366,12 @@ def symplectic_eigenvalues(state: CovMat) -> np.ndarray:
     return state._nus.copy()
 
 
-def _entropy_term(nu: float) -> float:
+def _entropy_term(nu: float, pure_tol: float = 1e-12) -> float:
     # (nu+1)/2 log2 (nu+1)/2 - (nu-1)/2 log2 (nu-1)/2, with the pure-state
-    # 0 log 0 limit handled by an explicit branch.
-    if nu <= 1.0 + 1e-12:
+    # 0 log 0 limit handled by an explicit branch. pure_tol is the spectrum's
+    # own noise: below it a mode counts as pure. Next to nu = 1 the term is
+    # ~(nu-1)/2 log2(2e/(nu-1)), up to 2e-11 bits at the default.
+    if nu <= 1.0 + pure_tol:
         return 0.0
     if nu > 1.0e4:
         # the direct form subtracts two ~nu log2 nu sized terms; at large nu
@@ -382,13 +384,13 @@ def _entropy_term(nu: float) -> float:
     return hi * math.log2(hi) - lo * math.log2(lo)
 
 
-def _spectrum_entropy(nus):
+def _spectrum_entropy(nus, pure_tol: float = 1e-12):
     """Von Neumann entropy in bits of a symplectic spectrum; of a stack of
-    spectra, one entropy per row."""
+    spectra, one entropy per row. Modes within pure_tol of 1 count as pure."""
     nus = np.asarray(nus)
     if nus.ndim > 1:
-        return np.array([_spectrum_entropy(row) for row in nus])
-    return float(sum(_entropy_term(float(nu)) for nu in nus))
+        return np.array([_spectrum_entropy(row, pure_tol) for row in nus])
+    return float(sum(_entropy_term(float(nu), pure_tol) for nu in nus))
 
 
 def von_neumann_entropy(state: CovMat) -> float:

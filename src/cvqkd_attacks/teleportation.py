@@ -151,6 +151,31 @@ def _check_gain(g: float) -> None:
         raise ValueError(f"amplifier gain must be a finite value > 1, got {g}")
 
 
+def _tapped_auxiliary(channel: GaussChannel, eta, kappa):
+    """Eve's tap transmissivities and auxiliary state, checked: eta in
+    [0, 1], kappa in [0, 1), as arrays; tmsv(kappa) on (F1, F2), one per
+    kappa, or a single vacuum F1 for pure-loss channels. Returns eta, the
+    auxiliary matrix (or stack) and its labels."""
+    eta = np.asarray(eta, dtype=float)
+    kappa = np.asarray(kappa, dtype=float)
+    outside = ~((0.0 <= eta) & (eta <= 1.0))
+    if outside.any():
+        raise ValueError(f"mixing transmissivity must lie in [0, 1], got {eta[outside][0]}")
+    outside = ~((0.0 <= kappa) & (kappa < 1.0))
+    if outside.any():
+        raise ValueError(f"auxiliary squeezing must lie in [0, 1), got {kappa[outside][0]}")
+
+    if _is_pure_loss_like(channel):
+        if (kappa != 0.0).any():
+            raise ValueError("pure-loss channel pins the auxiliary state to vacuum (kappa = 0)")
+        return eta, thermal(1.0, "F1").matrix, ("F1",)
+    # tmsv(kappa) for every kappa at once: the same entries, one check
+    a, c = np.array([_tmsv_entries(k) for k in kappa.ravel().tolist()]).T
+    a, c = a.reshape(kappa.shape), c.reshape(kappa.shape)
+    aux, _ = _check_physical(_two_mode_std(a, a, c, -c))
+    return eta, aux, ("F1", "F2")
+
+
 def _pipeline_raw(
     input_matrix: np.ndarray,
     input_labels: tuple[str, ...],
@@ -181,26 +206,7 @@ def _pipeline_raw(
     states and splitters validated as stacks. Scalars give one 2-D matrix.
     """
     _check_gain(g)
-    eta = np.asarray(eta, dtype=float)
-    kappa = np.asarray(kappa, dtype=float)
-    outside = ~((0.0 <= eta) & (eta <= 1.0))
-    if outside.any():
-        raise ValueError(f"mixing transmissivity must lie in [0, 1], got {eta[outside][0]}")
-    outside = ~((0.0 <= kappa) & (kappa < 1.0))
-    if outside.any():
-        raise ValueError(f"auxiliary squeezing must lie in [0, 1), got {kappa[outside][0]}")
-
-    if _is_pure_loss_like(channel):
-        if (kappa != 0.0).any():
-            raise ValueError("pure-loss channel pins the auxiliary state to vacuum (kappa = 0)")
-        aux, aux_labels = thermal(1.0, "F1").matrix, ("F1",)
-    else:
-        # tmsv(kappa) for every kappa at once: the same entries, one check
-        a, c = np.array([_tmsv_entries(k) for k in kappa.ravel().tolist()]).T
-        a, c = a.reshape(kappa.shape), c.reshape(kappa.shape)
-        aux, _ = _check_physical(_two_mode_std(a, a, c, -c))
-        aux_labels = ("F1", "F2")
-
+    eta, aux, aux_labels = _tapped_auxiliary(channel, eta, kappa)
     joint = _block_diag(input_matrix, resource, aux)
     labels = tuple(input_labels) + ("R1", "R2") + aux_labels
     sig = input_labels.index(signal_label)
@@ -210,6 +216,58 @@ def _pipeline_raw(
     joint = _act_on_modes(joint, beam_splitter(eta).matrix, (r2, f1))
     joint = _act_on_modes(joint, beam_splitter(1.0 / g if t is None else t).matrix, (sig, r2))
     return 0.5 * (joint + np.swapaxes(joint, -1, -2)), labels
+
+
+def _bell_record_raw(
+    alice: np.ndarray, channel: GaussChannel, resource: np.ndarray, eta, kappa
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """_pipeline_raw's circuit on Alice's tmsv (A, B) in the limit g -> inf.
+
+    There the amplified modes R1 and R2 carry sqrt(g) times the commuting
+    pair u = (x_B + x_R1, p_B - p_R1), the outcome of a Braunstein-Kimble
+    Bell measurement on (B, R1), and Bob's mode leaves the recombining
+    splitter as sqrt(tau) u - R2', with R2' = sqrt(eta) R2 - sqrt(1-eta) F1
+    the tapped arm and F1' = sqrt(1-eta) R2 + sqrt(eta) F1 its partner. The
+    channel's own noise reaches that output suppressed by 1/sqrt(g) and is
+    independent of the rest, so it drops out. Eve keeps the classical record
+    u, F1' and, off pure loss, F2.
+
+    Returns (ab, given_u, labels): the state of (A, B), and the matrix of
+    (A, B, F1', F2), or (A, B, F1'), conditioned on u, with those labels.
+    The conditioning is done on the inputs, in closed form. With (a_in,
+    c_in) and (a, c) the tmsv entries of Alice's state and of the resource,
+    and s = a + a_in the variance of each of u's quadratures, (A, R2) given
+    u is a two-mode Gaussian state with diagonal entries
+    (a a_in + a_in^2 - c_in^2) / s and (a a_in + a^2 - c^2) / s and cross
+    entries -/+ c c_in / s. Each a^2 - c^2 is taken as (a - c)(a + c), whose
+    difference is exact once c >= a / 2 (squeezing >= 0.27; below it nothing
+    large cancels), so no O(a) terms cancel. A Schur complement on u of the
+    formed matrix would leave ~eps a in every entry, up to 5e-11 bits at
+    gamma = 0.9999. The tap then acts on the conditional state, Bob's mode
+    given u is -R2', and ab adds back u's share, cross cross^T / s. Scalars
+    or 1-D arrays of eta and kappa, as for _pipeline_raw.
+    """
+    eta, aux, aux_labels = _tapped_auxiliary(channel, eta, kappa)
+    a_in, c_in = alice[0, 0], alice[0, 2]
+    a, c = resource[0, 0], resource[0, 2]
+    s = a + a_in
+    pair = _two_mode_std(
+        (a * a_in + (a_in - c_in) * (a_in + c_in)) / s,
+        (a * a_in + (a - c) * (a + c)) / s,
+        -c * c_in / s,
+        c * c_in / s,
+    )
+    given_u = _act_on_modes(_block_diag(pair, aux), beam_splitter(eta).matrix, (1, 2))
+    given_u = 0.5 * (given_u + np.swapaxes(given_u, -1, -2))
+    given_u[..., 2:4, :] *= -1.0
+    given_u[..., :, 2:4] *= -1.0
+    # covariances of (A, B) with u: c_in Z from Alice's pair, and
+    # sqrt(tau) s - sqrt(eta) c for Bob's mode in both quadratures
+    cross = np.zeros(eta.shape + (4, 2))
+    cross[..., 0, 0], cross[..., 1, 1] = c_in, -c_in
+    cross[..., 2, 0] = cross[..., 3, 1] = math.sqrt(channel.tau) * s - np.sqrt(eta) * c
+    ab = given_u[..., :4, :4] + cross @ np.swapaxes(cross, -1, -2) / s
+    return ab, given_u, ("A", "B") + aux_labels
 
 
 def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMat:

@@ -8,6 +8,7 @@ import pytest
 from cvqkd_attacks.attacks import (
     AttackResult,
     AttackScenario,
+    _channel_residual,
     _eve_info_objective,
     _feasible_eta_window,
     _match_kappa,
@@ -23,11 +24,12 @@ from cvqkd_attacks.attacks import (
     simulation_residual,
 )
 from cvqkd_attacks.channels import GaussChannel
-from cvqkd_attacks.gaussian import partial_trace, tmsv, von_neumann_entropy
+from cvqkd_attacks.gaussian import CovMat, partial_trace, tmsv, von_neumann_entropy
 from cvqkd_attacks.teleportation import (
     ASYMPTOTIC_GAIN,
     ResourceState,
     TeleportConfig,
+    _bell_record_raw,
     ao_effective_channel,
 )
 
@@ -46,14 +48,26 @@ def test_scenario_validation():
         AttackScenario(THERMAL, zeta=0.7, reconciliation="sideways")
     with pytest.raises(ValueError, match="gain"):
         AttackScenario(THERMAL, zeta=0.7, gain=0.5)
+    with pytest.raises(ValueError, match="gain"):
+        AttackScenario(THERMAL, zeta=0.7, gain=-math.inf)
     with pytest.raises(ValueError, match="entanglement-breaking"):
         AttackScenario(GaussChannel(0.25, 1.3), zeta=0.7)
 
 
 def test_scenario_resolution():
     sc = scenario()
-    assert sc.resolved_gain == ASYMPTOTIC_GAIN
-    assert scenario(gain=500.0).resolved_gain == 500.0
+    assert math.isinf(sc.gain)
+    # the default runs at g = infinity: the Bell-record objective at the
+    # optimum reproduces the row, and a finite gain sees less
+    res = optimize_attack(sc, 0.9)
+    alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(0.9)
+    at_inf = _eve_info_objective(sc, alice, resource, res.eta_star, res.kappa_star, math.inf, True)
+    assert abs(at_inf - res.eve_info_bits) <= 1e-13
+    at_1e4 = _eve_info_objective(sc, alice, resource, res.eta_star, res.kappa_star, 1e4, True)
+    assert res.eve_info_bits - 1e-3 < at_1e4 < res.eve_info_bits
+    # a finite scenario gain is the same as passing it explicitly
+    finite = optimize_attack(scenario(gain=500.0), 0.9)
+    assert finite == optimize_attack(sc, 0.9, 500.0)
     assert sc.conditioned_label == "B"
     assert scenario(reconciliation="direct").conditioned_label == "A"
 
@@ -348,9 +362,15 @@ def test_optimize_thermal_smoke():
     assert res.residual <= 1e-8
     window = _feasible_eta_window(0.6, THERMAL.tau, THERMAL.v, 0.0)
     assert window[0] <= res.eta_star <= window[1]
-    # the reported operating point really presents the target channel
-    direct = simulation_residual(sc, 0.6, res.eta_star, res.kappa_star, sc.resolved_gain)
-    assert direct == res.residual
+    # the residual is read off the g = infinity (A, B) state, as the
+    # cloner's is; the finite circuit at the same point presents the target
+    # channel too, since the matched kappa does not depend on g
+    alice = tmsv(sc.zeta, ("A", "B"))
+    resource = _resource_matrix(0.6)
+    ab, _, _ = _bell_record_raw(alice.matrix, THERMAL, resource, res.eta_star, res.kappa_star)
+    assert _channel_residual(CovMat(ab, ("A", "B")), alice, THERMAL) == res.residual
+    for g in (100.0, 1e4):
+        assert simulation_residual(sc, 0.6, res.eta_star, res.kappa_star, g) <= 1e-8
 
 
 @pytest.mark.parametrize("g", [0.0, -1.0, 0.5, 1.0, math.inf, math.nan])

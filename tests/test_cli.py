@@ -194,18 +194,13 @@ def test_sweep_identity_channel_exits_2(capsys):
 @pytest.mark.parametrize(
     "flags,needle",
     [
-        # ROADMAP defect 1: a pure-loss row fails validation at g = 1e6
-        (
-            ["--epsilon", "1.0", "--gamma-count", "6"],
-            "unphysical covariance matrix: smallest symplectic eigenvalue 0.999999997516",
-        ),
         # ROADMAP defect 2: double precision breaks down at g = 1e8
         (
             ["--g-policy", "finite:1e8", "--gamma-count", "2"],
             "Eve's information 0.22668395991854595 outside [0, Holevo bound",
         ),
     ],
-    ids=["pure-loss", "gain-1e8"],
+    ids=["gain-1e8"],
 )
 def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, needle):
     out = tmp_path / "never.csv"
@@ -215,6 +210,31 @@ def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, ne
     assert needle in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # at g = 1e6 a pure-loss row failed validation (smallest symplectic
+        # eigenvalue 0.999999997516 at gamma ~ 0.98343), and the two
+        # high-transmissivity tables failed the Holevo check
+        ["--epsilon", "1.0", "--gamma-count", "6"],
+        ["--tau", "0.95", "--epsilon", "1.01", "--gamma-count", "5"],
+        ["--tau", "0.99", "--epsilon", "1.01", "--gamma-count", "3"],
+    ],
+    ids=["pure-loss", "tau-0.95", "tau-0.99"],
+)
+def test_asymptotic_sweep_yields_a_sound_table(capsys, tmp_path, flags):
+    out = tmp_path / "table.csv"
+    assert main(["sweep", *flags, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(out.open(encoding="utf-8")))
+    assert len(rows) == int(flags[-1])
+    feasible = [row for row in rows if row["feasible"] == "true"]
+    assert feasible
+    for row in feasible:
+        assert float(row["residual"]) <= 1e-8
+        assert float(row["eve_info_bits"]) <= float(row["holevo_bits"])
 
 
 @pytest.mark.parametrize("g_policy", ["asymptotic", "finite:100"])
