@@ -334,7 +334,8 @@ def _eve_info_objective(
     optimizer's scan. exact=True takes the scale-escalated spectrum and
     conditioning paths; above _HP_SCALE those run in mpmath, about 19 ms a
     point at g = 1e6 against 0.3-0.4 ms for a lone exact=False call (one
-    core of a 2.1 GHz Xeon), which is why only the polish uses it.
+    core of a 2.1 GHz Xeon), which is why only the refinement's three or
+    four points a row use it.
     """
     if math.isinf(g):
         return _bell_record_info(sc, *_bell_record_raw(alice, sc.channel, resource, eta, kappa))
@@ -389,8 +390,10 @@ def _match_kappa(gamma: float, eta, tau: float, v: float, g: float):
     The root kappa^2 = (m - d)/(m + d) does not depend on g. When m < d
     the vacuum auxiliary already overshoots and the ratio is negative or
     above 1, so no kappa below 1 - 1e-13 (where matching gives up) exists;
-    a vacuum within _ROOT_TOL of the target still counts as matched (it
-    decides the gamma_min row at eta = 1).
+    a vacuum within _ROOT_TOL * a of the target still counts as matched (it
+    decides the gamma_min row at eta = 1). The tolerance scales with a
+    because d - m is a difference of terms of size a, whose rounding alone
+    would otherwise decide the verdict at a window edge as gamma -> 1.
     """
     g2 = gamma * gamma
     a = (1.0 + g2) / (1.0 - g2)
@@ -401,7 +404,7 @@ def _match_kappa(gamma: float, eta, tau: float, v: float, g: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.sqrt((m - d) / (m + d))
     kappa = np.where(kappa < 1.0 - 1e-13, kappa, np.nan)
-    return np.where(np.abs((1.0 - 1.0 / g) * (d - m)) <= _ROOT_TOL, 0.0, kappa)[()]
+    return np.where(np.abs((1.0 - 1.0 / g) * (d - m)) <= _ROOT_TOL * a, 0.0, kappa)[()]
 
 
 def _infeasible(gamma: float, chi: float) -> AttackResult:
@@ -417,7 +420,10 @@ def _infeasible(gamma: float, chi: float) -> AttackResult:
     )
 
 
-_ETA_GRID_POINTS = 201
+# the scan: _SCAN_PASSES stacked passes of _SCAN_POINTS etas each, every
+# pass 8x finer than the last, ending at a spacing of window / 1024
+_SCAN_POINTS = 17
+_SCAN_PASSES = 3
 
 
 def _validated_result(
@@ -452,16 +458,22 @@ def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) ->
     """Best (eta, kappa) for the teleportation attack at a given resource.
 
     The noise-matching constraint leaves one free direction: eta is scanned
-    on a grid over the feasible window, kappa follows from each eta in closed
-    form, Eve's information is evaluated on the matched pairs, and the
-    grid's best eta is polished against the exact objective. Pure-loss
-    channels skip all of it (eta = tau / gamma^2, kappa = 0). A resource
-    below gamma_min, or a grid with no matchable eta, yields an infeasible
-    result rather than an error.
+    over the feasible window, kappa follows from each eta in closed form, and
+    Eve's information is evaluated on the matched pairs. The scan is three
+    stacked passes of 17 points, each over the previous best point's two
+    neighbouring intervals, ending at a spacing of window / 1024 (51 points).
+    The scan's best point, its two last-pass neighbours and, when it falls
+    inside their bracket, the vertex of the parabola through them are then
+    evaluated on the exact objective, and the best of them wins; a peak at
+    or near a window edge stays reachable, as the scan starts just inside
+    both ends. Pure-loss channels skip all of it (eta = tau / gamma^2,
+    kappa = 0). A resource below gamma_min, or a first pass with no
+    matchable eta, yields an infeasible result rather than an error. Each
+    row depends on its gamma alone: no state carries over between rows.
 
     g, a finite gain > 1, overrides the scenario's. The scenario's
     math.inf, the asymptotic protocol, runs at g = infinity itself: scan
-    and polish both call the Bell-record closed form, which is already
+    and refinement both call the Bell-record closed form, which is already
     exact, and the row is built from its validated states.
     """
     gain = sc.gain if g is None else float(g)
@@ -485,60 +497,51 @@ def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) ->
     w_lo, w_hi = window
     alice = tmsv(sc.zeta, ("A", "B")).matrix
     resource = _resource_matrix(gamma, validate=math.isfinite(gain))
-    etas = w_lo + (w_hi - w_lo) * np.arange(_ETA_GRID_POINTS) / (_ETA_GRID_POINTS - 1)
-    kappas = _match_kappa(gamma, etas, tau, v, gain)
-    hits = ~np.isnan(kappas)
-    if not hits.any():
-        return _infeasible(gamma, chi)
-    # the grid's matchable points run as one stacked evaluation; the first
-    # maximum in grid order wins
-    values = np.full(_ETA_GRID_POINTS, -np.inf)
-    values[hits] = _eve_info_objective(
-        sc, alice, resource, etas[hits], kappas[hits], gain, exact=False
+
+    # coarse-to-fine scan of the fast objective, one stacked evaluation per
+    # pass; kappa matching fails on the widened rim itself, so the first
+    # pass spans the window from just inside both ends, and each later pass
+    # spans the two intervals around the previous pass's first maximum
+    edge = 1e-9 * (w_hi - w_lo)
+    span = (w_lo + edge, w_hi - edge)
+    for _ in range(_SCAN_PASSES):
+        etas = span[0] + (span[1] - span[0]) * np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
+        kappas = _match_kappa(gamma, etas, tau, v, gain)
+        hits = ~np.isnan(kappas)
+        if not hits.any():
+            # only the first pass can miss: later ones contain a hit
+            return _infeasible(gamma, chi)
+        values = np.full(_SCAN_POINTS, -np.inf)
+        values[hits] = _eve_info_objective(
+            sc, alice, resource, etas[hits], kappas[hits], gain, exact=False
+        )
+        best = int(np.argmax(values))
+        span = (float(etas[max(best - 1, 0)]), float(etas[min(best + 1, _SCAN_POINTS - 1)]))
+
+    # the scan objective's noise (up to ~1e-6 bits on amplified matrices)
+    # swamps the trend in gamma, so refit the peak on the accurate objective:
+    # the scan best and its last-pass neighbours (the next point inward at a
+    # window edge), then the vertex of the parabola through them if it falls
+    # inside the scan best's bracket (the span above); the best exactly
+    # evaluated point wins
+    start = min(max(best, 1), _SCAN_POINTS - 2) - 1
+    near = slice(start, start + 3)
+    etas, kappas, hits = etas[near], kappas[near], hits[near]
+    exact = np.full(3, -np.inf)
+    exact[hits] = _eve_info_objective(
+        sc, alice, resource, etas[hits], kappas[hits], gain, exact=True
     )
-    best_eta = float(etas[np.argmax(values)])
-
-    # the scan objective's ~1e-6 noise leaves the argmax off-peak by a
-    # row-to-row varying amount that swamps the true trend in gamma, so
-    # refit the peak against the accurate objective: two quadratic steps,
-    # then the best exactly evaluated point wins
-    exact_seen: dict[float, float] = {}
-
-    def exact_at(eta: float) -> float:
-        if eta not in exact_seen:
-            kappa = _match_kappa(gamma, eta, tau, v, gain)
-            exact_seen[eta] = (
-                -math.inf
-                if math.isnan(kappa)
-                else _eve_info_objective(sc, alice, resource, eta, kappa, gain, exact=True)
-            )
-        return exact_seen[eta]
-
-    width = w_hi - w_lo
-    if width < 1e-5:
-        exact_at(best_eta)
-        exact_at(0.5 * (w_lo + w_hi))
-    else:
-        center = best_eta
-        h1 = width / 100.0
-        if min(center - w_lo, w_hi - center) < h1:
-            # peak hugs a window edge; kappa matching fails on the widened
-            # rim itself, so sample just inside both ends
-            exact_at(w_lo + 1e-9 * width)
-            exact_at(w_hi - 1e-9 * width)
-        for h in (h1, width / 800.0):
-            center = min(max(center, w_lo + h), w_hi - h)
-            f_lo = exact_at(center - h)
-            f_mid = exact_at(center)
-            f_hi = exact_at(center + h)
-            denom = f_lo - 2.0 * f_mid + f_hi
-            if math.isfinite(denom) and denom < 0.0:
-                step = 0.5 * h * (f_lo - f_hi) / denom
-                center += max(-h, min(h, step))
-            else:
-                center = max((f_lo, center - h), (f_mid, center), (f_hi, center + h))[1]
-        exact_at(min(max(center, w_lo), w_hi))
-    best_eta = max(exact_seen, key=lambda e: exact_seen[e])
+    candidates = list(zip(exact.tolist(), etas.tolist()))
+    f_lo, f_mid, f_hi = exact.tolist()
+    denom = f_lo - 2.0 * f_mid + f_hi
+    if math.isfinite(denom) and denom < 0.0:
+        # strictly between two matched points, so matched itself
+        vertex = float(etas[1] + 0.5 * (etas[1] - etas[0]) * (f_lo - f_hi) / denom)
+        if span[0] < vertex < span[1] and vertex != etas[1]:
+            kappa = _match_kappa(gamma, vertex, tau, v, gain)
+            value = _eve_info_objective(sc, alice, resource, vertex, kappa, gain, exact=True)
+            candidates.append((value, vertex))
+    best_eta = max(candidates, key=lambda c: c[0])[1]
     return _validated_result(
         sc, gamma, best_eta, float(_match_kappa(gamma, best_eta, tau, v, gain)), gain, chi
     )

@@ -210,7 +210,7 @@ def _bisected_kappa(gamma, eta, tau, v, g):
     """Reference root-find: bisect the attack's added noise at lam = tau,
     written out term by term, against v. Returns (kappa, excess at
     kappa = 0); kappa is None when no kappa in [0, 1) matches, and a vacuum
-    auxiliary within 1e-12 of v counts as matched."""
+    auxiliary within 1e-12 a of v counts as matched."""
     g2 = gamma * gamma
     a = (1.0 + g2) / (1.0 - g2)
     c = 2.0 * gamma / (1.0 - g2)
@@ -228,7 +228,7 @@ def _bisected_kappa(gamma, eta, tau, v, g):
         return v_eff - v
 
     f0 = excess(0.0)
-    if abs(f0) <= 1e-12:
+    if abs(f0) <= 1e-12 * a:
         return 0.0, f0
     if f0 > 0.0:
         return None, f0
@@ -274,9 +274,9 @@ def test_closed_form_kappa_matches_the_bisection_oracle():
         for eta in etas.tolist():
             kappa = _match_kappa(gamma, eta, ch.tau, ch.v, g)
             reference, f0 = _bisected_kappa(gamma, eta, ch.tau, ch.v, g)
-            if abs(abs(f0) - 1e-12) <= 1e-15 * a:
+            if abs(abs(f0) - 1e-12 * a) <= 1e-15 * a:
                 # the vacuum's excess sits within rounding (terms of size a)
-                # of the 1e-12 tolerance, so either verdict is right
+                # of the 1e-12 a tolerance, so either verdict is right
                 knife_edge += 1
                 continue
             assert math.isnan(kappa) == (reference is None), (gamma, eta, ch, g)
@@ -292,14 +292,33 @@ def test_closed_form_kappa_matches_the_bisection_oracle():
             assert abs(kappa - reference) <= 1e-9 + resolution, (gamma, eta, ch, g)
             # the teleporter's closed form on the tapped resource
             # (a, eta a + (1 - eta) a_phi, sqrt(eta) c) returns the channel's
-            # noise; a vacuum auxiliary is accepted 1e-12 off it, plus the
+            # noise; a vacuum auxiliary is accepted 1e-12 a off it, plus the
             # rounding of terms of size a
             tapped = ResourceState(a, eta * a + (1.0 - eta) * a_phi, math.sqrt(eta) * c)
             out = ao_effective_channel(tapped, TeleportConfig(ch.tau, g, ch))
-            bound = 1e-12 + 1e-15 * a if kappa == 0.0 else 1e-12
+            bound = 1e-12 * a + 1e-15 * a if kappa == 0.0 else 1e-12
             assert abs(out.v - ch.v) <= bound, (gamma, eta, ch, g)
     assert matched > 800 and unmatched > 200
     assert knife_edge <= 0.02 * (matched + unmatched)
+
+
+def test_vacuum_verdict_does_not_hang_on_rounding():
+    # a window-edge point whose vacuum excess is ~1e-12, where an absolute
+    # 1e-12 tolerance split the verdicts: the term-by-term excess read
+    # 1.0089e-12 (unmatched), the closed form 9.9986e-13 (matched)
+    gamma, eta, g = 0.9910659025403082, 0.875571777053631, 2933.918980394141
+    ch = GaussChannel(0.87568427775955, 0.13228667401529046)
+    reference, f0 = _bisected_kappa(gamma, eta, ch.tau, ch.v, g)
+    assert 1e-12 < f0 < 1.01e-12
+    assert reference == 0.0
+    assert _match_kappa(gamma, eta, ch.tau, ch.v, g) == 0.0
+    # the tolerance is 1e-12 a (a ~ 111 here): an excess of 1.1e-11 is still
+    # a vacuum match, one of 1e-9 is not
+    for step, matched in ((-1e-11, True), (-1e-9, False)):
+        reference, f0 = _bisected_kappa(gamma, eta + step, ch.tau, ch.v, g)
+        kappa = _match_kappa(gamma, eta + step, ch.tau, ch.v, g)
+        assert (reference == 0.0) == bool(kappa == 0.0) == matched, (step, f0)
+        assert math.isnan(kappa) != matched
 
 
 def test_kappa_array_call_equals_per_element_calls():

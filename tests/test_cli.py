@@ -194,10 +194,12 @@ def test_sweep_identity_channel_exits_2(capsys):
 @pytest.mark.parametrize(
     "flags,needle",
     [
-        # ROADMAP defect 2: double precision breaks down at g = 1e8
+        # ROADMAP defect 3: double precision breaks down at g = 1e8. The
+        # reported information is jagged in the sample set the search visits,
+        # so only the row and the Holevo bound (a closed form) are pinned
         (
             ["--g-policy", "finite:1e8", "--gamma-count", "2"],
-            "Eve's information 0.22668395991854595 outside [0, Holevo bound",
+            "outside [0, Holevo bound 0.22654422476047253]",
         ),
     ],
     ids=["gain-1e8"],
@@ -206,7 +208,7 @@ def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, ne
     out = tmp_path / "never.csv"
     assert main(["sweep", *flags, "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: row gamma = ")
+    assert err.startswith("error: row gamma = 0.9999: Eve's information ")
     assert needle in err
     assert err.count("\n") == 1
     assert not out.exists()

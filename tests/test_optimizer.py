@@ -1,0 +1,125 @@
+"""optimize_attack's search: the near-edge optimum, row independence, and a
+deterministic bound on how many objective evaluations a row makes.
+
+The dense oracle is the maximum of the same objective over a 4,001-point
+stacked scan of the feasible window, about 16 times finer than the
+optimizer's last scan pass. A row may beat it (the peak can sit between two
+oracle points) but must not fall short of it.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+import cvqkd_attacks.attacks
+from cvqkd_attacks.attacks import (
+    _eve_info_objective,
+    _feasible_eta_window,
+    _match_kappa,
+    _resource_matrix,
+    optimize_attack,
+)
+from cvqkd_attacks.cli import RunConfig, scenario_from
+from cvqkd_attacks.gaussian import tmsv
+from cvqkd_attacks.keyrate import default_gamma_grid, sweep
+
+ORACLE_POINTS = 4001
+
+
+def _config(**fields):
+    cfg = RunConfig(**fields)
+    return scenario_from(cfg), cfg
+
+
+def _grid(sc, cfg, count):
+    return default_gamma_grid(sc, count, cfg.gamma_lo, cfg.gamma_hi)
+
+
+def dense_oracle(sc, gamma):
+    """Largest objective value over ORACLE_POINTS evenly spaced etas of the
+    window optimize_attack searches."""
+    ch = sc.channel
+    lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, max(0.8 * ch.tau, 1e-4))
+    etas = lo + (hi - lo) * np.arange(ORACLE_POINTS) / (ORACLE_POINTS - 1)
+    kappas = _match_kappa(gamma, etas, ch.tau, ch.v, sc.gain)
+    hits = ~np.isnan(kappas)
+    alice = tmsv(sc.zeta, ("A", "B")).matrix
+    resource = _resource_matrix(gamma, validate=math.isfinite(sc.gain))
+    values = _eve_info_objective(
+        sc, alice, resource, etas[hits], kappas[hits], sc.gain, exact=True
+    )
+    return float(np.max(values))
+
+
+@pytest.mark.parametrize(
+    "fields,pinned",
+    [
+        # the peak sits 9.1e-5 (0.4% of the window) above the lower edge
+        (dict(reconciliation="direct", gamma_count=11), (0.982360015, 1.677147740)),
+        (
+            dict(g_policy="finite:100", gamma_hi=0.99, reconciliation="direct", gamma_count=11),
+            (0.977672878, 1.671996765),
+        ),
+    ],
+    ids=["asymptotic", "finite-100"],
+)
+def test_direct_rows_reach_the_dense_oracle(fields, pinned):
+    sc, cfg = _config(**fields)
+    checked = 0
+    for gamma in _grid(sc, cfg, cfg.gamma_count):
+        res = optimize_attack(sc, gamma)
+        if not res.feasible:
+            continue
+        oracle = dense_oracle(sc, gamma)
+        assert res.eve_info_bits >= oracle - 1e-9, (gamma, res.eve_info_bits, oracle)
+        if abs(gamma - pinned[0]) <= 1e-9:
+            assert res.eve_info_bits >= pinned[1], (gamma, res.eve_info_bits)
+            checked += 1
+    assert checked == 1
+
+
+@pytest.mark.parametrize(
+    "fields,stride",
+    [
+        (dict(), 8),
+        (dict(g_policy="finite:100", gamma_hi=0.99), 4),
+    ],
+    ids=["asymptotic", "finite-100"],
+)
+def test_sub_grid_rows_equal_the_full_table_bit_for_bit(fields, stride):
+    # the benchmark's 6- and 11-row tables stand for rows of the 41-row one;
+    # that holds only while each row is computed on its own
+    sc, cfg = _config(**fields)
+    full = sweep(sc, cfg.beta, _grid(sc, cfg, 41)).rows
+    sub = sweep(sc, cfg.beta, _grid(sc, cfg, 40 // stride + 1)).rows
+    assert [repr(dataclasses.astuple(r)) for r in sub] == [
+        repr(dataclasses.astuple(r)) for r in full[::stride]
+    ]
+
+
+@pytest.mark.parametrize(
+    "g_policy,exact_total",
+    [("asymptotic", 37), ("finite:1e6", 36)],
+)
+def test_rows_stay_within_their_evaluation_budget(monkeypatch, g_policy, exact_total):
+    # at most 64 scan points a row (three 17-point passes: 51) and 4 exact
+    # evaluations a row, against 201 and about 7; the totals are the ones a
+    # row-by-row grid search with a two-step polish made on these sweeps
+    counts = {"scan": 0, "exact": 0}
+
+    def counted(sc, alice, resource, eta, kappa, g, exact):
+        counts["exact" if exact else "scan"] += np.size(eta)
+        return _eve_info_objective(sc, alice, resource, eta, kappa, g, exact)
+
+    monkeypatch.setattr(cvqkd_attacks.attacks, "_eve_info_objective", counted)
+    sc, cfg = _config(g_policy=g_policy)
+    exact_seen = 0
+    for gamma in _grid(sc, cfg, 6):
+        counts.update(scan=0, exact=0)
+        assert optimize_attack(sc, gamma).feasible
+        assert counts["scan"] <= 64, (gamma, counts)
+        assert 1 <= counts["exact"] <= 4, (gamma, counts)
+        exact_seen += counts["exact"]
+    assert exact_seen <= exact_total
