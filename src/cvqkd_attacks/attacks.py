@@ -321,8 +321,10 @@ def _eve_info_objective(
     """Eve's information on raw arrays, the optimizer's objective.
 
     alice is the tmsv(zeta) matrix on (A, B), resource the one from
-    _resource_matrix; both are row constants. eta and kappa are scalars, or
-    1-D arrays of matched pairs evaluated as one stack, one value each.
+    _resource_matrix. eta and kappa are scalars, or 1-D arrays of matched
+    pairs evaluated as one stack, one value each; the resource is then one
+    matrix shared by every pair, or a stack of them, one per pair, so that
+    points of several rows share one call.
 
     g = math.inf takes the Bell-record closed form (_bell_record_info): O(1)
     entries in double precision, within 1e-13 bits of the 60-digit circuit
@@ -454,13 +456,119 @@ def _validated_result(
     )
 
 
-def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) -> AttackResult:
-    """Best (eta, kappa) for the teleportation attack at a given resource.
+class RowError(ValueError):
+    """A row of optimize_attacks failed: the message that row raises alone
+    through optimize_attack, and the row's resource squeezing gamma."""
+
+    def __init__(self, gamma: float, cause: Exception):
+        super().__init__(str(cause))
+        self.gamma = gamma
+
+
+class _StackFailed(Exception):
+    """An objective call of _scan_windows raised: args are the position of
+    the first row in the call and the error."""
+
+
+def _scan_windows(sc: AttackScenario, gammas, windows, gain: float):
+    """Eve's best eta for each of a stack of rows, every row searched on its
+    own feasible window and all rows sharing each objective call.
+
+    Returns the best etas, NaN for a row whose scan matched no eta, of the
+    rows before the first failing one, and that row's position and error, or
+    None. An objective call that raises fails the first row in it.
+    """
+    tau, v = sc.channel.tau, sc.channel.v
+    alice = tmsv(sc.zeta, ("A", "B")).matrix
+    resources = np.array([_resource_matrix(gm, validate=math.isfinite(gain)) for gm in gammas])
+    gammas = np.asarray(gammas, dtype=float)
+
+    def objective(rows, etas, kappas, exact):
+        # rows: the row of each point, ascending
+        try:
+            return _eve_info_objective(sc, alice, resources[rows], etas, kappas, gain, exact)
+        except ValueError as exc:
+            raise _StackFailed(int(rows[0]), exc) from exc
+
+    live = np.arange(len(gammas))
+    candidates = {}
+    failure = None
+    try:
+        # coarse-to-fine scan of the fast objective, one stacked evaluation
+        # per pass; kappa matching fails on the widened rim itself, so the
+        # first pass spans each window from just inside both ends, and each
+        # later pass spans the two intervals around the row's previous
+        # first maximum
+        w_lo, w_hi = np.array(windows, dtype=float).T
+        edge = 1e-9 * (w_hi - w_lo)
+        span = (w_lo + edge, w_hi - edge)
+        for _ in range(_SCAN_PASSES):
+            step = (span[1] - span[0])[:, None] * np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
+            etas = span[0][:, None] + step
+            kappas = _match_kappa(gammas[live, None], etas, tau, v, gain)
+            hits = ~np.isnan(kappas)
+            # a row left without a matchable eta is infeasible; only the
+            # first pass can miss, as later ones contain a hit
+            keep = hits.any(axis=1)
+            live, etas, kappas, hits = live[keep], etas[keep], kappas[keep], hits[keep]
+            if not live.size:
+                return np.full(len(gammas), np.nan), None
+            values = np.full(etas.shape, -np.inf)
+            values[hits] = objective(live[hits.nonzero()[0]], etas[hits], kappas[hits], False)
+            best = np.argmax(values, axis=1)
+            at = np.arange(live.size)
+            span = (
+                etas[at, np.maximum(best - 1, 0)],
+                etas[at, np.minimum(best + 1, _SCAN_POINTS - 1)],
+            )
+
+        # the scan objective's noise (up to ~1e-6 bits on amplified matrices)
+        # swamps the trend in gamma, so refit the peak on the accurate
+        # objective: the scan best and its last-pass neighbours (the next
+        # point inward at a window edge), then the vertex of the parabola
+        # through them if it falls inside the scan best's bracket (the span
+        # above); the best exactly evaluated point wins
+        near = np.minimum(np.maximum(best, 1), _SCAN_POINTS - 2)[:, None] + np.arange(-1, 2)
+        etas, kappas, hits = (np.take_along_axis(x, near, axis=1) for x in (etas, kappas, hits))
+        exact = np.full(etas.shape, -np.inf)
+        exact[hits] = objective(live[hits.nonzero()[0]], etas[hits], kappas[hits], True)
+        vertices = {}
+        for k, row in enumerate(live.tolist()):
+            candidates[row] = list(zip(exact[k].tolist(), etas[k].tolist()))
+            f_lo, f_mid, f_hi = exact[k].tolist()
+            denom = f_lo - 2.0 * f_mid + f_hi
+            if math.isfinite(denom) and denom < 0.0:
+                # strictly between two matched points, so matched itself
+                vertex = float(
+                    etas[k, 1] + 0.5 * (etas[k, 1] - etas[k, 0]) * (f_lo - f_hi) / denom
+                )
+                if span[0][k] < vertex < span[1][k] and vertex != etas[k, 1]:
+                    vertices[row] = vertex
+        if vertices:
+            rows = np.array(list(vertices))
+            at = np.array(list(vertices.values()))
+            values = objective(rows, at, _match_kappa(gammas[rows], at, tau, v, gain), True)
+            for row, value in zip(vertices, values.tolist()):
+                candidates[row].append((value, vertices[row]))
+    except _StackFailed as failed:
+        failure = failed.args
+    stop = len(gammas) if failure is None else failure[0]
+    best_etas = np.full(stop, np.nan)
+    for row, found in candidates.items():
+        # the rows before a failed call's first row are complete
+        if row < stop:
+            best_etas[row] = max(found, key=lambda c: c[0])[1]
+    return best_etas, failure
+
+
+def optimize_attacks(sc: AttackScenario, gammas, g: float | None = None) -> list[AttackResult]:
+    """Best (eta, kappa) for the teleportation attack at each resource of a
+    grid: one AttackResult per gamma, in grid order.
 
     The noise-matching constraint leaves one free direction: eta is scanned
     over the feasible window, kappa follows from each eta in closed form, and
     Eve's information is evaluated on the matched pairs. The scan is three
-    stacked passes of 17 points, each over the previous best point's two
+    passes of 17 points, each over the previous best point's two
     neighbouring intervals, ending at a spacing of window / 1024 (51 points).
     The scan's best point, its two last-pass neighbours and, when it falls
     inside their bracket, the vertex of the parabola through them are then
@@ -468,8 +576,16 @@ def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) ->
     or near a window edge stays reachable, as the scan starts just inside
     both ends. Pure-loss channels skip all of it (eta = tau / gamma^2,
     kappa = 0). A resource below gamma_min, or a first pass with no
-    matchable eta, yields an infeasible result rather than an error. Each
-    row depends on its gamma alone: no state carries over between rows.
+    matchable eta, yields an infeasible result rather than an error.
+
+    The rows share every objective call: each scan pass is one call on the
+    stacked (row, eta) points of every row still searching, and the exact
+    refit one call on all rows' three points and one on all vertices. Every
+    per-element operation is the one a lone row makes and every decision is
+    taken per row, so each row is bit for bit what optimize_attack gives for
+    its gamma alone, whichever rows share its stack. A failing row raises
+    RowError with the message it raises alone; the rows before it are
+    completed first, so the error is the first failing row's in grid order.
 
     g, a finite gain > 1, overrides the scenario's. The scenario's
     math.inf, the asymptotic protocol, runs at g = infinity itself: scan
@@ -479,69 +595,69 @@ def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) ->
     gain = sc.gain if g is None else float(g)
     if g is not None:
         _check_gain(gain)
+    gammas = tuple(gammas)
+    if not gammas:
+        return []
+    try:
+        chi = holevo_bound(sc)
+    except ValueError as exc:
+        raise RowError(gammas[0], exc) from exc
     ch = sc.channel
-    chi = holevo_bound(sc)
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"resource squeezing must lie in [0, 1), got {gamma}")
-    if gamma < gamma_min(ch) - 1e-9:
-        return _infeasible(gamma, chi)
-
-    if _is_pure_loss_like(ch):
-        return _validated_result(sc, gamma, min(ch.tau / (gamma * gamma), 1.0), 0.0, gain, chi)
-
     tau, v = ch.tau, ch.v
+    floor = gamma_min(ch) - 1e-9
     lo = max(0.8 * tau, 1e-4)
-    window = _feasible_eta_window(gamma, tau, v, lo)
-    if window is None:
-        return _infeasible(gamma, chi)
-    w_lo, w_hi = window
-    alice = tmsv(sc.zeta, ("A", "B")).matrix
-    resource = _resource_matrix(gamma, validate=math.isfinite(gain))
+    # each row's (eta, kappa), or None where infeasible, up to the first
+    # failing row; the rows to scan wait with their feasible windows
+    picks: list[tuple[float, float] | None] = []
+    windows = {}
+    failure = None
+    for row, gamma in enumerate(gammas):
+        if not 0.0 <= gamma < 1.0:
+            failure = (row, ValueError(f"resource squeezing must lie in [0, 1), got {gamma}"))
+            break
+        if gamma < floor:
+            picks.append(None)
+        elif _is_pure_loss_like(ch):
+            picks.append((min(tau / (gamma * gamma), 1.0), 0.0))
+        else:
+            # the scan fills it in, or leaves it infeasible
+            picks.append(None)
+            window = _feasible_eta_window(gamma, tau, v, lo)
+            if window is not None:
+                windows[row] = window
 
-    # coarse-to-fine scan of the fast objective, one stacked evaluation per
-    # pass; kappa matching fails on the widened rim itself, so the first
-    # pass spans the window from just inside both ends, and each later pass
-    # spans the two intervals around the previous pass's first maximum
-    edge = 1e-9 * (w_hi - w_lo)
-    span = (w_lo + edge, w_hi - edge)
-    for _ in range(_SCAN_PASSES):
-        etas = span[0] + (span[1] - span[0]) * np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
-        kappas = _match_kappa(gamma, etas, tau, v, gain)
-        hits = ~np.isnan(kappas)
-        if not hits.any():
-            # only the first pass can miss: later ones contain a hit
-            return _infeasible(gamma, chi)
-        values = np.full(_SCAN_POINTS, -np.inf)
-        values[hits] = _eve_info_objective(
-            sc, alice, resource, etas[hits], kappas[hits], gain, exact=False
+    if windows:
+        rows = list(windows)
+        best_etas, scan_failure = _scan_windows(
+            sc, [gammas[row] for row in rows], list(windows.values()), gain
         )
-        best = int(np.argmax(values))
-        span = (float(etas[max(best - 1, 0)]), float(etas[min(best + 1, _SCAN_POINTS - 1)]))
+        for row, eta in zip(rows, best_etas.tolist()):
+            if not math.isnan(eta):
+                picks[row] = (eta, float(_match_kappa(gammas[row], eta, tau, v, gain)))
+        if scan_failure is not None:
+            # no row from the search's first failing one on is reported
+            failure = (rows[scan_failure[0]], scan_failure[1])
+            del picks[failure[0] :]
 
-    # the scan objective's noise (up to ~1e-6 bits on amplified matrices)
-    # swamps the trend in gamma, so refit the peak on the accurate objective:
-    # the scan best and its last-pass neighbours (the next point inward at a
-    # window edge), then the vertex of the parabola through them if it falls
-    # inside the scan best's bracket (the span above); the best exactly
-    # evaluated point wins
-    start = min(max(best, 1), _SCAN_POINTS - 2) - 1
-    near = slice(start, start + 3)
-    etas, kappas, hits = etas[near], kappas[near], hits[near]
-    exact = np.full(3, -np.inf)
-    exact[hits] = _eve_info_objective(
-        sc, alice, resource, etas[hits], kappas[hits], gain, exact=True
-    )
-    candidates = list(zip(exact.tolist(), etas.tolist()))
-    f_lo, f_mid, f_hi = exact.tolist()
-    denom = f_lo - 2.0 * f_mid + f_hi
-    if math.isfinite(denom) and denom < 0.0:
-        # strictly between two matched points, so matched itself
-        vertex = float(etas[1] + 0.5 * (etas[1] - etas[0]) * (f_lo - f_hi) / denom)
-        if span[0] < vertex < span[1] and vertex != etas[1]:
-            kappa = _match_kappa(gamma, vertex, tau, v, gain)
-            value = _eve_info_objective(sc, alice, resource, vertex, kappa, gain, exact=True)
-            candidates.append((value, vertex))
-    best_eta = max(candidates, key=lambda c: c[0])[1]
-    return _validated_result(
-        sc, gamma, best_eta, float(_match_kappa(gamma, best_eta, tau, v, gain)), gain, chi
-    )
+    results = []
+    for row, pick in enumerate(picks):
+        gamma = gammas[row]
+        try:
+            if pick is None:
+                results.append(_infeasible(gamma, chi))
+            else:
+                results.append(_validated_result(sc, gamma, *pick, gain, chi))
+        except ValueError as exc:
+            raise RowError(gamma, exc) from exc
+    if failure is not None:
+        row, exc = failure
+        raise RowError(gammas[row], exc) from exc
+    return results
+
+
+def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) -> AttackResult:
+    """Best (eta, kappa) for the teleportation attack at one resource: the
+    one-row case of optimize_attacks, which describes the search. The row
+    depends on its gamma alone: no state carries over between rows.
+    """
+    return optimize_attacks(sc, (gamma,), g)[0]

@@ -252,21 +252,30 @@ def _tmsv_entries(gamma: float) -> tuple[float, float]:
     The textbook entries rounded to doubles can land on a matrix whose exact
     smallest symplectic eigenvalue sits a few 1e-9 below 1; the per-ulp
     granularity of nu grows with the squeezing, so no choice of formula fixes
-    this. c is lowered one ulp at a time until the stored pair satisfies
-    (a - c)(a + c) >= 1 exactly, keeping the state on the physical side while
-    moving the entries by at most a couple of ulps.
+    this. c is the largest double at most the textbook c for which the
+    stored pair satisfies (a - c)(a + c) >= 1 exactly, keeping the state on
+    the physical side. That is within a couple of ulps of the textbook c at
+    large squeezing, and further below it (relatively ~eps / gamma^2) at
+    small squeezing, where a - 1 carries few bits. The search starts from
+    sqrt((a - 1)(a + 1)), within a few ulps of the answer at any squeezing,
+    and settles in one to four exact checks.
     """
     denom = 1.0 - gamma * gamma
     a = (1.0 + gamma * gamma) / denom
-    c = 2.0 * gamma / denom
+    textbook = 2.0 * gamma / denom
     # the test runs on the exact binary values: with a = p/q and c = r/s
     # (q, s powers of two), a^2 - c^2 >= 1 is p^2 s^2 - r^2 q^2 >= q^2 s^2
     p, q = a.as_integer_ratio()
-    for _ in range(64):
+
+    def physical(c: float) -> bool:
         r, s = c.as_integer_ratio()
-        if (p * s) ** 2 - (r * q) ** 2 >= (q * s) ** 2:
-            break
+        return (p * s) ** 2 - (r * q) ** 2 >= (q * s) ** 2
+
+    c = min(textbook, math.sqrt((a - 1.0) * (a + 1.0)))
+    while not physical(c):
         c = math.nextafter(c, 0.0)
+    while c < textbook and physical(math.nextafter(c, math.inf)):
+        c = math.nextafter(c, math.inf)
     return a, c
 
 
@@ -366,31 +375,28 @@ def symplectic_eigenvalues(state: CovMat) -> np.ndarray:
     return state._nus.copy()
 
 
-def _entropy_term(nu: float, pure_tol: float = 1e-12) -> float:
-    # (nu+1)/2 log2 (nu+1)/2 - (nu-1)/2 log2 (nu-1)/2, with the pure-state
-    # 0 log 0 limit handled by an explicit branch. pure_tol is the spectrum's
-    # own noise: below it a mode counts as pure. Next to nu = 1 the term is
-    # ~(nu-1)/2 log2(2e/(nu-1)), up to 2e-11 bits at the default.
-    if nu <= 1.0 + pure_tol:
-        return 0.0
-    if nu > 1.0e4:
-        # the direct form subtracts two ~nu log2 nu sized terms; at large nu
-        # that cancellation costs more absolute accuracy than the result has
-        return 0.5 * nu * math.log1p(2.0 / (nu - 1.0)) / math.log(2.0) + 0.5 * math.log2(
-            0.25 * (nu - 1.0) * (nu + 1.0)
-        )
-    hi = 0.5 * (nu + 1.0)
-    lo = 0.5 * (nu - 1.0)
-    return hi * math.log2(hi) - lo * math.log2(lo)
-
-
 def _spectrum_entropy(nus, pure_tol: float = 1e-12):
     """Von Neumann entropy in bits of a symplectic spectrum; of a stack of
-    spectra, one entropy per row. Modes within pure_tol of 1 count as pure."""
-    nus = np.asarray(nus)
-    if nus.ndim > 1:
-        return np.array([_spectrum_entropy(row, pure_tol) for row in nus])
-    return float(sum(_entropy_term(float(nu), pure_tol) for nu in nus))
+    spectra, one entropy per row.
+
+    Each mode adds (nu+1)/2 log2 (nu+1)/2 - (nu-1)/2 log2 (nu-1)/2. pure_tol
+    is the spectrum's own noise: a mode within it of nu = 1 counts as pure
+    and adds 0, the 0 log 0 limit. Next to nu = 1 the term is
+    ~(nu-1)/2 log2(2e/(nu-1)), up to 2e-11 bits at the default.
+    """
+    nus = np.asarray(nus, dtype=float)
+    hi = 0.5 * (nus + 1.0)
+    lo = 0.5 * (nus - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = hi * np.log2(hi) - lo * np.log2(lo)
+        # the direct form subtracts two ~nu log2 nu sized terms; at large nu
+        # that cancellation costs more absolute accuracy than the result has
+        large = 0.5 * nus * np.log1p(2.0 / (nus - 1.0)) / math.log(2.0) + 0.5 * np.log2(
+            0.25 * (nus - 1.0) * (nus + 1.0)
+        )
+    terms = np.where(nus <= 1.0 + pure_tol, 0.0, np.where(nus > 1.0e4, large, direct))
+    total = terms.sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def von_neumann_entropy(state: CovMat) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .attacks import AttackScenario, gamma_min, optimize_attack
+from .attacks import AttackScenario, RowError, gamma_min, optimize_attacks
 
 
 @dataclass(frozen=True)
@@ -85,25 +85,25 @@ def sweep(sc: AttackScenario, beta: float, gamma_grid: tuple[float, ...]) -> Swe
 
     Infeasible resources produce NaN-valued rows flagged feasible=false; the
     Holevo bound is a scenario constant repeated for plotting convenience.
-    A row that fails raises ValueError naming its gamma.
+    The rows are optimized together (optimize_attacks), each on its own; the
+    first row that fails, in grid order, raises ValueError naming its gamma.
     """
-    rows = []
-    for gamma in gamma_grid:
-        try:
-            res = optimize_attack(sc, gamma)
-        except ValueError as exc:
-            raise ValueError(f"row gamma = {gamma!r}: {exc}") from exc
-        rows.append(
-            SweepRow(
-                gamma=res.gamma,
-                ent_ebits=res.ent_resource,
-                eta_star=res.eta_star,
-                kappa_star=res.kappa_star,
-                eve_info_bits=res.eve_info_bits,
-                holevo_bits=res.holevo_bits,
-                key_rate_bits=key_rate(sc, beta, res.eve_info_bits),
-                residual=res.residual,
-                feasible=res.feasible,
-            )
+    try:
+        results = optimize_attacks(sc, gamma_grid)
+    except RowError as exc:
+        raise ValueError(f"row gamma = {exc.gamma!r}: {exc}") from exc
+    rows = tuple(
+        SweepRow(
+            gamma=res.gamma,
+            ent_ebits=res.ent_resource,
+            eta_star=res.eta_star,
+            kappa_star=res.kappa_star,
+            eve_info_bits=res.eve_info_bits,
+            holevo_bits=res.holevo_bits,
+            key_rate_bits=key_rate(sc, beta, res.eve_info_bits),
+            residual=res.residual,
+            feasible=res.feasible,
         )
-    return SweepTable(scenario=sc, beta=beta, rows=tuple(rows))
+        for res in results
+    )
+    return SweepTable(scenario=sc, beta=beta, rows=rows)

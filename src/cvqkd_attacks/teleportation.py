@@ -204,6 +204,8 @@ def _pipeline_raw(
     eta and kappa may be 1-D arrays of one length: the result is then the
     stack of kept matrices, one per (eta, kappa) pair, with the auxiliary
     states and splitters validated as stacks. Scalars give one 2-D matrix.
+    The resource may be one matrix shared by every pair or a matching
+    (..., 4, 4) stack, one per pair.
     """
     _check_gain(g)
     eta, aux, aux_labels = _tapped_auxiliary(channel, eta, kappa)
@@ -245,11 +247,12 @@ def _bell_record_raw(
     formed matrix would leave ~eps a in every entry, up to 5e-11 bits at
     gamma = 0.9999. The tap then acts on the conditional state, Bob's mode
     given u is -R2', and ab adds back u's share, cross cross^T / s. Scalars
-    or 1-D arrays of eta and kappa, as for _pipeline_raw.
+    or 1-D arrays of eta and kappa, and one resource or a stack of them, as
+    for _pipeline_raw.
     """
     eta, aux, aux_labels = _tapped_auxiliary(channel, eta, kappa)
     a_in, c_in = alice[0, 0], alice[0, 2]
-    a, c = resource[0, 0], resource[0, 2]
+    a, c = resource[..., 0, 0], resource[..., 0, 2]
     s = a + a_in
     pair = _two_mode_std(
         (a * a_in + (a_in - c_in) * (a_in + c_in)) / s,
@@ -266,7 +269,7 @@ def _bell_record_raw(
     cross = np.zeros(eta.shape + (4, 2))
     cross[..., 0, 0], cross[..., 1, 1] = c_in, -c_in
     cross[..., 2, 0] = cross[..., 3, 1] = math.sqrt(channel.tau) * s - np.sqrt(eta) * c
-    ab = given_u[..., :4, :4] + cross @ np.swapaxes(cross, -1, -2) / s
+    ab = given_u[..., :4, :4] + cross @ np.swapaxes(cross, -1, -2) / s[..., None, None]
     return ab, given_u, ("A", "B") + aux_labels
 
 

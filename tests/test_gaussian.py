@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 from fractions import Fraction
 
 import mpmath
@@ -19,6 +20,7 @@ from cvqkd_attacks.gaussian import (
     _condition_heterodyne_raw,
     _fast_spectrum,
     _refined_spectrum,
+    _spectrum_entropy,
     _symplectic_spectrum,
     _tmsv_entries,
     apply_symplectic,
@@ -263,6 +265,47 @@ def test_entropy_of_two_shot_noise_units_is_two_bits():
     assert math.isclose(von_neumann_entropy(thermal(3.0)), 2.0, rel_tol=1e-14)
 
 
+def _entropy_by_modes(nus, pure_tol: float = 1e-12) -> float:
+    # reference: the per-mode loop on math.log2 that _spectrum_entropy's
+    # array expression replaced
+    total = 0.0
+    for nu in nus:
+        if nu <= 1.0 + pure_tol:
+            continue
+        if nu > 1.0e4:
+            total += 0.5 * nu * math.log1p(2.0 / (nu - 1.0)) / math.log(2.0) + 0.5 * math.log2(
+                0.25 * (nu - 1.0) * (nu + 1.0)
+            )
+        else:
+            hi, lo = 0.5 * (nu + 1.0), 0.5 * (nu - 1.0)
+            total += hi * math.log2(hi) - lo * math.log2(lo)
+    return total
+
+
+@pytest.mark.parametrize("pure_tol", [1e-12, 0.0])
+def test_spectrum_entropy_matches_the_per_mode_loop(rng, pure_tol):
+    # both branches, the pure-mode cut and its edge, stacked three modes a
+    # row; the array form may round each logarithm differently, so the
+    # tolerance is a few ulps of the largest term's two halves
+    nus = np.concatenate(
+        [
+            [1.0, 1.0 + 1e-12, 1.0 + 2e-12, 1.0 + 1e-9, 1.5, 3.0, 1.0e4, 1.0e4 + 1e-12, 7.5e9],
+            1.0 + rng.uniform(0.0, 1e-6, 300),
+            1.0 + rng.exponential(1.0, 300),
+            10.0 ** rng.uniform(0.0, 10.0, 300),
+        ]
+    )
+    nus = np.concatenate([nus, np.ones(-len(nus) % 3)]).reshape(-1, 3)
+    got = _spectrum_entropy(nus, pure_tol)
+    assert got.shape == (len(nus),)
+    for row, value in zip(nus.tolist(), got.tolist()):
+        expected = _entropy_by_modes(row, pure_tol)
+        scale = max(0.5 * (nu + 1.0) * math.log2(0.5 * (nu + 1.0)) for nu in row)
+        assert abs(value - expected) <= 8 * np.finfo(float).eps * max(scale, 1.0), row
+        single = _spectrum_entropy(np.array(row), pure_tol)
+        assert type(single) is float and single == value
+
+
 def test_heterodyne_conditioning_matches_rational_schur():
     st = tmsv(0.5, ("A", "B"))
     a = Fraction(st.matrix[0, 0])
@@ -316,17 +359,31 @@ def test_physicality_audit_tracks_minimum():
 
 
 def _tmsv_entries_fraction(gamma: float) -> tuple[float, float]:
-    # reference: the same one-ulp walk with the physicality test run on
-    # Fractions instead of the integer ratios the package uses
+    # reference: the largest double c at most the textbook one with
+    # a^2 - c^2 >= 1 on Fractions, searched over the bit patterns of the
+    # non-negative doubles, which are ordered like their values
     denom = 1.0 - gamma * gamma
     a = (1.0 + gamma * gamma) / denom
     c = 2.0 * gamma / denom
     exact_a = Fraction(a)
-    for _ in range(64):
-        if (exact_a - Fraction(c)) * (exact_a + Fraction(c)) >= 1:
-            break
-        c = math.nextafter(c, 0.0)
-    return a, c
+
+    def physical(bits: int) -> bool:
+        x = Fraction(struct.unpack("<d", struct.pack("<q", bits))[0])
+        return (exact_a - x) * (exact_a + x) >= 1
+
+    top = struct.unpack("<q", struct.pack("<d", c))[0]
+    if physical(top):
+        return a, c
+    # gallop down to a physical pattern (bits 0, c = 0, is one, as a >= 1),
+    # then bisect between it and the last unphysical one
+    hi, step = top, 1
+    while not physical(max(top - step, 0)):
+        hi, step = top - step, 2 * step
+    lo = max(top - step, 0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if physical(mid) else (lo, mid)
+    return a, struct.unpack("<d", struct.pack("<q", lo))[0]
 
 
 def test_tmsv_entries_match_fraction_reference():
@@ -334,11 +391,14 @@ def test_tmsv_entries_match_fraction_reference():
     near_one = [1.0 - 10.0**-k for k in range(1, 16)] + [math.nextafter(1.0, 0.0)]
     gammas = np.concatenate(
         [
-            [0.0, 0.5, 0.9999],
+            # 0.03 and 0.05 sit about 230 and 80 ulps below the textbook c
+            [0.0, 0.03, 0.05, 0.5, 0.9999],
             near_one,
             rng.uniform(0.0, 1.0, 2000),
             1.0 - rng.uniform(0.0, 1e-4, 1000),
             1.0 - rng.uniform(0.0, 1e-12, 500),
+            # small squeezing: a - 1 carries few bits, so c may sit far below
+            rng.uniform(0.0, 0.07, 300),
         ]
     )
     for gamma in gammas:

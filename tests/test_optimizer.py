@@ -1,5 +1,7 @@
-"""optimize_attack's search: the near-edge optimum, row independence, and a
-deterministic bound on how many objective evaluations a row makes.
+"""optimize_attack's search: the near-edge optimum, row independence, a
+deterministic bound on how many objective evaluations a row makes, and the
+row-stacked optimize_attacks: equal to single rows, and batched into a fixed
+number of objective calls per sweep.
 
 The dense oracle is the maximum of the same objective over a 4,001-point
 stacked scan of the feasible window, about 16 times finer than the
@@ -15,11 +17,15 @@ import pytest
 
 import cvqkd_attacks.attacks
 from cvqkd_attacks.attacks import (
+    _SCAN_PASSES,
+    RowError,
     _eve_info_objective,
     _feasible_eta_window,
     _match_kappa,
     _resource_matrix,
+    gamma_min,
     optimize_attack,
+    optimize_attacks,
 )
 from cvqkd_attacks.cli import RunConfig, scenario_from
 from cvqkd_attacks.gaussian import tmsv
@@ -123,3 +129,108 @@ def test_rows_stay_within_their_evaluation_budget(monkeypatch, g_policy, exact_t
         assert 1 <= counts["exact"] <= 4, (gamma, counts)
         exact_seen += counts["exact"]
     assert exact_seen <= exact_total
+
+
+def _rows(results):
+    return [repr(dataclasses.astuple(r)) for r in results]
+
+
+@pytest.mark.parametrize(
+    "fields,count",
+    [
+        (dict(), 11),
+        (dict(epsilon=1.0), 6),
+        (dict(reconciliation="direct"), 11),
+        (dict(g_policy="finite:100", gamma_hi=0.99), 11),
+        # the exact stack escalates to mpmath per matrix at this gain
+        (dict(g_policy="finite:1e6"), 3),
+    ],
+    ids=["asymptotic", "pure-loss", "direct", "finite-100", "finite-1e6"],
+)
+def test_stacked_rows_equal_single_rows(fields, count):
+    sc, cfg = _config(**fields)
+    grid = _grid(sc, cfg, count)
+    # below gamma_min (infeasible), then gamma_min itself (eta = 1) onwards
+    grid = (0.9 * gamma_min(sc.channel),) + grid
+    stacked = optimize_attacks(sc, grid)
+    assert len(stacked) == len(grid)
+    assert _rows(stacked) == _rows(optimize_attack(sc, gamma) for gamma in grid)
+    assert not stacked[0].feasible and stacked[1].feasible
+
+
+@pytest.mark.parametrize(
+    "fields,count",
+    [(dict(), 6), (dict(g_policy="finite:100", gamma_hi=0.99), 11)],
+    ids=["asymptotic", "finite-100"],
+)
+def test_sweep_batches_its_objective_calls(monkeypatch, fields, count):
+    # one stacked call per scan pass and at most two exact calls (the refit
+    # points, then the parabola vertices) for the whole sweep, while each
+    # row evaluates the same points it would alone
+    calls = []
+
+    def counted(sc, alice, resource, eta, kappa, g, exact):
+        calls.append((exact, np.size(eta)))
+        return _eve_info_objective(sc, alice, resource, eta, kappa, g, exact)
+
+    monkeypatch.setattr(cvqkd_attacks.attacks, "_eve_info_objective", counted)
+    sc, cfg = _config(**fields)
+    grid = _grid(sc, cfg, count)
+    sweep(sc, cfg.beta, grid)
+    scan = [n for exact, n in calls if not exact]
+    exact = [n for exact, n in calls if exact]
+    assert len(scan) == _SCAN_PASSES
+    assert 1 <= len(exact) <= 2
+    calls.clear()
+    for gamma in grid:
+        optimize_attack(sc, gamma)
+    assert sum(scan) == sum(n for exact, n in calls if not exact)
+    assert sum(exact) == sum(n for exact, n in calls if exact)
+
+
+def test_first_failing_row_in_grid_order_is_reported():
+    sc, _ = _config(g_policy="finite:1e8")
+    # the g = 1e8 row fails its Holevo check (ROADMAP defect 3) before the
+    # out-of-range row after it is reached
+    with pytest.raises(RowError, match="Eve's information") as info:
+        optimize_attacks(sc, (0.9999, 1.5))
+    assert info.value.gamma == 0.9999
+    sc, _ = _config()
+    with pytest.raises(RowError, match=r"must lie in \[0, 1\), got 1.5") as info:
+        optimize_attacks(sc, (0.5, 0.9, 1.5, 0.7))
+    assert info.value.gamma == 1.5
+    with pytest.raises(ValueError, match=r"^resource squeezing must lie in \[0, 1\), got -0.1$"):
+        optimize_attack(sc, -0.1)
+
+
+def test_failed_stacked_call_fails_its_first_row(monkeypatch):
+    # the vertex call carries only the rows whose parabola vertex counts;
+    # when it raises, its first row fails and every earlier row is finished
+    sc, cfg = _config()
+    grid = _grid(sc, cfg, 6)
+    resources = [_resource_matrix(gamma, validate=False)[0, 0] for gamma in grid]
+    exact_calls = []
+
+    def failing(sc, alice, resource, eta, kappa, g, exact):
+        if exact:
+            exact_calls.append(resource[..., 0, 0].reshape(-1)[0])
+            if len(exact_calls) == 2:
+                raise ValueError("stack failed")
+        return _eve_info_objective(sc, alice, resource, eta, kappa, g, exact)
+
+    validated = []
+    real_validated = cvqkd_attacks.attacks._validated_result
+
+    def counted(sc, gamma, *rest):
+        validated.append(gamma)
+        return real_validated(sc, gamma, *rest)
+
+    monkeypatch.setattr(cvqkd_attacks.attacks, "_eve_info_objective", failing)
+    monkeypatch.setattr(cvqkd_attacks.attacks, "_validated_result", counted)
+    with pytest.raises(ValueError, match=r"^row gamma = .*: stack failed$") as info:
+        sweep(sc, cfg.beta, grid)
+    row = resources.index(exact_calls[1])
+    assert row > 0
+    assert isinstance(info.value.__cause__, RowError)
+    assert info.value.__cause__.gamma == grid[row]
+    assert validated == list(grid[:row])
