@@ -25,7 +25,7 @@ from .channels import (
 )
 from .gaussian import (
     CovMat,
-    _condition_heterodyne_raw,
+    _condition_raw,
     _fast_spectrum,
     _raw_entropy,
     _spectrum_entropy,
@@ -41,7 +41,7 @@ from .gaussian import (
     tmsv,
     von_neumann_entropy,
 )
-from .teleportation import _bell_record_raw, _check_gain, _is_pure_loss_like, _pipeline_raw
+from .teleportation import _bell_record_raw, _is_pure_loss_like, _pipeline_raw
 
 _ROOT_TOL = 1e-12
 _FEASIBLE_RESIDUAL = 1e-8
@@ -238,29 +238,26 @@ def _resource_matrix(gamma: float, validate: bool = True) -> np.ndarray:
     return tmsv(gamma, ("R1", "R2")).matrix
 
 
-def ao_attack_state(
-    sc: AttackScenario, gamma: float, eta: float, kappa: float, g: float
-) -> CovMat:
-    """Global state of the teleportation attack: Alice's modes (A, B) plus
-    Eve's kept modes (R1, R2, F1 and, off pure loss, F2)."""
+def ao_attack_state(sc: AttackScenario, gamma: float, eta: float, kappa: float) -> CovMat:
+    """Global state of the teleportation attack at the scenario's finite
+    gain: Alice's modes (A, B) plus Eve's kept modes (R1, R2, F1 and, off
+    pure loss, F2)."""
     resource = _resource_matrix(gamma)
     alice = tmsv(sc.zeta, ("A", "B"))
     mat, labels = _pipeline_raw(
-        alice.matrix, alice.labels, "B", sc.channel, resource, eta, kappa, g
+        alice.matrix, alice.labels, "B", sc.channel, resource, eta, kappa, sc.gain
     )
     return CovMat(mat, labels)
 
 
-def simulation_residual(
-    sc: AttackScenario, gamma: float, eta: float, kappa: float, g: float
-) -> float:
+def simulation_residual(sc: AttackScenario, gamma: float, eta: float, kappa: float) -> float:
     """|tau_eff - tau| + |v_eff - v| for the channel the attack actually
-    presents between A and B."""
+    presents between A and B at the scenario's finite gain."""
     resource = _resource_matrix(gamma)
 
     def transform(probe: CovMat) -> CovMat:
         mat, _ = _pipeline_raw(
-            probe.matrix, probe.labels, probe.labels[1], sc.channel, resource, eta, kappa, g
+            probe.matrix, probe.labels, probe.labels[1], sc.channel, resource, eta, kappa, sc.gain
         )
         # the probe modes occupy the first two slots
         return CovMat(mat[:4, :4], probe.labels)
@@ -294,7 +291,7 @@ def _bell_record_info(
     """
     i = labels.index(sc.conditioned_label)
     m = slice(2 * i, 2 * i + 2)
-    cond, _ = _condition_heterodyne_raw(given_u, labels, sc.conditioned_label, exact=False)
+    cond, _ = _condition_raw(given_u, labels, sc.conditioned_label, exact=False)
 
     def entropy(block):
         if validate:
@@ -342,7 +339,7 @@ def _eve_info_objective(
     if math.isinf(g):
         return _bell_record_info(sc, *_bell_record_raw(alice, sc.channel, resource, eta, kappa))
     mat, labels = _pipeline_raw(alice, ("A", "B"), "B", sc.channel, resource, eta, kappa, g)
-    cond, _ = _condition_heterodyne_raw(mat, labels, sc.conditioned_label, exact)
+    cond, _ = _condition_raw(mat, labels, sc.conditioned_label, exact)
     # after removing A or B the Eve block starts at the second remaining mode
     return _raw_entropy(mat[..., 4:, 4:], exact) - _raw_entropy(cond[..., 2:, 2:], exact)
 
@@ -429,11 +426,11 @@ _SCAN_PASSES = 3
 
 
 def _validated_result(
-    sc: AttackScenario, gamma: float, eta: float, kappa: float, g: float, chi: float
+    sc: AttackScenario, gamma: float, eta: float, kappa: float, chi: float
 ) -> AttackResult:
     # authoritative numbers come from validated states, not the raw
     # objective used while searching
-    if math.isinf(g):
+    if math.isinf(sc.gain):
         # at g = infinity: the (A, B) state and Eve's conditional F blocks
         alice = tmsv(sc.zeta, ("A", "B"))
         ab, given_u, labels = _bell_record_raw(
@@ -442,8 +439,8 @@ def _validated_result(
         residual = _channel_residual(CovMat(ab, alice.labels), alice, sc.channel)
         info = float(_bell_record_info(sc, ab, given_u, labels, validate=True))
     else:
-        info = eve_info(ao_attack_state(sc, gamma, eta, kappa, g), sc)
-        residual = simulation_residual(sc, gamma, eta, kappa, g)
+        info = eve_info(ao_attack_state(sc, gamma, eta, kappa), sc)
+        residual = simulation_residual(sc, gamma, eta, kappa)
     return AttackResult(
         gamma=gamma,
         ent_resource=entropy_of_entanglement(gamma),
@@ -470,7 +467,7 @@ class _StackFailed(Exception):
     the first row in the call and the error."""
 
 
-def _scan_windows(sc: AttackScenario, gammas, windows, gain: float):
+def _scan_windows(sc: AttackScenario, gammas, windows):
     """Eve's best eta for each of a stack of rows, every row searched on its
     own feasible window and all rows sharing each objective call.
 
@@ -478,7 +475,7 @@ def _scan_windows(sc: AttackScenario, gammas, windows, gain: float):
     rows before the first failing one, and that row's position and error, or
     None. An objective call that raises fails the first row in it.
     """
-    tau, v = sc.channel.tau, sc.channel.v
+    tau, v, gain = sc.channel.tau, sc.channel.v, sc.gain
     alice = tmsv(sc.zeta, ("A", "B")).matrix
     resources = np.array([_resource_matrix(gm, validate=math.isfinite(gain)) for gm in gammas])
     gammas = np.asarray(gammas, dtype=float)
@@ -561,7 +558,7 @@ def _scan_windows(sc: AttackScenario, gammas, windows, gain: float):
     return best_etas, failure
 
 
-def optimize_attacks(sc: AttackScenario, gammas, g: float | None = None) -> list[AttackResult]:
+def optimize_attacks(sc: AttackScenario, gammas) -> list[AttackResult]:
     """Best (eta, kappa) for the teleportation attack at each resource of a
     grid: one AttackResult per gamma, in grid order.
 
@@ -587,14 +584,11 @@ def optimize_attacks(sc: AttackScenario, gammas, g: float | None = None) -> list
     RowError with the message it raises alone; the rows before it are
     completed first, so the error is the first failing row's in grid order.
 
-    g, a finite gain > 1, overrides the scenario's. The scenario's
-    math.inf, the asymptotic protocol, runs at g = infinity itself: scan
-    and refinement both call the Bell-record closed form, which is already
-    exact, and the row is built from its validated states.
+    The gain is the scenario's. Its math.inf, the asymptotic protocol, runs
+    at g = infinity itself: scan and refinement both call the Bell-record
+    closed form, which is already exact, and the row is built from its
+    validated states.
     """
-    gain = sc.gain if g is None else float(g)
-    if g is not None:
-        _check_gain(gain)
     gammas = tuple(gammas)
     if not gammas:
         return []
@@ -629,11 +623,11 @@ def optimize_attacks(sc: AttackScenario, gammas, g: float | None = None) -> list
     if windows:
         rows = list(windows)
         best_etas, scan_failure = _scan_windows(
-            sc, [gammas[row] for row in rows], list(windows.values()), gain
+            sc, [gammas[row] for row in rows], list(windows.values())
         )
         for row, eta in zip(rows, best_etas.tolist()):
             if not math.isnan(eta):
-                picks[row] = (eta, float(_match_kappa(gammas[row], eta, tau, v, gain)))
+                picks[row] = (eta, float(_match_kappa(gammas[row], eta, tau, v, sc.gain)))
         if scan_failure is not None:
             # no row from the search's first failing one on is reported
             failure = (rows[scan_failure[0]], scan_failure[1])
@@ -646,7 +640,7 @@ def optimize_attacks(sc: AttackScenario, gammas, g: float | None = None) -> list
             if pick is None:
                 results.append(_infeasible(gamma, chi))
             else:
-                results.append(_validated_result(sc, gamma, *pick, gain, chi))
+                results.append(_validated_result(sc, gamma, *pick, chi))
         except ValueError as exc:
             raise RowError(gamma, exc) from exc
     if failure is not None:
@@ -655,9 +649,9 @@ def optimize_attacks(sc: AttackScenario, gammas, g: float | None = None) -> list
     return results
 
 
-def optimize_attack(sc: AttackScenario, gamma: float, g: float | None = None) -> AttackResult:
+def optimize_attack(sc: AttackScenario, gamma: float) -> AttackResult:
     """Best (eta, kappa) for the teleportation attack at one resource: the
     one-row case of optimize_attacks, which describes the search. The row
     depends on its gamma alone: no state carries over between rows.
     """
-    return optimize_attacks(sc, (gamma,), g)[0]
+    return optimize_attacks(sc, (gamma,))[0]

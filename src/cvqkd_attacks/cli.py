@@ -295,18 +295,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_telesim(
-    gamma: float, g: float, lam: float, tau: float, epsilon: float, precision: int = 9
-) -> int:
+def cmd_telesim(cfg: RunConfig, gamma: float, lam: float) -> int:
+    g = resolve_g_policy(cfg.g_policy)
     try:
-        env = GaussChannel(tau, (1.0 - tau) * epsilon)
+        env = channel_from(cfg)
         res = ResourceState.from_tmsv(gamma)
         bk = bk_effective_channel(res, lam)
         ao = ao_effective_channel(res, TeleportConfig(lam, g, env))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    p = precision
+    p = cfg.precision
     print(f"resource tmsv: gamma = {_fmt(gamma, p)} (a = {_fmt(res.a, p)}, c = {_fmt(res.c, p)})")
     print(f"standard teleportation: tau_tel = {_fmt(bk.tau, p)}  v_tel = {_fmt(bk.v, p)}")
     print(f"all-optical (g = {g:g}): tau_tel = {_fmt(ao.tau, p)}  v_tel = {_fmt(ao.v, p)}")
@@ -361,7 +360,6 @@ def build_parser() -> _Parser:
     p_tele = sub.add_parser("telesim", parents=[common], help="one-shot teleporter comparison")
     p_tele.add_argument("--gamma", type=float, required=True, help="resource tmsv squeezing")
     p_tele.add_argument("--lam", type=float, default=1.0, help="teleportation gain (default 1)")
-    p_tele.add_argument("--gain", type=float, help="amplifier gain (default: from g_policy)")
     sub.add_parser("verify", parents=[common], help="run the built-in verification suite")
     return parser
 
@@ -405,15 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         return cmd_verify()
     if args.command == "telesim":
-        gain = args.gain if args.gain is not None else resolve_g_policy(cfg.g_policy)
-        if cfg.epsilon is not None:
-            epsilon = cfg.epsilon
-        elif cfg.tau < 1.0:
-            epsilon = cfg.v / (1.0 - cfg.tau)
-        else:
-            print("error: telesim with tau = 1 needs the epsilon parameterization", file=sys.stderr)
-            return EXIT_CONFIG
-        return cmd_telesim(args.gamma, gain, args.lam, cfg.tau, epsilon, cfg.precision)
+        return cmd_telesim(cfg, args.gamma, args.lam)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -430,7 +430,7 @@ def condition_heterodyne(state: CovMat, measured_label: str) -> CovMat:
     The conditional matrix sigma_rest - sigma_cross (sigma_meas + I)^-1
     sigma_cross^T does not depend on the measurement outcome.
     """
-    return CovMat(*_condition_heterodyne_raw(state.matrix, state.labels, measured_label))
+    return CovMat(*_condition_raw(state.matrix, state.labels, measured_label))
 
 
 def condition_homodyne(state: CovMat, measured_label: str, quadrature: str = "x") -> CovMat:
@@ -441,13 +441,9 @@ def condition_homodyne(state: CovMat, measured_label: str, quadrature: str = "x"
     """
     if quadrature not in ("x", "p"):
         raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
-    a, c, b, labels = _split_for_measurement(state.matrix, state.labels, measured_label)
-    if _above_hp_scale(state.matrix):
-        cond = _schur_hp(a, c, b, quadrature)
-    else:
-        proj = np.diag([1.0, 0.0]) if quadrature == "x" else np.diag([0.0, 1.0])
-        cond = a - c @ np.linalg.pinv(proj @ b @ proj) @ c.T
-    return CovMat(cond, labels)
+    return CovMat(
+        *_condition_raw(state.matrix, state.labels, measured_label, quadrature=quadrature)
+    )
 
 
 # Raw-array plumbing for the multimode pipelines. Intermediate states of a
@@ -520,20 +516,32 @@ def _split_for_measurement(mat: np.ndarray, labels: tuple[str, ...], measured_la
     return a, c, b, tuple(labels[j] for j in rest)
 
 
-def _condition_heterodyne_raw(
-    mat: np.ndarray, labels: tuple[str, ...], measured_label: str, exact: bool = True
+def _condition_raw(
+    mat: np.ndarray,
+    labels: tuple[str, ...],
+    measured_label: str,
+    exact: bool = True,
+    quadrature: str | None = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Heterodyne Schur complement of a raw matrix, or of each matrix in a
-    stack, and the surviving labels.
+    """Schur complement of a raw matrix, or of each matrix in a stack, left
+    by an ideal measurement of one mode, and the surviving labels.
 
-    exact=False stays in double precision at every scale; exact=True
-    switches each matrix above _HP_SCALE to high precision on its own.
+    quadrature None is heterodyne, a - c (b + I)^-1 c^T; "x" or "p" is
+    homodyne of that quadrature, with the pseudo-inverse of b projected on
+    it in place of (b + I)^-1. exact=False stays in double precision at
+    every scale; exact=True switches each matrix above _HP_SCALE to high
+    precision on its own.
     """
     a, c, b, rest = _split_for_measurement(mat, labels, measured_label)
-    cond = a - c @ np.linalg.inv(b + np.eye(2)) @ np.swapaxes(c, -1, -2)
+    if quadrature is None:
+        inner = np.linalg.inv(b + np.eye(2))
+    else:
+        proj = np.diag([1.0, 0.0]) if quadrature == "x" else np.diag([0.0, 1.0])
+        inner = np.linalg.pinv(proj @ b @ proj)
+    cond = a - c @ inner @ np.swapaxes(c, -1, -2)
     if exact:
         hp = _above_hp_scale(mat)
         for i in np.ndindex(hp.shape):
             if hp[i]:
-                cond[i] = _schur_hp(a[i], c[i], b[i], None)
+                cond[i] = _schur_hp(a[i], c[i], b[i], quadrature)
     return cond, rest

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelKind, GaussChannel, classify
+from .channels import ChannelKind, GaussChannel, apply_channel, classify
 from .gaussian import (
     CovMat,
     TwoModeStd,
@@ -29,11 +29,6 @@ from .gaussian import (
     thermal,
     two_mode_squeezer,
 )
-
-# Numeric stand-in for the infinite-amplification limit. sqrt(g) ~ 1e3 keeps
-# matrix entries well inside double precision while the gap to the g -> inf
-# channel is far below every tolerance used here.
-ASYMPTOTIC_GAIN = 1.0e6
 
 
 @dataclass(frozen=True)
@@ -72,11 +67,12 @@ class TeleportConfig:
 
     lam: teleportation gain (the effective transmissivity of the teleported
         channel).
-    g: amplifier gain, > 1, or math.inf for the asymptotic protocol
-        (resolved to ASYMPTOTIC_GAIN numerically).
+    g: amplifier gain, > 1, or math.inf for the asymptotic protocol, the
+        exact g -> inf limit: standard Braunstein-Kimble teleportation.
     env: the physical channel linking the two stations.
 
-    The splitter transmissivity t = lam / (g tau) must land in [0, 1].
+    The splitter transmissivity t = lam / (g tau) must land in [0, 1]; it is
+    0 at g = inf.
     """
 
     lam: float
@@ -86,21 +82,16 @@ class TeleportConfig:
     def __post_init__(self):
         if not self.lam >= 0.0:
             raise ValueError(f"teleportation gain must be >= 0, got {self.lam}")
-        if not (self.g > 1.0 or math.isinf(self.g)):
+        if not self.g > 1.0:
             raise ValueError(f"amplifier gain must be > 1 or inf, got {self.g}")
-        if self.splitter_transmissivity() > 1.0:
+        if not self.splitter_transmissivity() <= 1.0:
             raise ValueError(
-                f"lam = {self.lam} exceeds g*tau = {self.gain * self.env.tau}; "
+                f"lam = {self.lam} exceeds g*tau = {self.g * self.env.tau}; "
                 "splitter transmissivity would leave [0, 1]"
             )
 
-    @property
-    def gain(self) -> float:
-        """The finite amplifier gain actually used in formulas and pipelines."""
-        return ASYMPTOTIC_GAIN if math.isinf(self.g) else self.g
-
     def splitter_transmissivity(self) -> float:
-        return self.lam / (self.gain * self.env.tau)
+        return self.lam / (self.g * self.env.tau)
 
 
 def bk_effective_channel(res: ResourceState, lam: float) -> GaussChannel:
@@ -116,15 +107,18 @@ def bk_effective_channel(res: ResourceState, lam: float) -> GaussChannel:
 
 
 def ao_effective_channel(res: ResourceState, cfg: TeleportConfig) -> GaussChannel:
-    """Channel realized by the all-optical teleporter at finite amplification.
+    """Channel realized by the all-optical teleporter at amplifier gain g.
 
     v_tel = a lam - 2 c sqrt(lam (g-1)(g tau - lam) / (tau g^2))
             - lam (a tau + b - v) / (tau g) + b
 
     where (tau, v) is the physical channel between the stations. Converges to
-    the standard-teleportation channel as g grows.
+    the standard-teleportation channel as g grows, and is that channel at
+    g = inf.
     """
-    g = cfg.gain
+    if math.isinf(cfg.g):
+        return bk_effective_channel(res, cfg.lam)
+    g = cfg.g
     tau, v = cfg.env.tau, cfg.env.v
     lam = cfg.lam
     radicand = lam * (g - 1.0) * (g * tau - lam) / (tau * g * g)
@@ -281,10 +275,14 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
     two-mode squeezer of gain g, send the amplified signal through the
     physical channel, recombine (signal, resource arm 2) on the beam splitter
     of transmissivity t = lam/(g tau), then trace out both resource arms.
-    This is _pipeline_raw with its tap at eta = 1 and a vacuum auxiliary.
+    This is _pipeline_raw with its tap at eta = 1 and a vacuum auxiliary. At
+    g = inf the teleporter is the standard one: its channel,
+    ao_effective_channel, acts on the second mode.
     """
     if state.n_modes != 2:
         raise ValueError(f"expected a two-mode input state, got {state.n_modes} modes")
+    if math.isinf(cfg.g):
+        return apply_channel(state, ao_effective_channel(res, cfg), state.labels[1])
     mat, _ = _pipeline_raw(
         state.matrix,
         state.labels,
@@ -293,7 +291,7 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
         res.to_covmat().matrix,
         1.0,
         0.0,
-        cfg.gain,
+        cfg.g,
         cfg.splitter_transmissivity(),
     )
     return CovMat(mat[:4, :4], state.labels)

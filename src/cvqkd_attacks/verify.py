@@ -9,7 +9,7 @@ nonpositive measurement passes against a zero tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -184,9 +184,10 @@ def _check_physicality_battery() -> float:
     reset_physicality_audit()
     sc = _scenario()
     cloner_attack(sc)
-    eve_info(ao_attack_state(sc, 0.7, 0.6, 0.03, 1e6), sc)
-    pure = AttackScenario(GaussChannel(0.25, 0.75), zeta=0.7)
-    eve_info(ao_attack_state(pure, 0.6, 0.25 / 0.36, 0.0, 1e6), pure)
+    amplified = replace(sc, gain=1e6)
+    eve_info(ao_attack_state(amplified, 0.7, 0.6, 0.03), amplified)
+    pure = AttackScenario(GaussChannel(0.25, 0.75), zeta=0.7, gain=1e6)
+    eve_info(ao_attack_state(pure, 0.6, 0.25 / 0.36, 0.0), pure)
     min_nu, _ = physicality_audit()
     return max(0.0, 1.0 - min_nu)
 

@@ -7,6 +7,7 @@ covers every state object the other criteria created.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_criterion_06_minimal_entanglement_anchor():
 
 
 def test_criterion_07_choi_anchor():
-    res = optimize_attack(SC, 0.9999, g=1.0e6)
+    res = optimize_attack(replace(SC, gain=1.0e6), 0.9999)
     dev_eta = abs(res.eta_star - 0.25)
     dev_kappa = abs(res.kappa_star - 0.070534)
     ratio = res.eve_info_bits / res.holevo_bits

@@ -268,7 +268,9 @@ def test_sweep_scenario_matrix_yields_a_table_or_exits_2(
 
 
 def test_telesim_identity_environment(capsys):
-    code = main(["telesim", "--gamma", "0.5", "--lam", "1", "--tau", "1", "--gain", "1e6"])
+    code = main(
+        ["telesim", "--gamma", "0.5", "--lam", "1", "--tau", "1", "--g-policy", "finite:1e6"]
+    )
     assert code == 0
     out = capsys.readouterr().out
     assert "v_tel = 0.666666667" in out
@@ -277,15 +279,27 @@ def test_telesim_identity_environment(capsys):
 
 
 def test_telesim_gain_too_small_exits_2(capsys):
-    code = main(["telesim", "--gamma", "0.5", "--lam", "1", "--tau", "0.5", "--gain", "1.5"])
+    code = main(
+        ["telesim", "--gamma", "0.5", "--lam", "1", "--tau", "0.5", "--g-policy", "finite:1.5"]
+    )
     assert code == 2
     assert "splitter transmissivity" in capsys.readouterr().err
 
 
-def test_telesim_tau_one_needs_epsilon(capsys):
-    code = main(["telesim", "--gamma", "0.5", "--tau", "1", "--v", "0.0"])
-    assert code == 1
-    assert "epsilon parameterization" in capsys.readouterr().err
+def test_telesim_tau_one_takes_the_noise_directly(capsys):
+    # the channel comes from the config as given, as for `channel`
+    code = main(["telesim", "--gamma", "0.5", "--tau", "1", "--v", "0.5"])
+    assert code == 0
+    assert "all-optical (g = inf)" in capsys.readouterr().out
+
+
+def test_telesim_asymptotic_prints_the_bk_limit(capsys):
+    assert main(["telesim", "--gamma", "0.9"]) == 0
+    out = capsys.readouterr().out
+    bk = out.split("standard teleportation:")[1].split("v_tel = ")[1].split()[0]
+    ao = out.split("all-optical (g = inf):")[1].split("v_tel = ")[1].split()[0]
+    assert ao == bk == "0.105263158"
+    assert "|v_ao - v_bk| = 0.000000000" in out
 
 
 def test_sweep_small_grid_deterministic(capsys, tmp_path):

@@ -17,7 +17,7 @@ from cvqkd_attacks.gaussian import (
     Symplectic,
     TwoModeStd,
     _check_physical,
-    _condition_heterodyne_raw,
+    _condition_raw,
     _fast_spectrum,
     _refined_spectrum,
     _spectrum_entropy,
@@ -503,9 +503,9 @@ def test_stacked_fast_spectrum_and_conditioning_equal_per_matrix_calls(g):
         assert np.array_equal(nus[k], _fast_spectrum(mat[k]))
     for label in ("A", "B"):
         for exact in (False, True):
-            cond, rest = _condition_heterodyne_raw(mat, labels, label, exact)
+            cond, rest = _condition_raw(mat, labels, label, exact)
             for k in range(len(mat)):
-                one, one_rest = _condition_heterodyne_raw(mat[k], labels, label, exact)
+                one, one_rest = _condition_raw(mat[k], labels, label, exact)
                 assert rest == one_rest
                 assert np.array_equal(cond[k], one), (label, exact, k)
 
@@ -519,11 +519,11 @@ def test_stacked_spectrum_and_conditioning_escalate_per_matrix():
     nus = _symplectic_spectrum(eve)
     assert np.array_equal(nus[:3], _fast_spectrum(eve[:3]))
     assert np.array_equal(nus[3], _refined_spectrum(eve[3]))
-    cond, _ = _condition_heterodyne_raw(mixed, labels, "B", exact=True)
-    plain, _ = _condition_heterodyne_raw(small, labels, "B", exact=False)
+    cond, _ = _condition_raw(mixed, labels, "B", exact=True)
+    plain, _ = _condition_raw(small, labels, "B", exact=False)
     assert np.array_equal(cond[:3], plain)
-    assert np.array_equal(cond[3], _condition_heterodyne_raw(large[0], labels, "B")[0])
-    assert not np.array_equal(cond[3], _condition_heterodyne_raw(large[0], labels, "B", False)[0])
+    assert np.array_equal(cond[3], _condition_raw(large[0], labels, "B")[0])
+    assert not np.array_equal(cond[3], _condition_raw(large[0], labels, "B", False)[0])
 
 
 @pytest.mark.parametrize(

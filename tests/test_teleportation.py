@@ -7,7 +7,6 @@ import pytest
 from cvqkd_attacks.channels import GaussChannel, effective_channel
 from cvqkd_attacks.gaussian import thermal
 from cvqkd_attacks.teleportation import (
-    ASYMPTOTIC_GAIN,
     ResourceState,
     TeleportConfig,
     ao_effective_channel,
@@ -33,8 +32,12 @@ def test_teleport_config_validation():
         TeleportConfig(-0.1, 2.0, env)
     with pytest.raises(ValueError, match="amplifier gain"):
         TeleportConfig(0.5, 1.0, env)
+    with pytest.raises(ValueError, match="amplifier gain"):
+        TeleportConfig(0.5, -math.inf, env)
     with pytest.raises(ValueError, match="splitter transmissivity"):
         TeleportConfig(1.0, 1.5, env)
+    with pytest.raises(ValueError, match="splitter transmissivity"):
+        TeleportConfig(math.inf, math.inf, env)
 
 
 @pytest.mark.parametrize(
@@ -54,9 +57,20 @@ def test_nan_parameters_are_rejected(build, needle):
 
 
 def test_asymptotic_gain_resolution():
-    cfg = TeleportConfig(0.5, math.inf, GaussChannel(1.0, 0.0))
-    assert cfg.gain == ASYMPTOTIC_GAIN
-    assert math.isclose(cfg.splitter_transmissivity(), 0.5 / ASYMPTOTIC_GAIN)
+    # g = inf is the limit itself: no splitter, standard teleportation
+    res = ResourceState.from_tmsv(0.9)
+    cfg = TeleportConfig(0.5, math.inf, GaussChannel(0.7, 0.3 * 1.05))
+    assert cfg.splitter_transmissivity() == 0.0
+    assert ao_effective_channel(res, cfg) == bk_effective_channel(res, 0.5)
+
+
+def test_asymptotic_pipeline_presents_the_bk_channel():
+    res = ResourceState.from_tmsv(0.9)
+    cfg = TeleportConfig(0.5, math.inf, GaussChannel(0.7, 0.3 * 1.05))
+    target = bk_effective_channel(res, 0.5)
+    piped = effective_channel(lambda probe: ao_simulate(probe, res, cfg))
+    assert abs(piped.tau - target.tau) <= 1e-12
+    assert abs(piped.v - target.v) <= 1e-12
 
 
 def test_bk_channel_hand_value():
