@@ -18,13 +18,14 @@ import numpy as np
 from .channels import (
     ChannelKind,
     GaussChannel,
+    _probe_channel,
     apply_channel,
     classify,
-    effective_channel,
     is_entanglement_breaking,
 )
 from .gaussian import (
     CovMat,
+    _check_physical,
     _condition_raw,
     _fast_spectrum,
     _raw_entropy,
@@ -36,7 +37,6 @@ from .gaussian import (
     condition_heterodyne,
     direct_sum,
     partial_trace,
-    symplectic_eigenvalues,
     thermal,
     tmsv,
     von_neumann_entropy,
@@ -145,10 +145,6 @@ def entanglement_lower_bound(ch: GaussChannel) -> float:
     return entropy_of_entanglement(gamma_min(ch))
 
 
-def _entropy_of(state: CovMat, labels: tuple[str, ...]) -> float:
-    return von_neumann_entropy(partial_trace(state, labels))
-
-
 def holevo_bound(sc: AttackScenario) -> float:
     """chi = S(sigma_out) - S(sigma_out | heterodyne on the reconciliation
     side), the ceiling on any collective attack."""
@@ -163,22 +159,33 @@ def eve_info(full_state: CovMat, sc: AttackScenario) -> float:
 
     Eve's modes are every label other than A and B.
     """
-    eve_labels = tuple(lbl for lbl in full_state.labels if lbl not in ("A", "B"))
-    if not eve_labels or len(eve_labels) + 2 != full_state.n_modes:
-        raise ValueError(f"state must carry labels A, B and Eve's modes, got {full_state.labels}")
-    s_eve = _entropy_of(full_state, eve_labels)
-    conditioned = condition_heterodyne(full_state, sc.conditioned_label)
-    return s_eve - _entropy_of(conditioned, eve_labels)
+    return _eve_info_raw(sc, full_state.matrix, full_state.labels)
 
 
-def _channel_residual(ab: CovMat, alice: CovMat, ch: GaussChannel) -> float:
+def _eve_info_raw(sc: AttackScenario, mat: np.ndarray, labels: tuple[str, ...]):
+    """eve_info on a validated matrix or stack; Eve's block, the conditioned
+    state and its Eve block are each checked (_check_physical) in turn."""
+    eve = [lbl for lbl in labels if lbl not in ("A", "B")]
+    if not eve or len(eve) + 2 != len(labels):
+        raise ValueError(f"state must carry labels A, B and Eve's modes, got {labels}")
+
+    def eve_entropy(m, labels):
+        rows = np.ravel([(2 * i, 2 * i + 1) for i, lbl in enumerate(labels) if lbl in eve])
+        return _spectrum_entropy(_check_physical(m[..., rows[:, None], rows])[1])
+
+    s_eve = eve_entropy(mat, labels)
+    cond, rest = _condition_raw(mat, labels, sc.conditioned_label)
+    return s_eve - eve_entropy(_check_physical(cond)[0], rest)
+
+
+def _channel_residual(ab: np.ndarray, alice: np.ndarray, ch: GaussChannel):
     """|tau_eff - tau| + |v_eff - v| of the channel that took Alice's
-    tmsv(zeta) on (A, B) to ab, read off the x-quadrature entries (both
-    attacks are phase insensitive)."""
-    a_in = alice.matrix[0, 0]
-    c_in = alice.matrix[0, 2]
-    tau_eff = (ab.matrix[0, 2] / c_in) ** 2 if c_in else ch.tau
-    v_eff = ab.matrix[2, 2] - tau_eff * a_in
+    tmsv(zeta) matrix on (A, B) to ab, or to each matrix of a stack, read
+    off the x-quadrature entries (both attacks are phase insensitive)."""
+    a_in, c_in = alice[0, 0], alice[0, 2]
+    # float_power: C pow per element, as _probe_channel explains
+    tau_eff = np.float_power(ab[..., 0, 2] / c_in, 2) if c_in else ch.tau
+    v_eff = ab[..., 2, 2] - tau_eff * a_in
     return abs(tau_eff - ch.tau) + abs(v_eff - ch.v)
 
 
@@ -212,7 +219,7 @@ def cloner_attack(sc: AttackScenario) -> AttackResult:
             f"purification check failed: S(x:E) = {info!r} but Holevo bound = {chi!r}"
         )
 
-    residual = _channel_residual(partial_trace(full, ("A", "B")), alice, sc.channel)
+    residual = _channel_residual(partial_trace(full, ("A", "B")).matrix, alice.matrix, sc.channel)
     return AttackResult(
         gamma=gamma_e,
         ent_resource=entropy_of_entanglement(gamma_e),
@@ -229,7 +236,8 @@ def _resource_matrix(gamma: float, validate: bool = True) -> np.ndarray:
     """Eve's resource tmsv(gamma) on (R1, R2), validated as a CovMat unless
     validate=False. _tmsv_entries already rounds the entries onto a physical
     state, exactly; the check adds an audit count and, near gamma = 1, an
-    mpmath spectrum, which the g = inf route, using the entries alone, skips."""
+    mpmath spectrum, which the g = inf route, using the entries alone, skips.
+    optimize_attacks builds it once a row, for its search and validation."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"resource squeezing must lie in [0, 1), got {gamma}")
     if not validate:
@@ -253,17 +261,19 @@ def ao_attack_state(sc: AttackScenario, gamma: float, eta: float, kappa: float) 
 def simulation_residual(sc: AttackScenario, gamma: float, eta: float, kappa: float) -> float:
     """|tau_eff - tau| + |v_eff - v| for the channel the attack actually
     presents between A and B at the scenario's finite gain."""
-    resource = _resource_matrix(gamma)
+    return _attack_residual(sc, _resource_matrix(gamma), eta, kappa)
 
-    def transform(probe: CovMat) -> CovMat:
-        mat, _ = _pipeline_raw(
-            probe.matrix, probe.labels, probe.labels[1], sc.channel, resource, eta, kappa, sc.gain
-        )
-        # the probe modes occupy the first two slots
-        return CovMat(mat[:4, :4], probe.labels)
 
-    eff = effective_channel(transform)
-    return abs(eff.tau - sc.channel.tau) + abs(eff.v - sc.channel.v)
+def _attack_residual(sc: AttackScenario, resource: np.ndarray, eta, kappa):
+    """simulation_residual at one point or a stack of them (as _pipeline_raw
+    takes them), read off effective_channel's TMSV probe."""
+    probe = tmsv(0.5, ("probe_ref", "probe_sig")).matrix
+    mat, _ = _pipeline_raw(
+        probe, ("probe_ref", "probe_sig"), "probe_sig", sc.channel, resource, eta, kappa, sc.gain
+    )
+    # the probe modes occupy the first two slots
+    tau, v = _probe_channel(_check_physical(mat[..., :4, :4])[0], probe)
+    return abs(tau - sc.channel.tau) + abs(v - sc.channel.v)
 
 
 def _bell_record_info(
@@ -286,17 +296,16 @@ def _bell_record_info(
     V_m + I and V_m|u + I given u, all O(1). So are the F blocks, whose
     double-precision spectra are good to ~1e-15: only an exactly pure mode
     counts as pure, since the rounded tmsv inputs leave conditional modes
-    up to ~1e-12 above nu = 1, worth up to 2e-11 bits. validate=True takes
-    the spectra of the F blocks as validated CovMats (scalar eta only).
+    up to ~1e-12 above nu = 1, worth up to 2e-11 bits. validate=True checks
+    the F blocks (_check_physical) and takes their validated spectra.
     """
     i = labels.index(sc.conditioned_label)
     m = slice(2 * i, 2 * i + 2)
     cond, _ = _condition_raw(given_u, labels, sc.conditioned_label, exact=False)
 
     def entropy(block):
-        if validate:
-            return _spectrum_entropy(symplectic_eigenvalues(CovMat(block, labels[2:])), 0.0)
-        return _spectrum_entropy(_fast_spectrum(block), 0.0)
+        nus = _check_physical(block)[1] if validate else _fast_spectrum(block)
+        return _spectrum_entropy(nus, 0.0)
 
     eye = np.eye(2)
     record = 0.5 * np.log2(
@@ -327,7 +336,8 @@ def _eve_info_objective(
     entries in double precision, within 1e-13 bits of the 60-digit circuit
     at g = 1e20 on the points tests/test_bell_record.py checks, whatever
     exact says.
-    A finite g is the twin of eve_info(ao_attack_state(...)). exact=False
+    A finite g is eve_info's arithmetic on the unchecked circuit, whose
+    checked stages _validated_rows runs on each row's pick. exact=False
     then uses the fast eigensolver and double-precision conditioning
     throughout: good to ~1e-6 bits on the amplified matrices, enough for the
     optimizer's scan. exact=True takes the scale-escalated spectrum and
@@ -406,51 +416,16 @@ def _match_kappa(gamma: float, eta, tau: float, v: float, g: float):
     return np.where(np.abs((1.0 - 1.0 / g) * (d - m)) <= _ROOT_TOL * a, 0.0, kappa)[()]
 
 
-def _infeasible(gamma: float, chi: float) -> AttackResult:
-    return AttackResult(
-        gamma=gamma,
-        ent_resource=entropy_of_entanglement(gamma),
-        eta_star=math.nan,
-        kappa_star=math.nan,
-        eve_info_bits=math.nan,
-        holevo_bits=chi,
-        residual=math.nan,
-        feasible=False,
-    )
+def _row_result(gamma, chi, eta=math.nan, kappa=math.nan, info=math.nan, residual=math.nan):
+    """A row's AttackResult; infeasible, with NaNs, unless given its point."""
+    ent = entropy_of_entanglement(gamma)
+    return AttackResult(gamma, ent, eta, kappa, info, chi, residual, residual <= _FEASIBLE_RESIDUAL)
 
 
 # the scan: _SCAN_PASSES stacked passes of _SCAN_POINTS etas each, every
 # pass 8x finer than the last, ending at a spacing of window / 1024
 _SCAN_POINTS = 17
 _SCAN_PASSES = 3
-
-
-def _validated_result(
-    sc: AttackScenario, gamma: float, eta: float, kappa: float, chi: float
-) -> AttackResult:
-    # authoritative numbers come from validated states, not the raw
-    # objective used while searching
-    if math.isinf(sc.gain):
-        # at g = infinity: the (A, B) state and Eve's conditional F blocks
-        alice = tmsv(sc.zeta, ("A", "B"))
-        ab, given_u, labels = _bell_record_raw(
-            alice.matrix, sc.channel, _resource_matrix(gamma, validate=False), eta, kappa
-        )
-        residual = _channel_residual(CovMat(ab, alice.labels), alice, sc.channel)
-        info = float(_bell_record_info(sc, ab, given_u, labels, validate=True))
-    else:
-        info = eve_info(ao_attack_state(sc, gamma, eta, kappa), sc)
-        residual = simulation_residual(sc, gamma, eta, kappa)
-    return AttackResult(
-        gamma=gamma,
-        ent_resource=entropy_of_entanglement(gamma),
-        eta_star=eta,
-        kappa_star=kappa,
-        eve_info_bits=info,
-        holevo_bits=chi,
-        residual=residual,
-        feasible=residual <= _FEASIBLE_RESIDUAL,
-    )
 
 
 class RowError(ValueError):
@@ -467,17 +442,46 @@ class _StackFailed(Exception):
     the first row in the call and the error."""
 
 
-def _scan_windows(sc: AttackScenario, gammas, windows):
-    """Eve's best eta for each of a stack of rows, every row searched on its
-    own feasible window and all rows sharing each objective call.
+def _validated_rows(sc: AttackScenario, alice, resources, gammas, picks, chi):
+    """AttackResults of a stack of rows at their picked (eta, kappa), from
+    validated states: one circuit call and one physicality check per stage
+    for all rows (at finite gain the attack state, eve_info's three stages
+    and simulation_residual's probe output; at g = inf the Bell record's
+    (A, B) state and both F blocks). A stack that fails runs again row by
+    row, so the first failing row raises RowError with its own message."""
+    if not gammas:
+        return []
+    etas, kappas = np.array(picks).T
+    try:
+        if math.isinf(sc.gain):
+            ab, given_u, labels = _bell_record_raw(alice, sc.channel, resources, etas, kappas)
+            residual = _channel_residual(_check_physical(ab)[0], alice, sc.channel)
+            info = _bell_record_info(sc, ab, given_u, labels, validate=True)
+        else:
+            mat, labels = _pipeline_raw(
+                alice, ("A", "B"), "B", sc.channel, resources, etas, kappas, sc.gain
+            )
+            info = _eve_info_raw(sc, _check_physical(mat)[0], labels)
+            residual = _attack_residual(sc, resources, etas, kappas)
+        rows = zip(gammas, picks, info.tolist(), residual.tolist())
+        return [_row_result(gamma, chi, *pick, value, off) for gamma, pick, value, off in rows]
+    except ValueError as exc:
+        if len(gammas) == 1:
+            raise RowError(gammas[0], exc) from exc
+    alone = [(resources[k : k + 1], gammas[k : k + 1], picks[k : k + 1]) for k in range(len(picks))]
+    return [result for row in alone for result in _validated_rows(sc, alice, *row, chi)]
+
+
+def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
+    """Eve's best eta for each of a stack of rows (the rows' stacked
+    _resource_matrix), each searched on its own feasible window, all rows
+    sharing each objective call.
 
     Returns the best etas, NaN for a row whose scan matched no eta, of the
     rows before the first failing one, and that row's position and error, or
     None. An objective call that raises fails the first row in it.
     """
     tau, v, gain = sc.channel.tau, sc.channel.v, sc.gain
-    alice = tmsv(sc.zeta, ("A", "B")).matrix
-    resources = np.array([_resource_matrix(gm, validate=math.isfinite(gain)) for gm in gammas])
     gammas = np.asarray(gammas, dtype=float)
 
     def objective(rows, etas, kappas, exact):
@@ -580,14 +584,15 @@ def optimize_attacks(sc: AttackScenario, gammas) -> list[AttackResult]:
     refit one call on all rows' three points and one on all vertices. Every
     per-element operation is the one a lone row makes and every decision is
     taken per row, so each row is bit for bit what optimize_attack gives for
-    its gamma alone, whichever rows share its stack. A failing row raises
-    RowError with the message it raises alone; the rows before it are
-    completed first, so the error is the first failing row's in grid order.
+    its gamma alone, whichever rows share its stack; so is the validation
+    of the picked rows (_validated_rows). A failing row raises RowError with
+    the message it raises alone; the rows before it are completed first, so
+    the error is the first failing row's in grid order.
 
     The gain is the scenario's. Its math.inf, the asymptotic protocol, runs
     at g = infinity itself: scan and refinement both call the Bell-record
-    closed form, which is already exact, and the row is built from its
-    validated states.
+    closed form, which is already exact, and the rows are validated on its
+    states.
     """
     gammas = tuple(gammas)
     if not gammas:
@@ -600,49 +605,39 @@ def optimize_attacks(sc: AttackScenario, gammas) -> list[AttackResult]:
     tau, v = ch.tau, ch.v
     floor = gamma_min(ch) - 1e-9
     lo = max(0.8 * tau, 1e-4)
-    # each row's (eta, kappa), or None where infeasible, up to the first
-    # failing row; the rows to scan wait with their feasible windows
-    picks: list[tuple[float, float] | None] = []
-    windows = {}
-    failure = None
+    # each feasible row's (eta, kappa), before the first failing row; the
+    # rows to scan wait with their feasible windows
+    picks, windows, failure = {}, {}, None
     for row, gamma in enumerate(gammas):
         if not 0.0 <= gamma < 1.0:
             failure = (row, ValueError(f"resource squeezing must lie in [0, 1), got {gamma}"))
             break
         if gamma < floor:
-            picks.append(None)
-        elif _is_pure_loss_like(ch):
-            picks.append((min(tau / (gamma * gamma), 1.0), 0.0))
-        else:
-            # the scan fills it in, or leaves it infeasible
-            picks.append(None)
-            window = _feasible_eta_window(gamma, tau, v, lo)
-            if window is not None:
-                windows[row] = window
+            continue
+        if _is_pure_loss_like(ch):
+            picks[row] = (min(tau / (gamma * gamma), 1.0), 0.0)
+        elif (window := _feasible_eta_window(gamma, tau, v, lo)) is not None:
+            windows[row] = window
+
+    # row constants, built once a sweep: Alice's state and each row's resource
+    alice = tmsv(sc.zeta, ("A", "B")).matrix
+    validate = math.isfinite(sc.gain)
+    resources = {row: _resource_matrix(gammas[row], validate) for row in (*picks, *windows)}
+
+    def stack(rows):
+        return alice, np.array([resources[row] for row in rows]), [gammas[row] for row in rows]
 
     if windows:
-        rows = list(windows)
-        best_etas, scan_failure = _scan_windows(
-            sc, [gammas[row] for row in rows], list(windows.values())
-        )
-        for row, eta in zip(rows, best_etas.tolist()):
+        best_etas, scan_failure = _scan_windows(sc, *stack(windows), list(windows.values()))
+        for row, eta in zip(windows, best_etas.tolist()):
             if not math.isnan(eta):
                 picks[row] = (eta, float(_match_kappa(gammas[row], eta, tau, v, sc.gain)))
         if scan_failure is not None:
-            # no row from the search's first failing one on is reported
-            failure = (rows[scan_failure[0]], scan_failure[1])
-            del picks[failure[0] :]
-
-    results = []
-    for row, pick in enumerate(picks):
-        gamma = gammas[row]
-        try:
-            if pick is None:
-                results.append(_infeasible(gamma, chi))
-            else:
-                results.append(_validated_result(sc, gamma, *pick, chi))
-        except ValueError as exc:
-            raise RowError(gamma, exc) from exc
+            failure = (list(windows)[scan_failure[0]], scan_failure[1])
+    stop = len(gammas) if failure is None else failure[0]
+    rows = sorted(row for row in picks if row < stop)
+    validated = dict(zip(rows, _validated_rows(sc, *stack(rows), [picks[r] for r in rows], chi)))
+    results = [validated.get(row) or _row_result(gammas[row], chi) for row in range(stop)]
     if failure is not None:
         row, exc = failure
         raise RowError(gammas[row], exc) from exc

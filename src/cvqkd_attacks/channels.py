@@ -11,6 +11,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gaussian import (
     CovMat,
     _channel_on_mode,
@@ -132,35 +134,36 @@ def effective_channel(
     if not 0.0 < gamma_probe < 1.0:
         raise ValueError(f"probe squeezing must lie in (0, 1), got {gamma_probe}")
     probe = tmsv(gamma_probe, ("probe_ref", "probe_sig"))
-    a_in = probe.matrix[0, 0]
-    c_in = probe.matrix[0, 2]
     out = transform(probe)
     if not isinstance(out, CovMat):
         raise TypeError("transform must return a CovMat")
     reduced = partial_trace(out, ("probe_ref", "probe_sig"))
-    m = reduced.matrix
-    ref_block = reduced.block("probe_ref", "probe_ref")
-    sig_block = reduced.block("probe_sig", "probe_sig")
-    cross = reduced.block("probe_ref", "probe_sig")
-    sym_dev = max(
-        abs(ref_block[0, 0] - ref_block[1, 1]),
-        abs(sig_block[0, 0] - sig_block[1, 1]),
-        abs(cross[0, 0] + cross[1, 1]),
-        abs(ref_block[0, 1]),
-        abs(sig_block[0, 1]),
-        abs(cross[0, 1]),
-        abs(cross[1, 0]),
-        abs(float(m[0, 0]) - a_in),
-    )
-    if sym_dev > atol:
+    tau, v = _probe_channel(reduced.matrix, probe.matrix, atol)
+    return GaussChannel(float(tau), float(v))
+
+
+def _probe_channel(out: np.ndarray, probe: np.ndarray, atol: float = 1e-8):
+    """(tau, v >= 0) of the channel that took the TMSV probe matrix on
+    (probe_ref, probe_sig) to out, or to each matrix of a (..., 4, 4) stack;
+    each output must keep the phase-insensitive form within atol (x and p
+    blocks equal up to the cross sign, no x-p terms, the reference
+    untouched) and each pair be a physical GaussChannel."""
+    a_in, c_in = probe[0, 0], probe[0, 2]
+    xx_pp = out[..., ::2, ::2] - out[..., 1::2, 1::2] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    dev = np.abs(np.concatenate([xx_pp, out[..., ::2, 1::2]], axis=-1)).max(axis=(-2, -1))
+    dev = np.maximum(dev, np.abs(out[..., 0, 0] - a_in))
+    bad = dev > atol
+    if bad.any():
         raise ValueError(
-            f"transform is not phase-insensitive on the probe (deviation {sym_dev:.3g})"
+            f"transform is not phase-insensitive on the probe (deviation {dev[bad][0]:.3g})"
         )
-    c_out = float(cross[0, 0])
-    b_out = float(sig_block[0, 0])
-    tau = (c_out / c_in) ** 2
-    v = b_out - tau * a_in
-    return GaussChannel(tau, max(v, 0.0))
+    # float_power is C pow on every element, as ** is on one scalar; ** on
+    # an array squares, which rounds differently in about 1e-3 of cases
+    tau = np.float_power(out[..., 0, 2] / c_in, 2)
+    v = np.maximum(out[..., 2, 2] - tau * a_in, 0.0)
+    for pair in zip(np.ravel(tau).tolist(), np.ravel(v).tolist()):
+        GaussChannel(*pair)
+    return tau, v
 
 
 def loss_channel_state(

@@ -99,6 +99,8 @@ def bk_effective_channel(res: ResourceState, lam: float) -> GaussChannel:
     tau_tel = lam, v_tel = a lam - 2 c sqrt(lam) + b."""
     if not lam >= 0.0:
         raise ValueError(f"teleportation gain must be >= 0, got {lam}")
+    if math.isinf(lam):
+        raise ValueError(f"teleportation gain must be finite, got {lam}")
     v_tel = res.a * lam - 2.0 * res.c * math.sqrt(lam) + res.b
     try:
         return GaussChannel(lam, v_tel)

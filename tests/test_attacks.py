@@ -24,7 +24,13 @@ from cvqkd_attacks.attacks import (
     simulation_residual,
 )
 from cvqkd_attacks.channels import GaussChannel
-from cvqkd_attacks.gaussian import CovMat, partial_trace, tmsv, von_neumann_entropy
+from cvqkd_attacks.gaussian import (
+    CovMat,
+    _channel_on_mode,
+    partial_trace,
+    tmsv,
+    von_neumann_entropy,
+)
 from cvqkd_attacks.teleportation import (
     ResourceState,
     TeleportConfig,
@@ -383,9 +389,19 @@ def test_optimize_thermal_smoke():
     alice = tmsv(sc.zeta, ("A", "B"))
     resource = _resource_matrix(0.6)
     ab, _, _ = _bell_record_raw(alice.matrix, THERMAL, resource, res.eta_star, res.kappa_star)
-    assert _channel_residual(CovMat(ab, ("A", "B")), alice, THERMAL) == res.residual
+    assert _channel_residual(CovMat(ab, ("A", "B")).matrix, alice.matrix, THERMAL) == res.residual
     for g in (100.0, 1e4):
         assert simulation_residual(scenario(gain=g), 0.6, res.eta_star, res.kappa_star) <= 1e-8
+
+
+def test_channel_residual_on_a_stack_equals_each_matrix_alone():
+    # as for channels._probe_channel: the stack must round as one matrix does
+    alice = tmsv(0.7, ("A", "B")).matrix
+    taus = np.random.default_rng(12).uniform(0.05, 0.95, 4000)
+    outs = np.array([_channel_on_mode(alice, 1, t, 1.05 * (1.0 - t)) for t in taus])
+    stacked = _channel_residual(outs, alice, THERMAL)
+    for out, value in zip(outs, stacked.tolist()):
+        assert float(_channel_residual(out, alice, THERMAL)) == value
 
 
 @pytest.mark.parametrize("g", [0.0, -1.0, 0.5, 1.0, math.inf, math.nan])

@@ -9,6 +9,7 @@ from conftest import random_two_mode_state
 from cvqkd_attacks.channels import (
     ChannelKind,
     GaussChannel,
+    _probe_channel,
     apply_channel,
     classify,
     dilation,
@@ -16,7 +17,14 @@ from cvqkd_attacks.channels import (
     is_entanglement_breaking,
     loss_channel_state,
 )
-from cvqkd_attacks.gaussian import CovMat, Symplectic, apply_symplectic, partial_trace
+from cvqkd_attacks.gaussian import (
+    CovMat,
+    Symplectic,
+    _channel_on_mode,
+    apply_symplectic,
+    partial_trace,
+    tmsv,
+)
 
 
 def test_channel_validation():
@@ -136,3 +144,15 @@ def test_effective_channel_rejects_bad_transform():
 def test_effective_channel_probe_domain(gamma_probe):
     with pytest.raises(ValueError, match="probe squeezing"):
         effective_channel(lambda probe: probe, gamma_probe=gamma_probe)
+
+
+def test_probe_channel_on_a_stack_equals_each_matrix_alone():
+    # on an array ** 2 squares, on a lone scalar it calls pow, and the two
+    # round apart in about 1e-3 of cases: a stack must read what each
+    # matrix reads alone
+    probe = tmsv(0.5, ("probe_ref", "probe_sig")).matrix
+    taus = np.random.default_rng(11).uniform(0.05, 0.95, 4000)
+    outs = np.array([_channel_on_mode(probe, 1, t, 1.05 * (1.0 - t)) for t in taus])
+    tau, v = _probe_channel(outs, probe)
+    for out, pair in zip(outs, zip(tau.tolist(), v.tolist())):
+        assert tuple(map(float, _probe_channel(out, probe))) == pair

@@ -137,8 +137,10 @@ def test_bad_value_exits_1(capsys):
         (["channel", "--epsilon", "nan"], 1, "error: field 'epsilon': must be >= 1, got nan"),
         (["sweep", "--v", "nan"], 1, "error: field 'v': must be >= 0, got nan"),
         (["telesim", "--gamma", "0.5", "--lam", "nan"], 2, "teleportation gain must be >= 0"),
+        # an infinite gain is out of the teleporter's domain, not a resource fault
+        (["telesim", "--gamma", "0.5", "--lam", "inf"], 2, "teleportation gain must be finite"),
     ],
-    ids=["channel-epsilon", "sweep-v", "telesim-lam"],
+    ids=["channel-epsilon", "sweep-v", "telesim-lam", "telesim-lam-inf"],
 )
 def test_nan_value_exits_with_one_line(capsys, tmp_path, argv, code, needle):
     out = tmp_path / "never.csv"
@@ -192,23 +194,37 @@ def test_sweep_identity_channel_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags,needle",
+    "flags,head,needle",
     [
         # ROADMAP defect 3: double precision breaks down at g = 1e8. The
         # reported information is jagged in the sample set the search visits,
         # so only the row and the Holevo bound (a closed form) are pinned
         (
             ["--g-policy", "finite:1e8", "--gamma-count", "2"],
+            "error: row gamma = 0.9999: Eve's information ",
+            "outside [0, Holevo bound 0.22654422476047253]",
+        ),
+        # failures inside the stacked validation of a sweep's rows: the
+        # attack state of a middle row is unphysical, and a row other than
+        # the last fails the Holevo check; each names its own row
+        (
+            ["--g-policy", "finite:1e12", "--gamma-count", "6"],
+            "error: row gamma = 0.9968546753708643: unphysical covariance matrix",
+            "smallest symplectic eigenvalue",
+        ),
+        (
+            ["--g-policy", "finite:1e9", "--gamma-count", "6"],
+            "error: row gamma = 0.9994391680617926: Eve's information ",
             "outside [0, Holevo bound 0.22654422476047253]",
         ),
     ],
-    ids=["gain-1e8"],
+    ids=["gain-1e8", "gain-1e12", "gain-1e9"],
 )
-def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, needle):
+def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, head, needle):
     out = tmp_path / "never.csv"
     assert main(["sweep", *flags, "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: row gamma = 0.9999: Eve's information ")
+    assert err.startswith(head)
     assert needle in err
     assert err.count("\n") == 1
     assert not out.exists()

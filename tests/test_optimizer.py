@@ -14,19 +14,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cvqkd_attacks.attacks
 from cvqkd_attacks.attacks import (
     _SCAN_PASSES,
+    AttackScenario,
     RowError,
     _eve_info_objective,
     _feasible_eta_window,
     _match_kappa,
     _resource_matrix,
+    ao_attack_state,
+    eve_info,
     gamma_min,
     optimize_attack,
     optimize_attacks,
+    simulation_residual,
 )
+from cvqkd_attacks.channels import GaussChannel, is_entanglement_breaking
 from cvqkd_attacks.cli import RunConfig, scenario_from
 from cvqkd_attacks.gaussian import tmsv
 from cvqkd_attacks.keyrate import default_gamma_grid, sweep
@@ -158,6 +165,41 @@ def test_stacked_rows_equal_single_rows(fields, count):
     assert not stacked[0].feasible and stacked[1].feasible
 
 
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    tau=st.floats(0.05, 0.95),
+    epsilon=st.floats(1.0, 3.0, exclude_min=True),
+    zeta=st.floats(0.0, 0.95),
+    reconciliation=st.sampled_from(["reverse", "direct"]),
+    gain=st.one_of(st.just(math.inf), st.floats(1.01, 1.0e4)),
+)
+def test_stacked_validation_equals_the_single_row_kernels(
+    tau, epsilon, zeta, reconciliation, gain
+):
+    # the rows of a sweep are validated as one stack; each must be what it
+    # is alone, and at finite gain what the state-level API computes
+    channel = GaussChannel(tau, (1.0 - tau) * epsilon)
+    assume(not is_entanglement_breaking(channel))
+    sc = AttackScenario(channel, zeta, reconciliation, gain)
+    grid = default_gamma_grid(sc, 3)
+    try:
+        stacked = optimize_attacks(sc, grid)
+    except RowError as exc:
+        # a row can fail at high gain (ROADMAP defects 2 and 3): it must fail
+        # alone with the same message, and the rows before it must pass
+        with pytest.raises(ValueError) as alone:
+            optimize_attack(sc, exc.gamma)
+        assert str(alone.value) == str(exc)
+        grid = grid[: grid.index(exc.gamma)]
+        stacked = optimize_attacks(sc, grid)
+    assert _rows(stacked) == _rows(optimize_attack(sc, gamma) for gamma in grid)
+    for gamma, row in zip(grid, stacked):
+        if row.feasible and math.isfinite(gain):
+            state = ao_attack_state(sc, gamma, row.eta_star, row.kappa_star)
+            assert row.eve_info_bits == eve_info(state, sc)
+            assert row.residual == simulation_residual(sc, gamma, row.eta_star, row.kappa_star)
+
+
 @pytest.mark.parametrize(
     "fields,count",
     [(dict(), 6), (dict(g_policy="finite:100", gamma_hi=0.99), 11)],
@@ -219,14 +261,14 @@ def test_failed_stacked_call_fails_its_first_row(monkeypatch):
         return _eve_info_objective(sc, alice, resource, eta, kappa, g, exact)
 
     validated = []
-    real_validated = cvqkd_attacks.attacks._validated_result
+    real_validated = cvqkd_attacks.attacks._validated_rows
 
-    def counted(sc, gamma, *rest):
-        validated.append(gamma)
-        return real_validated(sc, gamma, *rest)
+    def counted(sc, alice, resources, gammas, *rest):
+        validated.extend(gammas)
+        return real_validated(sc, alice, resources, gammas, *rest)
 
     monkeypatch.setattr(cvqkd_attacks.attacks, "_eve_info_objective", failing)
-    monkeypatch.setattr(cvqkd_attacks.attacks, "_validated_result", counted)
+    monkeypatch.setattr(cvqkd_attacks.attacks, "_validated_rows", counted)
     with pytest.raises(ValueError, match=r"^row gamma = .*: stack failed$") as info:
         sweep(sc, cfg.beta, grid)
     row = resources.index(exact_calls[1])
