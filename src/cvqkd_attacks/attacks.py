@@ -304,7 +304,7 @@ def _bell_record_info(
     cond, _ = _condition_raw(given_u, labels, sc.conditioned_label, exact=False)
 
     def entropy(block):
-        nus = _check_physical(block)[1] if validate else _fast_spectrum(block)
+        nus = _check_physical(block)[1] if validate else _fast_spectrum(block)[0]
         return _spectrum_entropy(nus, 0.0)
 
     eye = np.eye(2)
@@ -338,13 +338,14 @@ def _eve_info_objective(
     exact says.
     A finite g is eve_info's arithmetic on the unchecked circuit, whose
     checked stages _validated_rows runs on each row's pick. exact=False
-    then uses the fast eigensolver and double-precision conditioning
-    throughout: good to ~1e-6 bits on the amplified matrices, enough for the
-    optimizer's scan. exact=True takes the scale-escalated spectrum and
-    conditioning paths; above _HP_SCALE those run in mpmath, about 19 ms a
-    point at g = 1e6 against 0.3-0.4 ms for a lone exact=False call (one
-    core of a 2.1 GHz Xeon), which is why only the refinement's three or
-    four points a row use it.
+    then uses the double-precision spectrum (_fast_spectrum) and
+    conditioning throughout: good to ~1e-6 bits on the amplified matrices at
+    g = 1e6, enough for the optimizer's scan. exact=True takes the scale-escalated spectrum and
+    conditioning paths; above _HP_SCALE those run in mpmath, about 23 ms a
+    point at g = 1e6 against 0.55 ms for a lone exact=False call (one core
+    of a 2.1 GHz Xeon), which is why only the refinement's three or four
+    points a row use it. In a stacked exact=False call the spectra of a
+    187-point scan stack of Eve's 8x8 blocks take 1.4 ms.
     """
     if math.isinf(g):
         return _bell_record_info(sc, *_bell_record_raw(alice, sc.channel, resource, eta, kappa))

@@ -38,7 +38,8 @@ class ChannelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class GaussChannel:
-    """Phase-insensitive channel with transmissivity tau > 0 and added noise v >= 0.
+    """Phase-insensitive channel with transmissivity tau > 0 and finite added
+    noise v >= 0.
 
     Physicality requires v >= |1 - tau|; construction rejects anything below
     that floor by more than a small slack.
@@ -52,6 +53,8 @@ class GaussChannel:
             raise ValueError(f"transmissivity must be positive, got {self.tau}")
         if not self.v >= 0.0:
             raise ValueError(f"added noise must be nonnegative, got {self.v}")
+        if math.isinf(self.v):
+            raise ValueError(f"added noise must be finite, got {self.v}")
         floor = abs(1.0 - self.tau)
         if self.v < floor - _PHYS_SLACK:
             raise ValueError(

@@ -135,11 +135,16 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"field 'tau': must lie in (0, 1], got {cfg.tau}")
     if (cfg.epsilon is None) == (cfg.v is None):
         raise ConfigError("fields 'epsilon'/'v': exactly one must be set")
-    if cfg.epsilon is not None and not cfg.epsilon >= 1.0:
-        raise ConfigError(f"field 'epsilon': must be >= 1, got {cfg.epsilon}")
+    if cfg.epsilon is not None:
+        if not cfg.epsilon >= 1.0:
+            raise ConfigError(f"field 'epsilon': must be >= 1, got {cfg.epsilon}")
+        if math.isinf(cfg.epsilon):
+            raise ConfigError(f"field 'epsilon': must be finite, got {cfg.epsilon}")
     if cfg.v is not None:
         if not cfg.v >= 0.0:
             raise ConfigError(f"field 'v': must be >= 0, got {cfg.v}")
+        if math.isinf(cfg.v):
+            raise ConfigError(f"field 'v': must be finite, got {cfg.v}")
         if cfg.v < 1.0 - cfg.tau - 1e-9:
             raise ConfigError(
                 f"field 'v': {cfg.v} below the physical floor 1 - tau = {1.0 - cfg.tau}"
@@ -318,7 +323,10 @@ def cmd_verify() -> int:
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<{width}}  measured = {r.measured:.3e}  tolerance = {r.tolerance:.1e}")
+        print(
+            f"{status}  {r.name:<{width}}  measured = {r.measured:.3e}  "
+            f"tolerance = {r.tolerance:.1e}  time = {1e3 * r.seconds:.1f} ms"
+        )
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} checks passed")
     return EXIT_OK if n_pass == len(results) else EXIT_VERIFY

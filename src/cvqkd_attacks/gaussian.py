@@ -76,14 +76,50 @@ def _refined_spectrum(matrix: np.ndarray) -> np.ndarray:
     return np.array([float(nus[2 * i]) for i in range(n)])
 
 
-def _fast_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues from the double-precision eigensolver alone, of
-    one matrix or of each matrix in a (..., 2n, 2n) stack."""
+def _fast_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic eigenvalues in double precision, descending, of one matrix
+    or of each matrix in a (..., 2n, 2n) stack, and whether each matrix is
+    positive definite.
+
+    A positive-definite sigma = L L^T has i Omega sigma similar to the
+    Hermitian i L^T Omega L, so the nu's are the singular values of the real
+    antisymmetric K = L^T Omega L, each twice. Each nu is good to a relative
+    few eps * cond(sigma): the factorization is backward stable, and a
+    congruence moves every nu by at most that relative factor. A matrix
+    without a Cholesky factor (or with a non-finite one) is not positive
+    definite, hence unphysical; it gets |eig(Omega sigma)| instead, which
+    only words its rejection and feeds the audit. Each matrix is factored on
+    its own when the stack's factorization fails, so a member's result never
+    depends on its neighbours.
+    """
     n = matrix.shape[-1] // 2
-    eigs = np.linalg.eigvals(symplectic_form(n) @ matrix)
-    # |eigs| carries each nu twice (the +/- i*nu pair); sorting makes the
-    # pairs adjacent so taking every second entry deduplicates them.
-    return np.sort(np.abs(eigs), axis=-1)[..., ::-1][..., ::2].copy()
+    stack = matrix.reshape((-1,) + matrix.shape[-2:])
+    try:
+        chol = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        chol = np.full_like(stack, np.nan)
+        for i, m in enumerate(stack):
+            try:
+                chol[i] = np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                pass
+    # a NaN entry passes the factorization unflagged
+    definite = np.isfinite(chol).all(axis=(-2, -1))
+    nus = np.empty((len(stack), n))
+    lower = chol[definite]
+    # Omega L: each row pair swapped, the new second row negated
+    omega_lower = np.empty_like(lower)
+    omega_lower[:, 0::2] = lower[:, 1::2]
+    omega_lower[:, 1::2] = -lower[:, 0::2]
+    k = np.swapaxes(lower, -1, -2) @ omega_lower
+    nus[definite] = np.linalg.svd(k, compute_uv=False)[:, ::2]
+    if not definite.all():
+        eigs = np.linalg.eigvals(symplectic_form(n) @ stack[~definite])
+        # |eigs| carries each nu twice (the +/- i*nu pair); sorting makes the
+        # pairs adjacent so taking every second entry deduplicates them
+        nus[~definite] = np.sort(np.abs(eigs), axis=-1)[:, ::-1][:, ::2]
+    lead = matrix.shape[:-2]
+    return nus.reshape(lead + (n,)), definite.reshape(lead)
 
 
 def _above_hp_scale(matrix: np.ndarray) -> np.ndarray:
@@ -92,20 +128,19 @@ def _above_hp_scale(matrix: np.ndarray) -> np.ndarray:
     return np.abs(matrix).max(axis=(-2, -1)) > _HP_SCALE
 
 
-def _symplectic_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a symmetric matrix, descending, one per mode;
-    of a stack, one row per matrix. Escalation to high precision is decided
-    per matrix, so one large member never sends the whole stack there."""
+def _symplectic_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_fast_spectrum, with each matrix above _HP_SCALE or reading below
+    1 - _REFINE_TRIGGER given its high-precision spectrum instead. The
+    escalation is decided per matrix, so one large member never sends the
+    whole stack there; positive definiteness is the double-precision
+    factorization's verdict at every scale."""
     n = matrix.shape[-1] // 2
     stack = matrix.reshape((-1,) + matrix.shape[-2:])
-    refine = _above_hp_scale(stack)
-    nus = np.zeros((len(stack), n))
-    if not refine.all():
-        nus[~refine] = _fast_spectrum(stack[~refine])
-        refine |= nus.min(axis=-1) < 1.0 - _REFINE_TRIGGER
+    nus, definite = _fast_spectrum(stack)
+    refine = _above_hp_scale(stack) | (nus.min(axis=-1) < 1.0 - _REFINE_TRIGGER)
     for i in np.flatnonzero(refine):
         nus[i] = _refined_spectrum(stack[i])
-    return nus.reshape(matrix.shape[:-2] + (n,))
+    return nus.reshape(matrix.shape[:-2] + (n,)), definite.reshape(matrix.shape[:-2])
 
 
 def _mode_index(labels: tuple[str, ...], label: str) -> int:
@@ -120,16 +155,18 @@ def _check_physical(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return the symmetrized matrices with their symplectic spectra.
 
     Symmetry to SYMMETRY_RTOL of the scale, every symplectic eigenvalue
-    >= 1 - PHYSICALITY_TOL, and positive definiteness. Each matrix counts
-    once in the physicality audit, as one CovMat construction would; a stack
-    with an unphysical member is counted whole, then rejected with the
-    message the first such member would raise on its own.
+    >= 1 - PHYSICALITY_TOL, and positive definiteness, read from the
+    Cholesky factorization the spectrum is computed from (_fast_spectrum),
+    so each matrix is factored once. Each matrix counts once in the
+    physicality audit, as one CovMat construction would; a stack with an
+    unphysical member is counted whole, then rejected with the message the
+    first such member would raise on its own.
     """
     scale = np.maximum(np.abs(mats).max(axis=(-2, -1)), 1.0)
     if np.any(np.abs(mats - np.swapaxes(mats, -1, -2)).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
         raise ValueError("covariance matrix is not symmetric")
     mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    nus = _symplectic_spectrum(mats)
+    nus, definite = _symplectic_spectrum(mats)
     nu_min = nus.min(axis=-1)
     _audit["min_nu"] = min(_audit["min_nu"], float(nu_min.min(initial=math.inf)))
     _audit["count"] += nu_min.size
@@ -140,10 +177,8 @@ def _check_physical(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     # |eig(Omega sigma)| cannot see the sign of sigma: sigma + i Omega >= 0
     # also needs sigma > 0, which an indefinite matrix fails
-    try:
-        np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        raise ValueError("unphysical covariance matrix: not positive definite") from None
+    if not definite.all():
+        raise ValueError("unphysical covariance matrix: not positive definite")
     return mats, nus
 
 
@@ -498,7 +533,7 @@ def _raw_entropy(mat: np.ndarray, exact: bool):
     """Entropy in bits of a raw matrix, or one per matrix of a stack.
     exact=False takes the double-precision spectrum at any scale; exact=True
     the one CovMat validation uses."""
-    return _spectrum_entropy(_symplectic_spectrum(mat) if exact else _fast_spectrum(mat))
+    return _spectrum_entropy((_symplectic_spectrum if exact else _fast_spectrum)(mat)[0])
 
 
 def _split_for_measurement(mat: np.ndarray, labels: tuple[str, ...], measured_label: str):

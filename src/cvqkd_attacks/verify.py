@@ -9,6 +9,7 @@ nonpositive measurement passes against a zero tolerance.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
@@ -205,6 +206,7 @@ class CheckResult:
     tolerance: float
     measured: float
     passed: bool
+    seconds: float  # wall time of the check, including any cache it fills
 
 
 CHECKS: tuple[Check, ...] = (
@@ -230,6 +232,10 @@ CHECKS: tuple[Check, ...] = (
 def run_all(checks: tuple[Check, ...] | None = None) -> list[CheckResult]:
     results = []
     for check in CHECKS if checks is None else checks:
+        start = time.perf_counter()
         measured = check.fn()
-        results.append(CheckResult(check.name, check.tolerance, measured, measured <= check.tolerance))
+        seconds = time.perf_counter() - start
+        results.append(
+            CheckResult(check.name, check.tolerance, measured, measured <= check.tolerance, seconds)
+        )
     return results

@@ -40,8 +40,12 @@ def test_channel_validation():
 
 @pytest.mark.parametrize(
     "tau,v,needle",
-    [(math.nan, 0.5, "transmissivity"), (0.5, math.nan, "nonnegative")],
-    ids=["tau", "v"],
+    [
+        (math.nan, 0.5, "transmissivity"),
+        (0.5, math.nan, "nonnegative"),
+        (0.5, math.inf, "finite"),
+    ],
+    ids=["tau", "v", "v-inf"],
 )
 def test_channel_rejects_nan(tau, v, needle):
     with pytest.raises(ValueError, match=needle):

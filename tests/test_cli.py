@@ -2,11 +2,13 @@
 
 import csv
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 import cvqkd_attacks.verify
+from cvqkd_attacks.attacks import holevo_bound
 from cvqkd_attacks.cli import (
     CSV_HEADER,
     ConfigError,
@@ -139,8 +141,21 @@ def test_bad_value_exits_1(capsys):
         (["telesim", "--gamma", "0.5", "--lam", "nan"], 2, "teleportation gain must be >= 0"),
         # an infinite gain is out of the teleporter's domain, not a resource fault
         (["telesim", "--gamma", "0.5", "--lam", "inf"], 2, "teleportation gain must be finite"),
+        (["channel", "--epsilon", "inf"], 1, "error: field 'epsilon': must be finite, got inf"),
+        (["channel", "--v", "inf"], 1, "error: field 'v': must be finite, got inf"),
+        (["sweep", "--epsilon", "inf"], 1, "error: field 'epsilon': must be finite, got inf"),
+        (["sweep", "--v", "inf"], 1, "error: field 'v': must be finite, got inf"),
     ],
-    ids=["channel-epsilon", "sweep-v", "telesim-lam", "telesim-lam-inf"],
+    ids=[
+        "channel-epsilon",
+        "sweep-v",
+        "telesim-lam",
+        "telesim-lam-inf",
+        "channel-epsilon-inf",
+        "channel-v-inf",
+        "sweep-epsilon-inf",
+        "sweep-v-inf",
+    ],
 )
 def test_nan_value_exits_with_one_line(capsys, tmp_path, argv, code, needle):
     out = tmp_path / "never.csv"
@@ -196,13 +211,14 @@ def test_sweep_identity_channel_exits_2(capsys):
 @pytest.mark.parametrize(
     "flags,head,needle",
     [
-        # ROADMAP defect 3: double precision breaks down at g = 1e8. The
+        # ROADMAP defect 1: double precision breaks down at g = 1e8. The
         # reported information is jagged in the sample set the search visits,
-        # so only the row and the Holevo bound (a closed form) are pinned
+        # so only the row and the reason are pinned; the Holevo bound in the
+        # message is the run's own holevo_bound, whatever its last bits
         (
             ["--g-policy", "finite:1e8", "--gamma-count", "2"],
             "error: row gamma = 0.9999: Eve's information ",
-            "outside [0, Holevo bound 0.22654422476047253]",
+            "outside [0, Holevo bound ",
         ),
         # failures inside the stacked validation of a sweep's rows: the
         # attack state of a middle row is unphysical, and a row other than
@@ -215,7 +231,7 @@ def test_sweep_identity_channel_exits_2(capsys):
         (
             ["--g-policy", "finite:1e9", "--gamma-count", "6"],
             "error: row gamma = 0.9994391680617926: Eve's information ",
-            "outside [0, Holevo bound 0.22654422476047253]",
+            "outside [0, Holevo bound ",
         ),
     ],
     ids=["gain-1e8", "gain-1e12", "gain-1e9"],
@@ -226,6 +242,9 @@ def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, he
     err = capsys.readouterr().err
     assert err.startswith(head)
     assert needle in err
+    if "Holevo" in needle:
+        chi = holevo_bound(scenario_from(RunConfig(g_policy=flags[1])))
+        assert f"{needle}{chi!r}]" in err
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -366,6 +385,7 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     assert main(["verify"]) == 3
     out = capsys.readouterr().out
     assert "FAIL" in out
+    assert re.search(r"FAIL  always-fails  measured = .*  time = \d+\.\d ms\n", out)
     assert "0/1 checks passed" in out
 
 

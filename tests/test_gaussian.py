@@ -16,6 +16,8 @@ from cvqkd_attacks.gaussian import (
     CovMat,
     Symplectic,
     TwoModeStd,
+    _act_on_modes,
+    _block_diag,
     _check_physical,
     _condition_raw,
     _fast_spectrum,
@@ -434,6 +436,112 @@ def test_refined_spectrum_matches_80_digit_oracle(g, gamma, eta):
     np.testing.assert_array_max_ulp(_refined_spectrum(eve), _spectrum_by_general_eig(eve, 80), 1)
 
 
+# |nu_computed - nu| <= C * eps * nu * cond(sigma) for the Cholesky route:
+# Cholesky is backward stable, sigma + E with |E| ~ eps |sigma|, and a
+# congruence moves every nu by the relative factor |sigma^-1/2 E sigma^-1/2|
+# <= |E| |sigma^-1|; the singular values add eps |K| <= eps |sigma|, which
+# is below eps * nu * cond(sigma) too. A squeezed pure state has cond ~
+# |sigma|^2, so an absolute bound in eps |sigma| alone does not hold.
+FAST_SPECTRUM_C = 8.0
+
+
+def _random_gaussian_state(rng, scale: float) -> np.ndarray:
+    """Thermal modes, about half of them exactly pure, mixed by random
+    single-mode squeezers at a random phase (which couple x and p), two-mode
+    squeezers and beam splitters until the entries near scale."""
+    n = int(rng.integers(1, 5))
+    pure = rng.random(n) < 0.5
+    hot = scale * rng.uniform(0.5, 1.0, n) if rng.random() < 0.3 else rng.uniform(1.0, 3.0, n)
+    mat = _block_diag(*(v * np.eye(2) for v in np.where(pure, 1.0, hot)))
+    for _ in range(3 * n):
+        kind = rng.integers(3) if n > 1 else 0
+        if kind == 0:
+            modes = [int(rng.integers(n))]
+            phi = rng.uniform(0.0, math.pi)
+            rot = np.array([[math.cos(phi), math.sin(phi)], [-math.sin(phi), math.cos(phi)]])
+            squeeze = math.sqrt(1.0 + rng.uniform(0.0, 1.0) * math.sqrt(scale))
+            s = rot @ np.diag([squeeze, 1.0 / squeeze]) @ rot.T
+        else:
+            modes = [int(i) for i in rng.choice(n, 2, replace=False)]
+            if kind == 1:
+                s = two_mode_squeezer(1.0 + rng.uniform(0.0, 1.0) * math.sqrt(scale)).matrix
+            else:
+                s = beam_splitter(rng.uniform(0.0, 1.0)).matrix
+        nxt = _act_on_modes(mat, s, modes)
+        if np.abs(nxt).max() > scale:
+            break
+        mat = nxt
+    return 0.5 * (mat + mat.T)
+
+
+def test_fast_spectrum_matches_60_digit_oracle():
+    rng = np.random.default_rng(20261018)
+    eps = np.finfo(float).eps
+    scales, pure_modes = [], 0
+    for _ in range(100):
+        sigma = _random_gaussian_state(rng, 10.0 ** rng.uniform(0.0, 4.0))
+        nus, definite = _fast_spectrum(sigma)
+        assert definite
+        oracle = _spectrum_by_general_eig(sigma, 60)
+        cond = np.linalg.norm(sigma, 2) * np.linalg.norm(np.linalg.inv(sigma), 2)
+        assert np.all(np.abs(nus - oracle) <= FAST_SPECTRUM_C * eps * oracle * cond)
+        scales.append(np.abs(sigma).max())
+        pure_modes += int(np.sum(np.abs(oracle - 1.0) < 1e-6))
+    assert max(scales) > 1e3 and min(scales) < 10.0
+    assert pure_modes > 20
+
+
+def test_fast_spectrum_stack_equals_each_member_alone():
+    # the middle member has no Cholesky factor: the stack is factored member
+    # by member, the middle one gets |eig(Omega sigma)| and its neighbours
+    # keep their factored spectra
+    amplified = _act_on_modes(tmsv(0.9).matrix, two_mode_squeezer(1e3).matrix, [0, 1])
+    members = [tmsv(0.3).matrix, np.diag([0.5, -0.5, 1.0, 1.0]), amplified]
+    nus, definite = _fast_spectrum(np.stack(members))
+    assert definite.tolist() == [True, False, True]
+    general = np.abs(np.linalg.eigvals(symplectic_form(2) @ members[1]))
+    assert np.array_equal(nus[1], np.sort(general)[::-1][::2])
+    for k, m in enumerate(members):
+        one, one_definite = _fast_spectrum(m)
+        assert np.array_equal(nus[k], one), k
+        assert one_definite == definite[k]
+    message = "unphysical covariance matrix: smallest symplectic eigenvalue 0.5"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        _check_physical(np.stack(members))
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        CovMat(members[1], ("m1", "m2"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_covmat_rejects_non_finite_entries(bad):
+    # a NaN passes the Cholesky factorization unflagged; the general route
+    # then names the fault
+    matrix = np.diag([bad, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        CovMat(matrix, ("m1", "m2"))
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        _check_physical(np.stack([tmsv(0.3).matrix, matrix]))
+
+
+def test_check_physical_factors_each_matrix_once(monkeypatch):
+    calls = {"cholesky": 0, "eigvals": 0}
+
+    def counted(name):
+        inner = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    members = np.stack([tmsv(k).matrix for k in (0.0, 0.4, 0.9)])
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    _check_physical(members)
+    assert calls == {"cholesky": 1, "eigvals": 0}
+
+
 @pytest.mark.parametrize(
     "matrix",
     [np.diag([0.6, -0.4]), np.diag([3.0e6, 3.0e6, 0.6, -0.4])],
@@ -498,9 +606,12 @@ def _attack_stack(g: float, count: int = 7) -> np.ndarray:
 def test_stacked_fast_spectrum_and_conditioning_equal_per_matrix_calls(g):
     mat, labels = _attack_stack(g)
     assert mat.shape == (7, 12, 12)
-    nus = _fast_spectrum(mat)
+    nus, definite = _fast_spectrum(mat)
+    assert definite.all()
     for k in range(len(mat)):
-        assert np.array_equal(nus[k], _fast_spectrum(mat[k]))
+        one, one_definite = _fast_spectrum(mat[k])
+        assert np.array_equal(nus[k], one)
+        assert one_definite
     for label in ("A", "B"):
         for exact in (False, True):
             cond, rest = _condition_raw(mat, labels, label, exact)
@@ -516,8 +627,9 @@ def test_stacked_spectrum_and_conditioning_escalate_per_matrix():
     large, _ = _attack_stack(1e6, 3)
     mixed = np.concatenate([small, large[:1]])
     eve = mixed[:, 4:, 4:]
-    nus = _symplectic_spectrum(eve)
-    assert np.array_equal(nus[:3], _fast_spectrum(eve[:3]))
+    nus, definite = _symplectic_spectrum(eve)
+    assert definite.all()
+    assert np.array_equal(nus[:3], _fast_spectrum(eve[:3])[0])
     assert np.array_equal(nus[3], _refined_spectrum(eve[3]))
     cond, _ = _condition_raw(mixed, labels, "B", exact=True)
     plain, _ = _condition_raw(small, labels, "B", exact=False)
