@@ -248,8 +248,10 @@ def _resource_matrix(gamma: float, validate: bool = True) -> np.ndarray:
 
 def ao_attack_state(sc: AttackScenario, gamma: float, eta: float, kappa: float) -> CovMat:
     """Global state of the teleportation attack at the scenario's finite
-    gain: Alice's modes (A, B) plus Eve's kept modes (R1, R2, F1 and, off
-    pure loss, F2)."""
+    gain: Alice's modes (A, B) plus Eve's kept modes (P, Q, F1 and, off
+    pure loss, F2). P and Q are her amplified resource arms in her local
+    basis (teleportation._eve_local_map): P carries the amplified Bell
+    record, Q has O(1) entries."""
     resource = _resource_matrix(gamma)
     alice = tmsv(sc.zeta, ("A", "B"))
     mat, labels = _pipeline_raw(
@@ -337,15 +339,20 @@ def _eve_info_objective(
     at g = 1e20 on the points tests/test_bell_record.py checks, whatever
     exact says.
     A finite g is eve_info's arithmetic on the unchecked circuit, whose
-    checked stages _validated_rows runs on each row's pick. exact=False
-    then uses the double-precision spectrum (_fast_spectrum) and
-    conditioning throughout: good to ~1e-6 bits on the amplified matrices at
-    g = 1e6, enough for the optimizer's scan. exact=True takes the scale-escalated spectrum and
-    conditioning paths; above _HP_SCALE those run in mpmath, about 23 ms a
-    point at g = 1e6 against 0.55 ms for a lone exact=False call (one core
-    of a 2.1 GHz Xeon), which is why only the refinement's three or four
-    points a row use it. In a stacked exact=False call the spectra of a
-    187-point scan stack of Eve's 8x8 blocks take 1.4 ms.
+    checked stages _validated_rows runs on each row's pick. Eve's amplified
+    pair is in her local basis (P, Q) there (_pipeline_raw), where only P
+    grows with g, and above _HP_SCALE every spectrum reads its small nu's
+    from the inverse side of the Cholesky congruence (_fast_spectrum).
+    exact=False uses that double-precision spectrum and conditioning
+    throughout; exact=True takes the escalating spectrum (_symplectic_spectrum,
+    which keeps the attack's states in double precision) and the
+    high-precision heterodyne conditioning above _HP_SCALE. Both are within
+    1e-10 bits of the 60-digit circuit at g = 1e2 to 1e8 on the points
+    tests/test_finite_gain.py checks. A lone call at g = 1e6 takes about
+    0.8 ms with exact=False and 3.7 ms with exact=True, nearly all of it the
+    mpmath Schur complement (one core of a 2.1 GHz Xeon); in a stacked
+    exact=False call the spectra of a 187-point scan stack of Eve's 8x8
+    blocks take 4.8 ms above _HP_SCALE and 2.0 ms below it.
     """
     if math.isinf(g):
         return _bell_record_info(sc, *_bell_record_raw(alice, sc.channel, resource, eta, kappa))

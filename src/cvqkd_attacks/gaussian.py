@@ -8,6 +8,7 @@ quadrature variance equals 1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -17,15 +18,24 @@ SYMMETRY_RTOL = 1e-12
 PHYSICALITY_TOL = 1e-9
 SYMPLECTIC_TOL = 1e-10
 
-# Below this computed minimum the fast eigensolver result is re-checked in
+# Below this computed minimum the double-precision spectrum is re-checked in
 # high precision before physicality is judged (see _symplectic_spectrum).
 _REFINE_TRIGGER = 1e-10
 
-# Above this matrix scale double precision cannot deliver the absolute
-# accuracy the near-unity symplectic eigenvalues need (the eigensolver's
-# noise is ~eps * |sigma|, the entropy slope near nu = 1 is ~4 bits/unit),
-# so spectra and heterodyne conditioning switch to high precision.
+# Above this matrix scale one side of the Cholesky congruence cannot resolve
+# both ends of the spectrum: its singular values carry absolute noise
+# ~eps * nu_max, which swamps the near-unity nu's that physicality and the
+# entropies need. There _fast_spectrum reads the small nu's from the inverse
+# side as well, heterodyne and homodyne conditioning switch to high precision,
+# and _symplectic_spectrum escalates a matrix whose equilibrated factor is
+# too ill-conditioned to certify its spectrum (_CERTIFIED_COND).
 _HP_SCALE = 1e6
+
+# Largest bound on the condition number of the diagonally equilibrated
+# matrix for which a double-precision spectrum above _HP_SCALE is trusted:
+# its nu's are good to a relative few eps * cond (_inverse_side), here a few
+# PHYSICALITY_TOL at worst; the attack's states stay below 1e6.
+_CERTIFIED_COND = PHYSICALITY_TOL / sys.float_info.epsilon
 
 # Running audit of the smallest symplectic eigenvalue ever seen during
 # CovMat validation, used by the verification suite to assert that every
@@ -41,6 +51,12 @@ def reset_physicality_audit() -> None:
 def physicality_audit() -> tuple[float, int]:
     """Return (smallest symplectic eigenvalue seen, number of states checked)."""
     return _audit["min_nu"], _audit["count"]
+
+
+def _record_in_audit(nu_min: np.ndarray) -> None:
+    """Count each state of a stack, given its smallest symplectic eigenvalue."""
+    _audit["min_nu"] = min(_audit["min_nu"], float(np.min(nu_min, initial=math.inf)))
+    _audit["count"] += np.size(nu_min)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -76,24 +92,44 @@ def _refined_spectrum(matrix: np.ndarray) -> np.ndarray:
     return np.array([float(nus[2 * i]) for i in range(n)])
 
 
-def _fast_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic eigenvalues in double precision, descending, of one matrix
-    or of each matrix in a (..., 2n, 2n) stack, and whether each matrix is
-    positive definite.
+def _omega_times(x: np.ndarray) -> np.ndarray:
+    """Omega x for a (..., 2n, k) stack: each row pair swapped, the new
+    second row negated (no product with Omega)."""
+    out = np.empty_like(x)
+    out[..., 0::2, :] = x[..., 1::2, :]
+    out[..., 1::2, :] = -x[..., 0::2, :]
+    return out
 
-    A positive-definite sigma = L L^T has i Omega sigma similar to the
-    Hermitian i L^T Omega L, so the nu's are the singular values of the real
-    antisymmetric K = L^T Omega L, each twice. Each nu is good to a relative
-    few eps * cond(sigma): the factorization is backward stable, and a
-    congruence moves every nu by at most that relative factor. A matrix
-    without a Cholesky factor (or with a non-finite one) is not positive
-    definite, hence unphysical; it gets |eig(Omega sigma)| instead, which
-    only words its rejection and feeds the audit. Each matrix is factored on
-    its own when the stack's factorization fails, so a member's result never
-    depends on its neighbours.
+
+def _inverse_side(stack: np.ndarray, chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic eigenvalues, descending, of a stack of positive-definite
+    matrices sigma = L L^T read from the inverse side of the congruence, and
+    a bound on the condition number of each equilibrated matrix.
+
+    With D = diag(sigma_ii)^-1/2, L~ = D L is the Cholesky factor of the
+    unit-diagonal H = D sigma D, and L^-1 Omega L^-T = L~^-1 (D Omega D)
+    L~^-T has the singular values 1/nu, each twice. Their absolute noise is
+    ~eps / nu_min, so the nu's near 1 come out to a relative few eps *
+    cond(H) however large sigma's entries are (Demmel and Veselic, SIAM J.
+    Matrix Anal. Appl. 13, 1204 (1992)), while the direct side's are off by
+    ~eps * nu_max. cond(H) <= |H| |H^-1| <= 2n |L~^-1|_F^2, as H's trace is 2n.
     """
-    n = matrix.shape[-1] // 2
-    stack = matrix.reshape((-1,) + matrix.shape[-2:])
+    d = 1.0 / np.sqrt(np.diagonal(stack, axis1=-2, axis2=-1))
+    inverse = np.linalg.inv(d[..., :, None] * chol)
+    scaled = inverse * d[..., None, :]  # L^-1 = L~^-1 D
+    m = scaled @ _omega_times(np.swapaxes(scaled, -1, -2))
+    inverted = np.linalg.svd(m, compute_uv=False)[..., ::2]
+    cond = stack.shape[-1] * (inverse * inverse).sum(axis=(-2, -1))
+    with np.errstate(divide="ignore"):  # a singular value lost to underflow reads nu = inf
+        return 1.0 / inverted[..., ::-1], cond
+
+
+def _spectrum_and_conditioning(stack: np.ndarray):
+    """_fast_spectrum of a flat (k, 2n, 2n) stack, and for each matrix above
+    _HP_SCALE the bound on its equilibrated condition number from
+    _inverse_side: inf without a Cholesky factor, 1 below the scale, where
+    it is not computed."""
+    n = stack.shape[-1] // 2
     try:
         chol = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
@@ -107,40 +143,73 @@ def _fast_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     definite = np.isfinite(chol).all(axis=(-2, -1))
     nus = np.empty((len(stack), n))
     lower = chol[definite]
-    # Omega L: each row pair swapped, the new second row negated
-    omega_lower = np.empty_like(lower)
-    omega_lower[:, 0::2] = lower[:, 1::2]
-    omega_lower[:, 1::2] = -lower[:, 0::2]
-    k = np.swapaxes(lower, -1, -2) @ omega_lower
-    nus[definite] = np.linalg.svd(k, compute_uv=False)[:, ::2]
+    nus[definite] = np.linalg.svd(
+        np.swapaxes(lower, -1, -2) @ _omega_times(lower), compute_uv=False
+    )[:, ::2]
+    large = _above_hp_scale(stack)
+    cond = np.where(large, np.inf, 1.0)
+    graded = large & definite
+    if graded.any():
+        direct = nus[graded]
+        inverse, cond[graded] = _inverse_side(stack[graded], chol[graded])
+        # each nu from the side on which it is large: the direct side's
+        # relative error ~eps nu_max / nu is the smaller one above
+        # sqrt(nu_max nu_min), the inverse side's ~eps nu / nu_min below it
+        upper = direct / inverse[:, -1:] > direct[:, :1] / direct
+        nus[graded] = np.where(upper, direct, inverse)
     if not definite.all():
         eigs = np.linalg.eigvals(symplectic_form(n) @ stack[~definite])
         # |eigs| carries each nu twice (the +/- i*nu pair); sorting makes the
         # pairs adjacent so taking every second entry deduplicates them
         nus[~definite] = np.sort(np.abs(eigs), axis=-1)[:, ::-1][:, ::2]
-    lead = matrix.shape[:-2]
+    return nus, definite, cond
+
+
+def _fast_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic eigenvalues in double precision, descending, of one matrix
+    or of each matrix in a (..., 2n, 2n) stack, and whether each matrix is
+    positive definite.
+
+    A positive-definite sigma = L L^T has i Omega sigma similar to the
+    Hermitian i L^T Omega L, so the nu's are the singular values of the real
+    antisymmetric K = L^T Omega L, each twice. Each nu is good to a relative
+    few eps * cond(sigma): the factorization is backward stable, and a
+    congruence moves every nu by at most that relative factor. Above
+    _HP_SCALE the nu's below sqrt(nu_max nu_min) come from the inverse side
+    of the same factor instead (_inverse_side), good to a relative few eps *
+    cond of the equilibrated matrix. A matrix without a Cholesky factor (or
+    with a non-finite one) is not positive definite, hence unphysical; it
+    gets |eig(Omega sigma)| instead, which only words its rejection and
+    feeds the audit. Each matrix is factored on its own when the stack's
+    factorization fails, and the inverse side runs on the members above the
+    scale alone, so a member's result never depends on its neighbours.
+    """
+    lead, n = matrix.shape[:-2], matrix.shape[-1] // 2
+    nus, definite, _ = _spectrum_and_conditioning(matrix.reshape((-1,) + matrix.shape[-2:]))
     return nus.reshape(lead + (n,)), definite.reshape(lead)
 
 
 def _above_hp_scale(matrix: np.ndarray) -> np.ndarray:
-    """Per-matrix flag: entries beyond _HP_SCALE, where double precision
-    cannot resolve near-unity symplectic eigenvalues."""
+    """Per-matrix flag: entries beyond _HP_SCALE, where one side of the
+    Cholesky congruence cannot resolve near-unity symplectic eigenvalues."""
     return np.abs(matrix).max(axis=(-2, -1)) > _HP_SCALE
 
 
 def _symplectic_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_fast_spectrum, with each matrix above _HP_SCALE or reading below
-    1 - _REFINE_TRIGGER given its high-precision spectrum instead. The
-    escalation is decided per matrix, so one large member never sends the
+    """_fast_spectrum, with each matrix that double precision cannot certify
+    given its high-precision spectrum instead: above _HP_SCALE, one whose
+    equilibrated condition bound exceeds _CERTIFIED_COND or that has no
+    Cholesky factor; at any scale, one reading below 1 - _REFINE_TRIGGER.
+    The escalation is decided per matrix, so one such member never sends the
     whole stack there; positive definiteness is the double-precision
     factorization's verdict at every scale."""
-    n = matrix.shape[-1] // 2
+    lead, n = matrix.shape[:-2], matrix.shape[-1] // 2
     stack = matrix.reshape((-1,) + matrix.shape[-2:])
-    nus, definite = _fast_spectrum(stack)
-    refine = _above_hp_scale(stack) | (nus.min(axis=-1) < 1.0 - _REFINE_TRIGGER)
+    nus, definite, cond = _spectrum_and_conditioning(stack)
+    refine = (cond > _CERTIFIED_COND) | (nus.min(axis=-1) < 1.0 - _REFINE_TRIGGER)
     for i in np.flatnonzero(refine):
         nus[i] = _refined_spectrum(stack[i])
-    return nus.reshape(matrix.shape[:-2] + (n,)), definite.reshape(matrix.shape[:-2])
+    return nus.reshape(lead + (n,)), definite.reshape(lead)
 
 
 def _mode_index(labels: tuple[str, ...], label: str) -> int:
@@ -168,8 +237,7 @@ def _check_physical(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
     nus, definite = _symplectic_spectrum(mats)
     nu_min = nus.min(axis=-1)
-    _audit["min_nu"] = min(_audit["min_nu"], float(nu_min.min(initial=math.inf)))
-    _audit["count"] += nu_min.size
+    _record_in_audit(nu_min)
     low = nu_min < 1.0 - PHYSICALITY_TOL
     if low.any():
         raise ValueError(
@@ -312,6 +380,58 @@ def _tmsv_entries(gamma: float) -> tuple[float, float]:
     while c < textbook and physical(math.nextafter(c, math.inf)):
         c = math.nextafter(c, math.inf)
     return a, c
+
+
+def _tmsv_entries_array(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_tmsv_entries for every gamma of an array, bit for bit, in one pass:
+    each exact check is taken for the whole array at once, on the members
+    whose c is still moving."""
+    gamma = np.asarray(gamma, dtype=float)
+    denom = 1.0 - gamma * gamma
+    a = (1.0 + gamma * gamma) / denom
+    textbook = 2.0 * gamma / denom
+    c = np.minimum(textbook, np.sqrt((a - 1.0) * (a + 1.0))).reshape(-1)
+    a_flat, textbook_flat = a.reshape(-1), textbook.reshape(-1)
+    down = ~_exactly_physical(a_flat, c)
+    while down.any():
+        c[down] = np.nextafter(c[down], 0.0)
+        down[down] = ~_exactly_physical(a_flat[down], c[down])
+    up = c < textbook_flat
+    while up.any():
+        step = np.nextafter(c[up], np.inf)
+        ok = _exactly_physical(a_flat[up], step)
+        c[np.flatnonzero(up)[ok]] = step[ok]
+        up[up] = ok & (step < textbook_flat[up])
+    return a, c.reshape(a.shape)
+
+
+def _exactly_physical(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a^2 - c^2 >= 1 on the exact binary values of arrays a >= 1 and c >= 0.
+
+    With x = M 2^E (M < 2^53 an integer), the test is on Python integers
+    scaled by 2^-base, base the smallest of 2 E_a, 2 E_c and 0, so that
+    every shift is non-negative.
+    """
+    def integer_parts(x):
+        mantissa, exponent = np.frexp(x)
+        return (mantissa * 2.0**53).astype(np.int64).astype(object), 2 * (exponent - 53)
+
+    ma, ea = integer_parts(a)
+    mc, ec = integer_parts(c)
+    base = np.minimum(np.minimum(ea, ec), 0)
+    lhs = ((ma * ma) << (ea - base).astype(object)) - ((mc * mc) << (ec - base).astype(object))
+    return (lhs >= (1 << (-base).astype(object))).astype(bool)
+
+
+def _tmsv_matrices(gamma: np.ndarray) -> np.ndarray:
+    """tmsv(gamma)'s matrix for each gamma of an array, counted in the
+    physicality audit as one CovMat each. _tmsv_entries makes
+    (a - c)(a + c) >= 1 exactly, which is the physicality of the state, so
+    the audit takes the closed-form nu = sqrt((a - c)(a + c)) of both modes
+    in place of a spectrum."""
+    a, c = _tmsv_entries_array(gamma)
+    _record_in_audit(np.sqrt((a - c) * (a + c)))
+    return _two_mode_std(a, a, c, -c)
 
 
 def tmsv(gamma: float, labels: tuple[str, str] = ("m1", "m2")) -> CovMat:
@@ -503,17 +623,23 @@ def _block_diag(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _act_on_modes(mat: np.ndarray, s: np.ndarray, idx) -> np.ndarray:
-    """sigma -> S sigma S^T for a symplectic S on the mode slots idx, embedded
-    as identity on every other mode. Either may be a stack; leading axes
-    broadcast."""
-    dim = mat.shape[-1]
+def _embedded(s: np.ndarray, idx, dim: int) -> np.ndarray:
+    """A map on the mode slots idx (or a stack of them) embedded in dim
+    quadratures as identity on every other mode."""
     full = np.broadcast_to(np.eye(dim), s.shape[:-2] + (dim, dim)).copy()
     for a, ia in enumerate(idx):
         for b, ib in enumerate(idx):
             full[..., 2 * ia : 2 * ia + 2, 2 * ib : 2 * ib + 2] = s[
                 ..., 2 * a : 2 * a + 2, 2 * b : 2 * b + 2
             ]
+    return full
+
+
+def _act_on_modes(mat: np.ndarray, s: np.ndarray, idx) -> np.ndarray:
+    """sigma -> S sigma S^T for a symplectic S on the mode slots idx, embedded
+    as identity on every other mode. Either may be a stack; leading axes
+    broadcast."""
+    full = _embedded(s, idx, mat.shape[-1])
     return full @ mat @ np.swapaxes(full, -1, -2)
 
 

@@ -21,9 +21,9 @@ from .gaussian import (
     TwoModeStd,
     _act_on_modes,
     _block_diag,
-    _channel_on_mode,
-    _check_physical,
+    _embedded,
     _tmsv_entries,
+    _tmsv_matrices,
     _two_mode_std,
     beam_splitter,
     thermal,
@@ -165,11 +165,35 @@ def _tapped_auxiliary(channel: GaussChannel, eta, kappa):
         if (kappa != 0.0).any():
             raise ValueError("pure-loss channel pins the auxiliary state to vacuum (kappa = 0)")
         return eta, thermal(1.0, "F1").matrix, ("F1",)
-    # tmsv(kappa) for every kappa at once: the same entries, one check
-    a, c = np.array([_tmsv_entries(k) for k in kappa.ravel().tolist()]).T
-    a, c = a.reshape(kappa.shape), c.reshape(kappa.shape)
-    aux, _ = _check_physical(_two_mode_std(a, a, c, -c))
-    return eta, aux, ("F1", "F2")
+    return eta, _tmsv_matrices(kappa), ("F1", "F2")
+
+
+def _eve_local_map(tau: float, t: float) -> np.ndarray:
+    """Eve's local map on her amplified pair (R1, R2) after the recombiner
+    of transmissivity t: the inverse two-mode squeezer with
+    tanh r = sqrt(tau (1 - t)).
+
+    Both modes carry the Bell record u = (x_B + x_R1, p_B - p_R1) of
+    _bell_record_raw, amplified: R1 as sqrt(g) u in x and its negative in
+    p, R2 as sqrt(tau (1 - t) g) u in both, up to O(1) terms. The map
+    gathers it into the first output, P, as +/- sqrt(g) u / cosh r, and
+    leaves the second, Q, with O(1) entries, so only P grows with g. At
+    tau (1 - t) = 1 (lossless channel, t = 0) the map would be singular;
+    the identity is used there.
+    """
+    tanh2 = tau * (1.0 - t)
+    if tanh2 >= 1.0:
+        return np.eye(4)
+    cosh = 1.0 / math.sqrt(1.0 - tanh2)
+    sinh = math.sqrt(tanh2) * cosh
+    return np.array(
+        [
+            [cosh, 0.0, -sinh, 0.0],
+            [0.0, cosh, 0.0, sinh],
+            [-sinh, 0.0, cosh, 0.0],
+            [0.0, sinh, 0.0, cosh],
+        ]
+    )
 
 
 def _pipeline_raw(
@@ -192,10 +216,20 @@ def _pipeline_raw(
     recombine (signal, R2) at t, which defaults to 1/g, the attack's choice.
     eta = 1 is an exact identity on (R2, F1), which leaves the plain
     teleporter. Tracing the channel's environment commutes with the later
-    optics, so the channel map is applied in place of its dilation. Returns
-    the raw kept matrix on the input modes, then R1, R2, F1 (and F2), with
-    its labels; the amplified entries grow to ~g * a, which is why no state
-    object is built here.
+    optics, so the channel map is applied in place of its dilation. Eve's
+    amplified pair then leaves through _eve_local_map as (P, Q); every
+    quantity reported is invariant under a symplectic on Eve's modes alone.
+
+    The circuit's linear map M and the channel noise N, the noise pushed
+    through the optics after the channel, are composed first and
+    left-multiplied by the local map, and the output M sigma_in M^T + N is
+    formed once. Only P's entries grow with g, to ~g a, while every other
+    entry stays O(1), so the matrix is graded and its small symplectic
+    eigenvalues stay resolvable in double precision (see _fast_spectrum).
+    Forming the raw (R1, R2) output first and mapping it afterwards would
+    not do: its rounding, ~eps g a in every amplified entry, survives the
+    map. Returns the raw kept matrix on the input modes, then P, Q, F1 (and
+    F2), with its labels.
 
     eta and kappa may be 1-D arrays of one length: the result is then the
     stack of kept matrices, one per (eta, kappa) pair, with the auxiliary
@@ -204,15 +238,23 @@ def _pipeline_raw(
     (..., 4, 4) stack, one per pair.
     """
     _check_gain(g)
+    t = 1.0 / g if t is None else t
     eta, aux, aux_labels = _tapped_auxiliary(channel, eta, kappa)
     joint = _block_diag(input_matrix, resource, aux)
-    labels = tuple(input_labels) + ("R1", "R2") + aux_labels
+    labels = tuple(input_labels) + ("P", "Q") + aux_labels
+    dim = joint.shape[-1]
     sig = input_labels.index(signal_label)
     r1, r2, f1 = len(input_labels), len(input_labels) + 1, len(input_labels) + 2
-    joint = _act_on_modes(joint, two_mode_squeezer(g).matrix, (sig, r1))
-    joint = _channel_on_mode(joint, sig, channel.tau, channel.v)
-    joint = _act_on_modes(joint, beam_splitter(eta).matrix, (r2, f1))
-    joint = _act_on_modes(joint, beam_splitter(1.0 / g if t is None else t).matrix, (sig, r2))
+    squeeze = _embedded(two_mode_squeezer(g).matrix, (sig, r1), dim)
+    squeeze[..., 2 * sig : 2 * sig + 2, :] *= math.sqrt(channel.tau)
+    after = _embedded(beam_splitter(t).matrix, (sig, r2), dim) @ _embedded(
+        beam_splitter(eta).matrix, (r2, f1), dim
+    )
+    local = _embedded(_eve_local_map(channel.tau, t), (r1, r2), dim)
+    linear = local @ (after @ squeeze)
+    noise = local @ after[..., :, 2 * sig : 2 * sig + 2]
+    joint = linear @ joint @ np.swapaxes(linear, -1, -2)
+    joint += channel.v * (noise @ np.swapaxes(noise, -1, -2))
     return 0.5 * (joint + np.swapaxes(joint, -1, -2)), labels
 
 

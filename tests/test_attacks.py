@@ -170,9 +170,9 @@ def test_cloner_rejects_amplifiers():
 def test_attack_state_mode_inventory():
     sc = scenario(gain=1.0e3)
     st = ao_attack_state(sc, 0.6, 0.5, 0.05)
-    assert st.labels == ("A", "B", "R1", "R2", "F1", "F2")
+    assert st.labels == ("A", "B", "P", "Q", "F1", "F2")
     st_pl = ao_attack_state(scenario(PURE, gain=1.0e3), 0.6, 0.5, 0.0)
-    assert st_pl.labels == ("A", "B", "R1", "R2", "F1")
+    assert st_pl.labels == ("A", "B", "P", "Q", "F1")
 
 
 def test_attack_state_domain():

@@ -33,14 +33,19 @@ ORACLE_GAIN = 1e20
 ORACLE_DPS = 60
 
 
-def _mp_entropy(sigma):
-    # sigma = L L^T: the eigenvalues of the Hermitian i L^T Omega L are +/- nu
+def mp_spectrum(sigma):
+    """Symplectic eigenvalues, descending, of a positive-definite mpmath
+    matrix: with sigma = L L^T, the eigenvalues of the Hermitian
+    i L^T Omega L are +/- nu."""
     n = sigma.rows // 2
     chol = mpmath.cholesky(sigma)
     herm = chol.T * mpmath.matrix(symplectic_form(n).tolist()) * chol * 1j
-    nus = sorted((abs(z) for z in mpmath.eighe(herm, eigvals_only=True)), reverse=True)[::2]
+    return sorted((abs(z) for z in mpmath.eighe(herm, eigvals_only=True)), reverse=True)[::2]
+
+
+def _mp_entropy(sigma):
     total = mpmath.mpf(0)
-    for nu in nus:
+    for nu in mp_spectrum(sigma):
         if nu > 1:
             hi, lo = (nu + 1) / 2, (nu - 1) / 2
             total += hi * mpmath.log(hi, 2) - lo * mpmath.log(lo, 2)
@@ -62,9 +67,9 @@ def _mp_beam_splitter(t):
     return mpmath.matrix([[st, 0, -sr, 0], [0, st, 0, -sr], [sr, 0, st, 0], [0, sr, 0, st]])
 
 
-def oracle_eve_info(sc, gamma, eta, kappa, g=ORACLE_GAIN):
-    """S(Eve) - S(Eve | heterodyne on the reconciliation mode) of the
-    all-optical attack on (A, B, R1, R2, F1[, F2]), in 60-digit arithmetic."""
+def oracle_state(sc, gamma, eta, kappa, g=ORACLE_GAIN):
+    """The all-optical attack's state on (A, B, R1, R2, F1[, F2]) as an
+    mpmath matrix; call it inside mpmath.workdps(ORACLE_DPS)."""
     ch = sc.channel
     blocks = [tmsv(sc.zeta).matrix, _resource_matrix(gamma)]
     if _is_pure_loss_like(ch):
@@ -72,36 +77,47 @@ def oracle_eve_info(sc, gamma, eta, kappa, g=ORACLE_GAIN):
     else:
         a, c = _tmsv_entries(kappa)
         blocks.append(np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, a, 0], [0, -c, 0, a]]))
+    dim = sum(len(b) for b in blocks)
+    sigma = mpmath.zeros(dim, dim)
+    at = 0
+    for b in blocks:
+        for i in range(len(b)):
+            for j in range(len(b)):
+                sigma[at + i, at + j] = mpmath.mpf(float(b[i, j]))
+        at += len(b)
+    gain = mpmath.mpf(g)
+    sg, sgm = mpmath.sqrt(gain), mpmath.sqrt(gain - 1)
+    squeezer = mpmath.matrix(
+        [[sg, 0, sgm, 0], [0, sg, 0, -sgm], [sgm, 0, sg, 0], [0, -sgm, 0, sg]]
+    )
+    sigma = _mp_act(sigma, squeezer, (1, 2))  # (B, R1)
+    root = mpmath.sqrt(mpmath.mpf(ch.tau))
+    for k in range(dim):
+        for q in (2, 3):
+            sigma[q, k] *= root
+            sigma[k, q] *= root
+    sigma[2, 2] += mpmath.mpf(ch.v)
+    sigma[3, 3] += mpmath.mpf(ch.v)
+    sigma = _mp_act(sigma, _mp_beam_splitter(mpmath.mpf(eta)), (3, 4))  # (R2, F1)
+    return _mp_act(sigma, _mp_beam_splitter(1 / gain), (1, 3))  # (B, R2)
+
+
+def oracle_heterodyne(sigma, mode):
+    """sigma conditioned on a heterodyne of one mode, in mpmath."""
+    m = 2 * mode
+    rest = [k for k in range(sigma.rows) if k not in (m, m + 1)]
+    rest_block = mpmath.matrix([[sigma[i, j] for j in rest] for i in rest])
+    cross = mpmath.matrix([[sigma[i, j] for j in (m, m + 1)] for i in rest])
+    meas = mpmath.matrix([[sigma[i, j] for j in (m, m + 1)] for i in (m, m + 1)])
+    return rest_block - cross * (meas + mpmath.eye(2)) ** -1 * cross.T
+
+
+def oracle_eve_info(sc, gamma, eta, kappa, g=ORACLE_GAIN):
+    """S(Eve) - S(Eve | heterodyne on the reconciliation mode) of the
+    all-optical attack on (A, B, R1, R2, F1[, F2]), in 60-digit arithmetic."""
     with mpmath.workdps(ORACLE_DPS):
-        dim = sum(len(b) for b in blocks)
-        sigma = mpmath.zeros(dim, dim)
-        at = 0
-        for b in blocks:
-            for i in range(len(b)):
-                for j in range(len(b)):
-                    sigma[at + i, at + j] = mpmath.mpf(float(b[i, j]))
-            at += len(b)
-        gain = mpmath.mpf(g)
-        sg, sgm = mpmath.sqrt(gain), mpmath.sqrt(gain - 1)
-        squeezer = mpmath.matrix(
-            [[sg, 0, sgm, 0], [0, sg, 0, -sgm], [sgm, 0, sg, 0], [0, -sgm, 0, sg]]
-        )
-        sigma = _mp_act(sigma, squeezer, (1, 2))  # (B, R1)
-        root = mpmath.sqrt(mpmath.mpf(ch.tau))
-        for k in range(dim):
-            for q in (2, 3):
-                sigma[q, k] *= root
-                sigma[k, q] *= root
-        sigma[2, 2] += mpmath.mpf(ch.v)
-        sigma[3, 3] += mpmath.mpf(ch.v)
-        sigma = _mp_act(sigma, _mp_beam_splitter(mpmath.mpf(eta)), (3, 4))  # (R2, F1)
-        sigma = _mp_act(sigma, _mp_beam_splitter(1 / gain), (1, 3))  # (B, R2)
-        m = 2 if sc.reconciliation == "reverse" else 0
-        rest = [k for k in range(dim) if k not in (m, m + 1)]
-        rest_block = mpmath.matrix([[sigma[i, j] for j in rest] for i in rest])
-        cross = mpmath.matrix([[sigma[i, j] for j in (m, m + 1)] for i in rest])
-        meas = mpmath.matrix([[sigma[i, j] for j in (m, m + 1)] for i in (m, m + 1)])
-        cond = rest_block - cross * (meas + mpmath.eye(2)) ** -1 * cross.T
+        sigma = oracle_state(sc, gamma, eta, kappa, g)
+        cond = oracle_heterodyne(sigma, 1 if sc.reconciliation == "reverse" else 0)
         return float(_mp_entropy(sigma[4:, 4:]) - _mp_entropy(cond[2:, 2:]))
 
 

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
+from test_bell_record import oracle_eve_info
 
 import cvqkd_attacks.verify
 from cvqkd_attacks.attacks import holevo_bound
@@ -21,7 +22,7 @@ from cvqkd_attacks.cli import (
     serialize_config,
     validate_config,
 )
-from cvqkd_attacks.keyrate import SweepRow, SweepTable
+from cvqkd_attacks.keyrate import SweepRow, SweepTable, default_gamma_grid, sweep
 from cvqkd_attacks.verify import Check
 
 REPO = Path(__file__).resolve().parents[1]
@@ -211,30 +212,23 @@ def test_sweep_identity_channel_exits_2(capsys):
 @pytest.mark.parametrize(
     "flags,head,needle",
     [
-        # ROADMAP defect 1: double precision breaks down at g = 1e8. The
-        # reported information is jagged in the sample set the search visits,
-        # so only the row and the reason are pinned; the Holevo bound in the
-        # message is the run's own holevo_bound, whatever its last bits
+        # double precision still breaks down at gains this far beyond the
+        # paper's: Eve's amplified pair, formed in her local basis, carries
+        # rounding of ~eps sqrt(g) into her O(1) mode; only the row and the
+        # reason are pinned, and the Holevo bound in the message is the run's
+        # own holevo_bound, whatever its last bits
         (
-            ["--g-policy", "finite:1e8", "--gamma-count", "2"],
-            "error: row gamma = 0.9999: Eve's information ",
+            ["--g-policy", "finite:1e30", "--gamma-count", "6"],
+            "error: row gamma = 0.9823600149194993: Eve's information ",
             "outside [0, Holevo bound ",
         ),
-        # failures inside the stacked validation of a sweep's rows: the
-        # attack state of a middle row is unphysical, and a row other than
-        # the last fails the Holevo check; each names its own row
         (
-            ["--g-policy", "finite:1e12", "--gamma-count", "6"],
-            "error: row gamma = 0.9968546753708643: unphysical covariance matrix",
+            ["--g-policy", "finite:1e100", "--gamma-count", "3"],
+            "error: row gamma = 0.4451652046870813: unphysical covariance matrix",
             "smallest symplectic eigenvalue",
         ),
-        (
-            ["--g-policy", "finite:1e9", "--gamma-count", "6"],
-            "error: row gamma = 0.9994391680617926: Eve's information ",
-            "outside [0, Holevo bound ",
-        ),
     ],
-    ids=["gain-1e8", "gain-1e12", "gain-1e9"],
+    ids=["gain-1e30", "gain-1e100"],
 )
 def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, head, needle):
     out = tmp_path / "never.csv"
@@ -247,6 +241,41 @@ def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, he
         assert f"{needle}{chi!r}]" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(g_policy="finite:1e8", gamma_count=2),
+        dict(g_policy="finite:1e12", gamma_count=6),
+        dict(g_policy="finite:1e9", gamma_count=6),
+        dict(g_policy="finite:1e7", gamma_count=2),
+        dict(tau=0.95, epsilon=1.0, zeta=0.95, g_policy="finite:1000", gamma_count=3),
+    ],
+    ids=["gain-1e8", "gain-1e12", "gain-1e9", "gain-1e7", "pure-loss-gain-1e3"],
+)
+def test_high_gain_sweep_rows_match_the_oracle(capsys, tmp_path, fields):
+    # with Eve's amplified pair formed in the raw (R1, R2) basis these runs
+    # exited 2 (the Holevo check at 1e8 and 1e9, an unphysical attack state
+    # at 1e12 and, on pure loss, at 1e3 with nu_min 0.999999994997) or, at
+    # 1e7, printed row 0.9999 1.9e-5 bits above the oracle; each row must
+    # now be the 60-digit circuit's value at its own pick
+    out = tmp_path / "table.csv"
+    flags = [f"--{name.replace('_', '-')}" for name in fields]
+    flags = [arg for flag, value in zip(flags, fields.values()) for arg in (flag, str(value))]
+    assert main(["sweep", *flags, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    printed = list(csv.DictReader(out.open(encoding="utf-8")))
+    cfg = RunConfig(**fields)
+    sc = scenario_from(cfg)
+    grid = default_gamma_grid(sc, cfg.gamma_count, cfg.gamma_lo, cfg.gamma_hi)
+    table = sweep(sc, cfg.beta, grid)
+    assert len(printed) == len(table.rows) == cfg.gamma_count
+    for line, row in zip(printed, table.rows):
+        assert row.feasible
+        assert abs(float(line["eve_info_bits"]) - row.eve_info_bits) <= 5e-10
+        oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row.kappa_star, sc.gain)
+        assert abs(row.eve_info_bits - oracle) <= 1e-9, row.gamma
 
 
 @pytest.mark.parametrize(

@@ -9,22 +9,28 @@ import mpmath
 import numpy as np
 import pytest
 
+import cvqkd_attacks.gaussian
 from cvqkd_attacks.attacks import _match_kappa, _resource_matrix
 from cvqkd_attacks.channels import GaussChannel
 from cvqkd_attacks.gaussian import (
+    _CERTIFIED_COND,
     _HP_SCALE,
     CovMat,
     Symplectic,
     TwoModeStd,
+    _above_hp_scale,
     _act_on_modes,
     _block_diag,
     _check_physical,
     _condition_raw,
     _fast_spectrum,
     _refined_spectrum,
+    _spectrum_and_conditioning,
     _spectrum_entropy,
     _symplectic_spectrum,
     _tmsv_entries,
+    _tmsv_entries_array,
+    _tmsv_matrices,
     apply_symplectic,
     beam_splitter,
     condition_heterodyne,
@@ -403,11 +409,27 @@ def test_tmsv_entries_match_fraction_reference():
             rng.uniform(0.0, 0.07, 300),
         ]
     )
-    for gamma in gammas:
-        gamma = float(gamma)
-        if gamma >= 1.0:
-            continue
-        assert _tmsv_entries(gamma) == _tmsv_entries_fraction(gamma), gamma
+    gammas = gammas[gammas < 1.0]
+    # the array form rounds the whole stack in one pass, to the same bits
+    stacked_a, stacked_c = _tmsv_entries_array(gammas)
+    grid_a, grid_c = _tmsv_entries_array(gammas[:8].reshape(2, 4))
+    assert np.array_equal(grid_a.ravel(), stacked_a[:8])
+    assert np.array_equal(grid_c.ravel(), stacked_c[:8])
+    for gamma, a, c in zip(gammas.tolist(), stacked_a.tolist(), stacked_c.tolist()):
+        reference = _tmsv_entries_fraction(gamma)
+        assert _tmsv_entries(gamma) == reference, gamma
+        assert (a, c) == reference, gamma
+
+
+def test_tmsv_matrices_count_each_member_in_the_audit():
+    gammas = np.array([0.0, 0.3, 0.9999, 1.0 - 1e-12])
+    reset_physicality_audit()
+    stack = _tmsv_matrices(gammas)
+    min_nu, count = physicality_audit()
+    assert count == len(gammas)
+    assert 1.0 - 1e-15 <= min_nu <= 1.0 + 1e-15
+    for k, gamma in enumerate(gammas.tolist()):
+        assert np.array_equal(stack[k], tmsv(gamma).matrix), gamma
 
 
 def _spectrum_by_general_eig(matrix: np.ndarray, dps: int) -> np.ndarray:
@@ -433,7 +455,15 @@ def test_refined_spectrum_matches_80_digit_oracle(g, gamma, eta):
     )
     eve = mat[4:, 4:]
     assert np.abs(eve).max() > _HP_SCALE
-    np.testing.assert_array_max_ulp(_refined_spectrum(eve), _spectrum_by_general_eig(eve, 80), 1)
+    oracle = _spectrum_by_general_eig(eve, 80)
+    np.testing.assert_array_max_ulp(_refined_spectrum(eve), oracle, 1)
+    # the double-precision spectrum reads each nu from the side of the
+    # congruence on which it is large, to the equilibrated bound
+    nus, definite, cond = _spectrum_and_conditioning(eve[None])
+    assert definite[0] and cond[0] < 1e5
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(nus[0] - oracle) <= FAST_SPECTRUM_C * eps * oracle * cond[0])
+    assert np.abs(nus[0] / oracle - 1.0).max() < 1e-12
 
 
 # |nu_computed - nu| <= C * eps * nu * cond(sigma) for the Cholesky route:
@@ -622,20 +652,51 @@ def test_stacked_fast_spectrum_and_conditioning_equal_per_matrix_calls(g):
 
 
 def test_stacked_spectrum_and_conditioning_escalate_per_matrix():
-    # one large member must not pull its small neighbours into high precision
+    # one member that double precision cannot certify must not pull its
+    # neighbours into high precision: the amplified user state's equilibrated
+    # matrix is far too ill-conditioned, the g = 10 and 100 ones stay below
+    # the scale and read above 1 - _REFINE_TRIGGER
+    joint = direct_sum(tmsv(0.7, ("x", "y")), thermal(1.5, "z"))
+    small = [
+        apply_symplectic(joint, two_mode_squeezer(g), ("y", "z")).matrix for g in (10.0, 100.0)
+    ]
+    mixed = np.stack([*small, _amplified_pair_with_thermal_partner().matrix])
+    assert _spectrum_and_conditioning(mixed)[2][-1] > _CERTIFIED_COND
+    nus, definite = _symplectic_spectrum(mixed)
+    assert definite.all()
+    assert np.array_equal(nus[:2], _fast_spectrum(mixed[:2])[0])
+    assert np.array_equal(nus[2], _refined_spectrum(mixed[2]))
+    # heterodyne conditioning escalates on scale alone
     small, labels = _attack_stack(100.0, 3)
     large, _ = _attack_stack(1e6, 3)
     mixed = np.concatenate([small, large[:1]])
-    eve = mixed[:, 4:, 4:]
-    nus, definite = _symplectic_spectrum(eve)
-    assert definite.all()
-    assert np.array_equal(nus[:3], _fast_spectrum(eve[:3])[0])
-    assert np.array_equal(nus[3], _refined_spectrum(eve[3]))
     cond, _ = _condition_raw(mixed, labels, "B", exact=True)
     plain, _ = _condition_raw(small, labels, "B", exact=False)
     assert np.array_equal(cond[:3], plain)
     assert np.array_equal(cond[3], _condition_raw(large[0], labels, "B")[0])
     assert not np.array_equal(cond[3], _condition_raw(large[0], labels, "B", False)[0])
+
+
+def test_certified_members_above_hp_scale_stay_in_double_precision(monkeypatch):
+    # Eve's blocks of g = 1e6 attack states pass _HP_SCALE, yet their
+    # equilibrated factors certify the double-precision spectrum: in a stack
+    # with members below the scale, each is bit for bit its lone result, and
+    # no member reaches mpmath
+    small, _ = _attack_stack(100.0, 3)
+    large, _ = _attack_stack(1e6, 4)
+    mixed = np.concatenate([small, large])[:, 4:, 4:]
+    assert not _above_hp_scale(mixed[:3]).any() and _above_hp_scale(mixed[3:]).all()
+
+    def refuse(matrix):
+        raise AssertionError("high-precision spectrum reached")
+
+    monkeypatch.setattr(cvqkd_attacks.gaussian, "_refined_spectrum", refuse)
+    nus, definite = _symplectic_spectrum(mixed)
+    assert definite.all()
+    for k, member in enumerate(mixed):
+        one, one_definite = _symplectic_spectrum(member)
+        assert np.array_equal(nus[k], one) and one_definite, k
+        assert np.array_equal(one, _fast_spectrum(member)[0]), k
 
 
 @pytest.mark.parametrize(

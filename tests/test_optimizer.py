@@ -231,9 +231,10 @@ def test_sweep_batches_its_objective_calls(monkeypatch, fields, count):
 
 
 def test_first_failing_row_in_grid_order_is_reported():
-    sc, _ = _config(g_policy="finite:1e8")
-    # the g = 1e8 row fails its Holevo check (ROADMAP defect 3) before the
-    # out-of-range row after it is reached
+    sc, _ = _config(g_policy="finite:1e30")
+    # the g = 1e30 row fails its Holevo check (double precision breaks down
+    # that far beyond the paper's gains) before the out-of-range row after
+    # it is reached
     with pytest.raises(RowError, match="Eve's information") as info:
         optimize_attacks(sc, (0.9999, 1.5))
     assert info.value.gamma == 0.9999

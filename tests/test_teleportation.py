@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cvqkd_attacks.channels import GaussChannel, effective_channel
-from cvqkd_attacks.gaussian import thermal
+from cvqkd_attacks.gaussian import thermal, tmsv
 from cvqkd_attacks.teleportation import (
     ResourceState,
     TeleportConfig,
@@ -135,3 +136,14 @@ def test_ao_simulate_needs_two_modes():
     cfg = TeleportConfig(0.3, 3.0, GaussChannel(0.7, 0.3 * 1.05))
     with pytest.raises(ValueError, match="two-mode"):
         ao_simulate(thermal(2.0), res, cfg)
+
+
+def test_ao_simulate_at_zero_gain_over_a_lossless_channel():
+    # lam = 0 over tau = 1 sets tau (1 - t) = 1, where Eve's local map on
+    # the amplified pair would be singular; the teleported mode is then the
+    # resource's second arm, uncorrelated with the reference
+    res = ResourceState.from_tmsv(0.6)
+    cfg = TeleportConfig(0.0, 2.0, GaussChannel(1.0, 0.0))
+    out = ao_simulate(tmsv(0.5, ("a", "b")), res, cfg)
+    expected = np.diag([tmsv(0.5).matrix[0, 0]] * 2 + [res.b] * 2)
+    np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
