@@ -28,10 +28,8 @@ from .gaussian import (
     _check_physical,
     _condition_raw,
     _fast_spectrum,
-    _raw_entropy,
     _spectrum_entropy,
-    _tmsv_entries,
-    _two_mode_std,
+    _tmsv_matrices,
     apply_symplectic,
     beam_splitter,
     condition_heterodyne,
@@ -157,25 +155,32 @@ def holevo_bound(sc: AttackScenario) -> float:
 def eve_info(full_state: CovMat, sc: AttackScenario) -> float:
     """S(x:E) = S(Eve) - S(Eve | heterodyne of the reconciliation mode).
 
-    Eve's modes are every label other than A and B.
+    Eve's modes are every label other than A and B. The conditioning runs
+    in double precision (_condition_raw), so it expects a state whose
+    measured mode is not amplified against Eve's modes, as ao_attack_state's.
     """
-    return _eve_info_raw(sc, full_state.matrix, full_state.labels)
+    return _eve_info_raw(sc, full_state.matrix, full_state.labels, validate=True)
 
 
-def _eve_info_raw(sc: AttackScenario, mat: np.ndarray, labels: tuple[str, ...]):
-    """eve_info on a validated matrix or stack; Eve's block, the conditioned
-    state and its Eve block are each checked (_check_physical) in turn."""
+def _eve_info_raw(
+    sc: AttackScenario, mat: np.ndarray, labels: tuple[str, ...], validate: bool = False
+):
+    """eve_info on a raw matrix or stack. validate=True checks Eve's block,
+    the conditioned state and its Eve block (_check_physical) in turn and
+    takes their spectra; validate=False reads the unchecked matrices'
+    double-precision spectra (_fast_spectrum), as the objective does."""
     eve = [lbl for lbl in labels if lbl not in ("A", "B")]
     if not eve or len(eve) + 2 != len(labels):
         raise ValueError(f"state must carry labels A, B and Eve's modes, got {labels}")
 
     def eve_entropy(m, labels):
         rows = np.ravel([(2 * i, 2 * i + 1) for i, lbl in enumerate(labels) if lbl in eve])
-        return _spectrum_entropy(_check_physical(m[..., rows[:, None], rows])[1])
+        block = m[..., rows[:, None], rows]
+        return _spectrum_entropy(_check_physical(block)[1] if validate else _fast_spectrum(block)[0])
 
     s_eve = eve_entropy(mat, labels)
     cond, rest = _condition_raw(mat, labels, sc.conditioned_label)
-    return s_eve - eve_entropy(_check_physical(cond)[0], rest)
+    return s_eve - eve_entropy(_check_physical(cond)[0] if validate else cond, rest)
 
 
 def _channel_residual(ab: np.ndarray, alice: np.ndarray, ch: GaussChannel):
@@ -232,18 +237,15 @@ def cloner_attack(sc: AttackScenario) -> AttackResult:
     )
 
 
-def _resource_matrix(gamma: float, validate: bool = True) -> np.ndarray:
-    """Eve's resource tmsv(gamma) on (R1, R2), validated as a CovMat unless
-    validate=False. _tmsv_entries already rounds the entries onto a physical
-    state, exactly; the check adds an audit count and, near gamma = 1, an
-    mpmath spectrum, which the g = inf route, using the entries alone, skips.
-    optimize_attacks builds it once a row, for its search and validation."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"resource squeezing must lie in [0, 1), got {gamma}")
-    if not validate:
-        a, c = _tmsv_entries(gamma)
-        return _two_mode_std(a, a, c, -c)
-    return tmsv(gamma, ("R1", "R2")).matrix
+def _resource_matrix(gamma) -> np.ndarray:
+    """Eve's resource tmsv(gamma) on (R1, R2), or the stack of them for an
+    array of gammas, from _tmsv_matrices (exactly rounded, and counted in
+    the physicality audit). optimize_attacks builds every row's in one call."""
+    gamma = np.asarray(gamma, dtype=float)
+    outside = ~((0.0 <= gamma) & (gamma < 1.0))
+    if outside.any():
+        raise ValueError(f"resource squeezing must lie in [0, 1), got {gamma[outside][0]}")
+    return _tmsv_matrices(gamma)
 
 
 def ao_attack_state(sc: AttackScenario, gamma: float, eta: float, kappa: float) -> CovMat:
@@ -303,7 +305,7 @@ def _bell_record_info(
     """
     i = labels.index(sc.conditioned_label)
     m = slice(2 * i, 2 * i + 2)
-    cond, _ = _condition_raw(given_u, labels, sc.conditioned_label, exact=False)
+    cond, _ = _condition_raw(given_u, labels, sc.conditioned_label)
 
     def entropy(block):
         nus = _check_physical(block)[1] if validate else _fast_spectrum(block)[0]
@@ -324,7 +326,6 @@ def _eve_info_objective(
     eta,
     kappa,
     g: float,
-    exact: bool,
 ):
     """Eve's information on raw arrays, the optimizer's objective.
 
@@ -336,30 +337,23 @@ def _eve_info_objective(
 
     g = math.inf takes the Bell-record closed form (_bell_record_info): O(1)
     entries in double precision, within 1e-13 bits of the 60-digit circuit
-    at g = 1e20 on the points tests/test_bell_record.py checks, whatever
-    exact says.
-    A finite g is eve_info's arithmetic on the unchecked circuit, whose
-    checked stages _validated_rows runs on each row's pick. Eve's amplified
+    at g = 1e20 on the points tests/test_bell_record.py checks.
+    A finite g is _eve_info_raw on the unchecked circuit, the arithmetic
+    that _validated_rows runs, checked, on each row's pick. Eve's amplified
     pair is in her local basis (P, Q) there (_pipeline_raw), where only P
-    grows with g, and above _HP_SCALE every spectrum reads its small nu's
-    from the inverse side of the Cholesky congruence (_fast_spectrum).
-    exact=False uses that double-precision spectrum and conditioning
-    throughout; exact=True takes the escalating spectrum (_symplectic_spectrum,
-    which keeps the attack's states in double precision) and the
-    high-precision heterodyne conditioning above _HP_SCALE. Both are within
+    grows with g, so the double-precision Schur complement stays accurate,
+    and above _HP_SCALE every spectrum reads its small nu's from the
+    inverse side of the Cholesky congruence (_fast_spectrum). It is within
     1e-10 bits of the 60-digit circuit at g = 1e2 to 1e8 on the points
-    tests/test_finite_gain.py checks. A lone call at g = 1e6 takes about
-    0.8 ms with exact=False and 3.7 ms with exact=True, nearly all of it the
-    mpmath Schur complement (one core of a 2.1 GHz Xeon); in a stacked
-    exact=False call the spectra of a 187-point scan stack of Eve's 8x8
-    blocks take 4.8 ms above _HP_SCALE and 2.0 ms below it.
+    tests/test_finite_gain.py checks, with no mpmath call. In a stacked
+    call at g = 1e6 the spectra of a 187-point scan stack of Eve's 8x8
+    blocks take 4.8 ms above _HP_SCALE and 2.0 ms below it (one core of a
+    2.1 GHz Xeon).
     """
     if math.isinf(g):
         return _bell_record_info(sc, *_bell_record_raw(alice, sc.channel, resource, eta, kappa))
     mat, labels = _pipeline_raw(alice, ("A", "B"), "B", sc.channel, resource, eta, kappa, g)
-    cond, _ = _condition_raw(mat, labels, sc.conditioned_label, exact)
-    # after removing A or B the Eve block starts at the second remaining mode
-    return _raw_entropy(mat[..., 4:, 4:], exact) - _raw_entropy(cond[..., 2:, 2:], exact)
+    return _eve_info_raw(sc, mat, labels)
 
 
 def _feasible_eta_window(gamma: float, tau: float, v: float, lo: float):
@@ -469,7 +463,7 @@ def _validated_rows(sc: AttackScenario, alice, resources, gammas, picks, chi):
             mat, labels = _pipeline_raw(
                 alice, ("A", "B"), "B", sc.channel, resources, etas, kappas, sc.gain
             )
-            info = _eve_info_raw(sc, _check_physical(mat)[0], labels)
+            info = _eve_info_raw(sc, _check_physical(mat)[0], labels, validate=True)
             residual = _attack_residual(sc, resources, etas, kappas)
         rows = zip(gammas, picks, info.tolist(), residual.tolist())
         return [_row_result(gamma, chi, *pick, value, off) for gamma, pick, value, off in rows]
@@ -492,10 +486,10 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
     tau, v, gain = sc.channel.tau, sc.channel.v, sc.gain
     gammas = np.asarray(gammas, dtype=float)
 
-    def objective(rows, etas, kappas, exact):
+    def objective(rows, etas, kappas):
         # rows: the row of each point, ascending
         try:
-            return _eve_info_objective(sc, alice, resources[rows], etas, kappas, gain, exact)
+            return _eve_info_objective(sc, alice, resources[rows], etas, kappas, gain)
         except ValueError as exc:
             raise _StackFailed(int(rows[0]), exc) from exc
 
@@ -503,7 +497,7 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
     candidates = {}
     failure = None
     try:
-        # coarse-to-fine scan of the fast objective, one stacked evaluation
+        # coarse-to-fine scan of the objective, one stacked evaluation
         # per pass; kappa matching fails on the widened rim itself, so the
         # first pass spans each window from just inside both ends, and each
         # later pass spans the two intervals around the row's previous
@@ -523,7 +517,7 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
             if not live.size:
                 return np.full(len(gammas), np.nan), None
             values = np.full(etas.shape, -np.inf)
-            values[hits] = objective(live[hits.nonzero()[0]], etas[hits], kappas[hits], False)
+            values[hits] = objective(live[hits.nonzero()[0]], etas[hits], kappas[hits])
             best = np.argmax(values, axis=1)
             at = np.arange(live.size)
             span = (
@@ -531,20 +525,16 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
                 etas[at, np.minimum(best + 1, _SCAN_POINTS - 1)],
             )
 
-        # the scan objective's noise (up to ~1e-6 bits on amplified matrices)
-        # swamps the trend in gamma, so refit the peak on the accurate
-        # objective: the scan best and its last-pass neighbours (the next
-        # point inward at a window edge), then the vertex of the parabola
-        # through them if it falls inside the scan best's bracket (the span
-        # above); the best exactly evaluated point wins
+        # refit the peak: the scan best and its last-pass neighbours (the
+        # next point inward at a window edge), whose values the last pass
+        # holds, then the vertex of the parabola through them if it falls
+        # inside the scan best's bracket (the span above); the best point wins
         near = np.minimum(np.maximum(best, 1), _SCAN_POINTS - 2)[:, None] + np.arange(-1, 2)
-        etas, kappas, hits = (np.take_along_axis(x, near, axis=1) for x in (etas, kappas, hits))
-        exact = np.full(etas.shape, -np.inf)
-        exact[hits] = objective(live[hits.nonzero()[0]], etas[hits], kappas[hits], True)
+        etas, values = (np.take_along_axis(x, near, axis=1) for x in (etas, values))
         vertices = {}
         for k, row in enumerate(live.tolist()):
-            candidates[row] = list(zip(exact[k].tolist(), etas[k].tolist()))
-            f_lo, f_mid, f_hi = exact[k].tolist()
+            candidates[row] = list(zip(values[k].tolist(), etas[k].tolist()))
+            f_lo, f_mid, f_hi = values[k].tolist()
             denom = f_lo - 2.0 * f_mid + f_hi
             if math.isfinite(denom) and denom < 0.0:
                 # strictly between two matched points, so matched itself
@@ -556,7 +546,7 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
         if vertices:
             rows = np.array(list(vertices))
             at = np.array(list(vertices.values()))
-            values = objective(rows, at, _match_kappa(gammas[rows], at, tau, v, gain), True)
+            values = objective(rows, at, _match_kappa(gammas[rows], at, tau, v, gain))
             for row, value in zip(vertices, values.tolist()):
                 candidates[row].append((value, vertices[row]))
     except _StackFailed as failed:
@@ -580,27 +570,26 @@ def optimize_attacks(sc: AttackScenario, gammas) -> list[AttackResult]:
     passes of 17 points, each over the previous best point's two
     neighbouring intervals, ending at a spacing of window / 1024 (51 points).
     The scan's best point, its two last-pass neighbours and, when it falls
-    inside their bracket, the vertex of the parabola through them are then
-    evaluated on the exact objective, and the best of them wins; a peak at
-    or near a window edge stays reachable, as the scan starts just inside
-    both ends. Pure-loss channels skip all of it (eta = tau / gamma^2,
-    kappa = 0). A resource below gamma_min, or a first pass with no
-    matchable eta, yields an infeasible result rather than an error.
+    inside their bracket, the vertex of the parabola through them are the
+    candidates (only the vertex is a new evaluation), and the best of them
+    wins; a peak at or near a window edge stays reachable, as the scan
+    starts just inside both ends. Pure-loss channels skip all of it (eta =
+    tau / gamma^2, kappa = 0). A resource below gamma_min, or a first pass
+    with no matchable eta, yields an infeasible result rather than an error.
 
     The rows share every objective call: each scan pass is one call on the
-    stacked (row, eta) points of every row still searching, and the exact
-    refit one call on all rows' three points and one on all vertices. Every
-    per-element operation is the one a lone row makes and every decision is
-    taken per row, so each row is bit for bit what optimize_attack gives for
-    its gamma alone, whichever rows share its stack; so is the validation
+    stacked (row, eta) points of every row still searching, and the refit
+    one call on all rows' vertices. Every per-element operation is the one
+    a lone row makes and every decision is taken per row, so each row is
+    bit for bit what optimize_attack gives for its gamma alone, whichever
+    rows share its stack; so is the validation
     of the picked rows (_validated_rows). A failing row raises RowError with
     the message it raises alone; the rows before it are completed first, so
     the error is the first failing row's in grid order.
 
     The gain is the scenario's. Its math.inf, the asymptotic protocol, runs
-    at g = infinity itself: scan and refinement both call the Bell-record
-    closed form, which is already exact, and the rows are validated on its
-    states.
+    at g = infinity itself: the objective is the Bell-record closed form,
+    and the rows are validated on its states.
     """
     gammas = tuple(gammas)
     if not gammas:
@@ -629,8 +618,8 @@ def optimize_attacks(sc: AttackScenario, gammas) -> list[AttackResult]:
 
     # row constants, built once a sweep: Alice's state and each row's resource
     alice = tmsv(sc.zeta, ("A", "B")).matrix
-    validate = math.isfinite(sc.gain)
-    resources = {row: _resource_matrix(gammas[row], validate) for row in (*picks, *windows)}
+    built = (*picks, *windows)
+    resources = dict(zip(built, _resource_matrix([gammas[row] for row in built])))
 
     def stack(rows):
         return alice, np.array([resources[row] for row in rows]), [gammas[row] for row in rows]

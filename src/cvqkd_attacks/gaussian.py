@@ -26,9 +26,10 @@ _REFINE_TRIGGER = 1e-10
 # both ends of the spectrum: its singular values carry absolute noise
 # ~eps * nu_max, which swamps the near-unity nu's that physicality and the
 # entropies need. There _fast_spectrum reads the small nu's from the inverse
-# side as well, heterodyne and homodyne conditioning switch to high precision,
-# and _symplectic_spectrum escalates a matrix whose equilibrated factor is
-# too ill-conditioned to certify its spectrum (_CERTIFIED_COND).
+# side as well, _symplectic_spectrum escalates a matrix whose equilibrated
+# factor is too ill-conditioned to certify its spectrum (_CERTIFIED_COND),
+# and the public heterodyne and homodyne conditioning of a state switch to
+# high precision.
 _HP_SCALE = 1e6
 
 # Largest bound on the condition number of the diagonally equilibrated
@@ -223,14 +224,16 @@ def _check_physical(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate a covariance matrix, or each of a (..., 2n, 2n) stack, and
     return the symmetrized matrices with their symplectic spectra.
 
-    Symmetry to SYMMETRY_RTOL of the scale, every symplectic eigenvalue
-    >= 1 - PHYSICALITY_TOL, and positive definiteness, read from the
-    Cholesky factorization the spectrum is computed from (_fast_spectrum),
-    so each matrix is factored once. Each matrix counts once in the
-    physicality audit, as one CovMat construction would; a stack with an
-    unphysical member is counted whole, then rejected with the message the
-    first such member would raise on its own.
+    Finite entries, symmetry to SYMMETRY_RTOL of the scale, every
+    symplectic eigenvalue >= 1 - PHYSICALITY_TOL, and positive
+    definiteness, read from the Cholesky factorization the spectrum is
+    computed from (_fast_spectrum), so each matrix is factored once. Each
+    matrix counts once in the physicality audit, as one CovMat construction
+    would; a stack with an unphysical member is counted whole, then rejected
+    with the message the first such member would raise on its own.
     """
+    if not np.isfinite(mats).all():
+        raise ValueError("covariance matrix must not contain infs or NaNs")
     scale = np.maximum(np.abs(mats).max(axis=(-2, -1)), 1.0)
     if np.any(np.abs(mats - np.swapaxes(mats, -1, -2)).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
         raise ValueError("covariance matrix is not symmetric")
@@ -542,13 +545,14 @@ def _spectrum_entropy(nus, pure_tol: float = 1e-12):
     nus = np.asarray(nus, dtype=float)
     hi = 0.5 * (nus + 1.0)
     lo = 0.5 * (nus - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         direct = hi * np.log2(hi) - lo * np.log2(lo)
         # the direct form subtracts two ~nu log2 nu sized terms; at large nu
         # that cancellation costs more absolute accuracy than the result has
-        large = 0.5 * nus * np.log1p(2.0 / (nus - 1.0)) / math.log(2.0) + 0.5 * np.log2(
-            0.25 * (nus - 1.0) * (nus + 1.0)
-        )
+        product = 0.25 * (nus - 1.0) * (nus + 1.0)
+        # beyond nu ~ 2.7e154 the product overflows; its log is then a sum
+        log_product = np.where(np.isinf(product), np.log2(lo) + np.log2(hi), np.log2(product))
+        large = 0.5 * nus * np.log1p(2.0 / (nus - 1.0)) / math.log(2.0) + 0.5 * log_product
     terms = np.where(nus <= 1.0 + pure_tol, 0.0, np.where(nus > 1.0e4, large, direct))
     total = terms.sum(axis=-1)
     return float(total) if total.ndim == 0 else total
@@ -579,34 +583,43 @@ def _schur_hp(a: np.ndarray, c: np.ndarray, b: np.ndarray, quadrature: str | Non
     return np.array([[float(x[i, j]) for j in range(x.cols)] for i in range(x.rows)])
 
 
+def _conditioned_state(state: CovMat, measured_label: str, quadrature: str | None) -> CovMat:
+    """_condition_raw on a state, in high precision above _HP_SCALE, where
+    a state amplified in a raw basis needs it (_schur_hp)."""
+    if not _above_hp_scale(state.matrix):
+        return CovMat(*_condition_raw(state.matrix, state.labels, measured_label, quadrature))
+    a, c, b, rest = _split_for_measurement(state.matrix, state.labels, measured_label)
+    return CovMat(_schur_hp(a, c, b, quadrature), rest)
+
+
 def condition_heterodyne(state: CovMat, measured_label: str) -> CovMat:
     """Remaining covariance after an ideal heterodyne measurement of one mode.
 
     The conditional matrix sigma_rest - sigma_cross (sigma_meas + I)^-1
-    sigma_cross^T does not depend on the measurement outcome.
+    sigma_cross^T does not depend on the measurement outcome. Above
+    _HP_SCALE it runs in high precision.
     """
-    return CovMat(*_condition_raw(state.matrix, state.labels, measured_label))
+    return _conditioned_state(state, measured_label, None)
 
 
 def condition_homodyne(state: CovMat, measured_label: str, quadrature: str = "x") -> CovMat:
     """Remaining covariance after an ideal homodyne measurement of one quadrature.
 
     Above _HP_SCALE the Schur complement runs in high precision, as the
-    heterodyne one does.
+    heterodyne one does; without it, amplified states such as
+    apply_symplectic's two_mode_squeezer output read unphysical.
     """
     if quadrature not in ("x", "p"):
         raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
-    return CovMat(
-        *_condition_raw(state.matrix, state.labels, measured_label, quadrature=quadrature)
-    )
+    return _conditioned_state(state, measured_label, quadrature)
 
 
 # Raw-array plumbing for the multimode pipelines. Intermediate states of a
 # long interferometer are scratch arithmetic, not results; working on bare
 # ndarrays here keeps CovMat construction (and its physicality audit) at the
 # contract boundaries where a state is actually handed back. The state-level
-# operations above call the same functions, so each Gaussian operation, and
-# the choice of when to switch to high precision, lives here once.
+# operations above call the same functions, so each Gaussian operation lives
+# here once; they alone switch a conditioning to high precision.
 
 
 def _block_diag(*mats: np.ndarray) -> np.ndarray:
@@ -655,13 +668,6 @@ def _channel_on_mode(mat: np.ndarray, i: int, tau: float, v: float) -> np.ndarra
     return out
 
 
-def _raw_entropy(mat: np.ndarray, exact: bool):
-    """Entropy in bits of a raw matrix, or one per matrix of a stack.
-    exact=False takes the double-precision spectrum at any scale; exact=True
-    the one CovMat validation uses."""
-    return _spectrum_entropy((_symplectic_spectrum if exact else _fast_spectrum)(mat)[0])
-
-
 def _split_for_measurement(mat: np.ndarray, labels: tuple[str, ...], measured_label: str):
     """(rest, cross, measured) blocks of a raw matrix, or of each matrix in a
     stack, and the surviving labels."""
@@ -681,17 +687,18 @@ def _condition_raw(
     mat: np.ndarray,
     labels: tuple[str, ...],
     measured_label: str,
-    exact: bool = True,
     quadrature: str | None = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Schur complement of a raw matrix, or of each matrix in a stack, left
-    by an ideal measurement of one mode, and the surviving labels.
+    by an ideal measurement of one mode, and the surviving labels, in double
+    precision at every scale.
 
     quadrature None is heterodyne, a - c (b + I)^-1 c^T; "x" or "p" is
     homodyne of that quadrature, with the pseudo-inverse of b projected on
-    it in place of (b + I)^-1. exact=False stays in double precision at
-    every scale; exact=True switches each matrix above _HP_SCALE to high
-    precision on its own.
+    it in place of (b + I)^-1. It is accurate when the measured mode is
+    not amplified against the others, as in the attack's states, where
+    only Eve's mode P grows with the gain (teleportation._eve_local_map);
+    condition_heterodyne and condition_homodyne cover the other states.
     """
     a, c, b, rest = _split_for_measurement(mat, labels, measured_label)
     if quadrature is None:
@@ -699,10 +706,4 @@ def _condition_raw(
     else:
         proj = np.diag([1.0, 0.0]) if quadrature == "x" else np.diag([0.0, 1.0])
         inner = np.linalg.pinv(proj @ b @ proj)
-    cond = a - c @ inner @ np.swapaxes(c, -1, -2)
-    if exact:
-        hp = _above_hp_scale(mat)
-        for i in np.ndindex(hp.shape):
-            if hp[i]:
-                cond[i] = _schur_hp(a[i], c[i], b[i], quadrature)
-    return cond, rest
+    return a - c @ inner @ np.swapaxes(c, -1, -2), rest

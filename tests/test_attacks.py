@@ -66,9 +66,9 @@ def test_scenario_resolution():
     # optimum reproduces the row, and a finite gain sees less
     res = optimize_attack(sc, 0.9)
     alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(0.9)
-    at_inf = _eve_info_objective(sc, alice, resource, res.eta_star, res.kappa_star, math.inf, True)
+    at_inf = _eve_info_objective(sc, alice, resource, res.eta_star, res.kappa_star, math.inf)
     assert abs(at_inf - res.eve_info_bits) <= 1e-13
-    at_1e4 = _eve_info_objective(sc, alice, resource, res.eta_star, res.kappa_star, 1e4, True)
+    at_1e4 = _eve_info_objective(sc, alice, resource, res.eta_star, res.kappa_star, 1e4)
     assert res.eve_info_bits - 1e-3 < at_1e4 < res.eve_info_bits
     assert sc.conditioned_label == "B"
     assert scenario(reconciliation="direct").conditioned_label == "A"
@@ -441,10 +441,7 @@ def test_stacked_objective_equals_per_point_calls(tau, reconciliation, g):
     alice = tmsv(sc.zeta, ("A", "B")).matrix
     resource = _resource_matrix(gamma)
     etas, kappas = _matched_points(gamma, ch, g, 25, seed=int(100 * tau) + int(g))
-    stacked = _eve_info_objective(sc, alice, resource, etas, kappas, g, exact=False)
+    stacked = _eve_info_objective(sc, alice, resource, etas, kappas, g)
     assert stacked.shape == (25,)
     for eta, kappa, value in zip(etas.tolist(), kappas.tolist(), stacked.tolist()):
-        assert value == _eve_info_objective(sc, alice, resource, eta, kappa, g, exact=False)
-    exact = _eve_info_objective(sc, alice, resource, etas[:3], kappas[:3], g, exact=True)
-    for eta, kappa, value in zip(etas[:3].tolist(), kappas[:3].tolist(), exact.tolist()):
-        assert value == _eve_info_objective(sc, alice, resource, eta, kappa, g, exact=True)
+        assert value == _eve_info_objective(sc, alice, resource, eta, kappa, g)

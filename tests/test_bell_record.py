@@ -163,7 +163,7 @@ def test_cases_cover_the_checked_ground():
 def test_closed_form_matches_the_60_digit_circuit(case):
     sc, gamma, eta, kappa = CASES[case]
     alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
-    closed = _eve_info_objective(sc, alice, resource, eta, kappa, math.inf, True)
+    closed = _eve_info_objective(sc, alice, resource, eta, kappa, math.inf)
     assert abs(closed - oracle_eve_info(sc, gamma, eta, kappa)) <= 1e-11
 
 
@@ -185,7 +185,7 @@ def test_finite_gains_approach_the_closed_form_from_below(tau, reconciliation):
     kappa = float(_match_kappa(gamma, eta, ch.tau, ch.v, math.inf))
     alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
     values = [
-        _eve_info_objective(sc, alice, resource, eta, kappa, g, True) for g in (1e2, 1e4, math.inf)
+        _eve_info_objective(sc, alice, resource, eta, kappa, g) for g in (1e2, 1e4, math.inf)
     ]
     assert values[0] < values[1] < values[2]
 
@@ -206,23 +206,36 @@ def test_stacked_closed_form_equals_per_point_calls():
                 kappas = _match_kappa(gamma, etas, ch.tau, ch.v, math.inf)
             assert not np.isnan(kappas).any()
             alice = tmsv(sc.zeta).matrix
-            stacked = _eve_info_objective(sc, alice, resource, etas, kappas, math.inf, True)
+            stacked = _eve_info_objective(sc, alice, resource, etas, kappas, math.inf)
             assert stacked.shape == etas.shape
             for eta, kappa, value in zip(etas.tolist(), kappas.tolist(), stacked.tolist()):
-                assert value == _eve_info_objective(sc, alice, resource, eta, kappa, math.inf, True)
+                assert value == _eve_info_objective(sc, alice, resource, eta, kappa, math.inf)
 
 
 class _NoMpmath:
     def __getattr__(self, name):
-        raise AssertionError(f"mpmath.{name} reached on the asymptotic path")
+        raise AssertionError(f"mpmath.{name} reached")
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [[], ["--reconciliation", "direct"], ["--epsilon", "1.0"]],
-    ids=["default", "direct", "pure-loss"],
+    "argv",
+    [
+        ["sweep", "--gamma-count", "6"],
+        ["sweep", "--gamma-count", "6", "--reconciliation", "direct"],
+        ["sweep", "--gamma-count", "6", "--epsilon", "1.0"],
+        ["sweep", "--g-policy", "finite:1e4"],
+        ["sweep", "--g-policy", "finite:1e6"],
+        ["sweep", "--g-policy", "finite:1e6", "--reconciliation", "direct"],
+        ["verify"],
+    ],
+    ids=["default", "direct", "pure-loss", "finite-1e4", "finite-1e6", "finite-1e6-direct", "verify"],
 )
-def test_asymptotic_sweep_makes_no_mpmath_call(monkeypatch, tmp_path, capsys, flags):
+def test_sweep_makes_no_mpmath_call(monkeypatch, tmp_path, capsys, argv):
+    # the Bell-record closed form at g = inf, and the attack's states in
+    # Eve's local basis at finite gains, run in double precision throughout:
+    # objective, validation and conditioning
     monkeypatch.setattr(cvqkd_attacks.gaussian, "mpmath", _NoMpmath())
-    assert main(["sweep", "--gamma-count", "6", *flags, "--output", str(tmp_path / "t.csv")]) == 0
+    if argv[0] == "sweep":
+        argv = [*argv, "--output", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
     assert capsys.readouterr().err == ""

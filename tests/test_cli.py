@@ -227,8 +227,15 @@ def test_sweep_identity_channel_exits_2(capsys):
             "error: row gamma = 0.4451652046870813: unphysical covariance matrix",
             "smallest symplectic eigenvalue",
         ),
+        # Eve's entropies are finite even where (nu - 1)(nu + 1) overflows,
+        # so no numpy warning precedes the one line
+        (
+            ["--g-policy", "finite:1e300", "--gamma-count", "3"],
+            "error: row gamma = 0.4451652046870813: unphysical covariance matrix",
+            "not positive definite",
+        ),
     ],
-    ids=["gain-1e30", "gain-1e100"],
+    ids=["gain-1e30", "gain-1e100", "gain-1e300"],
 )
 def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, head, needle):
     out = tmp_path / "never.csv"

@@ -82,18 +82,17 @@ def _oracle_info(point, g):
 
 
 def _errors(point, g):
-    """|objective - oracle| for the scan and refit objectives and for the
+    """|objective - oracle| for the optimizer's objective and for the
     validated eve_info, over both reconciliations."""
     tau, epsilon, gamma, eta, kappa = POINTS[point]
     info = _oracle_info(point, g)
-    worst = {"scan": 0.0, "exact": 0.0, "validated": 0.0}
+    worst = {"objective": 0.0, "validated": 0.0}
     for reconciliation in RECONCILIATIONS:
         sc = dataclasses.replace(_scenario(tau, epsilon, reconciliation), gain=g)
         alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
         truth = info[reconciliation]
-        for kind, exact in (("scan", False), ("exact", True)):
-            value = _eve_info_objective(sc, alice, resource, eta, kappa, g, exact)
-            worst[kind] = max(worst[kind], abs(value - truth))
+        value = _eve_info_objective(sc, alice, resource, eta, kappa, g)
+        worst["objective"] = max(worst["objective"], abs(value - truth))
         validated = eve_info(ao_attack_state(sc, gamma, eta, kappa), sc)
         worst["validated"] = max(worst["validated"], abs(validated - truth))
     return worst
@@ -112,7 +111,7 @@ def test_finite_gain_information_matches_the_60_digit_circuit(point, g):
     assert max(worst.values()) <= 1e-10, worst
 
 
-# the worst error of the exact objective and of the validated eve_info at
+# the worst error of the objective and of the validated eve_info at
 # g = 1.01 on POINTS, both reconciliations, of the circuit this one replaced:
 # the raw (R1, R2) output formed in double precision (8.82e-9 bits)
 RAW_BASIS_WORST_AT_1_01 = 8.83e-9
@@ -120,7 +119,7 @@ RAW_BASIS_WORST_AT_1_01 = 8.83e-9
 
 def test_lowest_gain_is_no_worse_than_the_raw_basis():
     worst = [_errors(point, GAINS[0]) for point in range(len(POINTS))]
-    for kind in ("exact", "validated"):
+    for kind in ("objective", "validated"):
         assert max(w[kind] for w in worst) <= RAW_BASIS_WORST_AT_1_01, kind
 
 
@@ -152,7 +151,6 @@ def test_stacked_finite_gain_objective_equals_per_point_calls():
     etas = np.linspace(lo, hi, 9)[1:-1]
     kappas = _match_kappa(gamma, etas, ch.tau, ch.v, sc.gain)
     alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
-    for exact in (False, True):
-        stacked = _eve_info_objective(sc, alice, resource, etas, kappas, sc.gain, exact)
-        for eta, kappa, value in zip(etas.tolist(), kappas.tolist(), stacked.tolist()):
-            assert value == _eve_info_objective(sc, alice, resource, eta, kappa, sc.gain, exact)
+    stacked = _eve_info_objective(sc, alice, resource, etas, kappas, sc.gain)
+    for eta, kappa, value in zip(etas.tolist(), kappas.tolist(), stacked.tolist()):
+        assert value == _eve_info_objective(sc, alice, resource, eta, kappa, sc.gain)

@@ -27,6 +27,7 @@ from cvqkd_attacks.gaussian import (
     _refined_spectrum,
     _spectrum_and_conditioning,
     _spectrum_entropy,
+    _split_for_measurement,
     _symplectic_spectrum,
     _tmsv_entries,
     _tmsv_entries_array,
@@ -544,8 +545,9 @@ def test_fast_spectrum_stack_equals_each_member_alone():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_covmat_rejects_non_finite_entries(bad):
-    # a NaN passes the Cholesky factorization unflagged; the general route
-    # then names the fault
+    # rejected before any arithmetic on them: a NaN would pass the Cholesky
+    # factorization unflagged, and an inf turns the symmetry test's
+    # difference into NaN
     matrix = np.diag([bad, 1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         CovMat(matrix, ("m1", "m2"))
@@ -610,6 +612,19 @@ def test_homodyne_conditioning_high_scale_matches_80_digit_oracle(quadrature):
     assert symplectic_eigenvalues(cond).min() >= 1.0
 
 
+def test_heterodyne_conditioning_high_scale_matches_80_digit_oracle():
+    # the measured mode is amplified against the others: the double-precision
+    # Schur complement of this state is off by ~eps * 1e7
+    st = _amplified_pair_with_thermal_partner()
+    with mpmath.mp.workdps(80):
+        m = mpmath.matrix(st.matrix.tolist())
+        x = m[0:4, 0:4] - m[0:4, 4:6] * (m[4:6, 4:6] + mpmath.eye(2)) ** -1 * m[4:6, 0:4]
+        oracle = np.array([[float(x[i, j]) for j in range(4)] for i in range(4)])
+    cond = condition_heterodyne(st, "z")
+    assert cond.labels == ("x", "y")
+    np.testing.assert_array_max_ulp(cond.matrix, oracle, 1)
+
+
 @pytest.mark.parametrize("quadrature", ["x", "p"])
 def test_homodyne_conditioning_below_high_scale_keeps_double_precision(quadrature):
     joint = direct_sum(tmsv(0.7, ("x", "y")), thermal(1.5, "z"))
@@ -643,12 +658,11 @@ def test_stacked_fast_spectrum_and_conditioning_equal_per_matrix_calls(g):
         assert np.array_equal(nus[k], one)
         assert one_definite
     for label in ("A", "B"):
-        for exact in (False, True):
-            cond, rest = _condition_raw(mat, labels, label, exact)
-            for k in range(len(mat)):
-                one, one_rest = _condition_raw(mat[k], labels, label, exact)
-                assert rest == one_rest
-                assert np.array_equal(cond[k], one), (label, exact, k)
+        cond, rest = _condition_raw(mat, labels, label)
+        for k in range(len(mat)):
+            one, one_rest = _condition_raw(mat[k], labels, label)
+            assert rest == one_rest
+            assert np.array_equal(cond[k], one), (label, k)
 
 
 def test_stacked_spectrum_and_conditioning_escalate_per_matrix():
@@ -666,15 +680,16 @@ def test_stacked_spectrum_and_conditioning_escalate_per_matrix():
     assert definite.all()
     assert np.array_equal(nus[:2], _fast_spectrum(mixed[:2])[0])
     assert np.array_equal(nus[2], _refined_spectrum(mixed[2]))
-    # heterodyne conditioning escalates on scale alone
+    # heterodyne conditioning of attack states stays in double precision
+    # on both sides of the scale, each member as it is alone
     small, labels = _attack_stack(100.0, 3)
     large, _ = _attack_stack(1e6, 3)
     mixed = np.concatenate([small, large[:1]])
-    cond, _ = _condition_raw(mixed, labels, "B", exact=True)
-    plain, _ = _condition_raw(small, labels, "B", exact=False)
-    assert np.array_equal(cond[:3], plain)
-    assert np.array_equal(cond[3], _condition_raw(large[0], labels, "B")[0])
-    assert not np.array_equal(cond[3], _condition_raw(large[0], labels, "B", False)[0])
+    assert not _above_hp_scale(mixed[:3]).any() and _above_hp_scale(mixed[3])
+    cond, _ = _condition_raw(mixed, labels, "B")
+    for k, member in enumerate(mixed):
+        a, c, b, _ = _split_for_measurement(member, labels, "B")
+        assert np.array_equal(cond[k], a - c @ np.linalg.inv(b + np.eye(2)) @ c.T), k
 
 
 def test_certified_members_above_hp_scale_stay_in_double_precision(monkeypatch):

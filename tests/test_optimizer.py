@@ -59,10 +59,8 @@ def dense_oracle(sc, gamma):
     kappas = _match_kappa(gamma, etas, ch.tau, ch.v, sc.gain)
     hits = ~np.isnan(kappas)
     alice = tmsv(sc.zeta, ("A", "B")).matrix
-    resource = _resource_matrix(gamma, validate=math.isfinite(sc.gain))
-    values = _eve_info_objective(
-        sc, alice, resource, etas[hits], kappas[hits], sc.gain, exact=True
-    )
+    resource = _resource_matrix(gamma)
+    values = _eve_info_objective(sc, alice, resource, etas[hits], kappas[hits], sc.gain)
     return float(np.max(values))
 
 
@@ -112,30 +110,24 @@ def test_sub_grid_rows_equal_the_full_table_bit_for_bit(fields, stride):
     ]
 
 
-@pytest.mark.parametrize(
-    "g_policy,exact_total",
-    [("asymptotic", 37), ("finite:1e6", 36)],
-)
-def test_rows_stay_within_their_evaluation_budget(monkeypatch, g_policy, exact_total):
-    # at most 64 scan points a row (three 17-point passes: 51) and 4 exact
-    # evaluations a row, against 201 and about 7; the totals are the ones a
-    # row-by-row grid search with a two-step polish made on these sweeps
-    counts = {"scan": 0, "exact": 0}
+@pytest.mark.parametrize("g_policy", ["asymptotic", "finite:1e6"])
+def test_rows_stay_within_their_evaluation_budget(monkeypatch, g_policy):
+    # a row evaluates at most 51 scan points (three 17-point passes) and one
+    # parabola vertex: the refit reuses the last pass's values
+    calls = []
 
-    def counted(sc, alice, resource, eta, kappa, g, exact):
-        counts["exact" if exact else "scan"] += np.size(eta)
-        return _eve_info_objective(sc, alice, resource, eta, kappa, g, exact)
+    def counted(sc, alice, resource, eta, kappa, g):
+        calls.append(np.size(eta))
+        return _eve_info_objective(sc, alice, resource, eta, kappa, g)
 
     monkeypatch.setattr(cvqkd_attacks.attacks, "_eve_info_objective", counted)
     sc, cfg = _config(g_policy=g_policy)
-    exact_seen = 0
     for gamma in _grid(sc, cfg, 6):
-        counts.update(scan=0, exact=0)
+        calls.clear()
         assert optimize_attack(sc, gamma).feasible
-        assert counts["scan"] <= 64, (gamma, counts)
-        assert 1 <= counts["exact"] <= 4, (gamma, counts)
-        exact_seen += counts["exact"]
-    assert exact_seen <= exact_total
+        scan, vertex = calls[:_SCAN_PASSES], calls[_SCAN_PASSES:]
+        assert len(scan) == _SCAN_PASSES and sum(scan) <= 51, (gamma, calls)
+        assert sum(vertex) <= 1 and len(vertex) <= 1, (gamma, calls)
 
 
 def _rows(results):
@@ -149,7 +141,7 @@ def _rows(results):
         (dict(epsilon=1.0), 6),
         (dict(reconciliation="direct"), 11),
         (dict(g_policy="finite:100", gamma_hi=0.99), 11),
-        # the exact stack escalates to mpmath per matrix at this gain
+        # Eve's blocks pass _HP_SCALE at this gain
         (dict(g_policy="finite:1e6"), 3),
     ],
     ids=["asymptotic", "pure-loss", "direct", "finite-100", "finite-1e6"],
@@ -206,28 +198,29 @@ def test_stacked_validation_equals_the_single_row_kernels(
     ids=["asymptotic", "finite-100"],
 )
 def test_sweep_batches_its_objective_calls(monkeypatch, fields, count):
-    # one stacked call per scan pass and at most two exact calls (the refit
-    # points, then the parabola vertices) for the whole sweep, while each
-    # row evaluates the same points it would alone
+    # one stacked call per scan pass and one more, on the parabola vertices,
+    # for the whole sweep, while each row evaluates the same points it would
+    # alone
     calls = []
 
-    def counted(sc, alice, resource, eta, kappa, g, exact):
-        calls.append((exact, np.size(eta)))
-        return _eve_info_objective(sc, alice, resource, eta, kappa, g, exact)
+    def counted(sc, alice, resource, eta, kappa, g):
+        calls.append(np.size(eta))
+        return _eve_info_objective(sc, alice, resource, eta, kappa, g)
 
     monkeypatch.setattr(cvqkd_attacks.attacks, "_eve_info_objective", counted)
     sc, cfg = _config(**fields)
     grid = _grid(sc, cfg, count)
     sweep(sc, cfg.beta, grid)
-    scan = [n for exact, n in calls if not exact]
-    exact = [n for exact, n in calls if exact]
+    scan, vertices = calls[:_SCAN_PASSES], calls[_SCAN_PASSES:]
     assert len(scan) == _SCAN_PASSES
-    assert 1 <= len(exact) <= 2
-    calls.clear()
+    assert len(vertices) == 1
+    alone = []
     for gamma in grid:
+        calls.clear()
         optimize_attack(sc, gamma)
-    assert sum(scan) == sum(n for exact, n in calls if not exact)
-    assert sum(exact) == sum(n for exact, n in calls if exact)
+        alone.append(list(calls))
+    assert sum(scan) == sum(sum(row[:_SCAN_PASSES]) for row in alone)
+    assert sum(vertices) == sum(sum(row[_SCAN_PASSES:]) for row in alone)
 
 
 def test_first_failing_row_in_grid_order_is_reported():
@@ -251,15 +244,14 @@ def test_failed_stacked_call_fails_its_first_row(monkeypatch):
     # when it raises, its first row fails and every earlier row is finished
     sc, cfg = _config()
     grid = _grid(sc, cfg, 6)
-    resources = [_resource_matrix(gamma, validate=False)[0, 0] for gamma in grid]
-    exact_calls = []
+    resources = [_resource_matrix(gamma)[0, 0] for gamma in grid]
+    first_rows = []
 
-    def failing(sc, alice, resource, eta, kappa, g, exact):
-        if exact:
-            exact_calls.append(resource[..., 0, 0].reshape(-1)[0])
-            if len(exact_calls) == 2:
-                raise ValueError("stack failed")
-        return _eve_info_objective(sc, alice, resource, eta, kappa, g, exact)
+    def failing(sc, alice, resource, eta, kappa, g):
+        first_rows.append(resource[..., 0, 0].reshape(-1)[0])
+        if len(first_rows) == _SCAN_PASSES + 1:
+            raise ValueError("stack failed")
+        return _eve_info_objective(sc, alice, resource, eta, kappa, g)
 
     validated = []
     real_validated = cvqkd_attacks.attacks._validated_rows
@@ -272,7 +264,7 @@ def test_failed_stacked_call_fails_its_first_row(monkeypatch):
     monkeypatch.setattr(cvqkd_attacks.attacks, "_validated_rows", counted)
     with pytest.raises(ValueError, match=r"^row gamma = .*: stack failed$") as info:
         sweep(sc, cfg.beta, grid)
-    row = resources.index(exact_calls[1])
+    row = resources.index(first_rows[_SCAN_PASSES])
     assert row > 0
     assert isinstance(info.value.__cause__, RowError)
     assert info.value.__cause__.gamma == grid[row]
