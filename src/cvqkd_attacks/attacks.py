@@ -319,15 +319,9 @@ def _bell_record_info(
     return record + entropy(given_u[..., 4:, 4:]) - entropy(cond[..., 2:, 2:])
 
 
-def _eve_info_objective(
-    sc: AttackScenario,
-    alice: np.ndarray,
-    resource: np.ndarray,
-    eta,
-    kappa,
-    g: float,
-):
-    """Eve's information on raw arrays, the optimizer's objective.
+def _eve_info_objective(sc: AttackScenario, alice: np.ndarray, resource: np.ndarray, eta, kappa):
+    """Eve's information on raw arrays, the optimizer's objective, at the
+    scenario's gain.
 
     alice is the tmsv(zeta) matrix on (A, B), resource the one from
     _resource_matrix. eta and kappa are scalars, or 1-D arrays of matched
@@ -335,9 +329,9 @@ def _eve_info_objective(
     matrix shared by every pair, or a stack of them, one per pair, so that
     points of several rows share one call.
 
-    g = math.inf takes the Bell-record closed form (_bell_record_info): O(1)
-    entries in double precision, within 1e-13 bits of the 60-digit circuit
-    at g = 1e20 on the points tests/test_bell_record.py checks.
+    A gain of math.inf takes the Bell-record closed form (_bell_record_info):
+    O(1) entries in double precision, within 1e-13 bits of the 60-digit
+    circuit at g = 1e20 on the points tests/test_bell_record.py checks.
     A finite g is _eve_info_raw on the unchecked circuit, the arithmetic
     that _validated_rows runs, checked, on each row's pick. Eve's amplified
     pair is in her local basis (P, Q) there (_pipeline_raw), where only P
@@ -350,9 +344,9 @@ def _eve_info_objective(
     blocks take 4.8 ms above _HP_SCALE and 2.0 ms below it (one core of a
     2.1 GHz Xeon).
     """
-    if math.isinf(g):
+    if math.isinf(sc.gain):
         return _bell_record_info(sc, *_bell_record_raw(alice, sc.channel, resource, eta, kappa))
-    mat, labels = _pipeline_raw(alice, ("A", "B"), "B", sc.channel, resource, eta, kappa, g)
+    mat, labels = _pipeline_raw(alice, ("A", "B"), "B", sc.channel, resource, eta, kappa, sc.gain)
     return _eve_info_raw(sc, mat, labels)
 
 
@@ -439,176 +433,106 @@ class RowError(ValueError):
         self.gamma = gamma
 
 
-class _StackFailed(Exception):
-    """An objective call of _scan_windows raised: args are the position of
-    the first row in the call and the error."""
-
-
 def _validated_rows(sc: AttackScenario, alice, resources, gammas, picks, chi):
     """AttackResults of a stack of rows at their picked (eta, kappa), from
     validated states: one circuit call and one physicality check per stage
     for all rows (at finite gain the attack state, eve_info's three stages
     and simulation_residual's probe output; at g = inf the Bell record's
-    (A, B) state and both F blocks). A stack that fails runs again row by
-    row, so the first failing row raises RowError with its own message."""
+    (A, B) state and both F blocks)."""
     if not gammas:
         return []
     etas, kappas = np.array(picks).T
-    try:
-        if math.isinf(sc.gain):
-            ab, given_u, labels = _bell_record_raw(alice, sc.channel, resources, etas, kappas)
-            residual = _channel_residual(_check_physical(ab)[0], alice, sc.channel)
-            info = _bell_record_info(sc, ab, given_u, labels, validate=True)
-        else:
-            mat, labels = _pipeline_raw(
-                alice, ("A", "B"), "B", sc.channel, resources, etas, kappas, sc.gain
-            )
-            info = _eve_info_raw(sc, _check_physical(mat)[0], labels, validate=True)
-            residual = _attack_residual(sc, resources, etas, kappas)
-        rows = zip(gammas, picks, info.tolist(), residual.tolist())
-        return [_row_result(gamma, chi, *pick, value, off) for gamma, pick, value, off in rows]
-    except ValueError as exc:
-        if len(gammas) == 1:
-            raise RowError(gammas[0], exc) from exc
-    alone = [(resources[k : k + 1], gammas[k : k + 1], picks[k : k + 1]) for k in range(len(picks))]
-    return [result for row in alone for result in _validated_rows(sc, alice, *row, chi)]
+    if math.isinf(sc.gain):
+        ab, given_u, labels = _bell_record_raw(alice, sc.channel, resources, etas, kappas)
+        residual = _channel_residual(_check_physical(ab)[0], alice, sc.channel)
+        info = _bell_record_info(sc, ab, given_u, labels, validate=True)
+    else:
+        mat, labels = _pipeline_raw(
+            alice, ("A", "B"), "B", sc.channel, resources, etas, kappas, sc.gain
+        )
+        info = _eve_info_raw(sc, _check_physical(mat)[0], labels, validate=True)
+        residual = _attack_residual(sc, resources, etas, kappas)
+    rows = zip(gammas, picks, info.tolist(), residual.tolist())
+    return [_row_result(gamma, chi, *pick, value, off) for gamma, pick, value, off in rows]
 
 
 def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
     """Eve's best eta for each of a stack of rows (the rows' stacked
     _resource_matrix), each searched on its own feasible window, all rows
-    sharing each objective call.
-
-    Returns the best etas, NaN for a row whose scan matched no eta, of the
-    rows before the first failing one, and that row's position and error, or
-    None. An objective call that raises fails the first row in it.
+    sharing each objective call; NaN for a row whose scan matched no eta.
     """
     tau, v, gain = sc.channel.tau, sc.channel.v, sc.gain
     gammas = np.asarray(gammas, dtype=float)
-
-    def objective(rows, etas, kappas):
-        # rows: the row of each point, ascending
-        try:
-            return _eve_info_objective(sc, alice, resources[rows], etas, kappas, gain)
-        except ValueError as exc:
-            raise _StackFailed(int(rows[0]), exc) from exc
-
+    best_etas = np.full(len(gammas), np.nan)
     live = np.arange(len(gammas))
-    candidates = {}
-    failure = None
-    try:
-        # coarse-to-fine scan of the objective, one stacked evaluation
-        # per pass; kappa matching fails on the widened rim itself, so the
-        # first pass spans each window from just inside both ends, and each
-        # later pass spans the two intervals around the row's previous
-        # first maximum
-        w_lo, w_hi = np.array(windows, dtype=float).T
-        edge = 1e-9 * (w_hi - w_lo)
-        span = (w_lo + edge, w_hi - edge)
-        for _ in range(_SCAN_PASSES):
-            step = (span[1] - span[0])[:, None] * np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
-            etas = span[0][:, None] + step
-            kappas = _match_kappa(gammas[live, None], etas, tau, v, gain)
-            hits = ~np.isnan(kappas)
-            # a row left without a matchable eta is infeasible; only the
-            # first pass can miss, as later ones contain a hit
-            keep = hits.any(axis=1)
-            live, etas, kappas, hits = live[keep], etas[keep], kappas[keep], hits[keep]
-            if not live.size:
-                return np.full(len(gammas), np.nan), None
-            values = np.full(etas.shape, -np.inf)
-            values[hits] = objective(live[hits.nonzero()[0]], etas[hits], kappas[hits])
-            best = np.argmax(values, axis=1)
-            at = np.arange(live.size)
-            span = (
-                etas[at, np.maximum(best - 1, 0)],
-                etas[at, np.minimum(best + 1, _SCAN_POINTS - 1)],
-            )
+    # coarse-to-fine scan of the objective, one stacked evaluation per
+    # pass; kappa matching fails on the widened rim itself, so the first
+    # pass spans each window from just inside both ends, and each later
+    # pass spans the two intervals around the row's previous first maximum
+    w_lo, w_hi = np.array(windows, dtype=float).T
+    edge = 1e-9 * (w_hi - w_lo)
+    span = (w_lo + edge, w_hi - edge)
+    for _ in range(_SCAN_PASSES):
+        step = (span[1] - span[0])[:, None] * np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
+        etas = span[0][:, None] + step
+        kappas = _match_kappa(gammas[live, None], etas, tau, v, gain)
+        hits = ~np.isnan(kappas)
+        # a row left without a matchable eta is infeasible; only the first
+        # pass can miss, as later ones contain a hit
+        keep = hits.any(axis=1)
+        live, etas, kappas, hits = live[keep], etas[keep], kappas[keep], hits[keep]
+        if not live.size:
+            return best_etas
+        values = np.full(etas.shape, -np.inf)
+        rows = live[hits.nonzero()[0]]
+        values[hits] = _eve_info_objective(sc, alice, resources[rows], etas[hits], kappas[hits])
+        best = np.argmax(values, axis=1)
+        at = np.arange(live.size)
+        span = (
+            etas[at, np.maximum(best - 1, 0)],
+            etas[at, np.minimum(best + 1, _SCAN_POINTS - 1)],
+        )
 
-        # refit the peak: the scan best and its last-pass neighbours (the
-        # next point inward at a window edge), whose values the last pass
-        # holds, then the vertex of the parabola through them if it falls
-        # inside the scan best's bracket (the span above); the best point wins
-        near = np.minimum(np.maximum(best, 1), _SCAN_POINTS - 2)[:, None] + np.arange(-1, 2)
-        etas, values = (np.take_along_axis(x, near, axis=1) for x in (etas, values))
-        vertices = {}
-        for k, row in enumerate(live.tolist()):
-            candidates[row] = list(zip(values[k].tolist(), etas[k].tolist()))
-            f_lo, f_mid, f_hi = values[k].tolist()
-            denom = f_lo - 2.0 * f_mid + f_hi
-            if math.isfinite(denom) and denom < 0.0:
-                # strictly between two matched points, so matched itself
-                vertex = float(
-                    etas[k, 1] + 0.5 * (etas[k, 1] - etas[k, 0]) * (f_lo - f_hi) / denom
-                )
-                if span[0][k] < vertex < span[1][k] and vertex != etas[k, 1]:
-                    vertices[row] = vertex
-        if vertices:
-            rows = np.array(list(vertices))
-            at = np.array(list(vertices.values()))
-            values = objective(rows, at, _match_kappa(gammas[rows], at, tau, v, gain))
-            for row, value in zip(vertices, values.tolist()):
-                candidates[row].append((value, vertices[row]))
-    except _StackFailed as failed:
-        failure = failed.args
-    stop = len(gammas) if failure is None else failure[0]
-    best_etas = np.full(stop, np.nan)
-    for row, found in candidates.items():
-        # the rows before a failed call's first row are complete
-        if row < stop:
-            best_etas[row] = max(found, key=lambda c: c[0])[1]
-    return best_etas, failure
+    # refit the peak: the parabola through the scan best and its last-pass
+    # neighbours (the next point inward at a window edge), whose values the
+    # last pass holds; its vertex, if it falls strictly inside the scan
+    # best's bracket (the span above), replaces the scan best only if it
+    # scores strictly higher
+    best_etas[live] = etas[at, best]
+    near = np.minimum(np.maximum(best, 1), _SCAN_POINTS - 2)[:, None] + np.arange(-1, 2)
+    (e_lo, e_mid, _), (f_lo, f_mid, f_hi) = (
+        np.take_along_axis(x, near, axis=1).T for x in (etas, values)
+    )
+    denom = f_lo - 2.0 * f_mid + f_hi
+    # unmatched neighbours score -inf and leave a non-finite denom
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = e_mid + 0.5 * (e_mid - e_lo) * (f_lo - f_hi) / denom
+    fit = np.isfinite(denom) & (denom < 0.0) & (span[0] < vertex) & (vertex < span[1])
+    fit &= vertex != e_mid
+    rows, vertex, top = live[fit], vertex[fit], values[at, best][fit]
+    if rows.size:
+        # strictly between two matched points, so matched itself
+        kappas = _match_kappa(gammas[rows], vertex, tau, v, gain)
+        wins = _eve_info_objective(sc, alice, resources[rows], vertex, kappas) > top
+        best_etas[rows[wins]] = vertex[wins]
+    return best_etas
 
 
-def optimize_attacks(sc: AttackScenario, gammas) -> list[AttackResult]:
-    """Best (eta, kappa) for the teleportation attack at each resource of a
-    grid: one AttackResult per gamma, in grid order.
-
-    The noise-matching constraint leaves one free direction: eta is scanned
-    over the feasible window, kappa follows from each eta in closed form, and
-    Eve's information is evaluated on the matched pairs. The scan is three
-    passes of 17 points, each over the previous best point's two
-    neighbouring intervals, ending at a spacing of window / 1024 (51 points).
-    The scan's best point, its two last-pass neighbours and, when it falls
-    inside their bracket, the vertex of the parabola through them are the
-    candidates (only the vertex is a new evaluation), and the best of them
-    wins; a peak at or near a window edge stays reachable, as the scan
-    starts just inside both ends. Pure-loss channels skip all of it (eta =
-    tau / gamma^2, kappa = 0). A resource below gamma_min, or a first pass
-    with no matchable eta, yields an infeasible result rather than an error.
-
-    The rows share every objective call: each scan pass is one call on the
-    stacked (row, eta) points of every row still searching, and the refit
-    one call on all rows' vertices. Every per-element operation is the one
-    a lone row makes and every decision is taken per row, so each row is
-    bit for bit what optimize_attack gives for its gamma alone, whichever
-    rows share its stack; so is the validation
-    of the picked rows (_validated_rows). A failing row raises RowError with
-    the message it raises alone; the rows before it are completed first, so
-    the error is the first failing row's in grid order.
-
-    The gain is the scenario's. Its math.inf, the asymptotic protocol, runs
-    at g = infinity itself: the objective is the Bell-record closed form,
-    and the rows are validated on its states.
-    """
-    gammas = tuple(gammas)
-    if not gammas:
-        return []
-    try:
-        chi = holevo_bound(sc)
-    except ValueError as exc:
-        raise RowError(gammas[0], exc) from exc
+def _stacked_rows(sc: AttackScenario, gammas: tuple[float, ...]) -> list[AttackResult]:
+    """optimize_attacks' rows, computed as one stack: the feasible windows,
+    the scan and refit (_scan_windows), then the validation of the picks
+    (_validated_rows). Raises the first ValueError any stage meets."""
+    chi = holevo_bound(sc)
     ch = sc.channel
     tau, v = ch.tau, ch.v
     floor = gamma_min(ch) - 1e-9
     lo = max(0.8 * tau, 1e-4)
-    # each feasible row's (eta, kappa), before the first failing row; the
-    # rows to scan wait with their feasible windows
-    picks, windows, failure = {}, {}, None
+    # each feasible row's (eta, kappa); the rows to scan wait with their
+    # feasible windows
+    picks, windows = {}, {}
     for row, gamma in enumerate(gammas):
         if not 0.0 <= gamma < 1.0:
-            failure = (row, ValueError(f"resource squeezing must lie in [0, 1), got {gamma}"))
-            break
+            raise ValueError(f"resource squeezing must lie in [0, 1), got {gamma}")
         if gamma < floor:
             continue
         if _is_pure_loss_like(ch):
@@ -625,20 +549,56 @@ def optimize_attacks(sc: AttackScenario, gammas) -> list[AttackResult]:
         return alice, np.array([resources[row] for row in rows]), [gammas[row] for row in rows]
 
     if windows:
-        best_etas, scan_failure = _scan_windows(sc, *stack(windows), list(windows.values()))
+        best_etas = _scan_windows(sc, *stack(windows), list(windows.values()))
         for row, eta in zip(windows, best_etas.tolist()):
             if not math.isnan(eta):
                 picks[row] = (eta, float(_match_kappa(gammas[row], eta, tau, v, sc.gain)))
-        if scan_failure is not None:
-            failure = (list(windows)[scan_failure[0]], scan_failure[1])
-    stop = len(gammas) if failure is None else failure[0]
-    rows = sorted(row for row in picks if row < stop)
+    rows = sorted(picks)
     validated = dict(zip(rows, _validated_rows(sc, *stack(rows), [picks[r] for r in rows], chi)))
-    results = [validated.get(row) or _row_result(gammas[row], chi) for row in range(stop)]
-    if failure is not None:
-        row, exc = failure
-        raise RowError(gammas[row], exc) from exc
-    return results
+    return [validated.get(row) or _row_result(gamma, chi) for row, gamma in enumerate(gammas)]
+
+
+def optimize_attacks(sc: AttackScenario, gammas) -> list[AttackResult]:
+    """Best (eta, kappa) for the teleportation attack at each resource of a
+    grid: one AttackResult per gamma, in grid order.
+
+    The noise-matching constraint leaves one free direction: eta is scanned
+    over the feasible window, kappa follows from each eta in closed form, and
+    Eve's information is evaluated on the matched pairs. The scan is three
+    passes of 17 points, each over the previous best point's two
+    neighbouring intervals, ending at a spacing of window / 1024 (51 points).
+    The scan's best point stands unless the vertex of the parabola through
+    it and its two last-pass neighbours falls inside their bracket and
+    scores strictly higher (only the vertex is a new evaluation); a peak at
+    or near a window edge stays reachable, as the scan starts just inside
+    both ends. Pure-loss channels skip all of it (eta = tau / gamma^2,
+    kappa = 0). A resource below gamma_min, or a first pass with no
+    matchable eta, yields an infeasible result rather than an error.
+
+    The rows share every objective call: each scan pass is one call on the
+    stacked (row, eta) points of every row still searching, and the refit
+    one call on all rows' vertices. Every per-element operation is the one
+    a lone row makes and every decision is taken per row, so each row is
+    bit for bit what optimize_attack gives for its gamma alone, whichever
+    rows share its stack; so is the validation of the picked rows
+    (_validated_rows). When the stack raises ValueError anywhere, the rows
+    run again one at a time, in grid order, so the first row that fails
+    alone raises RowError with its own message.
+
+    The gain is the scenario's. Its math.inf, the asymptotic protocol, runs
+    at g = infinity itself: the objective is the Bell-record closed form,
+    and the rows are validated on its states.
+    """
+    gammas = tuple(gammas)
+    if not gammas:
+        return []
+    try:
+        return _stacked_rows(sc, gammas)
+    except ValueError as exc:
+        if len(gammas) == 1:
+            raise RowError(gammas[0], exc) from exc
+    # a row fails: run them alone, so the first to fail raises its own error
+    return [optimize_attack(sc, gamma) for gamma in gammas]
 
 
 def optimize_attack(sc: AttackScenario, gamma: float) -> AttackResult:

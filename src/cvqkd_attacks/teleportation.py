@@ -111,19 +111,19 @@ def bk_effective_channel(res: ResourceState, lam: float) -> GaussChannel:
 def ao_effective_channel(res: ResourceState, cfg: TeleportConfig) -> GaussChannel:
     """Channel realized by the all-optical teleporter at amplifier gain g.
 
-    v_tel = a lam - 2 c sqrt(lam (g-1)(g tau - lam) / (tau g^2))
+    v_tel = a lam - 2 c sqrt(lam (1 - 1/g)(tau - lam/g) / tau)
             - lam (a tau + b - v) / (tau g) + b
 
     where (tau, v) is the physical channel between the stations. Converges to
     the standard-teleportation channel as g grows, and is that channel at
-    g = inf.
+    g = inf. The radicand is written in 1/g, as g^2 overflows from g ~ 1e154.
     """
     if math.isinf(cfg.g):
         return bk_effective_channel(res, cfg.lam)
     g = cfg.g
     tau, v = cfg.env.tau, cfg.env.v
     lam = cfg.lam
-    radicand = lam * (g - 1.0) * (g * tau - lam) / (tau * g * g)
+    radicand = lam * (1.0 - 1.0 / g) * (tau - lam / g) / tau
     if radicand < 0.0:
         raise ValueError(f"g*tau = {g * tau} below lam = {lam}: radical is imaginary")
     v_tel = (

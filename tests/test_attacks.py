@@ -1,5 +1,6 @@
 """Attack evaluation: resource thresholds, cloner, teleportation optimizer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -66,9 +67,11 @@ def test_scenario_resolution():
     # optimum reproduces the row, and a finite gain sees less
     res = optimize_attack(sc, 0.9)
     alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(0.9)
-    at_inf = _eve_info_objective(sc, alice, resource, res.eta_star, res.kappa_star, math.inf)
+    at_inf = _eve_info_objective(sc, alice, resource, res.eta_star, res.kappa_star)
     assert abs(at_inf - res.eve_info_bits) <= 1e-13
-    at_1e4 = _eve_info_objective(sc, alice, resource, res.eta_star, res.kappa_star, 1e4)
+    at_1e4 = _eve_info_objective(
+        dataclasses.replace(sc, gain=1e4), alice, resource, res.eta_star, res.kappa_star
+    )
     assert res.eve_info_bits - 1e-3 < at_1e4 < res.eve_info_bits
     assert sc.conditioned_label == "B"
     assert scenario(reconciliation="direct").conditioned_label == "A"
@@ -436,12 +439,12 @@ def _matched_points(gamma, ch, g, count, seed):
 @pytest.mark.parametrize("tau", [0.25, 0.7])
 def test_stacked_objective_equals_per_point_calls(tau, reconciliation, g):
     ch = GaussChannel(tau, 1.01 * (1.0 - tau))
-    sc = scenario(ch, reconciliation=reconciliation)
+    sc = scenario(ch, reconciliation=reconciliation, gain=g)
     gamma = 0.97
     alice = tmsv(sc.zeta, ("A", "B")).matrix
     resource = _resource_matrix(gamma)
     etas, kappas = _matched_points(gamma, ch, g, 25, seed=int(100 * tau) + int(g))
-    stacked = _eve_info_objective(sc, alice, resource, etas, kappas, g)
+    stacked = _eve_info_objective(sc, alice, resource, etas, kappas)
     assert stacked.shape == (25,)
     for eta, kappa, value in zip(etas.tolist(), kappas.tolist(), stacked.tolist()):
-        assert value == _eve_info_objective(sc, alice, resource, eta, kappa, g)
+        assert value == _eve_info_objective(sc, alice, resource, eta, kappa)

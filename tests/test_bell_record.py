@@ -8,6 +8,7 @@ own squeezer, splitters, channel map, heterodyne Schur complement and
 symplectic spectra. About 0.05 s a point.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -163,7 +164,7 @@ def test_cases_cover_the_checked_ground():
 def test_closed_form_matches_the_60_digit_circuit(case):
     sc, gamma, eta, kappa = CASES[case]
     alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
-    closed = _eve_info_objective(sc, alice, resource, eta, kappa, math.inf)
+    closed = _eve_info_objective(sc, alice, resource, eta, kappa)
     assert abs(closed - oracle_eve_info(sc, gamma, eta, kappa)) <= 1e-11
 
 
@@ -185,7 +186,8 @@ def test_finite_gains_approach_the_closed_form_from_below(tau, reconciliation):
     kappa = float(_match_kappa(gamma, eta, ch.tau, ch.v, math.inf))
     alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
     values = [
-        _eve_info_objective(sc, alice, resource, eta, kappa, g) for g in (1e2, 1e4, math.inf)
+        _eve_info_objective(dataclasses.replace(sc, gain=g), alice, resource, eta, kappa)
+        for g in (1e2, 1e4, math.inf)
     ]
     assert values[0] < values[1] < values[2]
 
@@ -206,10 +208,10 @@ def test_stacked_closed_form_equals_per_point_calls():
                 kappas = _match_kappa(gamma, etas, ch.tau, ch.v, math.inf)
             assert not np.isnan(kappas).any()
             alice = tmsv(sc.zeta).matrix
-            stacked = _eve_info_objective(sc, alice, resource, etas, kappas, math.inf)
+            stacked = _eve_info_objective(sc, alice, resource, etas, kappas)
             assert stacked.shape == etas.shape
             for eta, kappa, value in zip(etas.tolist(), kappas.tolist(), stacked.tolist()):
-                assert value == _eve_info_objective(sc, alice, resource, eta, kappa, math.inf)
+                assert value == _eve_info_objective(sc, alice, resource, eta, kappa)
 
 
 class _NoMpmath:

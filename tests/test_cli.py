@@ -234,8 +234,15 @@ def test_sweep_identity_channel_exits_2(capsys):
             "error: row gamma = 0.4451652046870813: unphysical covariance matrix",
             "not positive definite",
         ),
+        # a source squeezing this close to 1 fails a row at the paper's own
+        # gains (ROADMAP defect 1); the asymptotic policy gives a table
+        (
+            ["--g-policy", "finite:100", "--zeta", "0.999999", "--gamma-count", "6"],
+            "error: row gamma = 0.9823600149194993: unphysical covariance matrix",
+            "smallest symplectic eigenvalue",
+        ),
     ],
-    ids=["gain-1e30", "gain-1e100", "gain-1e300"],
+    ids=["gain-1e30", "gain-1e100", "gain-1e300", "zeta-0.999999-gain-100"],
 )
 def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, head, needle):
     out = tmp_path / "never.csv"
@@ -272,7 +279,7 @@ def test_high_gain_sweep_rows_match_the_oracle(capsys, tmp_path, fields):
     flags = [arg for flag, value in zip(flags, fields.values()) for arg in (flag, str(value))]
     assert main(["sweep", *flags, "--output", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    printed = list(csv.DictReader(out.open(encoding="utf-8")))
+    printed = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
     cfg = RunConfig(**fields)
     sc = scenario_from(cfg)
     grid = default_gamma_grid(sc, cfg.gamma_count, cfg.gamma_lo, cfg.gamma_hi)
@@ -301,7 +308,7 @@ def test_asymptotic_sweep_yields_a_sound_table(capsys, tmp_path, flags):
     out = tmp_path / "table.csv"
     assert main(["sweep", *flags, "--output", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    rows = list(csv.DictReader(out.open(encoding="utf-8")))
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
     assert len(rows) == int(flags[-1])
     feasible = [row for row in rows if row["feasible"] == "true"]
     assert feasible
@@ -330,7 +337,7 @@ def test_sweep_scenario_matrix_yields_a_table_or_exits_2(
         return
     assert code == 0
     assert err == ""
-    rows = list(csv.DictReader(out.open(encoding="utf-8")))
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
     assert len(rows) == 3
     for row in rows:
         if row["feasible"] == "true":

@@ -91,7 +91,7 @@ def _errors(point, g):
         sc = dataclasses.replace(_scenario(tau, epsilon, reconciliation), gain=g)
         alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
         truth = info[reconciliation]
-        value = _eve_info_objective(sc, alice, resource, eta, kappa, g)
+        value = _eve_info_objective(sc, alice, resource, eta, kappa)
         worst["objective"] = max(worst["objective"], abs(value - truth))
         validated = eve_info(ao_attack_state(sc, gamma, eta, kappa), sc)
         worst["validated"] = max(worst["validated"], abs(validated - truth))
@@ -151,6 +151,6 @@ def test_stacked_finite_gain_objective_equals_per_point_calls():
     etas = np.linspace(lo, hi, 9)[1:-1]
     kappas = _match_kappa(gamma, etas, ch.tau, ch.v, sc.gain)
     alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
-    stacked = _eve_info_objective(sc, alice, resource, etas, kappas, sc.gain)
+    stacked = _eve_info_objective(sc, alice, resource, etas, kappas)
     for eta, kappa, value in zip(etas.tolist(), kappas.tolist(), stacked.tolist()):
-        assert value == _eve_info_objective(sc, alice, resource, eta, kappa, sc.gain)
+        assert value == _eve_info_objective(sc, alice, resource, eta, kappa)

@@ -60,7 +60,7 @@ def dense_oracle(sc, gamma):
     hits = ~np.isnan(kappas)
     alice = tmsv(sc.zeta, ("A", "B")).matrix
     resource = _resource_matrix(gamma)
-    values = _eve_info_objective(sc, alice, resource, etas[hits], kappas[hits], sc.gain)
+    values = _eve_info_objective(sc, alice, resource, etas[hits], kappas[hits])
     return float(np.max(values))
 
 
@@ -116,9 +116,9 @@ def test_rows_stay_within_their_evaluation_budget(monkeypatch, g_policy):
     # parabola vertex: the refit reuses the last pass's values
     calls = []
 
-    def counted(sc, alice, resource, eta, kappa, g):
+    def counted(sc, alice, resource, eta, kappa):
         calls.append(np.size(eta))
-        return _eve_info_objective(sc, alice, resource, eta, kappa, g)
+        return _eve_info_objective(sc, alice, resource, eta, kappa)
 
     monkeypatch.setattr(cvqkd_attacks.attacks, "_eve_info_objective", counted)
     sc, cfg = _config(g_policy=g_policy)
@@ -203,9 +203,9 @@ def test_sweep_batches_its_objective_calls(monkeypatch, fields, count):
     # alone
     calls = []
 
-    def counted(sc, alice, resource, eta, kappa, g):
+    def counted(sc, alice, resource, eta, kappa):
         calls.append(np.size(eta))
-        return _eve_info_objective(sc, alice, resource, eta, kappa, g)
+        return _eve_info_objective(sc, alice, resource, eta, kappa)
 
     monkeypatch.setattr(cvqkd_attacks.attacks, "_eve_info_objective", counted)
     sc, cfg = _config(**fields)
@@ -239,33 +239,31 @@ def test_first_failing_row_in_grid_order_is_reported():
         optimize_attack(sc, -0.1)
 
 
-def test_failed_stacked_call_fails_its_first_row(monkeypatch):
-    # the vertex call carries only the rows whose parabola vertex counts;
-    # when it raises, its first row fails and every earlier row is finished
+def test_failing_row_is_named_whichever_rows_share_its_stack(monkeypatch):
+    # the objective fails only on calls that carry a middle row's points;
+    # every stacked call carries row 0 as well, yet the error names the
+    # middle row, after the rows before it were computed alone in grid order
     sc, cfg = _config()
     grid = _grid(sc, cfg, 6)
-    resources = [_resource_matrix(gamma)[0, 0] for gamma in grid]
-    first_rows = []
+    row = 3
+    marker = _resource_matrix(grid[row])[0, 0]
 
-    def failing(sc, alice, resource, eta, kappa, g):
-        first_rows.append(resource[..., 0, 0].reshape(-1)[0])
-        if len(first_rows) == _SCAN_PASSES + 1:
-            raise ValueError("stack failed")
-        return _eve_info_objective(sc, alice, resource, eta, kappa, g)
+    def failing(sc, alice, resource, eta, kappa):
+        if (resource[..., 0, 0] == marker).any():
+            raise ValueError("row failed")
+        return _eve_info_objective(sc, alice, resource, eta, kappa)
 
-    validated = []
-    real_validated = cvqkd_attacks.attacks._validated_rows
+    alone = []
+    real_optimize_attack = cvqkd_attacks.attacks.optimize_attack
 
-    def counted(sc, alice, resources, gammas, *rest):
-        validated.extend(gammas)
-        return real_validated(sc, alice, resources, gammas, *rest)
+    def counted(sc, gamma):
+        alone.append(gamma)
+        return real_optimize_attack(sc, gamma)
 
     monkeypatch.setattr(cvqkd_attacks.attacks, "_eve_info_objective", failing)
-    monkeypatch.setattr(cvqkd_attacks.attacks, "_validated_rows", counted)
-    with pytest.raises(ValueError, match=r"^row gamma = .*: stack failed$") as info:
+    monkeypatch.setattr(cvqkd_attacks.attacks, "optimize_attack", counted)
+    with pytest.raises(ValueError, match=r"^row gamma = .*: row failed$") as info:
         sweep(sc, cfg.beta, grid)
-    row = resources.index(first_rows[_SCAN_PASSES])
-    assert row > 0
     assert isinstance(info.value.__cause__, RowError)
     assert info.value.__cause__.gamma == grid[row]
-    assert validated == list(grid[:row])
+    assert alone == list(grid[: row + 1])

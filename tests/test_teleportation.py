@@ -121,6 +121,16 @@ def test_ao_converges_to_bk_monotonically():
     assert gaps[-1] <= 1e-4
 
 
+@pytest.mark.parametrize("env", [GaussChannel(1.0, 0.0), GaussChannel(0.7, 0.3 * 1.05)])
+def test_ao_channel_reaches_bk_at_a_gain_whose_square_overflows(env):
+    res = ResourceState.from_tmsv(0.5)
+    lam = min(env.tau, 1.0)
+    ao = ao_effective_channel(res, TeleportConfig(lam, 1.0e200, env))
+    bk = bk_effective_channel(res, lam)
+    assert ao.tau == bk.tau
+    assert abs(ao.v - bk.v) <= 1e-12
+
+
 def test_ao_pipeline_agrees_with_closed_form():
     # route one: identify the channel realized by the explicit mode-by-mode
     # pipeline; route two: the closed-form expression
