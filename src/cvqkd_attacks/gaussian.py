@@ -142,11 +142,11 @@ def _spectrum_and_conditioning(stack: np.ndarray):
                 pass
     # a NaN entry passes the factorization unflagged
     definite = np.isfinite(chol).all(axis=(-2, -1))
-    nus = np.empty((len(stack), n))
-    lower = chol[definite]
-    nus[definite] = np.linalg.svd(
-        np.swapaxes(lower, -1, -2) @ _omega_times(lower), compute_uv=False
-    )[:, ::2]
+    factored = definite.all()
+    if not factored:
+        # a stand-in factor; these members' spectra are replaced below
+        chol[~definite] = np.eye(2 * n)
+    nus = np.linalg.svd(np.swapaxes(chol, -1, -2) @ _omega_times(chol), compute_uv=False)[:, ::2]
     large = _above_hp_scale(stack)
     cond = np.where(large, np.inf, 1.0)
     graded = large & definite
@@ -158,7 +158,7 @@ def _spectrum_and_conditioning(stack: np.ndarray):
         # sqrt(nu_max nu_min), the inverse side's ~eps nu / nu_min below it
         upper = direct / inverse[:, -1:] > direct[:, :1] / direct
         nus[graded] = np.where(upper, direct, inverse)
-    if not definite.all():
+    if not factored:
         eigs = np.linalg.eigvals(symplectic_form(n) @ stack[~definite])
         # |eigs| carries each nu twice (the +/- i*nu pair); sorting makes the
         # pairs adjacent so taking every second entry deduplicates them
@@ -207,8 +207,9 @@ def _symplectic_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lead, n = matrix.shape[:-2], matrix.shape[-1] // 2
     stack = matrix.reshape((-1,) + matrix.shape[-2:])
     nus, definite, cond = _spectrum_and_conditioning(stack)
-    refine = (cond > _CERTIFIED_COND) | (nus.min(axis=-1) < 1.0 - _REFINE_TRIGGER)
-    for i in np.flatnonzero(refine):
+    # the spectra are descending: the last column holds each minimum
+    refine = (cond > _CERTIFIED_COND) | (nus[:, -1] < 1.0 - _REFINE_TRIGGER)
+    for i in refine.nonzero()[0]:
         nus[i] = _refined_spectrum(stack[i])
     return nus.reshape(lead + (n,)), definite.reshape(lead)
 
@@ -232,14 +233,16 @@ def _check_physical(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     would; a stack with an unphysical member is counted whole, then rejected
     with the message the first such member would raise on its own.
     """
-    if not np.isfinite(mats).all():
+    # a NaN or an inf entry leaves its matrix's largest |entry| non-finite
+    peak = np.abs(mats).max(axis=(-2, -1))
+    if not np.isfinite(peak).all():
         raise ValueError("covariance matrix must not contain infs or NaNs")
-    scale = np.maximum(np.abs(mats).max(axis=(-2, -1)), 1.0)
-    if np.any(np.abs(mats - np.swapaxes(mats, -1, -2)).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
+    transposed = np.swapaxes(mats, -1, -2)
+    if (np.abs(mats - transposed).max(axis=(-2, -1)) > SYMMETRY_RTOL * np.maximum(peak, 1.0)).any():
         raise ValueError("covariance matrix is not symmetric")
-    mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    mats = 0.5 * (mats + transposed)
     nus, definite = _symplectic_spectrum(mats)
-    nu_min = nus.min(axis=-1)
+    nu_min = nus[..., -1]  # the spectra are descending
     _record_in_audit(nu_min)
     low = nu_min < 1.0 - PHYSICALITY_TOL
     if low.any():

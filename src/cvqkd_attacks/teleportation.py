@@ -327,12 +327,13 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
         raise ValueError(f"expected a two-mode input state, got {state.n_modes} modes")
     if math.isinf(cfg.g):
         return apply_channel(state, ao_effective_channel(res, cfg), state.labels[1])
+    # the resource was validated when it was built, and it is frozen
     mat, _ = _pipeline_raw(
         state.matrix,
         state.labels,
         state.labels[1],
         cfg.env,
-        res.to_covmat().matrix,
+        _two_mode_std(res.a, res.b, res.c, -res.c),
         1.0,
         0.0,
         cfg.g,

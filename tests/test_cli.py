@@ -9,7 +9,7 @@ import pytest
 from test_bell_record import oracle_eve_info
 
 import cvqkd_attacks.verify
-from cvqkd_attacks.attacks import holevo_bound
+from cvqkd_attacks.attacks import _match_kappa, holevo_bound, optimize_attack
 from cvqkd_attacks.cli import (
     CSV_HEADER,
     ConfigError,
@@ -241,8 +241,16 @@ def test_sweep_identity_channel_exits_2(capsys):
             "error: row gamma = 0.9823600149194993: unphysical covariance matrix",
             "smallest symplectic eigenvalue",
         ),
+        # just above gamma_min the default channel's window reaches eta = 1,
+        # where the matched kappa nears 1 and the Bell-record objective
+        # spikes above the Holevo bound (ROADMAP defect 4)
+        (
+            ["--gamma-count", "201"],
+            "error: row gamma = 0.4909949955798073: unphysical covariance matrix",
+            "smallest symplectic eigenvalue",
+        ),
     ],
-    ids=["gain-1e30", "gain-1e100", "gain-1e300", "zeta-0.999999-gain-100"],
+    ids=["gain-1e30", "gain-1e100", "gain-1e300", "zeta-0.999999-gain-100", "asymptotic-201-rows"],
 )
 def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, head, needle):
     out = tmp_path / "never.csv"
@@ -290,6 +298,21 @@ def test_high_gain_sweep_rows_match_the_oracle(capsys, tmp_path, fields):
         assert abs(float(line["eve_info_bits"]) - row.eve_info_bits) <= 5e-10
         oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row.kappa_star, sc.gain)
         assert abs(row.eve_info_bits - oracle) <= 1e-9, row.gamma
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP defect 4: the scan picks the eta = 1 rim")
+def test_row_just_above_gamma_min_reaches_the_interior_peak():
+    # the row picks eta* = 1 - 8.7e-13 with kappa* = 0.99999998, where the
+    # double-precision objective is off: it prints 0.167425654 bits, the
+    # 60-digit circuit reads 0.16746184 there and 0.16787015 inside the window
+    sc = scenario_from(RunConfig())
+    gamma = 0.4453652046870813
+    row = optimize_attack(sc, gamma)
+    oracle = oracle_eve_info(sc, gamma, row.eta_star, row.kappa_star)
+    assert abs(row.eve_info_bits - oracle) <= 1e-9
+    eta = 0.9999991
+    kappa = float(_match_kappa(gamma, eta, sc.channel.tau, sc.channel.v, sc.gain))
+    assert row.eve_info_bits >= oracle_eve_info(sc, gamma, eta, kappa) - 1e-9
 
 
 @pytest.mark.parametrize(
