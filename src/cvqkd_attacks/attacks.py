@@ -34,7 +34,6 @@ from .gaussian import (
     beam_splitter,
     condition_heterodyne,
     direct_sum,
-    partial_trace,
     thermal,
     tmsv,
     von_neumann_entropy,
@@ -224,7 +223,8 @@ def cloner_attack(sc: AttackScenario) -> AttackResult:
             f"purification check failed: S(x:E) = {info!r} but Holevo bound = {chi!r}"
         )
 
-    residual = _channel_residual(partial_trace(full, ("A", "B")).matrix, alice.matrix, sc.channel)
+    # A and B lead the validated state (direct_sum puts alice first)
+    residual = _channel_residual(full.matrix[:4, :4], alice.matrix, sc.channel)
     return AttackResult(
         gamma=gamma_e,
         ent_resource=entropy_of_entanglement(gamma_e),

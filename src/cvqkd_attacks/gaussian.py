@@ -3,6 +3,14 @@
 Conventions used throughout the package: quadrature ordering
 (x1, p1, ..., xn, pn), x = a + a^dag, shot-noise units (vacuum
 quadrature variance equals 1).
+
+A CovMat is validated where it is formed by arithmetic (a symplectic
+applied, a channel, a conditioning, a reordered partial trace): its
+symplectic spectrum is computed numerically and checked. tmsv, thermal and
+direct_sum know their spectra exactly, from a closed form or as the union of
+their already-validated parts, and certify by it (_certified); partial_trace
+keeping every mode in its order returns the state itself. mpmath is imported
+only by the high-precision routines that use it.
 """
 
 from __future__ import annotations
@@ -11,7 +19,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 SYMMETRY_RTOL = 1e-12
@@ -79,6 +86,8 @@ def _refined_spectrum(matrix: np.ndarray) -> np.ndarray:
     # eigensolve is several times cheaper than a general one on Omega sigma.
     # A matrix without a Cholesky factor is not positive definite, hence
     # unphysical; the general route then reports its spectrum as before.
+    import mpmath
+
     n = matrix.shape[0] // 2
     with mpmath.mp.workdps(30):
         try:
@@ -256,6 +265,16 @@ def _check_physical(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mats, nus
 
 
+def _mode_labels(n: int, labels) -> tuple[str, ...]:
+    """A state's n mode labels as strings, checked to be n distinct ones."""
+    labels = tuple(str(lbl) for lbl in labels)
+    if len(labels) != n:
+        raise ValueError(f"expected {n} mode labels, got {len(labels)}")
+    if len(set(labels)) != n:
+        raise ValueError(f"mode labels must be unique, got {labels}")
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class CovMat:
     """A labeled covariance matrix of n modes.
@@ -264,9 +283,11 @@ class CovMat:
     labels: n distinct mode identifiers, positionally aligned with the
         2x2 diagonal blocks.
 
-    Construction validates symmetry and physicality (every symplectic
-    eigenvalue >= 1 - 1e-9, and the matrix positive definite) and freezes
-    the array.
+    Construction validates symmetry and physicality numerically (every
+    symplectic eigenvalue >= 1 - 1e-9, and the matrix positive definite,
+    _check_physical) and freezes the array. tmsv, thermal and direct_sum
+    build theirs through _certified instead, with the same label checks,
+    from a spectrum known exactly.
     """
 
     matrix: np.ndarray
@@ -276,13 +297,10 @@ class CovMat:
         mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
             raise ValueError(f"covariance matrix must be 2n x 2n, got shape {mat.shape}")
-        n = mat.shape[0] // 2
-        labels = tuple(str(lbl) for lbl in self.labels)
-        if len(labels) != n:
-            raise ValueError(f"expected {n} mode labels, got {len(labels)}")
-        if len(set(labels)) != n:
-            raise ValueError(f"mode labels must be unique, got {labels}")
-        mat, nus = _check_physical(mat)
+        labels = _mode_labels(mat.shape[0] // 2, self.labels)
+        self._freeze(*_check_physical(mat), labels)
+
+    def _freeze(self, mat: np.ndarray, nus: np.ndarray, labels: tuple[str, ...]) -> None:
         mat.flags.writeable = False
         nus.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -300,6 +318,22 @@ class CovMat:
         """The 2x2 block coupling two modes (a copy)."""
         i, j = 2 * self.index(label_row), 2 * self.index(label_col)
         return self.matrix[i : i + 2, j : j + 2].copy()
+
+
+def _certified(mat: np.ndarray, labels, nus) -> CovMat:
+    """A CovMat of a fresh symmetric float matrix whose symplectic spectrum
+    nus (in any order) is known exactly, from a closed form or as the union
+    of validated parts: CovMat's label checks and its rejection of
+    non-finite entries, the frozen arrays, and one count in the physicality
+    audit at nus' least member, but no numerical spectrum."""
+    labels = _mode_labels(mat.shape[-1] // 2, labels)
+    if not np.isfinite(mat).all():
+        raise ValueError("covariance matrix must not contain infs or NaNs")
+    nus = np.sort(np.asarray(nus, dtype=float))[::-1].copy()
+    _record_in_audit(nus[-1])
+    state = object.__new__(CovMat)
+    state._freeze(mat, nus, labels)
+    return state
 
 
 @dataclass(frozen=True)
@@ -429,14 +463,18 @@ def _exactly_physical(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (lhs >= (1 << (-base).astype(object))).astype(bool)
 
 
+def _tmsv_nu(a, c):
+    """The symplectic eigenvalue of both modes of a tmsv with stored entries
+    (a, c), sqrt((a - c)(a + c)), good to a few ulps; >= 1 for the entries
+    of _tmsv_entries, which make (a - c)(a + c) >= 1 exactly."""
+    return np.sqrt((a - c) * (a + c))
+
+
 def _tmsv_matrices(gamma: np.ndarray) -> np.ndarray:
     """tmsv(gamma)'s matrix for each gamma of an array, counted in the
-    physicality audit as one CovMat each. _tmsv_entries makes
-    (a - c)(a + c) >= 1 exactly, which is the physicality of the state, so
-    the audit takes the closed-form nu = sqrt((a - c)(a + c)) of both modes
-    in place of a spectrum."""
+    physicality audit as one tmsv each, at its closed-form _tmsv_nu."""
     a, c = _tmsv_entries_array(gamma)
-    _record_in_audit(np.sqrt((a - c) * (a + c)))
+    _record_in_audit(_tmsv_nu(a, c))
     return _two_mode_std(a, a, c, -c)
 
 
@@ -444,31 +482,32 @@ def tmsv(gamma: float, labels: tuple[str, str] = ("m1", "m2")) -> CovMat:
     """Two-mode squeezed vacuum with squeezing parameter gamma in [0, 1).
 
     Entries a = b = (1 + gamma^2)/(1 - gamma^2), c = 2 gamma/(1 - gamma^2)
-    with sign pattern diag(c, -c) on the cross block.
+    with sign pattern diag(c, -c) on the cross block, physically rounded
+    (_tmsv_entries). Certified by its closed-form spectrum, _tmsv_nu for
+    both modes.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"tmsv squeezing must lie in [0, 1), got {gamma}")
     a, c = _tmsv_entries(gamma)
-    return TwoModeStd(a, a, c, -c).to_covmat(labels)
+    nu = _tmsv_nu(a, c)
+    return _certified(_two_mode_std(a, a, c, -c), labels, (nu, nu))
 
 
 def thermal(variance: float, label: str = "m1") -> CovMat:
-    """Single thermal mode diag(variance, variance); variance = 1 is vacuum."""
+    """Single thermal mode diag(variance, variance); variance = 1 is vacuum.
+    Certified by its spectrum, nu = variance."""
     if variance < 1.0:
         raise ValueError(f"thermal variance must be >= 1, got {variance}")
-    return CovMat(np.diag([variance, variance]).astype(float), (label,))
+    return _certified(np.diag([variance, variance]).astype(float), (label,), (variance,))
 
 
-def two_mode_squeezer(g: float) -> Symplectic:
-    """Two-mode squeezer of gain g = cosh^2(r) >= 1.
-
-    Diagonal blocks sqrt(g) I2, off-diagonal blocks diag(sqrt(g-1), -sqrt(g-1)).
-    """
+def _squeezer_matrix(g: float) -> np.ndarray:
+    """two_mode_squeezer's matrix, range-checked, for the raw pipelines."""
     if g < 1.0:
         raise ValueError(f"squeezer gain must be >= 1, got {g}")
     sg = math.sqrt(g)
     sgm = math.sqrt(g - 1.0)
-    mat = np.array(
+    return np.array(
         [
             [sg, 0.0, sgm, 0.0],
             [0.0, sg, 0.0, -sgm],
@@ -476,15 +515,18 @@ def two_mode_squeezer(g: float) -> Symplectic:
             [0.0, -sgm, 0.0, sg],
         ]
     )
-    return Symplectic(mat, 2)
 
 
-def beam_splitter(t) -> Symplectic:
-    """Beam splitter of transmissivity t in [0, 1]; an array of t gives the
-    stack of splitters, one per entry.
+def two_mode_squeezer(g: float) -> Symplectic:
+    """Two-mode squeezer of gain g = cosh^2(r) >= 1.
 
-    First output = sqrt(t) m1 - sqrt(1-t) m2, second = sqrt(1-t) m1 + sqrt(t) m2.
+    Diagonal blocks sqrt(g) I2, off-diagonal blocks diag(sqrt(g-1), -sqrt(g-1)).
     """
+    return Symplectic(_squeezer_matrix(g), 2)
+
+
+def _splitter_matrix(t) -> np.ndarray:
+    """beam_splitter's matrix (or stack), range-checked, for the raw pipelines."""
     t = np.asarray(t, dtype=float)
     outside = ~((0.0 <= t) & (t <= 1.0))
     if outside.any():
@@ -496,15 +538,27 @@ def beam_splitter(t) -> Symplectic:
         mat[..., k, k] = st
     mat[..., 0, 2] = mat[..., 1, 3] = -sr
     mat[..., 2, 0] = mat[..., 3, 1] = sr
-    return Symplectic(mat, 2)
+    return mat
+
+
+def beam_splitter(t) -> Symplectic:
+    """Beam splitter of transmissivity t in [0, 1]; an array of t gives the
+    stack of splitters, one per entry.
+
+    First output = sqrt(t) m1 - sqrt(1-t) m2, second = sqrt(1-t) m1 + sqrt(t) m2.
+    """
+    return Symplectic(_splitter_matrix(t), 2)
 
 
 def direct_sum(*states: CovMat) -> CovMat:
-    """Combine independent states into one; labels are concatenated and must stay unique."""
+    """Combine independent states into one; labels are concatenated and must
+    stay unique. The matrix is block-diagonal, so its spectrum is exactly the
+    union of the parts' validated ones, by which it is certified."""
     if not states:
         raise ValueError("direct_sum needs at least one state")
     labels = tuple(lbl for s in states for lbl in s.labels)
-    return CovMat(_block_diag(*(s.matrix for s in states)), labels)
+    nus = np.concatenate([s._nus for s in states])
+    return _certified(_block_diag(*(s.matrix for s in states)), labels, nus)
 
 
 def apply_symplectic(state: CovMat, s: Symplectic, target_labels: tuple[str, ...]) -> CovMat:
@@ -520,8 +574,12 @@ def apply_symplectic(state: CovMat, s: Symplectic, target_labels: tuple[str, ...
 
 
 def partial_trace(state: CovMat, keep_labels: tuple[str, ...]) -> CovMat:
-    """Restrict to the kept modes (principal submatrix), reordered to keep_labels."""
+    """Restrict to the kept modes (principal submatrix), reordered to
+    keep_labels. Keeping every mode in its order returns the (frozen) state
+    itself."""
     keep = tuple(keep_labels)
+    if keep == state.labels:
+        return state
     if not keep:
         raise ValueError("must keep at least one mode")
     idx = [state.index(lbl) for lbl in keep]
@@ -571,6 +629,8 @@ def _schur_hp(a: np.ndarray, c: np.ndarray, b: np.ndarray, quadrature: str | Non
     # precision would leave absolute errors ~eps * |sigma| in the result.
     # quadrature None is heterodyne, a - c (b + I)^-1 c^T; "x" or "p" is the
     # homodyne a - c_q c_q^T / b_qq on that quadrature's column.
+    import mpmath
+
     with mpmath.mp.workdps(40):
         am = mpmath.matrix(a.tolist())
         cm = mpmath.matrix(c.tolist())

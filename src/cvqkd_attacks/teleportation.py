@@ -22,12 +22,12 @@ from .gaussian import (
     _act_on_modes,
     _block_diag,
     _embedded,
+    _splitter_matrix,
+    _squeezer_matrix,
     _tmsv_entries,
     _tmsv_matrices,
     _two_mode_std,
-    beam_splitter,
     thermal,
-    two_mode_squeezer,
 )
 
 
@@ -245,10 +245,10 @@ def _pipeline_raw(
     dim = joint.shape[-1]
     sig = input_labels.index(signal_label)
     r1, r2, f1 = len(input_labels), len(input_labels) + 1, len(input_labels) + 2
-    squeeze = _embedded(two_mode_squeezer(g).matrix, (sig, r1), dim)
+    squeeze = _embedded(_squeezer_matrix(g), (sig, r1), dim)
     squeeze[..., 2 * sig : 2 * sig + 2, :] *= math.sqrt(channel.tau)
-    after = _embedded(beam_splitter(t).matrix, (sig, r2), dim) @ _embedded(
-        beam_splitter(eta).matrix, (r2, f1), dim
+    after = _embedded(_splitter_matrix(t), (sig, r2), dim) @ _embedded(
+        _splitter_matrix(eta), (r2, f1), dim
     )
     local = _embedded(_eve_local_map(channel.tau, t), (r1, r2), dim)
     linear = local @ (after @ squeeze)
@@ -298,7 +298,7 @@ def _bell_record_raw(
         -c * c_in / s,
         c * c_in / s,
     )
-    given_u = _act_on_modes(_block_diag(pair, aux), beam_splitter(eta).matrix, (1, 2))
+    given_u = _act_on_modes(_block_diag(pair, aux), _splitter_matrix(eta), (1, 2))
     given_u = 0.5 * (given_u + np.swapaxes(given_u, -1, -2))
     given_u[..., 2:4, :] *= -1.0
     given_u[..., :, 2:4] *= -1.0

@@ -10,12 +10,15 @@ symplectic spectra. About 0.05 s a point.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-import cvqkd_attacks.gaussian
+import cvqkd_attacks
 from cvqkd_attacks.attacks import (
     AttackScenario,
     _eve_info_objective,
@@ -25,7 +28,6 @@ from cvqkd_attacks.attacks import (
     gamma_min,
 )
 from cvqkd_attacks.channels import GaussChannel
-from cvqkd_attacks.cli import main
 from cvqkd_attacks.gaussian import _tmsv_entries, symplectic_form, tmsv
 from cvqkd_attacks.keyrate import default_gamma_grid
 from cvqkd_attacks.teleportation import _is_pure_loss_like
@@ -214,9 +216,14 @@ def test_stacked_closed_form_equals_per_point_calls():
                 assert value == _eve_info_objective(sc, alice, resource, eta, kappa)
 
 
-class _NoMpmath:
-    def __getattr__(self, name):
-        raise AssertionError(f"mpmath.{name} reached")
+# runs one CLI command in a fresh interpreter, then reports its exit code
+# and whether anything imported mpmath along the way
+_NO_MPMATH_SCRIPT = """
+import sys
+from cvqkd_attacks.cli import main
+code = main(sys.argv[1:])
+print(code, "mpmath" in sys.modules)
+"""
 
 
 @pytest.mark.parametrize(
@@ -232,12 +239,21 @@ class _NoMpmath:
     ],
     ids=["default", "direct", "pure-loss", "finite-1e4", "finite-1e6", "finite-1e6-direct", "verify"],
 )
-def test_sweep_makes_no_mpmath_call(monkeypatch, tmp_path, capsys, argv):
+def test_sweep_makes_no_mpmath_call(tmp_path, argv):
     # the Bell-record closed form at g = inf, and the attack's states in
     # Eve's local basis at finite gains, run in double precision throughout:
-    # objective, validation and conditioning
-    monkeypatch.setattr(cvqkd_attacks.gaussian, "mpmath", _NoMpmath())
+    # objective, validation and conditioning, so mpmath is never imported
     if argv[0] == "sweep":
         argv = [*argv, "--output", str(tmp_path / "t.csv")]
-    assert main(argv) == 0
-    assert capsys.readouterr().err == ""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cvqkd_attacks.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_MPMATH_SCRIPT, *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[-1] == "0 False"

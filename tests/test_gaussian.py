@@ -433,6 +433,94 @@ def test_tmsv_matrices_count_each_member_in_the_audit():
         assert np.array_equal(stack[k], tmsv(gamma).matrix), gamma
 
 
+def _certified_states():
+    """(name, constructor) of each state certified by its spectrum."""
+    return [
+        ("tmsv", lambda: tmsv(0.9, ("A", "B"))),
+        ("thermal", lambda: thermal(2.5, "E")),
+        ("direct_sum", lambda: direct_sum(tmsv(0.5, ("A", "B")), thermal(3.0, "E"))),
+    ]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9])
+def test_tmsv_spectrum_matches_60_digit_oracle(gamma):
+    # the closed form against a general 60-digit eigensolve of the stored
+    # matrix; at 1 - 1e-6 the numerical spectrum (_check_physical) is off
+    # by 6e-5
+    st = tmsv(gamma)
+    oracle = _spectrum_by_general_eig(st.matrix, 60)
+    np.testing.assert_array_max_ulp(symplectic_eigenvalues(st), oracle, 2)
+
+
+@pytest.mark.parametrize("variance", [1.0, 1.5, 3.0, 1e6, 1e12])
+def test_thermal_and_direct_sum_spectra_match_60_digit_oracle(variance):
+    for st in (
+        thermal(variance),
+        direct_sum(thermal(variance, "a"), tmsv(0.9999, ("b", "c")), thermal(2.0, "d")),
+    ):
+        oracle = _spectrum_by_general_eig(st.matrix, 60)
+        np.testing.assert_array_max_ulp(symplectic_eigenvalues(st), oracle, 2)
+
+
+@pytest.mark.parametrize("name,build", _certified_states(), ids=[n for n, _ in _certified_states()])
+def test_certified_states_count_once_without_a_numerical_spectrum(monkeypatch, name, build):
+    calls = []
+    monkeypatch.setattr(cvqkd_attacks.gaussian, "_check_physical", calls.append)
+    reset_physicality_audit()
+    state = build()
+    min_nu, count = physicality_audit()
+    # direct_sum's parts are built inside build(), one count each
+    assert count == (3 if name == "direct_sum" else 1)
+    assert min_nu >= 1.0
+    assert calls == []
+    assert not state.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        state.matrix[0, 0] = 99.0
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: thermal(math.nan), "covariance matrix must not contain infs or NaNs"),
+        (lambda: thermal(math.inf), "covariance matrix must not contain infs or NaNs"),
+        (lambda: thermal(0.5), "thermal variance must be >= 1, got 0.5"),
+        (lambda: tmsv(0.3, ("a",)), "expected 2 mode labels, got 1"),
+        (lambda: tmsv(0.3, ("a", "b", "c")), "expected 2 mode labels, got 3"),
+        (lambda: tmsv(0.3, ("a", "a")), "mode labels must be unique, got ('a', 'a')"),
+        (
+            lambda: direct_sum(tmsv(0.3, ("A", "B")), thermal(1.0, "B")),
+            "mode labels must be unique, got ('A', 'B', 'B')",
+        ),
+    ],
+    ids=["thermal-nan", "thermal-inf", "thermal-low", "tmsv-one-label", "tmsv-three-labels",
+         "tmsv-duplicate", "direct-sum-clash"],
+)
+def test_certified_states_keep_covmat_messages(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_partial_trace_of_every_mode_in_order_is_the_state_itself(monkeypatch):
+    calls = []
+    real = cvqkd_attacks.gaussian._check_physical
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return real(mat)
+
+    monkeypatch.setattr(cvqkd_attacks.gaussian, "_check_physical", counted)
+    st = direct_sum(thermal(1.5, "A"), thermal(2.5, "B"))
+    assert partial_trace(st, ("A", "B")) is st
+    assert partial_trace(st, ["A", "B"]) is st
+    assert calls == []
+    # any other selection or order validates a new state
+    reset_physicality_audit()
+    kept = partial_trace(st, ("B", "A"))
+    assert calls == [(4, 4)] and physicality_audit()[1] == 1
+    assert kept is not st and kept.labels == ("B", "A")
+    assert np.array_equal(kept.matrix, np.diag([2.5, 2.5, 1.5, 1.5]))
+
+
 def _spectrum_by_general_eig(matrix: np.ndarray, dps: int) -> np.ndarray:
     # general eigensolver on Omega sigma, the route the Hermitian solve replaced
     n = matrix.shape[0] // 2
