@@ -18,7 +18,7 @@ import numpy as np
 from .channels import (
     ChannelKind,
     GaussChannel,
-    _probe_channel,
+    _check_phase_insensitive,
     apply_channel,
     classify,
     is_entanglement_breaking,
@@ -161,9 +161,7 @@ def eve_info(full_state: CovMat, sc: AttackScenario) -> float:
     return _eve_info_raw(sc, full_state.matrix, full_state.labels, validate=True)
 
 
-def _eve_info_raw(
-    sc: AttackScenario, mat: np.ndarray, labels: tuple[str, ...], validate: bool = False
-):
+def _eve_info_raw(sc: AttackScenario, mat: np.ndarray, labels: tuple[str, ...], validate: bool):
     """eve_info on a raw matrix or stack. validate=True checks Eve's block,
     the conditioned state and its Eve block (_check_physical) in turn and
     takes their spectra; validate=False reads the unchecked matrices'
@@ -174,19 +172,31 @@ def _eve_info_raw(
 
     def eve_entropy(m, labels):
         rows = np.ravel([(2 * i, 2 * i + 1) for i, lbl in enumerate(labels) if lbl in eve])
-        block = m[..., rows[:, None], rows]
-        return _spectrum_entropy(_check_physical(block)[1] if validate else _fast_spectrum(block)[0])
+        return _block_entropy(m[..., rows[:, None], rows], validate)
 
     s_eve = eve_entropy(mat, labels)
     cond, rest = _condition_raw(mat, labels, sc.conditioned_label)
     return s_eve - eve_entropy(_check_physical(cond)[0] if validate else cond, rest)
 
 
+def _block_entropy(block: np.ndarray, validate: bool, pure_tol: float = 1e-12):
+    """Entropy of a raw matrix or stack from its validated spectrum
+    (_check_physical) or, unchecked, its double-precision one
+    (_fast_spectrum); pure_tol as for _spectrum_entropy."""
+    nus = _check_physical(block)[1] if validate else _fast_spectrum(block)[0]
+    return _spectrum_entropy(nus, pure_tol)
+
+
 def _channel_residual(ab: np.ndarray, alice: np.ndarray, ch: GaussChannel):
     """|tau_eff - tau| + |v_eff - v| of the channel that took Alice's
     tmsv(zeta) matrix on (A, B) to ab, or to each matrix of a stack, read
-    off the x-quadrature entries (both attacks are phase insensitive)."""
+    off the x-quadrature entries once each matrix is checked to keep the
+    phase-insensitive form within 1e-8 of Alice's variance
+    (channels._check_phase_insensitive). At zeta = 0 Alice's input carries
+    no correlation to read tau_eff from: the residual then compares only
+    the output variance with tau + v."""
     a_in, c_in = alice[0, 0], alice[0, 2]
+    _check_phase_insensitive(ab, a_in, 1e-8 * a_in)
     # float_power: C pow per element, as _probe_channel explains
     tau_eff = np.float_power(ab[..., 0, 2] / c_in, 2) if c_in else ch.tau
     v_eff = ab[..., 2, 2] - tau_eff * a_in
@@ -255,38 +265,20 @@ def ao_attack_state(sc: AttackScenario, gamma: float, eta: float, kappa: float) 
     basis (teleportation._eve_local_map): P carries the amplified Bell
     record, Q has O(1) entries."""
     resource = _resource_matrix(gamma)
-    alice = tmsv(sc.zeta, ("A", "B"))
-    mat, labels = _pipeline_raw(
-        alice.matrix, alice.labels, "B", sc.channel, resource, eta, kappa, sc.gain
-    )
-    return CovMat(mat, labels)
+    alice = tmsv(sc.zeta, ("A", "B")).matrix
+    return CovMat(*_pipeline_raw(alice, sc.channel, resource, eta, kappa, sc.gain))
 
 
 def simulation_residual(sc: AttackScenario, gamma: float, eta: float, kappa: float) -> float:
     """|tau_eff - tau| + |v_eff - v| for the channel the attack actually
-    presents between A and B at the scenario's finite gain."""
-    return _attack_residual(sc, _resource_matrix(gamma), eta, kappa)
+    presents between A and B at the scenario's finite gain, read off the
+    (A, B) block of the attack state, the one block it checks."""
+    alice = tmsv(sc.zeta).matrix
+    mat, _ = _pipeline_raw(alice, sc.channel, _resource_matrix(gamma), eta, kappa, sc.gain)
+    return _channel_residual(_check_physical(mat[:4, :4])[0], alice, sc.channel)
 
 
-def _attack_residual(sc: AttackScenario, resource: np.ndarray, eta, kappa):
-    """simulation_residual at one point or a stack of them (as _pipeline_raw
-    takes them), read off effective_channel's TMSV probe."""
-    probe = tmsv(0.5, ("probe_ref", "probe_sig")).matrix
-    mat, _ = _pipeline_raw(
-        probe, ("probe_ref", "probe_sig"), "probe_sig", sc.channel, resource, eta, kappa, sc.gain
-    )
-    # the probe modes occupy the first two slots
-    tau, v = _probe_channel(_check_physical(mat[..., :4, :4])[0], probe)
-    return abs(tau - sc.channel.tau) + abs(v - sc.channel.v)
-
-
-def _bell_record_info(
-    sc: AttackScenario,
-    ab: np.ndarray,
-    given_u: np.ndarray,
-    labels: tuple[str, ...],
-    validate: bool = False,
-):
+def _bell_record_info(sc: AttackScenario, ab, given_u, labels: tuple[str, ...], validate: bool):
     """Eve's information at g = inf from _bell_record_raw's matrices, or
     from stacks of them:
 
@@ -306,22 +298,19 @@ def _bell_record_info(
     i = labels.index(sc.conditioned_label)
     m = slice(2 * i, 2 * i + 2)
     cond, _ = _condition_raw(given_u, labels, sc.conditioned_label)
-
-    def entropy(block):
-        nus = _check_physical(block)[1] if validate else _fast_spectrum(block)[0]
-        return _spectrum_entropy(nus, 0.0)
-
     eye = np.eye(2)
     record = 0.5 * np.log2(
         np.linalg.det(ab[..., m, m] + eye) / np.linalg.det(given_u[..., m, m] + eye)
     )
     # after removing A or B the F block starts at the second remaining mode
-    return record + entropy(given_u[..., 4:, 4:]) - entropy(cond[..., 2:, 2:])
+    s_f = _block_entropy(given_u[..., 4:, 4:], validate, 0.0)
+    return record + s_f - _block_entropy(cond[..., 2:, 2:], validate, 0.0)
 
 
-def _eve_info_objective(sc: AttackScenario, alice: np.ndarray, resource: np.ndarray, eta, kappa):
-    """Eve's information on raw arrays, the optimizer's objective, at the
-    scenario's gain.
+def _attack_point(sc: AttackScenario, alice, resource, eta, kappa, validate: bool = False):
+    """Eve's information and the (A, B) block of the attack state it was
+    read from, at the scenario's gain: the one evaluation behind the scan,
+    the refit and the validation of the picks.
 
     alice is the tmsv(zeta) matrix on (A, B), resource the one from
     _resource_matrix. eta and kappa are scalars, or 1-D arrays of matched
@@ -332,22 +321,33 @@ def _eve_info_objective(sc: AttackScenario, alice: np.ndarray, resource: np.ndar
     A gain of math.inf takes the Bell-record closed form (_bell_record_info):
     O(1) entries in double precision, within 1e-13 bits of the 60-digit
     circuit at g = 1e20 on the points tests/test_bell_record.py checks.
-    A finite g is _eve_info_raw on the unchecked circuit, the arithmetic
-    that _validated_rows runs, checked, on each row's pick. Eve's amplified
-    pair is in her local basis (P, Q) there (_pipeline_raw), where only P
-    grows with g, so the double-precision Schur complement stays accurate,
-    and above _HP_SCALE every spectrum reads its small nu's from the
-    inverse side of the Cholesky congruence (_fast_spectrum). It is within
-    1e-10 bits of the 60-digit circuit at g = 1e2 to 1e8 on the points
-    tests/test_finite_gain.py checks, with no mpmath call. In a stacked
-    call at g = 1e6 the spectra of a 187-point scan stack of Eve's 8x8
-    blocks take 4.8 ms above _HP_SCALE and 2.0 ms below it (one core of a
-    2.1 GHz Xeon).
+    A finite g is _eve_info_raw on the circuit (_pipeline_raw), where only
+    Eve's mode P grows with g, so the double-precision Schur complement
+    stays accurate, and above _HP_SCALE every spectrum reads its small nu's
+    from the inverse side of the Cholesky congruence (_fast_spectrum):
+    within 1e-10 bits of the 60-digit circuit at g = 1e2 to 1e8 on the
+    points tests/test_finite_gain.py checks, with no mpmath call. In a
+    stacked call at g = 1e6 the spectra of a 187-point scan stack of Eve's
+    8x8 blocks take 4.8 ms above _HP_SCALE and 2.0 ms below it (one core of
+    a 2.1 GHz Xeon).
+
+    validate=True checks the attack state at finite g and every block whose
+    entropy is taken (_block_entropy); the (A, B) block is the caller's to
+    check.
     """
     if math.isinf(sc.gain):
-        return _bell_record_info(sc, *_bell_record_raw(alice, sc.channel, resource, eta, kappa))
-    mat, labels = _pipeline_raw(alice, ("A", "B"), "B", sc.channel, resource, eta, kappa, sc.gain)
-    return _eve_info_raw(sc, mat, labels)
+        ab, given_u, labels = _bell_record_raw(alice, sc.channel, resource, eta, kappa)
+        return _bell_record_info(sc, ab, given_u, labels, validate), ab
+    mat, labels = _pipeline_raw(alice, sc.channel, resource, eta, kappa, sc.gain)
+    if validate:
+        mat = _check_physical(mat)[0]
+    return _eve_info_raw(sc, mat, labels, validate), mat[..., :4, :4]
+
+
+def _eve_info_objective(sc: AttackScenario, alice: np.ndarray, resource: np.ndarray, eta, kappa):
+    """The optimizer's objective, _attack_point's information unchecked:
+    the one seam through which the scan and the refit evaluate."""
+    return _attack_point(sc, alice, resource, eta, kappa)[0]
 
 
 def _feasible_eta_window(gamma: float, tau: float, v: float, lo: float):
@@ -434,24 +434,16 @@ class RowError(ValueError):
 
 
 def _validated_rows(sc: AttackScenario, alice, resources, gammas, picks, chi):
-    """AttackResults of a stack of rows at their picked (eta, kappa), from
-    validated states: one circuit call and one physicality check per stage
-    for all rows (at finite gain the attack state, eve_info's three stages
-    and simulation_residual's probe output; at g = inf the Bell record's
-    (A, B) state and both F blocks)."""
+    """AttackResults of a stack of rows at their picked (eta, kappa): the
+    objective's own arithmetic, checked (_attack_point with validate=True),
+    in one call for all rows, and the residual of the (A, B) block that
+    call formed, checked to be physical and, by _channel_residual, in the
+    phase-insensitive form, at every gain."""
     if not gammas:
         return []
     etas, kappas = np.array(picks).T
-    if math.isinf(sc.gain):
-        ab, given_u, labels = _bell_record_raw(alice, sc.channel, resources, etas, kappas)
-        residual = _channel_residual(_check_physical(ab)[0], alice, sc.channel)
-        info = _bell_record_info(sc, ab, given_u, labels, validate=True)
-    else:
-        mat, labels = _pipeline_raw(
-            alice, ("A", "B"), "B", sc.channel, resources, etas, kappas, sc.gain
-        )
-        info = _eve_info_raw(sc, _check_physical(mat)[0], labels, validate=True)
-        residual = _attack_residual(sc, resources, etas, kappas)
+    info, ab = _attack_point(sc, alice, resources, etas, kappas, validate=True)
+    residual = _channel_residual(_check_physical(ab)[0], alice, sc.channel)
     rows = zip(gammas, picks, info.tolist(), residual.tolist())
     return [_row_result(gamma, chi, *pick, value, off) for gamma, pick, value, off in rows]
 

@@ -148,18 +148,10 @@ def effective_channel(
 def _probe_channel(out: np.ndarray, probe: np.ndarray, atol: float = 1e-8):
     """(tau, v >= 0) of the channel that took the TMSV probe matrix on
     (probe_ref, probe_sig) to out, or to each matrix of a (..., 4, 4) stack;
-    each output must keep the phase-insensitive form within atol (x and p
-    blocks equal up to the cross sign, no x-p terms, the reference
-    untouched) and each pair be a physical GaussChannel."""
+    each output must keep the phase-insensitive form within atol
+    (_check_phase_insensitive) and each pair be a physical GaussChannel."""
     a_in, c_in = probe[0, 0], probe[0, 2]
-    xx_pp = out[..., ::2, ::2] - out[..., 1::2, 1::2] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    dev = np.abs(np.concatenate([xx_pp, out[..., ::2, 1::2]], axis=-1)).max(axis=(-2, -1))
-    dev = np.maximum(dev, np.abs(out[..., 0, 0] - a_in))
-    bad = dev > atol
-    if bad.any():
-        raise ValueError(
-            f"transform is not phase-insensitive on the probe (deviation {dev[bad][0]:.3g})"
-        )
+    _check_phase_insensitive(out, a_in, atol)
     # float_power is C pow on every element, as ** is on one scalar; ** on
     # an array squares, which rounds differently in about 1e-3 of cases
     tau = np.float_power(out[..., 0, 2] / c_in, 2)
@@ -167,6 +159,21 @@ def _probe_channel(out: np.ndarray, probe: np.ndarray, atol: float = 1e-8):
     for pair in zip(np.ravel(tau).tolist(), np.ravel(v).tolist()):
         GaussChannel(*pair)
     return tau, v
+
+
+def _check_phase_insensitive(out: np.ndarray, a_in: float, atol: float) -> None:
+    """Raise unless out, or each matrix of a (..., 4, 4) stack, is a tmsv
+    with reference variance a_in after a phase-insensitive channel on its
+    second mode, within atol: x and p blocks equal up to the cross sign, no
+    x-p terms, the reference untouched."""
+    xx_pp = out[..., ::2, ::2] - out[..., 1::2, 1::2] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    dev = np.abs(np.concatenate([xx_pp, out[..., ::2, 1::2]], axis=-1)).max(axis=(-2, -1))
+    dev = np.maximum(dev, np.abs(out[..., 0, 0] - a_in))
+    bad = dev > atol
+    if bad.any():
+        raise ValueError(
+            f"transform is not phase-insensitive on its input (deviation {dev[bad][0]:.3g})"
+        )
 
 
 def loss_channel_state(

@@ -198,8 +198,6 @@ def _eve_local_map(tau: float, t: float) -> np.ndarray:
 
 def _pipeline_raw(
     input_matrix: np.ndarray,
-    input_labels: tuple[str, ...],
-    signal_label: str,
     channel: GaussChannel,
     resource: np.ndarray,
     eta,
@@ -207,8 +205,9 @@ def _pipeline_raw(
     g: float,
     t: float | None = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The all-optical teleporter with a tap on its second resource arm, run
-    on an arbitrary input with the channel's environment traced out.
+    """The all-optical teleporter with a tap on its second resource arm,
+    teleporting the second mode of a two-mode input (A, B), with the
+    channel's environment traced out.
 
     Resource matrix on (R1, R2); auxiliary tmsv(kappa) on (F1, F2), or a
     single vacuum F1 for pure-loss channels. Order: squeeze (signal, R1) at
@@ -228,8 +227,8 @@ def _pipeline_raw(
     eigenvalues stay resolvable in double precision (see _fast_spectrum).
     Forming the raw (R1, R2) output first and mapping it afterwards would
     not do: its rounding, ~eps g a in every amplified entry, survives the
-    map. Returns the raw kept matrix on the input modes, then P, Q, F1 (and
-    F2), with its labels.
+    map. Returns the raw kept matrix on (A, B, P, Q, F1) or, off pure loss,
+    (A, B, P, Q, F1, F2), with those labels.
 
     eta and kappa may be 1-D arrays of one length: the result is then the
     stack of kept matrices, one per (eta, kappa) pair, with the auxiliary
@@ -241,21 +240,19 @@ def _pipeline_raw(
     t = 1.0 / g if t is None else t
     eta, aux, aux_labels = _tapped_auxiliary(channel, eta, kappa)
     joint = _block_diag(input_matrix, resource, aux)
-    labels = tuple(input_labels) + ("P", "Q") + aux_labels
     dim = joint.shape[-1]
-    sig = input_labels.index(signal_label)
-    r1, r2, f1 = len(input_labels), len(input_labels) + 1, len(input_labels) + 2
-    squeeze = _embedded(_squeezer_matrix(g), (sig, r1), dim)
-    squeeze[..., 2 * sig : 2 * sig + 2, :] *= math.sqrt(channel.tau)
-    after = _embedded(_splitter_matrix(t), (sig, r2), dim) @ _embedded(
-        _splitter_matrix(eta), (r2, f1), dim
+    # modes: the signal B is mode 1, then R1, R2 and F1
+    squeeze = _embedded(_squeezer_matrix(g), (1, 2), dim)
+    squeeze[..., 2:4, :] *= math.sqrt(channel.tau)
+    after = _embedded(_splitter_matrix(t), (1, 3), dim) @ _embedded(
+        _splitter_matrix(eta), (3, 4), dim
     )
-    local = _embedded(_eve_local_map(channel.tau, t), (r1, r2), dim)
+    local = _embedded(_eve_local_map(channel.tau, t), (2, 3), dim)
     linear = local @ (after @ squeeze)
-    noise = local @ after[..., :, 2 * sig : 2 * sig + 2]
+    noise = local @ after[..., :, 2:4]
     joint = linear @ joint @ np.swapaxes(linear, -1, -2)
     joint += channel.v * (noise @ np.swapaxes(noise, -1, -2))
-    return 0.5 * (joint + np.swapaxes(joint, -1, -2)), labels
+    return 0.5 * (joint + np.swapaxes(joint, -1, -2)), ("A", "B", "P", "Q") + aux_labels
 
 
 def _bell_record_raw(
@@ -328,15 +325,7 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
     if math.isinf(cfg.g):
         return apply_channel(state, ao_effective_channel(res, cfg), state.labels[1])
     # the resource was validated when it was built, and it is frozen
-    mat, _ = _pipeline_raw(
-        state.matrix,
-        state.labels,
-        state.labels[1],
-        cfg.env,
-        _two_mode_std(res.a, res.b, res.c, -res.c),
-        1.0,
-        0.0,
-        cfg.g,
-        cfg.splitter_transmissivity(),
-    )
+    resource = _two_mode_std(res.a, res.b, res.c, -res.c)
+    t = cfg.splitter_transmissivity()
+    mat, _ = _pipeline_raw(state.matrix, cfg.env, resource, 1.0, 0.0, cfg.g, t)
     return CovMat(mat[:4, :4], state.labels)

@@ -386,9 +386,10 @@ def test_optimize_thermal_smoke():
     assert res.residual <= 1e-8
     window = _feasible_eta_window(0.6, THERMAL.tau, THERMAL.v, 0.0)
     assert window[0] <= res.eta_star <= window[1]
-    # the residual is read off the g = infinity (A, B) state, as the
-    # cloner's is; the finite circuit at the same point presents the target
-    # channel too, since the matched kappa does not depend on g
+    # at every gain the residual is read off the (A, B) block of the state
+    # the row's information came from, as the cloner's is; here that is the
+    # g = infinity one. The finite circuit at the same point presents the
+    # target channel too, since the matched kappa does not depend on g
     alice = tmsv(sc.zeta, ("A", "B"))
     resource = _resource_matrix(0.6)
     ab, _, _ = _bell_record_raw(alice.matrix, THERMAL, resource, res.eta_star, res.kappa_star)
@@ -405,6 +406,24 @@ def test_channel_residual_on_a_stack_equals_each_matrix_alone():
     stacked = _channel_residual(outs, alice, THERMAL)
     for out, value in zip(outs, stacked.tolist()):
         assert float(_channel_residual(out, alice, THERMAL)) == value
+
+
+def test_channel_residual_rejects_an_output_no_channel_on_b_gives():
+    # every gain reads its residual here, so every gain gets the check that
+    # the output keeps the phase-insensitive form with the reference untouched
+    alice = tmsv(0.7, ("A", "B")).matrix
+    out = _channel_on_mode(alice, 1, THERMAL.tau, THERMAL.v)
+    assert _channel_residual(out, alice, THERMAL) <= 1e-12
+    squeezed_p = out.copy()
+    squeezed_p[3, 3] += 1e-3
+    disturbed_ref = out.copy()
+    disturbed_ref[0, 0] += 1e-3
+    disturbed_ref[1, 1] += 1e-3
+    x_p = out.copy()
+    x_p[0, 3] = x_p[3, 0] = 1e-3
+    for bad in (squeezed_p, disturbed_ref, x_p):
+        with pytest.raises(ValueError, match="not phase-insensitive"):
+            _channel_residual(np.array([out, bad]), alice, THERMAL)
 
 
 @pytest.mark.parametrize("g", [0.0, -1.0, 0.5, 1.0, math.inf, math.nan])

@@ -235,7 +235,7 @@ def test_sweep_identity_channel_exits_2(capsys):
             "not positive definite",
         ),
         # a source squeezing this close to 1 fails a row at the paper's own
-        # gains (ROADMAP defect 1); the asymptotic policy gives a table
+        # gains (ROADMAP defect 2); the asymptotic policy gives a table
         (
             ["--g-policy", "finite:100", "--zeta", "0.999999", "--gamma-count", "6"],
             "error: row gamma = 0.9823600149194993: unphysical covariance matrix",
@@ -243,7 +243,7 @@ def test_sweep_identity_channel_exits_2(capsys):
         ),
         # just above gamma_min the default channel's window reaches eta = 1,
         # where the matched kappa nears 1 and the Bell-record objective
-        # spikes above the Holevo bound (ROADMAP defect 4)
+        # spikes above the Holevo bound (ROADMAP defect 1)
         (
             ["--gamma-count", "201"],
             "error: row gamma = 0.4909949955798073: unphysical covariance matrix",
@@ -300,7 +300,7 @@ def test_high_gain_sweep_rows_match_the_oracle(capsys, tmp_path, fields):
         assert abs(row.eve_info_bits - oracle) <= 1e-9, row.gamma
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP defect 4: the scan picks the eta = 1 rim")
+@pytest.mark.xfail(strict=True, reason="ROADMAP defect 1: the scan picks the eta = 1 rim")
 def test_row_just_above_gamma_min_reaches_the_interior_peak():
     # the row picks eta* = 1 - 8.7e-13 with kappa* = 0.99999998, where the
     # double-precision objective is off: it prints 0.167425654 bits, the

@@ -539,9 +539,7 @@ def test_refined_spectrum_matches_80_digit_oracle(g, gamma, eta):
     kappa = _match_kappa(gamma, eta, ch.tau, ch.v, g)
     assert not math.isnan(kappa)
     alice = tmsv(0.7, ("A", "B")).matrix
-    mat, _ = _pipeline_raw(
-        alice, ("A", "B"), "B", ch, _resource_matrix(gamma), eta, kappa, g, 1.0 / g
-    )
+    mat, _ = _pipeline_raw(alice, ch, _resource_matrix(gamma), eta, kappa, g, 1.0 / g)
     eve = mat[4:, 4:]
     assert np.abs(eve).max() > _HP_SCALE
     oracle = _spectrum_by_general_eig(eve, 80)
@@ -731,7 +729,7 @@ def _attack_stack(g: float, count: int = 7) -> np.ndarray:
     kappas = _match_kappa(0.95, etas, ch.tau, ch.v, g)
     assert not np.isnan(kappas).any()
     alice = tmsv(0.7, ("A", "B")).matrix
-    mat, labels = _pipeline_raw(alice, ("A", "B"), "B", ch, _resource_matrix(0.95), etas, kappas, g)
+    mat, labels = _pipeline_raw(alice, ch, _resource_matrix(0.95), etas, kappas, g)
     return mat, labels
 
 

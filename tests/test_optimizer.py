@@ -22,6 +22,8 @@ from cvqkd_attacks.attacks import (
     _SCAN_PASSES,
     AttackScenario,
     RowError,
+    _attack_point,
+    _channel_residual,
     _eve_info_objective,
     _feasible_eta_window,
     _match_kappa,
@@ -35,7 +37,7 @@ from cvqkd_attacks.attacks import (
 )
 from cvqkd_attacks.channels import GaussChannel, is_entanglement_breaking
 from cvqkd_attacks.cli import RunConfig, scenario_from
-from cvqkd_attacks.gaussian import tmsv
+from cvqkd_attacks.gaussian import _check_physical, tmsv
 from cvqkd_attacks.keyrate import default_gamma_grid, sweep
 
 ORACLE_POINTS = 4001
@@ -134,6 +136,20 @@ def _rows(results):
     return [repr(dataclasses.astuple(r)) for r in results]
 
 
+def _assert_rows_are_the_evaluators(sc, grid, rows):
+    # each feasible row's information and residual are, bit for bit, the
+    # checked evaluator's at the row's own (eta*, kappa*)
+    alice = tmsv(sc.zeta, ("A", "B")).matrix
+    for gamma, row in zip(grid, rows):
+        if row.feasible:
+            resource = _resource_matrix(gamma)
+            info, ab = _attack_point(
+                sc, alice, resource, row.eta_star, row.kappa_star, validate=True
+            )
+            assert row.eve_info_bits == info, gamma
+            assert row.residual == _channel_residual(_check_physical(ab)[0], alice, sc.channel)
+
+
 @pytest.mark.parametrize(
     "fields,count",
     [
@@ -155,6 +171,7 @@ def test_stacked_rows_equal_single_rows(fields, count):
     assert len(stacked) == len(grid)
     assert _rows(stacked) == _rows(optimize_attack(sc, gamma) for gamma in grid)
     assert not stacked[0].feasible and stacked[1].feasible
+    _assert_rows_are_the_evaluators(sc, grid, stacked)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -177,7 +194,7 @@ def test_stacked_validation_equals_the_single_row_kernels(
     try:
         stacked = optimize_attacks(sc, grid)
     except RowError as exc:
-        # a row can fail at high gain (ROADMAP defects 2 and 3): it must fail
+        # a row can fail at high gain (ROADMAP defect 2): it must fail
         # alone with the same message, and the rows before it must pass
         with pytest.raises(ValueError) as alone:
             optimize_attack(sc, exc.gamma)
@@ -185,6 +202,7 @@ def test_stacked_validation_equals_the_single_row_kernels(
         grid = grid[: grid.index(exc.gamma)]
         stacked = optimize_attacks(sc, grid)
     assert _rows(stacked) == _rows(optimize_attack(sc, gamma) for gamma in grid)
+    _assert_rows_are_the_evaluators(sc, grid, stacked)
     for gamma, row in zip(grid, stacked):
         if row.feasible and math.isfinite(gain):
             state = ao_attack_state(sc, gamma, row.eta_star, row.kappa_star)
@@ -221,6 +239,24 @@ def test_sweep_batches_its_objective_calls(monkeypatch, fields, count):
         alone.append(list(calls))
     assert sum(scan) == sum(sum(row[:_SCAN_PASSES]) for row in alone)
     assert sum(vertices) == sum(sum(row[_SCAN_PASSES:]) for row in alone)
+
+
+def test_finite_gain_sweep_runs_the_circuit_once_per_stage(monkeypatch):
+    # one stacked circuit per scan pass, one for the parabola vertices and
+    # one for the validation, whose residual is read off the state that
+    # validation formed rather than off a second run of the circuit
+    calls = []
+    real = cvqkd_attacks.attacks._pipeline_raw
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[3]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cvqkd_attacks.attacks, "_pipeline_raw", counted)
+    sc, cfg = _config(g_policy="finite:100", gamma_hi=0.99)
+    grid = _grid(sc, cfg, 11)
+    assert all(row.feasible for row in sweep(sc, cfg.beta, grid).rows)
+    assert len(calls) == _SCAN_PASSES + 2, calls
 
 
 def test_first_failing_row_in_grid_order_is_reported():

@@ -6,8 +6,12 @@ before any optimization of the attack kernels.
 `data/sweep_lowgain_count_11.csv` is `sweep --g-policy finite:100
 --gamma-max 0.99 --gamma-count 11`, computed before the scan grid was
 batched: at g = 100 every matrix stays below the high-precision scale, so
-it pins the double-precision path alone. Run-to-run determinism alone
-cannot catch a refactor that drifts every run the same way; this can.
+it pins the double-precision path alone. `data/sweep_finite_1e6_count_6.csv`
+is `sweep --g-policy finite:1e6 --gamma-count 6`: there Eve's blocks pass
+the high-precision scale, so it pins the path that reads their spectra in
+her local basis from both sides of the Cholesky congruence. Run-to-run
+determinism alone cannot catch a refactor that drifts every run the same
+way; this can.
 """
 
 import csv
@@ -24,6 +28,10 @@ GOLDENS = {
     "lowgain": (
         DATA / "sweep_lowgain_count_11.csv",
         ["--g-policy", "finite:100", "--gamma-max", "0.99", "--gamma-count", "11"],
+    ),
+    "finite-1e6": (
+        DATA / "sweep_finite_1e6_count_6.csv",
+        ["--g-policy", "finite:1e6", "--gamma-count", "6"],
     ),
 }
 
