@@ -19,6 +19,8 @@ from .channels import (
     ChannelKind,
     GaussChannel,
     _check_phase_insensitive,
+    _dilated_state,
+    _dilation_parameters,
     apply_channel,
     classify,
     is_entanglement_breaking,
@@ -30,15 +32,18 @@ from .gaussian import (
     _fast_spectrum,
     _spectrum_entropy,
     _tmsv_matrices,
-    apply_symplectic,
-    beam_splitter,
+    _tmsv_textbook,
     condition_heterodyne,
-    direct_sum,
-    thermal,
     tmsv,
     von_neumann_entropy,
 )
-from .teleportation import _bell_record_raw, _is_pure_loss_like, _pipeline_raw
+from .teleportation import (
+    _ATTACK_MODES,
+    _BELL_RECORD_MODES,
+    _bell_record_raw,
+    _is_pure_loss_like,
+    _pipeline_raw,
+)
 
 _ROOT_TOL = 1e-12
 _FEASIBLE_RESIDUAL = 1e-8
@@ -206,25 +211,20 @@ def _channel_residual(ab: np.ndarray, alice: np.ndarray, ch: GaussChannel):
 def cloner_attack(sc: AttackScenario) -> AttackResult:
     """Entangling-cloner attack on a loss channel.
 
-    Eve holds a tmsv with arm variance matching the channel's excess noise
-    and splits Alice's signal on a beam splitter of transmissivity tau. The
-    global state is pure, so Eve's information equals the Holevo bound; both
-    are computed independently and cross-checked to 1e-9.
+    Eve holds the environment of the channel's dilation, solved once by
+    channels._dilation_parameters: a tmsv(gamma) on (E1, E2) whose arm
+    variance matches the channel's excess noise, E1 mixed with Alice's
+    signal on a beam splitter of transmissivity tau. The global state is pure, so Eve's information
+    equals the Holevo bound; both are computed independently and
+    cross-checked to 1e-9. The result is feasible when the state presents
+    the channel within 1e-8 (_row_result).
     """
     kind = classify(sc.channel)
     if kind not in (ChannelKind.THERMAL_LOSS, ChannelKind.PURE_LOSS, ChannelKind.IDENTITY):
         raise ValueError(f"entangling cloner covers loss channels, not {kind.value}")
-    tau, v = sc.channel.tau, sc.channel.v
     alice = tmsv(sc.zeta, ("A", "B"))
-    if kind is ChannelKind.THERMAL_LOSS:
-        eps = v / (1.0 - tau)
-        gamma_e = math.sqrt((eps - 1.0) / (eps + 1.0))
-        eve = tmsv(gamma_e, ("E1", "E2"))
-    else:
-        # pure loss or identity: the cloner degenerates to a vacuum ancilla
-        gamma_e = 0.0
-        eve = thermal(1.0, "E1")
-    full = apply_symplectic(direct_sum(alice, eve), beam_splitter(tau), ("B", "E1"))
+    gamma_e, t = _dilation_parameters(sc.channel)
+    full = _dilated_state(alice, gamma_e, t, "B", ("E1", "E2"))
 
     info = eve_info(full, sc)
     chi = holevo_bound(sc)
@@ -234,17 +234,8 @@ def cloner_attack(sc: AttackScenario) -> AttackResult:
         )
 
     # A and B lead the validated state (direct_sum puts alice first)
-    residual = _channel_residual(full.matrix[:4, :4], alice.matrix, sc.channel)
-    return AttackResult(
-        gamma=gamma_e,
-        ent_resource=entropy_of_entanglement(gamma_e),
-        eta_star=math.nan,
-        kappa_star=math.nan,
-        eve_info_bits=info,
-        holevo_bits=chi,
-        residual=residual,
-        feasible=True,
-    )
+    residual = float(_channel_residual(full.matrix[:4, :4], alice.matrix, sc.channel))
+    return _row_result(gamma_e, chi, info=info, residual=residual)
 
 
 def _resource_matrix(gamma) -> np.ndarray:
@@ -260,13 +251,14 @@ def _resource_matrix(gamma) -> np.ndarray:
 
 def ao_attack_state(sc: AttackScenario, gamma: float, eta: float, kappa: float) -> CovMat:
     """Global state of the teleportation attack at the scenario's finite
-    gain: Alice's modes (A, B) plus Eve's kept modes (P, Q, F1 and, off
-    pure loss, F2). P and Q are her amplified resource arms in her local
-    basis (teleportation._eve_local_map): P carries the amplified Bell
-    record, Q has O(1) entries."""
+    gain: Alice's modes (A, B) plus Eve's kept modes (P, Q, F1, F2). P and
+    Q are her amplified resource arms in her local basis
+    (teleportation._eve_local_map): P carries the amplified Bell record, Q
+    has O(1) entries."""
     resource = _resource_matrix(gamma)
     alice = tmsv(sc.zeta, ("A", "B")).matrix
-    return CovMat(*_pipeline_raw(alice, sc.channel, resource, eta, kappa, sc.gain))
+    mat = _pipeline_raw(alice, sc.channel, resource, eta, kappa, sc.gain)
+    return CovMat(mat, _ATTACK_MODES)
 
 
 def simulation_residual(sc: AttackScenario, gamma: float, eta: float, kappa: float) -> float:
@@ -274,11 +266,11 @@ def simulation_residual(sc: AttackScenario, gamma: float, eta: float, kappa: flo
     presents between A and B at the scenario's finite gain, read off the
     (A, B) block of the attack state, the one block it checks."""
     alice = tmsv(sc.zeta).matrix
-    mat, _ = _pipeline_raw(alice, sc.channel, _resource_matrix(gamma), eta, kappa, sc.gain)
+    mat = _pipeline_raw(alice, sc.channel, _resource_matrix(gamma), eta, kappa, sc.gain)
     return _channel_residual(_check_physical(mat[:4, :4])[0], alice, sc.channel)
 
 
-def _bell_record_info(sc: AttackScenario, ab, given_u, labels: tuple[str, ...], validate: bool):
+def _bell_record_info(sc: AttackScenario, ab, given_u, validate: bool):
     """Eve's information at g = inf from _bell_record_raw's matrices, or
     from stacks of them:
 
@@ -295,9 +287,9 @@ def _bell_record_info(sc: AttackScenario, ab, given_u, labels: tuple[str, ...], 
     up to ~1e-12 above nu = 1, worth up to 2e-11 bits. validate=True checks
     the F blocks (_check_physical) and takes their validated spectra.
     """
-    i = labels.index(sc.conditioned_label)
+    i = _BELL_RECORD_MODES.index(sc.conditioned_label)
     m = slice(2 * i, 2 * i + 2)
-    cond, _ = _condition_raw(given_u, labels, sc.conditioned_label)
+    cond, _ = _condition_raw(given_u, _BELL_RECORD_MODES, sc.conditioned_label)
     eye = np.eye(2)
     record = 0.5 * np.log2(
         np.linalg.det(ab[..., m, m] + eye) / np.linalg.det(given_u[..., m, m] + eye)
@@ -336,12 +328,12 @@ def _attack_point(sc: AttackScenario, alice, resource, eta, kappa, validate: boo
     check.
     """
     if math.isinf(sc.gain):
-        ab, given_u, labels = _bell_record_raw(alice, sc.channel, resource, eta, kappa)
-        return _bell_record_info(sc, ab, given_u, labels, validate), ab
-    mat, labels = _pipeline_raw(alice, sc.channel, resource, eta, kappa, sc.gain)
+        ab, given_u = _bell_record_raw(alice, sc.channel, resource, eta, kappa)
+        return _bell_record_info(sc, ab, given_u, validate), ab
+    mat = _pipeline_raw(alice, sc.channel, resource, eta, kappa, sc.gain)
     if validate:
         mat = _check_physical(mat)[0]
-    return _eve_info_raw(sc, mat, labels, validate), mat[..., :4, :4]
+    return _eve_info_raw(sc, mat, _ATTACK_MODES, validate), mat[..., :4, :4]
 
 
 def _eve_info_objective(sc: AttackScenario, alice: np.ndarray, resource: np.ndarray, eta, kappa):
@@ -362,9 +354,7 @@ def _feasible_eta_window(gamma: float, tau: float, v: float, lo: float):
     like 1/a around eta ~ tau as gamma -> 1, which is why a fixed grid on
     [lo, 1] cannot be trusted to hit it.
     """
-    g2 = gamma * gamma
-    a = (1.0 + g2) / (1.0 - g2)
-    c = 2.0 * gamma / (1.0 - g2)
+    a, c = _tmsv_textbook(gamma)
     am1 = a - 1.0
     if am1 <= 0.0:
         return None
@@ -400,9 +390,7 @@ def _match_kappa(gamma: float, eta, tau: float, v: float, g: float):
     because d - m is a difference of terms of size a, whose rounding alone
     would otherwise decide the verdict at a window edge as gamma -> 1.
     """
-    g2 = gamma * gamma
-    a = (1.0 + g2) / (1.0 - g2)
-    c = 2.0 * gamma / (1.0 - g2)
+    a, c = _tmsv_textbook(gamma)
     eta = np.asarray(eta, dtype=float)
     d = 1.0 - eta
     m = v - a * tau + 2.0 * c * np.sqrt(eta * tau) - eta * a

@@ -104,9 +104,19 @@ def dilation(channel: GaussChannel, env_labels: tuple[str, str] = ("env1", "env2
     transmissivity tau coupling the signal to one arm of an environment TMSV.
 
     Returns (environment CovMat, beam splitter transmissivity, label of the
-    coupled environment mode). The environment squeezing solves
-    (1 + gamma^2)/(1 - gamma^2) = v/(1 - tau); pure loss uses vacuum. Only
-    loss channels (tau < 1) and the identity admit this model here.
+    coupled environment mode), from _dilation_parameters.
+    """
+    gamma, t = _dilation_parameters(channel)
+    return tmsv(gamma, env_labels), t, env_labels[0]
+
+
+def _dilation_parameters(channel: GaussChannel) -> tuple[float, float]:
+    """(gamma, t) of the channel's dilation: the environment tmsv's
+    squeezing and the beam splitter's transmissivity. gamma solves
+    (1 + gamma^2)/(1 - gamma^2) = v/(1 - tau), 0 (vacuum) on exact pure
+    loss and below it, where GaussChannel's slack admits v down to
+    1 - tau - 1e-9; the identity gets vacuum and t = 1. Only loss channels
+    (tau < 1) and the identity admit this model here.
     """
     tau, v = channel.tau, channel.v
     if tau > 1.0 + KIND_TOL:
@@ -114,14 +124,9 @@ def dilation(channel: GaussChannel, env_labels: tuple[str, str] = ("env1", "env2
     if abs(tau - 1.0) <= KIND_TOL:
         if abs(v) > KIND_TOL:
             raise ValueError("additive-noise channel has no beam-splitter dilation")
-        env = tmsv(0.0, env_labels)
-        return env, 1.0, env_labels[0]
-    eps = v / (1.0 - tau)
-    if eps < 1.0 - _PHYS_SLACK:
-        raise ValueError(f"environment variance {eps} below vacuum")
-    eps = max(eps, 1.0)
-    gamma_env = math.sqrt((eps - 1.0) / (eps + 1.0))
-    return tmsv(gamma_env, env_labels), tau, env_labels[0]
+        return 0.0, 1.0
+    eps = max(v / (1.0 - tau), 1.0)
+    return math.sqrt((eps - 1.0) / (eps + 1.0)), tau
 
 
 def effective_channel(
@@ -180,6 +185,14 @@ def loss_channel_state(
     state: CovMat, channel: GaussChannel, target_label: str, env_labels: tuple[str, str]
 ) -> CovMat:
     """Apply a loss channel by explicit dilation, keeping the environment modes."""
-    env, t, coupled = dilation(channel, env_labels)
-    joint = direct_sum(state, env)
-    return apply_symplectic(joint, beam_splitter(t), (target_label, coupled))
+    return _dilated_state(state, *_dilation_parameters(channel), target_label, env_labels)
+
+
+def _dilated_state(
+    state: CovMat, gamma: float, t: float, target_label: str, env_labels: tuple[str, str]
+) -> CovMat:
+    """state with the dilation's environment tmsv(gamma) on env_labels
+    appended, its first arm mixed with target_label on a beam splitter of
+    transmissivity t: loss_channel_state for a solved (gamma, t)."""
+    joint = direct_sum(state, tmsv(gamma, env_labels))
+    return apply_symplectic(joint, beam_splitter(t), (target_label, env_labels[0]))

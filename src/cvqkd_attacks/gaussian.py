@@ -336,20 +336,6 @@ def _certified(mat: np.ndarray, labels, nus) -> CovMat:
     return state
 
 
-@dataclass(frozen=True)
-class TwoModeStd:
-    """Standard-form two-mode covariance entries: blocks diag(a,a), diag(b,b),
-    diag(c_plus, c_minus)."""
-
-    a: float
-    b: float
-    c_plus: float
-    c_minus: float
-
-    def to_covmat(self, labels: tuple[str, str] = ("m1", "m2")) -> CovMat:
-        return CovMat(_two_mode_std(self.a, self.b, self.c_plus, self.c_minus), labels)
-
-
 def _two_mode_std(a, b, c_plus, c_minus) -> np.ndarray:
     """The raw standard-form two-mode matrix; array entries give a stack."""
     m = np.zeros(np.broadcast(a, b, c_plus, c_minus).shape + (4, 4))
@@ -389,6 +375,14 @@ class Symplectic:
         object.__setattr__(self, "matrix", mat)
 
 
+def _tmsv_textbook(gamma):
+    """The textbook tmsv entries a = (1 + gamma^2)/(1 - gamma^2) and
+    c = 2 gamma/(1 - gamma^2), as rounded doubles, for a float or an array;
+    _tmsv_entries rounds c to the physical side."""
+    denom = 1.0 - gamma * gamma
+    return (1.0 + gamma * gamma) / denom, 2.0 * gamma / denom
+
+
 def _tmsv_entries(gamma: float) -> tuple[float, float]:
     """Standard-form (a, c) for a two-mode squeezed vacuum, physically rounded.
 
@@ -403,9 +397,7 @@ def _tmsv_entries(gamma: float) -> tuple[float, float]:
     sqrt((a - 1)(a + 1)), within a few ulps of the answer at any squeezing,
     and settles in one to four exact checks.
     """
-    denom = 1.0 - gamma * gamma
-    a = (1.0 + gamma * gamma) / denom
-    textbook = 2.0 * gamma / denom
+    a, textbook = _tmsv_textbook(gamma)
     # the test runs on the exact binary values: with a = p/q and c = r/s
     # (q, s powers of two), a^2 - c^2 >= 1 is p^2 s^2 - r^2 q^2 >= q^2 s^2
     p, q = a.as_integer_ratio()
@@ -426,10 +418,7 @@ def _tmsv_entries_array(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_tmsv_entries for every gamma of an array, bit for bit, in one pass:
     each exact check is taken for the whole array at once, on the members
     whose c is still moving."""
-    gamma = np.asarray(gamma, dtype=float)
-    denom = 1.0 - gamma * gamma
-    a = (1.0 + gamma * gamma) / denom
-    textbook = 2.0 * gamma / denom
+    a, textbook = _tmsv_textbook(np.asarray(gamma, dtype=float))
     c = np.minimum(textbook, np.sqrt((a - 1.0) * (a + 1.0))).reshape(-1)
     a_flat, textbook_flat = a.reshape(-1), textbook.reshape(-1)
     down = ~_exactly_physical(a_flat, c)

@@ -18,7 +18,6 @@ import numpy as np
 from .channels import ChannelKind, GaussChannel, apply_channel, classify
 from .gaussian import (
     CovMat,
-    TwoModeStd,
     _act_on_modes,
     _block_diag,
     _embedded,
@@ -27,8 +26,16 @@ from .gaussian import (
     _tmsv_entries,
     _tmsv_matrices,
     _two_mode_std,
-    thermal,
 )
+
+# The teleportation attack's modes: Alice's pair (A, B), Eve's amplified
+# resource arms (P, Q) in her local basis (_eve_local_map), and her tap's
+# auxiliary pair (F1, F2), tmsv(kappa) on every channel. _pipeline_raw
+# returns its state in this order. At g = inf (_bell_record_raw) P and Q
+# become the classical Bell record u, and the state given u keeps
+# _BELL_RECORD_MODES, with F1 standing for the tapped partner F1'.
+_ATTACK_MODES = ("A", "B", "P", "Q", "F1", "F2")
+_BELL_RECORD_MODES = _ATTACK_MODES[:2] + _ATTACK_MODES[4:]
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,7 @@ class ResourceState:
         return cls(a, a, c)
 
     def to_covmat(self, labels: tuple[str, str] = ("res1", "res2")) -> CovMat:
-        return TwoModeStd(self.a, self.b, self.c, -self.c).to_covmat(labels)
+        return CovMat(_two_mode_std(self.a, self.b, self.c, -self.c), labels)
 
 
 @dataclass(frozen=True)
@@ -149,9 +156,8 @@ def _check_gain(g: float) -> None:
 
 def _tapped_auxiliary(channel: GaussChannel, eta, kappa):
     """Eve's tap transmissivities and auxiliary state, checked: eta in
-    [0, 1], kappa in [0, 1), as arrays; tmsv(kappa) on (F1, F2), one per
-    kappa, or a single vacuum F1 for pure-loss channels. Returns eta, the
-    auxiliary matrix (or stack) and its labels."""
+    [0, 1], kappa in [0, 1), as arrays, and kappa = 0 on pure-loss channels.
+    Returns eta and tmsv(kappa) on (F1, F2), one per kappa."""
     eta = np.asarray(eta, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     outside = ~((0.0 <= eta) & (eta <= 1.0))
@@ -161,11 +167,9 @@ def _tapped_auxiliary(channel: GaussChannel, eta, kappa):
     if outside.any():
         raise ValueError(f"auxiliary squeezing must lie in [0, 1), got {kappa[outside][0]}")
 
-    if _is_pure_loss_like(channel):
-        if (kappa != 0.0).any():
-            raise ValueError("pure-loss channel pins the auxiliary state to vacuum (kappa = 0)")
-        return eta, thermal(1.0, "F1").matrix, ("F1",)
-    return eta, _tmsv_matrices(kappa), ("F1", "F2")
+    if _is_pure_loss_like(channel) and (kappa != 0.0).any():
+        raise ValueError("pure-loss channel pins the auxiliary state to vacuum (kappa = 0)")
+    return eta, _tmsv_matrices(kappa)
 
 
 def _eve_local_map(tau: float, t: float) -> np.ndarray:
@@ -204,15 +208,15 @@ def _pipeline_raw(
     kappa,
     g: float,
     t: float | None = None,
-) -> tuple[np.ndarray, tuple[str, ...]]:
+) -> np.ndarray:
     """The all-optical teleporter with a tap on its second resource arm,
     teleporting the second mode of a two-mode input (A, B), with the
     channel's environment traced out.
 
-    Resource matrix on (R1, R2); auxiliary tmsv(kappa) on (F1, F2), or a
-    single vacuum F1 for pure-loss channels. Order: squeeze (signal, R1) at
-    gain g, send the signal through the channel, mix (R2, F1) at eta,
-    recombine (signal, R2) at t, which defaults to 1/g, the attack's choice.
+    Resource matrix on (R1, R2); auxiliary tmsv(kappa) on (F1, F2). Order:
+    squeeze (signal, R1) at gain g, send the signal through the channel, mix
+    (R2, F1) at eta, recombine (signal, R2) at t, which defaults to 1/g, the
+    attack's choice.
     eta = 1 is an exact identity on (R2, F1), which leaves the plain
     teleporter. Tracing the channel's environment commutes with the later
     optics, so the channel map is applied in place of its dilation. Eve's
@@ -227,8 +231,7 @@ def _pipeline_raw(
     eigenvalues stay resolvable in double precision (see _fast_spectrum).
     Forming the raw (R1, R2) output first and mapping it afterwards would
     not do: its rounding, ~eps g a in every amplified entry, survives the
-    map. Returns the raw kept matrix on (A, B, P, Q, F1) or, off pure loss,
-    (A, B, P, Q, F1, F2), with those labels.
+    map. Returns the raw kept matrix on _ATTACK_MODES.
 
     eta and kappa may be 1-D arrays of one length: the result is then the
     stack of kept matrices, one per (eta, kappa) pair, with the auxiliary
@@ -238,10 +241,10 @@ def _pipeline_raw(
     """
     _check_gain(g)
     t = 1.0 / g if t is None else t
-    eta, aux, aux_labels = _tapped_auxiliary(channel, eta, kappa)
+    eta, aux = _tapped_auxiliary(channel, eta, kappa)
     joint = _block_diag(input_matrix, resource, aux)
     dim = joint.shape[-1]
-    # modes: the signal B is mode 1, then R1, R2 and F1
+    # modes: the signal B is mode 1, then R1, R2, F1 and F2
     squeeze = _embedded(_squeezer_matrix(g), (1, 2), dim)
     squeeze[..., 2:4, :] *= math.sqrt(channel.tau)
     after = _embedded(_splitter_matrix(t), (1, 3), dim) @ _embedded(
@@ -252,12 +255,12 @@ def _pipeline_raw(
     noise = local @ after[..., :, 2:4]
     joint = linear @ joint @ np.swapaxes(linear, -1, -2)
     joint += channel.v * (noise @ np.swapaxes(noise, -1, -2))
-    return 0.5 * (joint + np.swapaxes(joint, -1, -2)), ("A", "B", "P", "Q") + aux_labels
+    return 0.5 * (joint + np.swapaxes(joint, -1, -2))
 
 
 def _bell_record_raw(
     alice: np.ndarray, channel: GaussChannel, resource: np.ndarray, eta, kappa
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """_pipeline_raw's circuit on Alice's tmsv (A, B) in the limit g -> inf.
 
     There the amplified modes R1 and R2 carry sqrt(g) times the commuting
@@ -267,10 +270,10 @@ def _bell_record_raw(
     the tapped arm and F1' = sqrt(1-eta) R2 + sqrt(eta) F1 its partner. The
     channel's own noise reaches that output suppressed by 1/sqrt(g) and is
     independent of the rest, so it drops out. Eve keeps the classical record
-    u, F1' and, off pure loss, F2.
+    u, F1' and F2.
 
-    Returns (ab, given_u, labels): the state of (A, B), and the matrix of
-    (A, B, F1', F2), or (A, B, F1'), conditioned on u, with those labels.
+    Returns (ab, given_u): the state of (A, B), and the matrix of
+    (A, B, F1', F2) (_BELL_RECORD_MODES) conditioned on u.
     The conditioning is done on the inputs, in closed form. With (a_in,
     c_in) and (a, c) the tmsv entries of Alice's state and of the resource,
     and s = a + a_in the variance of each of u's quadratures, (A, R2) given
@@ -285,7 +288,7 @@ def _bell_record_raw(
     or 1-D arrays of eta and kappa, and one resource or a stack of them, as
     for _pipeline_raw.
     """
-    eta, aux, aux_labels = _tapped_auxiliary(channel, eta, kappa)
+    eta, aux = _tapped_auxiliary(channel, eta, kappa)
     a_in, c_in = alice[0, 0], alice[0, 2]
     a, c = resource[..., 0, 0], resource[..., 0, 2]
     s = a + a_in
@@ -305,7 +308,7 @@ def _bell_record_raw(
     cross[..., 0, 0], cross[..., 1, 1] = c_in, -c_in
     cross[..., 2, 0] = cross[..., 3, 1] = math.sqrt(channel.tau) * s - np.sqrt(eta) * c
     ab = given_u[..., :4, :4] + cross @ np.swapaxes(cross, -1, -2) / s[..., None, None]
-    return ab, given_u, ("A", "B") + aux_labels
+    return ab, given_u
 
 
 def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMat:
@@ -316,7 +319,7 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
     two-mode squeezer of gain g, send the amplified signal through the
     physical channel, recombine (signal, resource arm 2) on the beam splitter
     of transmissivity t = lam/(g tau), then trace out both resource arms.
-    This is _pipeline_raw with its tap at eta = 1 and a vacuum auxiliary. At
+    This is _pipeline_raw with its tap at eta = 1 and kappa = 0. At
     g = inf the teleporter is the standard one: its channel,
     ao_effective_channel, acts on the second mode.
     """
@@ -327,5 +330,5 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
     # the resource was validated when it was built, and it is frozen
     resource = _two_mode_std(res.a, res.b, res.c, -res.c)
     t = cfg.splitter_transmissivity()
-    mat, _ = _pipeline_raw(state.matrix, cfg.env, resource, 1.0, 0.0, cfg.g, t)
+    mat = _pipeline_raw(state.matrix, cfg.env, resource, 1.0, 0.0, cfg.g, t)
     return CovMat(mat[:4, :4], state.labels)

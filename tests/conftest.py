@@ -7,7 +7,6 @@ from cvqkd_attacks.gaussian import (
     beam_splitter,
     direct_sum,
     thermal,
-    tmsv,
     two_mode_squeezer,
 )
 

@@ -20,11 +20,10 @@ from cvqkd_attacks.attacks import (
     entropy_of_entanglement,
     eve_info,
     gamma_min,
-    holevo_bound,
     optimize_attack,
     simulation_residual,
 )
-from cvqkd_attacks.channels import GaussChannel
+from cvqkd_attacks.channels import ChannelKind, GaussChannel, classify
 from cvqkd_attacks.gaussian import (
     CovMat,
     _channel_on_mode,
@@ -165,6 +164,26 @@ def test_cloner_thermal_loss():
     assert res.feasible
 
 
+def test_cloner_ancilla_is_the_dilation_environment():
+    # classified as pure loss, yet 1e-13 above the floor: the dilation's
+    # environment carries that excess noise, which a vacuum ancilla misses
+    ch = GaussChannel(0.9, 0.1 + 1e-13)
+    assert classify(ch) is ChannelKind.PURE_LOSS
+    res = cloner_attack(scenario(ch))
+    assert res.residual <= 1e-14
+    assert abs(res.eve_info_bits - res.holevo_bits) <= 1e-14
+    assert res.feasible
+
+
+@pytest.mark.parametrize("tau,v", [(1.0 - 2e-12, 1e-12), (1.0 - 1e-11, 0.0)])
+def test_cloner_inside_the_channel_slack(tau, v):
+    # v sits up to 1e-11 below the floor 1 - tau, inside GaussChannel's slack
+    res = cloner_attack(scenario(GaussChannel(tau, v)))
+    assert res.gamma == 0.0
+    assert res.residual <= 1e-10
+    assert res.feasible
+
+
 def test_cloner_rejects_amplifiers():
     with pytest.raises(ValueError, match="loss channels"):
         cloner_attack(scenario(GaussChannel(1.5, 0.6)))
@@ -174,8 +193,19 @@ def test_attack_state_mode_inventory():
     sc = scenario(gain=1.0e3)
     st = ao_attack_state(sc, 0.6, 0.5, 0.05)
     assert st.labels == ("A", "B", "P", "Q", "F1", "F2")
+    # pure loss keeps the layout, with F2 an exact, decoupled vacuum, at
+    # finite gain and in the Bell record's conditional state
     st_pl = ao_attack_state(scenario(PURE, gain=1.0e3), 0.6, 0.5, 0.0)
-    assert st_pl.labels == ("A", "B", "P", "Q", "F1")
+    assert st_pl.labels == st.labels
+    _assert_last_mode_decoupled_vacuum(st_pl.matrix)
+    _, given_u = _bell_record_raw(tmsv(0.7).matrix, PURE, _resource_matrix(0.6), 0.5, 0.0)
+    assert given_u.shape == (8, 8)
+    _assert_last_mode_decoupled_vacuum(given_u)
+
+
+def _assert_last_mode_decoupled_vacuum(mat):
+    assert np.array_equal(mat[-2:, -2:], np.eye(2))
+    assert not mat[-2:, :-2].any() and not mat[:-2, -2:].any()
 
 
 def test_attack_state_domain():
@@ -392,7 +422,7 @@ def test_optimize_thermal_smoke():
     # target channel too, since the matched kappa does not depend on g
     alice = tmsv(sc.zeta, ("A", "B"))
     resource = _resource_matrix(0.6)
-    ab, _, _ = _bell_record_raw(alice.matrix, THERMAL, resource, res.eta_star, res.kappa_star)
+    ab, _ = _bell_record_raw(alice.matrix, THERMAL, resource, res.eta_star, res.kappa_star)
     assert _channel_residual(CovMat(ab, ("A", "B")).matrix, alice.matrix, THERMAL) == res.residual
     for g in (100.0, 1e4):
         assert simulation_residual(scenario(gain=g), 0.6, res.eta_star, res.kappa_star) <= 1e-8

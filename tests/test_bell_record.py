@@ -71,15 +71,12 @@ def _mp_beam_splitter(t):
 
 
 def oracle_state(sc, gamma, eta, kappa, g=ORACLE_GAIN):
-    """The all-optical attack's state on (A, B, R1, R2, F1[, F2]) as an
+    """The all-optical attack's state on (A, B, R1, R2, F1, F2) as an
     mpmath matrix; call it inside mpmath.workdps(ORACLE_DPS)."""
     ch = sc.channel
-    blocks = [tmsv(sc.zeta).matrix, _resource_matrix(gamma)]
-    if _is_pure_loss_like(ch):
-        blocks.append(np.eye(2))
-    else:
-        a, c = _tmsv_entries(kappa)
-        blocks.append(np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, a, 0], [0, -c, 0, a]]))
+    a, c = _tmsv_entries(kappa)
+    aux = np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, a, 0], [0, -c, 0, a]])
+    blocks = [tmsv(sc.zeta).matrix, _resource_matrix(gamma), aux]
     dim = sum(len(b) for b in blocks)
     sigma = mpmath.zeros(dim, dim)
     at = 0
@@ -117,7 +114,7 @@ def oracle_heterodyne(sigma, mode):
 
 def oracle_eve_info(sc, gamma, eta, kappa, g=ORACLE_GAIN):
     """S(Eve) - S(Eve | heterodyne on the reconciliation mode) of the
-    all-optical attack on (A, B, R1, R2, F1[, F2]), in 60-digit arithmetic."""
+    all-optical attack on (A, B, R1, R2, F1, F2), in 60-digit arithmetic."""
     with mpmath.workdps(ORACLE_DPS):
         sigma = oracle_state(sc, gamma, eta, kappa, g)
         cond = oracle_heterodyne(sigma, 1 if sc.reconciliation == "reverse" else 0)

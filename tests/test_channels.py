@@ -96,6 +96,15 @@ def test_dilation_pure_loss_uses_vacuum():
     assert np.array_equal(env.matrix, np.eye(4))
 
 
+@pytest.mark.parametrize("tau,v", [(1.0 - 2e-12, 1e-12), (1.0 - 1e-11, 0.0)])
+def test_dilation_inside_the_channel_slack_uses_vacuum(tau, v):
+    # v / (1 - tau) reads 0.5 and 0 here, yet v is within GaussChannel's
+    # 1e-9 slack of the floor 1 - tau
+    env, t, _ = dilation(GaussChannel(tau, v))
+    assert t == tau
+    assert np.array_equal(env.matrix, np.eye(4))
+
+
 def test_dilation_thermal_environment_variance():
     ch = GaussChannel(0.25, 0.75 * 1.2)
     env, t, coupled = dilation(ch, ("a", "b"))

@@ -17,7 +17,6 @@ from cvqkd_attacks.gaussian import (
     _HP_SCALE,
     CovMat,
     Symplectic,
-    TwoModeStd,
     _above_hp_scale,
     _act_on_modes,
     _block_diag,
@@ -47,7 +46,7 @@ from cvqkd_attacks.gaussian import (
     two_mode_squeezer,
     von_neumann_entropy,
 )
-from cvqkd_attacks.teleportation import _pipeline_raw
+from cvqkd_attacks.teleportation import _ATTACK_MODES, _pipeline_raw
 
 
 def test_symplectic_form_blocks():
@@ -539,7 +538,7 @@ def test_refined_spectrum_matches_80_digit_oracle(g, gamma, eta):
     kappa = _match_kappa(gamma, eta, ch.tau, ch.v, g)
     assert not math.isnan(kappa)
     alice = tmsv(0.7, ("A", "B")).matrix
-    mat, _ = _pipeline_raw(alice, ch, _resource_matrix(gamma), eta, kappa, g, 1.0 / g)
+    mat = _pipeline_raw(alice, ch, _resource_matrix(gamma), eta, kappa, g, 1.0 / g)
     eve = mat[4:, 4:]
     assert np.abs(eve).max() > _HP_SCALE
     oracle = _spectrum_by_general_eig(eve, 80)
@@ -729,8 +728,7 @@ def _attack_stack(g: float, count: int = 7) -> np.ndarray:
     kappas = _match_kappa(0.95, etas, ch.tau, ch.v, g)
     assert not np.isnan(kappas).any()
     alice = tmsv(0.7, ("A", "B")).matrix
-    mat, labels = _pipeline_raw(alice, ch, _resource_matrix(0.95), etas, kappas, g)
-    return mat, labels
+    return _pipeline_raw(alice, ch, _resource_matrix(0.95), etas, kappas, g), _ATTACK_MODES
 
 
 @pytest.mark.parametrize("g", [100.0, 1e6])

@@ -9,7 +9,11 @@ batched: at g = 100 every matrix stays below the high-precision scale, so
 it pins the double-precision path alone. `data/sweep_finite_1e6_count_6.csv`
 is `sweep --g-policy finite:1e6 --gamma-count 6`: there Eve's blocks pass
 the high-precision scale, so it pins the path that reads their spectra in
-her local basis from both sides of the Cholesky congruence. Run-to-run
+her local basis from both sides of the Cholesky congruence.
+`data/sweep_pure_loss_count_6.csv` and
+`data/sweep_pure_loss_finite_1e6_count_6.csv` are `sweep --epsilon 1.0
+--gamma-count 6`, asymptotic and at `--g-policy finite:1e6`, generated at
+commit 14bd4ef with those commands. Run-to-run
 determinism alone cannot catch a refactor that drifts every run the same
 way; this can.
 """
@@ -32,6 +36,14 @@ GOLDENS = {
     "finite-1e6": (
         DATA / "sweep_finite_1e6_count_6.csv",
         ["--g-policy", "finite:1e6", "--gamma-count", "6"],
+    ),
+    "pure-loss": (
+        DATA / "sweep_pure_loss_count_6.csv",
+        ["--epsilon", "1.0", "--gamma-count", "6"],
+    ),
+    "pure-loss-finite-1e6": (
+        DATA / "sweep_pure_loss_finite_1e6_count_6.csv",
+        ["--epsilon", "1.0", "--g-policy", "finite:1e6", "--gamma-count", "6"],
     ),
 }
 
