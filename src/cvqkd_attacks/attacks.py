@@ -315,13 +315,14 @@ def _attack_point(sc: AttackScenario, alice, resource, eta, kappa, validate: boo
     circuit at g = 1e20 on the points tests/test_bell_record.py checks.
     A finite g is _eve_info_raw on the circuit (_pipeline_raw), where only
     Eve's mode P grows with g, so the double-precision Schur complement
-    stays accurate, and above _HP_SCALE every spectrum reads its small nu's
-    from the inverse side of the Cholesky congruence (_fast_spectrum):
-    within 1e-10 bits of the 60-digit circuit at g = 1e2 to 1e8 on the
-    points tests/test_finite_gain.py checks, with no mpmath call. In a
-    stacked call at g = 1e6 the spectra of a 187-point scan stack of Eve's
-    8x8 blocks take 4.8 ms above _HP_SCALE and 2.0 ms below it (one core of
-    a 2.1 GHz Xeon).
+    stays accurate, and every spectrum comes from the Cholesky factors of
+    its x and p blocks, its small nu's from their inverse side past
+    _INVERSE_SIDE_SCALE (_fast_spectrum): within 1e-10 bits of the 60-digit
+    circuit at g = 1e2 to 1e8 on the points tests/test_finite_gain.py
+    checks, with no mpmath call. The spectra of a 187-point scan stack of
+    Eve's 8x8 blocks take 1.4 ms in one stacked call at g = 1e6 (entries
+    up to 1.7e7) and 0.56 ms at g = 100 (one core of a shared 2-core Xeon;
+    3.3 and 1.1-1.5 ms from the 8x8 factor).
 
     validate=True checks the attack state at finite g and every block whose
     entropy is taken (_block_entropy); the (A, B) block is the caller's to

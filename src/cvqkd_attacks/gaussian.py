@@ -9,8 +9,11 @@ applied, a channel, a conditioning, a reordered partial trace): its
 symplectic spectrum is computed numerically and checked. tmsv, thermal and
 direct_sum know their spectra exactly, from a closed form or as the union of
 their already-validated parts, and certify by it (_certified); partial_trace
-keeping every mode in its order returns the state itself. mpmath is imported
-only by the high-precision routines that use it.
+keeping every mode in its order returns the state itself. A numerical
+spectrum comes from Cholesky factors: of the n x n x and p blocks for a
+phase-insensitive matrix (every x-p entry 0.0, as every state the package
+builds), of the whole 2n x 2n matrix for any other (_fast_spectrum). mpmath
+is imported only by the high-precision routines that use it.
 """
 
 from __future__ import annotations
@@ -32,12 +35,23 @@ _REFINE_TRIGGER = 1e-10
 # Above this matrix scale one side of the Cholesky congruence cannot resolve
 # both ends of the spectrum: its singular values carry absolute noise
 # ~eps * nu_max, which swamps the near-unity nu's that physicality and the
-# entropies need. There _fast_spectrum reads the small nu's from the inverse
-# side as well, _symplectic_spectrum escalates a matrix whose equilibrated
-# factor is too ill-conditioned to certify its spectrum (_CERTIFIED_COND),
-# and the public heterodyne and homodyne conditioning of a state switch to
-# high precision.
+# entropies need. There _symplectic_spectrum escalates a matrix that the
+# inverse side does not certify (_CERTIFIED_COND), or that has no inverse
+# side because its x and p quadratures couple, and the public heterodyne and
+# homodyne conditioning of a state switch to high precision.
 _HP_SCALE = 1e6
+
+# Past this matrix scale a phase-insensitive matrix reads its small nu's
+# from the inverse side as well (_split_spectrum). The cut is measured on
+# the attack's g = 1e4 states and their conditioned states, whose entries
+# reach 7.7e5: read from the direct side alone, their nu_min is off the
+# 60-digit oracle by up to 1.1e-11, past the 1e-11 that
+# tests/test_finite_gain.py holds it to; with the inverse side from 1e5 the
+# worst is 1.8e-12, and 4.9e-12 at g = 1e8, as with the 2n x 2n factor.
+# Reading every matrix from both sides would cost the half-size route most
+# of its speed, and the paper's g = 100 states (entries below 1e4) need only
+# the direct side.
+_INVERSE_SIDE_SCALE = 1e5
 
 # Largest bound on the condition number of the diagonally equilibrated
 # matrix for which a double-precision spectrum above _HP_SCALE is trusted:
@@ -111,63 +125,119 @@ def _omega_times(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_side(stack: np.ndarray, chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic eigenvalues, descending, of a stack of positive-definite
-    matrices sigma = L L^T read from the inverse side of the congruence, and
-    a bound on the condition number of each equilibrated matrix.
-
-    With D = diag(sigma_ii)^-1/2, L~ = D L is the Cholesky factor of the
-    unit-diagonal H = D sigma D, and L^-1 Omega L^-T = L~^-1 (D Omega D)
-    L~^-T has the singular values 1/nu, each twice. Their absolute noise is
-    ~eps / nu_min, so the nu's near 1 come out to a relative few eps *
-    cond(H) however large sigma's entries are (Demmel and Veselic, SIAM J.
-    Matrix Anal. Appl. 13, 1204 (1992)), while the direct side's are off by
-    ~eps * nu_max. cond(H) <= |H| |H^-1| <= 2n |L~^-1|_F^2, as H's trace is 2n.
-    """
-    d = 1.0 / np.sqrt(np.diagonal(stack, axis1=-2, axis2=-1))
-    inverse = np.linalg.inv(d[..., :, None] * chol)
-    scaled = inverse * d[..., None, :]  # L^-1 = L~^-1 D
-    m = scaled @ _omega_times(np.swapaxes(scaled, -1, -2))
-    inverted = np.linalg.svd(m, compute_uv=False)[..., ::2]
-    cond = stack.shape[-1] * (inverse * inverse).sum(axis=(-2, -1))
-    with np.errstate(divide="ignore"):  # a singular value lost to underflow reads nu = inf
-        return 1.0 / inverted[..., ::-1], cond
+def _quadrature_blocks(stack: np.ndarray) -> np.ndarray:
+    """The x-x, x-p, p-x and p-p blocks of each matrix of a (k, 2n, 2n)
+    stack, as one (4, k, n, n) array."""
+    k, n = len(stack), stack.shape[-1] // 2
+    return stack.reshape(k, n, 2, n, 2).transpose(2, 4, 0, 1, 3).reshape(4, k, n, n)
 
 
-def _spectrum_and_conditioning(stack: np.ndarray):
-    """_fast_spectrum of a flat (k, 2n, 2n) stack, and for each matrix above
-    _HP_SCALE the bound on its equilibrated condition number from
-    _inverse_side: inf without a Cholesky factor, 1 below the scale, where
-    it is not computed."""
-    n = stack.shape[-1] // 2
+def _cholesky_each(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of a (..., m, m) stack and whether each member has
+    one. Each member is factored on its own when the stack's factorization
+    fails, and one without a factor gets the identity as a stand-in."""
     try:
         chol = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
-        chol = np.full_like(stack, np.nan)
-        for i, m in enumerate(stack):
+        chol = np.full(stack.shape, np.nan)
+        for i in np.ndindex(stack.shape[:-2]):
             try:
-                chol[i] = np.linalg.cholesky(m)
+                chol[i] = np.linalg.cholesky(stack[i])
             except np.linalg.LinAlgError:
                 pass
     # a NaN entry passes the factorization unflagged
     definite = np.isfinite(chol).all(axis=(-2, -1))
-    factored = definite.all()
-    if not factored:
-        # a stand-in factor; these members' spectra are replaced below
-        chol[~definite] = np.eye(2 * n)
-    nus = np.linalg.svd(np.swapaxes(chol, -1, -2) @ _omega_times(chol), compute_uv=False)[:, ::2]
-    large = _above_hp_scale(stack)
-    cond = np.where(large, np.inf, 1.0)
-    graded = large & definite
+    if not definite.all():
+        chol[~definite] = np.eye(stack.shape[-1])
+    return chol, definite
+
+
+def _inverse_side(blocks: np.ndarray, chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic eigenvalues, descending, of a stack of positive-definite
+    phase-insensitive matrices read from the inverse side of the
+    congruence, and a bound on the condition number of each equilibrated
+    matrix. blocks stacks the x blocks X = L_X L_X^T over the p blocks
+    P = L_P L_P^T, (2, k, n, n), and chol their Cholesky factors.
+
+    With D_X = diag(X_ii)^-1/2, L~_X = D_X L_X is the Cholesky factor of
+    the unit-diagonal D_X X D_X (likewise for P), and L_X^-1 L_P^-T =
+    L~_X^-1 D_X D_P L~_P^-T, the inverse of (L_P^T L_X), has the singular
+    values 1/nu. Their absolute noise is ~eps / nu_min, so the nu's near 1
+    come out to a relative few eps * cond(H), H = D sigma D, however large
+    sigma's entries are (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13,
+    1204 (1992)), while the direct side's are off by ~eps * nu_max.
+    cond(H) <= |H| |H^-1| <= 2n (|L~_X^-1|_F^2 + |L~_P^-1|_F^2), as H's
+    trace is 2n.
+    """
+    d = 1.0 / np.sqrt(np.diagonal(blocks, axis1=-2, axis2=-1))
+    inverse = np.linalg.inv(d[..., :, None] * chol)
+    scaled = inverse * d[..., None, :]  # L^-1 = L~^-1 D
+    inverted = np.linalg.svd(scaled[0] @ np.swapaxes(scaled[1], -1, -2), compute_uv=False)
+    cond = 2 * blocks.shape[-1] * (inverse * inverse).sum(axis=(0, -2, -1))
+    with np.errstate(divide="ignore"):  # a singular value lost to underflow reads nu = inf
+        return 1.0 / inverted[..., ::-1], cond
+
+
+def _split_spectrum(blocks: np.ndarray, peak: np.ndarray):
+    """Symplectic spectra, descending, of a stack of phase-insensitive
+    matrices given by their x blocks over their p blocks, (2, k, n, n),
+    which members are positive definite, and the _inverse_side condition
+    bound of each member read from both sides (inf elsewhere).
+
+    sigma is X (+) P on its x and p quadratures, so its nu's are those of
+    X P (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)): with X = L_X
+    L_X^T and P = L_P L_P^T, the n singular values of L_X^T L_P. Members
+    whose largest |entry| (peak) passes _INVERSE_SIDE_SCALE read the nu's
+    below sqrt(nu_max nu_min) from _inverse_side instead.
+    """
+    chol, definite = _cholesky_each(blocks)
+    definite = definite[0] & definite[1]
+    nus = np.linalg.svd(np.swapaxes(chol[0], -1, -2) @ chol[1], compute_uv=False)
+    cond = np.full(len(nus), np.inf)
+    graded = (peak > _INVERSE_SIDE_SCALE) & definite
     if graded.any():
         direct = nus[graded]
-        inverse, cond[graded] = _inverse_side(stack[graded], chol[graded])
+        inverse, cond[graded] = _inverse_side(blocks[:, graded], chol[:, graded])
         # each nu from the side on which it is large: the direct side's
         # relative error ~eps nu_max / nu is the smaller one above
         # sqrt(nu_max nu_min), the inverse side's ~eps nu / nu_min below it
         upper = direct / inverse[:, -1:] > direct[:, :1] / direct
         nus[graded] = np.where(upper, direct, inverse)
-    if not factored:
+    return nus, definite, cond
+
+
+def _spectrum_and_conditioning(stack: np.ndarray):
+    """_fast_spectrum of a flat (k, 2n, 2n) stack, and for each matrix above
+    _HP_SCALE a bound on its equilibrated condition number: from
+    _inverse_side for a phase-insensitive matrix with a Cholesky factor,
+    inf for any other, which _symplectic_spectrum then certifies in high
+    precision; 1 below the scale, where the direct side's absolute error
+    ~eps * nu_max stays under the physicality margin.
+
+    Each matrix takes its route on its own: a phase-insensitive one, every
+    x-p entry exactly 0.0, as tmsv, beam splitters, two-mode squeezers,
+    loss channels and Schur complements leave them, its x and p blocks
+    (_split_spectrum); any other the singular values of K = L^T Omega L
+    from the 2n x 2n factor sigma = L L^T, each twice."""
+    n = stack.shape[-1] // 2
+    peak = np.abs(stack).max(axis=(-2, -1))
+    quads = _quadrature_blocks(stack)
+    split = ~quads[1:3].any(axis=(0, 2, 3))
+    if split.all():
+        nus, definite, cond = _split_spectrum(quads[::3], peak)
+    else:
+        nus = np.empty((len(stack), n))
+        definite = np.empty(len(stack), dtype=bool)
+        cond = np.full(len(stack), np.inf)
+        if split.any():
+            nus[split], definite[split], cond[split] = _split_spectrum(
+                quads[::3, split], peak[split]
+            )
+        chol, definite[~split] = _cholesky_each(stack[~split])
+        k = np.swapaxes(chol, -1, -2) @ _omega_times(chol)
+        nus[~split] = np.linalg.svd(k, compute_uv=False)[:, ::2]
+    cond = np.where(peak > _HP_SCALE, cond, 1.0)
+    if not definite.all():
         eigs = np.linalg.eigvals(symplectic_form(n) @ stack[~definite])
         # |eigs| carries each nu twice (the +/- i*nu pair); sorting makes the
         # pairs adjacent so taking every second entry deduplicates them
@@ -182,17 +252,21 @@ def _fast_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A positive-definite sigma = L L^T has i Omega sigma similar to the
     Hermitian i L^T Omega L, so the nu's are the singular values of the real
-    antisymmetric K = L^T Omega L, each twice. Each nu is good to a relative
-    few eps * cond(sigma): the factorization is backward stable, and a
-    congruence moves every nu by at most that relative factor. Above
-    _HP_SCALE the nu's below sqrt(nu_max nu_min) come from the inverse side
-    of the same factor instead (_inverse_side), good to a relative few eps *
+    antisymmetric K = L^T Omega L, each twice. A phase-insensitive sigma
+    (every x-p entry 0.0, as all the package's own states) is X (+) P, and
+    its nu's are the singular values of the n x n L_X^T L_P from the
+    Cholesky factors of its two quadrature blocks (_split_spectrum), at half
+    the size. Each nu is good to a relative few eps * cond(sigma): the
+    factorization is backward stable, and a congruence moves every nu by at
+    most that relative factor. Past _INVERSE_SIDE_SCALE a phase-insensitive
+    matrix reads its nu's below sqrt(nu_max nu_min) from the inverse side of
+    the same factors instead (_inverse_side), good to a relative few eps *
     cond of the equilibrated matrix. A matrix without a Cholesky factor (or
     with a non-finite one) is not positive definite, hence unphysical; it
     gets |eig(Omega sigma)| instead, which only words its rejection and
-    feeds the audit. Each matrix is factored on its own when the stack's
-    factorization fails, and the inverse side runs on the members above the
-    scale alone, so a member's result never depends on its neighbours.
+    feeds the audit. The route, the factorization and the inverse side are
+    each chosen per matrix, so a member's result never depends on its
+    neighbours.
     """
     lead, n = matrix.shape[:-2], matrix.shape[-1] // 2
     nus, definite, _ = _spectrum_and_conditioning(matrix.reshape((-1,) + matrix.shape[-2:]))
@@ -208,8 +282,9 @@ def _above_hp_scale(matrix: np.ndarray) -> np.ndarray:
 def _symplectic_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_fast_spectrum, with each matrix that double precision cannot certify
     given its high-precision spectrum instead: above _HP_SCALE, one whose
-    equilibrated condition bound exceeds _CERTIFIED_COND or that has no
-    Cholesky factor; at any scale, one reading below 1 - _REFINE_TRIGGER.
+    equilibrated condition bound exceeds _CERTIFIED_COND, that couples x and
+    p or that has no Cholesky factor; at any scale, one reading below
+    1 - _REFINE_TRIGGER.
     The escalation is decided per matrix, so one such member never sends the
     whole stack there; positive definiteness is the double-precision
     factorization's verdict at every scale."""
@@ -295,7 +370,7 @@ class CovMat:
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 or not mat.size:
             raise ValueError(f"covariance matrix must be 2n x 2n, got shape {mat.shape}")
         labels = _mode_labels(mat.shape[0] // 2, self.labels)
         self._freeze(*_check_physical(mat), labels)

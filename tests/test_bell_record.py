@@ -232,9 +232,19 @@ print(code, "mpmath" in sys.modules)
         ["sweep", "--g-policy", "finite:1e4"],
         ["sweep", "--g-policy", "finite:1e6"],
         ["sweep", "--g-policy", "finite:1e6", "--reconciliation", "direct"],
+        ["sweep", "--g-policy", "finite:1e30", "--gamma-count", "6"],
         ["verify"],
     ],
-    ids=["default", "direct", "pure-loss", "finite-1e4", "finite-1e6", "finite-1e6-direct", "verify"],
+    ids=[
+        "default",
+        "direct",
+        "pure-loss",
+        "finite-1e4",
+        "finite-1e6",
+        "finite-1e6-direct",
+        "finite-1e30",
+        "verify",
+    ],
 )
 def test_sweep_makes_no_mpmath_call(tmp_path, argv):
     # the Bell-record closed form at g = inf, and the attack's states in

@@ -9,7 +9,7 @@ import pytest
 from test_bell_record import oracle_eve_info
 
 import cvqkd_attacks.verify
-from cvqkd_attacks.attacks import _match_kappa, holevo_bound, optimize_attack
+from cvqkd_attacks.attacks import _match_kappa, optimize_attack
 from cvqkd_attacks.cli import (
     CSV_HEADER,
     ConfigError,
@@ -215,13 +215,7 @@ def test_sweep_identity_channel_exits_2(capsys):
         # double precision still breaks down at gains this far beyond the
         # paper's: Eve's amplified pair, formed in her local basis, carries
         # rounding of ~eps sqrt(g) into her O(1) mode; only the row and the
-        # reason are pinned, and the Holevo bound in the message is the run's
-        # own holevo_bound, whatever its last bits
-        (
-            ["--g-policy", "finite:1e30", "--gamma-count", "6"],
-            "error: row gamma = 0.9823600149194993: Eve's information ",
-            "outside [0, Holevo bound ",
-        ),
+        # reason are pinned
         (
             ["--g-policy", "finite:1e100", "--gamma-count", "3"],
             "error: row gamma = 0.4451652046870813: unphysical covariance matrix",
@@ -250,7 +244,7 @@ def test_sweep_identity_channel_exits_2(capsys):
             "smallest symplectic eigenvalue",
         ),
     ],
-    ids=["gain-1e30", "gain-1e100", "gain-1e300", "zeta-0.999999-gain-100", "asymptotic-201-rows"],
+    ids=["gain-1e100", "gain-1e300", "zeta-0.999999-gain-100", "asymptotic-201-rows"],
 )
 def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, head, needle):
     out = tmp_path / "never.csv"
@@ -258,30 +252,30 @@ def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, he
     err = capsys.readouterr().err
     assert err.startswith(head)
     assert needle in err
-    if "Holevo" in needle:
-        chi = holevo_bound(scenario_from(RunConfig(g_policy=flags[1])))
-        assert f"{needle}{chi!r}]" in err
     assert err.count("\n") == 1
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "fields",
+    "fields,tol",
     [
-        dict(g_policy="finite:1e8", gamma_count=2),
-        dict(g_policy="finite:1e12", gamma_count=6),
-        dict(g_policy="finite:1e9", gamma_count=6),
-        dict(g_policy="finite:1e7", gamma_count=2),
-        dict(tau=0.95, epsilon=1.0, zeta=0.95, g_policy="finite:1000", gamma_count=3),
+        (dict(g_policy="finite:1e8", gamma_count=2), 1e-9),
+        (dict(g_policy="finite:1e12", gamma_count=6), 1e-9),
+        (dict(g_policy="finite:1e9", gamma_count=6), 1e-9),
+        (dict(g_policy="finite:1e7", gamma_count=2), 1e-9),
+        (dict(tau=0.95, epsilon=1.0, zeta=0.95, g_policy="finite:1000", gamma_count=3), 1e-9),
+        (dict(g_policy="finite:1e30", gamma_count=6), 1e-10),
     ],
-    ids=["gain-1e8", "gain-1e12", "gain-1e9", "gain-1e7", "pure-loss-gain-1e3"],
+    ids=["gain-1e8", "gain-1e12", "gain-1e9", "gain-1e7", "pure-loss-gain-1e3", "gain-1e30"],
 )
-def test_high_gain_sweep_rows_match_the_oracle(capsys, tmp_path, fields):
+def test_high_gain_sweep_rows_match_the_oracle(capsys, tmp_path, fields, tol):
     # with Eve's amplified pair formed in the raw (R1, R2) basis these runs
     # exited 2 (the Holevo check at 1e8 and 1e9, an unphysical attack state
     # at 1e12 and, on pure loss, at 1e3 with nu_min 0.999999994997) or, at
-    # 1e7, printed row 0.9999 1.9e-5 bits above the oracle; each row must
-    # now be the 60-digit circuit's value at its own pick
+    # 1e7, printed row 0.9999 1.9e-5 bits above the oracle; at 1e30, with
+    # the 2n x 2n factor in place of the x and p blocks' (gaussian
+    # _split_spectrum), the Holevo check failed row 0.9823600149194993; each
+    # row must now be the 60-digit circuit's value at its own pick
     out = tmp_path / "table.csv"
     flags = [f"--{name.replace('_', '-')}" for name in fields]
     flags = [arg for flag, value in zip(flags, fields.values()) for arg in (flag, str(value))]
@@ -297,7 +291,7 @@ def test_high_gain_sweep_rows_match_the_oracle(capsys, tmp_path, fields):
         assert row.feasible
         assert abs(float(line["eve_info_bits"]) - row.eve_info_bits) <= 5e-10
         oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row.kappa_star, sc.gain)
-        assert abs(row.eve_info_bits - oracle) <= 1e-9, row.gamma
+        assert abs(row.eve_info_bits - oracle) <= tol, row.gamma
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP defect 1: the scan picks the eta = 1 rim")

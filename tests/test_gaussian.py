@@ -68,6 +68,13 @@ def test_covmat_rejects_bad_shapes():
         CovMat(np.ones((2, 4)), ("m1",))
 
 
+def test_covmat_rejects_zero_modes():
+    # rejected by the shape check, before numpy reduces over no entries
+    message = "covariance matrix must be 2n x 2n, got shape (0, 0)"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        CovMat(np.zeros((0, 0)), ())
+
+
 def test_covmat_rejects_label_mismatch():
     with pytest.raises(ValueError, match="mode labels"):
         CovMat(np.eye(4), ("m1",))
@@ -561,16 +568,22 @@ def test_refined_spectrum_matches_80_digit_oracle(g, gamma, eta):
 FAST_SPECTRUM_C = 8.0
 
 
-def _random_gaussian_state(rng, scale: float) -> np.ndarray:
+def _random_gaussian_state(rng, scale: float, phase_sensitive: bool = True) -> np.ndarray:
     """Thermal modes, about half of them exactly pure, mixed by random
     single-mode squeezers at a random phase (which couple x and p), two-mode
-    squeezers and beam splitters until the entries near scale."""
+    squeezers and beam splitters until the entries near scale. Without the
+    single-mode squeezers every x-p entry stays exactly 0.0."""
     n = int(rng.integers(1, 5))
     pure = rng.random(n) < 0.5
     hot = scale * rng.uniform(0.5, 1.0, n) if rng.random() < 0.3 else rng.uniform(1.0, 3.0, n)
     mat = _block_diag(*(v * np.eye(2) for v in np.where(pure, 1.0, hot)))
     for _ in range(3 * n):
-        kind = rng.integers(3) if n > 1 else 0
+        if phase_sensitive:
+            kind = rng.integers(3) if n > 1 else 0
+        elif n > 1:
+            kind = rng.integers(1, 3)
+        else:
+            break
         if kind == 0:
             modes = [int(rng.integers(n))]
             phi = rng.uniform(0.0, math.pi)
@@ -590,31 +603,46 @@ def _random_gaussian_state(rng, scale: float) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _xp_entries(sigma: np.ndarray) -> np.ndarray:
+    """Every entry coupling an x quadrature with a p quadrature."""
+    return np.concatenate([sigma[0::2, 1::2], sigma[1::2, 0::2]])
+
+
 def test_fast_spectrum_matches_60_digit_oracle():
+    # states with x-p terms take the 2n x 2n factor; phase-insensitive ones
+    # take their x and p blocks, read from both sides past
+    # _INVERSE_SIDE_SCALE, under the same bound
     rng = np.random.default_rng(20261018)
     eps = np.finfo(float).eps
-    scales, pure_modes = [], 0
-    for _ in range(100):
-        sigma = _random_gaussian_state(rng, 10.0 ** rng.uniform(0.0, 4.0))
-        nus, definite = _fast_spectrum(sigma)
-        assert definite
-        oracle = _spectrum_by_general_eig(sigma, 60)
-        cond = np.linalg.norm(sigma, 2) * np.linalg.norm(np.linalg.inv(sigma), 2)
-        assert np.all(np.abs(nus - oracle) <= FAST_SPECTRUM_C * eps * oracle * cond)
-        scales.append(np.abs(sigma).max())
-        pure_modes += int(np.sum(np.abs(oracle - 1.0) < 1e-6))
-    assert max(scales) > 1e3 and min(scales) < 10.0
-    assert pure_modes > 20
+    for phase_sensitive, top in ((True, 4.0), (False, 7.0)):
+        scales, pure_modes = [], 0
+        for _ in range(100):
+            sigma = _random_gaussian_state(rng, 10.0 ** rng.uniform(0.0, top), phase_sensitive)
+            if not phase_sensitive:
+                assert not _xp_entries(sigma).any()
+            nus, definite = _fast_spectrum(sigma)
+            assert definite
+            oracle = _spectrum_by_general_eig(sigma, 60)
+            cond = np.linalg.norm(sigma, 2) * np.linalg.norm(np.linalg.inv(sigma), 2)
+            assert np.all(np.abs(nus - oracle) <= FAST_SPECTRUM_C * eps * oracle * cond)
+            scales.append(np.abs(sigma).max())
+            pure_modes += int(np.sum(np.abs(oracle - 1.0) < 1e-6))
+        assert max(scales) > (1e3 if phase_sensitive else 1e6) and min(scales) < 10.0
+        assert pure_modes > 20
 
 
 def test_fast_spectrum_stack_equals_each_member_alone():
-    # the middle member has no Cholesky factor: the stack is factored member
-    # by member, the middle one gets |eig(Omega sigma)| and its neighbours
-    # keep their factored spectra
+    # the second member has no Cholesky factor: the stack is factored member
+    # by member, that one gets |eig(Omega sigma)| and its neighbours keep
+    # their factored spectra; the last one couples x and p, so it takes the
+    # 2n x 2n factor while the others take their x and p blocks
     amplified = _act_on_modes(tmsv(0.9).matrix, two_mode_squeezer(1e3).matrix, [0, 1])
-    members = [tmsv(0.3).matrix, np.diag([0.5, -0.5, 1.0, 1.0]), amplified]
+    rot = np.array([[math.cos(0.4), math.sin(0.4)], [-math.sin(0.4), math.cos(0.4)]])
+    squeezed = _act_on_modes(tmsv(0.6).matrix, rot @ np.diag([2.0, 0.5]) @ rot.T, [1])
+    members = [tmsv(0.3).matrix, np.diag([0.5, -0.5, 1.0, 1.0]), amplified, squeezed]
+    assert [bool(_xp_entries(m).any()) for m in members] == [False, False, False, True]
     nus, definite = _fast_spectrum(np.stack(members))
-    assert definite.tolist() == [True, False, True]
+    assert definite.tolist() == [True, False, True, True]
     general = np.abs(np.linalg.eigvals(symplectic_form(2) @ members[1]))
     assert np.array_equal(nus[1], np.sort(general)[::-1][::2])
     for k, m in enumerate(members):
@@ -638,6 +666,24 @@ def test_covmat_rejects_non_finite_entries(bad):
         CovMat(matrix, ("m1", "m2"))
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         _check_physical(np.stack([tmsv(0.3).matrix, matrix]))
+
+
+def test_attack_spectra_take_half_size_factors(monkeypatch):
+    # every attack state is phase-insensitive, so its spectrum comes from
+    # its n x n x and p blocks: no SVD of the 12 x 12 matrix or of its 8 x 8
+    # and 10 x 10 blocks
+    mat, _ = _attack_stack(100.0)
+    shapes = []
+    real = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    for stack in (mat, mat[:, 4:, 4:], mat[:, 2:, 2:]):
+        _fast_spectrum(stack)
+    assert shapes and max(max(shape) for shape in shapes) <= 6, shapes
 
 
 def test_check_physical_factors_each_matrix_once(monkeypatch):

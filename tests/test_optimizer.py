@@ -11,6 +11,7 @@ oracle points) but must not fall short of it.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -260,11 +261,12 @@ def test_finite_gain_sweep_runs_the_circuit_once_per_stage(monkeypatch):
 
 
 def test_first_failing_row_in_grid_order_is_reported():
-    sc, _ = _config(g_policy="finite:1e30")
-    # the g = 1e30 row fails its Holevo check (double precision breaks down
-    # that far beyond the paper's gains) before the out-of-range row after
-    # it is reached
-    with pytest.raises(RowError, match="Eve's information") as info:
+    sc, _ = _config(g_policy="finite:1e100")
+    # the g = 1e100 row fails validation (double precision breaks down that
+    # far beyond the paper's gains) before the out-of-range row after it is
+    # reached
+    message = "unphysical covariance matrix: smallest symplectic eigenvalue 6.5736982381e-55"
+    with pytest.raises(RowError, match=re.escape(message) + "$") as info:
         optimize_attacks(sc, (0.9999, 1.5))
     assert info.value.gamma == 0.9999
     sc, _ = _config()
