@@ -28,11 +28,13 @@ from .channels import (
 from .gaussian import (
     CovMat,
     _check_physical,
-    _condition_raw,
-    _fast_spectrum,
+    _heterodyne_blocks,
+    _interleaved,
     _spectrum_entropy,
+    _split_spectrum,
     _tmsv_matrices,
     _tmsv_textbook,
+    _xp_blocks,
     condition_heterodyne,
     tmsv,
     von_neumann_entropy,
@@ -159,37 +161,50 @@ def holevo_bound(sc: AttackScenario) -> float:
 def eve_info(full_state: CovMat, sc: AttackScenario) -> float:
     """S(x:E) = S(Eve) - S(Eve | heterodyne of the reconciliation mode).
 
-    Eve's modes are every label other than A and B. The conditioning runs
-    in double precision (_condition_raw), so it expects a state whose
-    measured mode is not amplified against Eve's modes, as ao_attack_state's.
+    Eve's modes are every label other than A and B. The state must be
+    phase-insensitive, as every state the package builds is: one with an
+    x-p term is rejected. The conditioning runs in double precision
+    (_eve_info_blocks), so it expects a state whose measured mode is not
+    amplified against Eve's modes, as ao_attack_state's.
     """
-    return _eve_info_raw(sc, full_state.matrix, full_state.labels, validate=True)
+    return _eve_info_blocks(sc, _xp_blocks(full_state.matrix), full_state.labels, validate=True)
 
 
-def _eve_info_raw(sc: AttackScenario, mat: np.ndarray, labels: tuple[str, ...], validate: bool):
-    """eve_info on a raw matrix or stack. validate=True checks Eve's block,
-    the conditioned state and its Eve block (_check_physical) in turn and
-    takes their spectra; validate=False reads the unchecked matrices'
-    double-precision spectra (_fast_spectrum), as the objective does."""
-    eve = [lbl for lbl in labels if lbl not in ("A", "B")]
+def _entropy_pair(first: np.ndarray, second: np.ndarray, validate: bool, pure_tol: float):
+    """Entropies of two equally shaped stacks of phase-insensitive states
+    given as x blocks over p blocks: unchecked, one double-precision
+    _split_spectrum call on both; validated, each interleaved and checked
+    in turn (_check_physical). pure_tol as for _spectrum_entropy."""
+    if validate:
+        return tuple(
+            _spectrum_entropy(_check_physical(_interleaved(b))[1], pure_tol) for b in (first, second)
+        )
+    lead, n = first.shape[1:-2], first.shape[-1]
+    both = np.concatenate([first.reshape(2, -1, n, n), second.reshape(2, -1, n, n)], axis=1)
+    entropies = _spectrum_entropy(_split_spectrum(both)[0].reshape((2,) + lead + (n,)), pure_tol)
+    return entropies[0], entropies[1]
+
+
+def _eve_info_blocks(sc: AttackScenario, blocks: np.ndarray, labels: tuple[str, ...], validate: bool):
+    """eve_info on a phase-insensitive state or stack given as x blocks over
+    p blocks (2, ..., n, n). validate=False reads Eve's block and her
+    conditioned block in one double-precision _split_spectrum call, as the
+    objective does; validate=True checks Eve's block, the conditioned state
+    and its Eve block (_check_physical) in turn and takes their spectra."""
+    eve = [i for i, lbl in enumerate(labels) if lbl not in ("A", "B")]
     if not eve or len(eve) + 2 != len(labels):
         raise ValueError(f"state must carry labels A, B and Eve's modes, got {labels}")
-
-    def eve_entropy(m, labels):
-        rows = np.ravel([(2 * i, 2 * i + 1) for i, lbl in enumerate(labels) if lbl in eve])
-        return _block_entropy(m[..., rows[:, None], rows], validate)
-
-    s_eve = eve_entropy(mat, labels)
-    cond, rest = _condition_raw(mat, labels, sc.conditioned_label)
-    return s_eve - eve_entropy(_check_physical(cond)[0] if validate else cond, rest)
-
-
-def _block_entropy(block: np.ndarray, validate: bool, pure_tol: float = 1e-12):
-    """Entropy of a raw matrix or stack from its validated spectrum
-    (_check_physical) or, unchecked, its double-precision one
-    (_fast_spectrum); pure_tol as for _spectrum_entropy."""
-    nus = _check_physical(block)[1] if validate else _fast_spectrum(block)[0]
-    return _spectrum_entropy(nus, pure_tol)
+    m = labels.index(sc.conditioned_label)
+    block = blocks[..., np.array(eve)[:, None], eve]
+    if not validate:
+        s_eve, s_cond = _entropy_pair(block, _heterodyne_blocks(blocks, m, eve), False, 1e-12)
+        return s_eve - s_cond
+    s_eve = _spectrum_entropy(_check_physical(_interleaved(block))[1])
+    rest = [j for j in range(len(labels)) if j != m]
+    cond = _check_physical(_interleaved(_heterodyne_blocks(blocks, m, rest)))[0]
+    # Eve's rows in the conditioned state, which lacks mode m
+    rows = np.ravel([(2 * k, 2 * k + 1) for k, j in enumerate(rest) if j in eve])
+    return s_eve - _spectrum_entropy(_check_physical(cond[..., rows[:, None], rows])[1])
 
 
 def _channel_residual(ab: np.ndarray, alice: np.ndarray, ch: GaussChannel):
@@ -257,8 +272,8 @@ def ao_attack_state(sc: AttackScenario, gamma: float, eta: float, kappa: float) 
     has O(1) entries."""
     resource = _resource_matrix(gamma)
     alice = tmsv(sc.zeta, ("A", "B")).matrix
-    mat = _pipeline_raw(alice, sc.channel, resource, eta, kappa, sc.gain)
-    return CovMat(mat, _ATTACK_MODES)
+    blocks = _pipeline_raw(alice, sc.channel, resource, eta, kappa, sc.gain)
+    return CovMat(_interleaved(blocks), _ATTACK_MODES)
 
 
 def simulation_residual(sc: AttackScenario, gamma: float, eta: float, kappa: float) -> float:
@@ -266,13 +281,14 @@ def simulation_residual(sc: AttackScenario, gamma: float, eta: float, kappa: flo
     presents between A and B at the scenario's finite gain, read off the
     (A, B) block of the attack state, the one block it checks."""
     alice = tmsv(sc.zeta).matrix
-    mat = _pipeline_raw(alice, sc.channel, _resource_matrix(gamma), eta, kappa, sc.gain)
-    return _channel_residual(_check_physical(mat[:4, :4])[0], alice, sc.channel)
+    blocks = _pipeline_raw(alice, sc.channel, _resource_matrix(gamma), eta, kappa, sc.gain)
+    ab = _check_physical(_interleaved(blocks[..., :2, :2]))[0]
+    return _channel_residual(ab, alice, sc.channel)
 
 
 def _bell_record_info(sc: AttackScenario, ab, given_u, validate: bool):
-    """Eve's information at g = inf from _bell_record_raw's matrices, or
-    from stacks of them:
+    """Eve's information at g = inf from _bell_record_raw's blocks, or from
+    stacks of them:
 
         chi = 1/2 log2(det(V_m + I) / det(V_m|u + I)) + S(F | u) - S(F | u, m)
 
@@ -284,19 +300,19 @@ def _bell_record_info(sc: AttackScenario, ab, given_u, validate: bool):
     V_m + I and V_m|u + I given u, all O(1). So are the F blocks, whose
     double-precision spectra are good to ~1e-15: only an exactly pure mode
     counts as pure, since the rounded tmsv inputs leave conditional modes
-    up to ~1e-12 above nu = 1, worth up to 2e-11 bits. validate=True checks
-    the F blocks (_check_physical) and takes their validated spectra.
+    up to ~1e-12 above nu = 1, worth up to 2e-11 bits. Each determinant is
+    np.linalg.det of the 2 x 2 diagonal, not the product of its entries,
+    which rounds differently. validate=True checks the F blocks
+    (_check_physical) and takes their validated spectra.
     """
     i = _BELL_RECORD_MODES.index(sc.conditioned_label)
-    m = slice(2 * i, 2 * i + 2)
-    cond, _ = _condition_raw(given_u, _BELL_RECORD_MODES, sc.conditioned_label)
     eye = np.eye(2)
-    record = 0.5 * np.log2(
-        np.linalg.det(ab[..., m, m] + eye) / np.linalg.det(given_u[..., m, m] + eye)
-    )
-    # after removing A or B the F block starts at the second remaining mode
-    s_f = _block_entropy(given_u[..., 4:, 4:], validate, 0.0)
-    return record + s_f - _block_entropy(cond[..., 2:, 2:], validate, 0.0)
+    v_m, v_m_given_u = (_interleaved(x[..., i : i + 1, i : i + 1]) + eye for x in (ab, given_u))
+    record = 0.5 * np.log2(np.linalg.det(v_m) / np.linalg.det(v_m_given_u))
+    # F1 and F2 are the last two modes
+    f = given_u[..., 2:, 2:]
+    s_f, s_f_given_m = _entropy_pair(f, _heterodyne_blocks(given_u, i, [2, 3]), validate, 0.0)
+    return record + s_f - s_f_given_m
 
 
 def _attack_point(sc: AttackScenario, alice, resource, eta, kappa, validate: bool = False):
@@ -313,28 +329,29 @@ def _attack_point(sc: AttackScenario, alice, resource, eta, kappa, validate: boo
     A gain of math.inf takes the Bell-record closed form (_bell_record_info):
     O(1) entries in double precision, within 1e-13 bits of the 60-digit
     circuit at g = 1e20 on the points tests/test_bell_record.py checks.
-    A finite g is _eve_info_raw on the circuit (_pipeline_raw), where only
-    Eve's mode P grows with g, so the double-precision Schur complement
-    stays accurate, and every spectrum comes from the Cholesky factors of
-    its x and p blocks, its small nu's from their inverse side past
-    _INVERSE_SIDE_SCALE (_fast_spectrum): within 1e-10 bits of the 60-digit
-    circuit at g = 1e2 to 1e8 on the points tests/test_finite_gain.py
-    checks, with no mpmath call. The spectra of a 187-point scan stack of
-    Eve's 8x8 blocks take 1.4 ms in one stacked call at g = 1e6 (entries
-    up to 1.7e7) and 0.56 ms at g = 100 (one core of a shared 2-core Xeon;
-    3.3 and 1.1-1.5 ms from the 8x8 factor).
+    A finite g is _eve_info_blocks on the circuit's x and p blocks
+    (_pipeline_raw), where only Eve's mode P grows with g, so the
+    double-precision heterodyne update stays accurate, and every spectrum
+    comes from the Cholesky factors of the x and p blocks, its small nu's
+    from their inverse side past _INVERSE_SIDE_SCALE (_split_spectrum):
+    within 1e-10 bits of the 60-digit circuit at g = 1e2 to 1e8 on the
+    points tests/test_finite_gain.py checks, with no mpmath call. On the
+    187-point first scan pass of the 11-row g = 100 sweep, one call takes
+    1.9-3.1 ms, 0.6-1.2 ms of it in the circuit, against 2.5-4.6 and
+    0.9-1.7 ms with 12 x 12 maps and states and two spectrum calls (six
+    alternating runs each, one core of a shared 2-core Xeon).
 
     validate=True checks the attack state at finite g and every block whose
-    entropy is taken (_block_entropy); the (A, B) block is the caller's to
-    check.
+    entropy is taken (_check_physical on the interleaved matrices); the
+    (A, B) block is the caller's to check.
     """
     if math.isinf(sc.gain):
         ab, given_u = _bell_record_raw(alice, sc.channel, resource, eta, kappa)
-        return _bell_record_info(sc, ab, given_u, validate), ab
-    mat = _pipeline_raw(alice, sc.channel, resource, eta, kappa, sc.gain)
+        return _bell_record_info(sc, ab, given_u, validate), _interleaved(ab)
+    blocks = _pipeline_raw(alice, sc.channel, resource, eta, kappa, sc.gain)
     if validate:
-        mat = _check_physical(mat)[0]
-    return _eve_info_raw(sc, mat, _ATTACK_MODES, validate), mat[..., :4, :4]
+        _check_physical(_interleaved(blocks))
+    return _eve_info_blocks(sc, blocks, _ATTACK_MODES, validate), _interleaved(blocks[..., :2, :2])
 
 
 def _eve_info_objective(sc: AttackScenario, alice: np.ndarray, resource: np.ndarray, eta, kappa):

@@ -8,12 +8,19 @@ A CovMat is validated where it is formed by arithmetic (a symplectic
 applied, a channel, a conditioning, a reordered partial trace): its
 symplectic spectrum is computed numerically and checked. tmsv, thermal and
 direct_sum know their spectra exactly, from a closed form or as the union of
-their already-validated parts, and certify by it (_certified); partial_trace
-keeping every mode in its order returns the state itself. A numerical
-spectrum comes from Cholesky factors: of the n x n x and p blocks for a
-phase-insensitive matrix (every x-p entry 0.0, as every state the package
-builds), of the whole 2n x 2n matrix for any other (_fast_spectrum). mpmath
-is imported only by the high-precision routines that use it.
+their already-validated parts, and certify by it (_certified), as does
+teleportation.ResourceState; partial_trace keeping every mode in its order
+returns the state itself. A numerical spectrum comes from Cholesky factors:
+of the n x n x and p blocks for a phase-insensitive matrix (every x-p entry
+0.0, as every state the package builds), of the whole 2n x 2n matrix for
+any other (_fast_spectrum). mpmath is imported only by the high-precision
+routines that use it.
+
+A phase-insensitive state is X (+) P on its x and p quadratures, and the
+attack path carries it that way: one (2, ..., n, n) stack of its x blocks
+over its p blocks, the diagonal of _quadrature_blocks, acted on by the x and
+p parts of its maps (_squeezer_parts, _splitter_part). _interleaved forms
+the 2n x 2n matrix only where a CovMat or _check_physical needs it.
 """
 
 from __future__ import annotations
@@ -125,11 +132,36 @@ def _omega_times(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadrature_blocks(stack: np.ndarray) -> np.ndarray:
-    """The x-x, x-p, p-x and p-p blocks of each matrix of a (k, 2n, 2n)
-    stack, as one (4, k, n, n) array."""
-    k, n = len(stack), stack.shape[-1] // 2
-    return stack.reshape(k, n, 2, n, 2).transpose(2, 4, 0, 1, 3).reshape(4, k, n, n)
+def _quadrature_blocks(matrix: np.ndarray) -> np.ndarray:
+    """The x-x, x-p, p-x and p-p blocks of a (..., 2n, 2n) matrix or stack,
+    as one (2, 2, ..., n, n) view indexed by the quadrature of the rows, then
+    of the columns. Its diagonal, [[0, 1], [0, 1]], stacks the x blocks X
+    over the p blocks P, the (2, ..., n, n) layout in which the attack
+    carries its phase-insensitive states (_interleaved inverts it)."""
+    lead, n = matrix.shape[:-2], matrix.shape[-1] // 2
+    k = len(lead)
+    axes = (k + 1, k + 3, *range(k), k, k + 2)
+    return matrix.reshape(lead + (n, 2, n, 2)).transpose(axes)
+
+
+def _interleaved(blocks: np.ndarray) -> np.ndarray:
+    """The (..., 2n, 2n) matrix, in (x1, p1, ..., xn, pn) order, of x blocks
+    over p blocks (2, ..., n, n), every x-p entry 0.0: the inverse of
+    _quadrature_blocks on a phase-insensitive matrix."""
+    lead, n = blocks.shape[1:-2], blocks.shape[-1]
+    out = np.zeros(lead + (n, 2, n, 2))
+    out[..., :, 0, :, 0] = blocks[0]
+    out[..., :, 1, :, 1] = blocks[1]
+    return out.reshape(lead + (2 * n, 2 * n))
+
+
+def _xp_blocks(matrix: np.ndarray) -> np.ndarray:
+    """X over P, (2, ..., n, n), of a matrix or stack whose x-p entries are
+    all 0; one with an x-p term is rejected."""
+    quads = _quadrature_blocks(matrix)
+    if quads[0, 1].any() or quads[1, 0].any():
+        raise ValueError("state couples its x and p quadratures; expected a phase-insensitive one")
+    return quads[[0, 1], [0, 1]]
 
 
 def _cholesky_each(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,18 +210,22 @@ def _inverse_side(blocks: np.ndarray, chol: np.ndarray) -> tuple[np.ndarray, np.
         return 1.0 / inverted[..., ::-1], cond
 
 
-def _split_spectrum(blocks: np.ndarray, peak: np.ndarray):
+def _split_spectrum(blocks: np.ndarray):
     """Symplectic spectra, descending, of a stack of phase-insensitive
     matrices given by their x blocks over their p blocks, (2, k, n, n),
-    which members are positive definite, and the _inverse_side condition
-    bound of each member read from both sides (inf elsewhere).
+    which members are positive definite, and for each member above
+    _HP_SCALE the _inverse_side condition bound (inf for one read from the
+    direct side alone); 1 below the scale, where the direct side's absolute
+    error ~eps * nu_max stays under the physicality margin.
 
     sigma is X (+) P on its x and p quadratures, so its nu's are those of
     X P (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)): with X = L_X
     L_X^T and P = L_P L_P^T, the n singular values of L_X^T L_P. Members
-    whose largest |entry| (peak) passes _INVERSE_SIDE_SCALE read the nu's
-    below sqrt(nu_max nu_min) from _inverse_side instead.
+    whose largest |entry| passes _INVERSE_SIDE_SCALE read the nu's below
+    sqrt(nu_max nu_min) from _inverse_side instead. A member without both
+    factors gets |eig(Omega sigma)| of its interleaved matrix (_eig_spectrum).
     """
+    peak = np.abs(blocks).max(axis=(0, -2, -1))
     chol, definite = _cholesky_each(blocks)
     definite = definite[0] & definite[1]
     nus = np.linalg.svd(np.swapaxes(chol[0], -1, -2) @ chol[1], compute_uv=False)
@@ -203,7 +239,33 @@ def _split_spectrum(blocks: np.ndarray, peak: np.ndarray):
         # sqrt(nu_max nu_min), the inverse side's ~eps nu / nu_min below it
         upper = direct / inverse[:, -1:] > direct[:, :1] / direct
         nus[graded] = np.where(upper, direct, inverse)
-    return nus, definite, cond
+    if not definite.all():
+        nus[~definite] = _eig_spectrum(_interleaved(blocks[:, ~definite]))
+    return nus, definite, np.where(peak > _HP_SCALE, cond, 1.0)
+
+
+def _coupled_spectrum(stack: np.ndarray):
+    """_split_spectrum's results for a (k, 2n, 2n) stack of matrices that
+    couple x and p: the singular values of K = L^T Omega L from the 2n x 2n
+    factor sigma = L L^T, each twice, and a condition bound of inf above
+    _HP_SCALE, where such a matrix has no inverse side."""
+    chol, definite = _cholesky_each(stack)
+    k = np.swapaxes(chol, -1, -2) @ _omega_times(chol)
+    nus = np.linalg.svd(k, compute_uv=False)[:, ::2]
+    if not definite.all():
+        nus[~definite] = _eig_spectrum(stack[~definite])
+    peak = np.abs(stack).max(axis=(-2, -1))
+    return nus, definite, np.where(peak > _HP_SCALE, np.inf, 1.0)
+
+
+def _eig_spectrum(stack: np.ndarray) -> np.ndarray:
+    """|eig(Omega sigma)| of a (k, 2n, 2n) stack, descending, one per mode:
+    the spectrum of a matrix without a Cholesky factor, which only words
+    its rejection and feeds the audit."""
+    eigs = np.linalg.eigvals(symplectic_form(stack.shape[-1] // 2) @ stack)
+    # |eigs| carries each nu twice (the +/- i*nu pair); sorting makes the
+    # pairs adjacent so taking every second entry deduplicates them
+    return np.sort(np.abs(eigs), axis=-1)[:, ::-1][:, ::2]
 
 
 def _spectrum_and_conditioning(stack: np.ndarray):
@@ -211,37 +273,22 @@ def _spectrum_and_conditioning(stack: np.ndarray):
     _HP_SCALE a bound on its equilibrated condition number: from
     _inverse_side for a phase-insensitive matrix with a Cholesky factor,
     inf for any other, which _symplectic_spectrum then certifies in high
-    precision; 1 below the scale, where the direct side's absolute error
-    ~eps * nu_max stays under the physicality margin.
+    precision; 1 below the scale.
 
     Each matrix takes its route on its own: a phase-insensitive one, every
     x-p entry exactly 0.0, as tmsv, beam splitters, two-mode squeezers,
     loss channels and Schur complements leave them, its x and p blocks
-    (_split_spectrum); any other the singular values of K = L^T Omega L
-    from the 2n x 2n factor sigma = L L^T, each twice."""
-    n = stack.shape[-1] // 2
-    peak = np.abs(stack).max(axis=(-2, -1))
+    (_split_spectrum); any other its 2n x 2n factor (_coupled_spectrum)."""
     quads = _quadrature_blocks(stack)
-    split = ~quads[1:3].any(axis=(0, 2, 3))
+    split = ~(quads[0, 1].any(axis=(-2, -1)) | quads[1, 0].any(axis=(-2, -1)))
     if split.all():
-        nus, definite, cond = _split_spectrum(quads[::3], peak)
-    else:
-        nus = np.empty((len(stack), n))
-        definite = np.empty(len(stack), dtype=bool)
-        cond = np.full(len(stack), np.inf)
-        if split.any():
-            nus[split], definite[split], cond[split] = _split_spectrum(
-                quads[::3, split], peak[split]
-            )
-        chol, definite[~split] = _cholesky_each(stack[~split])
-        k = np.swapaxes(chol, -1, -2) @ _omega_times(chol)
-        nus[~split] = np.linalg.svd(k, compute_uv=False)[:, ::2]
-    cond = np.where(peak > _HP_SCALE, cond, 1.0)
-    if not definite.all():
-        eigs = np.linalg.eigvals(symplectic_form(n) @ stack[~definite])
-        # |eigs| carries each nu twice (the +/- i*nu pair); sorting makes the
-        # pairs adjacent so taking every second entry deduplicates them
-        nus[~definite] = np.sort(np.abs(eigs), axis=-1)[:, ::-1][:, ::2]
+        return _split_spectrum(quads[[0, 1], [0, 1]])
+    nus = np.empty((len(stack), stack.shape[-1] // 2))
+    definite = np.empty(len(stack), dtype=bool)
+    cond = np.empty(len(stack))
+    if split.any():
+        nus[split], definite[split], cond[split] = _split_spectrum(quads[[0, 1], [0, 1]][:, split])
+    nus[~split], definite[~split], cond[~split] = _coupled_spectrum(stack[~split])
     return nus, definite, cond
 
 
@@ -328,16 +375,23 @@ def _check_physical(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nus, definite = _symplectic_spectrum(mats)
     nu_min = nus[..., -1]  # the spectra are descending
     _record_in_audit(nu_min)
-    low = nu_min < 1.0 - PHYSICALITY_TOL
-    if low.any():
-        raise ValueError(
-            f"unphysical covariance matrix: smallest symplectic eigenvalue {nu_min[low][0]:.12g}"
-        )
+    _reject_below_physical(nu_min)
     # |eig(Omega sigma)| cannot see the sign of sigma: sigma + i Omega >= 0
     # also needs sigma > 0, which an indefinite matrix fails
     if not definite.all():
         raise ValueError("unphysical covariance matrix: not positive definite")
     return mats, nus
+
+
+def _reject_below_physical(nu_min) -> None:
+    """Raise for the first smallest symplectic eigenvalue, of one state or
+    of a stack, below 1 - PHYSICALITY_TOL."""
+    nu_min = np.asarray(nu_min)
+    low = nu_min < 1.0 - PHYSICALITY_TOL
+    if low.any():
+        raise ValueError(
+            f"unphysical covariance matrix: smallest symplectic eigenvalue {nu_min[low][0]:.12g}"
+        )
 
 
 def _mode_labels(n: int, labels) -> tuple[str, ...]:
@@ -398,14 +452,18 @@ class CovMat:
 def _certified(mat: np.ndarray, labels, nus) -> CovMat:
     """A CovMat of a fresh symmetric float matrix whose symplectic spectrum
     nus (in any order) is known exactly, from a closed form or as the union
-    of validated parts: CovMat's label checks and its rejection of
-    non-finite entries, the frozen arrays, and one count in the physicality
-    audit at nus' least member, but no numerical spectrum."""
+    of validated parts: CovMat's label checks, its rejection of non-finite
+    entries and of a nu below 1 - PHYSICALITY_TOL, the frozen arrays, and
+    one count in the physicality audit at nus' least member, but no
+    numerical spectrum. Positive definiteness is the caller's to know, as
+    its closed form does (tmsv, thermal, a direct sum of valid states, a
+    two-mode standard form with nu_- > 0)."""
     labels = _mode_labels(mat.shape[-1] // 2, labels)
     if not np.isfinite(mat).all():
         raise ValueError("covariance matrix must not contain infs or NaNs")
     nus = np.sort(np.asarray(nus, dtype=float))[::-1].copy()
     _record_in_audit(nus[-1])
+    _reject_below_physical(nus[-1])
     state = object.__new__(CovMat)
     state._freeze(mat, nus, labels)
     return state
@@ -565,20 +623,14 @@ def thermal(variance: float, label: str = "m1") -> CovMat:
     return _certified(np.diag([variance, variance]).astype(float), (label,), (variance,))
 
 
-def _squeezer_matrix(g: float) -> np.ndarray:
-    """two_mode_squeezer's matrix, range-checked, for the raw pipelines."""
+def _squeezer_parts(g: float) -> np.ndarray:
+    """two_mode_squeezer's x part over its p part, (2, 2, 2), range-checked,
+    for the raw pipelines."""
     if g < 1.0:
         raise ValueError(f"squeezer gain must be >= 1, got {g}")
     sg = math.sqrt(g)
     sgm = math.sqrt(g - 1.0)
-    return np.array(
-        [
-            [sg, 0.0, sgm, 0.0],
-            [0.0, sg, 0.0, -sgm],
-            [sgm, 0.0, sg, 0.0],
-            [0.0, -sgm, 0.0, sg],
-        ]
-    )
+    return np.array([[[sg, sgm], [sgm, sg]], [[sg, -sgm], [-sgm, sg]]])
 
 
 def two_mode_squeezer(g: float) -> Symplectic:
@@ -586,23 +638,23 @@ def two_mode_squeezer(g: float) -> Symplectic:
 
     Diagonal blocks sqrt(g) I2, off-diagonal blocks diag(sqrt(g-1), -sqrt(g-1)).
     """
-    return Symplectic(_squeezer_matrix(g), 2)
+    return Symplectic(_interleaved(_squeezer_parts(g)), 2)
 
 
-def _splitter_matrix(t) -> np.ndarray:
-    """beam_splitter's matrix (or stack), range-checked, for the raw pipelines."""
+def _splitter_part(t) -> np.ndarray:
+    """beam_splitter's x part, which is its p part too, or the stack of
+    them, (..., 2, 2), range-checked, for the raw pipelines."""
     t = np.asarray(t, dtype=float)
     outside = ~((0.0 <= t) & (t <= 1.0))
     if outside.any():
         raise ValueError(f"beam splitter transmissivity must lie in [0, 1], got {t[outside][0]}")
     st = np.sqrt(t)
     sr = np.sqrt(1.0 - t)
-    mat = np.zeros(t.shape + (4, 4))
-    for k in range(4):
-        mat[..., k, k] = st
-    mat[..., 0, 2] = mat[..., 1, 3] = -sr
-    mat[..., 2, 0] = mat[..., 3, 1] = sr
-    return mat
+    part = np.empty(t.shape + (2, 2))
+    part[..., 0, 0] = part[..., 1, 1] = st
+    part[..., 0, 1] = -sr
+    part[..., 1, 0] = sr
+    return part
 
 
 def beam_splitter(t) -> Symplectic:
@@ -611,7 +663,8 @@ def beam_splitter(t) -> Symplectic:
 
     First output = sqrt(t) m1 - sqrt(1-t) m2, second = sqrt(1-t) m1 + sqrt(t) m2.
     """
-    return Symplectic(_splitter_matrix(t), 2)
+    part = _splitter_part(t)
+    return Symplectic(_interleaved(np.array([part, part])), 2)
 
 
 def direct_sum(*states: CovMat) -> CovMat:
@@ -763,15 +816,13 @@ def _block_diag(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _embedded(s: np.ndarray, idx, dim: int) -> np.ndarray:
-    """A map on the mode slots idx (or a stack of them) embedded in dim
-    quadratures as identity on every other mode."""
+def _embedded(s: np.ndarray, idx, dim: int, width: int = 2) -> np.ndarray:
+    """A map on the mode slots idx (or a stack of them) embedded in dim rows
+    as identity on every other mode; width is a mode's number of rows: 2
+    for a whole map, 1 for its x or p part."""
+    rows = np.ravel([range(width * i, width * (i + 1)) for i in idx])
     full = np.broadcast_to(np.eye(dim), s.shape[:-2] + (dim, dim)).copy()
-    for a, ia in enumerate(idx):
-        for b, ib in enumerate(idx):
-            full[..., 2 * ia : 2 * ia + 2, 2 * ib : 2 * ib + 2] = s[
-                ..., 2 * a : 2 * a + 2, 2 * b : 2 * b + 2
-            ]
+    full[..., rows[:, None], rows] = s
     return full
 
 
@@ -822,10 +873,11 @@ def _condition_raw(
 
     quadrature None is heterodyne, a - c (b + I)^-1 c^T; "x" or "p" is
     homodyne of that quadrature, with the pseudo-inverse of b projected on
-    it in place of (b + I)^-1. It is accurate when the measured mode is
-    not amplified against the others, as in the attack's states, where
-    only Eve's mode P grows with the gain (teleportation._eve_local_map);
-    condition_heterodyne and condition_homodyne cover the other states.
+    it in place of (b + I)^-1. It takes any state, x-p terms included, and
+    is accurate when the measured mode is not amplified against the others;
+    condition_heterodyne and condition_homodyne cover the other states. The
+    attack conditions its phase-insensitive states on their x and p blocks
+    instead (_heterodyne_blocks), with the same rounding.
     """
     a, c, b, rest = _split_for_measurement(mat, labels, measured_label)
     if quadrature is None:
@@ -834,3 +886,18 @@ def _condition_raw(
         proj = np.diag([1.0, 0.0]) if quadrature == "x" else np.diag([0.0, 1.0])
         inner = np.linalg.pinv(proj @ b @ proj)
     return a - c @ inner @ np.swapaxes(c, -1, -2), rest
+
+
+def _heterodyne_blocks(blocks: np.ndarray, m: int, keep) -> np.ndarray:
+    """The x and p blocks of the modes keep of a phase-insensitive state,
+    given as x blocks over p blocks (2, ..., n, n), after a heterodyne
+    measurement of mode m: per quadrature the rank-one update
+    a - (c (1 / (b + 1))) c^T. It rounds as the 2 x 2 (b + I)^-1 of
+    _condition_raw does on the interleaved matrix, whose x-p terms add
+    exact zeros, and it is as accurate: the measured mode must not be
+    amplified against the kept ones."""
+    keep = np.asarray(keep)
+    a = blocks[..., keep[:, None], keep]
+    c = blocks[..., keep, m]
+    scaled = c * (1.0 / (blocks[..., m, m] + 1.0))[..., None]
+    return a - scaled[..., :, None] * c[..., None, :]

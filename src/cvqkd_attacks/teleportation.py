@@ -18,14 +18,16 @@ import numpy as np
 from .channels import ChannelKind, GaussChannel, apply_channel, classify
 from .gaussian import (
     CovMat,
-    _act_on_modes,
     _block_diag,
+    _certified,
     _embedded,
-    _splitter_matrix,
-    _squeezer_matrix,
+    _interleaved,
+    _splitter_part,
+    _squeezer_parts,
     _tmsv_entries,
     _tmsv_matrices,
     _two_mode_std,
+    _xp_blocks,
 )
 
 # The teleportation attack's modes: Alice's pair (A, B), Eve's amplified
@@ -55,7 +57,7 @@ class ResourceState:
             raise ValueError(f"resource diagonals must be >= 1, got a={self.a}, b={self.b}")
         if not self.c >= 0.0:
             raise ValueError(f"resource correlation must be >= 0, got c={self.c}")
-        self.to_covmat()  # physicality check
+        self.to_covmat()  # physicality check, by the closed-form spectrum
 
     @classmethod
     def from_tmsv(cls, gamma: float) -> "ResourceState":
@@ -65,7 +67,14 @@ class ResourceState:
         return cls(a, a, c)
 
     def to_covmat(self, labels: tuple[str, str] = ("res1", "res2")) -> CovMat:
-        return CovMat(_two_mode_std(self.a, self.b, self.c, -self.c), labels)
+        """The resource as a CovMat, certified by its closed-form spectrum
+        nu_pm = (sqrt((a + b - 2c)(a + b + 2c)) +/- |b - a|) / 2; nu_- > 0
+        makes ab - c^2 = nu_+ nu_- positive, so the matrix is positive
+        definite. A negative radicand (c > (a + b) / 2) reads nu_- <= 0."""
+        a, b, c = self.a, self.b, self.c
+        root = math.sqrt(max((a + b - 2.0 * c) * (a + b + 2.0 * c), 0.0))
+        nus = (0.5 * (root + abs(b - a)), 0.5 * (root - abs(b - a)))
+        return _certified(_two_mode_std(a, b, c, -c), labels, nus)
 
 
 @dataclass(frozen=True)
@@ -157,7 +166,8 @@ def _check_gain(g: float) -> None:
 def _tapped_auxiliary(channel: GaussChannel, eta, kappa):
     """Eve's tap transmissivities and auxiliary state, checked: eta in
     [0, 1], kappa in [0, 1), as arrays, and kappa = 0 on pure-loss channels.
-    Returns eta and tmsv(kappa) on (F1, F2), one per kappa."""
+    Returns eta and the x over p blocks of tmsv(kappa) on (F1, F2), one per
+    kappa."""
     eta = np.asarray(eta, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     outside = ~((0.0 <= eta) & (eta <= 1.0))
@@ -169,13 +179,13 @@ def _tapped_auxiliary(channel: GaussChannel, eta, kappa):
 
     if _is_pure_loss_like(channel) and (kappa != 0.0).any():
         raise ValueError("pure-loss channel pins the auxiliary state to vacuum (kappa = 0)")
-    return eta, _tmsv_matrices(kappa)
+    return eta, _xp_blocks(_tmsv_matrices(kappa))
 
 
 def _eve_local_map(tau: float, t: float) -> np.ndarray:
     """Eve's local map on her amplified pair (R1, R2) after the recombiner
     of transmissivity t: the inverse two-mode squeezer with
-    tanh r = sqrt(tau (1 - t)).
+    tanh r = sqrt(tau (1 - t)), as its x part over its p part (2, 2, 2).
 
     Both modes carry the Bell record u = (x_B + x_R1, p_B - p_R1) of
     _bell_record_raw, amplified: R1 as sqrt(g) u in x and its negative in
@@ -187,17 +197,17 @@ def _eve_local_map(tau: float, t: float) -> np.ndarray:
     """
     tanh2 = tau * (1.0 - t)
     if tanh2 >= 1.0:
-        return np.eye(4)
+        return np.array([np.eye(2), np.eye(2)])
     cosh = 1.0 / math.sqrt(1.0 - tanh2)
     sinh = math.sqrt(tanh2) * cosh
-    return np.array(
-        [
-            [cosh, 0.0, -sinh, 0.0],
-            [0.0, cosh, 0.0, sinh],
-            [-sinh, 0.0, cosh, 0.0],
-            [0.0, sinh, 0.0, cosh],
-        ]
-    )
+    return np.array([[[cosh, -sinh], [-sinh, cosh]], [[cosh, sinh], [sinh, cosh]]])
+
+
+def _per_quadrature(maps: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """A map's x and p parts, (2, m, m), with axes of length 1 inserted so
+    that they pair with every member of stack, a (..., m, m) stack of maps
+    that act alike on both quadratures."""
+    return maps.reshape((2,) + (1,) * (stack.ndim - 2) + maps.shape[-2:])
 
 
 def _pipeline_raw(
@@ -223,36 +233,44 @@ def _pipeline_raw(
     amplified pair then leaves through _eve_local_map as (P, Q); every
     quantity reported is invariant under a symplectic on Eve's modes alone.
 
-    The circuit's linear map M and the channel noise N, the noise pushed
+    Every state and map of the circuit is phase-insensitive, sigma = X (+)
+    P, so it runs on x and p parts: 6 x 6 maps on one (2, ..., 6, 6) stack
+    of X over P. The splitters act alike on both quadratures, the squeezer
+    and the local map with opposite signs on their cross terms. The
+    circuit's linear map M and the channel noise N, the noise pushed
     through the optics after the channel, are composed first and
     left-multiplied by the local map, and the output M sigma_in M^T + N is
     formed once. Only P's entries grow with g, to ~g a, while every other
     entry stays O(1), so the matrix is graded and its small symplectic
-    eigenvalues stay resolvable in double precision (see _fast_spectrum).
+    eigenvalues stay resolvable in double precision (see _split_spectrum).
     Forming the raw (R1, R2) output first and mapping it afterwards would
     not do: its rounding, ~eps g a in every amplified entry, survives the
-    map. Returns the raw kept matrix on _ATTACK_MODES.
+    map. Returns the kept state's x blocks over its p blocks on
+    _ATTACK_MODES (gaussian._interleaved forms its matrix); each block
+    equals that of the 12 x 12 state formed from the 12 x 12 maps, bit for
+    bit, as the x-p terms the full product adds are exact zeros. An input
+    that couples x and p is rejected.
 
     eta and kappa may be 1-D arrays of one length: the result is then the
-    stack of kept matrices, one per (eta, kappa) pair, with the auxiliary
-    states and splitters validated as stacks. Scalars give one 2-D matrix.
+    stack of kept states, one per (eta, kappa) pair, with the auxiliary
+    states and splitters validated as stacks. Scalars give one (2, 6, 6).
     The resource may be one matrix shared by every pair or a matching
     (..., 4, 4) stack, one per pair.
     """
     _check_gain(g)
     t = 1.0 / g if t is None else t
     eta, aux = _tapped_auxiliary(channel, eta, kappa)
-    joint = _block_diag(input_matrix, resource, aux)
-    dim = joint.shape[-1]
+    parts = (_xp_blocks(input_matrix), _xp_blocks(resource), aux)
+    joint = np.array([_block_diag(*(part[q] for part in parts)) for q in (0, 1)])
     # modes: the signal B is mode 1, then R1, R2, F1 and F2
-    squeeze = _embedded(_squeezer_matrix(g), (1, 2), dim)
-    squeeze[..., 2:4, :] *= math.sqrt(channel.tau)
-    after = _embedded(_splitter_matrix(t), (1, 3), dim) @ _embedded(
-        _splitter_matrix(eta), (3, 4), dim
+    after = _embedded(_splitter_part(t), (1, 3), 6, 1) @ _embedded(
+        _splitter_part(eta), (3, 4), 6, 1
     )
-    local = _embedded(_eve_local_map(channel.tau, t), (2, 3), dim)
-    linear = local @ (after @ squeeze)
-    noise = local @ after[..., :, 2:4]
+    squeeze = _embedded(_squeezer_parts(g), (1, 2), 6, 1)
+    squeeze[:, 1, :] *= math.sqrt(channel.tau)
+    local = _per_quadrature(_embedded(_eve_local_map(channel.tau, t), (2, 3), 6, 1), after)
+    linear = local @ (after @ _per_quadrature(squeeze, after))
+    noise = local @ after[..., :, 1:2]
     joint = linear @ joint @ np.swapaxes(linear, -1, -2)
     joint += channel.v * (noise @ np.swapaxes(noise, -1, -2))
     return 0.5 * (joint + np.swapaxes(joint, -1, -2))
@@ -272,8 +290,9 @@ def _bell_record_raw(
     independent of the rest, so it drops out. Eve keeps the classical record
     u, F1' and F2.
 
-    Returns (ab, given_u): the state of (A, B), and the matrix of
-    (A, B, F1', F2) (_BELL_RECORD_MODES) conditioned on u.
+    Returns (ab, given_u), each as x blocks over p blocks as _pipeline_raw
+    returns its state: the state of (A, B), and that of (A, B, F1', F2)
+    (_BELL_RECORD_MODES) conditioned on u.
     The conditioning is done on the inputs, in closed form. With (a_in,
     c_in) and (a, c) the tmsv entries of Alice's state and of the resource,
     and s = a + a_in the variance of each of u's quadratures, (A, R2) given
@@ -284,9 +303,9 @@ def _bell_record_raw(
     large cancels), so no O(a) terms cancel. A Schur complement on u of the
     formed matrix would leave ~eps a in every entry, up to 5e-11 bits at
     gamma = 0.9999. The tap then acts on the conditional state, Bob's mode
-    given u is -R2', and ab adds back u's share, cross cross^T / s. Scalars
-    or 1-D arrays of eta and kappa, and one resource or a stack of them, as
-    for _pipeline_raw.
+    given u is -R2', and ab adds back u's share, cross cross^T / s, with
+    cross the covariances of (A, B) with u. Scalars or 1-D arrays of eta
+    and kappa, and one resource or a stack of them, as for _pipeline_raw.
     """
     eta, aux = _tapped_auxiliary(channel, eta, kappa)
     a_in, c_in = alice[0, 0], alice[0, 2]
@@ -298,16 +317,18 @@ def _bell_record_raw(
         -c * c_in / s,
         c * c_in / s,
     )
-    given_u = _act_on_modes(_block_diag(pair, aux), _splitter_matrix(eta), (1, 2))
+    joint = np.array([_block_diag(part, aux[q]) for q, part in enumerate(_xp_blocks(pair))])
+    tap = _embedded(_splitter_part(eta), (1, 2), 4, 1)
+    given_u = tap @ joint @ np.swapaxes(tap, -1, -2)
     given_u = 0.5 * (given_u + np.swapaxes(given_u, -1, -2))
-    given_u[..., 2:4, :] *= -1.0
-    given_u[..., :, 2:4] *= -1.0
-    # covariances of (A, B) with u: c_in Z from Alice's pair, and
-    # sqrt(tau) s - sqrt(eta) c for Bob's mode in both quadratures
-    cross = np.zeros(eta.shape + (4, 2))
-    cross[..., 0, 0], cross[..., 1, 1] = c_in, -c_in
-    cross[..., 2, 0] = cross[..., 3, 1] = math.sqrt(channel.tau) * s - np.sqrt(eta) * c
-    ab = given_u[..., :4, :4] + cross @ np.swapaxes(cross, -1, -2) / s[..., None, None]
+    given_u[..., 1, :] *= -1.0
+    given_u[..., :, 1] *= -1.0
+    # per quadrature, the covariances of (A, B) with u: +/- c_in from
+    # Alice's pair, and sqrt(tau) s - sqrt(eta) c for Bob's mode
+    cross = np.empty((2,) + eta.shape + (2,))
+    cross[0, ..., 0], cross[1, ..., 0] = c_in, -c_in
+    cross[..., 1] = math.sqrt(channel.tau) * s - np.sqrt(eta) * c
+    ab = given_u[..., :2, :2] + cross[..., :, None] * cross[..., None, :] / s[..., None, None]
     return ab, given_u
 
 
@@ -319,8 +340,9 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
     two-mode squeezer of gain g, send the amplified signal through the
     physical channel, recombine (signal, resource arm 2) on the beam splitter
     of transmissivity t = lam/(g tau), then trace out both resource arms.
-    This is _pipeline_raw with its tap at eta = 1 and kappa = 0. At
-    g = inf the teleporter is the standard one: its channel,
+    This is _pipeline_raw with its tap at eta = 1 and kappa = 0, which
+    takes a phase-insensitive state: one that couples x and p is rejected.
+    At g = inf the teleporter is the standard one: its channel,
     ao_effective_channel, acts on the second mode.
     """
     if state.n_modes != 2:
@@ -330,5 +352,5 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
     # the resource was validated when it was built, and it is frozen
     resource = _two_mode_std(res.a, res.b, res.c, -res.c)
     t = cfg.splitter_transmissivity()
-    mat = _pipeline_raw(state.matrix, cfg.env, resource, 1.0, 0.0, cfg.g, t)
-    return CovMat(mat[:4, :4], state.labels)
+    blocks = _pipeline_raw(state.matrix, cfg.env, resource, 1.0, 0.0, cfg.g, t)
+    return CovMat(_interleaved(blocks[:, :2, :2]), state.labels)

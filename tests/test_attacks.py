@@ -26,15 +26,25 @@ from cvqkd_attacks.attacks import (
 from cvqkd_attacks.channels import ChannelKind, GaussChannel, classify
 from cvqkd_attacks.gaussian import (
     CovMat,
+    _block_diag,
     _channel_on_mode,
+    _embedded,
+    _interleaved,
+    _quadrature_blocks,
+    _tmsv_matrices,
+    beam_splitter,
+    direct_sum,
     partial_trace,
     tmsv,
+    two_mode_squeezer,
     von_neumann_entropy,
 )
 from cvqkd_attacks.teleportation import (
     ResourceState,
     TeleportConfig,
     _bell_record_raw,
+    _eve_local_map,
+    _pipeline_raw,
     ao_effective_channel,
 )
 
@@ -189,6 +199,54 @@ def test_cloner_rejects_amplifiers():
         cloner_attack(scenario(GaussChannel(1.5, 0.6)))
 
 
+def _circuit_formed_whole(alice, ch, resource, eta, kappa, g):
+    # _pipeline_raw's circuit from 12 x 12 maps on the interleaved 12 x 12
+    # state, as it ran before it moved to x and p blocks
+    t = 1.0 / g
+    joint = _block_diag(alice, resource, _tmsv_matrices(np.asarray(kappa)))
+    squeeze = _embedded(two_mode_squeezer(g).matrix, (1, 2), 12)
+    squeeze[..., 2:4, :] *= math.sqrt(ch.tau)
+    after = _embedded(beam_splitter(t).matrix, (1, 3), 12) @ _embedded(
+        beam_splitter(eta).matrix, (3, 4), 12
+    )
+    local = _embedded(_interleaved(_eve_local_map(ch.tau, t)), (2, 3), 12)
+    linear = local @ (after @ squeeze)
+    noise = local @ after[..., :, 2:4]
+    joint = linear @ joint @ np.swapaxes(linear, -1, -2)
+    joint += ch.v * (noise @ np.swapaxes(noise, -1, -2))
+    return 0.5 * (joint + np.swapaxes(joint, -1, -2))
+
+
+@pytest.mark.parametrize("g", [1.5, 100.0, 1e6])
+def test_pipeline_blocks_are_the_whole_circuits_x_and_p_blocks(g):
+    # the 6 x 6 maps on X over P give the 12 x 12 state's blocks bit for
+    # bit, whose x-p entries are all exactly 0.0, for a stack and a point
+    sc = scenario(gain=g)
+    alice = tmsv(sc.zeta, ("A", "B")).matrix
+    etas = np.linspace(0.3, 0.9, 7)
+    kappas = np.linspace(0.0, 0.3, 7)
+    resources = _resource_matrix(np.linspace(0.5, 0.95, 7))
+    blocks = _pipeline_raw(alice, THERMAL, resources, etas, kappas, g)
+    assert blocks.shape == (2, 7, 6, 6)
+    whole = _circuit_formed_whole(alice, THERMAL, resources, etas, kappas, g)
+    quads = _quadrature_blocks(whole)
+    assert (quads[0, 1] == 0.0).all() and (quads[1, 0] == 0.0).all()
+    assert np.array_equal(quads[[0, 1], [0, 1]], blocks)
+    assert np.array_equal(_interleaved(blocks), whole)
+    state = ao_attack_state(sc, 0.6, 0.5, 0.05)
+    one = _pipeline_raw(alice, THERMAL, _resource_matrix(0.6), 0.5, 0.05, g)
+    assert one.shape == (2, 6, 6)
+    assert np.array_equal(_interleaved(one), state.matrix)
+
+
+def test_eve_info_rejects_a_state_that_couples_x_and_p():
+    coupled = CovMat(np.array([[2.0, 0.5], [0.5, 2.0]]), ("E",))
+    state = direct_sum(tmsv(0.5, ("A", "B")), coupled)
+    with pytest.raises(ValueError, match="couples its x and p quadratures") as info:
+        eve_info(state, scenario())
+    assert "\n" not in str(info.value)
+
+
 def test_attack_state_mode_inventory():
     sc = scenario(gain=1.0e3)
     st = ao_attack_state(sc, 0.6, 0.5, 0.05)
@@ -199,8 +257,8 @@ def test_attack_state_mode_inventory():
     assert st_pl.labels == st.labels
     _assert_last_mode_decoupled_vacuum(st_pl.matrix)
     _, given_u = _bell_record_raw(tmsv(0.7).matrix, PURE, _resource_matrix(0.6), 0.5, 0.0)
-    assert given_u.shape == (8, 8)
-    _assert_last_mode_decoupled_vacuum(given_u)
+    assert given_u.shape == (2, 4, 4)
+    _assert_last_mode_decoupled_vacuum(_interleaved(given_u))
 
 
 def _assert_last_mode_decoupled_vacuum(mat):
@@ -423,7 +481,8 @@ def test_optimize_thermal_smoke():
     alice = tmsv(sc.zeta, ("A", "B"))
     resource = _resource_matrix(0.6)
     ab, _ = _bell_record_raw(alice.matrix, THERMAL, resource, res.eta_star, res.kappa_star)
-    assert _channel_residual(CovMat(ab, ("A", "B")).matrix, alice.matrix, THERMAL) == res.residual
+    ab = CovMat(_interleaved(ab), ("A", "B")).matrix
+    assert _channel_residual(ab, alice.matrix, THERMAL) == res.residual
     for g in (100.0, 1e4):
         assert simulation_residual(scenario(gain=g), 0.6, res.eta_star, res.kappa_star) <= 1e-8
 

@@ -23,6 +23,9 @@ from cvqkd_attacks.gaussian import (
     _check_physical,
     _condition_raw,
     _fast_spectrum,
+    _heterodyne_blocks,
+    _interleaved,
+    _quadrature_blocks,
     _refined_spectrum,
     _spectrum_and_conditioning,
     _spectrum_entropy,
@@ -545,8 +548,8 @@ def test_refined_spectrum_matches_80_digit_oracle(g, gamma, eta):
     kappa = _match_kappa(gamma, eta, ch.tau, ch.v, g)
     assert not math.isnan(kappa)
     alice = tmsv(0.7, ("A", "B")).matrix
-    mat = _pipeline_raw(alice, ch, _resource_matrix(gamma), eta, kappa, g, 1.0 / g)
-    eve = mat[4:, 4:]
+    blocks = _pipeline_raw(alice, ch, _resource_matrix(gamma), eta, kappa, g, 1.0 / g)
+    eve = _interleaved(blocks[:, 2:, 2:])
     assert np.abs(eve).max() > _HP_SCALE
     oracle = _spectrum_by_general_eig(eve, 80)
     np.testing.assert_array_max_ulp(_refined_spectrum(eve), oracle, 1)
@@ -774,7 +777,8 @@ def _attack_stack(g: float, count: int = 7) -> np.ndarray:
     kappas = _match_kappa(0.95, etas, ch.tau, ch.v, g)
     assert not np.isnan(kappas).any()
     alice = tmsv(0.7, ("A", "B")).matrix
-    return _pipeline_raw(alice, ch, _resource_matrix(0.95), etas, kappas, g), _ATTACK_MODES
+    blocks = _pipeline_raw(alice, ch, _resource_matrix(0.95), etas, kappas, g)
+    return _interleaved(blocks), _ATTACK_MODES
 
 
 @pytest.mark.parametrize("g", [100.0, 1e6])
@@ -793,6 +797,19 @@ def test_stacked_fast_spectrum_and_conditioning_equal_per_matrix_calls(g):
             one, one_rest = _condition_raw(mat[k], labels, label)
             assert rest == one_rest
             assert np.array_equal(cond[k], one), (label, k)
+
+
+@pytest.mark.parametrize("g", [100.0, 1e6])
+def test_heterodyne_on_quadrature_blocks_rounds_as_the_whole_matrix(g):
+    # the rank-one update a - (c (1 / (b + 1))) c^T per quadrature is, bit
+    # for bit, the Schur complement with (b + I)^-1 on the interleaved
+    # matrix, whose x-p terms add exact zeros
+    mat, labels = _attack_stack(g)
+    blocks = _quadrature_blocks(mat)[[0, 1], [0, 1]]
+    for m, label in enumerate(("A", "B")):
+        rest = [j for j in range(len(labels)) if j != m]
+        cond, _ = _condition_raw(mat, labels, label)
+        assert np.array_equal(_interleaved(_heterodyne_blocks(blocks, m, rest)), cond), label
 
 
 def test_stacked_spectrum_and_conditioning_escalate_per_matrix():

@@ -16,15 +16,24 @@ her local basis from both sides of the Cholesky congruence.
 commit 14bd4ef with those commands. Run-to-run
 determinism alone cannot catch a refactor that drifts every run the same
 way; this can.
+
+The CSVs print 9 digits, which cannot see a drift in the last bits.
+`data/sweep_row_bits.json` holds, for the lowgain, asymptotic and
+finite-1e6 configurations, each row's gamma, eta*, kappa*, Eve's
+information and residual as `float.hex`, recorded at commit e9ae90a with
+`optimize_attacks` on the CLI's grid; the rows must reproduce them exactly.
 """
 
 import csv
+import json
 import math
 from pathlib import Path
 
 import pytest
 
-from cvqkd_attacks.cli import main
+from cvqkd_attacks.attacks import optimize_attacks
+from cvqkd_attacks.cli import RunConfig, main, scenario_from
+from cvqkd_attacks.keyrate import default_gamma_grid
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDENS = {
@@ -84,3 +93,25 @@ def test_sweep_matches_golden_table(case, tmp_path, capsys):
             assert same_nan or abs(g - w) <= tol, (want["gamma"], column, g, w)
         if got["feasible"] == "true":
             assert float(got["residual"]) <= MAX_RESIDUAL, want["gamma"]
+
+
+# the RunConfig fields of the configurations in data/sweep_row_bits.json,
+# named after the CSV each one's table rounds
+ROW_BITS = {
+    "sweep_lowgain_count_11": dict(g_policy="finite:100", gamma_hi=0.99, gamma_count=11),
+    "sweep_gamma_count_6": dict(gamma_count=6),
+    "sweep_finite_1e6_count_6": dict(g_policy="finite:1e6", gamma_count=6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_BITS))
+def test_sweep_rows_reproduce_their_recorded_bits(case):
+    cfg = RunConfig(**ROW_BITS[case])
+    sc = scenario_from(cfg)
+    grid = default_gamma_grid(sc, cfg.gamma_count, cfg.gamma_lo, cfg.gamma_hi)
+    want = json.loads((DATA / "sweep_row_bits.json").read_text(encoding="utf-8"))[case]
+    got = [
+        [x.hex() for x in (r.gamma, r.eta_star, r.kappa_star, r.eve_info_bits, r.residual)]
+        for r in optimize_attacks(sc, grid)
+    ]
+    assert got == want

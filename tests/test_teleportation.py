@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import cvqkd_attacks.gaussian as gaussian
 from cvqkd_attacks.channels import GaussChannel, effective_channel
-from cvqkd_attacks.gaussian import thermal, tmsv
+from cvqkd_attacks.gaussian import CovMat, direct_sum, thermal, tmsv
 from cvqkd_attacks.teleportation import (
     ResourceState,
     TeleportConfig,
@@ -25,6 +26,37 @@ def test_resource_state_validation():
         ResourceState(1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="squeezing"):
         ResourceState.from_tmsv(1.0)
+
+
+@pytest.mark.parametrize("a,b,c", [(1.0, 1.0, 0.0), (3.0, 3.0, 2.8), (1.5, 7.0, 1.9), (9.0, 1.2, 1.0)])
+def test_resource_state_certifies_by_its_closed_form(monkeypatch, a, b, c):
+    # nu_pm = (sqrt((a + b - 2c)(a + b + 2c)) +/- |b - a|) / 2, with no
+    # numerical spectrum; it agrees with the one CovMat computes
+    numerical = CovMat(np.array(ResourceState(a, b, c).to_covmat().matrix), ("r1", "r2"))
+
+    def forbidden(mats):
+        raise AssertionError("ResourceState took a numerical spectrum")
+
+    monkeypatch.setattr(gaussian, "_check_physical", forbidden)
+    gaussian.reset_physicality_audit()
+    state = ResourceState(a, b, c).to_covmat()
+    nu_min, count = gaussian.physicality_audit()
+    assert count == 2  # __post_init__'s check, then to_covmat's state
+    np.testing.assert_allclose(state._nus, numerical._nus, rtol=1e-14)
+    assert nu_min == state._nus[-1]
+
+
+def test_resource_state_rejects_what_its_closed_form_puts_below_physical():
+    # just below the boundary ab - c^2 = a + b - 1 of a standard form, past
+    # the margin, and past the radicand's zero at c = (a + b) / 2
+    for a, b, c in [(2.0, 2.0, math.sqrt(3.0) + 1e-6), (1.0, 1.0, 1.5)]:
+        with pytest.raises(ValueError, match="^unphysical covariance matrix: smallest symplectic"):
+            ResourceState(a, b, c)
+    assert ResourceState(2.0, 2.0, math.sqrt(3.0)).to_covmat()._nus[-1] >= 1.0 - 1e-15
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ResourceState(math.inf, 1.5, 0.5)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ResourceState(1.5, 1.5, math.inf)
 
 
 def test_teleport_config_validation():
@@ -157,3 +189,13 @@ def test_ao_simulate_at_zero_gain_over_a_lossless_channel():
     out = ao_simulate(tmsv(0.5, ("a", "b")), res, cfg)
     expected = np.diag([tmsv(0.5).matrix[0, 0]] * 2 + [res.b] * 2)
     np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
+
+
+def test_ao_simulate_rejects_an_input_that_couples_x_and_p():
+    # the circuit runs on the x and p blocks of a phase-insensitive state
+    res = ResourceState.from_tmsv(0.4)
+    cfg = TeleportConfig(0.3, 3.0, GaussChannel(0.7, 0.3 * 1.05))
+    coupled = direct_sum(thermal(1.5, "a"), CovMat(np.array([[2.0, 0.5], [0.5, 2.0]]), ("b",)))
+    with pytest.raises(ValueError, match="couples its x and p quadratures") as info:
+        ao_simulate(coupled, res, cfg)
+    assert "\n" not in str(info.value)

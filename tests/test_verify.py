@@ -63,9 +63,10 @@ def test_failing_anchor_row_raises_its_own_row_error(cold_anchor_rows, stacks, m
 
 
 def test_run_all_stays_within_its_validation_budget(cold_anchor_rows, monkeypatch):
-    # tmsv, thermal and direct_sum certify by their exact spectra, and the
-    # raw pipelines form their optics without validated intermediates, so
-    # only states formed by arithmetic reach the numerical check
+    # tmsv, thermal, direct_sum and ResourceState certify by their exact
+    # spectra, and the raw pipelines form their optics without validated
+    # intermediates, so only states formed by arithmetic reach the
+    # numerical check
     calls = []
     real = gaussian._check_physical
 
@@ -76,4 +77,4 @@ def test_run_all_stays_within_its_validation_budget(cold_anchor_rows, monkeypatc
     monkeypatch.setattr(gaussian, "_check_physical", counted)
     monkeypatch.setattr(attacks, "_check_physical", counted)
     assert all(result.passed for result in verify.run_all())
-    assert len(calls) <= 230, len(calls)
+    assert len(calls) <= 160, len(calls)
