@@ -264,15 +264,30 @@ def _resource_matrix(gamma) -> np.ndarray:
     return _tmsv_matrices(gamma)
 
 
+def _auxiliary_noise(eta: float, kappa: float) -> float:
+    """The noise m = d (1 + kappa^2)/(1 - kappa^2), d = 1 - eta, of a tap
+    at eta on an auxiliary tmsv(kappa), kappa checked to lie in [0, 1)."""
+    if not 0.0 <= kappa < 1.0:
+        raise ValueError(f"auxiliary squeezing must lie in [0, 1), got {kappa}")
+    return (1.0 - eta) * (1.0 + kappa * kappa) / (1.0 - kappa * kappa)
+
+
+def _auxiliary_squeezing(eta: float, m: float) -> float:
+    """kappa = sqrt((m - d)/(m + d)) of a tap's noise m; exactly 0 at m = d,
+    also at eta = 1, where the ratio is 0/0."""
+    d = 1.0 - eta
+    return 0.0 if m == d else math.sqrt((m - d) / (m + d))
+
+
 def ao_attack_state(sc: AttackScenario, gamma: float, eta: float, kappa: float) -> CovMat:
     """Global state of the teleportation attack at the scenario's finite
-    gain: Alice's modes (A, B) plus Eve's kept modes (P, Q, F1, F2). P and
-    Q are her amplified resource arms in her local basis
-    (teleportation._eve_local_map): P carries the amplified Bell record, Q
-    has O(1) entries."""
+    gain, with Eve's tap at eta and an auxiliary tmsv(kappa): Alice's modes
+    (A, B) plus Eve's kept modes (P, Q, F1, F2). P and Q are her amplified
+    resource arms in her local basis (teleportation._eve_local_map): P
+    carries the amplified Bell record, Q has O(1) entries."""
     resource = _resource_matrix(gamma)
     alice = tmsv(sc.zeta, ("A", "B")).matrix
-    blocks = _pipeline_raw(alice, sc.channel, resource, eta, kappa, sc.gain)
+    blocks = _pipeline_raw(alice, sc.channel, resource, eta, _auxiliary_noise(eta, kappa), sc.gain)
     return CovMat(_interleaved(blocks), _ATTACK_MODES)
 
 
@@ -280,8 +295,8 @@ def simulation_residual(sc: AttackScenario, gamma: float, eta: float, kappa: flo
     """|tau_eff - tau| + |v_eff - v| for the channel the attack actually
     presents between A and B at the scenario's finite gain, read off the
     (A, B) block of the attack state, the one block it checks."""
-    alice = tmsv(sc.zeta).matrix
-    blocks = _pipeline_raw(alice, sc.channel, _resource_matrix(gamma), eta, kappa, sc.gain)
+    alice, m = tmsv(sc.zeta).matrix, _auxiliary_noise(eta, kappa)
+    blocks = _pipeline_raw(alice, sc.channel, _resource_matrix(gamma), eta, m, sc.gain)
     ab = _check_physical(_interleaved(blocks[..., :2, :2]))[0]
     return _channel_residual(ab, alice, sc.channel)
 
@@ -315,16 +330,17 @@ def _bell_record_info(sc: AttackScenario, ab, given_u, validate: bool):
     return record + s_f - s_f_given_m
 
 
-def _attack_point(sc: AttackScenario, alice, resource, eta, kappa, validate: bool = False):
+def _attack_point(sc: AttackScenario, alice, resource, eta, m, validate: bool = False):
     """Eve's information and the (A, B) block of the attack state it was
     read from, at the scenario's gain: the one evaluation behind the scan,
     the refit and the validation of the picks.
 
     alice is the tmsv(zeta) matrix on (A, B), resource the one from
-    _resource_matrix. eta and kappa are scalars, or 1-D arrays of matched
-    pairs evaluated as one stack, one value each; the resource is then one
-    matrix shared by every pair, or a stack of them, one per pair, so that
-    points of several rows share one call.
+    _resource_matrix. eta and m, Eve's tap transmissivity and noise
+    (teleportation._tapped_auxiliary), are scalars, or 1-D arrays of
+    matched pairs evaluated as one stack, one value each; the resource is
+    then one matrix shared by every pair, or a stack of them, one per pair,
+    so that points of several rows share one call.
 
     A gain of math.inf takes the Bell-record closed form (_bell_record_info):
     O(1) entries in double precision, within 1e-13 bits of the 60-digit
@@ -337,37 +353,37 @@ def _attack_point(sc: AttackScenario, alice, resource, eta, kappa, validate: boo
     within 1e-10 bits of the 60-digit circuit at g = 1e2 to 1e8 on the
     points tests/test_finite_gain.py checks, with no mpmath call. On the
     187-point first scan pass of the 11-row g = 100 sweep, one call takes
-    1.9-3.1 ms, 0.6-1.2 ms of it in the circuit, against 2.5-4.6 and
-    0.9-1.7 ms with 12 x 12 maps and states and two spectrum calls (six
-    alternating runs each, one core of a shared 2-core Xeon).
+    1.9-3.3 ms, 0.6-0.9 ms of it in the circuit (medians of 60 calls in
+    three processes, one core of a shared 2-core Xeon).
 
     validate=True checks the attack state at finite g and every block whose
     entropy is taken (_check_physical on the interleaved matrices); the
     (A, B) block is the caller's to check.
     """
     if math.isinf(sc.gain):
-        ab, given_u = _bell_record_raw(alice, sc.channel, resource, eta, kappa)
+        ab, given_u = _bell_record_raw(alice, sc.channel, resource, eta, m)
         return _bell_record_info(sc, ab, given_u, validate), _interleaved(ab)
-    blocks = _pipeline_raw(alice, sc.channel, resource, eta, kappa, sc.gain)
+    blocks = _pipeline_raw(alice, sc.channel, resource, eta, m, sc.gain)
     if validate:
         _check_physical(_interleaved(blocks))
     return _eve_info_blocks(sc, blocks, _ATTACK_MODES, validate), _interleaved(blocks[..., :2, :2])
 
 
-def _eve_info_objective(sc: AttackScenario, alice: np.ndarray, resource: np.ndarray, eta, kappa):
+def _eve_info_objective(sc: AttackScenario, alice: np.ndarray, resource: np.ndarray, eta, m):
     """The optimizer's objective, _attack_point's information unchecked:
     the one seam through which the scan and the refit evaluate."""
-    return _attack_point(sc, alice, resource, eta, kappa)[0]
+    return _attack_point(sc, alice, resource, eta, m)[0]
 
 
 def _feasible_eta_window(gamma: float, tau: float, v: float, lo: float):
     """Exact eta interval on which a vacuum auxiliary undershoots the target
-    noise (so that some kappa >= 0 can match it), intersected with [lo, 1].
+    noise (so that some auxiliary noise m >= 1 - eta can match it),
+    intersected with [lo, 1].
 
-    Setting v_eff = v at kappa = 0 reduces, after the g-dependent factors
+    Setting v_eff = v at m = 1 - eta reduces, after the g-dependent factors
     divide out, to (a-1) s^2 - 2 c sqrt(tau) s + (a tau + 1 - v) = 0 in
     s = sqrt(eta). Between the roots the matching constraint is reachable;
-    outside it is not, at any kappa. Returns None when the intersection is
+    outside it is not, at any m. Returns None when the intersection is
     empty. The interval collapses to {1} at gamma = gamma_min and narrows
     like 1/a around eta ~ tau as gamma -> 1, which is why a fixed grid on
     [lo, 1] cannot be trusted to hit it.
@@ -391,19 +407,21 @@ def _feasible_eta_window(gamma: float, tau: float, v: float, lo: float):
     return eta_lo, eta_hi
 
 
-def _match_kappa(gamma: float, eta, tau: float, v: float, g: float):
-    """Auxiliary squeezing that makes the attack's noise equal the channel's,
-    for a scalar eta or an array of them; NaN where no kappa in [0, 1) does.
+def _match_noise(gamma: float, eta, tau: float, v: float, g: float):
+    """The auxiliary noise m that makes the attack's noise equal the
+    channel's, for a scalar eta or an array of them; NaN where no auxiliary
+    squeezing kappa in [0, 1) gives it.
 
     The attack's added noise at lam = tau is the Braunstein-Kimble noise
     a tau - 2 c sqrt(tau) + b on the tapped resource (a, eta a + d a_phi,
     sqrt(eta) c), d = 1 - eta, amplified by the teleporter: with
     m = v - a tau + 2 c sqrt(eta tau) - eta a it leaves
     v_eff - v = (1 - 1/g)(d a_phi - m), a_phi = (1 + kappa^2)/(1 - kappa^2).
-    The root kappa^2 = (m - d)/(m + d) does not depend on g. When m < d
-    the vacuum auxiliary already overshoots and the ratio is negative or
-    above 1, so no kappa below 1 - 1e-13 (where matching gives up) exists;
-    a vacuum within _ROOT_TOL * a of the target still counts as matched (it
+    The root d a_phi = m, kappa^2 = (m - d)/(m + d), does not depend on g,
+    and the tap is built from m itself. When m < d the vacuum auxiliary
+    already overshoots and the ratio is negative or above 1, so no kappa
+    below 1 - 1e-13 (where matching gives up) exists; a vacuum within
+    _ROOT_TOL * a of the target still counts as matched, m = d (it
     decides the gamma_min row at eta = 1). The tolerance scales with a
     because d - m is a difference of terms of size a, whose rounding alone
     would otherwise decide the verdict at a window edge as gamma -> 1.
@@ -414,8 +432,8 @@ def _match_kappa(gamma: float, eta, tau: float, v: float, g: float):
     m = v - a * tau + 2.0 * c * np.sqrt(eta * tau) - eta * a
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.sqrt((m - d) / (m + d))
-    kappa = np.where(kappa < 1.0 - 1e-13, kappa, np.nan)
-    return np.where(np.abs((1.0 - 1.0 / g) * (d - m)) <= _ROOT_TOL * a, 0.0, kappa)[()]
+    matched = np.where(kappa < 1.0 - 1e-13, m, np.nan)
+    return np.where(np.abs((1.0 - 1.0 / g) * (d - m)) <= _ROOT_TOL * a, d, matched)[()]
 
 
 def _row_result(gamma, chi, eta=math.nan, kappa=math.nan, info=math.nan, residual=math.nan):
@@ -440,18 +458,21 @@ class RowError(ValueError):
 
 
 def _validated_rows(sc: AttackScenario, alice, resources, gammas, picks, chi):
-    """AttackResults of a stack of rows at their picked (eta, kappa): the
+    """AttackResults of a stack of rows at their picked (eta, m): the
     objective's own arithmetic, checked (_attack_point with validate=True),
     in one call for all rows, and the residual of the (A, B) block that
     call formed, checked to be physical and, by _channel_residual, in the
     phase-insensitive form, at every gain."""
     if not gammas:
         return []
-    etas, kappas = np.array(picks).T
-    info, ab = _attack_point(sc, alice, resources, etas, kappas, validate=True)
+    etas, noises = np.array(picks).T
+    info, ab = _attack_point(sc, alice, resources, etas, noises, validate=True)
     residual = _channel_residual(_check_physical(ab)[0], alice, sc.channel)
     rows = zip(gammas, picks, info.tolist(), residual.tolist())
-    return [_row_result(gamma, chi, *pick, value, off) for gamma, pick, value, off in rows]
+    return [
+        _row_result(gamma, chi, eta, _auxiliary_squeezing(eta, m), value, off)
+        for gamma, (eta, m), value, off in rows
+    ]
 
 
 def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
@@ -464,7 +485,7 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
     best_etas = np.full(len(gammas), np.nan)
     live = np.arange(len(gammas))
     # coarse-to-fine scan of the objective, one stacked evaluation per
-    # pass; kappa matching fails on the widened rim itself, so the first
+    # pass; noise matching fails on the widened rim itself, so the first
     # pass spans each window from just inside both ends, and each later
     # pass spans the two intervals around the row's previous first maximum
     w_lo, w_hi = np.array(windows, dtype=float).T
@@ -473,17 +494,17 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
     for _ in range(_SCAN_PASSES):
         step = (span[1] - span[0])[:, None] * np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
         etas = span[0][:, None] + step
-        kappas = _match_kappa(gammas[live, None], etas, tau, v, gain)
-        hits = ~np.isnan(kappas)
+        noises = _match_noise(gammas[live, None], etas, tau, v, gain)
+        hits = ~np.isnan(noises)
         # a row left without a matchable eta is infeasible; only the first
         # pass can miss, as later ones contain a hit
         keep = hits.any(axis=1)
-        live, etas, kappas, hits = live[keep], etas[keep], kappas[keep], hits[keep]
+        live, etas, noises, hits = live[keep], etas[keep], noises[keep], hits[keep]
         if not live.size:
             return best_etas
         values = np.full(etas.shape, -np.inf)
         rows = live[hits.nonzero()[0]]
-        values[hits] = _eve_info_objective(sc, alice, resources[rows], etas[hits], kappas[hits])
+        values[hits] = _eve_info_objective(sc, alice, resources[rows], etas[hits], noises[hits])
         best = np.argmax(values, axis=1)
         at = np.arange(live.size)
         span = (
@@ -510,8 +531,8 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
     rows, vertex, top = live[fit], vertex[fit], values[at, best][fit]
     if rows.size:
         # strictly between two matched points, so matched itself
-        kappas = _match_kappa(gammas[rows], vertex, tau, v, gain)
-        wins = _eve_info_objective(sc, alice, resources[rows], vertex, kappas) > top
+        noises = _match_noise(gammas[rows], vertex, tau, v, gain)
+        wins = _eve_info_objective(sc, alice, resources[rows], vertex, noises) > top
         best_etas[rows[wins]] = vertex[wins]
     return best_etas
 
@@ -525,7 +546,7 @@ def _stacked_rows(sc: AttackScenario, gammas: tuple[float, ...]) -> list[AttackR
     tau, v = ch.tau, ch.v
     floor = gamma_min(ch) - 1e-9
     lo = max(0.8 * tau, 1e-4)
-    # each feasible row's (eta, kappa); the rows to scan wait with their
+    # each feasible row's (eta, m); the rows to scan wait with their
     # feasible windows
     picks, windows = {}, {}
     for row, gamma in enumerate(gammas):
@@ -534,7 +555,8 @@ def _stacked_rows(sc: AttackScenario, gammas: tuple[float, ...]) -> list[AttackR
         if gamma < floor:
             continue
         if _is_pure_loss_like(ch):
-            picks[row] = (min(tau / (gamma * gamma), 1.0), 0.0)
+            eta = min(tau / (gamma * gamma), 1.0)
+            picks[row] = (eta, 1.0 - eta)
         elif (window := _feasible_eta_window(gamma, tau, v, lo)) is not None:
             windows[row] = window
 
@@ -550,7 +572,7 @@ def _stacked_rows(sc: AttackScenario, gammas: tuple[float, ...]) -> list[AttackR
         best_etas = _scan_windows(sc, *stack(windows), list(windows.values()))
         for row, eta in zip(windows, best_etas.tolist()):
             if not math.isnan(eta):
-                picks[row] = (eta, float(_match_kappa(gammas[row], eta, tau, v, sc.gain)))
+                picks[row] = (eta, float(_match_noise(gammas[row], eta, tau, v, sc.gain)))
     rows = sorted(picks)
     validated = dict(zip(rows, _validated_rows(sc, *stack(rows), [picks[r] for r in rows], chi)))
     return [validated.get(row) or _row_result(gamma, chi) for row, gamma in enumerate(gammas)]
@@ -561,17 +583,18 @@ def optimize_attacks(sc: AttackScenario, gammas) -> list[AttackResult]:
     grid: one AttackResult per gamma, in grid order.
 
     The noise-matching constraint leaves one free direction: eta is scanned
-    over the feasible window, kappa follows from each eta in closed form, and
-    Eve's information is evaluated on the matched pairs. The scan is three
-    passes of 17 points, each over the previous best point's two
-    neighbouring intervals, ending at a spacing of window / 1024 (51 points).
+    over the feasible window, the auxiliary noise m (and kappa) follows from
+    each eta in closed form, and Eve's information is evaluated on the
+    matched pairs. The scan is three passes of 17 points, each over the
+    previous best point's two neighbouring intervals, ending at a spacing of
+    window / 1024 (51 points).
     The scan's best point stands unless the vertex of the parabola through
     it and its two last-pass neighbours falls inside their bracket and
     scores strictly higher (only the vertex is a new evaluation); a peak at
     or near a window edge stays reachable, as the scan starts just inside
     both ends. Pure-loss channels skip all of it (eta = tau / gamma^2,
-    kappa = 0). A resource below gamma_min, or a first pass with no
-    matchable eta, yields an infeasible result rather than an error.
+    m = 1 - eta, kappa = 0). A resource below gamma_min, or a first pass
+    with no matchable eta, yields an infeasible result rather than an error.
 
     The rows share every objective call: each scan pass is one call on the
     stacked (row, eta) points of every row still searching, and the refit

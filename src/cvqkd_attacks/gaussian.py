@@ -13,8 +13,8 @@ teleportation.ResourceState; partial_trace keeping every mode in its order
 returns the state itself. A numerical spectrum comes from Cholesky factors:
 of the n x n x and p blocks for a phase-insensitive matrix (every x-p entry
 0.0, as every state the package builds), of the whole 2n x 2n matrix for
-any other (_fast_spectrum). mpmath is imported only by the high-precision
-routines that use it.
+any other (_spectrum_and_conditioning). mpmath is imported only by the
+high-precision routines that use it.
 
 A phase-insensitive state is X (+) P on its x and p quadratures, and the
 attack path carries it that way: one (2, ..., n, n) stack of its x blocks
@@ -269,16 +269,20 @@ def _eig_spectrum(stack: np.ndarray) -> np.ndarray:
 
 
 def _spectrum_and_conditioning(stack: np.ndarray):
-    """_fast_spectrum of a flat (k, 2n, 2n) stack, and for each matrix above
-    _HP_SCALE a bound on its equilibrated condition number: from
-    _inverse_side for a phase-insensitive matrix with a Cholesky factor,
-    inf for any other, which _symplectic_spectrum then certifies in high
-    precision; 1 below the scale.
+    """Symplectic eigenvalues in double precision, descending, of each
+    matrix of a flat (k, 2n, 2n) stack, whether each is positive definite,
+    and for each above _HP_SCALE a bound on its equilibrated condition
+    number: from _inverse_side for a phase-insensitive matrix with a
+    Cholesky factor, inf for any other, which _symplectic_spectrum then
+    certifies in high precision; 1 below the scale.
 
-    Each matrix takes its route on its own: a phase-insensitive one, every
-    x-p entry exactly 0.0, as tmsv, beam splitters, two-mode squeezers,
-    loss channels and Schur complements leave them, its x and p blocks
-    (_split_spectrum); any other its 2n x 2n factor (_coupled_spectrum)."""
+    Each matrix takes its route on its own, so a member's result never
+    depends on its neighbours: a phase-insensitive one, every x-p entry
+    exactly 0.0, as tmsv, beam splitters, two-mode squeezers, loss channels
+    and Schur complements leave them, its x and p blocks (_split_spectrum);
+    any other its 2n x 2n factor (_coupled_spectrum). Each nu is good to a
+    relative few eps * cond(sigma), as the factorization is backward
+    stable; one without a Cholesky factor gets |eig(Omega sigma)|."""
     quads = _quadrature_blocks(stack)
     split = ~(quads[0, 1].any(axis=(-2, -1)) | quads[1, 0].any(axis=(-2, -1)))
     if split.all():
@@ -292,34 +296,6 @@ def _spectrum_and_conditioning(stack: np.ndarray):
     return nus, definite, cond
 
 
-def _fast_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic eigenvalues in double precision, descending, of one matrix
-    or of each matrix in a (..., 2n, 2n) stack, and whether each matrix is
-    positive definite.
-
-    A positive-definite sigma = L L^T has i Omega sigma similar to the
-    Hermitian i L^T Omega L, so the nu's are the singular values of the real
-    antisymmetric K = L^T Omega L, each twice. A phase-insensitive sigma
-    (every x-p entry 0.0, as all the package's own states) is X (+) P, and
-    its nu's are the singular values of the n x n L_X^T L_P from the
-    Cholesky factors of its two quadrature blocks (_split_spectrum), at half
-    the size. Each nu is good to a relative few eps * cond(sigma): the
-    factorization is backward stable, and a congruence moves every nu by at
-    most that relative factor. Past _INVERSE_SIDE_SCALE a phase-insensitive
-    matrix reads its nu's below sqrt(nu_max nu_min) from the inverse side of
-    the same factors instead (_inverse_side), good to a relative few eps *
-    cond of the equilibrated matrix. A matrix without a Cholesky factor (or
-    with a non-finite one) is not positive definite, hence unphysical; it
-    gets |eig(Omega sigma)| instead, which only words its rejection and
-    feeds the audit. The route, the factorization and the inverse side are
-    each chosen per matrix, so a member's result never depends on its
-    neighbours.
-    """
-    lead, n = matrix.shape[:-2], matrix.shape[-1] // 2
-    nus, definite, _ = _spectrum_and_conditioning(matrix.reshape((-1,) + matrix.shape[-2:]))
-    return nus.reshape(lead + (n,)), definite.reshape(lead)
-
-
 def _above_hp_scale(matrix: np.ndarray) -> np.ndarray:
     """Per-matrix flag: entries beyond _HP_SCALE, where one side of the
     Cholesky congruence cannot resolve near-unity symplectic eigenvalues."""
@@ -327,11 +303,13 @@ def _above_hp_scale(matrix: np.ndarray) -> np.ndarray:
 
 
 def _symplectic_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_fast_spectrum, with each matrix that double precision cannot certify
-    given its high-precision spectrum instead: above _HP_SCALE, one whose
-    equilibrated condition bound exceeds _CERTIFIED_COND, that couples x and
-    p or that has no Cholesky factor; at any scale, one reading below
-    1 - _REFINE_TRIGGER.
+    """The double-precision spectra of a matrix or of each matrix in a
+    (..., 2n, 2n) stack, and whether each is positive definite
+    (_spectrum_and_conditioning), with each matrix that double precision
+    cannot certify given its high-precision spectrum instead: above
+    _HP_SCALE, one whose equilibrated condition bound exceeds
+    _CERTIFIED_COND, that couples x and p or that has no Cholesky factor;
+    at any scale, one reading below 1 - _REFINE_TRIGGER.
     The escalation is decided per matrix, so one such member never sends the
     whole stack there; positive definiteness is the double-precision
     factorization's verdict at every scale."""
@@ -359,10 +337,11 @@ def _check_physical(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Finite entries, symmetry to SYMMETRY_RTOL of the scale, every
     symplectic eigenvalue >= 1 - PHYSICALITY_TOL, and positive
     definiteness, read from the Cholesky factorization the spectrum is
-    computed from (_fast_spectrum), so each matrix is factored once. Each
-    matrix counts once in the physicality audit, as one CovMat construction
-    would; a stack with an unphysical member is counted whole, then rejected
-    with the message the first such member would raise on its own.
+    computed from (_symplectic_spectrum), so each matrix is factored once.
+    Each matrix counts once in the physicality audit, as one CovMat
+    construction would; a stack with an unphysical member is counted whole,
+    then rejected with the message the first such member would raise on its
+    own.
     """
     # a NaN or an inf entry leaves its matrix's largest |entry| non-finite
     peak = np.abs(mats).max(axis=(-2, -1))
@@ -547,44 +526,6 @@ def _tmsv_entries(gamma: float) -> tuple[float, float]:
     return a, c
 
 
-def _tmsv_entries_array(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_tmsv_entries for every gamma of an array, bit for bit, in one pass:
-    each exact check is taken for the whole array at once, on the members
-    whose c is still moving."""
-    a, textbook = _tmsv_textbook(np.asarray(gamma, dtype=float))
-    c = np.minimum(textbook, np.sqrt((a - 1.0) * (a + 1.0))).reshape(-1)
-    a_flat, textbook_flat = a.reshape(-1), textbook.reshape(-1)
-    down = ~_exactly_physical(a_flat, c)
-    while down.any():
-        c[down] = np.nextafter(c[down], 0.0)
-        down[down] = ~_exactly_physical(a_flat[down], c[down])
-    up = c < textbook_flat
-    while up.any():
-        step = np.nextafter(c[up], np.inf)
-        ok = _exactly_physical(a_flat[up], step)
-        c[np.flatnonzero(up)[ok]] = step[ok]
-        up[up] = ok & (step < textbook_flat[up])
-    return a, c.reshape(a.shape)
-
-
-def _exactly_physical(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """a^2 - c^2 >= 1 on the exact binary values of arrays a >= 1 and c >= 0.
-
-    With x = M 2^E (M < 2^53 an integer), the test is on Python integers
-    scaled by 2^-base, base the smallest of 2 E_a, 2 E_c and 0, so that
-    every shift is non-negative.
-    """
-    def integer_parts(x):
-        mantissa, exponent = np.frexp(x)
-        return (mantissa * 2.0**53).astype(np.int64).astype(object), 2 * (exponent - 53)
-
-    ma, ea = integer_parts(a)
-    mc, ec = integer_parts(c)
-    base = np.minimum(np.minimum(ea, ec), 0)
-    lhs = ((ma * ma) << (ea - base).astype(object)) - ((mc * mc) << (ec - base).astype(object))
-    return (lhs >= (1 << (-base).astype(object))).astype(bool)
-
-
 def _tmsv_nu(a, c):
     """The symplectic eigenvalue of both modes of a tmsv with stored entries
     (a, c), sqrt((a - c)(a + c)), good to a few ulps; >= 1 for the entries
@@ -593,9 +534,12 @@ def _tmsv_nu(a, c):
 
 
 def _tmsv_matrices(gamma: np.ndarray) -> np.ndarray:
-    """tmsv(gamma)'s matrix for each gamma of an array, counted in the
-    physicality audit as one tmsv each, at its closed-form _tmsv_nu."""
-    a, c = _tmsv_entries_array(gamma)
+    """tmsv(gamma)'s matrix for each gamma of an array, from _tmsv_entries,
+    counted in the physicality audit as one tmsv each, at its closed-form
+    _tmsv_nu."""
+    gamma = np.asarray(gamma, dtype=float)
+    entries = np.reshape([_tmsv_entries(x) for x in gamma.ravel().tolist()], gamma.shape + (2,))
+    a, c = entries[..., 0], entries[..., 1]
     _record_in_audit(_tmsv_nu(a, c))
     return _two_mode_std(a, a, c, -c)
 

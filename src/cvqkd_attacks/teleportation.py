@@ -25,17 +25,16 @@ from .gaussian import (
     _splitter_part,
     _squeezer_parts,
     _tmsv_entries,
-    _tmsv_matrices,
     _two_mode_std,
     _xp_blocks,
 )
 
 # The teleportation attack's modes: Alice's pair (A, B), Eve's amplified
-# resource arms (P, Q) in her local basis (_eve_local_map), and her tap's
-# auxiliary pair (F1, F2), tmsv(kappa) on every channel. _pipeline_raw
-# returns its state in this order. At g = inf (_bell_record_raw) P and Q
-# become the classical Bell record u, and the state given u keeps
-# _BELL_RECORD_MODES, with F1 standing for the tapped partner F1'.
+# resource arms (P, Q) in her local basis (_eve_local_map), and the two
+# modes (F1, F2) her tap leaves her, in her local basis too
+# (_tapped_auxiliary), on every channel. _pipeline_raw returns its state in
+# this order. At g = inf (_bell_record_raw) P and Q become the classical
+# Bell record u, and the state given u keeps _BELL_RECORD_MODES.
 _ATTACK_MODES = ("A", "B", "P", "Q", "F1", "F2")
 _BELL_RECORD_MODES = _ATTACK_MODES[:2] + _ATTACK_MODES[4:]
 
@@ -163,23 +162,55 @@ def _check_gain(g: float) -> None:
         raise ValueError(f"amplifier gain must be a finite value > 1, got {g}")
 
 
-def _tapped_auxiliary(channel: GaussChannel, eta, kappa):
-    """Eve's tap transmissivities and auxiliary state, checked: eta in
-    [0, 1], kappa in [0, 1), as arrays, and kappa = 0 on pure-loss channels.
-    Returns eta and the x over p blocks of tmsv(kappa) on (F1, F2), one per
-    kappa."""
-    eta = np.asarray(eta, dtype=float)
-    kappa = np.asarray(kappa, dtype=float)
+def _tapped_auxiliary(channel: GaussChannel, eta, m):
+    """Eve's tap on the resource arm R2, checked: eta in [0, 1] and her
+    auxiliary noise m >= d = 1 - eta, as arrays, and m = d (vacuum) on
+    pure-loss channels. Returns eta and the x over p parts (2, ..., 3, 3) of
+    one map per (eta, m) from (R2, v1, v2), v1 and v2 vacuum, to (R2', F1, F2).
+
+    R2 is mixed at eta with F1 of tmsv(kappa) = S(r) vacuum, cosh 2r = m / d,
+    which adds the noise m; Eve then undoes the squeezing past cosh 2r0 = 3
+    with S(rho)^-1 on her (F1, F2), rho = max(r - r0, 0), which no reported
+    quantity sees (as for _eve_local_map). With s = +1 for x and -1 for p,
+    q = 1 + sqrt(eta), w_pm = sqrt((m +/- d) / 2) = sqrt(d) (cosh, sinh) r,
+    W_pm = sqrt(d) (cosh, sinh) rho and (c, s') = (cosh, sinh)(r - rho):
+        R2' = sqrt(eta) R2 - w_+ v1 - s w_- v2
+        F1  = W_+ R2 + (c - W_+ w_+ / q) v1 + s (s' - W_+ w_- / q) v2
+        F2  = -s W_- R2 + s (s' + W_- w_+ / q) v1 + (c + W_- w_- / q) v2.
+    Every entry is O(1) however close kappa comes to 1, where no pair of
+    doubles holds a pure tmsv(kappa). Below the cap W_+ = sqrt(d) and
+    W_- = 0 exactly, so R2 reaches Eve through F1 alone, by the splitter's
+    (sqrt(eta), sqrt(d)): undoing all of the squeezing (rho = r) would leave
+    F2 a share of R2, whose rounding costs 1e-10 bits at gamma = 0.9999
+    (a ~ 1e4) and g = 100. At m = d, F2 is an exact, decoupled vacuum.
+    """
+    eta, m = np.broadcast_arrays(np.asarray(eta, dtype=float), np.asarray(m, dtype=float))
     outside = ~((0.0 <= eta) & (eta <= 1.0))
     if outside.any():
         raise ValueError(f"mixing transmissivity must lie in [0, 1], got {eta[outside][0]}")
-    outside = ~((0.0 <= kappa) & (kappa < 1.0))
-    if outside.any():
-        raise ValueError(f"auxiliary squeezing must lie in [0, 1), got {kappa[outside][0]}")
-
-    if _is_pure_loss_like(channel) and (kappa != 0.0).any():
-        raise ValueError("pure-loss channel pins the auxiliary state to vacuum (kappa = 0)")
-    return eta, _xp_blocks(_tmsv_matrices(kappa))
+    d = 1.0 - eta
+    short = ~(m >= d)
+    if short.any():
+        raise ValueError(f"auxiliary noise {m[short][0]} below 1 - eta = {d[short][0]}")
+    if _is_pure_loss_like(channel) and (m != d).any():
+        raise ValueError("pure-loss channel pins the auxiliary to vacuum (m = 1 - eta)")
+    q = 1.0 + np.sqrt(eta)
+    w_plus, w_minus = np.sqrt(0.5 * (m + d)), np.sqrt(0.5 * (m - d))
+    # ratio = cosh 2r; kept = cosh 2(r - rho), the variance Eve's modes keep
+    ratio = np.divide(m, d, out=np.ones_like(m), where=d > 0.0)
+    capped, kept = ratio > 3.0, np.minimum(ratio, 3.0)
+    ch, sh = np.sqrt(0.5 * (kept + 1.0)), np.sqrt(0.5 * (kept - 1.0))
+    big_plus = np.where(capped, w_plus * ch - w_minus * sh, np.sqrt(d))
+    big_minus = np.where(capped, w_minus * ch - w_plus * sh, 0.0)
+    tap = np.empty((2,) + eta.shape + (3, 3))
+    tap[..., 0, 0], tap[..., 0, 1], tap[..., 1, 0] = np.sqrt(eta), -w_plus, big_plus
+    tap[..., 1, 1] = ch - big_plus * w_plus / q
+    tap[..., 2, 2] = ch + big_minus * w_minus / q
+    for k, sign in enumerate((1.0, -1.0)):
+        tap[k, ..., 0, 2], tap[k, ..., 2, 0] = -sign * w_minus, -sign * big_minus
+        tap[k, ..., 1, 2] = sign * (sh - big_plus * w_minus / q)
+        tap[k, ..., 2, 1] = sign * (sh + big_minus * w_plus / q)
+    return eta, tap
 
 
 def _eve_local_map(tau: float, t: float) -> np.ndarray:
@@ -203,11 +234,11 @@ def _eve_local_map(tau: float, t: float) -> np.ndarray:
     return np.array([[[cosh, -sinh], [-sinh, cosh]], [[cosh, sinh], [sinh, cosh]]])
 
 
-def _per_quadrature(maps: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """A map's x and p parts, (2, m, m), with axes of length 1 inserted so
-    that they pair with every member of stack, a (..., m, m) stack of maps
-    that act alike on both quadratures."""
-    return maps.reshape((2,) + (1,) * (stack.ndim - 2) + maps.shape[-2:])
+def _per_quadrature(*parts: np.ndarray) -> list[np.ndarray]:
+    """x and p parts (2, ..., m, m) of maps, states or stacks of them, with
+    axes of length 1 inserted after the first so that their stacks pair."""
+    ndim = max(part.ndim for part in parts)
+    return [part.reshape((2,) + (1,) * (ndim - part.ndim) + part.shape[1:]) for part in parts]
 
 
 def _pipeline_raw(
@@ -215,7 +246,7 @@ def _pipeline_raw(
     channel: GaussChannel,
     resource: np.ndarray,
     eta,
-    kappa,
+    m,
     g: float,
     t: float | None = None,
 ) -> np.ndarray:
@@ -223,11 +254,12 @@ def _pipeline_raw(
     teleporting the second mode of a two-mode input (A, B), with the
     channel's environment traced out.
 
-    Resource matrix on (R1, R2); auxiliary tmsv(kappa) on (F1, F2). Order:
-    squeeze (signal, R1) at gain g, send the signal through the channel, mix
-    (R2, F1) at eta, recombine (signal, R2) at t, which defaults to 1/g, the
-    attack's choice.
-    eta = 1 is an exact identity on (R2, F1), which leaves the plain
+    Resource matrix on (R1, R2); vacuum on (F1, F2). Order: squeeze
+    (signal, R1) at gain g, send the signal through the channel, tap
+    (R2, F1, F2) with _tapped_auxiliary's map at transmissivity eta and
+    auxiliary noise m, recombine (signal, R2) at t, which defaults to 1/g,
+    the attack's choice.
+    eta = 1 with m = 0 is an exact identity tap, which leaves the plain
     teleporter. Tracing the channel's environment commutes with the later
     optics, so the channel map is applied in place of its dilation. Eve's
     amplified pair then leaves through _eve_local_map as (P, Q); every
@@ -235,8 +267,8 @@ def _pipeline_raw(
 
     Every state and map of the circuit is phase-insensitive, sigma = X (+)
     P, so it runs on x and p parts: 6 x 6 maps on one (2, ..., 6, 6) stack
-    of X over P. The splitters act alike on both quadratures, the squeezer
-    and the local map with opposite signs on their cross terms. The
+    of X over P. The splitter acts alike on both quadratures, the squeezer,
+    the tap and the local map with opposite signs on their cross terms. The
     circuit's linear map M and the channel noise N, the noise pushed
     through the optics after the channel, are composed first and
     left-multiplied by the local map, and the output M sigma_in M^T + N is
@@ -251,25 +283,23 @@ def _pipeline_raw(
     bit, as the x-p terms the full product adds are exact zeros. An input
     that couples x and p is rejected.
 
-    eta and kappa may be 1-D arrays of one length: the result is then the
-    stack of kept states, one per (eta, kappa) pair, with the auxiliary
-    states and splitters validated as stacks. Scalars give one (2, 6, 6).
+    eta and m may be 1-D arrays of one length: the result is then the
+    stack of kept states, one per (eta, m) pair. Scalars give one (2, 6, 6).
     The resource may be one matrix shared by every pair or a matching
     (..., 4, 4) stack, one per pair.
     """
     _check_gain(g)
     t = 1.0 / g if t is None else t
-    eta, aux = _tapped_auxiliary(channel, eta, kappa)
-    parts = (_xp_blocks(input_matrix), _xp_blocks(resource), aux)
-    joint = np.array([_block_diag(*(part[q] for part in parts)) for q in (0, 1)])
+    _, tap = _tapped_auxiliary(channel, eta, m)
+    parts = (_xp_blocks(input_matrix), _xp_blocks(resource))
+    joint = np.array([_block_diag(*(part[q] for part in parts), np.eye(2)) for q in (0, 1)])
     # modes: the signal B is mode 1, then R1, R2, F1 and F2
-    after = _embedded(_splitter_part(t), (1, 3), 6, 1) @ _embedded(
-        _splitter_part(eta), (3, 4), 6, 1
-    )
+    after = _embedded(_splitter_part(t), (1, 3), 6, 1) @ _embedded(tap, (3, 4, 5), 6, 1)
     squeeze = _embedded(_squeezer_parts(g), (1, 2), 6, 1)
     squeeze[:, 1, :] *= math.sqrt(channel.tau)
-    local = _per_quadrature(_embedded(_eve_local_map(channel.tau, t), (2, 3), 6, 1), after)
-    linear = local @ (after @ _per_quadrature(squeeze, after))
+    local = _embedded(_eve_local_map(channel.tau, t), (2, 3), 6, 1)
+    joint, after, squeeze, local = _per_quadrature(joint, after, squeeze, local)
+    linear = local @ (after @ squeeze)
     noise = local @ after[..., :, 1:2]
     joint = linear @ joint @ np.swapaxes(linear, -1, -2)
     joint += channel.v * (noise @ np.swapaxes(noise, -1, -2))
@@ -277,21 +307,21 @@ def _pipeline_raw(
 
 
 def _bell_record_raw(
-    alice: np.ndarray, channel: GaussChannel, resource: np.ndarray, eta, kappa
+    alice: np.ndarray, channel: GaussChannel, resource: np.ndarray, eta, m
 ) -> tuple[np.ndarray, np.ndarray]:
     """_pipeline_raw's circuit on Alice's tmsv (A, B) in the limit g -> inf.
 
     There the amplified modes R1 and R2 carry sqrt(g) times the commuting
     pair u = (x_B + x_R1, p_B - p_R1), the outcome of a Braunstein-Kimble
     Bell measurement on (B, R1), and Bob's mode leaves the recombining
-    splitter as sqrt(tau) u - R2', with R2' = sqrt(eta) R2 - sqrt(1-eta) F1
-    the tapped arm and F1' = sqrt(1-eta) R2 + sqrt(eta) F1 its partner. The
-    channel's own noise reaches that output suppressed by 1/sqrt(g) and is
-    independent of the rest, so it drops out. Eve keeps the classical record
-    u, F1' and F2.
+    splitter as sqrt(tau) u - R2', with R2' the tapped arm of
+    _tapped_auxiliary's map at (eta, m) and (F1, F2) the two modes it
+    leaves Eve. The channel's own noise reaches that output suppressed by
+    1/sqrt(g) and is independent of the rest, so it drops out. Eve keeps
+    the classical record u, F1 and F2.
 
     Returns (ab, given_u), each as x blocks over p blocks as _pipeline_raw
-    returns its state: the state of (A, B), and that of (A, B, F1', F2)
+    returns its state: the state of (A, B), and that of (A, B, F1, F2)
     (_BELL_RECORD_MODES) conditioned on u.
     The conditioning is done on the inputs, in closed form. With (a_in,
     c_in) and (a, c) the tmsv entries of Alice's state and of the resource,
@@ -305,9 +335,9 @@ def _bell_record_raw(
     gamma = 0.9999. The tap then acts on the conditional state, Bob's mode
     given u is -R2', and ab adds back u's share, cross cross^T / s, with
     cross the covariances of (A, B) with u. Scalars or 1-D arrays of eta
-    and kappa, and one resource or a stack of them, as for _pipeline_raw.
+    and m, and one resource or a stack of them, as for _pipeline_raw.
     """
-    eta, aux = _tapped_auxiliary(channel, eta, kappa)
+    eta, tap = _tapped_auxiliary(channel, eta, m)
     a_in, c_in = alice[0, 0], alice[0, 2]
     a, c = resource[..., 0, 0], resource[..., 0, 2]
     s = a + a_in
@@ -317,8 +347,8 @@ def _bell_record_raw(
         -c * c_in / s,
         c * c_in / s,
     )
-    joint = np.array([_block_diag(part, aux[q]) for q, part in enumerate(_xp_blocks(pair))])
-    tap = _embedded(_splitter_part(eta), (1, 2), 4, 1)
+    joint = np.array([_block_diag(part, np.eye(2)) for part in _xp_blocks(pair)])
+    joint, tap = _per_quadrature(joint, _embedded(tap, (1, 2, 3), 4, 1))
     given_u = tap @ joint @ np.swapaxes(tap, -1, -2)
     given_u = 0.5 * (given_u + np.swapaxes(given_u, -1, -2))
     given_u[..., 1, :] *= -1.0
@@ -340,7 +370,7 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
     two-mode squeezer of gain g, send the amplified signal through the
     physical channel, recombine (signal, resource arm 2) on the beam splitter
     of transmissivity t = lam/(g tau), then trace out both resource arms.
-    This is _pipeline_raw with its tap at eta = 1 and kappa = 0, which
+    This is _pipeline_raw with its tap at eta = 1 and m = 0, which
     takes a phase-insensitive state: one that couples x and p is rejected.
     At g = inf the teleporter is the standard one: its channel,
     ao_effective_channel, acts on the second mode.

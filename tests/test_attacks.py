@@ -9,10 +9,12 @@ import pytest
 from cvqkd_attacks.attacks import (
     AttackResult,
     AttackScenario,
+    _auxiliary_noise,
+    _auxiliary_squeezing,
     _channel_residual,
     _eve_info_objective,
     _feasible_eta_window,
-    _match_kappa,
+    _match_noise,
     _resource_matrix,
     ao_attack_state,
     cloner_attack,
@@ -31,7 +33,6 @@ from cvqkd_attacks.gaussian import (
     _embedded,
     _interleaved,
     _quadrature_blocks,
-    _tmsv_matrices,
     beam_splitter,
     direct_sum,
     partial_trace,
@@ -45,6 +46,7 @@ from cvqkd_attacks.teleportation import (
     _bell_record_raw,
     _eve_local_map,
     _pipeline_raw,
+    _tapped_auxiliary,
     ao_effective_channel,
 )
 
@@ -76,10 +78,11 @@ def test_scenario_resolution():
     # optimum reproduces the row, and a finite gain sees less
     res = optimize_attack(sc, 0.9)
     alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(0.9)
-    at_inf = _eve_info_objective(sc, alice, resource, res.eta_star, res.kappa_star)
+    m = float(_match_noise(0.9, res.eta_star, THERMAL.tau, THERMAL.v, sc.gain))
+    at_inf = _eve_info_objective(sc, alice, resource, res.eta_star, m)
     assert abs(at_inf - res.eve_info_bits) <= 1e-13
     at_1e4 = _eve_info_objective(
-        dataclasses.replace(sc, gain=1e4), alice, resource, res.eta_star, res.kappa_star
+        dataclasses.replace(sc, gain=1e4), alice, resource, res.eta_star, m
     )
     assert res.eve_info_bits - 1e-3 < at_1e4 < res.eve_info_bits
     assert sc.conditioned_label == "B"
@@ -199,16 +202,16 @@ def test_cloner_rejects_amplifiers():
         cloner_attack(scenario(GaussChannel(1.5, 0.6)))
 
 
-def _circuit_formed_whole(alice, ch, resource, eta, kappa, g):
+def _circuit_formed_whole(alice, ch, resource, eta, m, g):
     # _pipeline_raw's circuit from 12 x 12 maps on the interleaved 12 x 12
-    # state, as it ran before it moved to x and p blocks
+    # state, as it ran before it moved to x and p blocks, with the tap's
+    # 3-mode map on (R2, F1, F2) interleaved whole
     t = 1.0 / g
-    joint = _block_diag(alice, resource, _tmsv_matrices(np.asarray(kappa)))
+    joint = _block_diag(alice, resource, np.eye(4))
     squeeze = _embedded(two_mode_squeezer(g).matrix, (1, 2), 12)
     squeeze[..., 2:4, :] *= math.sqrt(ch.tau)
-    after = _embedded(beam_splitter(t).matrix, (1, 3), 12) @ _embedded(
-        beam_splitter(eta).matrix, (3, 4), 12
-    )
+    tap = _interleaved(_tapped_auxiliary(ch, eta, m)[1])
+    after = _embedded(beam_splitter(t).matrix, (1, 3), 12) @ _embedded(tap, (3, 4, 5), 12)
     local = _embedded(_interleaved(_eve_local_map(ch.tau, t)), (2, 3), 12)
     linear = local @ (after @ squeeze)
     noise = local @ after[..., :, 2:4]
@@ -224,17 +227,18 @@ def test_pipeline_blocks_are_the_whole_circuits_x_and_p_blocks(g):
     sc = scenario(gain=g)
     alice = tmsv(sc.zeta, ("A", "B")).matrix
     etas = np.linspace(0.3, 0.9, 7)
-    kappas = np.linspace(0.0, 0.3, 7)
+    # taps below and above the cap on the auxiliary's kept squeezing
+    noises = (1.0 - etas) * np.array([1.0, 1.2, 2.0, 3.0, 4.0, 8.0, 20.0])
     resources = _resource_matrix(np.linspace(0.5, 0.95, 7))
-    blocks = _pipeline_raw(alice, THERMAL, resources, etas, kappas, g)
+    blocks = _pipeline_raw(alice, THERMAL, resources, etas, noises, g)
     assert blocks.shape == (2, 7, 6, 6)
-    whole = _circuit_formed_whole(alice, THERMAL, resources, etas, kappas, g)
+    whole = _circuit_formed_whole(alice, THERMAL, resources, etas, noises, g)
     quads = _quadrature_blocks(whole)
     assert (quads[0, 1] == 0.0).all() and (quads[1, 0] == 0.0).all()
     assert np.array_equal(quads[[0, 1], [0, 1]], blocks)
     assert np.array_equal(_interleaved(blocks), whole)
     state = ao_attack_state(sc, 0.6, 0.5, 0.05)
-    one = _pipeline_raw(alice, THERMAL, _resource_matrix(0.6), 0.5, 0.05, g)
+    one = _pipeline_raw(alice, THERMAL, _resource_matrix(0.6), 0.5, _auxiliary_noise(0.5, 0.05), g)
     assert one.shape == (2, 6, 6)
     assert np.array_equal(_interleaved(one), state.matrix)
 
@@ -256,7 +260,7 @@ def test_attack_state_mode_inventory():
     st_pl = ao_attack_state(scenario(PURE, gain=1.0e3), 0.6, 0.5, 0.0)
     assert st_pl.labels == st.labels
     _assert_last_mode_decoupled_vacuum(st_pl.matrix)
-    _, given_u = _bell_record_raw(tmsv(0.7).matrix, PURE, _resource_matrix(0.6), 0.5, 0.0)
+    _, given_u = _bell_record_raw(tmsv(0.7).matrix, PURE, _resource_matrix(0.6), 0.5, 0.5)
     assert given_u.shape == (2, 4, 4)
     _assert_last_mode_decoupled_vacuum(_interleaved(given_u))
 
@@ -288,15 +292,16 @@ def test_feasible_window_brackets_the_matchable_etas():
     assert 0.0 <= lo < hi <= 1.0
     g = 1.0e3
     mid = 0.5 * (lo + hi)
-    kappa = _match_kappa(0.6, mid, tau, v, g)
-    assert 0.0 <= kappa < 1.0
+    m = _match_noise(0.6, mid, tau, v, g)
+    assert m >= 1.0 - mid
     # the attack's state itself presents the target channel
+    kappa = _auxiliary_squeezing(mid, m)
     assert simulation_residual(scenario(gain=g), 0.6, mid, kappa) <= 1e-10
     # outside the window the vacuum auxiliary already overshoots the noise
     if lo > 0.01:
-        assert math.isnan(_match_kappa(0.6, lo - 0.01, tau, v, g))
+        assert math.isnan(_match_noise(0.6, lo - 0.01, tau, v, g))
     if hi < 0.99:
-        assert math.isnan(_match_kappa(0.6, hi + 0.01, tau, v, g))
+        assert math.isnan(_match_noise(0.6, hi + 0.01, tau, v, g))
 
 
 def _bisected_kappa(gamma, eta, tau, v, g):
@@ -365,7 +370,8 @@ def test_closed_form_kappa_matches_the_bisection_oracle():
         a = (1.0 + g2) / (1.0 - g2)
         c = 2.0 * gamma / (1.0 - g2)
         for eta in etas.tolist():
-            kappa = _match_kappa(gamma, eta, ch.tau, ch.v, g)
+            m = _match_noise(gamma, eta, ch.tau, ch.v, g)
+            kappa = m if math.isnan(m) else _auxiliary_squeezing(eta, m)
             reference, f0 = _bisected_kappa(gamma, eta, ch.tau, ch.v, g)
             if abs(abs(f0) - 1e-12 * a) <= 1e-15 * a:
                 # the vacuum's excess sits within rounding (terms of size a)
@@ -404,21 +410,21 @@ def test_vacuum_verdict_does_not_hang_on_rounding():
     reference, f0 = _bisected_kappa(gamma, eta, ch.tau, ch.v, g)
     assert 1e-12 < f0 < 1.01e-12
     assert reference == 0.0
-    assert _match_kappa(gamma, eta, ch.tau, ch.v, g) == 0.0
+    assert _match_noise(gamma, eta, ch.tau, ch.v, g) == 1.0 - eta
     # the tolerance is 1e-12 a (a ~ 111 here): an excess of 1.1e-11 is still
     # a vacuum match, one of 1e-9 is not
     for step, matched in ((-1e-11, True), (-1e-9, False)):
         reference, f0 = _bisected_kappa(gamma, eta + step, ch.tau, ch.v, g)
-        kappa = _match_kappa(gamma, eta + step, ch.tau, ch.v, g)
-        assert (reference == 0.0) == bool(kappa == 0.0) == matched, (step, f0)
-        assert math.isnan(kappa) != matched
+        m = _match_noise(gamma, eta + step, ch.tau, ch.v, g)
+        assert (reference == 0.0) == bool(m == 1.0 - (eta + step)) == matched, (step, f0)
+        assert math.isnan(m) != matched
 
 
 def test_kappa_array_call_equals_per_element_calls():
     for gamma, etas, ch, g in _match_cases(50, seed=7):
-        stacked = _match_kappa(gamma, etas, ch.tau, ch.v, g)
+        stacked = _match_noise(gamma, etas, ch.tau, ch.v, g)
         assert stacked.shape == etas.shape
-        single = [_match_kappa(gamma, eta, ch.tau, ch.v, g) for eta in etas.tolist()]
+        single = [_match_noise(gamma, eta, ch.tau, ch.v, g) for eta in etas.tolist()]
         assert all(isinstance(k, float) for k in single)
         assert np.array_equal(stacked, np.array(single), equal_nan=True)
 
@@ -428,8 +434,8 @@ def test_kappa_array_call_equals_per_element_calls():
 def test_kappa_at_gamma_min_and_full_tap_is_vacuum(ch, g):
     # the minimal resource simulates the channel untapped with a vacuum
     # auxiliary; a larger one cannot at eta = 1, whatever kappa
-    assert _match_kappa(gamma_min(ch), 1.0, ch.tau, ch.v, g) == 0.0
-    assert math.isnan(_match_kappa(0.5 * (gamma_min(ch) + 1.0), 1.0, ch.tau, ch.v, g))
+    assert _match_noise(gamma_min(ch), 1.0, ch.tau, ch.v, g) == 0.0
+    assert math.isnan(_match_noise(0.5 * (gamma_min(ch) + 1.0), 1.0, ch.tau, ch.v, g))
 
 
 def test_feasible_window_empty_below_threshold():
@@ -480,7 +486,8 @@ def test_optimize_thermal_smoke():
     # target channel too, since the matched kappa does not depend on g
     alice = tmsv(sc.zeta, ("A", "B"))
     resource = _resource_matrix(0.6)
-    ab, _ = _bell_record_raw(alice.matrix, THERMAL, resource, res.eta_star, res.kappa_star)
+    m = float(_match_noise(0.6, res.eta_star, THERMAL.tau, THERMAL.v, sc.gain))
+    ab, _ = _bell_record_raw(alice.matrix, THERMAL, resource, res.eta_star, m)
     ab = CovMat(_interleaved(ab), ("A", "B")).matrix
     assert _channel_residual(ab, alice.matrix, THERMAL) == res.residual
     for g in (100.0, 1e4):
@@ -532,14 +539,14 @@ def test_bad_gain_gets_the_gain_message(g):
 
 def _matched_points(gamma, ch, g, count, seed):
     lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, 0.0)
-    etas, kappas = [], []
+    etas, noises = [], []
     for eta in np.random.default_rng(seed).uniform(lo, hi, 3 * count):
-        kappa = _match_kappa(gamma, float(eta), ch.tau, ch.v, g)
-        if not math.isnan(kappa) and len(etas) < count:
+        m = _match_noise(gamma, float(eta), ch.tau, ch.v, g)
+        if not math.isnan(m) and len(etas) < count:
             etas.append(float(eta))
-            kappas.append(kappa)
+            noises.append(m)
     assert len(etas) == count
-    return np.array(etas), np.array(kappas)
+    return np.array(etas), np.array(noises)
 
 
 @pytest.mark.parametrize("g", [100.0, 1.0e6])
@@ -551,8 +558,8 @@ def test_stacked_objective_equals_per_point_calls(tau, reconciliation, g):
     gamma = 0.97
     alice = tmsv(sc.zeta, ("A", "B")).matrix
     resource = _resource_matrix(gamma)
-    etas, kappas = _matched_points(gamma, ch, g, 25, seed=int(100 * tau) + int(g))
-    stacked = _eve_info_objective(sc, alice, resource, etas, kappas)
+    etas, noises = _matched_points(gamma, ch, g, 25, seed=int(100 * tau) + int(g))
+    stacked = _eve_info_objective(sc, alice, resource, etas, noises)
     assert stacked.shape == (25,)
-    for eta, kappa, value in zip(etas.tolist(), kappas.tolist(), stacked.tolist()):
-        assert value == _eve_info_objective(sc, alice, resource, eta, kappa)
+    for eta, m, value in zip(etas.tolist(), noises.tolist(), stacked.tolist()):
+        assert value == _eve_info_objective(sc, alice, resource, eta, m)

@@ -1,11 +1,14 @@
 """The asymptotic attack's Bell-record closed form against a 60-digit oracle.
 
-The oracle is _pipeline_raw's circuit run in mpmath at 60 digits from the
-same float inputs (the rounded tmsv entries, eta, kappa and the channel),
-at g = 1e20, where the circuit's distance to g = infinity is far below the
-tolerance. It shares no code with the closed form past those inputs: its
-own squeezer, splitters, channel map, heterodyne Schur complement and
-symplectic spectra. About 0.05 s a point.
+The oracle is the attack's circuit run in mpmath at 60 digits from the
+same float inputs (the rounded tmsv entries of the source and the
+resource, eta, the auxiliary noise m and the channel), at g = 1e20, where
+the circuit's distance to g = infinity is far below the tolerance. Its
+auxiliary is the exact tmsv(kappa) with kappa^2 = (m - d)/(m + d),
+d = 1 - eta, built at 60 digits, mixed into R2 by a splitter: the textbook
+tap, not the program's map. It shares no code with the closed form past
+those inputs: its own auxiliary, squeezer, splitters, channel map,
+heterodyne Schur complement and symplectic spectra. About 0.05 s a point.
 """
 
 import dataclasses
@@ -23,12 +26,12 @@ from cvqkd_attacks.attacks import (
     AttackScenario,
     _eve_info_objective,
     _feasible_eta_window,
-    _match_kappa,
+    _match_noise,
     _resource_matrix,
     gamma_min,
 )
 from cvqkd_attacks.channels import GaussChannel
-from cvqkd_attacks.gaussian import _tmsv_entries, symplectic_form, tmsv
+from cvqkd_attacks.gaussian import symplectic_form, tmsv
 from cvqkd_attacks.keyrate import default_gamma_grid
 from cvqkd_attacks.teleportation import _is_pure_loss_like
 
@@ -70,21 +73,33 @@ def _mp_beam_splitter(t):
     return mpmath.matrix([[st, 0, -sr, 0], [0, st, 0, -sr], [sr, 0, st, 0], [0, sr, 0, st]])
 
 
-def oracle_state(sc, gamma, eta, kappa, g=ORACLE_GAIN):
+def _mp_auxiliary(eta, m):
+    """The auxiliary tmsv(kappa) on (F1, F2) whose noise through a tap at
+    eta is m, d a = m with d = 1 - eta: a = m / d and c = sqrt(a^2 - 1),
+    from kappa^2 = (m - d)/(m + d) exactly; vacuum where m is the rounded
+    1 - eta, the program's vacuum auxiliary."""
+    if m == 1.0 - eta:
+        return mpmath.eye(4)
+    d, m = 1 - mpmath.mpf(eta), mpmath.mpf(m)
+    a, c = m / d, mpmath.sqrt((m - d) * (m + d)) / d
+    return mpmath.matrix([[a, 0, c, 0], [0, a, 0, -c], [c, 0, a, 0], [0, -c, 0, a]])
+
+
+def oracle_state(sc, gamma, eta, m, g=ORACLE_GAIN):
     """The all-optical attack's state on (A, B, R1, R2, F1, F2) as an
-    mpmath matrix; call it inside mpmath.workdps(ORACLE_DPS)."""
+    mpmath matrix, with Eve's tap at eta adding the auxiliary noise m; call
+    it inside mpmath.workdps(ORACLE_DPS)."""
     ch = sc.channel
-    a, c = _tmsv_entries(kappa)
-    aux = np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, a, 0], [0, -c, 0, a]])
-    blocks = [tmsv(sc.zeta).matrix, _resource_matrix(gamma), aux]
-    dim = sum(len(b) for b in blocks)
+    dim = 12
     sigma = mpmath.zeros(dim, dim)
-    at = 0
-    for b in blocks:
-        for i in range(len(b)):
-            for j in range(len(b)):
+    for at, b in ((0, tmsv(sc.zeta).matrix), (4, _resource_matrix(gamma))):
+        for i in range(4):
+            for j in range(4):
                 sigma[at + i, at + j] = mpmath.mpf(float(b[i, j]))
-        at += len(b)
+    aux = _mp_auxiliary(eta, m)
+    for i in range(4):
+        for j in range(4):
+            sigma[8 + i, 8 + j] = aux[i, j]
     gain = mpmath.mpf(g)
     sg, sgm = mpmath.sqrt(gain), mpmath.sqrt(gain - 1)
     squeezer = mpmath.matrix(
@@ -112,13 +127,22 @@ def oracle_heterodyne(sigma, mode):
     return rest_block - cross * (meas + mpmath.eye(2)) ** -1 * cross.T
 
 
-def oracle_eve_info(sc, gamma, eta, kappa, g=ORACLE_GAIN):
+def oracle_eve_info(sc, gamma, eta, m, g=ORACLE_GAIN):
     """S(Eve) - S(Eve | heterodyne on the reconciliation mode) of the
     all-optical attack on (A, B, R1, R2, F1, F2), in 60-digit arithmetic."""
     with mpmath.workdps(ORACLE_DPS):
-        sigma = oracle_state(sc, gamma, eta, kappa, g)
+        sigma = oracle_state(sc, gamma, eta, m, g)
         cond = oracle_heterodyne(sigma, 1 if sc.reconciliation == "reverse" else 0)
         return float(_mp_entropy(sigma[4:, 4:]) - _mp_entropy(cond[2:, 2:]))
+
+
+def row_noise(sc, row):
+    """The auxiliary noise m at a row's pick, as the optimizer matched it:
+    1 - eta* on pure loss, _match_noise at eta* on any other channel."""
+    ch = sc.channel
+    if _is_pure_loss_like(ch):
+        return 1.0 - row.eta_star
+    return float(_match_noise(row.gamma, row.eta_star, ch.tau, ch.v, sc.gain))
 
 
 def _scenario(tau, epsilon, reconciliation):
@@ -126,7 +150,7 @@ def _scenario(tau, epsilon, reconciliation):
 
 
 def _cases():
-    """(scenario, gamma, eta, kappa): on thermal loss at four
+    """(scenario, gamma, eta, m): on thermal loss at four
     transmissivities, the gamma_min row at eta = 1 and two etas inside the
     window at a middle gamma and at 0.9999; on pure loss, the closed-form
     eta of the grid rows that used to fail at g = 1e6 and of gamma_min.
@@ -141,12 +165,13 @@ def _cases():
             for gamma in (1.0 - 0.3 * (1.0 - g_min), 0.9999):
                 lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, max(0.8 * ch.tau, 1e-4))
                 for eta in (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)):
-                    kappa = float(_match_kappa(gamma, eta, ch.tau, ch.v, math.inf))
-                    cases.append((sc, gamma, eta, kappa))
+                    m = float(_match_noise(gamma, eta, ch.tau, ch.v, math.inf))
+                    cases.append((sc, gamma, eta, m))
         sc = _scenario(0.25, 1.0, reconciliation)
         grid = default_gamma_grid(sc, 6)
         for gamma in (grid[0], grid[2], grid[-1]):  # grid[2] ~ 0.98343
-            cases.append((sc, gamma, min(0.25 / gamma**2, 1.0), 0.0))
+            eta = min(0.25 / gamma**2, 1.0)
+            cases.append((sc, gamma, eta, 1.0 - eta))
     return cases
 
 
@@ -155,23 +180,23 @@ CASES = _cases()
 
 def test_cases_cover_the_checked_ground():
     assert len(CASES) == 46
-    assert all(not math.isnan(k) and 0.0 <= k < 1.0 for _, _, _, k in CASES)
+    assert all(m >= 1.0 - eta for _, _, eta, m in CASES)
     assert any(abs(gamma - 0.98343) < 1e-5 for sc, gamma, _, _ in CASES if sc.channel.v == 0.75)
 
 
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_closed_form_matches_the_60_digit_circuit(case):
-    sc, gamma, eta, kappa = CASES[case]
+    sc, gamma, eta, m = CASES[case]
     alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
-    closed = _eve_info_objective(sc, alice, resource, eta, kappa)
-    assert abs(closed - oracle_eve_info(sc, gamma, eta, kappa)) <= 1e-11
+    closed = _eve_info_objective(sc, alice, resource, eta, m)
+    assert abs(closed - oracle_eve_info(sc, gamma, eta, m)) <= 1e-11
 
 
 def test_oracle_has_converged_in_the_gain():
-    sc, gamma, eta, kappa = CASES[4]
+    sc, gamma, eta, m = CASES[4]
     assert gamma == 0.9999
-    at_1e20 = oracle_eve_info(sc, gamma, eta, kappa)
-    assert abs(oracle_eve_info(sc, gamma, eta, kappa, 1e30) - at_1e20) <= 1e-14
+    at_1e20 = oracle_eve_info(sc, gamma, eta, m)
+    assert abs(oracle_eve_info(sc, gamma, eta, m, 1e30) - at_1e20) <= 1e-14
 
 
 @pytest.mark.parametrize("tau", [0.25, 0.7, 0.95, 0.99])
@@ -182,10 +207,10 @@ def test_finite_gains_approach_the_closed_form_from_below(tau, reconciliation):
     gamma = 1.0 - 0.1 * (1.0 - gamma_min(ch))
     lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, max(0.8 * ch.tau, 1e-4))
     eta = 0.5 * (lo + hi)
-    kappa = float(_match_kappa(gamma, eta, ch.tau, ch.v, math.inf))
+    m = float(_match_noise(gamma, eta, ch.tau, ch.v, math.inf))
     alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
     values = [
-        _eve_info_objective(dataclasses.replace(sc, gain=g), alice, resource, eta, kappa)
+        _eve_info_objective(dataclasses.replace(sc, gain=g), alice, resource, eta, m)
         for g in (1e2, 1e4, math.inf)
     ]
     assert values[0] < values[1] < values[2]
@@ -200,17 +225,17 @@ def test_stacked_closed_form_equals_per_point_calls():
             ch = sc.channel
             if _is_pure_loss_like(ch):
                 etas = np.linspace(0.2, 0.4, 7)
-                kappas = np.zeros_like(etas)
+                noises = 1.0 - etas
             else:
                 lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, 0.0)
                 etas = np.linspace(lo, hi, 23)[1:-1]
-                kappas = _match_kappa(gamma, etas, ch.tau, ch.v, math.inf)
-            assert not np.isnan(kappas).any()
+                noises = _match_noise(gamma, etas, ch.tau, ch.v, math.inf)
+            assert not np.isnan(noises).any()
             alice = tmsv(sc.zeta).matrix
-            stacked = _eve_info_objective(sc, alice, resource, etas, kappas)
+            stacked = _eve_info_objective(sc, alice, resource, etas, noises)
             assert stacked.shape == etas.shape
-            for eta, kappa, value in zip(etas.tolist(), kappas.tolist(), stacked.tolist()):
-                assert value == _eve_info_objective(sc, alice, resource, eta, kappa)
+            for eta, m, value in zip(etas.tolist(), noises.tolist(), stacked.tolist()):
+                assert value == _eve_info_objective(sc, alice, resource, eta, m)
 
 
 # runs one CLI command in a fresh interpreter, then reports its exit code

@@ -6,10 +6,10 @@ import re
 from pathlib import Path
 
 import pytest
-from test_bell_record import oracle_eve_info
+from test_bell_record import oracle_eve_info, row_noise
 
 import cvqkd_attacks.verify
-from cvqkd_attacks.attacks import _match_kappa, optimize_attack
+from cvqkd_attacks.attacks import _feasible_eta_window, _match_noise, optimize_attack
 from cvqkd_attacks.cli import (
     CSV_HEADER,
     ConfigError,
@@ -232,19 +232,11 @@ def test_sweep_identity_channel_exits_2(capsys):
         # gains (ROADMAP defect 2); the asymptotic policy gives a table
         (
             ["--g-policy", "finite:100", "--zeta", "0.999999", "--gamma-count", "6"],
-            "error: row gamma = 0.9823600149194993: unphysical covariance matrix",
-            "smallest symplectic eigenvalue",
-        ),
-        # just above gamma_min the default channel's window reaches eta = 1,
-        # where the matched kappa nears 1 and the Bell-record objective
-        # spikes above the Holevo bound (ROADMAP defect 1)
-        (
-            ["--gamma-count", "201"],
-            "error: row gamma = 0.4909949955798073: unphysical covariance matrix",
+            "error: row gamma = 0.9994391680617926: unphysical covariance matrix",
             "smallest symplectic eigenvalue",
         ),
     ],
-    ids=["gain-1e100", "gain-1e300", "zeta-0.999999-gain-100", "asymptotic-201-rows"],
+    ids=["gain-1e100", "gain-1e300", "zeta-0.999999-gain-100"],
 )
 def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, head, needle):
     out = tmp_path / "never.csv"
@@ -290,23 +282,56 @@ def test_high_gain_sweep_rows_match_the_oracle(capsys, tmp_path, fields, tol):
     for line, row in zip(printed, table.rows):
         assert row.feasible
         assert abs(float(line["eve_info_bits"]) - row.eve_info_bits) <= 5e-10
-        oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row.kappa_star, sc.gain)
+        oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row_noise(sc, row), sc.gain)
         assert abs(row.eve_info_bits - oracle) <= tol, row.gamma
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP defect 1: the scan picks the eta = 1 rim")
-def test_row_just_above_gamma_min_reaches_the_interior_peak():
-    # the row picks eta* = 1 - 8.7e-13 with kappa* = 0.99999998, where the
-    # double-precision objective is off: it prints 0.167425654 bits, the
-    # 60-digit circuit reads 0.16746184 there and 0.16787015 inside the window
+@pytest.mark.parametrize("flags", [["--gamma-count", "201"]], ids=["asymptotic-201-rows"])
+def test_rows_whose_window_reaches_eta_1_match_the_oracle(capsys, tmp_path, flags):
+    # with the auxiliary carried as a tmsv(kappa) rounded to doubles this
+    # run exited 2 at row 0.4909949955798073 (smallest symplectic
+    # eigenvalue 0.969767200618): near kappa = 1 no pair of doubles is a
+    # pure tmsv. Now it yields a table, whose rows with a feasible window
+    # reaching eta = 1, that row among them, are the 60-digit circuit's
+    # values at their picks
+    out = tmp_path / "table.csv"
+    assert main(["sweep", *flags, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    printed = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
+    cfg = RunConfig(gamma_count=int(flags[-1]))
+    sc = scenario_from(cfg)
+    ch = sc.channel
+    table = sweep(sc, cfg.beta, default_gamma_grid(sc, cfg.gamma_count))
+    assert len(printed) == len(table.rows) == cfg.gamma_count
+    rim = [
+        row
+        for row in table.rows
+        if row.feasible and _feasible_eta_window(row.gamma, ch.tau, ch.v, 0.2)[1] == 1.0
+    ]
+    assert 0.4909949955798073 in [row.gamma for row in rim]
+    for line, row in zip(printed, table.rows):
+        assert abs(float(line["eve_info_bits"]) - row.eve_info_bits) <= 5e-10
+        if row.feasible:
+            assert row.residual <= 1e-8 and row.eve_info_bits <= row.holevo_bits
+    for row in rim:
+        oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row_noise(sc, row))
+        assert abs(row.eve_info_bits - oracle) <= 1e-9, row.gamma
+
+
+def test_row_just_above_gamma_min_reaches_the_peak_at_the_rim():
+    # the row's window reaches eta = 1, and Eve's information rises all the
+    # way to that rim: the row picks the rim, matched with kappa* near 1.
+    # With the auxiliary rounded to doubles the objective was off there: the
+    # row printed 0.167425654 bits, below the exact 0.1678702826
     sc = scenario_from(RunConfig())
     gamma = 0.4453652046870813
     row = optimize_attack(sc, gamma)
-    oracle = oracle_eve_info(sc, gamma, row.eta_star, row.kappa_star)
+    oracle = oracle_eve_info(sc, gamma, row.eta_star, row_noise(sc, row))
     assert abs(row.eve_info_bits - oracle) <= 1e-9
     eta = 0.9999991
-    kappa = float(_match_kappa(gamma, eta, sc.channel.tau, sc.channel.v, sc.gain))
-    assert row.eve_info_bits >= oracle_eve_info(sc, gamma, eta, kappa) - 1e-9
+    assert row.eta_star > eta and row.kappa_star > 0.999
+    m = float(_match_noise(gamma, eta, sc.channel.tau, sc.channel.v, sc.gain))
+    assert row.eve_info_bits >= oracle_eve_info(sc, gamma, eta, m) - 1e-9
 
 
 @pytest.mark.parametrize(

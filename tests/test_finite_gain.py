@@ -2,10 +2,15 @@
 
 At a finite amplifier gain g the attack runs the amplified circuit in double
 precision, with Eve's amplified pair in the local basis (P, Q) of
-teleportation._eve_local_map. The oracle runs the same circuit from the
-same float inputs in mpmath, in the raw (R1, R2) basis, which a symplectic
-on Eve's modes does not change the entropies or the spectra of. Each point's
-oracle state is built once and serves both reconciliations.
+teleportation._eve_local_map and her tap's modes in the local basis of
+teleportation._tapped_auxiliary. The oracle runs the same circuit from the
+same float inputs in mpmath, in the raw (R1, R2) basis, with the exact
+auxiliary tmsv of the tap's noise m, which a symplectic on Eve's modes does
+not change the entropies or the spectra of. Each point names its auxiliary
+by kappa, which the public ao_attack_state takes; the objective and the
+oracle take the noise m that ao_attack_state makes of it, so that every
+route sees the same input. Each point's oracle state is built once and
+serves both reconciliations.
 """
 
 import dataclasses
@@ -25,9 +30,11 @@ from test_bell_record import (
 )
 
 from cvqkd_attacks.attacks import (
+    _auxiliary_noise,
+    _auxiliary_squeezing,
     _eve_info_objective,
     _feasible_eta_window,
-    _match_kappa,
+    _match_noise,
     _resource_matrix,
     ao_attack_state,
     eve_info,
@@ -42,7 +49,8 @@ def _mid_window(tau, gamma):
     sc = _scenario(tau, 1.01, "reverse")
     lo, hi = _feasible_eta_window(gamma, sc.channel.tau, sc.channel.v, max(0.8 * tau, 1e-4))
     eta = 0.5 * (lo + hi)
-    return (tau, 1.01, gamma, eta, float(_match_kappa(gamma, eta, tau, sc.channel.v, math.inf)))
+    m = float(_match_noise(gamma, eta, tau, sc.channel.v, math.inf))
+    return (tau, 1.01, gamma, eta, _auxiliary_squeezing(eta, m))
 
 
 # (tau, epsilon, gamma, eta, kappa): on the default thermal-loss channel the
@@ -64,8 +72,9 @@ def _oracle_states(point, g):
     """The 60-digit attack state at a point and gain, and the states
     conditioned on a heterodyne of B and of A."""
     tau, epsilon, gamma, eta, kappa = POINTS[point]
+    m = _auxiliary_noise(eta, kappa)
     with mpmath.workdps(ORACLE_DPS):
-        sigma = oracle_state(_scenario(tau, epsilon, "reverse"), gamma, eta, kappa, g)
+        sigma = oracle_state(_scenario(tau, epsilon, "reverse"), gamma, eta, m, g)
         return sigma, {label: oracle_heterodyne(sigma, "AB".index(label)) for label in "AB"}
 
 
@@ -91,7 +100,7 @@ def _errors(point, g):
         sc = dataclasses.replace(_scenario(tau, epsilon, reconciliation), gain=g)
         alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
         truth = info[reconciliation]
-        value = _eve_info_objective(sc, alice, resource, eta, kappa)
+        value = _eve_info_objective(sc, alice, resource, eta, _auxiliary_noise(eta, kappa))
         worst["objective"] = max(worst["objective"], abs(value - truth))
         validated = eve_info(ao_attack_state(sc, gamma, eta, kappa), sc)
         worst["validated"] = max(worst["validated"], abs(validated - truth))
@@ -149,8 +158,8 @@ def test_stacked_finite_gain_objective_equals_per_point_calls():
     gamma = 0.9999
     lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, 0.2)
     etas = np.linspace(lo, hi, 9)[1:-1]
-    kappas = _match_kappa(gamma, etas, ch.tau, ch.v, sc.gain)
+    noises = _match_noise(gamma, etas, ch.tau, ch.v, sc.gain)
     alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
-    stacked = _eve_info_objective(sc, alice, resource, etas, kappas)
-    for eta, kappa, value in zip(etas.tolist(), kappas.tolist(), stacked.tolist()):
-        assert value == _eve_info_objective(sc, alice, resource, eta, kappa)
+    stacked = _eve_info_objective(sc, alice, resource, etas, noises)
+    for eta, m, value in zip(etas.tolist(), noises.tolist(), stacked.tolist()):
+        assert value == _eve_info_objective(sc, alice, resource, eta, m)

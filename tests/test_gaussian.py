@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cvqkd_attacks.gaussian
-from cvqkd_attacks.attacks import _match_kappa, _resource_matrix
+from cvqkd_attacks.attacks import _match_noise, _resource_matrix
 from cvqkd_attacks.channels import GaussChannel
 from cvqkd_attacks.gaussian import (
     _CERTIFIED_COND,
@@ -22,7 +22,6 @@ from cvqkd_attacks.gaussian import (
     _block_diag,
     _check_physical,
     _condition_raw,
-    _fast_spectrum,
     _heterodyne_blocks,
     _interleaved,
     _quadrature_blocks,
@@ -32,7 +31,6 @@ from cvqkd_attacks.gaussian import (
     _split_for_measurement,
     _symplectic_spectrum,
     _tmsv_entries,
-    _tmsv_entries_array,
     _tmsv_matrices,
     apply_symplectic,
     beam_splitter,
@@ -420,11 +418,11 @@ def test_tmsv_entries_match_fraction_reference():
         ]
     )
     gammas = gammas[gammas < 1.0]
-    # the array form rounds the whole stack in one pass, to the same bits
-    stacked_a, stacked_c = _tmsv_entries_array(gammas)
-    grid_a, grid_c = _tmsv_entries_array(gammas[:8].reshape(2, 4))
-    assert np.array_equal(grid_a.ravel(), stacked_a[:8])
-    assert np.array_equal(grid_c.ravel(), stacked_c[:8])
+    # the stacked matrices carry the same bits, whatever the stack's shape
+    stack = _tmsv_matrices(gammas)
+    stacked_a, stacked_c = stack[:, 0, 0], stack[:, 0, 2]
+    grid = _tmsv_matrices(gammas[:8].reshape(2, 4))
+    assert np.array_equal(grid.reshape(8, 4, 4), stack[:8])
     for gamma, a, c in zip(gammas.tolist(), stacked_a.tolist(), stacked_c.tolist()):
         reference = _tmsv_entries_fraction(gamma)
         assert _tmsv_entries(gamma) == reference, gamma
@@ -545,10 +543,10 @@ def _spectrum_by_general_eig(matrix: np.ndarray, dps: int) -> np.ndarray:
 def test_refined_spectrum_matches_80_digit_oracle(g, gamma, eta):
     # Eve's 8x8 block of the amplified attack state near the sweep's optima
     ch = GaussChannel(0.25, 0.7575)
-    kappa = _match_kappa(gamma, eta, ch.tau, ch.v, g)
-    assert not math.isnan(kappa)
+    m = _match_noise(gamma, eta, ch.tau, ch.v, g)
+    assert not math.isnan(m)
     alice = tmsv(0.7, ("A", "B")).matrix
-    blocks = _pipeline_raw(alice, ch, _resource_matrix(gamma), eta, kappa, g, 1.0 / g)
+    blocks = _pipeline_raw(alice, ch, _resource_matrix(gamma), eta, m, g, 1.0 / g)
     eve = _interleaved(blocks[:, 2:, 2:])
     assert np.abs(eve).max() > _HP_SCALE
     oracle = _spectrum_by_general_eig(eve, 80)
@@ -569,6 +567,13 @@ def test_refined_spectrum_matches_80_digit_oracle(g, gamma, eta):
 # is below eps * nu * cond(sigma) too. A squeezed pure state has cond ~
 # |sigma|^2, so an absolute bound in eps |sigma| alone does not hold.
 FAST_SPECTRUM_C = 8.0
+
+
+def _spectrum_of(matrix):
+    """The double-precision spectrum of one matrix, and whether it is
+    positive definite: _spectrum_and_conditioning on a stack of one."""
+    nus, definite, _ = _spectrum_and_conditioning(matrix[None])
+    return nus[0], definite[0]
 
 
 def _random_gaussian_state(rng, scale: float, phase_sensitive: bool = True) -> np.ndarray:
@@ -623,7 +628,7 @@ def test_fast_spectrum_matches_60_digit_oracle():
             sigma = _random_gaussian_state(rng, 10.0 ** rng.uniform(0.0, top), phase_sensitive)
             if not phase_sensitive:
                 assert not _xp_entries(sigma).any()
-            nus, definite = _fast_spectrum(sigma)
+            nus, definite = _spectrum_of(sigma)
             assert definite
             oracle = _spectrum_by_general_eig(sigma, 60)
             cond = np.linalg.norm(sigma, 2) * np.linalg.norm(np.linalg.inv(sigma), 2)
@@ -644,12 +649,12 @@ def test_fast_spectrum_stack_equals_each_member_alone():
     squeezed = _act_on_modes(tmsv(0.6).matrix, rot @ np.diag([2.0, 0.5]) @ rot.T, [1])
     members = [tmsv(0.3).matrix, np.diag([0.5, -0.5, 1.0, 1.0]), amplified, squeezed]
     assert [bool(_xp_entries(m).any()) for m in members] == [False, False, False, True]
-    nus, definite = _fast_spectrum(np.stack(members))
+    nus, definite, _ = _spectrum_and_conditioning(np.stack(members))
     assert definite.tolist() == [True, False, True, True]
     general = np.abs(np.linalg.eigvals(symplectic_form(2) @ members[1]))
     assert np.array_equal(nus[1], np.sort(general)[::-1][::2])
     for k, m in enumerate(members):
-        one, one_definite = _fast_spectrum(m)
+        one, one_definite = _spectrum_of(m)
         assert np.array_equal(nus[k], one), k
         assert one_definite == definite[k]
     message = "unphysical covariance matrix: smallest symplectic eigenvalue 0.5"
@@ -685,7 +690,7 @@ def test_attack_spectra_take_half_size_factors(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
     for stack in (mat, mat[:, 4:, 4:], mat[:, 2:, 2:]):
-        _fast_spectrum(stack)
+        _spectrum_and_conditioning(stack)
     assert shapes and max(max(shape) for shape in shapes) <= 6, shapes
 
 
@@ -774,10 +779,10 @@ def _attack_stack(g: float, count: int = 7) -> np.ndarray:
     ch = GaussChannel(0.25, 0.7575)
     rng = np.random.default_rng(20261018)
     etas = rng.uniform(0.26, 0.29, count)
-    kappas = _match_kappa(0.95, etas, ch.tau, ch.v, g)
-    assert not np.isnan(kappas).any()
+    noises = _match_noise(0.95, etas, ch.tau, ch.v, g)
+    assert not np.isnan(noises).any()
     alice = tmsv(0.7, ("A", "B")).matrix
-    blocks = _pipeline_raw(alice, ch, _resource_matrix(0.95), etas, kappas, g)
+    blocks = _pipeline_raw(alice, ch, _resource_matrix(0.95), etas, noises, g)
     return _interleaved(blocks), _ATTACK_MODES
 
 
@@ -785,10 +790,10 @@ def _attack_stack(g: float, count: int = 7) -> np.ndarray:
 def test_stacked_fast_spectrum_and_conditioning_equal_per_matrix_calls(g):
     mat, labels = _attack_stack(g)
     assert mat.shape == (7, 12, 12)
-    nus, definite = _fast_spectrum(mat)
+    nus, definite, _ = _spectrum_and_conditioning(mat)
     assert definite.all()
     for k in range(len(mat)):
-        one, one_definite = _fast_spectrum(mat[k])
+        one, one_definite = _spectrum_of(mat[k])
         assert np.array_equal(nus[k], one)
         assert one_definite
     for label in ("A", "B"):
@@ -825,7 +830,7 @@ def test_stacked_spectrum_and_conditioning_escalate_per_matrix():
     assert _spectrum_and_conditioning(mixed)[2][-1] > _CERTIFIED_COND
     nus, definite = _symplectic_spectrum(mixed)
     assert definite.all()
-    assert np.array_equal(nus[:2], _fast_spectrum(mixed[:2])[0])
+    assert np.array_equal(nus[:2], _spectrum_and_conditioning(mixed[:2])[0])
     assert np.array_equal(nus[2], _refined_spectrum(mixed[2]))
     # heterodyne conditioning of attack states stays in double precision
     # on both sides of the scale, each member as it is alone
@@ -858,7 +863,7 @@ def test_certified_members_above_hp_scale_stay_in_double_precision(monkeypatch):
     for k, member in enumerate(mixed):
         one, one_definite = _symplectic_spectrum(member)
         assert np.array_equal(nus[k], one) and one_definite, k
-        assert np.array_equal(one, _fast_spectrum(member)[0]), k
+        assert np.array_equal(one, _spectrum_of(member)[0]), k
 
 
 @pytest.mark.parametrize(

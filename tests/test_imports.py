@@ -1,6 +1,9 @@
 """Every name a module imports is used: a static scan of src/ and tests/.
+Every private function or class the package defines has a caller in the
+package: a static scan of src/.
 
-The package's __init__.py is skipped, as its imports are re-exports.
+The package's __init__.py is skipped by the import scan, as its imports
+are re-exports.
 """
 
 import ast
@@ -11,6 +14,7 @@ FILES = sorted(
     [path for path in (ROOT / "src").rglob("*.py") if path.name != "__init__.py"]
     + list((ROOT / "tests").rglob("*.py"))
 )
+PACKAGE = sorted((ROOT / "src").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +48,46 @@ def test_no_unused_imports():
         if names:
             unused[str(path.relative_to(ROOT))] = names
     assert not unused
+
+
+def private_without_caller(sources: list[str]) -> list[str]:
+    """Private functions and classes (a leading underscore, not a dunder)
+    defined anywhere in the sources and referenced in none of them, as a
+    name or as an attribute; an import, a docstring or the definition itself
+    is no reference."""
+    nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = {
+        node.name
+        for node in nodes
+        if isinstance(node, kinds) and node.name.startswith("_") and not node.name.endswith("__")
+    }
+    used = {node.id for node in nodes if isinstance(node, ast.Name)}
+    used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    return sorted(defined - used)
+
+
+def test_scan_flags_only_private_names_without_a_caller():
+    module = (
+        "from other import _imported_only\n"
+        "def _called():\n    return 1\n"
+        "def _lonely():\n    '''_lonely is named here, not called.'''\n"
+        "class _Used:\n"
+        "    def __init__(self):\n        self._method()\n"
+        "    def _method(self):\n        return _called()\n"
+        "    def _dead_method(self):\n        return 0\n"
+        "class _Unused:\n    pass\n"
+        "def public():\n    return _Used()\n"
+    )
+    other = "def _imported_only():\n    return 0\n"
+    assert private_without_caller([module, other]) == [
+        "_Unused",
+        "_dead_method",
+        "_imported_only",
+        "_lonely",
+    ]
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    assert private_without_caller(sources) == []

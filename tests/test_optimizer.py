@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_bell_record import ORACLE_GAIN, oracle_eve_info, row_noise
 
 import cvqkd_attacks.attacks
 from cvqkd_attacks.attacks import (
@@ -24,10 +25,12 @@ from cvqkd_attacks.attacks import (
     AttackScenario,
     RowError,
     _attack_point,
+    _auxiliary_noise,
+    _auxiliary_squeezing,
     _channel_residual,
     _eve_info_objective,
     _feasible_eta_window,
-    _match_kappa,
+    _match_noise,
     _resource_matrix,
     ao_attack_state,
     eve_info,
@@ -59,11 +62,11 @@ def dense_oracle(sc, gamma):
     ch = sc.channel
     lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, max(0.8 * ch.tau, 1e-4))
     etas = lo + (hi - lo) * np.arange(ORACLE_POINTS) / (ORACLE_POINTS - 1)
-    kappas = _match_kappa(gamma, etas, ch.tau, ch.v, sc.gain)
-    hits = ~np.isnan(kappas)
+    noises = _match_noise(gamma, etas, ch.tau, ch.v, sc.gain)
+    hits = ~np.isnan(noises)
     alice = tmsv(sc.zeta, ("A", "B")).matrix
     resource = _resource_matrix(gamma)
-    values = _eve_info_objective(sc, alice, resource, etas[hits], kappas[hits])
+    values = _eve_info_objective(sc, alice, resource, etas[hits], noises[hits])
     return float(np.max(values))
 
 
@@ -119,9 +122,9 @@ def test_rows_stay_within_their_evaluation_budget(monkeypatch, g_policy):
     # parabola vertex: the refit reuses the last pass's values
     calls = []
 
-    def counted(sc, alice, resource, eta, kappa):
+    def counted(sc, alice, resource, eta, m):
         calls.append(np.size(eta))
-        return _eve_info_objective(sc, alice, resource, eta, kappa)
+        return _eve_info_objective(sc, alice, resource, eta, m)
 
     monkeypatch.setattr(cvqkd_attacks.attacks, "_eve_info_objective", counted)
     sc, cfg = _config(g_policy=g_policy)
@@ -139,14 +142,15 @@ def _rows(results):
 
 def _assert_rows_are_the_evaluators(sc, grid, rows):
     # each feasible row's information and residual are, bit for bit, the
-    # checked evaluator's at the row's own (eta*, kappa*)
+    # checked evaluator's at the row's own (eta*, m*), and its kappa* is
+    # the auxiliary squeezing of that m*
     alice = tmsv(sc.zeta, ("A", "B")).matrix
     for gamma, row in zip(grid, rows):
         if row.feasible:
             resource = _resource_matrix(gamma)
-            info, ab = _attack_point(
-                sc, alice, resource, row.eta_star, row.kappa_star, validate=True
-            )
+            m = row_noise(sc, row)
+            assert row.kappa_star == _auxiliary_squeezing(row.eta_star, m), gamma
+            info, ab = _attack_point(sc, alice, resource, row.eta_star, m, validate=True)
             assert row.eve_info_bits == info, gamma
             assert row.residual == _channel_residual(_check_physical(ab)[0], alice, sc.channel)
 
@@ -187,7 +191,9 @@ def test_stacked_validation_equals_the_single_row_kernels(
     tau, epsilon, zeta, reconciliation, gain
 ):
     # the rows of a sweep are validated as one stack; each must be what it
-    # is alone, and at finite gain what the state-level API computes
+    # is alone, and at finite gain the state-level API, which takes kappa*
+    # and turns it into its auxiliary noise once, must compute what the
+    # checked evaluator does at that noise
     channel = GaussChannel(tau, (1.0 - tau) * epsilon)
     assume(not is_entanglement_breaking(channel))
     sc = AttackScenario(channel, zeta, reconciliation, gain)
@@ -204,11 +210,17 @@ def test_stacked_validation_equals_the_single_row_kernels(
         stacked = optimize_attacks(sc, grid)
     assert _rows(stacked) == _rows(optimize_attack(sc, gamma) for gamma in grid)
     _assert_rows_are_the_evaluators(sc, grid, stacked)
+    alice = tmsv(zeta, ("A", "B")).matrix
     for gamma, row in zip(grid, stacked):
         if row.feasible and math.isfinite(gain):
+            m = _auxiliary_noise(row.eta_star, row.kappa_star)
+            info, ab = _attack_point(
+                sc, alice, _resource_matrix(gamma), row.eta_star, m, validate=True
+            )
             state = ao_attack_state(sc, gamma, row.eta_star, row.kappa_star)
-            assert row.eve_info_bits == eve_info(state, sc)
-            assert row.residual == simulation_residual(sc, gamma, row.eta_star, row.kappa_star)
+            assert info == eve_info(state, sc)
+            residual = _channel_residual(_check_physical(ab)[0], alice, channel)
+            assert residual == simulation_residual(sc, gamma, row.eta_star, row.kappa_star)
 
 
 @pytest.mark.parametrize(
@@ -222,9 +234,9 @@ def test_sweep_batches_its_objective_calls(monkeypatch, fields, count):
     # alone
     calls = []
 
-    def counted(sc, alice, resource, eta, kappa):
+    def counted(sc, alice, resource, eta, m):
         calls.append(np.size(eta))
-        return _eve_info_objective(sc, alice, resource, eta, kappa)
+        return _eve_info_objective(sc, alice, resource, eta, m)
 
     monkeypatch.setattr(cvqkd_attacks.attacks, "_eve_info_objective", counted)
     sc, cfg = _config(**fields)
@@ -265,7 +277,7 @@ def test_first_failing_row_in_grid_order_is_reported():
     # the g = 1e100 row fails validation (double precision breaks down that
     # far beyond the paper's gains) before the out-of-range row after it is
     # reached
-    message = "unphysical covariance matrix: smallest symplectic eigenvalue 6.5736982381e-55"
+    message = "unphysical covariance matrix: smallest symplectic eigenvalue 0.0625"
     with pytest.raises(RowError, match=re.escape(message) + "$") as info:
         optimize_attacks(sc, (0.9999, 1.5))
     assert info.value.gamma == 0.9999
@@ -286,10 +298,10 @@ def test_failing_row_is_named_whichever_rows_share_its_stack(monkeypatch):
     row = 3
     marker = _resource_matrix(grid[row])[0, 0]
 
-    def failing(sc, alice, resource, eta, kappa):
+    def failing(sc, alice, resource, eta, m):
         if (resource[..., 0, 0] == marker).any():
             raise ValueError("row failed")
-        return _eve_info_objective(sc, alice, resource, eta, kappa)
+        return _eve_info_objective(sc, alice, resource, eta, m)
 
     alone = []
     real_optimize_attack = cvqkd_attacks.attacks.optimize_attack
@@ -305,3 +317,54 @@ def test_failing_row_is_named_whichever_rows_share_its_stack(monkeypatch):
     assert isinstance(info.value.__cause__, RowError)
     assert info.value.__cause__.gamma == grid[row]
     assert alone == list(grid[: row + 1])
+
+
+# (tau, epsilon, zeta, reconciliation, g_policy, gamma): rows whose feasible
+# window reaches eta = 1, where the matched kappa nears 1. With the
+# auxiliary tmsv(kappa) rounded to doubles, the first five and the seventh
+# raised (an unphysical state, or Eve's information outside [0, chi]) and
+# the others printed rows below the exact maximum: 0.0485 for 0.1268 bits,
+# 0.1275752 for 0.1276275 and 0.167425654 for 0.1678702826
+RIM_CASES = [
+    (0.6227539698294879, 1.1635708962235205, 0.9619201212266064, "reverse", "asymptotic",
+     0.8135657642113103),
+    (0.9117264811330459, 1.8539118348967476, 0.0, "reverse", "asymptotic",
+     0.8781220439297528),
+    (0.40983842243226065, 1.1203030432460654, 0.0, "reverse", "asymptotic",
+     0.65747849518328),
+    (0.9309863294174215, 1.7685324971240939, 0.0, "reverse", "asymptotic",
+     0.9730716317805118),
+    (0.9749057223545429, 1.1347894821613735, 0.9806628513137279, "reverse", "asymptotic",
+     0.9876904868864814),
+    (0.872300455311705, 1.332668881671574, 0.40049304990815493, "direct", "finite:14.9266",
+     0.9021895393224239),
+    (0.558967405189762, 1.7335931429224525, 0.0, "reverse", "finite:4.50899",
+     0.5961183916454214),
+    (0.9623214958588039, 2.3088234212664354, 0.0, "reverse", "finite:1.26579e+06",
+     0.9510455516698244),
+    (0.25, 1.01, 0.7, "reverse", "asymptotic",
+     0.4453652046870813),
+]
+
+
+@pytest.mark.parametrize("case", range(len(RIM_CASES)))
+def test_rim_rows_reach_the_exact_maximum(case):
+    # each row is the 60-digit circuit's value at its own pick, and no point
+    # of its window beats it: three interior ones and the scan's rim, 1e-9
+    # of the window inside eta = 1
+    tau, epsilon, zeta, reconciliation, g_policy, gamma = RIM_CASES[case]
+    sc, _ = _config(
+        tau=tau, epsilon=epsilon, zeta=zeta, reconciliation=reconciliation, g_policy=g_policy
+    )
+    ch = sc.channel
+    gain = sc.gain if math.isfinite(sc.gain) else ORACLE_GAIN
+    row = optimize_attack(sc, gamma)
+    assert row.feasible
+    oracle = oracle_eve_info(sc, gamma, row.eta_star, row_noise(sc, row), gain)
+    assert abs(row.eve_info_bits - oracle) <= 1e-9
+    lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, max(0.8 * ch.tau, 1e-4))
+    assert hi == 1.0
+    for f in (0.25, 0.5, 0.75, 1.0 - 1e-9):
+        eta = lo + f * (hi - lo)
+        m = float(_match_noise(gamma, eta, ch.tau, ch.v, sc.gain))
+        assert row.eve_info_bits >= oracle_eve_info(sc, gamma, eta, m, gain) - 1e-9, f

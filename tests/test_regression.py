@@ -21,7 +21,10 @@ The CSVs print 9 digits, which cannot see a drift in the last bits.
 `data/sweep_row_bits.json` holds, for the lowgain, asymptotic and
 finite-1e6 configurations, each row's gamma, eta*, kappa*, Eve's
 information and residual as `float.hex`, recorded at commit e9ae90a with
-`optimize_attacks` on the CLI's grid; the rows must reproduce them exactly.
+`optimize_attacks` on the CLI's grid, and recorded again when Eve's tap
+became one map on vacuum inputs built from her matched noise (20 rows moved
+in their last bits, each new value within 7.3e-12 bits of the 60-digit
+circuit at its pick); the rows must reproduce them exactly.
 """
 
 import csv

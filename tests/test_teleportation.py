@@ -7,10 +7,20 @@ import pytest
 
 import cvqkd_attacks.gaussian as gaussian
 from cvqkd_attacks.channels import GaussChannel, effective_channel
-from cvqkd_attacks.gaussian import CovMat, direct_sum, thermal, tmsv
+from cvqkd_attacks.gaussian import (
+    CovMat,
+    _embedded,
+    _quadrature_blocks,
+    beam_splitter,
+    direct_sum,
+    thermal,
+    tmsv,
+    two_mode_squeezer,
+)
 from cvqkd_attacks.teleportation import (
     ResourceState,
     TeleportConfig,
+    _tapped_auxiliary,
     ao_effective_channel,
     ao_simulate,
     bk_effective_channel,
@@ -199,3 +209,82 @@ def test_ao_simulate_rejects_an_input_that_couples_x_and_p():
     with pytest.raises(ValueError, match="couples its x and p quadratures") as info:
         ao_simulate(coupled, res, cfg)
     assert "\n" not in str(info.value)
+
+
+THERMAL = GaussChannel(0.25, 0.7575)
+
+
+def _tap_composed(eta, m):
+    """The tap from its parts on the interleaved (R2, F1, F2): tmsv(kappa) =
+    S(r) vacuum on (F1, F2), cosh 2r = m / d, the splitter at eta on
+    (R2, F1), then Eve's S(rho)^-1 on (F1, F2), rho = max(r - r0, 0) with
+    cosh 2r0 = 3; as x part over p part."""
+    d = 1.0 - eta
+    r = 0.5 * math.acosh(m / d)
+    rho = max(r - 0.5 * math.acosh(3.0), 0.0)
+    squeeze = _embedded(two_mode_squeezer(math.cosh(r) ** 2).matrix, (1, 2), 6)
+    undo = np.linalg.inv(_embedded(two_mode_squeezer(math.cosh(rho) ** 2).matrix, (1, 2), 6))
+    whole = undo @ _embedded(beam_splitter(eta).matrix, (0, 1), 6) @ squeeze
+    return _quadrature_blocks(whole)[[0, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.2, 2.0, 3.0, 5.0, 40.0])
+@pytest.mark.parametrize("eta", [0.1, 0.5, 0.93])
+def test_tap_is_the_splitter_on_a_squeezed_auxiliary_then_eves_local_map(eta, ratio):
+    # below the cap (m / d <= 3) the textbook tap itself; above it Eve
+    # undoes the rest of the squeezing, with every entry O(1)
+    m = ratio * (1.0 - eta)
+    _, tap = _tapped_auxiliary(THERMAL, eta, m)
+    composed = _tap_composed(eta, m)
+    assert np.abs(tap - composed).max() <= 1e-13 * ratio
+    # R2' is the channel's view: its added noise is m
+    assert abs(tap[0, 0, 1] ** 2 + tap[0, 0, 2] ** 2 - m) <= 1e-15
+    if ratio <= 3.0:
+        assert tap[0, 1, 0] == tap[1, 1, 0] == math.sqrt(1.0 - eta)
+        assert not tap[:, 2, 0].any()
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5, 1.0 - 1e-9, 1.0])
+def test_tap_stays_symplectic_and_order_one_as_kappa_nears_1(eta):
+    # x part X and p part P of a phase-insensitive symplectic: X P^T = I.
+    # An O(1) noise m at eta -> 1 is an auxiliary with kappa -> 1, whose
+    # tmsv entries m / d pass 1e9 here
+    d = 1.0 - eta
+    for m in (d, 1.5 * d, 3.0 * d, d + 0.3, 2.0):
+        if eta == 1.0 and m != d:
+            continue
+        _, tap = _tapped_auxiliary(THERMAL, eta, m)
+        assert np.abs(tap[0] @ tap[1].T - np.eye(3)).max() <= 1e-14, m
+        assert np.abs(tap).max() <= 3.0, m
+    # a vacuum auxiliary leaves F2 an exact, decoupled vacuum; eta = 1 is
+    # the identity
+    _, tap = _tapped_auxiliary(THERMAL, eta, d)
+    assert (tap[:, 2] == [0.0, 0.0, 1.0]).all() and (tap[:, :, 2] == [0.0, 0.0, 1.0]).all()
+    if eta == 1.0:
+        assert (tap == np.eye(3)).all()
+
+
+def test_stacked_tap_equals_lone_calls():
+    rng = np.random.default_rng(21)
+    etas = np.r_[rng.uniform(0.0, 1.0, 40), 1.0, 0.5]
+    ratios = np.r_[1.0 + 10.0 ** rng.uniform(-6.0, 12.0, 40), 1.0, 3.0]
+    noises = np.where(etas < 1.0, ratios * (1.0 - etas), 0.0)
+    stacked_eta, stacked = _tapped_auxiliary(THERMAL, etas, noises)
+    assert stacked.shape == (2, len(etas), 3, 3)
+    assert np.array_equal(stacked_eta, etas)
+    for k, (eta, m) in enumerate(zip(etas.tolist(), noises.tolist())):
+        _, one = _tapped_auxiliary(THERMAL, eta, m)
+        assert one.shape == (2, 3, 3)
+        assert np.array_equal(stacked[:, k], one), k
+
+
+def test_tap_domain():
+    with pytest.raises(ValueError, match="mixing transmissivity"):
+        _tapped_auxiliary(THERMAL, np.array([0.5, 1.5]), 0.5)
+    with pytest.raises(ValueError, match="auxiliary noise 0.4 below 1 - eta = 0.5"):
+        _tapped_auxiliary(THERMAL, 0.5, np.array([0.5, 0.4]))
+    with pytest.raises(ValueError, match="auxiliary noise nan"):
+        _tapped_auxiliary(THERMAL, 0.5, math.nan)
+    with pytest.raises(ValueError, match="pins the auxiliary to vacuum"):
+        _tapped_auxiliary(GaussChannel(0.25, 0.75), 0.5, 0.6)
+    assert _tapped_auxiliary(GaussChannel(0.25, 0.75), 0.5, 0.5)[1].shape == (2, 3, 3)
