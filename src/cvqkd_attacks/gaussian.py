@@ -10,17 +10,16 @@ symplectic spectrum is computed numerically and checked. tmsv, thermal and
 direct_sum know their spectra exactly, from a closed form or as the union of
 their already-validated parts, and certify by it (_certified), as does
 teleportation.ResourceState; partial_trace keeping every mode in its order
-returns the state itself. A numerical spectrum comes from Cholesky factors:
-of the n x n x and p blocks for a phase-insensitive matrix (every x-p entry
-0.0, as every state the package builds), of the whole 2n x 2n matrix for
-any other (_spectrum_and_conditioning). mpmath is imported only by the
-high-precision routines that use it.
+returns the state itself.
 
-A phase-insensitive state is X (+) P on its x and p quadratures, and the
-attack path carries it that way: one (2, ..., n, n) stack of its x blocks
-over its p blocks, the diagonal of _quadrature_blocks, acted on by the x and
-p parts of its maps (_squeezer_parts, _splitter_part). _interleaved forms
-the 2n x 2n matrix only where a CovMat or _check_physical needs it.
+Double precision has one state model. A phase-insensitive state (every x-p
+entry 0.0, as every state the package builds) is X (+) P on its x and p
+quadratures: one (2, ..., n, n) stack of x blocks over p blocks, the
+diagonal of _quadrature_blocks, acted on by the x and p parts of its maps,
+its spectrum read from their Cholesky factors (_split_spectrum), a measured
+mode removed per quadrature (_heterodyne_blocks). _interleaved forms the
+2n x 2n matrix only where a CovMat needs it. Every other spectrum or
+conditioning takes _high_precision, the one importer of mpmath.
 """
 
 from __future__ import annotations
@@ -43,9 +42,8 @@ _REFINE_TRIGGER = 1e-10
 # both ends of the spectrum: its singular values carry absolute noise
 # ~eps * nu_max, which swamps the near-unity nu's that physicality and the
 # entropies need. There _symplectic_spectrum escalates a matrix that the
-# inverse side does not certify (_CERTIFIED_COND), or that has no inverse
-# side because its x and p quadratures couple, and the public heterodyne and
-# homodyne conditioning of a state switch to high precision.
+# inverse side does not certify (_CERTIFIED_COND), and the public heterodyne
+# and homodyne conditioning of a state switch to high precision.
 _HP_SCALE = 1e6
 
 # Past this matrix scale a phase-insensitive matrix reads its small nu's
@@ -97,8 +95,27 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+def _high_precision(matrix: np.ndarray, compute):
+    """compute(mpmath, sigma) on matrix as an mpmath matrix sigma in
+    30-digit arithmetic, which turns its result into floats itself. A matrix
+    whose largest |entry| leaves fewer than 16 of the 30 digits is refused
+    with ValueError: there products of entries lose the near-unity nu's and
+    O(1) Schur complements the callers need (at g = 1e35 the attack's Eve
+    block read nu 0.998, where 60 digits give 1)."""
+    import mpmath
+
+    digits = 30
+    peak = float(np.abs(matrix).max())
+    if peak > 10.0 ** (digits - 16):
+        raise ValueError(
+            f"matrix entry {peak:.6g} leaves fewer than 16 of the {digits} high-precision digits"
+        )
+    with mpmath.mp.workdps(digits):
+        return compute(mpmath, mpmath.matrix(matrix.tolist()))
+
+
 def _refined_spectrum(matrix: np.ndarray) -> np.ndarray:
-    # High-precision fallback: near nu = 1 the double-precision eigensolver
+    # High-precision spectrum: near nu = 1 the double-precision eigensolver
     # carries absolute noise up to ~eps * ||matrix|| * (eigenvector
     # conditioning), which at large amplifier gains (entries ~1e10) swamps
     # the 1e-9 physicality margin even when the stored matrix is physical.
@@ -106,30 +123,19 @@ def _refined_spectrum(matrix: np.ndarray) -> np.ndarray:
     # i L^T Omega L, whose eigenvalues are the same +/- nu pairs; a Hermitian
     # eigensolve is several times cheaper than a general one on Omega sigma.
     # A matrix without a Cholesky factor is not positive definite, hence
-    # unphysical; the general route then reports its spectrum as before.
-    import mpmath
-
+    # unphysical; the general route then reports its spectrum.
     n = matrix.shape[0] // 2
-    with mpmath.mp.workdps(30):
+
+    def eigenvalues(mp, sigma):
+        omega = mp.matrix(symplectic_form(n).tolist())
         try:
-            chol = mpmath.cholesky(mpmath.matrix(matrix.tolist()))
+            chol = mp.cholesky(sigma)
         except ValueError:
-            k = mpmath.matrix((symplectic_form(n) @ matrix).tolist())
-            eigs = mpmath.eig(k, left=False, right=False)
-        else:
-            herm = chol.T * mpmath.matrix(symplectic_form(n).tolist()) * chol * 1j
-            eigs = mpmath.eighe(herm, eigvals_only=True)
-    nus = sorted((abs(z) for z in eigs), reverse=True)
+            return mp.eig(omega * sigma, left=False, right=False)
+        return mp.eighe(chol.T * omega * chol * 1j, eigvals_only=True)
+
+    nus = sorted((abs(z) for z in _high_precision(matrix, eigenvalues)), reverse=True)
     return np.array([float(nus[2 * i]) for i in range(n)])
-
-
-def _omega_times(x: np.ndarray) -> np.ndarray:
-    """Omega x for a (..., 2n, k) stack: each row pair swapped, the new
-    second row negated (no product with Omega)."""
-    out = np.empty_like(x)
-    out[..., 0::2, :] = x[..., 1::2, :]
-    out[..., 1::2, :] = -x[..., 0::2, :]
-    return out
 
 
 def _quadrature_blocks(matrix: np.ndarray) -> np.ndarray:
@@ -244,20 +250,6 @@ def _split_spectrum(blocks: np.ndarray):
     return nus, definite, np.where(peak > _HP_SCALE, cond, 1.0)
 
 
-def _coupled_spectrum(stack: np.ndarray):
-    """_split_spectrum's results for a (k, 2n, 2n) stack of matrices that
-    couple x and p: the singular values of K = L^T Omega L from the 2n x 2n
-    factor sigma = L L^T, each twice, and a condition bound of inf above
-    _HP_SCALE, where such a matrix has no inverse side."""
-    chol, definite = _cholesky_each(stack)
-    k = np.swapaxes(chol, -1, -2) @ _omega_times(chol)
-    nus = np.linalg.svd(k, compute_uv=False)[:, ::2]
-    if not definite.all():
-        nus[~definite] = _eig_spectrum(stack[~definite])
-    peak = np.abs(stack).max(axis=(-2, -1))
-    return nus, definite, np.where(peak > _HP_SCALE, np.inf, 1.0)
-
-
 def _eig_spectrum(stack: np.ndarray) -> np.ndarray:
     """|eig(Omega sigma)| of a (k, 2n, 2n) stack, descending, one per mode:
     the spectrum of a matrix without a Cholesky factor, which only words
@@ -268,34 +260,6 @@ def _eig_spectrum(stack: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(eigs), axis=-1)[:, ::-1][:, ::2]
 
 
-def _spectrum_and_conditioning(stack: np.ndarray):
-    """Symplectic eigenvalues in double precision, descending, of each
-    matrix of a flat (k, 2n, 2n) stack, whether each is positive definite,
-    and for each above _HP_SCALE a bound on its equilibrated condition
-    number: from _inverse_side for a phase-insensitive matrix with a
-    Cholesky factor, inf for any other, which _symplectic_spectrum then
-    certifies in high precision; 1 below the scale.
-
-    Each matrix takes its route on its own, so a member's result never
-    depends on its neighbours: a phase-insensitive one, every x-p entry
-    exactly 0.0, as tmsv, beam splitters, two-mode squeezers, loss channels
-    and Schur complements leave them, its x and p blocks (_split_spectrum);
-    any other its 2n x 2n factor (_coupled_spectrum). Each nu is good to a
-    relative few eps * cond(sigma), as the factorization is backward
-    stable; one without a Cholesky factor gets |eig(Omega sigma)|."""
-    quads = _quadrature_blocks(stack)
-    split = ~(quads[0, 1].any(axis=(-2, -1)) | quads[1, 0].any(axis=(-2, -1)))
-    if split.all():
-        return _split_spectrum(quads[[0, 1], [0, 1]])
-    nus = np.empty((len(stack), stack.shape[-1] // 2))
-    definite = np.empty(len(stack), dtype=bool)
-    cond = np.empty(len(stack))
-    if split.any():
-        nus[split], definite[split], cond[split] = _split_spectrum(quads[[0, 1], [0, 1]][:, split])
-    nus[~split], definite[~split], cond[~split] = _coupled_spectrum(stack[~split])
-    return nus, definite, cond
-
-
 def _above_hp_scale(matrix: np.ndarray) -> np.ndarray:
     """Per-matrix flag: entries beyond _HP_SCALE, where one side of the
     Cholesky congruence cannot resolve near-unity symplectic eigenvalues."""
@@ -303,31 +267,31 @@ def _above_hp_scale(matrix: np.ndarray) -> np.ndarray:
 
 
 def _symplectic_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The double-precision spectra of a matrix or of each matrix in a
-    (..., 2n, 2n) stack, and whether each is positive definite
-    (_spectrum_and_conditioning), with each matrix that double precision
-    cannot certify given its high-precision spectrum instead: above
-    _HP_SCALE, one whose equilibrated condition bound exceeds
-    _CERTIFIED_COND, that couples x and p or that has no Cholesky factor;
-    at any scale, one reading below 1 - _REFINE_TRIGGER.
-    The escalation is decided per matrix, so one such member never sends the
-    whole stack there; positive definiteness is the double-precision
-    factorization's verdict at every scale."""
+    """Symplectic eigenvalues, descending, of a matrix or of each matrix in
+    a (..., 2n, 2n) stack, and whether each is positive definite: for a
+    phase-insensitive one from its x and p blocks (_split_spectrum), each nu
+    good to a relative few eps * cond(sigma); the high-precision spectrum
+    (_refined_spectrum) for one that couples x and p, or that double
+    precision cannot certify: above _HP_SCALE, an equilibrated condition
+    bound past _CERTIFIED_COND or no Cholesky factor; at any scale, a
+    reading below 1 - _REFINE_TRIGGER. The route is decided per matrix;
+    positive definiteness is the double-precision factorization's verdict."""
     lead, n = matrix.shape[:-2], matrix.shape[-1] // 2
     stack = matrix.reshape((-1,) + matrix.shape[-2:])
-    nus, definite, cond = _spectrum_and_conditioning(stack)
+    quads = _quadrature_blocks(stack)
+    # a matrix that couples x and p has no double-precision route
+    refine = quads[0, 1].any(axis=(-2, -1)) | quads[1, 0].any(axis=(-2, -1))
+    split = ~refine
+    nus = np.empty((len(stack), n))
+    definite = np.empty(len(stack), dtype=bool)
+    nus[split], definite[split], cond = _split_spectrum(quads[[0, 1], [0, 1]][:, split])
     # the spectra are descending: the last column holds each minimum
-    refine = (cond > _CERTIFIED_COND) | (nus[:, -1] < 1.0 - _REFINE_TRIGGER)
+    refine[split] = (cond > _CERTIFIED_COND) | (nus[split, -1] < 1.0 - _REFINE_TRIGGER)
+    if not split.all():
+        definite[~split] = _cholesky_each(stack[~split])[1]
     for i in refine.nonzero()[0]:
         nus[i] = _refined_spectrum(stack[i])
     return nus.reshape(lead + (n,)), definite.reshape(lead)
-
-
-def _mode_index(labels: tuple[str, ...], label: str) -> int:
-    try:
-        return labels.index(label)
-    except ValueError:
-        raise ValueError(f"unknown mode label {label!r}; state has {labels}") from None
 
 
 def _check_physical(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -420,7 +384,10 @@ class CovMat:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        return _mode_index(self.labels, label)
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise ValueError(f"unknown mode label {label!r}; state has {self.labels}") from None
 
     def block(self, label_row: str, label_col: str) -> np.ndarray:
         """The 2x2 block coupling two modes (a copy)."""
@@ -685,35 +652,35 @@ def von_neumann_entropy(state: CovMat) -> float:
     return _spectrum_entropy(state._nus)
 
 
-def _schur_hp(a: np.ndarray, c: np.ndarray, b: np.ndarray, quadrature: str | None) -> np.ndarray:
-    # The subtraction cancels ~|sigma| down to O(1) entries, so double
-    # precision would leave absolute errors ~eps * |sigma| in the result.
-    # quadrature None is heterodyne, a - c (b + I)^-1 c^T; "x" or "p" is the
-    # homodyne a - c_q c_q^T / b_qq on that quadrature's column.
-    import mpmath
+def _conditioned_state(state: CovMat, measured_label: str, quadrature: str | None) -> CovMat:
+    """The other modes after a heterodyne (quadrature None) or homodyne
+    measurement of one: the attack's block update (_heterodyne_blocks) for a
+    phase-insensitive state below _HP_SCALE; for any other the Schur
+    complement in high precision, as it cancels ~|sigma| down to O(1):
+    a - c (b + I)^-1 c^T, or a - c_q c_q^T / b_qq for homodyne of q."""
+    if state.n_modes < 2:
+        raise ValueError("cannot condition away the only remaining mode")
+    m = state.index(measured_label)
+    keep = [j for j in range(state.n_modes) if j != m]
+    labels = tuple(state.labels[j] for j in keep)
+    quads = _quadrature_blocks(state.matrix)
+    if not (_above_hp_scale(state.matrix) or quads[0, 1].any() or quads[1, 0].any()):
+        blocks = _heterodyne_blocks(quads[[0, 1], [0, 1]], m, keep, quadrature)
+        return CovMat(_interleaved(blocks), labels)
+    # the measured mode's rows last, so that a, c and b are slices
+    order = np.ravel([(2 * j, 2 * j + 1) for j in [*keep, m]])
+    k = 2 * len(keep)
 
-    with mpmath.mp.workdps(40):
-        am = mpmath.matrix(a.tolist())
-        cm = mpmath.matrix(c.tolist())
-        bm = mpmath.matrix(b.tolist())
+    def schur(mp, sigma):
+        a, c, b = sigma[:k, :k], sigma[:k, k:], sigma[k:, k:]
         if quadrature is None:
-            bm[0, 0] += 1
-            bm[1, 1] += 1
-            x = am - cm * (bm**-1) * cm.T
+            x = a - c * (b + mp.eye(2)) ** -1 * c.T
         else:
             q = "xp".index(quadrature)
-            cq = cm[:, q]
-            x = am - cq * cq.T / bm[q, q]
-    return np.array([[float(x[i, j]) for j in range(x.cols)] for i in range(x.rows)])
+            x = a - c[:, q] * c[:, q].T / b[q, q]
+        return np.array(x.tolist(), dtype=float)
 
-
-def _conditioned_state(state: CovMat, measured_label: str, quadrature: str | None) -> CovMat:
-    """_condition_raw on a state, in high precision above _HP_SCALE, where
-    a state amplified in a raw basis needs it (_schur_hp)."""
-    if not _above_hp_scale(state.matrix):
-        return CovMat(*_condition_raw(state.matrix, state.labels, measured_label, quadrature))
-    a, c, b, rest = _split_for_measurement(state.matrix, state.labels, measured_label)
-    return CovMat(_schur_hp(a, c, b, quadrature), rest)
+    return CovMat(_high_precision(state.matrix[np.ix_(order, order)], schur), labels)
 
 
 def condition_heterodyne(state: CovMat, measured_label: str) -> CovMat:
@@ -721,7 +688,8 @@ def condition_heterodyne(state: CovMat, measured_label: str) -> CovMat:
 
     The conditional matrix sigma_rest - sigma_cross (sigma_meas + I)^-1
     sigma_cross^T does not depend on the measurement outcome. Above
-    _HP_SCALE it runs in high precision.
+    _HP_SCALE, or for a state that couples x and p, it runs in high
+    precision (_conditioned_state).
     """
     return _conditioned_state(state, measured_label, None)
 
@@ -729,9 +697,10 @@ def condition_heterodyne(state: CovMat, measured_label: str) -> CovMat:
 def condition_homodyne(state: CovMat, measured_label: str, quadrature: str = "x") -> CovMat:
     """Remaining covariance after an ideal homodyne measurement of one quadrature.
 
-    Above _HP_SCALE the Schur complement runs in high precision, as the
-    heterodyne one does; without it, amplified states such as
-    apply_symplectic's two_mode_squeezer output read unphysical.
+    Above _HP_SCALE, or for a state that couples x and p, the Schur
+    complement runs in high precision, as the heterodyne one does; without
+    it, amplified states such as apply_symplectic's two_mode_squeezer output
+    read unphysical.
     """
     if quadrature not in ("x", "p"):
         raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
@@ -790,58 +759,24 @@ def _channel_on_mode(mat: np.ndarray, i: int, tau: float, v: float) -> np.ndarra
     return out
 
 
-def _split_for_measurement(mat: np.ndarray, labels: tuple[str, ...], measured_label: str):
-    """(rest, cross, measured) blocks of a raw matrix, or of each matrix in a
-    stack, and the surviving labels."""
-    if len(labels) < 2:
-        raise ValueError("cannot condition away the only remaining mode")
-    i = _mode_index(labels, measured_label)
-    rest = [j for j in range(len(labels)) if j != i]
-    rest_rows = np.concatenate([[2 * j, 2 * j + 1] for j in rest])
-    meas_rows = np.array([2 * i, 2 * i + 1])
-    a = mat[..., rest_rows[:, None], rest_rows]
-    c = mat[..., rest_rows[:, None], meas_rows]
-    b = mat[..., meas_rows[:, None], meas_rows]
-    return a, c, b, tuple(labels[j] for j in rest)
-
-
-def _condition_raw(
-    mat: np.ndarray,
-    labels: tuple[str, ...],
-    measured_label: str,
-    quadrature: str | None = None,
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Schur complement of a raw matrix, or of each matrix in a stack, left
-    by an ideal measurement of one mode, and the surviving labels, in double
-    precision at every scale.
-
-    quadrature None is heterodyne, a - c (b + I)^-1 c^T; "x" or "p" is
-    homodyne of that quadrature, with the pseudo-inverse of b projected on
-    it in place of (b + I)^-1. It takes any state, x-p terms included, and
-    is accurate when the measured mode is not amplified against the others;
-    condition_heterodyne and condition_homodyne cover the other states. The
-    attack conditions its phase-insensitive states on their x and p blocks
-    instead (_heterodyne_blocks), with the same rounding.
-    """
-    a, c, b, rest = _split_for_measurement(mat, labels, measured_label)
-    if quadrature is None:
-        inner = np.linalg.inv(b + np.eye(2))
-    else:
-        proj = np.diag([1.0, 0.0]) if quadrature == "x" else np.diag([0.0, 1.0])
-        inner = np.linalg.pinv(proj @ b @ proj)
-    return a - c @ inner @ np.swapaxes(c, -1, -2), rest
-
-
-def _heterodyne_blocks(blocks: np.ndarray, m: int, keep) -> np.ndarray:
+def _heterodyne_blocks(blocks: np.ndarray, m: int, keep, quadrature: str | None = None):
     """The x and p blocks of the modes keep of a phase-insensitive state,
     given as x blocks over p blocks (2, ..., n, n), after a heterodyne
-    measurement of mode m: per quadrature the rank-one update
-    a - (c (1 / (b + 1))) c^T. It rounds as the 2 x 2 (b + I)^-1 of
-    _condition_raw does on the interleaved matrix, whose x-p terms add
-    exact zeros, and it is as accurate: the measured mode must not be
-    amplified against the kept ones."""
+    measurement of mode m, or a homodyne one of its quadrature "x" or "p":
+    per quadrature the rank-one update a - (c w) c^T, with the weight
+    w = 1 / (b + 1) for heterodyne, and for homodyne 1 / b on the measured
+    quadrature and 0 on the other, whose block it keeps. Double precision
+    holds it when the measured mode is not amplified against the kept ones,
+    as in every state the attack conditions."""
     keep = np.asarray(keep)
     a = blocks[..., keep[:, None], keep]
     c = blocks[..., keep, m]
-    scaled = c * (1.0 / (blocks[..., m, m] + 1.0))[..., None]
+    b = blocks[..., m, m]
+    if quadrature is None:
+        weight = 1.0 / (b + 1.0)
+    else:
+        q = "xp".index(quadrature)
+        weight = np.zeros_like(b)
+        weight[q] = 1.0 / b[q]
+    scaled = c * weight[..., None]
     return a - scaled[..., :, None] * c[..., None, :]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from test_bell_record import oracle_eve_info, row_noise
 
+import cvqkd_attacks.gaussian
 import cvqkd_attacks.verify
 from cvqkd_attacks.attacks import _feasible_eta_window, _match_noise, optimize_attack
 from cvqkd_attacks.cli import (
@@ -212,21 +213,22 @@ def test_sweep_identity_channel_exits_2(capsys):
 @pytest.mark.parametrize(
     "flags,head,needle",
     [
-        # double precision still breaks down at gains this far beyond the
-        # paper's: Eve's amplified pair, formed in her local basis, carries
-        # rounding of ~eps sqrt(g) into her O(1) mode; only the row and the
-        # reason are pinned
+        # at gains this far beyond the paper's, Eve's amplified pair carries
+        # rounding of ~eps sqrt(g) into her O(1) mode, and the matrix the
+        # high-precision spectrum would certify has entries past what its
+        # 30 digits resolve: the row is refused on that scale; only the row
+        # and the reason are pinned
         (
             ["--g-policy", "finite:1e100", "--gamma-count", "3"],
-            "error: row gamma = 0.4451652046870813: unphysical covariance matrix",
-            "smallest symplectic eigenvalue",
+            "error: row gamma = 0.4451652046870813: matrix entry",
+            "leaves fewer than 16 of the 30 high-precision digits",
         ),
         # Eve's entropies are finite even where (nu - 1)(nu + 1) overflows,
         # so no numpy warning precedes the one line
         (
             ["--g-policy", "finite:1e300", "--gamma-count", "3"],
-            "error: row gamma = 0.4451652046870813: unphysical covariance matrix",
-            "not positive definite",
+            "error: row gamma = 0.4451652046870813: matrix entry",
+            "leaves fewer than 16 of the 30 high-precision digits",
         ),
         # a source squeezing this close to 1 fails a row at the paper's own
         # gains (ROADMAP defect 2); the asymptotic policy gives a table
@@ -246,6 +248,45 @@ def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, he
     assert needle in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--tau", "0.9830094439396927", "--epsilon", "1.0", "--zeta", "0.9733417809706306",
+         "--reconciliation", "reverse", "--g-policy", "finite:4.1218e+08", "--gamma-count", "3"],
+        ["--tau", "0.05367095567141458", "--epsilon", "1.0", "--zeta", "0.9978883801035922",
+         "--reconciliation", "reverse", "--g-policy", "finite:2.46733e+06", "--gamma-count", "3"],
+        ["--tau", "0.15720918353788216", "--epsilon", "1.000000001", "--zeta",
+         "0.9594964267559948", "--reconciliation", "direct", "--g-policy", "finite:32118.8",
+         "--gamma-count", "11"],
+    ],
+    ids=["pure-loss-gain-4e8", "pure-loss-gain-2e6", "direct-gain-3e4"],
+)
+def test_sweeps_that_need_the_high_precision_spectrum_print_a_table(
+    capsys, tmp_path, monkeypatch, flags
+):
+    # each table holds attack states that double precision cannot certify
+    # (equilibrated condition bounds up to 4e11): the high-precision
+    # spectrum certifies them, and the run prints its table
+    refined = []
+    real = cvqkd_attacks.gaussian._refined_spectrum
+
+    def counted(matrix):
+        refined.append(matrix.shape)
+        return real(matrix)
+
+    monkeypatch.setattr(cvqkd_attacks.gaussian, "_refined_spectrum", counted)
+    out = tmp_path / "table.csv"
+    assert main(["sweep", *flags, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
+    assert len(rows) == int(flags[-1])
+    assert refined
+    for row in rows:
+        if row["feasible"] == "true":
+            assert float(row["residual"]) <= 1e-8
+            assert float(row["eve_info_bits"]) <= float(row["holevo_bits"])
 
 
 @pytest.mark.parametrize(

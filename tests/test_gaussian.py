@@ -21,17 +21,17 @@ from cvqkd_attacks.gaussian import (
     _act_on_modes,
     _block_diag,
     _check_physical,
-    _condition_raw,
     _heterodyne_blocks,
+    _high_precision,
     _interleaved,
     _quadrature_blocks,
     _refined_spectrum,
-    _spectrum_and_conditioning,
     _spectrum_entropy,
-    _split_for_measurement,
+    _split_spectrum,
     _symplectic_spectrum,
     _tmsv_entries,
     _tmsv_matrices,
+    _xp_blocks,
     apply_symplectic,
     beam_splitter,
     condition_heterodyne,
@@ -553,7 +553,7 @@ def test_refined_spectrum_matches_80_digit_oracle(g, gamma, eta):
     np.testing.assert_array_max_ulp(_refined_spectrum(eve), oracle, 1)
     # the double-precision spectrum reads each nu from the side of the
     # congruence on which it is large, to the equilibrated bound
-    nus, definite, cond = _spectrum_and_conditioning(eve[None])
+    nus, definite, cond = _split_spectrum(_xp_blocks(eve[None]))
     assert definite[0] and cond[0] < 1e5
     eps = np.finfo(float).eps
     assert np.all(np.abs(nus[0] - oracle) <= FAST_SPECTRUM_C * eps * oracle * cond[0])
@@ -570,9 +570,9 @@ FAST_SPECTRUM_C = 8.0
 
 
 def _spectrum_of(matrix):
-    """The double-precision spectrum of one matrix, and whether it is
-    positive definite: _spectrum_and_conditioning on a stack of one."""
-    nus, definite, _ = _spectrum_and_conditioning(matrix[None])
+    """The double-precision spectrum of one phase-insensitive matrix, and
+    whether it is positive definite: _split_spectrum on a stack of one."""
+    nus, definite, _ = _split_spectrum(_xp_blocks(matrix[None]))
     return nus[0], definite[0]
 
 
@@ -617,22 +617,26 @@ def _xp_entries(sigma: np.ndarray) -> np.ndarray:
 
 
 def test_fast_spectrum_matches_60_digit_oracle():
-    # states with x-p terms take the 2n x 2n factor; phase-insensitive ones
-    # take their x and p blocks, read from both sides past
-    # _INVERSE_SIDE_SCALE, under the same bound
+    # phase-insensitive states take their x and p blocks, read from both
+    # sides past _INVERSE_SIDE_SCALE, under the Cholesky bound; states with
+    # x-p terms have no double-precision route and take the high-precision
+    # spectrum, which rounds to within an ulp of the oracle
     rng = np.random.default_rng(20261018)
     eps = np.finfo(float).eps
     for phase_sensitive, top in ((True, 4.0), (False, 7.0)):
         scales, pure_modes = [], 0
         for _ in range(100):
             sigma = _random_gaussian_state(rng, 10.0 ** rng.uniform(0.0, top), phase_sensitive)
-            if not phase_sensitive:
-                assert not _xp_entries(sigma).any()
-            nus, definite = _spectrum_of(sigma)
-            assert definite
             oracle = _spectrum_by_general_eig(sigma, 60)
-            cond = np.linalg.norm(sigma, 2) * np.linalg.norm(np.linalg.inv(sigma), 2)
-            assert np.all(np.abs(nus - oracle) <= FAST_SPECTRUM_C * eps * oracle * cond)
+            if _xp_entries(sigma).any():
+                assert phase_sensitive
+                nus, definite = _symplectic_spectrum(sigma)
+                np.testing.assert_array_max_ulp(nus, oracle, 1)
+            else:
+                nus, definite = _spectrum_of(sigma)
+                cond = np.linalg.norm(sigma, 2) * np.linalg.norm(np.linalg.inv(sigma), 2)
+                assert np.all(np.abs(nus - oracle) <= FAST_SPECTRUM_C * eps * oracle * cond)
+            assert definite
             scales.append(np.abs(sigma).max())
             pure_modes += int(np.sum(np.abs(oracle - 1.0) < 1e-6))
         assert max(scales) > (1e3 if phase_sensitive else 1e6) and min(scales) < 10.0
@@ -640,23 +644,32 @@ def test_fast_spectrum_matches_60_digit_oracle():
 
 
 def test_fast_spectrum_stack_equals_each_member_alone():
-    # the second member has no Cholesky factor: the stack is factored member
-    # by member, that one gets |eig(Omega sigma)| and its neighbours keep
-    # their factored spectra; the last one couples x and p, so it takes the
-    # 2n x 2n factor while the others take their x and p blocks
+    # the second member has no Cholesky factor: the phase-insensitive stack
+    # is factored member by member, that one gets |eig(Omega sigma)| and its
+    # neighbours keep their factored spectra. In a stack with a member that
+    # couples x and p, that member takes the high-precision spectrum, the
+    # one below 1 is refined there too, and the others keep their own
     amplified = _act_on_modes(tmsv(0.9).matrix, two_mode_squeezer(1e3).matrix, [0, 1])
     rot = np.array([[math.cos(0.4), math.sin(0.4)], [-math.sin(0.4), math.cos(0.4)]])
     squeezed = _act_on_modes(tmsv(0.6).matrix, rot @ np.diag([2.0, 0.5]) @ rot.T, [1])
     members = [tmsv(0.3).matrix, np.diag([0.5, -0.5, 1.0, 1.0]), amplified, squeezed]
     assert [bool(_xp_entries(m).any()) for m in members] == [False, False, False, True]
-    nus, definite, _ = _spectrum_and_conditioning(np.stack(members))
-    assert definite.tolist() == [True, False, True, True]
+    nus, definite, _ = _split_spectrum(_xp_blocks(np.stack(members[:3])))
+    assert definite.tolist() == [True, False, True]
     general = np.abs(np.linalg.eigvals(symplectic_form(2) @ members[1]))
     assert np.array_equal(nus[1], np.sort(general)[::-1][::2])
-    for k, m in enumerate(members):
+    for k, m in enumerate(members[:3]):
         one, one_definite = _spectrum_of(m)
         assert np.array_equal(nus[k], one), k
         assert one_definite == definite[k]
+    nus, definite = _symplectic_spectrum(np.stack(members))
+    assert definite.tolist() == [True, False, True, True]
+    assert np.array_equal(nus[::2], _split_spectrum(_xp_blocks(np.stack(members[::2])))[0])
+    for k in (1, 3):
+        assert np.array_equal(nus[k], _refined_spectrum(members[k])), k
+    for k, m in enumerate(members):
+        one, one_definite = _symplectic_spectrum(m)
+        assert np.array_equal(nus[k], one) and one_definite == definite[k], k
     message = "unphysical covariance matrix: smallest symplectic eigenvalue 0.5"
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         _check_physical(np.stack(members))
@@ -690,7 +703,7 @@ def test_attack_spectra_take_half_size_factors(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
     for stack in (mat, mat[:, 4:, 4:], mat[:, 2:, 2:]):
-        _spectrum_and_conditioning(stack)
+        _symplectic_spectrum(stack)
     assert shapes and max(max(shape) for shape in shapes) <= 6, shapes
 
 
@@ -768,9 +781,11 @@ def test_heterodyne_conditioning_high_scale_matches_80_digit_oracle():
 def test_homodyne_conditioning_below_high_scale_keeps_double_precision(quadrature):
     joint = direct_sum(tmsv(0.7, ("x", "y")), thermal(1.5, "z"))
     st = apply_symplectic(joint, two_mode_squeezer(1.0e3), ("y", "z"))
-    proj = np.diag([1.0, 0.0]) if quadrature == "x" else np.diag([0.0, 1.0])
-    a, c, b = st.matrix[:4, :4], st.matrix[:4, 4:], st.matrix[4:, 4:]
-    cond = a - c @ np.linalg.pinv(proj @ b @ proj) @ c.T
+    # the rank-one update on the measured quadrature's column, whose
+    # entries in the other quadrature's rows are exactly 0.0
+    q = "xp".index(quadrature)
+    a, c, b = st.matrix[:4, :4], st.matrix[:4, 4 + q], st.matrix[4 + q, 4 + q]
+    cond = a - np.outer(c * (1.0 / b), c)
     expected = 0.5 * (cond + cond.T)
     assert np.array_equal(condition_homodyne(st, "z", quadrature).matrix, expected)
 
@@ -786,22 +801,32 @@ def _attack_stack(g: float, count: int = 7) -> np.ndarray:
     return _interleaved(blocks), _ATTACK_MODES
 
 
+def _interleaved_heterodyne(mat: np.ndarray, m: int) -> np.ndarray:
+    """Reference: the heterodyne Schur complement a - c (b + I)^-1 c^T of
+    mode m of one interleaved matrix, with its x-p terms."""
+    rest = np.ravel([(2 * j, 2 * j + 1) for j in range(mat.shape[-1] // 2) if j != m])
+    meas = [2 * m, 2 * m + 1]
+    a, c, b = mat[np.ix_(rest, rest)], mat[np.ix_(rest, meas)], mat[np.ix_(meas, meas)]
+    return a - c @ np.linalg.inv(b + np.eye(2)) @ c.T
+
+
 @pytest.mark.parametrize("g", [100.0, 1e6])
 def test_stacked_fast_spectrum_and_conditioning_equal_per_matrix_calls(g):
     mat, labels = _attack_stack(g)
     assert mat.shape == (7, 12, 12)
-    nus, definite, _ = _spectrum_and_conditioning(mat)
+    nus, definite, _ = _split_spectrum(_xp_blocks(mat))
     assert definite.all()
     for k in range(len(mat)):
         one, one_definite = _spectrum_of(mat[k])
         assert np.array_equal(nus[k], one)
         assert one_definite
-    for label in ("A", "B"):
-        cond, rest = _condition_raw(mat, labels, label)
+    blocks = _xp_blocks(mat)
+    for m in range(len(labels)):
+        rest = [j for j in range(len(labels)) if j != m]
+        cond = _heterodyne_blocks(blocks, m, rest)
         for k in range(len(mat)):
-            one, one_rest = _condition_raw(mat[k], labels, label)
-            assert rest == one_rest
-            assert np.array_equal(cond[k], one), (label, k)
+            one = _heterodyne_blocks(_xp_blocks(mat[k]), m, rest)
+            assert np.array_equal(cond[:, k], one), (m, k)
 
 
 @pytest.mark.parametrize("g", [100.0, 1e6])
@@ -811,10 +836,10 @@ def test_heterodyne_on_quadrature_blocks_rounds_as_the_whole_matrix(g):
     # matrix, whose x-p terms add exact zeros
     mat, labels = _attack_stack(g)
     blocks = _quadrature_blocks(mat)[[0, 1], [0, 1]]
-    for m, label in enumerate(("A", "B")):
+    for m in range(len(labels)):
         rest = [j for j in range(len(labels)) if j != m]
-        cond, _ = _condition_raw(mat, labels, label)
-        assert np.array_equal(_interleaved(_heterodyne_blocks(blocks, m, rest)), cond), label
+        whole = np.array([_interleaved_heterodyne(member, m) for member in mat])
+        assert np.array_equal(_interleaved(_heterodyne_blocks(blocks, m, rest)), whole), m
 
 
 def test_stacked_spectrum_and_conditioning_escalate_per_matrix():
@@ -827,21 +852,21 @@ def test_stacked_spectrum_and_conditioning_escalate_per_matrix():
         apply_symplectic(joint, two_mode_squeezer(g), ("y", "z")).matrix for g in (10.0, 100.0)
     ]
     mixed = np.stack([*small, _amplified_pair_with_thermal_partner().matrix])
-    assert _spectrum_and_conditioning(mixed)[2][-1] > _CERTIFIED_COND
+    assert _split_spectrum(_xp_blocks(mixed))[2][-1] > _CERTIFIED_COND
     nus, definite = _symplectic_spectrum(mixed)
     assert definite.all()
-    assert np.array_equal(nus[:2], _spectrum_and_conditioning(mixed[:2])[0])
+    assert np.array_equal(nus[:2], _split_spectrum(_xp_blocks(mixed[:2]))[0])
     assert np.array_equal(nus[2], _refined_spectrum(mixed[2]))
-    # heterodyne conditioning of attack states stays in double precision
-    # on both sides of the scale, each member as it is alone
+    # the heterodyne update of attack states stays in double precision on
+    # both sides of the scale, each member as it is alone
     small, labels = _attack_stack(100.0, 3)
     large, _ = _attack_stack(1e6, 3)
     mixed = np.concatenate([small, large[:1]])
     assert not _above_hp_scale(mixed[:3]).any() and _above_hp_scale(mixed[3])
-    cond, _ = _condition_raw(mixed, labels, "B")
+    rest = [j for j in range(len(labels)) if j != 1]
+    cond = _interleaved(_heterodyne_blocks(_xp_blocks(mixed), 1, rest))
     for k, member in enumerate(mixed):
-        a, c, b, _ = _split_for_measurement(member, labels, "B")
-        assert np.array_equal(cond[k], a - c @ np.linalg.inv(b + np.eye(2)) @ c.T), k
+        assert np.array_equal(cond[k], _interleaved_heterodyne(member, 1)), k
 
 
 def test_certified_members_above_hp_scale_stay_in_double_precision(monkeypatch):
@@ -909,3 +934,72 @@ def test_stacked_beam_splitters_equal_single_ones_and_keep_the_domain():
         beam_splitter(np.array([0.2, 1.3, 0.5]))
     with pytest.raises(ValueError, match="not symplectic"):
         Symplectic(np.stack([np.eye(4), np.diag([2.0, 2.0, 1.0, 1.0])]), 2)
+
+
+def test_high_precision_refuses_entries_it_cannot_resolve():
+    # 30 digits leave 16 below an entry of 1e14, and fewer past it
+    def corner(mp, sigma):
+        return float(sigma[0, 0])
+
+    assert _high_precision(np.diag([1e14, 1.0]), corner) == 1e14
+    message = "matrix entry 1e+14 leaves fewer than 16 of the 30 high-precision digits"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        _high_precision(np.diag([1.0, -math.nextafter(1e14, math.inf)]), corner)
+    # a spectrum that needs high precision, and a conditioning above
+    # _HP_SCALE, are refused on that scale with one line
+    rot = np.array([[math.cos(0.4), math.sin(0.4)], [-math.sin(0.4), math.cos(0.4)]])
+    squeezed = rot @ np.diag([3e15, 1.0 / 3e15]) @ rot.T
+    with pytest.raises(ValueError, match=r"^matrix entry 2\.5\d+e\+15 leaves fewer than 16 "):
+        CovMat(squeezed, ("m1",))
+    hot = direct_sum(tmsv(0.5, ("a", "b")), thermal(4e14, "c"))
+    message = "matrix entry 4e+14 leaves fewer than 16 of the 30 high-precision digits"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        condition_heterodyne(hot, "a")
+
+
+def _squeezed_coupled_state() -> CovMat:
+    # tmsv(0.8) on (x, y) with y squeezed at a phase against a thermal z:
+    # every mode couples x and p, entries stay below _HP_SCALE
+    rot = np.array([[math.cos(0.7), math.sin(0.7)], [-math.sin(0.7), math.cos(0.7)]])
+    joint = direct_sum(tmsv(0.8, ("x", "y")), thermal(1.5, "z"))
+    mixed = apply_symplectic(joint, beam_splitter(0.3), ("y", "z"))
+    squeeze = rot @ np.diag([30.0, 1.0 / 30.0]) @ rot.T
+    return CovMat(_act_on_modes(mixed.matrix, squeeze, [1]), mixed.labels)
+
+
+@pytest.mark.parametrize(
+    "quadrature", [None, "x", "p"], ids=["heterodyne", "homodyne-x", "homodyne-p"]
+)
+def test_coupled_state_conditioning_matches_80_digit_oracle(quadrature):
+    st = _squeezed_coupled_state()
+    assert _xp_entries(st.matrix).any() and not _above_hp_scale(st.matrix)
+    with mpmath.mp.workdps(80):
+        m = mpmath.matrix(st.matrix.tolist())
+        a, c, b = m[0:4, 0:4], m[0:4, 4:6], m[4:6, 4:6]
+        if quadrature is None:
+            x = a - c * (b + mpmath.eye(2)) ** -1 * c.T
+        else:
+            q = "xp".index(quadrature)
+            x = a - c[:, q] * c[:, q].T / b[q, q]
+        oracle = np.array([[float(x[i, j]) for j in range(4)] for i in range(4)])
+    if quadrature is None:
+        cond = condition_heterodyne(st, "z")
+    else:
+        cond = condition_homodyne(st, "z", quadrature)
+    assert cond.labels == ("x", "y")
+    np.testing.assert_array_max_ulp(cond.matrix, oracle, 1)
+
+
+def test_heterodyne_conditioning_below_high_scale_keeps_double_precision(monkeypatch):
+    # a phase-insensitive state below _HP_SCALE takes the block update, bit
+    # for bit the interleaved Schur complement, and never high precision
+    joint = direct_sum(tmsv(0.7, ("x", "y")), thermal(1.5, "z"))
+    st = apply_symplectic(joint, two_mode_squeezer(1.0e3), ("y", "z"))
+
+    def refuse(matrix, compute):
+        raise AssertionError("high precision reached")
+
+    monkeypatch.setattr(cvqkd_attacks.gaussian, "_high_precision", refuse)
+    for m, label in enumerate(st.labels):
+        cond = _interleaved_heterodyne(st.matrix, m)
+        assert np.array_equal(condition_heterodyne(st, label).matrix, 0.5 * (cond + cond.T)), label

@@ -1,6 +1,7 @@
 """Every name a module imports is used: a static scan of src/ and tests/.
 Every private function or class the package defines has a caller in the
-package: a static scan of src/.
+package, and mpmath is imported by one function of it: static scans of
+src/.
 
 The package's __init__.py is skipped by the import scan, as its imports
 are re-exports.
@@ -91,3 +92,46 @@ def test_scan_flags_only_private_names_without_a_caller():
 def test_every_private_name_has_a_caller_in_the_package():
     sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
     assert private_without_caller(sources) == []
+
+
+def functions_importing(sources: list[str], module: str) -> list[str]:
+    """Where the sources import module (plainly, under an alias or from
+    it): the name of the innermost function around each import, or
+    "<module>" for one at module level, in source order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name == module or name.startswith(module + ".") for name in names):
+                found.append(where)
+            visit(child, where)
+
+    for source in sources:
+        visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_each_import_of_a_module_and_its_function():
+    first = (
+        "import os\nimport mpmathx\n"
+        "def _hp():\n    import mpmath\n    return mpmath\n"
+        "class Cls:\n    def method(self):\n        from mpmath import mp\n"
+        "        def inner():\n            import mpmath.libmp as lib\n"
+        "        return mp\n"
+    )
+    second = "import mpmath\n"
+    assert functions_importing([first, second], "mpmath") == ["_hp", "method", "inner", "<module>"]
+
+
+def test_package_imports_mpmath_in_one_function():
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    assert functions_importing(sources, "mpmath") == ["_high_precision"]

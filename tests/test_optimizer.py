@@ -274,10 +274,10 @@ def test_finite_gain_sweep_runs_the_circuit_once_per_stage(monkeypatch):
 
 def test_first_failing_row_in_grid_order_is_reported():
     sc, _ = _config(g_policy="finite:1e100")
-    # the g = 1e100 row fails validation (double precision breaks down that
-    # far beyond the paper's gains) before the out-of-range row after it is
-    # reached
-    message = "unphysical covariance matrix: smallest symplectic eigenvalue 0.0625"
+    # the g = 1e100 row fails validation (its Eve block needs the
+    # high-precision spectrum, whose 30 digits cannot resolve entries that
+    # large) before the out-of-range row after it is reached
+    message = "matrix entry 7.50182e+103 leaves fewer than 16 of the 30 high-precision digits"
     with pytest.raises(RowError, match=re.escape(message) + "$") as info:
         optimize_attacks(sc, (0.9999, 1.5))
     assert info.value.gamma == 0.9999
