@@ -332,14 +332,16 @@ def _bell_record_info(sc: AttackScenario, ab, given_u, validate: bool):
     double-precision spectra are good to ~1e-15: only an exactly pure mode
     counts as pure, since the rounded tmsv inputs leave conditional modes
     up to ~1e-12 above nu = 1, worth up to 2e-11 bits. Each determinant is
-    np.linalg.det of the 2 x 2 diagonal, not the product of its entries,
-    which rounds differently. validate=True checks the F blocks
-    (_check_physical) and takes their validated spectra.
+    the product (x + 1)(p + 1) of m's x and p variances: np.linalg.det,
+    which computes it as sign * exp(logdet), lands up to 4 ulp off it.
+    validate=True checks the F blocks (_check_physical) and takes their
+    validated spectra.
     """
     i = _BELL_RECORD_MODES.index(sc.conditioned_label)
-    eye = np.eye(2)
-    v_m, v_m_given_u = (_interleaved(x[..., i : i + 1, i : i + 1]) + eye for x in (ab, given_u))
-    record = 0.5 * np.log2(np.linalg.det(v_m) / np.linalg.det(v_m_given_u))
+    det_m, det_m_given_u = (
+        (v[0, ..., i, i] + 1.0) * (v[1, ..., i, i] + 1.0) for v in (ab, given_u)
+    )
+    record = 0.5 * np.log2(det_m / det_m_given_u)
     # F1 and F2 are the last two modes
     f = given_u[..., 2:, 2:]
     s_f, s_f_given_m = _entropy_pair(f, _heterodyne_blocks(given_u, i, [2, 3]), validate, 0.0)
@@ -369,8 +371,11 @@ def _attack_point(sc: AttackScenario, alice, resource, eta, m, validate: bool = 
     within 1e-10 bits of the 60-digit circuit at g = 1e2 to 1e8 on the
     points tests/test_finite_gain.py checks, with no mpmath call. On the
     187-point first scan pass of the 11-row g = 100 sweep, one call takes
-    1.9-3.3 ms, 0.6-0.9 ms of it in the circuit (medians of 60 calls in
-    three processes, one core of a shared 2-core Xeon).
+    1.6-2.8 ms, 0.5-0.8 ms of it in the circuit; on the 697-point first
+    pass of the 41-row asymptotic sweep, whose two-mode spectra take the
+    closed form, 1.3-2.0 ms, 0.9-1.4 ms of it in _bell_record_raw, where
+    LAPACK spectra took it to 2.9-3.7 ms (medians of 60 calls in three
+    processes, one core of a shared 2-core Xeon).
 
     validate=True checks the attack state at finite g and every block whose
     entropy is taken (_check_physical on the interleaved matrices); the
@@ -492,13 +497,14 @@ def _validated_rows(sc: AttackScenario, alice, resources, gammas, picks, chi):
 
 
 def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
-    """Eve's best eta for each of a stack of rows (the rows' stacked
+    """Eve's best (eta, m) for each of a stack of rows (the rows' stacked
     _resource_matrix), each searched on its own feasible window, all rows
-    sharing each objective call; NaN for a row whose scan matched no eta.
+    sharing each objective call: the picked etas and the noises matched to
+    them, both NaN for a row whose scan matched no eta.
     """
     tau, v, gain = sc.channel.tau, sc.channel.v, sc.gain
     gammas = np.asarray(gammas, dtype=float)
-    best_etas = np.full(len(gammas), np.nan)
+    best_etas, best_noises = np.full(len(gammas), np.nan), np.full(len(gammas), np.nan)
     live = np.arange(len(gammas))
     # coarse-to-fine scan of the objective, one stacked evaluation per
     # pass; noise matching fails on the widened rim itself, so the first
@@ -517,7 +523,7 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
         keep = hits.any(axis=1)
         live, etas, noises, hits = live[keep], etas[keep], noises[keep], hits[keep]
         if not live.size:
-            return best_etas
+            return best_etas, best_noises
         values = np.full(etas.shape, -np.inf)
         rows = live[hits.nonzero()[0]]
         values[hits] = _eve_info_objective(sc, alice, resources[rows], etas[hits], noises[hits])
@@ -533,7 +539,7 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
     # last pass holds; its vertex, if it falls strictly inside the scan
     # best's bracket (the span above), replaces the scan best only if it
     # scores strictly higher
-    best_etas[live] = etas[at, best]
+    best_etas[live], best_noises[live] = etas[at, best], noises[at, best]
     near = np.minimum(np.maximum(best, 1), _SCAN_POINTS - 2)[:, None] + np.arange(-1, 2)
     (e_lo, e_mid, _), (f_lo, f_mid, f_hi) = (
         np.take_along_axis(x, near, axis=1).T for x in (etas, values)
@@ -549,8 +555,8 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
         # strictly between two matched points, so matched itself
         noises = _match_noise(gammas[rows], vertex, tau, v, gain)
         wins = _eve_info_objective(sc, alice, resources[rows], vertex, noises) > top
-        best_etas[rows[wins]] = vertex[wins]
-    return best_etas
+        best_etas[rows[wins]], best_noises[rows[wins]] = vertex[wins], noises[wins]
+    return best_etas, best_noises
 
 
 def _stacked_rows(sc: AttackScenario, gammas: tuple[float, ...]) -> list[AttackResult]:
@@ -585,10 +591,10 @@ def _stacked_rows(sc: AttackScenario, gammas: tuple[float, ...]) -> list[AttackR
         return alice, np.array([resources[row] for row in rows]), [gammas[row] for row in rows]
 
     if windows:
-        best_etas = _scan_windows(sc, *stack(windows), list(windows.values()))
-        for row, eta in zip(windows, best_etas.tolist()):
+        best = _scan_windows(sc, *stack(windows), list(windows.values()))
+        for row, eta, m in zip(windows, *(x.tolist() for x in best)):
             if not math.isnan(eta):
-                picks[row] = (eta, float(_match_noise(gammas[row], eta, tau, v, sc.gain)))
+                picks[row] = (eta, m)
     rows = sorted(picks)
     validated = dict(zip(rows, _validated_rows(sc, *stack(rows), [picks[r] for r in rows], chi)))
     return [validated.get(row) or _row_result(gamma, chi) for row, gamma in enumerate(gammas)]

@@ -16,10 +16,12 @@ Double precision has one state model. A phase-insensitive state (every x-p
 entry 0.0, as every state the package builds) is X (+) P on its x and p
 quadratures: one (2, ..., n, n) stack of x blocks over p blocks, the
 diagonal of _quadrature_blocks, acted on by the x and p parts of its maps,
-its spectrum read from their Cholesky factors (_split_spectrum), a measured
-mode removed per quadrature (_heterodyne_blocks). _interleaved forms the
-2n x 2n matrix only where a CovMat needs it. Every other spectrum or
-conditioning takes _high_precision, the one importer of mpmath.
+its spectrum read from their Cholesky factors (_split_spectrum), written
+out in closed form for a two-mode state (_two_mode_spectrum), which then
+makes no LAPACK call, a measured mode removed per quadrature
+(_heterodyne_blocks). _interleaved forms the 2n x 2n matrix only where a
+CovMat needs it. Every other spectrum or conditioning takes
+_high_precision, the one importer of mpmath.
 """
 
 from __future__ import annotations
@@ -226,12 +228,42 @@ def _split_spectrum(blocks: np.ndarray):
 
     sigma is X (+) P on its x and p quadratures, so its nu's are those of
     X P (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)): with X = L_X
-    L_X^T and P = L_P L_P^T, the n singular values of L_X^T L_P. Members
-    whose largest |entry| passes _INVERSE_SIDE_SCALE read the nu's below
-    sqrt(nu_max nu_min) from _inverse_side instead. A member without both
-    factors gets |eig(Omega sigma)| of its interleaved matrix (_eig_spectrum).
+    L_X^T and P = L_P L_P^T, the n singular values of L_X^T L_P. A
+    two-mode member whose largest |entry| is at most _INVERSE_SIDE_SCALE
+    takes them in closed form (_two_mode_spectrum): a LAPACK call costs
+    more than the 2 x 2 arithmetic, and the asymptotic attack's spectra are
+    all of this kind. Every other member takes LAPACK's factors
+    (_factored_spectrum). A member without both factors gets
+    |eig(Omega sigma)| of its interleaved matrix (_eig_spectrum). The route
+    is chosen per member.
     """
-    peak = np.abs(blocks).max(axis=(0, -2, -1))
+    k, n = blocks.shape[1], blocks.shape[-1]
+    # each member's largest |entry|: a reduction along the members' axis is
+    # several times faster than one over each member's few entries
+    peak = np.abs(blocks).transpose(0, 2, 3, 1).reshape(2 * n * n, k).max(axis=0)
+    if n == 2:
+        nus, definite = _two_mode_spectrum(blocks)
+        cond = np.full(k, np.inf)
+        # past the scale, or with a NaN entry
+        factored = ~(peak <= _INVERSE_SIDE_SCALE)
+        if factored.any():
+            nus[factored], definite[factored], cond[factored] = _factored_spectrum(
+                blocks[:, factored], peak[factored]
+            )
+    else:
+        nus, definite, cond = _factored_spectrum(blocks, peak)
+    if not definite.all():
+        nus[~definite] = _eig_spectrum(_interleaved(blocks[:, ~definite]))
+    return nus, definite, np.where(peak > _HP_SCALE, cond, 1.0)
+
+
+def _factored_spectrum(blocks: np.ndarray, peak: np.ndarray):
+    """_split_spectrum's LAPACK route: the singular values of L_X^T L_P
+    from the Cholesky factors of each member's x and p blocks, whether both
+    factors exist, and the _inverse_side condition bound (inf where it is
+    not taken). A member whose largest |entry| (peak) passes
+    _INVERSE_SIDE_SCALE reads the nu's below sqrt(nu_max nu_min) from
+    _inverse_side instead."""
     chol, definite = _cholesky_each(blocks)
     definite = definite[0] & definite[1]
     nus = np.linalg.svd(np.swapaxes(chol[0], -1, -2) @ chol[1], compute_uv=False)
@@ -245,9 +277,37 @@ def _split_spectrum(blocks: np.ndarray):
         # sqrt(nu_max nu_min), the inverse side's ~eps nu / nu_min below it
         upper = direct / inverse[:, -1:] > direct[:, :1] / direct
         nus[graded] = np.where(upper, direct, inverse)
-    if not definite.all():
-        nus[~definite] = _eig_spectrum(_interleaved(blocks[:, ~definite]))
-    return nus, definite, np.where(peak > _HP_SCALE, cond, 1.0)
+    return nus, definite, cond
+
+
+def _two_mode_spectrum(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_split_spectrum's direct side for a (2, k, 2, 2) stack, written out:
+    the nu's, descending, and whether each member is positive definite, as
+    all four Cholesky pivots of X and P are positive: l22 > 0 holds only
+    where l11 > 0, since l11 <= 0 or a NaN leaves l22 a NaN.
+
+    With the pivots l11 = sqrt(s11), l21 = s21 / l11, l22 = sqrt(s22 -
+    l21^2) of each block S (X or P, its lower triangle, as LAPACK reads it),
+    M = L_X^T L_P is the product the LAPACK route forms, and its singular
+    values are nu_+ = (hypot(m11 + m22, m12 - m21) + hypot(m11 - m22,
+    m12 + m21)) / 2, a sum of positive terms, and nu_- = |det M| / nu_+.
+    det M is taken from M's entries: the product of the pivots loses
+    ~eps * cond(sigma) on a squeezed member.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # an indefinite member's pivots
+        # each pivot of L_X over the same pivot of L_P, (2, k): x11 is L_X's
+        # l11, p11 L_P's
+        l11 = np.sqrt(blocks[..., 0, 0])
+        l21 = blocks[..., 1, 0] / l11
+        l22 = np.sqrt(blocks[..., 1, 1] - l21 * l21)
+        (x11, p11), (x21, p21), (x22, p22) = l11, l21, l22
+        m11, m12, m21, m22 = x11 * p11 + x21 * p21, x21 * p22, x22 * p21, x22 * p22
+        nus = np.empty(m11.shape + (2,))
+        upper = 0.5 * (np.hypot(m11 + m22, m12 - m21) + np.hypot(m11 - m22, m12 + m21))
+        nus[:, 0] = upper
+        # rounding can leave |det M| / nu_+ an ulp above nu_+ when they are equal
+        nus[:, 1] = np.minimum(np.abs(m11 * m22 - m12 * m21) / upper, upper)
+    return nus, (x22 > 0.0) & (p22 > 0.0)
 
 
 def _eig_spectrum(stack: np.ndarray) -> np.ndarray:

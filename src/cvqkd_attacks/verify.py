@@ -199,8 +199,9 @@ def _check_physicality_battery() -> float:
     eve_info(ao_attack_state(amplified, 0.7, 0.6, 0.03), amplified)
     pure = AttackScenario(GaussChannel(0.25, 0.75), zeta=0.7, gain=1e6)
     eve_info(ao_attack_state(pure, 0.6, 0.25 / 0.36, 0.0), pure)
-    min_nu, _ = physicality_audit()
-    return max(0.0, 1.0 - min_nu)
+    min_nu, count = physicality_audit()
+    # an audit that counted no state has checked nothing
+    return max(0.0, 1.0 - min_nu) if count else math.inf
 
 
 @dataclass(frozen=True)

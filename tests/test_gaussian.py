@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 import cvqkd_attacks.gaussian
-from cvqkd_attacks.attacks import _match_noise, _resource_matrix
+from cvqkd_attacks.attacks import _match_noise, _resource_matrix, optimize_attacks
 from cvqkd_attacks.channels import GaussChannel
+from cvqkd_attacks.cli import RunConfig, scenario_from
 from cvqkd_attacks.gaussian import (
     _CERTIFIED_COND,
     _HP_SCALE,
+    _INVERSE_SIDE_SCALE,
     CovMat,
     Symplectic,
     _above_hp_scale,
@@ -47,6 +49,7 @@ from cvqkd_attacks.gaussian import (
     two_mode_squeezer,
     von_neumann_entropy,
 )
+from cvqkd_attacks.keyrate import default_gamma_grid
 from cvqkd_attacks.teleportation import _ATTACK_MODES, _pipeline_raw
 
 
@@ -707,8 +710,9 @@ def test_attack_spectra_take_half_size_factors(monkeypatch):
     assert shapes and max(max(shape) for shape in shapes) <= 6, shapes
 
 
-def test_check_physical_factors_each_matrix_once(monkeypatch):
-    calls = {"cholesky": 0, "eigvals": 0}
+def _count_linalg_calls(monkeypatch, names) -> dict[str, int]:
+    """Count the calls to each named np.linalg function from here on."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         inner = getattr(np.linalg, name)
@@ -719,11 +723,127 @@ def test_check_physical_factors_each_matrix_once(monkeypatch):
 
         return wrapper
 
-    members = np.stack([tmsv(k).matrix for k in (0.0, 0.4, 0.9)])
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(np.linalg, name, counted(name))
+    return calls
+
+
+def test_check_physical_factors_each_matrix_once(monkeypatch):
+    # three-mode members take LAPACK's factors: one factorization for the
+    # whole phase-insensitive stack and no general eigensolve; two-mode
+    # members take the closed form and make no LAPACK call at all
+    joint = direct_sum(tmsv(0.7, ("x", "y")), thermal(1.5, "z"))
+    members = np.stack(
+        [apply_symplectic(joint, beam_splitter(t), ("y", "z")).matrix for t in (0.2, 0.5, 0.9)]
+    )
+    calls = _count_linalg_calls(monkeypatch, ["cholesky", "eigvals"])
     _check_physical(members)
     assert calls == {"cholesky": 1, "eigvals": 0}
+    calls = _count_linalg_calls(monkeypatch, ["cholesky", "svd", "eigvals", "inv", "det"])
+    _check_physical(np.stack([tmsv(k).matrix for k in (0.0, 0.4, 0.9)]))
+    assert calls == {"cholesky": 0, "svd": 0, "eigvals": 0, "inv": 0, "det": 0}
+
+
+def _two_mode_oracle(blocks: np.ndarray) -> np.ndarray:
+    """60-digit nu's, descending, of a (2, k, 2, 2) stack of x blocks over p
+    blocks, each read as the symmetric matrix of its lower triangle, as a
+    Cholesky factorization reads it: with t and d the trace and determinant
+    of X P, nu_+^2 = (t + sqrt(t^2 - 4 d)) / 2 and nu_- = sqrt(d) / nu_+."""
+    out = []
+    with mpmath.workdps(60):
+        for x, p in zip(*(b.tolist() for b in blocks)):
+            (x11, _), (x21, x22) = x
+            (p11, _), (p21, p22) = p
+            x11, x21, x22, p11, p21, p22 = map(mpmath.mpf, (x11, x21, x22, p11, p21, p22))
+            t = x11 * p11 + 2 * x21 * p21 + x22 * p22
+            d = (x11 * x22 - x21 * x21) * (p11 * p22 - p21 * p21)
+            # t^2 - 4 d >= 0 exactly; 60 digits leave it >= -1e-58 t^2
+            upper = mpmath.sqrt((t + mpmath.sqrt(max(t * t - 4 * d, 0))) / 2)
+            out.append((float(upper), float(mpmath.sqrt(d) / upper)))
+    return np.array(out)
+
+
+def test_two_mode_closed_form_is_no_worse_than_lapack_on_amplified_states():
+    # tmsv(gamma) through a two-mode squeezer, entries up to
+    # _INVERSE_SIDE_SCALE: ill-conditioned members, where both routes lose
+    # ~eps * cond(sigma). The closed form's worst and total errors against
+    # the 60-digit spectrum are no larger than those of LAPACK's Cholesky
+    # factors and SVD, the route it replaces, and stay under the Cholesky
+    # bound; on the amplified member of the stack test it reads 1.00000012,
+    # as _refined_spectrum does, where LAPACK reads 1.00000026
+    rng = np.random.default_rng(20261019)
+    mats = []
+    while len(mats) < 200:
+        g = 10.0 ** rng.uniform(0.0, 4.0)
+        m = _act_on_modes(tmsv(rng.uniform(0.0, 0.99)).matrix, two_mode_squeezer(g).matrix, [0, 1])
+        if np.abs(m).max() <= _INVERSE_SIDE_SCALE:
+            mats.append(0.5 * (m + m.T))
+    mats = np.array(mats)
+    blocks = _xp_blocks(mats)
+    oracle = _two_mode_oracle(blocks)
+    closed = np.abs(_split_spectrum(blocks)[0] - oracle)
+    chol = np.linalg.cholesky(blocks)
+    lapack = np.abs(np.linalg.svd(chol[0].swapaxes(-1, -2) @ chol[1], compute_uv=False) - oracle)
+    assert 1e-8 < closed.max() <= lapack.max()
+    assert closed.sum() <= lapack.sum()
+    cond = np.linalg.cond(mats)[:, None]
+    assert np.all(closed <= FAST_SPECTRUM_C * np.finfo(float).eps * oracle * cond)
+    amplified = _act_on_modes(tmsv(0.9).matrix, two_mode_squeezer(1e3).matrix, [0, 1])
+    blocks = _xp_blocks(amplified)
+    chol = np.linalg.cholesky(blocks)
+    lapack = np.linalg.svd(chol[0].T @ chol[1], compute_uv=False)
+    refined = _refined_spectrum(amplified)
+    assert np.abs(_spectrum_of(amplified)[0] - refined).max() < 1e-10
+    assert np.abs(lapack - refined).min() > 1e-7
+
+
+def test_two_mode_closed_form_matches_60_digit_oracle_on_the_asymptotic_sweep(monkeypatch):
+    # the F blocks of Eve's tap modes, before and after the heterodyne, that
+    # the objective reads in the 41-row default sweep: every nu within 1e-15
+    # relative of its 60-digit value
+    seen = []
+
+    def recorded(blocks):
+        seen.append(blocks)
+        return _split_spectrum(blocks)
+
+    monkeypatch.setattr(cvqkd_attacks.attacks, "_split_spectrum", recorded)
+    cfg = RunConfig()
+    sc = scenario_from(cfg)
+    optimize_attacks(sc, default_gamma_grid(sc, cfg.gamma_count, cfg.gamma_lo, cfg.gamma_hi))
+    blocks = np.concatenate(seen, axis=1)
+    assert blocks.shape[1] > 4000 and blocks.shape[-1] == 2
+    nus = _split_spectrum(blocks)[0]
+    assert np.abs(nus / _two_mode_oracle(blocks) - 1.0).max() <= 1e-15
+
+
+def test_two_mode_spectrum_of_equal_nus_stays_descending():
+    # two thermal modes of one variance: |det M| / nu_+ rounds an ulp above
+    # nu_+ at 1.5, 1.6, 1.9 and 3.0, where nu_- is held to nu_+
+    variances = np.linspace(1.0, 3.0, 41)
+    nus, definite, _ = _split_spectrum(_xp_blocks(np.array([v * np.eye(4) for v in variances])))
+    assert definite.all() and (nus[:, 0] >= nus[:, 1]).all()
+    assert np.abs(nus / variances[:, None] - 1.0).max() <= 2 * np.finfo(float).eps
+
+
+def test_two_mode_routes_are_chosen_per_member():
+    # a definite member takes the closed form, an indefinite one the
+    # general eigensolve, a graded one (entries past _INVERSE_SIDE_SCALE)
+    # LAPACK's factors read from both sides: in one stack each is bit for
+    # bit its lone value, and the rejection names the indefinite member's nu
+    graded = _act_on_modes(tmsv(0.9).matrix, two_mode_squeezer(1e4).matrix, [0, 1])
+    members = [tmsv(0.3).matrix, np.diag([0.5, -0.5, 1.0, 1.0]), 0.5 * (graded + graded.T)]
+    assert _INVERSE_SIDE_SCALE < np.abs(members[2]).max() <= _HP_SCALE
+    nus, definite, _ = _split_spectrum(_xp_blocks(np.stack(members)))
+    assert definite.tolist() == [True, False, True]
+    for k, m in enumerate(members):
+        one, one_definite = _spectrum_of(m)
+        assert np.array_equal(nus[k], one) and one_definite == definite[k], k
+    message = "unphysical covariance matrix: smallest symplectic eigenvalue 0.5"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        _check_physical(np.stack(members))
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        CovMat(members[1], ("m1", "m2"))
 
 
 @pytest.mark.parametrize(

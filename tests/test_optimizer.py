@@ -272,6 +272,39 @@ def test_finite_gain_sweep_runs_the_circuit_once_per_stage(monkeypatch):
     assert len(calls) == _SCAN_PASSES + 2, calls
 
 
+def test_asymptotic_sweep_makes_no_lapack_call(monkeypatch):
+    # at g = inf every spectrum is of a two-mode block below
+    # _INVERSE_SIDE_SCALE, read in closed form, and the Bell record's
+    # determinants are products: the 41-row default sweep, scan, refit and
+    # validation, makes no np.linalg call
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    sc, cfg = _config()
+    grid = _grid(sc, cfg, cfg.gamma_count)
+    with monkeypatch.context() as patch:
+        for name in ("svd", "cholesky", "det", "eigvals", "inv"):
+            patch.setattr(np.linalg, name, refuse)
+        rows = optimize_attacks(sc, grid)
+    assert len(rows) == 41 and all(row.feasible for row in rows)
+
+
+def test_finite_gain_sweep_takes_svds_only_past_two_modes(monkeypatch):
+    # at g = 100 the two-mode (A, B) blocks take the closed form, and only
+    # Eve's four-mode blocks reach LAPACK's SVD
+    shapes = []
+    real = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    sc, cfg = _config(g_policy="finite:100", gamma_hi=0.99)
+    assert all(row.feasible for row in optimize_attacks(sc, _grid(sc, cfg, 11)))
+    assert shapes and min(shapes) > 2, shapes
+
+
 def test_first_failing_row_in_grid_order_is_reported():
     sc, _ = _config(g_policy="finite:1e100")
     # the g = 1e100 row fails validation (its Eve block needs the

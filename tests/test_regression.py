@@ -24,7 +24,11 @@ information and residual as `float.hex`, recorded at commit e9ae90a with
 `optimize_attacks` on the CLI's grid, and recorded again when Eve's tap
 became one map on vacuum inputs built from her matched noise (20 rows moved
 in their last bits, each new value within 7.3e-12 bits of the 60-digit
-circuit at its pick); the rows must reproduce them exactly.
+circuit at its pick), and once more for the asymptotic rows when their
+two-mode spectra took a closed form and the Bell record's determinants
+became products (5 rows moved by at most 4.2e-13 in eta* and 4.0e-12 bits
+in information, each within 5.9e-15 bits of the 60-digit circuit at its
+pick); the rows must reproduce them exactly.
 """
 
 import csv

@@ -78,3 +78,13 @@ def test_run_all_stays_within_its_validation_budget(cold_anchor_rows, monkeypatc
     monkeypatch.setattr(attacks, "_check_physical", counted)
     assert all(result.passed for result in verify.run_all())
     assert len(calls) <= 160, len(calls)
+
+
+def test_physicality_battery_fails_when_the_audit_counted_nothing(monkeypatch):
+    # an empty audit reads min_nu = inf, and 1 - inf would pass: a battery
+    # that checked no state must fail
+    (battery,) = [check for check in verify.CHECKS if check.name == "physicality-battery"]
+    assert verify.run_all((battery,))[0].passed
+    monkeypatch.setattr(verify, "physicality_audit", lambda: (math.inf, 0))
+    (result,) = verify.run_all((battery,))
+    assert result.measured == math.inf and not result.passed
