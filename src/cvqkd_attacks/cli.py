@@ -1,13 +1,17 @@
 """Command-line surface: flat key = value configs, four subcommands
 (channel, sweep, telesim, verify), deterministic CSV output.
 
+Flags are `--config PATH`, each config key with `-` for `_`, and on telesim
+`--gamma` and `--lam`; `--tau=0.5` and a unique prefix (`--gamma-c 6`) work,
+the last of a repeated flag wins, and a flag's value goes through its key's
+config parser. `-h`/`--help` lists the flags.
+
 Exit codes: 0 success, 1 configuration or flag error, 2 runtime or
 infeasibility error, 3 verification-suite failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -81,33 +85,34 @@ def _parse_gamma_min(field: str, raw: str) -> float | None:
     return None if raw == "auto" else _parse_float(field, raw)
 
 
-# Config key (also the flag's dest) -> (RunConfig field, parser), in the
-# order serialize_config writes them.
+# Config key -> (RunConfig field, parser, flag help), in the order
+# serialize_config writes them. The key's flag is --<key> with "-" for "_".
 _FIELDS = {
-    "tau": ("tau", _parse_float),
-    "epsilon": ("epsilon", _parse_float),
-    "v": ("v", _parse_float),
-    "zeta": ("zeta", _parse_float),
-    "beta": ("beta", _parse_float),
-    "reconciliation": ("reconciliation", _parse_str),
-    "g_policy": ("g_policy", _parse_str),
-    "gamma_min": ("gamma_lo", _parse_gamma_min),
-    "gamma_max": ("gamma_hi", _parse_float),
-    "gamma_count": ("gamma_count", _parse_int),
-    "output": ("output", _parse_str),
-    "precision": ("precision", _parse_int),
+    "tau": ("tau", _parse_float, "channel transmissivity"),
+    "epsilon": ("epsilon", _parse_float, "excess-noise factor, v = (1 - tau) epsilon"),
+    "v": ("v", _parse_float, "added noise directly (excludes --epsilon)"),
+    "zeta": ("zeta", _parse_float, "source tmsv squeezing"),
+    "beta": ("beta", _parse_float, "reconciliation efficiency"),
+    "reconciliation": ("reconciliation", _parse_str, "direct or reverse"),
+    "g_policy": ("g_policy", _parse_str, "asymptotic or finite:<gain>"),
+    "gamma_min": ("gamma_lo", _parse_gamma_min, "sweep start; 'auto' = gamma_min"),
+    "gamma_max": ("gamma_hi", _parse_float, "sweep end, < 1"),
+    "gamma_count": ("gamma_count", _parse_int, "sweep points"),
+    "output": ("output", _parse_str, "CSV output path"),
+    "precision": ("precision", _parse_int, "decimal places in reports and CSV"),
 }
-_CONFIG_KEYS = tuple(_FIELDS)
 
 
-def _override(cfg: RunConfig, values: dict) -> RunConfig:
-    """cfg with every config key present (not None) in values parsed into its
-    field. epsilon and v are two spellings of the channel noise, so setting
-    one clears the other; callers reject values that set both."""
+def _override(cfg: RunConfig, values: dict[str, str]) -> RunConfig:
+    """cfg with every config key in values parsed into its field. epsilon and
+    v are two spellings of the channel noise, so setting one clears the
+    other, and values may not set both."""
+    if "epsilon" in values and "v" in values:
+        raise ConfigError("keys 'epsilon' and 'v' are mutually exclusive")
     fields = {
         field: parse(key, values[key])
-        for key, (field, parse) in _FIELDS.items()
-        if values.get(key) is not None
+        for key, (field, parse, _) in _FIELDS.items()
+        if key in values
     }
     if "v" in fields:
         fields["epsilon"] = None
@@ -185,16 +190,13 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
         seen[key] = value
-
-    if "epsilon" in seen and "v" in seen:
-        raise ConfigError(f"{source}: keys 'epsilon' and 'v' are mutually exclusive")
 
     cfg = _override(RunConfig(), seen)
     validate_config(cfg)
@@ -204,7 +206,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical config text; parse(serialize(cfg)) == cfg."""
     lines = []
-    for key, (field, _) in _FIELDS.items():
+    for key, (field, _, _) in _FIELDS.items():
         value = getattr(cfg, field)
         if value is None:
             if key != "gamma_min":
@@ -236,19 +238,11 @@ def _fmt(x: float, precision: int) -> str:
 
 
 def format_sweep_csv(table: SweepTable, precision: int) -> str:
+    # the columns are SweepRow's fields, in order; feasible, the last, is no number
+    *numbers, _ = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
     for r in table.rows:
-        numbers = (
-            r.gamma,
-            r.ent_ebits,
-            r.eta_star,
-            r.kappa_star,
-            r.eve_info_bits,
-            r.holevo_bits,
-            r.key_rate_bits,
-            r.residual,
-        )
-        fields = [_fmt(x, precision) for x in numbers]
+        fields = [_fmt(getattr(r, name), precision) for name in numbers]
         fields.append("true" if r.feasible else "false")
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
@@ -332,87 +326,92 @@ def cmd_verify() -> int:
     return EXIT_OK if n_pass == len(results) else EXIT_VERIFY
 
 
-class _ArgumentError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # exit code 1 on bad flags instead of argparse's default 2
-    def error(self, message):
-        raise _ArgumentError(message)
-
-
-def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key = value config file")
-    common.add_argument("--tau", type=float, help="channel transmissivity")
-    common.add_argument("--epsilon", type=float, help="excess-noise factor, v = (1 - tau) epsilon")
-    common.add_argument("--v", type=float, help="added noise directly (excludes --epsilon)")
-    common.add_argument("--zeta", type=float, help="source tmsv squeezing")
-    common.add_argument("--beta", type=float, help="reconciliation efficiency")
-    common.add_argument("--reconciliation", choices=("direct", "reverse"))
-    common.add_argument("--g-policy", dest="g_policy", help="asymptotic or finite:<gain>")
-    common.add_argument("--gamma-min", dest="gamma_min", help="sweep start; 'auto' = gamma_min")
-    common.add_argument("--gamma-max", dest="gamma_max", type=float, help="sweep end, < 1")
-    common.add_argument("--gamma-count", dest="gamma_count", type=int, help="sweep points")
-    common.add_argument("--output", help="CSV output path")
-    common.add_argument("--precision", type=int, help="decimal places in reports and CSV")
-
-    parser = _Parser(
-        prog="cvqkd-attacks",
-        description="Covariance-matrix simulation of teleportation-based attacks on CV-QKD.",
+def _help() -> str:
+    fields = "\n".join(
+        f"  --{key.replace('_', '-'):<16}{text}" for key, (_, _, text) in _FIELDS.items()
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    sub.add_parser("channel", parents=[common], help="channel taxonomy and entanglement bounds")
-    sub.add_parser("sweep", parents=[common], help="resource sweep to CSV")
-    p_tele = sub.add_parser("telesim", parents=[common], help="one-shot teleporter comparison")
-    p_tele.add_argument("--gamma", type=float, required=True, help="resource tmsv squeezing")
-    p_tele.add_argument("--lam", type=float, default=1.0, help="teleportation gain (default 1)")
-    sub.add_parser("verify", parents=[common], help="run the built-in verification suite")
-    return parser
+    return f"""usage: cvqkd-attacks {{channel,sweep,telesim,verify}} [--flag VALUE ...]
+
+Covariance-matrix simulation of teleportation-based attacks on CV-QKD.
+
+commands:
+  channel   channel taxonomy and entanglement bounds
+  sweep     resource sweep to CSV
+  telesim   one-shot teleporter comparison
+  verify    run the built-in verification suite
+
+flags (--flag=VALUE and a unique prefix also work; flags override --config):
+  --config          key = value config file
+{fields}
+  --gamma           telesim only, required: resource tmsv squeezing
+  --lam             telesim only: teleportation gain (default 1)"""
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    if args.config:
+def _parse_argv(argv: list[str]) -> tuple[str, dict[str, str]]:
+    """The command and each given flag's raw value by key: 'config', a
+    _FIELDS key, or on telesim 'gamma' and 'lam'."""
+    if not argv or argv[0] not in ("channel", "sweep", "telesim", "verify"):
+        got = repr(argv[0]) if argv else "none"
+        raise ConfigError(f"expected a command (channel, sweep, telesim, verify), got {got}")
+    command, tokens = argv[0], iter(argv[1:])
+    keys = ["config", *_FIELDS] + (["gamma", "lam"] if command == "telesim" else [])
+    flags = {"--" + key.replace("_", "-"): key for key in keys}
+    values = {}
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if not name.startswith("--") or name == "--":
+            raise ConfigError(f"unexpected argument {token!r}")
+        matches = [name] if name in flags else [flag for flag in flags if flag.startswith(name)]
+        if not matches:
+            raise ConfigError(f"unknown flag {name} for {command}")
+        if len(matches) > 1:
+            raise ConfigError(f"ambiguous flag {name}: could be {', '.join(matches)}")
+        if not eq:
+            value = next(tokens, None)
+            # as argparse reads it: "-0.5" and "-" are values, "-x" and "--tau" are not
+            if value is None or (value.startswith("-") and value[1:2] not in "0123456789."):
+                raise ConfigError(f"flag {matches[0]}: expected a value")
+        values[flags[matches[0]]] = value
+    if command == "telesim" and "gamma" not in values:
+        raise ConfigError("telesim needs --gamma")
+    return command, values
+
+
+def _load_config(values: dict[str, str]) -> RunConfig:
+    path, text = values.get("config", ""), ""
+    if path:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-        cfg = parse_config(text, source=args.config)
-    else:
-        cfg = RunConfig()
-
-    if args.epsilon is not None and args.v is not None:
-        raise ConfigError("flags --epsilon and --v are mutually exclusive")
-    cfg = _override(cfg, vars(args))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+    cfg = _override(parse_config(text, source=path), values)
     validate_config(cfg)
     return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_help())
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
-    except _ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        cfg = _load_config(args)
+        command, values = _parse_argv(argv)
+        cfg = _load_config(values)
+        if command == "telesim":
+            gamma = _parse_float("gamma", values["gamma"])
+            lam = _parse_float("lam", values.get("lam", "1"))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "channel":
+    if command == "channel":
         return cmd_channel(cfg)
-    if args.command == "sweep":
+    if command == "sweep":
         return cmd_sweep(cfg)
-    if args.command == "verify":
+    if command == "verify":
         return cmd_verify()
-    if args.command == "telesim":
-        return cmd_telesim(cfg, args.gamma, args.lam)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return cmd_telesim(cfg, gamma, lam)
 
 
 def entry() -> None:

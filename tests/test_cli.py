@@ -2,16 +2,21 @@
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from test_bell_record import oracle_eve_info, row_noise
 
+import cvqkd_attacks.cli
 import cvqkd_attacks.gaussian
 import cvqkd_attacks.verify
 from cvqkd_attacks.attacks import _feasible_eta_window, _match_noise, optimize_attack
 from cvqkd_attacks.cli import (
+    _FIELDS,
     CSV_HEADER,
     ConfigError,
     RunConfig,
@@ -133,6 +138,171 @@ def test_bad_flag_exits_1(capsys):
 def test_bad_value_exits_1(capsys):
     assert main(["channel", "--tau", "1.5"]) == 1
     assert "'tau'" in capsys.readouterr().err
+
+
+# a valid raw value, not the default, for every config key
+_RAW = {
+    "tau": "0.5",
+    "epsilon": "1.2",
+    "v": "0.8",
+    "zeta": "0.5",
+    "beta": "0.9",
+    "reconciliation": "direct",
+    "g_policy": "finite:1e3",
+    "gamma_min": "0.5",
+    "gamma_max": "0.9",
+    "gamma_count": "7",
+    "output": "x.csv",
+    "precision": "5",
+}
+
+# a malformed raw value for every config key but output, whose only bad
+# value is the empty one, which a config file refuses as a line
+_MALFORMED = {
+    "tau": "abc",
+    "epsilon": "1,2",
+    "v": "0.8.1",
+    "zeta": "0.5x",
+    "beta": "nine",
+    "reconciliation": "fast",
+    "g_policy": "someday",
+    "gamma_min": "sometime",
+    "gamma_max": "0x1p-1",
+    "gamma_count": "2.5",
+    "precision": "five",
+}
+
+
+def _channel_config(monkeypatch, argv: list[str]) -> RunConfig:
+    """The RunConfig that `channel` would report on for argv's flags."""
+    seen = []
+    monkeypatch.setattr(cvqkd_attacks.cli, "cmd_channel", lambda cfg: seen.append(cfg) or 0)
+    assert main(["channel", *argv]) == 0
+    return seen[0]
+
+
+def test_every_config_key_has_a_raw_value():
+    assert set(_RAW) == set(_FIELDS)
+    assert set(_MALFORMED) == set(_FIELDS) - {"output"}
+
+
+@pytest.mark.parametrize("key", list(_FIELDS))
+def test_flag_and_config_file_give_the_same_config(monkeypatch, tmp_path, key):
+    path = tmp_path / "one.cfg"
+    path.write_text(f"{key} = {_RAW[key]}\n", encoding="utf-8")
+    from_flag = _channel_config(monkeypatch, [f"--{key.replace('_', '-')}", _RAW[key]])
+    assert from_flag == _channel_config(monkeypatch, ["--config", str(path)])
+    assert from_flag == parse_config(path.read_text(encoding="utf-8"))
+    assert from_flag != RunConfig()
+
+
+@pytest.mark.parametrize("key", list(_MALFORMED))
+def test_flag_and_config_file_give_the_same_error(capsys, tmp_path, key):
+    path = tmp_path / "one.cfg"
+    path.write_text(f"{key} = {_MALFORMED[key]}\n", encoding="utf-8")
+    assert main(["sweep", f"--{key.replace('_', '-')}={_MALFORMED[key]}"]) == 1
+    from_flag = capsys.readouterr()
+    assert main(["sweep", "--config", str(path)]) == 1
+    from_file = capsys.readouterr()
+    assert from_flag.out == from_file.out == ""
+    assert from_flag.err == from_file.err
+    assert from_flag.err.startswith("error: field ")
+    assert from_flag.err.count("\n") == 1
+
+
+def test_malformed_number_names_the_field(capsys):
+    assert main(["sweep", "--tau", "abc"]) == 1
+    assert capsys.readouterr().err == "error: field 'tau': expected a number, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "argv,field,value",
+    [
+        (["--gamma-c", "6"], "gamma_count", 6),
+        (["--g-", "finite:50"], "g_policy", "finite:50"),
+        (["--tau=0.5"], "tau", 0.5),
+        (["--gamma-min=auto"], "gamma_lo", None),
+        (["--tau", "0.5", "--tau", "0.6"], "tau", 0.6),
+        (["--output", "-"], "output", "-"),
+    ],
+    ids=["prefix", "short-prefix", "equals", "auto", "repeated", "dash-value"],
+)
+def test_flag_spellings_reach_the_config(monkeypatch, argv, field, value):
+    assert getattr(_channel_config(monkeypatch, argv), field) == value
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        ([], "expected a command"),
+        (["frob"], "expected a command"),
+        (["--tau", "0.5", "channel"], "expected a command"),
+        (["sweep", "--gamma", "3"], "ambiguous flag --gamma"),
+        (["telesim", "--gam", "0.5"], "ambiguous flag --gam"),
+        (["channel", "--tau"], "flag --tau: expected a value"),
+        (["channel", "--output", "--tau", "0.5"], "flag --output: expected a value"),
+        (["channel", "--tau", "-inf"], "flag --tau: expected a value"),
+        (["channel", "--frob", "1"], "unknown flag --frob"),
+        (["channel", "-x"], "unexpected argument '-x'"),
+        (["channel", "stray"], "unexpected argument 'stray'"),
+        (["telesim"], "telesim needs --gamma"),
+        (["telesim", "--lam", "1"], "telesim needs --gamma"),
+        (["telesim", "--gamma", "abc"], "field 'gamma': expected a number"),
+        (["telesim", "--gamma", "0.5", "--lam", "x"], "field 'lam': expected a number"),
+        (["sweep", "--lam", "1"], "unknown flag --lam for sweep"),
+        (["verify", "--gamma=0.5"], "ambiguous flag --gamma"),
+        (["channel", "--epsilon", "1.1", "--v", "1"], "mutually exclusive"),
+    ],
+)
+def test_flag_errors_exit_1_with_one_line(capsys, argv, needle):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert needle in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["sweep", "-h"], ["telesim", "--gamma", "0.5", "--help"]]
+)
+def test_help_prints_every_flag_and_returns_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: cvqkd-attacks")
+    for key, (_, _, text) in _FIELDS.items():
+        assert re.search(rf"^  --{key.replace('_', '-')} +{re.escape(text)}$", captured.out, re.M)
+    for flag in ("config", "gamma", "lam"):
+        assert re.search(rf"^  --{flag} ", captured.out, re.M)
+
+
+def test_config_that_is_not_utf8_exits_1(capsys, tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"tau = 0.3\xff\n")
+    assert main(["channel", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read config {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_import_leaves_out_argparse_gettext_and_locale():
+    # in a fresh interpreter, since pytest itself imports argparse
+    script = (
+        "import sys, cvqkd_attacks.cli; "
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert done.stderr == ""
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(
