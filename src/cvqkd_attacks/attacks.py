@@ -183,44 +183,41 @@ def eve_info(full_state: CovMat, sc: AttackScenario) -> float:
     (_eve_info_blocks), so it expects a state whose measured mode is not
     amplified against Eve's modes, as ao_attack_state's.
     """
-    return _eve_info_blocks(sc, _xp_blocks(full_state.matrix), full_state.labels, validate=True)
+    return float(_eve_info_blocks(sc, _xp_blocks(full_state.matrix), full_state.labels, True))
 
 
 def _entropy_pair(first: np.ndarray, second: np.ndarray, validate: bool, pure_tol: float):
     """Entropies of two equally shaped stacks of phase-insensitive states
-    given as x blocks over p blocks: unchecked, one double-precision
-    _split_spectrum call on both; validated, each interleaved and checked
-    in turn (_check_physical). pure_tol as for _spectrum_entropy."""
-    if validate:
-        return tuple(
-            _spectrum_entropy(_check_physical(_interleaved(b))[1], pure_tol) for b in (first, second)
-        )
+    given as x blocks over p blocks, from one spectrum call on both:
+    _split_spectrum's, or with validate _check_physical's, which checks
+    every state and certifies its spectrum. pure_tol as for
+    _spectrum_entropy."""
     lead, n = first.shape[1:-2], first.shape[-1]
     both = np.concatenate([first.reshape(2, -1, n, n), second.reshape(2, -1, n, n)], axis=1)
-    entropies = _spectrum_entropy(_split_spectrum(both)[0].reshape((2,) + lead + (n,)), pure_tol)
+    nus = _check_physical(both)[1] if validate else _split_spectrum(both)[0]
+    entropies = _spectrum_entropy(nus.reshape((2,) + lead + (n,)), pure_tol)
     return entropies[0], entropies[1]
 
 
 def _eve_info_blocks(sc: AttackScenario, blocks: np.ndarray, labels: tuple[str, ...], validate: bool):
     """eve_info on a phase-insensitive state or stack given as x blocks over
-    p blocks (2, ..., n, n). validate=False reads Eve's block and her
-    conditioned block in one double-precision _split_spectrum call, as the
-    objective does; validate=True checks Eve's block, the conditioned state
-    and its Eve block (_check_physical) in turn and takes their spectra."""
+    p blocks (2, ..., n, n): the heterodyne update of every mode but the
+    measured one (_heterodyne_blocks), then Eve's block and her conditioned
+    block in one spectrum call (_entropy_pair). validate=True also checks
+    the whole conditioned state (_check_physical)."""
     eve = [i for i, lbl in enumerate(labels) if lbl not in ("A", "B")]
     if not eve or len(eve) + 2 != len(labels):
         raise ValueError(f"state must carry labels A, B and Eve's modes, got {labels}")
     m = labels.index(sc.conditioned_label)
-    block = blocks[..., np.array(eve)[:, None], eve]
-    if not validate:
-        s_eve, s_cond = _entropy_pair(block, _heterodyne_blocks(blocks, m, eve), False, 1e-12)
-        return s_eve - s_cond
-    s_eve = _spectrum_entropy(_check_physical(_interleaved(block))[1])
     rest = [j for j in range(len(labels)) if j != m]
-    cond = _check_physical(_interleaved(_heterodyne_blocks(blocks, m, rest)))[0]
-    # Eve's rows in the conditioned state, which lacks mode m
-    rows = np.ravel([(2 * k, 2 * k + 1) for k, j in enumerate(rest) if j in eve])
-    return s_eve - _spectrum_entropy(_check_physical(cond[..., rows[:, None], rows])[1])
+    cond = _heterodyne_blocks(blocks, m, rest)
+    if validate:
+        _check_physical(cond)
+    # Eve's modes in the conditioned state, which lacks mode m
+    kept = np.array([k for k, j in enumerate(rest) if j in eve])
+    block = blocks[..., np.array(eve)[:, None], eve]
+    s_eve, s_cond = _entropy_pair(block, cond[..., kept[:, None], kept], validate, 1e-12)
+    return s_eve - s_cond
 
 
 def _channel_residual(ab: np.ndarray, alice: np.ndarray, ch: GaussChannel):
@@ -313,7 +310,7 @@ def simulation_residual(sc: AttackScenario, gamma: float, eta: float, kappa: flo
     (A, B) block of the attack state, the one block it checks."""
     alice, m = tmsv(sc.zeta).matrix, _auxiliary_noise(eta, kappa)
     blocks = _pipeline_raw(alice, sc.channel, _resource_matrix(gamma), eta, m, sc.gain)
-    ab = _check_physical(_interleaved(blocks[..., :2, :2]))[0]
+    ab = _interleaved(_check_physical(blocks[..., :2, :2])[0])
     return _channel_residual(ab, alice, sc.channel)
 
 
@@ -335,7 +332,7 @@ def _bell_record_info(sc: AttackScenario, ab, given_u, validate: bool):
     the product (x + 1)(p + 1) of m's x and p variances: np.linalg.det,
     which computes it as sign * exp(logdet), lands up to 4 ulp off it.
     validate=True checks the F blocks (_check_physical) and takes their
-    validated spectra.
+    certified spectra.
     """
     i = _BELL_RECORD_MODES.index(sc.conditioned_label)
     det_m, det_m_given_u = (
@@ -349,8 +346,8 @@ def _bell_record_info(sc: AttackScenario, ab, given_u, validate: bool):
 
 
 def _attack_point(sc: AttackScenario, alice, resource, eta, m, validate: bool = False):
-    """Eve's information and the (A, B) block of the attack state it was
-    read from, at the scenario's gain: the one evaluation behind the scan,
+    """Eve's information and the (A, B) block, x over p, of the attack state
+    it was read from, at the scenario's gain: the one evaluation behind the scan,
     the refit and the validation of the picks.
 
     alice is the tmsv(zeta) matrix on (A, B), resource the one from
@@ -369,25 +366,19 @@ def _attack_point(sc: AttackScenario, alice, resource, eta, m, validate: bool = 
     comes from the Cholesky factors of the x and p blocks, its small nu's
     from their inverse side past _INVERSE_SIDE_SCALE (_split_spectrum):
     within 1e-10 bits of the 60-digit circuit at g = 1e2 to 1e8 on the
-    points tests/test_finite_gain.py checks, with no mpmath call. On the
-    187-point first scan pass of the 11-row g = 100 sweep, one call takes
-    1.6-2.8 ms, 0.5-0.8 ms of it in the circuit; on the 697-point first
-    pass of the 41-row asymptotic sweep, whose two-mode spectra take the
-    closed form, 1.3-2.0 ms, 0.9-1.4 ms of it in _bell_record_raw, where
-    LAPACK spectra took it to 2.9-3.7 ms (medians of 60 calls in three
-    processes, one core of a shared 2-core Xeon).
+    points tests/test_finite_gain.py checks, with no mpmath call.
 
-    validate=True checks the attack state at finite g and every block whose
-    entropy is taken (_check_physical on the interleaved matrices); the
-    (A, B) block is the caller's to check.
+    validate=True runs the same arithmetic, checks the attack state at
+    finite g and every state whose entropy is taken (_check_physical), and
+    reads their certified spectra; the (A, B) block is the caller's to check.
     """
     if math.isinf(sc.gain):
         ab, given_u = _bell_record_raw(alice, sc.channel, resource, eta, m)
-        return _bell_record_info(sc, ab, given_u, validate), _interleaved(ab)
+        return _bell_record_info(sc, ab, given_u, validate), ab
     blocks = _pipeline_raw(alice, sc.channel, resource, eta, m, sc.gain)
     if validate:
-        _check_physical(_interleaved(blocks))
-    return _eve_info_blocks(sc, blocks, _ATTACK_MODES, validate), _interleaved(blocks[..., :2, :2])
+        _check_physical(blocks)
+    return _eve_info_blocks(sc, blocks, _ATTACK_MODES, validate), blocks[..., :2, :2]
 
 
 def _eve_info_objective(sc: AttackScenario, alice: np.ndarray, resource: np.ndarray, eta, m):
@@ -488,7 +479,7 @@ def _validated_rows(sc: AttackScenario, alice, resources, gammas, picks, chi):
         return []
     etas, noises = np.array(picks).T
     info, ab = _attack_point(sc, alice, resources, etas, noises, validate=True)
-    residual = _channel_residual(_check_physical(ab)[0], alice, sc.channel)
+    residual = _channel_residual(_interleaved(_check_physical(ab)[0]), alice, sc.channel)
     rows = zip(gammas, picks, info.tolist(), residual.tolist())
     return [
         _row_result(gamma, chi, eta, _auxiliary_squeezing(eta, m), value, off)

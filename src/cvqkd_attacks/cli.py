@@ -177,6 +177,13 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"field 'precision': must lie in [1, 17], got {cfg.precision}")
     if not cfg.output:
         raise ConfigError("field 'output': must be a nonempty path")
+    # parse_config cuts a line at '#', strips it and splits the text into
+    # lines, so such a value would not read back as given
+    for key in ("g_policy", "output"):
+        value = getattr(cfg, key)
+        if "#" in value or value.strip() != value or len(value.splitlines()) > 1:
+            why = "no '#', line break or blank at either end"
+            raise ConfigError(f"field {key!r}: a config line cannot hold {value!r}: {why}")
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -204,7 +211,9 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical config text; parse(serialize(cfg)) == cfg."""
+    """Canonical config text; parse(serialize(cfg)) == cfg. A config that
+    validate_config refuses is refused, not written."""
+    validate_config(cfg)
     lines = []
     for key, (field, _, _) in _FIELDS.items():
         value = getattr(cfg, field)

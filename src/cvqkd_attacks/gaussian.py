@@ -4,24 +4,24 @@ Conventions used throughout the package: quadrature ordering
 (x1, p1, ..., xn, pn), x = a + a^dag, shot-noise units (vacuum
 quadrature variance equals 1).
 
-A CovMat is validated where it is formed by arithmetic (a symplectic
-applied, a channel, a conditioning, a reordered partial trace): its
-symplectic spectrum is computed numerically and checked. tmsv, thermal and
-direct_sum know their spectra exactly, from a closed form or as the union of
-their already-validated parts, and certify by it (_certified), as does
-teleportation.ResourceState; partial_trace keeping every mode in its order
-returns the state itself.
-
 Double precision has one state model. A phase-insensitive state (every x-p
 entry 0.0, as every state the package builds) is X (+) P on its x and p
 quadratures: one (2, ..., n, n) stack of x blocks over p blocks, the
 diagonal of _quadrature_blocks, acted on by the x and p parts of its maps,
-its spectrum read from their Cholesky factors (_split_spectrum), written
-out in closed form for a two-mode state (_two_mode_spectrum), which then
-makes no LAPACK call, a measured mode removed per quadrature
-(_heterodyne_blocks). _interleaved forms the 2n x 2n matrix only where a
-CovMat needs it. Every other spectrum or conditioning takes
-_high_precision, the one importer of mpmath.
+a measured mode removed per quadrature (_heterodyne_blocks), its spectrum
+read from the Cholesky factors of X and P (_split_spectrum), in closed form
+for two modes. _check_physical validates such a stack on that spectrum;
+_high_precision, the one importer of mpmath, takes a member that double
+precision cannot certify, and the spectrum or conditioning of a matrix
+that couples x and p (or a conditioning above _HP_SCALE).
+
+A CovMat is validated where it is formed by arithmetic (a symplectic
+applied, a channel, a conditioning, a reordered partial trace): on its x
+and p blocks, or, if it couples x and p, by its high-precision spectrum.
+tmsv, thermal and direct_sum know their spectra exactly and certify by
+them (_certified), as does teleportation.ResourceState; partial_trace
+keeping every mode in its order returns the state itself. _interleaved
+forms the 2n x 2n matrix only where a CovMat needs it.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ PHYSICALITY_TOL = 1e-9
 SYMPLECTIC_TOL = 1e-10
 
 # Below this computed minimum the double-precision spectrum is re-checked in
-# high precision before physicality is judged (see _symplectic_spectrum).
+# high precision before physicality is judged (see _check_physical).
 _REFINE_TRIGGER = 1e-10
 
 # Above this matrix scale one side of the Cholesky congruence cannot resolve
 # both ends of the spectrum: its singular values carry absolute noise
 # ~eps * nu_max, which swamps the near-unity nu's that physicality and the
-# entropies need. There _symplectic_spectrum escalates a matrix that the
+# entropies need. There _check_physical escalates a matrix that the
 # inverse side does not certify (_CERTIFIED_COND), and the public heterodyne
 # and homodyne conditioning of a state switch to high precision.
 _HP_SCALE = 1e6
@@ -326,75 +326,62 @@ def _above_hp_scale(matrix: np.ndarray) -> np.ndarray:
     return np.abs(matrix).max(axis=(-2, -1)) > _HP_SCALE
 
 
-def _symplectic_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic eigenvalues, descending, of a matrix or of each matrix in
-    a (..., 2n, 2n) stack, and whether each is positive definite: for a
-    phase-insensitive one from its x and p blocks (_split_spectrum), each nu
-    good to a relative few eps * cond(sigma); the high-precision spectrum
-    (_refined_spectrum) for one that couples x and p, or that double
-    precision cannot certify: above _HP_SCALE, an equilibrated condition
-    bound past _CERTIFIED_COND or no Cholesky factor; at any scale, a
-    reading below 1 - _REFINE_TRIGGER. The route is decided per matrix;
-    positive definiteness is the double-precision factorization's verdict."""
-    lead, n = matrix.shape[:-2], matrix.shape[-1] // 2
-    stack = matrix.reshape((-1,) + matrix.shape[-2:])
-    quads = _quadrature_blocks(stack)
-    # a matrix that couples x and p has no double-precision route
-    refine = quads[0, 1].any(axis=(-2, -1)) | quads[1, 0].any(axis=(-2, -1))
-    split = ~refine
-    nus = np.empty((len(stack), n))
-    definite = np.empty(len(stack), dtype=bool)
-    nus[split], definite[split], cond = _split_spectrum(quads[[0, 1], [0, 1]][:, split])
-    # the spectra are descending: the last column holds each minimum
-    refine[split] = (cond > _CERTIFIED_COND) | (nus[split, -1] < 1.0 - _REFINE_TRIGGER)
-    if not split.all():
-        definite[~split] = _cholesky_each(stack[~split])[1]
-    for i in refine.nonzero()[0]:
-        nus[i] = _refined_spectrum(stack[i])
-    return nus.reshape(lead + (n,)), definite.reshape(lead)
-
-
-def _check_physical(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a covariance matrix, or each of a (..., 2n, 2n) stack, and
-    return the symmetrized matrices with their symplectic spectra.
-
-    Finite entries, symmetry to SYMMETRY_RTOL of the scale, every
-    symplectic eigenvalue >= 1 - PHYSICALITY_TOL, and positive
-    definiteness, read from the Cholesky factorization the spectrum is
-    computed from (_symplectic_spectrum), so each matrix is factored once.
-    Each matrix counts once in the physicality audit, as one CovMat
-    construction would; a stack with an unphysical member is counted whole,
-    then rejected with the message the first such member would raise on its
-    own.
-    """
-    # a NaN or an inf entry leaves its matrix's largest |entry| non-finite
-    peak = np.abs(mats).max(axis=(-2, -1))
+def _symmetrized(mats: np.ndarray, axes) -> np.ndarray:
+    """mats checked to be finite and, each member spanning axes, symmetric
+    to SYMMETRY_RTOL of its largest |entry|; then symmetrized."""
+    # a NaN or an inf entry leaves its member's largest |entry| non-finite
+    peak = np.abs(mats).max(axis=axes)
     if not np.isfinite(peak).all():
         raise ValueError("covariance matrix must not contain infs or NaNs")
     transposed = np.swapaxes(mats, -1, -2)
-    if (np.abs(mats - transposed).max(axis=(-2, -1)) > SYMMETRY_RTOL * np.maximum(peak, 1.0)).any():
+    if (np.abs(mats - transposed).max(axis=axes) > SYMMETRY_RTOL * np.maximum(peak, 1.0)).any():
         raise ValueError("covariance matrix is not symmetric")
-    mats = 0.5 * (mats + transposed)
-    nus, definite = _symplectic_spectrum(mats)
-    nu_min = nus[..., -1]  # the spectra are descending
+    return 0.5 * (mats + transposed)
+
+
+def _check_physical(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a phase-insensitive state, or each of a stack, given as its
+    x blocks over its p blocks (2, ..., n, n): finite, symmetric to
+    SYMMETRY_RTOL of the scale, positive definite (read from the Cholesky
+    factors the spectrum is computed from, _split_spectrum) and every
+    symplectic eigenvalue >= 1 - PHYSICALITY_TOL. Returns the symmetrized
+    blocks and the spectra, descending. A member that double precision
+    cannot certify takes the high-precision spectrum of its interleaved
+    matrix (_refined_spectrum): above _HP_SCALE, an equilibrated condition
+    bound past _CERTIFIED_COND or no Cholesky factor; at any scale, a
+    reading below 1 - _REFINE_TRIGGER. Each member counts once in the
+    physicality audit, as one CovMat construction would; a stack with an
+    unphysical member is counted whole, then rejected with the message the
+    first such member would raise on its own.
+    """
+    blocks = _symmetrized(blocks, (0, -2, -1))
+    lead, n = blocks.shape[1:-2], blocks.shape[-1]
+    flat = blocks.reshape(2, -1, n, n)
+    nus, definite, cond = _split_spectrum(flat)
+    # the spectra are descending: the last column holds each minimum
+    refine = (cond > _CERTIFIED_COND) | (nus[:, -1] < 1.0 - _REFINE_TRIGGER)
+    for i in refine.nonzero()[0]:
+        nus[i] = _refined_spectrum(_interleaved(flat[:, i]))
+    nus = nus.reshape(lead + (n,))
+    _judge(nus, definite)
+    return blocks, nus
+
+
+def _judge(nus: np.ndarray, definite=True) -> None:
+    """Count each state of descending spectra nus in the physicality audit,
+    then reject the first with a nu below 1 - PHYSICALITY_TOL, then any
+    not positive definite."""
+    nu_min = nus[..., -1]
     _record_in_audit(nu_min)
-    _reject_below_physical(nu_min)
-    # |eig(Omega sigma)| cannot see the sign of sigma: sigma + i Omega >= 0
-    # also needs sigma > 0, which an indefinite matrix fails
-    if not definite.all():
-        raise ValueError("unphysical covariance matrix: not positive definite")
-    return mats, nus
-
-
-def _reject_below_physical(nu_min) -> None:
-    """Raise for the first smallest symplectic eigenvalue, of one state or
-    of a stack, below 1 - PHYSICALITY_TOL."""
-    nu_min = np.asarray(nu_min)
     low = nu_min < 1.0 - PHYSICALITY_TOL
     if low.any():
         raise ValueError(
             f"unphysical covariance matrix: smallest symplectic eigenvalue {nu_min[low][0]:.12g}"
         )
+    # |eig(Omega sigma)| cannot see the sign of sigma: sigma + i Omega >= 0
+    # also needs sigma > 0, which an indefinite matrix fails
+    if not np.all(definite):
+        raise ValueError("unphysical covariance matrix: not positive definite")
 
 
 def _mode_labels(n: int, labels) -> tuple[str, ...]:
@@ -417,9 +404,9 @@ class CovMat:
 
     Construction validates symmetry and physicality numerically (every
     symplectic eigenvalue >= 1 - 1e-9, and the matrix positive definite,
-    _check_physical) and freezes the array. tmsv, thermal and direct_sum
-    build theirs through _certified instead, with the same label checks,
-    from a spectrum known exactly.
+    as the module docstring says) and freezes the array. tmsv, thermal and
+    direct_sum build theirs through _certified instead, with the same label
+    checks, from a spectrum known exactly.
     """
 
     matrix: np.ndarray
@@ -430,7 +417,16 @@ class CovMat:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 or not mat.size:
             raise ValueError(f"covariance matrix must be 2n x 2n, got shape {mat.shape}")
         labels = _mode_labels(mat.shape[0] // 2, self.labels)
-        self._freeze(*_check_physical(mat), labels)
+        quads = _quadrature_blocks(mat)
+        if quads[0, 1].any() or quads[1, 0].any():
+            # a matrix that couples x and p has no double-precision route
+            mat = _symmetrized(mat, (-2, -1))
+            nus = _refined_spectrum(mat)
+            _judge(nus, _cholesky_each(mat)[1])
+        else:
+            blocks, nus = _check_physical(quads[[0, 1], [0, 1]])
+            mat = _interleaved(blocks)
+        self._freeze(mat, nus, labels)
 
     def _freeze(self, mat: np.ndarray, nus: np.ndarray, labels: tuple[str, ...]) -> None:
         mat.flags.writeable = False
@@ -468,8 +464,7 @@ def _certified(mat: np.ndarray, labels, nus) -> CovMat:
     if not np.isfinite(mat).all():
         raise ValueError("covariance matrix must not contain infs or NaNs")
     nus = np.sort(np.asarray(nus, dtype=float))[::-1].copy()
-    _record_in_audit(nus[-1])
-    _reject_below_physical(nus[-1])
+    _judge(nus)
     state = object.__new__(CovMat)
     state._freeze(mat, nus, labels)
     return state

@@ -157,11 +157,6 @@ def _is_pure_loss_like(channel: GaussChannel) -> bool:
     return classify(channel) in (ChannelKind.PURE_LOSS, ChannelKind.IDENTITY)
 
 
-def _check_gain(g: float) -> None:
-    if not (g > 1.0 and math.isfinite(g)):
-        raise ValueError(f"amplifier gain must be a finite value > 1, got {g}")
-
-
 def _tapped_auxiliary(channel: GaussChannel, eta, m):
     """Eve's tap on the resource arm R2, checked: eta in [0, 1] and her
     auxiliary noise m >= d = 1 - eta, as arrays, and m = d (vacuum) on
@@ -234,13 +229,6 @@ def _eve_local_map(tau: float, t: float) -> np.ndarray:
     return np.array([[[cosh, -sinh], [-sinh, cosh]], [[cosh, sinh], [sinh, cosh]]])
 
 
-def _per_quadrature(*parts: np.ndarray) -> list[np.ndarray]:
-    """x and p parts (2, ..., m, m) of maps, states or stacks of them, with
-    axes of length 1 inserted after the first so that their stacks pair."""
-    ndim = max(part.ndim for part in parts)
-    return [part.reshape((2,) + (1,) * (ndim - part.ndim) + part.shape[1:]) for part in parts]
-
-
 def _pipeline_raw(
     input_matrix: np.ndarray,
     channel: GaussChannel,
@@ -288,7 +276,8 @@ def _pipeline_raw(
     The resource may be one matrix shared by every pair or a matching
     (..., 4, 4) stack, one per pair.
     """
-    _check_gain(g)
+    if not (g > 1.0 and math.isfinite(g)):
+        raise ValueError(f"amplifier gain must be a finite value > 1, got {g}")
     t = 1.0 / g if t is None else t
     _, tap = _tapped_auxiliary(channel, eta, m)
     parts = (_xp_blocks(input_matrix), _xp_blocks(resource))
@@ -298,12 +287,22 @@ def _pipeline_raw(
     squeeze = _embedded(_squeezer_parts(g), (1, 2), 6, 1)
     squeeze[:, 1, :] *= math.sqrt(channel.tau)
     local = _embedded(_eve_local_map(channel.tau, t), (2, 3), 6, 1)
-    joint, after, squeeze, local = _per_quadrature(joint, after, squeeze, local)
+    # axes of length 1 after the quadrature's, so that the stacks pair
+    ndim = max(part.ndim for part in (joint, after, squeeze, local))
+    joint, after, squeeze, local = (
+        part.reshape((2,) + (1,) * (ndim - part.ndim) + part.shape[1:])
+        for part in (joint, after, squeeze, local)
+    )
     linear = local @ (after @ squeeze)
     noise = local @ after[..., :, 1:2]
-    joint = linear @ joint @ np.swapaxes(linear, -1, -2)
-    joint += channel.v * (noise @ np.swapaxes(noise, -1, -2))
-    return 0.5 * (joint + np.swapaxes(joint, -1, -2))
+    # P's entries grow like g a: near the largest doubles they overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        joint = linear @ joint @ np.swapaxes(linear, -1, -2)
+        joint += channel.v * (noise @ np.swapaxes(noise, -1, -2))
+        joint = 0.5 * (joint + np.swapaxes(joint, -1, -2))
+    if not np.isfinite(joint).all():
+        raise ValueError(f"amplifier gain {g:g} overflows the attack state's double precision")
+    return joint
 
 
 def _bell_record_raw(
@@ -341,16 +340,20 @@ def _bell_record_raw(
     a_in, c_in = alice[0, 0], alice[0, 2]
     a, c = resource[..., 0, 0], resource[..., 0, 2]
     s = a + a_in
-    pair = _two_mode_std(
-        (a * a_in + (a_in - c_in) * (a_in + c_in)) / s,
-        (a * a_in + (a - c) * (a + c)) / s,
-        -c * c_in / s,
-        c * c_in / s,
-    )
-    joint = np.array([_block_diag(part, np.eye(2)) for part in _xp_blocks(pair)])
-    joint, tap = _per_quadrature(joint, _embedded(tap, (1, 2, 3), 4, 1))
-    given_u = tap @ joint @ np.swapaxes(tap, -1, -2)
-    given_u = 0.5 * (given_u + np.swapaxes(given_u, -1, -2))
+    # the tap acts on (A, R2, v1, v2) given u column by column: A's
+    # variance stays, A's covariance with R2 (-c c_in / s in x, its negative
+    # in p) reaches (R2', F1, F2) by the tap's first column, and the
+    # inputs' diag(R2's variance, 1, 1) by the tap on both sides
+    given_u = np.empty(tap.shape[:-2] + (4, 4))
+    given_u[..., 0, 0] = (a * a_in + (a_in - c_in) * (a_in + c_in)) / s
+    row = (c * c_in / s)[..., None] * tap[..., :, 0]
+    row[0] *= -1.0
+    given_u[..., 0, 1:], given_u[..., 1:, 0] = row, row
+    inputs = np.ones(np.shape(s) + (3,))
+    inputs[..., 0] = (a * a_in + (a - c) * (a + c)) / s
+    inner = (tap * inputs[..., None, :]) @ np.swapaxes(tap, -1, -2)
+    given_u[..., 1:, 1:] = 0.5 * (inner + np.swapaxes(inner, -1, -2))
+    # Bob's mode given u is -R2'
     given_u[..., 1, :] *= -1.0
     given_u[..., :, 1] *= -1.0
     # per quadrature, the covariances of (A, B) with u: +/- c_in from

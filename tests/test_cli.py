@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_bell_record import oracle_eve_info, row_noise
 
 import cvqkd_attacks.cli
@@ -45,6 +47,75 @@ REPO = Path(__file__).resolve().parents[1]
 )
 def test_config_round_trip(cfg):
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    tau=st.floats(0.0, 1.0),
+    noise=st.one_of(
+        st.tuples(st.floats(1.0, 10.0), st.none()), st.tuples(st.none(), st.floats(0.0, 10.0))
+    ),
+    zeta=st.floats(0.0, 1.0),
+    beta=st.floats(0.0, 1.0),
+    reconciliation=st.sampled_from(["reverse", "direct", "fast"]),
+    g_policy=st.one_of(
+        st.just("asymptotic"),
+        st.floats(1.0, 1e300).map(lambda g: f"finite:{g!r}"),
+        st.text(max_size=4).map(lambda tail: "finite:1e3" + tail),
+    ),
+    gamma_lo=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    gamma_hi=st.floats(0.0, 1.0),
+    gamma_count=st.integers(1, 10**6),
+    output=st.text(max_size=12),
+    precision=st.integers(0, 18),
+)
+def test_every_accepted_config_round_trips(
+    tau, noise, zeta, beta, reconciliation, g_policy, gamma_lo, gamma_hi, gamma_count,
+    output, precision,
+):
+    epsilon, v = noise
+    cfg = RunConfig(
+        tau, epsilon, v, zeta, beta, reconciliation, g_policy, gamma_lo, gamma_hi, gamma_count,
+        output, precision,
+    )
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        # what validation refuses is not written either
+        with pytest.raises(ConfigError):
+            serialize_config(cfg)
+        return
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+# output paths that a config line cannot hold as given
+_UNWRITABLE_PATHS = {
+    "hash": "run#1.csv",
+    "leading-blank": " run.csv",
+    "trailing-blank": "run.csv ",
+    "line-break": "run\n1.csv",
+    "form-feed": "run\x0c1.csv",
+}
+
+
+@pytest.mark.parametrize("path", _UNWRITABLE_PATHS.values(), ids=list(_UNWRITABLE_PATHS))
+def test_output_that_a_config_line_cannot_hold_is_refused(capsys, tmp_path, monkeypatch, path):
+    # a config line reads such a path back cut at '#', stripped, or split
+    # into lines
+    try:
+        assert parse_config(f"output = {path}\n").output != path
+    except ConfigError:
+        pass
+    message = (
+        f"field 'output': a config line cannot hold {path!r}: "
+        "no '#', line break or blank at either end"
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--output", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        serialize_config(RunConfig(output=path))
 
 
 def test_shipped_default_config_is_the_default():
@@ -400,6 +471,13 @@ def test_sweep_identity_channel_exits_2(capsys):
             "error: row gamma = 0.4451652046870813: matrix entry",
             "leaves fewer than 16 of the 30 high-precision digits",
         ),
+        # near the largest doubles Eve's amplified mode overflows where the
+        # circuit forms it: one line that names the gain, no numpy warning
+        (
+            ["--g-policy", "finite:1e308", "--gamma-count", "3"],
+            "error: row gamma = 0.4451652046870813: amplifier gain 1e+308 overflows",
+            "the attack state's double precision",
+        ),
         # a source squeezing this close to 1 fails a row at the paper's own
         # gains (ROADMAP defect 2); the asymptotic policy gives a table
         (
@@ -408,7 +486,7 @@ def test_sweep_identity_channel_exits_2(capsys):
             "smallest symplectic eigenvalue",
         ),
     ],
-    ids=["gain-1e100", "gain-1e300", "zeta-0.999999-gain-100"],
+    ids=["gain-1e100", "gain-1e300", "gain-1e308", "zeta-0.999999-gain-100"],
 )
 def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, head, needle):
     out = tmp_path / "never.csv"

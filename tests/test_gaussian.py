@@ -30,7 +30,6 @@ from cvqkd_attacks.gaussian import (
     _refined_spectrum,
     _spectrum_entropy,
     _split_spectrum,
-    _symplectic_spectrum,
     _tmsv_entries,
     _tmsv_matrices,
     _xp_blocks,
@@ -526,7 +525,8 @@ def test_partial_trace_of_every_mode_in_order_is_the_state_itself(monkeypatch):
     # any other selection or order validates a new state
     reset_physicality_audit()
     kept = partial_trace(st, ("B", "A"))
-    assert calls == [(4, 4)] and physicality_audit()[1] == 1
+    # one check, of the kept state's x block over its p block
+    assert calls == [(2, 2, 2)] and physicality_audit()[1] == 1
     assert kept is not st and kept.labels == ("B", "A")
     assert np.array_equal(kept.matrix, np.diag([2.5, 2.5, 1.5, 1.5]))
 
@@ -622,8 +622,9 @@ def _xp_entries(sigma: np.ndarray) -> np.ndarray:
 def test_fast_spectrum_matches_60_digit_oracle():
     # phase-insensitive states take their x and p blocks, read from both
     # sides past _INVERSE_SIDE_SCALE, under the Cholesky bound; states with
-    # x-p terms have no double-precision route and take the high-precision
-    # spectrum, which rounds to within an ulp of the oracle
+    # x-p terms have no double-precision route: CovMat takes their
+    # high-precision spectrum, which rounds to within an ulp of the oracle,
+    # and refuses one that is not positive definite
     rng = np.random.default_rng(20261018)
     eps = np.finfo(float).eps
     for phase_sensitive, top in ((True, 4.0), (False, 7.0)):
@@ -633,25 +634,26 @@ def test_fast_spectrum_matches_60_digit_oracle():
             oracle = _spectrum_by_general_eig(sigma, 60)
             if _xp_entries(sigma).any():
                 assert phase_sensitive
-                nus, definite = _symplectic_spectrum(sigma)
+                labels = [f"m{i}" for i in range(len(sigma) // 2)]
+                nus = symplectic_eigenvalues(CovMat(sigma, labels))
                 np.testing.assert_array_max_ulp(nus, oracle, 1)
             else:
                 nus, definite = _spectrum_of(sigma)
                 cond = np.linalg.norm(sigma, 2) * np.linalg.norm(np.linalg.inv(sigma), 2)
                 assert np.all(np.abs(nus - oracle) <= FAST_SPECTRUM_C * eps * oracle * cond)
-            assert definite
+                assert definite
             scales.append(np.abs(sigma).max())
             pure_modes += int(np.sum(np.abs(oracle - 1.0) < 1e-6))
         assert max(scales) > (1e3 if phase_sensitive else 1e6) and min(scales) < 10.0
         assert pure_modes > 20
 
 
-def test_fast_spectrum_stack_equals_each_member_alone():
+def test_fast_spectrum_stack_equals_each_member_alone(monkeypatch):
     # the second member has no Cholesky factor: the phase-insensitive stack
     # is factored member by member, that one gets |eig(Omega sigma)| and its
-    # neighbours keep their factored spectra. In a stack with a member that
-    # couples x and p, that member takes the high-precision spectrum, the
-    # one below 1 is refined there too, and the others keep their own
+    # neighbours keep their factored spectra. The check refines the one
+    # below 1, and only it, in high precision; the member that couples x
+    # and p takes the high-precision spectrum in CovMat
     amplified = _act_on_modes(tmsv(0.9).matrix, two_mode_squeezer(1e3).matrix, [0, 1])
     rot = np.array([[math.cos(0.4), math.sin(0.4)], [-math.sin(0.4), math.cos(0.4)]])
     squeezed = _act_on_modes(tmsv(0.6).matrix, rot @ np.diag([2.0, 0.5]) @ rot.T, [1])
@@ -665,17 +667,22 @@ def test_fast_spectrum_stack_equals_each_member_alone():
         one, one_definite = _spectrum_of(m)
         assert np.array_equal(nus[k], one), k
         assert one_definite == definite[k]
-    nus, definite = _symplectic_spectrum(np.stack(members))
-    assert definite.tolist() == [True, False, True, True]
-    assert np.array_equal(nus[::2], _split_spectrum(_xp_blocks(np.stack(members[::2])))[0])
-    for k in (1, 3):
-        assert np.array_equal(nus[k], _refined_spectrum(members[k])), k
-    for k, m in enumerate(members):
-        one, one_definite = _symplectic_spectrum(m)
-        assert np.array_equal(nus[k], one) and one_definite == definite[k], k
+    checked = _check_physical(_xp_blocks(np.stack(members[::2])))[1]
+    assert np.array_equal(checked, _split_spectrum(_xp_blocks(np.stack(members[::2])))[0])
+    assert np.array_equal(symplectic_eigenvalues(CovMat(members[3], ("m1", "m2"))),
+                          _refined_spectrum(members[3]))
+    refined = []
+    real = cvqkd_attacks.gaussian._refined_spectrum
+
+    def recorded(matrix):
+        refined.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(cvqkd_attacks.gaussian, "_refined_spectrum", recorded)
     message = "unphysical covariance matrix: smallest symplectic eigenvalue 0.5"
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
-        _check_physical(np.stack(members))
+        _check_physical(_xp_blocks(np.stack(members[:3])))
+    assert len(refined) == 1 and np.array_equal(refined[0], members[1])
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         CovMat(members[1], ("m1", "m2"))
 
@@ -689,7 +696,12 @@ def test_covmat_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         CovMat(matrix, ("m1", "m2"))
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        _check_physical(np.stack([tmsv(0.3).matrix, matrix]))
+        _check_physical(_xp_blocks(np.stack([tmsv(0.3).matrix, matrix])))
+    # in an x-p entry it sends the matrix down CovMat's coupled route
+    coupled = np.eye(4)
+    coupled[0, 1] = coupled[1, 0] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        CovMat(coupled, ("m1", "m2"))
 
 
 def test_attack_spectra_take_half_size_factors(monkeypatch):
@@ -706,7 +718,7 @@ def test_attack_spectra_take_half_size_factors(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
     for stack in (mat, mat[:, 4:, 4:], mat[:, 2:, 2:]):
-        _symplectic_spectrum(stack)
+        _check_physical(_xp_blocks(stack))
     assert shapes and max(max(shape) for shape in shapes) <= 6, shapes
 
 
@@ -737,10 +749,10 @@ def test_check_physical_factors_each_matrix_once(monkeypatch):
         [apply_symplectic(joint, beam_splitter(t), ("y", "z")).matrix for t in (0.2, 0.5, 0.9)]
     )
     calls = _count_linalg_calls(monkeypatch, ["cholesky", "eigvals"])
-    _check_physical(members)
+    _check_physical(_xp_blocks(members))
     assert calls == {"cholesky": 1, "eigvals": 0}
     calls = _count_linalg_calls(monkeypatch, ["cholesky", "svd", "eigvals", "inv", "det"])
-    _check_physical(np.stack([tmsv(k).matrix for k in (0.0, 0.4, 0.9)]))
+    _check_physical(_xp_blocks(np.stack([tmsv(k).matrix for k in (0.0, 0.4, 0.9)])))
     assert calls == {"cholesky": 0, "svd": 0, "eigvals": 0, "inv": 0, "det": 0}
 
 
@@ -841,7 +853,7 @@ def test_two_mode_routes_are_chosen_per_member():
         assert np.array_equal(nus[k], one) and one_definite == definite[k], k
     message = "unphysical covariance matrix: smallest symplectic eigenvalue 0.5"
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
-        _check_physical(np.stack(members))
+        _check_physical(_xp_blocks(np.stack(members)))
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         CovMat(members[1], ("m1", "m2"))
 
@@ -973,8 +985,8 @@ def test_stacked_spectrum_and_conditioning_escalate_per_matrix():
     ]
     mixed = np.stack([*small, _amplified_pair_with_thermal_partner().matrix])
     assert _split_spectrum(_xp_blocks(mixed))[2][-1] > _CERTIFIED_COND
-    nus, definite = _symplectic_spectrum(mixed)
-    assert definite.all()
+    # the check refuses a member that is not positive definite
+    nus = _check_physical(_xp_blocks(mixed))[1]
     assert np.array_equal(nus[:2], _split_spectrum(_xp_blocks(mixed[:2]))[0])
     assert np.array_equal(nus[2], _refined_spectrum(mixed[2]))
     # the heterodyne update of attack states stays in double precision on
@@ -1003,11 +1015,11 @@ def test_certified_members_above_hp_scale_stay_in_double_precision(monkeypatch):
         raise AssertionError("high-precision spectrum reached")
 
     monkeypatch.setattr(cvqkd_attacks.gaussian, "_refined_spectrum", refuse)
-    nus, definite = _symplectic_spectrum(mixed)
-    assert definite.all()
+    # the check refuses a member that is not positive definite
+    nus = _check_physical(_xp_blocks(mixed))[1]
     for k, member in enumerate(mixed):
-        one, one_definite = _symplectic_spectrum(member)
-        assert np.array_equal(nus[k], one) and one_definite, k
+        one = _check_physical(_xp_blocks(member))[1]
+        assert np.array_equal(nus[k], one), k
         assert np.array_equal(one, _spectrum_of(member)[0]), k
 
 
@@ -1029,7 +1041,7 @@ def test_check_physical_stack_rejects_like_single_constructions(bad):
     assert len(messages) == 1
     reset_physicality_audit()
     with pytest.raises(ValueError, match=re.escape(messages[0]) + "$"):
-        _check_physical(np.stack(members))
+        _check_physical(_xp_blocks(np.stack(members)))
     assert physicality_audit() == one_by_one
     assert one_by_one[1] == 3
 
@@ -1037,10 +1049,10 @@ def test_check_physical_stack_rejects_like_single_constructions(bad):
 def test_check_physical_stack_counts_each_member():
     members = np.stack([tmsv(k).matrix for k in (0.0, 0.4, 0.9)])
     reset_physicality_audit()
-    mats, nus = _check_physical(members)
+    blocks, nus = _check_physical(_xp_blocks(members))
     assert physicality_audit()[1] == 3
     for k, m in enumerate(members):
-        assert np.array_equal(mats[k], tmsv((0.0, 0.4, 0.9)[k]).matrix)
+        assert np.array_equal(_interleaved(blocks[:, k]), tmsv((0.0, 0.4, 0.9)[k]).matrix)
         assert np.array_equal(nus[k], symplectic_eigenvalues(CovMat(m, ("a", "b"))))
 
 

@@ -41,7 +41,7 @@ from cvqkd_attacks.attacks import (
 )
 from cvqkd_attacks.channels import GaussChannel, is_entanglement_breaking
 from cvqkd_attacks.cli import RunConfig, scenario_from
-from cvqkd_attacks.gaussian import _check_physical, tmsv
+from cvqkd_attacks.gaussian import _check_physical, _interleaved, tmsv
 from cvqkd_attacks.keyrate import default_gamma_grid, sweep
 
 ORACLE_POINTS = 4001
@@ -152,7 +152,8 @@ def _assert_rows_are_the_evaluators(sc, grid, rows):
             assert row.kappa_star == _auxiliary_squeezing(row.eta_star, m), gamma
             info, ab = _attack_point(sc, alice, resource, row.eta_star, m, validate=True)
             assert row.eve_info_bits == info, gamma
-            assert row.residual == _channel_residual(_check_physical(ab)[0], alice, sc.channel)
+            ab = _interleaved(_check_physical(ab)[0])
+            assert row.residual == _channel_residual(ab, alice, sc.channel)
 
 
 @pytest.mark.parametrize(
@@ -177,6 +178,24 @@ def test_stacked_rows_equal_single_rows(fields, count):
     assert _rows(stacked) == _rows(optimize_attack(sc, gamma) for gamma in grid)
     assert not stacked[0].feasible and stacked[1].feasible
     _assert_rows_are_the_evaluators(sc, grid, stacked)
+
+
+@pytest.mark.parametrize("reconciliation", ["reverse", "direct"])
+@pytest.mark.parametrize("g_policy", ["asymptotic", "finite:100", "finite:1e6"])
+def test_checked_and_unchecked_routes_agree_on_every_row(g_policy, reconciliation):
+    # the checked evaluation is the objective's arithmetic plus the check:
+    # at each feasible row's (eta*, m*) of a 41-row sweep the two agree
+    # within 1e-14 bits, the rounding of the heterodyne update, which the
+    # check symmetrizes
+    sc, cfg = _config(g_policy=g_policy, reconciliation=reconciliation)
+    grid = _grid(sc, cfg, cfg.gamma_count)
+    alice = tmsv(sc.zeta, ("A", "B")).matrix
+    rows = optimize_attacks(sc, grid)
+    assert len(grid) == 41 and all(row.feasible for row in rows)
+    for gamma, row in zip(grid, rows):
+        point = (alice, _resource_matrix(gamma), row.eta_star, row_noise(sc, row))
+        checked = _attack_point(sc, *point, validate=True)[0]
+        assert abs(checked - _eve_info_objective(sc, *point)) <= 1e-14, gamma
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -219,7 +238,7 @@ def test_stacked_validation_equals_the_single_row_kernels(
             )
             state = ao_attack_state(sc, gamma, row.eta_star, row.kappa_star)
             assert info == eve_info(state, sc)
-            residual = _channel_residual(_check_physical(ab)[0], alice, channel)
+            residual = _channel_residual(_interleaved(_check_physical(ab)[0]), alice, channel)
             assert residual == simulation_residual(sc, gamma, row.eta_star, row.kappa_star)
 
 
