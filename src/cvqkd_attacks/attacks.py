@@ -177,11 +177,11 @@ def holevo_bound(sc: AttackScenario) -> float:
 def eve_info(full_state: CovMat, sc: AttackScenario) -> float:
     """S(x:E) = S(Eve) - S(Eve | heterodyne of the reconciliation mode).
 
-    Eve's modes are every label other than A and B. The state must be
-    phase-insensitive, as every state the package builds is: one with an
-    x-p term is rejected. The conditioning runs in double precision
-    (_eve_info_blocks), so it expects a state whose measured mode is not
-    amplified against Eve's modes, as ao_attack_state's.
+    Eve's modes are every label other than A and B. The state is read on
+    its x and p blocks, as every CovMat is phase-insensitive. The
+    conditioning runs in double precision (_eve_info_blocks), so it expects
+    a state whose measured mode is not amplified against Eve's modes, as
+    ao_attack_state's.
     """
     return float(_eve_info_blocks(sc, _xp_blocks(full_state.matrix), full_state.labels, True))
 
@@ -222,17 +222,17 @@ def _eve_info_blocks(sc: AttackScenario, blocks: np.ndarray, labels: tuple[str, 
 
 def _channel_residual(ab: np.ndarray, alice: np.ndarray, ch: GaussChannel):
     """|tau_eff - tau| + |v_eff - v| of the channel that took Alice's
-    tmsv(zeta) matrix on (A, B) to ab, or to each matrix of a stack, read
-    off the x-quadrature entries once each matrix is checked to keep the
-    phase-insensitive form within 1e-8 of Alice's variance
-    (channels._check_phase_insensitive). At zeta = 0 Alice's input carries
-    no correlation to read tau_eff from: the residual then compares only
-    the output variance with tau + v."""
+    tmsv(zeta) matrix on (A, B) to ab, given as x blocks over p blocks, or
+    to each state of a stack of them, read off the x blocks once each
+    state is checked to keep the phase-insensitive form within 1e-8 of
+    Alice's variance (channels._check_phase_insensitive). At zeta = 0
+    Alice's input carries no correlation to read tau_eff from: the residual
+    then compares only the output variance with tau + v."""
     a_in, c_in = alice[0, 0], alice[0, 2]
     _check_phase_insensitive(ab, a_in, 1e-8 * a_in)
     # float_power: C pow per element, as _probe_channel explains
-    tau_eff = np.float_power(ab[..., 0, 2] / c_in, 2) if c_in else ch.tau
-    v_eff = ab[..., 2, 2] - tau_eff * a_in
+    tau_eff = np.float_power(ab[0, ..., 0, 1] / c_in, 2) if c_in else ch.tau
+    v_eff = ab[0, ..., 1, 1] - tau_eff * a_in
     return abs(tau_eff - ch.tau) + abs(v_eff - ch.v)
 
 
@@ -262,7 +262,7 @@ def cloner_attack(sc: AttackScenario) -> AttackResult:
         )
 
     # A and B lead the validated state (direct_sum puts alice first)
-    residual = float(_channel_residual(full.matrix[:4, :4], alice.matrix, sc.channel))
+    residual = float(_channel_residual(_xp_blocks(full.matrix[:4, :4]), alice.matrix, sc.channel))
     return _row_result(gamma_e, chi, info=info, residual=residual)
 
 
@@ -310,8 +310,7 @@ def simulation_residual(sc: AttackScenario, gamma: float, eta: float, kappa: flo
     (A, B) block of the attack state, the one block it checks."""
     alice, m = tmsv(sc.zeta).matrix, _auxiliary_noise(eta, kappa)
     blocks = _pipeline_raw(alice, sc.channel, _resource_matrix(gamma), eta, m, sc.gain)
-    ab = _interleaved(_check_physical(blocks[..., :2, :2])[0])
-    return _channel_residual(ab, alice, sc.channel)
+    return _channel_residual(_check_physical(blocks[..., :2, :2])[0], alice, sc.channel)
 
 
 def _bell_record_info(sc: AttackScenario, ab, given_u, validate: bool):
@@ -479,7 +478,7 @@ def _validated_rows(sc: AttackScenario, alice, resources, gammas, picks, chi):
         return []
     etas, noises = np.array(picks).T
     info, ab = _attack_point(sc, alice, resources, etas, noises, validate=True)
-    residual = _channel_residual(_interleaved(_check_physical(ab)[0]), alice, sc.channel)
+    residual = _channel_residual(_check_physical(ab)[0], alice, sc.channel)
     rows = zip(gammas, picks, info.tolist(), residual.tolist())
     return [
         _row_result(gamma, chi, eta, _auxiliary_squeezing(eta, m), value, off)

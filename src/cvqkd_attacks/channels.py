@@ -16,6 +16,7 @@ import numpy as np
 from .gaussian import (
     CovMat,
     _channel_on_mode,
+    _xp_blocks,
     apply_symplectic,
     beam_splitter,
     direct_sum,
@@ -146,34 +147,34 @@ def effective_channel(
     if not isinstance(out, CovMat):
         raise TypeError("transform must return a CovMat")
     reduced = partial_trace(out, ("probe_ref", "probe_sig"))
-    tau, v = _probe_channel(reduced.matrix, probe.matrix, atol)
+    tau, v = _probe_channel(_xp_blocks(reduced.matrix), probe.matrix, atol)
     return GaussChannel(float(tau), float(v))
 
 
 def _probe_channel(out: np.ndarray, probe: np.ndarray, atol: float = 1e-8):
     """(tau, v >= 0) of the channel that took the TMSV probe matrix on
-    (probe_ref, probe_sig) to out, or to each matrix of a (..., 4, 4) stack;
-    each output must keep the phase-insensitive form within atol
-    (_check_phase_insensitive) and each pair be a physical GaussChannel."""
+    (probe_ref, probe_sig) to out, given as x blocks over p blocks (2, 2, 2),
+    or to each state of a (2, ..., 2, 2) stack; each output must keep the
+    phase-insensitive form within atol (_check_phase_insensitive) and each
+    pair be a physical GaussChannel."""
     a_in, c_in = probe[0, 0], probe[0, 2]
     _check_phase_insensitive(out, a_in, atol)
     # float_power is C pow on every element, as ** is on one scalar; ** on
     # an array squares, which rounds differently in about 1e-3 of cases
-    tau = np.float_power(out[..., 0, 2] / c_in, 2)
-    v = np.maximum(out[..., 2, 2] - tau * a_in, 0.0)
+    tau = np.float_power(out[0, ..., 0, 1] / c_in, 2)
+    v = np.maximum(out[0, ..., 1, 1] - tau * a_in, 0.0)
     for pair in zip(np.ravel(tau).tolist(), np.ravel(v).tolist()):
         GaussChannel(*pair)
     return tau, v
 
 
 def _check_phase_insensitive(out: np.ndarray, a_in: float, atol: float) -> None:
-    """Raise unless out, or each matrix of a (..., 4, 4) stack, is a tmsv
+    """Raise unless out, x blocks over p blocks (2, ..., 2, 2), is a tmsv
     with reference variance a_in after a phase-insensitive channel on its
-    second mode, within atol: x and p blocks equal up to the cross sign, no
-    x-p terms, the reference untouched."""
-    xx_pp = out[..., ::2, ::2] - out[..., 1::2, 1::2] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    dev = np.abs(np.concatenate([xx_pp, out[..., ::2, 1::2]], axis=-1)).max(axis=(-2, -1))
-    dev = np.maximum(dev, np.abs(out[..., 0, 0] - a_in))
+    second mode, within atol: x and p blocks equal up to the cross sign,
+    the reference untouched."""
+    dev = np.abs(out[0] - out[1] * np.array([[1.0, -1.0], [-1.0, 1.0]])).max(axis=(-2, -1))
+    dev = np.maximum(dev, np.abs(out[0, ..., 0, 0] - a_in))
     bad = dev > atol
     if bad.any():
         raise ValueError(

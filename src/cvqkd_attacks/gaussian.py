@@ -4,24 +4,24 @@ Conventions used throughout the package: quadrature ordering
 (x1, p1, ..., xn, pn), x = a + a^dag, shot-noise units (vacuum
 quadrature variance equals 1).
 
-Double precision has one state model. A phase-insensitive state (every x-p
-entry 0.0, as every state the package builds) is X (+) P on its x and p
-quadratures: one (2, ..., n, n) stack of x blocks over p blocks, the
-diagonal of _quadrature_blocks, acted on by the x and p parts of its maps,
-a measured mode removed per quadrature (_heterodyne_blocks), its spectrum
-read from the Cholesky factors of X and P (_split_spectrum), in closed form
-for two modes. _check_physical validates such a stack on that spectrum;
+The package has one state model, at both precisions. A CovMat is
+phase-insensitive (every x-p entry 0.0, as every state the package builds;
+one with an x-p term is refused): X (+) P on its x and p quadratures, one
+(2, ..., n, n) stack of x blocks over p blocks, the diagonal of
+_quadrature_blocks, acted on by the x and p parts of its maps, a measured
+mode removed per quadrature (_heterodyne_blocks), its spectrum read from
+the Cholesky factors of X and P (_split_spectrum), in closed form for two
+modes. _check_physical validates such a stack on that spectrum;
 _high_precision, the one importer of mpmath, takes a member that double
-precision cannot certify, and the spectrum or conditioning of a matrix
-that couples x and p (or a conditioning above _HP_SCALE).
+precision cannot certify, and runs the same conditioning in 30 digits above
+_HP_SCALE.
 
 A CovMat is validated where it is formed by arithmetic (a symplectic
-applied, a channel, a conditioning, a reordered partial trace): on its x
-and p blocks, or, if it couples x and p, by its high-precision spectrum.
-tmsv, thermal and direct_sum know their spectra exactly and certify by
-them (_certified), as does teleportation.ResourceState; partial_trace
-keeping every mode in its order returns the state itself. _interleaved
-forms the 2n x 2n matrix only where a CovMat needs it.
+applied, a channel, a conditioning, a reordered partial trace) on its x and
+p blocks. tmsv, thermal and direct_sum know their spectra exactly and
+certify by them (_certified), as does teleportation.ResourceState;
+partial_trace keeping every mode in its order returns the state itself.
+_interleaved forms the 2n x 2n matrix only where a CovMat needs it.
 """
 
 from __future__ import annotations
@@ -98,12 +98,12 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def _high_precision(matrix: np.ndarray, compute):
-    """compute(mpmath, sigma) on matrix as an mpmath matrix sigma in
-    30-digit arithmetic, which turns its result into floats itself. A matrix
-    whose largest |entry| leaves fewer than 16 of the 30 digits is refused
-    with ValueError: there products of entries lose the near-unity nu's and
-    O(1) Schur complements the callers need (at g = 1e35 the attack's Eve
-    block read nu 0.998, where 60 digits give 1)."""
+    """compute(mpmath, sigma) on matrix as an object ndarray sigma of
+    mpmath.mpf in 30-digit arithmetic, which turns its result into floats
+    itself. A matrix whose largest |entry| leaves fewer than 16 of the 30
+    digits is refused with ValueError: there products of entries lose the
+    near-unity nu's and O(1) conditioned blocks the callers need (at
+    g = 1e35 the attack's Eve block read nu 0.998, where 60 digits give 1)."""
     import mpmath
 
     digits = 30
@@ -113,7 +113,7 @@ def _high_precision(matrix: np.ndarray, compute):
             f"matrix entry {peak:.6g} leaves fewer than 16 of the {digits} high-precision digits"
         )
     with mpmath.mp.workdps(digits):
-        return compute(mpmath, mpmath.matrix(matrix.tolist()))
+        return compute(mpmath, np.frompyfunc(mpmath.mpf, 1, 1)(matrix))
 
 
 def _refined_spectrum(matrix: np.ndarray) -> np.ndarray:
@@ -128,7 +128,8 @@ def _refined_spectrum(matrix: np.ndarray) -> np.ndarray:
     # unphysical; the general route then reports its spectrum.
     n = matrix.shape[0] // 2
 
-    def eigenvalues(mp, sigma):
+    def eigenvalues(mp, entries):
+        sigma = mp.matrix(entries.tolist())
         omega = mp.matrix(symplectic_form(n).tolist())
         try:
             chol = mp.cholesky(sigma)
@@ -165,9 +166,11 @@ def _interleaved(blocks: np.ndarray) -> np.ndarray:
 
 def _xp_blocks(matrix: np.ndarray) -> np.ndarray:
     """X over P, (2, ..., n, n), of a matrix or stack whose x-p entries are
-    all 0; one with an x-p term is rejected."""
+    all 0; one with an x-p term is rejected, after the finite and symmetry
+    checks (_symmetrized), whose messages it keeps."""
     quads = _quadrature_blocks(matrix)
     if quads[0, 1].any() or quads[1, 0].any():
+        _symmetrized(matrix, (-2, -1))
         raise ValueError("state couples its x and p quadratures; expected a phase-insensitive one")
     return quads[[0, 1], [0, 1]]
 
@@ -402,9 +405,10 @@ class CovMat:
     labels: n distinct mode identifiers, positionally aligned with the
         2x2 diagonal blocks.
 
-    Construction validates symmetry and physicality numerically (every
-    symplectic eigenvalue >= 1 - 1e-9, and the matrix positive definite,
-    as the module docstring says) and freezes the array. tmsv, thermal and
+    Construction validates symmetry and physicality numerically on the x
+    and p blocks (every symplectic eigenvalue >= 1 - 1e-9, and the matrix
+    positive definite, as the module docstring says) and freezes the array;
+    a matrix with an x-p term is refused (_xp_blocks). tmsv, thermal and
     direct_sum build theirs through _certified instead, with the same label
     checks, from a spectrum known exactly.
     """
@@ -417,16 +421,8 @@ class CovMat:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 or not mat.size:
             raise ValueError(f"covariance matrix must be 2n x 2n, got shape {mat.shape}")
         labels = _mode_labels(mat.shape[0] // 2, self.labels)
-        quads = _quadrature_blocks(mat)
-        if quads[0, 1].any() or quads[1, 0].any():
-            # a matrix that couples x and p has no double-precision route
-            mat = _symmetrized(mat, (-2, -1))
-            nus = _refined_spectrum(mat)
-            _judge(nus, _cholesky_each(mat)[1])
-        else:
-            blocks, nus = _check_physical(quads[[0, 1], [0, 1]])
-            mat = _interleaved(blocks)
-        self._freeze(mat, nus, labels)
+        blocks, nus = _check_physical(_xp_blocks(mat))
+        self._freeze(_interleaved(blocks), nus, labels)
 
     def _freeze(self, mat: np.ndarray, nus: np.ndarray, labels: tuple[str, ...]) -> None:
         mat.flags.writeable = False
@@ -709,42 +705,30 @@ def von_neumann_entropy(state: CovMat) -> float:
 
 def _conditioned_state(state: CovMat, measured_label: str, quadrature: str | None) -> CovMat:
     """The other modes after a heterodyne (quadrature None) or homodyne
-    measurement of one: the attack's block update (_heterodyne_blocks) for a
-    phase-insensitive state below _HP_SCALE; for any other the Schur
-    complement in high precision, as it cancels ~|sigma| down to O(1):
-    a - c (b + I)^-1 c^T, or a - c_q c_q^T / b_qq for homodyne of q."""
+    measurement of one: the attack's block update (_heterodyne_blocks), in
+    double precision up to _HP_SCALE and in high precision above it, as the
+    update cancels ~|sigma| down to O(1) there."""
     if state.n_modes < 2:
         raise ValueError("cannot condition away the only remaining mode")
     m = state.index(measured_label)
     keep = [j for j in range(state.n_modes) if j != m]
-    labels = tuple(state.labels[j] for j in keep)
-    quads = _quadrature_blocks(state.matrix)
-    if not (_above_hp_scale(state.matrix) or quads[0, 1].any() or quads[1, 0].any()):
-        blocks = _heterodyne_blocks(quads[[0, 1], [0, 1]], m, keep, quadrature)
-        return CovMat(_interleaved(blocks), labels)
-    # the measured mode's rows last, so that a, c and b are slices
-    order = np.ravel([(2 * j, 2 * j + 1) for j in [*keep, m]])
-    k = 2 * len(keep)
-
-    def schur(mp, sigma):
-        a, c, b = sigma[:k, :k], sigma[:k, k:], sigma[k:, k:]
-        if quadrature is None:
-            x = a - c * (b + mp.eye(2)) ** -1 * c.T
-        else:
-            q = "xp".index(quadrature)
-            x = a - c[:, q] * c[:, q].T / b[q, q]
-        return np.array(x.tolist(), dtype=float)
-
-    return CovMat(_high_precision(state.matrix[np.ix_(order, order)], schur), labels)
+    blocks = _xp_blocks(state.matrix)
+    if _above_hp_scale(state.matrix):
+        blocks = _high_precision(
+            blocks, lambda mp, exact: _heterodyne_blocks(exact, m, keep, quadrature).astype(float)
+        )
+    else:
+        blocks = _heterodyne_blocks(blocks, m, keep, quadrature)
+    return CovMat(_interleaved(blocks), tuple(state.labels[j] for j in keep))
 
 
 def condition_heterodyne(state: CovMat, measured_label: str) -> CovMat:
     """Remaining covariance after an ideal heterodyne measurement of one mode.
 
     The conditional matrix sigma_rest - sigma_cross (sigma_meas + I)^-1
-    sigma_cross^T does not depend on the measurement outcome. Above
-    _HP_SCALE, or for a state that couples x and p, it runs in high
-    precision (_conditioned_state).
+    sigma_cross^T does not depend on the measurement outcome. It is one
+    rank-one update per quadrature of the x and p blocks, run in high
+    precision above _HP_SCALE (_conditioned_state).
     """
     return _conditioned_state(state, measured_label, None)
 
@@ -752,9 +736,9 @@ def condition_heterodyne(state: CovMat, measured_label: str) -> CovMat:
 def condition_homodyne(state: CovMat, measured_label: str, quadrature: str = "x") -> CovMat:
     """Remaining covariance after an ideal homodyne measurement of one quadrature.
 
-    Above _HP_SCALE, or for a state that couples x and p, the Schur
-    complement runs in high precision, as the heterodyne one does; without
-    it, amplified states such as apply_symplectic's two_mode_squeezer output
+    The same update as the heterodyne one, on the measured quadrature's
+    blocks only, and in high precision above _HP_SCALE too; without it,
+    amplified states such as apply_symplectic's two_mode_squeezer output
     read unphysical.
     """
     if quadrature not in ("x", "p"):
@@ -822,7 +806,8 @@ def _heterodyne_blocks(blocks: np.ndarray, m: int, keep, quadrature: str | None 
     w = 1 / (b + 1) for heterodyne, and for homodyne 1 / b on the measured
     quadrature and 0 on the other, whose block it keeps. Double precision
     holds it when the measured mode is not amplified against the kept ones,
-    as in every state the attack conditions."""
+    as in every state the attack conditions; _conditioned_state runs it on
+    30-digit numbers (an object array of mpmath.mpf) above _HP_SCALE."""
     keep = np.asarray(keep)
     a = blocks[..., keep[:, None], keep]
     c = blocks[..., keep, m]

@@ -58,13 +58,19 @@ def default_gamma_grid(
     gamma_hi: float = 0.9999,
 ) -> tuple[float, ...]:
     """Resource grid from gamma_min to gamma_hi, log-spaced in 1 - gamma
-    (the interesting physics crowds toward gamma -> 1). Endpoints exact."""
+    (the interesting physics crowds toward gamma -> 1). Endpoints exact.
+    A grid whose points do not strictly increase in double precision is
+    refused before any row runs."""
     if gamma_lo is None:
         gamma_lo = gamma_min(sc.channel)
         if gamma_lo >= 1.0:
             raise ValueError(
                 "gamma_min = 1 for the identity channel: no finite resource can "
                 "simulate it"
+            )
+        if gamma_lo >= gamma_hi:
+            raise ValueError(
+                f"the channel's gamma_min = {gamma_lo!r} is not below gamma_max = {gamma_hi!r}"
             )
     if count < 2:
         raise ValueError(f"grid needs at least 2 points, got {count}")
@@ -77,6 +83,11 @@ def default_gamma_grid(
     grid = [1.0 - math.exp(u_lo + (u_hi - u_lo) * i / (count - 1)) for i in range(count)]
     grid[0] = gamma_lo
     grid[-1] = gamma_hi
+    if any(hi <= lo for lo, hi in zip(grid, grid[1:])):
+        raise ValueError(
+            f"{count} grid points from {gamma_lo!r} to {gamma_hi!r} do not strictly increase"
+            " in double precision"
+        )
     return tuple(grid)
 
 

@@ -373,8 +373,8 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
     two-mode squeezer of gain g, send the amplified signal through the
     physical channel, recombine (signal, resource arm 2) on the beam splitter
     of transmissivity t = lam/(g tau), then trace out both resource arms.
-    This is _pipeline_raw with its tap at eta = 1 and m = 0, which
-    takes a phase-insensitive state: one that couples x and p is rejected.
+    This is _pipeline_raw with its tap at eta = 1 and m = 0, on the x and
+    p blocks of the phase-insensitive state.
     At g = inf the teleporter is the standard one: its channel,
     ao_effective_channel, acts on the second mode.
     """

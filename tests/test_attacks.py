@@ -36,8 +36,8 @@ from cvqkd_attacks.gaussian import (
     _interleaved,
     _quadrature_blocks,
     _tmsv_entries,
+    _xp_blocks,
     beam_splitter,
-    direct_sum,
     partial_trace,
     symplectic_form,
     tmsv,
@@ -248,10 +248,10 @@ def test_pipeline_blocks_are_the_whole_circuits_x_and_p_blocks(g):
 
 
 def test_eve_info_rejects_a_state_that_couples_x_and_p():
-    coupled = CovMat(np.array([[2.0, 0.5], [0.5, 2.0]]), ("E",))
-    state = direct_sum(tmsv(0.5, ("A", "B")), coupled)
+    # eve_info reads x blocks over p blocks: no CovMat it is handed can
+    # couple x and p, as CovMat refuses such a mode where it is formed
     with pytest.raises(ValueError, match="couples its x and p quadratures") as info:
-        eve_info(state, scenario())
+        CovMat(np.array([[2.0, 0.5], [0.5, 2.0]]), ("E",))
     assert "\n" not in str(info.value)
 
 
@@ -492,7 +492,7 @@ def test_optimize_thermal_smoke():
     resource = _resource_matrix(0.6)
     m = float(_match_noise(0.6, res.eta_star, THERMAL.tau, THERMAL.v, sc.gain))
     ab, _ = _bell_record_raw(alice.matrix, THERMAL, resource, res.eta_star, m)
-    ab = CovMat(_interleaved(ab), ("A", "B")).matrix
+    ab = _xp_blocks(CovMat(_interleaved(ab), ("A", "B")).matrix)
     assert _channel_residual(ab, alice.matrix, THERMAL) == res.residual
     for g in (100.0, 1e4):
         assert simulation_residual(scenario(gain=g), 0.6, res.eta_star, res.kappa_star) <= 1e-8
@@ -503,27 +503,25 @@ def test_channel_residual_on_a_stack_equals_each_matrix_alone():
     alice = tmsv(0.7, ("A", "B")).matrix
     taus = np.random.default_rng(12).uniform(0.05, 0.95, 4000)
     outs = np.array([_channel_on_mode(alice, 1, t, 1.05 * (1.0 - t)) for t in taus])
-    stacked = _channel_residual(outs, alice, THERMAL)
+    stacked = _channel_residual(_xp_blocks(outs), alice, THERMAL)
     for out, value in zip(outs, stacked.tolist()):
-        assert float(_channel_residual(out, alice, THERMAL)) == value
+        assert float(_channel_residual(_xp_blocks(out), alice, THERMAL)) == value
 
 
 def test_channel_residual_rejects_an_output_no_channel_on_b_gives():
     # every gain reads its residual here, so every gain gets the check that
     # the output keeps the phase-insensitive form with the reference untouched
+    # (a state that couples x and p is refused by CovMat before it gets here)
     alice = tmsv(0.7, ("A", "B")).matrix
-    out = _channel_on_mode(alice, 1, THERMAL.tau, THERMAL.v)
+    out = _xp_blocks(_channel_on_mode(alice, 1, THERMAL.tau, THERMAL.v))
     assert _channel_residual(out, alice, THERMAL) <= 1e-12
     squeezed_p = out.copy()
-    squeezed_p[3, 3] += 1e-3
+    squeezed_p[1, 1, 1] += 1e-3
     disturbed_ref = out.copy()
-    disturbed_ref[0, 0] += 1e-3
-    disturbed_ref[1, 1] += 1e-3
-    x_p = out.copy()
-    x_p[0, 3] = x_p[3, 0] = 1e-3
-    for bad in (squeezed_p, disturbed_ref, x_p):
+    disturbed_ref[:, 0, 0] += 1e-3
+    for bad in (squeezed_p, disturbed_ref):
         with pytest.raises(ValueError, match="not phase-insensitive"):
-            _channel_residual(np.array([out, bad]), alice, THERMAL)
+            _channel_residual(np.stack([out, bad], axis=1), alice, THERMAL)
 
 
 @pytest.mark.parametrize("g", [0.0, -1.0, 0.5, 1.0, math.inf, math.nan])

@@ -21,6 +21,7 @@ from cvqkd_attacks.gaussian import (
     CovMat,
     Symplectic,
     _channel_on_mode,
+    _xp_blocks,
     apply_symplectic,
     partial_trace,
     tmsv,
@@ -166,6 +167,6 @@ def test_probe_channel_on_a_stack_equals_each_matrix_alone():
     probe = tmsv(0.5, ("probe_ref", "probe_sig")).matrix
     taus = np.random.default_rng(11).uniform(0.05, 0.95, 4000)
     outs = np.array([_channel_on_mode(probe, 1, t, 1.05 * (1.0 - t)) for t in taus])
-    tau, v = _probe_channel(outs, probe)
+    tau, v = _probe_channel(_xp_blocks(outs), probe)
     for out, pair in zip(outs, zip(tau.tolist(), v.tolist())):
-        assert tuple(map(float, _probe_channel(out, probe))) == pair
+        assert tuple(map(float, _probe_channel(_xp_blocks(out), probe))) == pair

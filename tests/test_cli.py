@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_bell_record import oracle_eve_info, row_noise
+from test_bell_record import ORACLE_GAIN, oracle_eve_info, row_noise
 
 import cvqkd_attacks.cli
 import cvqkd_attacks.gaussian
+import cvqkd_attacks.keyrate
 import cvqkd_attacks.verify
 from cvqkd_attacks.attacks import _feasible_eta_window, _match_noise, optimize_attack
 from cvqkd_attacks.cli import (
@@ -452,6 +453,38 @@ def test_sweep_identity_channel_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "flags,message",
+    [
+        # gamma_min = 0.99995 lies above the default gamma_max = 0.9999;
+        # this used to read as the grid's internal bounds check
+        (
+            ["--tau", "0.9999", "--epsilon", "1.000000001", "--gamma-count", "3"],
+            "error: the channel's gamma_min = 0.9999499965138196 is not below gamma_max = 0.9999",
+        ),
+        # one ulp apart, three points cannot strictly increase: this used to
+        # fail SweepTable's check after every row had been optimized
+        (
+            ["--gamma-min", "0.5", "--gamma-max", "0.5000000000000001", "--gamma-count", "3"],
+            "error: 3 grid points from 0.5 to 0.5000000000000001 do not strictly increase in"
+            " double precision",
+        ),
+    ],
+    ids=["gamma-min-above-gamma-max", "grid-too-narrow"],
+)
+def test_sweep_grid_that_cannot_be_formed_exits_2_in_one_line(
+    capsys, tmp_path, monkeypatch, flags, message
+):
+    def no_rows(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(cvqkd_attacks.keyrate, "optimize_attacks", no_rows)
+    out = tmp_path / "never.csv"
+    assert main(["sweep", *flags, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flags,head,needle",
     [
         # at gains this far beyond the paper's, Eve's amplified pair carries
@@ -573,6 +606,39 @@ def test_high_gain_sweep_rows_match_the_oracle(capsys, tmp_path, fields, tol):
         assert abs(float(line["eve_info_bits"]) - row.eve_info_bits) <= 5e-10
         oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row_noise(sc, row), sc.gain)
         assert abs(row.eve_info_bits - oracle) <= tol, row.gamma
+
+
+@pytest.mark.parametrize(
+    "v,reconciliation,g_policy",
+    [
+        (0.05, "direct", "asymptotic"),
+        (0.5, "reverse", "finite:100"),
+        (0.5, "direct", "finite:1e6"),
+    ],
+)
+def test_additive_noise_sweep_rows_match_the_oracle(capsys, tmp_path, v, reconciliation, g_policy):
+    # tau = 1 with v > 0, the one channel class no other sweep runs: every
+    # row is feasible, within its bounds, and the 60-digit circuit's value
+    # at its own pick (the asymptotic one at the oracle's gain)
+    fields = dict(tau=1.0, v=v, reconciliation=reconciliation, g_policy=g_policy, gamma_count=6)
+    flags = [
+        arg for name, value in fields.items() for arg in (f"--{name.replace('_', '-')}", str(value))
+    ]
+    out = tmp_path / "table.csv"
+    assert main(["sweep", *flags, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    printed = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
+    cfg = RunConfig(**fields)
+    sc = scenario_from(cfg)
+    table = sweep(sc, cfg.beta, default_gamma_grid(sc, cfg.gamma_count, cfg.gamma_lo, cfg.gamma_hi))
+    assert len(printed) == len(table.rows) == cfg.gamma_count
+    gain = sc.gain if math.isfinite(sc.gain) else ORACLE_GAIN
+    for line, row in zip(printed, table.rows):
+        assert line["feasible"] == "true" and row.feasible
+        assert abs(float(line["eve_info_bits"]) - row.eve_info_bits) <= 5e-10
+        assert row.residual <= 1e-8 and row.eve_info_bits <= row.holevo_bits
+        oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row_noise(sc, row), gain)
+        assert abs(row.eve_info_bits - oracle) <= 1e-9, row.gamma
 
 
 @pytest.mark.parametrize("flags", [["--gamma-count", "201"]], ids=["asymptotic-201-rows"])

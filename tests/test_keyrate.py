@@ -63,6 +63,17 @@ def test_default_grid_domain():
         default_gamma_grid(SC, gamma_lo=0.8, gamma_hi=0.7)
     with pytest.raises(ValueError, match="lo < hi"):
         default_gamma_grid(SC, gamma_hi=1.0)
+    # gamma_min = 0.4452 here: an auto start above gamma_hi is named as such
+    with pytest.raises(ValueError, match=r"gamma_min = 0\.4451\d+ is not below gamma_max = 0\.2$"):
+        default_gamma_grid(SC, gamma_hi=0.2)
+
+
+def test_default_grid_refuses_points_that_do_not_increase():
+    # valid bounds one ulp apart leave no room for a third point; two fit
+    hi = math.nextafter(0.5, 1.0)
+    assert default_gamma_grid(SC, count=2, gamma_lo=0.5, gamma_hi=hi) == (0.5, hi)
+    with pytest.raises(ValueError, match="^3 grid points from 0.5 to 0.5000000000000001 do not"):
+        default_gamma_grid(SC, count=3, gamma_lo=0.5, gamma_hi=hi)
 
 
 def test_sweep_rows_mirror_the_optimizer():

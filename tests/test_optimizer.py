@@ -41,7 +41,7 @@ from cvqkd_attacks.attacks import (
 )
 from cvqkd_attacks.channels import GaussChannel, is_entanglement_breaking
 from cvqkd_attacks.cli import RunConfig, scenario_from
-from cvqkd_attacks.gaussian import _check_physical, _interleaved, tmsv
+from cvqkd_attacks.gaussian import _check_physical, tmsv
 from cvqkd_attacks.keyrate import default_gamma_grid, sweep
 
 ORACLE_POINTS = 4001
@@ -152,7 +152,7 @@ def _assert_rows_are_the_evaluators(sc, grid, rows):
             assert row.kappa_star == _auxiliary_squeezing(row.eta_star, m), gamma
             info, ab = _attack_point(sc, alice, resource, row.eta_star, m, validate=True)
             assert row.eve_info_bits == info, gamma
-            ab = _interleaved(_check_physical(ab)[0])
+            ab = _check_physical(ab)[0]
             assert row.residual == _channel_residual(ab, alice, sc.channel)
 
 
@@ -238,7 +238,7 @@ def test_stacked_validation_equals_the_single_row_kernels(
             )
             state = ao_attack_state(sc, gamma, row.eta_star, row.kappa_star)
             assert info == eve_info(state, sc)
-            residual = _channel_residual(_interleaved(_check_physical(ab)[0]), alice, channel)
+            residual = _channel_residual(_check_physical(ab)[0], alice, channel)
             assert residual == simulation_residual(sc, gamma, row.eta_star, row.kappa_star)
 
 
