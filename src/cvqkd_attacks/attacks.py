@@ -27,14 +27,13 @@ from .channels import (
 from .gaussian import (
     CovMat,
     _check_physical,
+    _checked,
     _heterodyne_blocks,
-    _interleaved,
     _spectrum_entropy,
     _split_spectrum,
     _tmsv_entries,
     _tmsv_matrices,
     _tmsv_textbook,
-    _xp_blocks,
     tmsv,
 )
 from .teleportation import (
@@ -178,12 +177,12 @@ def eve_info(full_state: CovMat, sc: AttackScenario) -> float:
     """S(x:E) = S(Eve) - S(Eve | heterodyne of the reconciliation mode).
 
     Eve's modes are every label other than A and B. The state is read on
-    its x and p blocks, as every CovMat is phase-insensitive. The
+    the x and p blocks every CovMat keeps. The
     conditioning runs in double precision (_eve_info_blocks), so it expects
     a state whose measured mode is not amplified against Eve's modes, as
     ao_attack_state's.
     """
-    return float(_eve_info_blocks(sc, _xp_blocks(full_state.matrix), full_state.labels, True))
+    return float(_eve_info_blocks(sc, full_state._blocks, full_state.labels, True))
 
 
 def _entropy_pair(first: np.ndarray, second: np.ndarray, validate: bool, pure_tol: float):
@@ -222,13 +221,13 @@ def _eve_info_blocks(sc: AttackScenario, blocks: np.ndarray, labels: tuple[str, 
 
 def _channel_residual(ab: np.ndarray, alice: np.ndarray, ch: GaussChannel):
     """|tau_eff - tau| + |v_eff - v| of the channel that took Alice's
-    tmsv(zeta) matrix on (A, B) to ab, given as x blocks over p blocks, or
+    tmsv(zeta) on (A, B) to ab, both given as x blocks over p blocks, or
     to each state of a stack of them, read off the x blocks once each
     state is checked to keep the phase-insensitive form within 1e-8 of
     Alice's variance (channels._check_phase_insensitive). At zeta = 0
     Alice's input carries no correlation to read tau_eff from: the residual
     then compares only the output variance with tau + v."""
-    a_in, c_in = alice[0, 0], alice[0, 2]
+    a_in, c_in = alice[0, ..., 0, 0], alice[0, ..., 0, 1]
     _check_phase_insensitive(ab, a_in, 1e-8 * a_in)
     # float_power: C pow per element, as _probe_channel explains
     tau_eff = np.float_power(ab[0, ..., 0, 1] / c_in, 2) if c_in else ch.tau
@@ -262,14 +261,15 @@ def cloner_attack(sc: AttackScenario) -> AttackResult:
         )
 
     # A and B lead the validated state (direct_sum puts alice first)
-    residual = float(_channel_residual(_xp_blocks(full.matrix[:4, :4]), alice.matrix, sc.channel))
+    residual = float(_channel_residual(full._blocks[:, :2, :2], alice._blocks, sc.channel))
     return _row_result(gamma_e, chi, info=info, residual=residual)
 
 
 def _resource_matrix(gamma) -> np.ndarray:
-    """Eve's resource tmsv(gamma) on (R1, R2), or the stack of them for an
-    array of gammas, from _tmsv_matrices (exactly rounded, and counted in
-    the physicality audit). optimize_attacks builds every row's in one call."""
+    """Eve's resource tmsv(gamma) on (R1, R2) as x blocks over p blocks
+    (2, 2, 2), or the (2, k, 2, 2) stack of them for an array of k gammas,
+    from _tmsv_matrices (exactly rounded, and counted in the physicality
+    audit). optimize_attacks builds every row's in one call."""
     gamma = np.asarray(gamma, dtype=float)
     outside = ~((0.0 <= gamma) & (gamma < 1.0))
     if outside.any():
@@ -299,16 +299,16 @@ def ao_attack_state(sc: AttackScenario, gamma: float, eta: float, kappa: float) 
     resource arms in her local basis (teleportation._eve_local_map): P
     carries the amplified Bell record, Q has O(1) entries."""
     resource = _resource_matrix(gamma)
-    alice = tmsv(sc.zeta, ("A", "B")).matrix
+    alice = tmsv(sc.zeta, ("A", "B"))._blocks
     blocks = _pipeline_raw(alice, sc.channel, resource, eta, _auxiliary_noise(eta, kappa), sc.gain)
-    return CovMat(_interleaved(blocks), _ATTACK_MODES)
+    return _checked(blocks, _ATTACK_MODES)
 
 
 def simulation_residual(sc: AttackScenario, gamma: float, eta: float, kappa: float) -> float:
     """|tau_eff - tau| + |v_eff - v| for the channel the attack actually
     presents between A and B at the scenario's finite gain, read off the
     (A, B) block of the attack state, the one block it checks."""
-    alice, m = tmsv(sc.zeta).matrix, _auxiliary_noise(eta, kappa)
+    alice, m = tmsv(sc.zeta)._blocks, _auxiliary_noise(eta, kappa)
     blocks = _pipeline_raw(alice, sc.channel, _resource_matrix(gamma), eta, m, sc.gain)
     return _channel_residual(_check_physical(blocks[..., :2, :2])[0], alice, sc.channel)
 
@@ -349,12 +349,13 @@ def _attack_point(sc: AttackScenario, alice, resource, eta, m, validate: bool = 
     it was read from, at the scenario's gain: the one evaluation behind the scan,
     the refit and the validation of the picks.
 
-    alice is the tmsv(zeta) matrix on (A, B), resource the one from
-    _resource_matrix. eta and m, Eve's tap transmissivity and noise
-    (teleportation._tapped_auxiliary), are scalars, or 1-D arrays of
-    matched pairs evaluated as one stack, one value each; the resource is
-    then one matrix shared by every pair, or a stack of them, one per pair,
-    so that points of several rows share one call.
+    alice is the tmsv(zeta) on (A, B) and resource the one from
+    _resource_matrix, both as x blocks over p blocks. eta and m, Eve's tap
+    transmissivity and noise (teleportation._tapped_auxiliary), are
+    scalars, or 1-D arrays of matched pairs evaluated as one stack, one
+    value each; the resource is then one state shared by every pair, or a
+    (2, k, 2, 2) stack of them, one per pair, so that points of several
+    rows share one call.
 
     A gain of math.inf takes the Bell-record closed form (_bell_record_info):
     O(1) entries in double precision, within 1e-13 bits of the 60-digit
@@ -488,9 +489,9 @@ def _validated_rows(sc: AttackScenario, alice, resources, gammas, picks, chi):
 
 def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
     """Eve's best (eta, m) for each of a stack of rows (the rows' stacked
-    _resource_matrix), each searched on its own feasible window, all rows
-    sharing each objective call: the picked etas and the noises matched to
-    them, both NaN for a row whose scan matched no eta.
+    _resource_matrix, a row on axis 1), each searched on its own feasible
+    window, all rows sharing each objective call: the picked etas and the
+    noises matched to them, both NaN for a row whose scan matched no eta.
     """
     tau, v, gain = sc.channel.tau, sc.channel.v, sc.gain
     gammas = np.asarray(gammas, dtype=float)
@@ -516,7 +517,7 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
             return best_etas, best_noises
         values = np.full(etas.shape, -np.inf)
         rows = live[hits.nonzero()[0]]
-        values[hits] = _eve_info_objective(sc, alice, resources[rows], etas[hits], noises[hits])
+        values[hits] = _eve_info_objective(sc, alice, resources[:, rows], etas[hits], noises[hits])
         best = np.argmax(values, axis=1)
         at = np.arange(live.size)
         span = (
@@ -544,7 +545,7 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
     if rows.size:
         # strictly between two matched points, so matched itself
         noises = _match_noise(gammas[rows], vertex, tau, v, gain)
-        wins = _eve_info_objective(sc, alice, resources[rows], vertex, noises) > top
+        wins = _eve_info_objective(sc, alice, resources[:, rows], vertex, noises) > top
         best_etas[rows[wins]], best_noises[rows[wins]] = vertex[wins], noises[wins]
     return best_etas, best_noises
 
@@ -572,13 +573,14 @@ def _stacked_rows(sc: AttackScenario, gammas: tuple[float, ...]) -> list[AttackR
         elif (window := _feasible_eta_window(gamma, tau, v, lo)) is not None:
             windows[row] = window
 
-    # row constants, built once a sweep: Alice's state and each row's resource
-    alice = tmsv(sc.zeta, ("A", "B")).matrix
-    built = (*picks, *windows)
-    resources = dict(zip(built, _resource_matrix([gammas[row] for row in built])))
+    # row constants, built once a sweep: Alice's state and each row's
+    # resource, at the row's place in built on axis 1
+    alice = tmsv(sc.zeta, ("A", "B"))._blocks
+    built = {row: i for i, row in enumerate((*picks, *windows))}
+    resources = _resource_matrix([gammas[row] for row in built])
 
     def stack(rows):
-        return alice, np.array([resources[row] for row in rows]), [gammas[row] for row in rows]
+        return alice, resources[:, [built[row] for row in rows]], [gammas[row] for row in rows]
 
     if windows:
         best = _scan_windows(sc, *stack(windows), list(windows.values()))

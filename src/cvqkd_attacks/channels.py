@@ -16,7 +16,7 @@ import numpy as np
 from .gaussian import (
     CovMat,
     _channel_on_mode,
-    _xp_blocks,
+    _checked,
     apply_symplectic,
     beam_splitter,
     direct_sum,
@@ -96,8 +96,8 @@ def is_entanglement_breaking(channel: GaussChannel) -> bool:
 
 def apply_channel(state: CovMat, channel: GaussChannel, target_label: str) -> CovMat:
     """Act with the channel on one mode of a multimode state."""
-    out = _channel_on_mode(state.matrix, state.index(target_label), channel.tau, channel.v)
-    return CovMat(out, state.labels)
+    out = _channel_on_mode(state._blocks, state.index(target_label), channel.tau, channel.v)
+    return _checked(out, state.labels)
 
 
 def dilation(channel: GaussChannel, env_labels: tuple[str, str] = ("env1", "env2")):
@@ -147,17 +147,17 @@ def effective_channel(
     if not isinstance(out, CovMat):
         raise TypeError("transform must return a CovMat")
     reduced = partial_trace(out, ("probe_ref", "probe_sig"))
-    tau, v = _probe_channel(_xp_blocks(reduced.matrix), probe.matrix, atol)
+    tau, v = _probe_channel(reduced._blocks, probe._blocks, atol)
     return GaussChannel(float(tau), float(v))
 
 
 def _probe_channel(out: np.ndarray, probe: np.ndarray, atol: float = 1e-8):
-    """(tau, v >= 0) of the channel that took the TMSV probe matrix on
-    (probe_ref, probe_sig) to out, given as x blocks over p blocks (2, 2, 2),
-    or to each state of a (2, ..., 2, 2) stack; each output must keep the
+    """(tau, v >= 0) of the channel that took the TMSV probe on (probe_ref,
+    probe_sig) to out, both given as x blocks over p blocks (2, 2, 2), or
+    to each state of a (2, ..., 2, 2) stack out; each output must keep the
     phase-insensitive form within atol (_check_phase_insensitive) and each
     pair be a physical GaussChannel."""
-    a_in, c_in = probe[0, 0], probe[0, 2]
+    a_in, c_in = probe[0, ..., 0, 0], probe[0, ..., 0, 1]
     _check_phase_insensitive(out, a_in, atol)
     # float_power is C pow on every element, as ** is on one scalar; ** on
     # an array squares, which rounds differently in about 1e-3 of cases

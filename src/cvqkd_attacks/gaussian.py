@@ -4,24 +4,26 @@ Conventions used throughout the package: quadrature ordering
 (x1, p1, ..., xn, pn), x = a + a^dag, shot-noise units (vacuum
 quadrature variance equals 1).
 
-The package has one state model, at both precisions. A CovMat is
-phase-insensitive (every x-p entry 0.0, as every state the package builds;
-one with an x-p term is refused): X (+) P on its x and p quadratures, one
-(2, ..., n, n) stack of x blocks over p blocks, the diagonal of
-_quadrature_blocks, acted on by the x and p parts of its maps, a measured
-mode removed per quadrature (_heterodyne_blocks), its spectrum read from
-the Cholesky factors of X and P (_split_spectrum), in closed form for two
-modes. _check_physical validates such a stack on that spectrum;
+The package has one state model and one storage format, at both
+precisions. A CovMat is phase-insensitive (every x-p entry 0.0, as every
+state the package builds; one with an x-p term is refused, as is a map with
+one): X (+) P on its x and p quadratures, kept as one (2, ..., n, n) stack
+of x blocks over p blocks, acted on by the x and p parts of its maps, a
+measured mode removed per quadrature (_heterodyne_blocks), its spectrum
+read from the Cholesky factors of X and P (_split_spectrum), in closed form
+for two modes. _check_physical validates such a stack on that spectrum;
 _high_precision, the one importer of mpmath, takes a member that double
-precision cannot certify, and runs the same conditioning in 30 digits above
-_HP_SCALE.
+precision cannot certify through the same factors (_refined_spectrum), and
+runs the same conditioning above _HP_SCALE, in 30 digits.
 
-A CovMat is validated where it is formed by arithmetic (a symplectic
-applied, a channel, a conditioning, a reordered partial trace) on its x and
-p blocks. tmsv, thermal and direct_sum know their spectra exactly and
-certify by them (_certified), as does teleportation.ResourceState;
-partial_trace keeping every mode in its order returns the state itself.
-_interleaved forms the 2n x 2n matrix only where a CovMat needs it.
+Every operation reads and writes blocks, and _checked forms a CovMat of
+them: validated where it is formed by arithmetic (a symplectic applied, a
+channel, a conditioning, a reordered partial trace), or certified by the
+spectrum it is known to have (tmsv, thermal, direct_sum,
+teleportation.ResourceState); partial_trace keeping every mode in its order
+returns the state itself. Only this module knows the interleaved layout: a
+CovMat forms its 2n x 2n matrix once (_interleaved), and reads a public one
+through _quadrature_blocks.
 """
 
 from __future__ import annotations
@@ -116,37 +118,35 @@ def _high_precision(matrix: np.ndarray, compute):
         return compute(mpmath, np.frompyfunc(mpmath.mpf, 1, 1)(matrix))
 
 
-def _refined_spectrum(matrix: np.ndarray) -> np.ndarray:
-    # High-precision spectrum: near nu = 1 the double-precision eigensolver
-    # carries absolute noise up to ~eps * ||matrix|| * (eigenvector
-    # conditioning), which at large amplifier gains (entries ~1e10) swamps
-    # the 1e-9 physicality margin even when the stored matrix is physical.
-    # With sigma = L L^T, i Omega sigma is similar to the Hermitian
-    # i L^T Omega L, whose eigenvalues are the same +/- nu pairs; a Hermitian
-    # eigensolve is several times cheaper than a general one on Omega sigma.
-    # A matrix without a Cholesky factor is not positive definite, hence
-    # unphysical; the general route then reports its spectrum.
-    n = matrix.shape[0] // 2
+def _refined_spectrum(blocks: np.ndarray) -> np.ndarray:
+    """The symplectic spectrum, descending, of one state's x block over its
+    p block (2, n, n) in 30 digits, by the formula _factored_spectrum takes
+    in doubles: the singular values of L_X^T L_P. Near nu = 1 the doubles
+    carry noise ~eps * nu_max, which at entries ~1e10 swamps the 1e-9
+    margin. A state without both factors is not positive definite; |eig| of
+    Omega sigma = [[0, P], [-X, 0]] in (x, p) order, each nu twice, then
+    words its rejection."""
 
-    def eigenvalues(mp, entries):
-        sigma = mp.matrix(entries.tolist())
-        omega = mp.matrix(symplectic_form(n).tolist())
+    def spectrum(mp, entries):
         try:
-            chol = mp.cholesky(sigma)
+            lx, lp = (mp.cholesky(mp.matrix(part.tolist())) for part in entries)
         except ValueError:
-            return mp.eig(omega * sigma, left=False, right=False)
-        return mp.eighe(chol.T * omega * chol * 1j, eigvals_only=True)
+            x, p = entries
+            omega_sigma = mp.matrix(np.block([[0 * x, p], [-x, 0 * p]]).tolist())
+            eigs = mp.eig(omega_sigma, left=False, right=False)
+            return sorted((abs(z) for z in eigs), reverse=True)[::2]
+        return mp.svd_r(lx.T * lp, compute_uv=False)
 
-    nus = sorted((abs(z) for z in _high_precision(matrix, eigenvalues)), reverse=True)
-    return np.array([float(nus[2 * i]) for i in range(n)])
+    nus = _high_precision(blocks, spectrum)
+    return np.sort([float(nus[i]) for i in range(blocks.shape[-1])])[::-1]
 
 
 def _quadrature_blocks(matrix: np.ndarray) -> np.ndarray:
     """The x-x, x-p, p-x and p-p blocks of a (..., 2n, 2n) matrix or stack,
     as one (2, 2, ..., n, n) view indexed by the quadrature of the rows, then
     of the columns. Its diagonal, [[0, 1], [0, 1]], stacks the x blocks X
-    over the p blocks P, the (2, ..., n, n) layout in which the attack
-    carries its phase-insensitive states (_interleaved inverts it)."""
+    over the p blocks P, the (2, ..., n, n) layout in which the package
+    carries its phase-insensitive states and maps (_interleaved inverts it)."""
     lead, n = matrix.shape[:-2], matrix.shape[-1] // 2
     k = len(lead)
     axes = (k + 1, k + 3, *range(k), k, k + 2)
@@ -165,12 +165,10 @@ def _interleaved(blocks: np.ndarray) -> np.ndarray:
 
 
 def _xp_blocks(matrix: np.ndarray) -> np.ndarray:
-    """X over P, (2, ..., n, n), of a matrix or stack whose x-p entries are
-    all 0; one with an x-p term is rejected, after the finite and symmetry
-    checks (_symmetrized), whose messages it keeps."""
+    """X over P, (2, ..., n, n), of a matrix, a map or a stack whose x-p
+    entries are all 0; one with an x-p term is rejected."""
     quads = _quadrature_blocks(matrix)
     if quads[0, 1].any() or quads[1, 0].any():
-        _symmetrized(matrix, (-2, -1))
         raise ValueError("state couples its x and p quadratures; expected a phase-insensitive one")
     return quads[[0, 1], [0, 1]]
 
@@ -323,12 +321,6 @@ def _eig_spectrum(stack: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(eigs), axis=-1)[:, ::-1][:, ::2]
 
 
-def _above_hp_scale(matrix: np.ndarray) -> np.ndarray:
-    """Per-matrix flag: entries beyond _HP_SCALE, where one side of the
-    Cholesky congruence cannot resolve near-unity symplectic eigenvalues."""
-    return np.abs(matrix).max(axis=(-2, -1)) > _HP_SCALE
-
-
 def _symmetrized(mats: np.ndarray, axes) -> np.ndarray:
     """mats checked to be finite and, each member spanning axes, symmetric
     to SYMMETRY_RTOL of its largest |entry|; then symmetrized."""
@@ -349,8 +341,8 @@ def _check_physical(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     factors the spectrum is computed from, _split_spectrum) and every
     symplectic eigenvalue >= 1 - PHYSICALITY_TOL. Returns the symmetrized
     blocks and the spectra, descending. A member that double precision
-    cannot certify takes the high-precision spectrum of its interleaved
-    matrix (_refined_spectrum): above _HP_SCALE, an equilibrated condition
+    cannot certify takes the high-precision spectrum of its blocks
+    (_refined_spectrum): above _HP_SCALE, an equilibrated condition
     bound past _CERTIFIED_COND or no Cholesky factor; at any scale, a
     reading below 1 - _REFINE_TRIGGER. Each member counts once in the
     physicality audit, as one CovMat construction would; a stack with an
@@ -364,7 +356,7 @@ def _check_physical(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the spectra are descending: the last column holds each minimum
     refine = (cond > _CERTIFIED_COND) | (nus[:, -1] < 1.0 - _REFINE_TRIGGER)
     for i in refine.nonzero()[0]:
-        nus[i] = _refined_spectrum(_interleaved(flat[:, i]))
+        nus[i] = _refined_spectrum(flat[:, i])
     nus = nus.reshape(lead + (n,))
     _judge(nus, definite)
     return blocks, nus
@@ -405,12 +397,13 @@ class CovMat:
     labels: n distinct mode identifiers, positionally aligned with the
         2x2 diagonal blocks.
 
-    Construction validates symmetry and physicality numerically on the x
-    and p blocks (every symplectic eigenvalue >= 1 - 1e-9, and the matrix
-    positive definite, as the module docstring says) and freezes the array;
-    a matrix with an x-p term is refused (_xp_blocks). tmsv, thermal and
-    direct_sum build theirs through _certified instead, with the same label
-    checks, from a spectrum known exactly.
+    A CovMat keeps its symmetrized x blocks over its p blocks, (2, n, n)
+    (_blocks), on which every operation of the package works, beside the
+    read-only matrix formed from them once, and its spectrum. Construction
+    checks the shape, the entries (finite, symmetric) and that the matrix
+    has no x-p term (_xp_blocks), then validates physicality on the blocks
+    (_checked: every symplectic eigenvalue >= 1 - 1e-9, and the matrix
+    positive definite, as the module docstring says).
     """
 
     matrix: np.ndarray
@@ -420,16 +413,9 @@ class CovMat:
         mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 or not mat.size:
             raise ValueError(f"covariance matrix must be 2n x 2n, got shape {mat.shape}")
-        labels = _mode_labels(mat.shape[0] // 2, self.labels)
-        blocks, nus = _check_physical(_xp_blocks(mat))
-        self._freeze(_interleaved(blocks), nus, labels)
-
-    def _freeze(self, mat: np.ndarray, nus: np.ndarray, labels: tuple[str, ...]) -> None:
-        mat.flags.writeable = False
-        nus.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_nus", nus)
+        # a non-finite or asymmetric entry is named before an x-p term
+        blocks = _xp_blocks(_symmetrized(mat, (-2, -1)))
+        vars(self).update(vars(_checked(blocks, self.labels)))
 
     @property
     def n_modes(self) -> int:
@@ -447,33 +433,39 @@ class CovMat:
         return self.matrix[i : i + 2, j : j + 2].copy()
 
 
-def _certified(mat: np.ndarray, labels, nus) -> CovMat:
-    """A CovMat of a fresh symmetric float matrix whose symplectic spectrum
-    nus (in any order) is known exactly, from a closed form or as the union
-    of validated parts: CovMat's label checks, its rejection of non-finite
-    entries and of a nu below 1 - PHYSICALITY_TOL, the frozen arrays, and
-    one count in the physicality audit at nus' least member, but no
-    numerical spectrum. Positive definiteness is the caller's to know, as
-    its closed form does (tmsv, thermal, a direct sum of valid states, a
-    two-mode standard form with nu_- > 0)."""
-    labels = _mode_labels(mat.shape[-1] // 2, labels)
-    if not np.isfinite(mat).all():
-        raise ValueError("covariance matrix must not contain infs or NaNs")
-    nus = np.sort(np.asarray(nus, dtype=float))[::-1].copy()
-    _judge(nus)
+def _checked(blocks: np.ndarray, labels, nus=None) -> CovMat:
+    """The CovMat of fresh x blocks over p blocks (2, n, n), with the label
+    checks and frozen arrays: validated and symmetrized by _check_physical,
+    or, given nus, the spectrum (in any order) it is known to have from a
+    closed form or as the union of validated parts, certified by them:
+    non-finite entries and a nu below 1 - PHYSICALITY_TOL are rejected and
+    nus' least member counts once in the audit, with no numerical spectrum.
+    Positive definiteness is then the caller's to know (tmsv, thermal, a
+    direct sum of valid states, a two-mode standard form with nu_- > 0)."""
+    labels = _mode_labels(blocks.shape[-1], labels)
+    if nus is None:
+        blocks, nus = _check_physical(blocks)
+    else:
+        if not np.isfinite(blocks).all():
+            raise ValueError("covariance matrix must not contain infs or NaNs")
+        nus = np.sort(np.asarray(nus, dtype=float))[::-1].copy()
+        _judge(nus)
     state = object.__new__(CovMat)
-    state._freeze(mat, nus, labels)
+    vars(state).update(matrix=_interleaved(blocks), labels=labels, _blocks=blocks, _nus=nus)
+    for frozen in (state.matrix, blocks, nus):
+        frozen.flags.writeable = False
     return state
 
 
-def _two_mode_std(a, b, c_plus, c_minus) -> np.ndarray:
-    """The raw standard-form two-mode matrix; array entries give a stack."""
-    m = np.zeros(np.broadcast(a, b, c_plus, c_minus).shape + (4, 4))
-    m[..., 0, 0] = m[..., 1, 1] = a
-    m[..., 2, 2] = m[..., 3, 3] = b
-    m[..., 0, 2] = m[..., 2, 0] = c_plus
-    m[..., 1, 3] = m[..., 3, 1] = c_minus
-    return m
+def _two_mode_std(a, b, c) -> np.ndarray:
+    """The standard-form two-mode state's x blocks [[a, c], [c, b]] over
+    its p blocks [[a, -c], [-c, b]], (2, ..., 2, 2); array entries give a
+    stack."""
+    blocks = np.empty((2,) + np.broadcast(a, b, c).shape + (2, 2))
+    blocks[..., 0, 0], blocks[..., 1, 1] = a, b
+    blocks[0, ..., 0, 1] = blocks[0, ..., 1, 0] = c
+    blocks[1, ..., 0, 1] = blocks[1, ..., 1, 0] = -c
+    return blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,6 +483,9 @@ class Symplectic:
                 f"symplectic on {self.arity} modes must be {2*self.arity}x{2*self.arity}, "
                 f"got {mat.shape}"
             )
+        # a NaN would pass the comparison below
+        if not np.isfinite(mat).all():
+            raise ValueError("symplectic matrix must not contain infs or NaNs")
         omega = symplectic_form(self.arity)
         dev = np.abs(mat @ omega @ np.swapaxes(mat, -1, -2) - omega).max(axis=(-2, -1))
         # S Omega S^T entries are products of two entries of S, so rounding
@@ -552,14 +547,14 @@ def _tmsv_nu(a, c):
 
 
 def _tmsv_matrices(gamma: np.ndarray) -> np.ndarray:
-    """tmsv(gamma)'s matrix for each gamma of an array, from _tmsv_entries,
-    counted in the physicality audit as one tmsv each, at its closed-form
-    _tmsv_nu."""
+    """tmsv(gamma)'s x blocks over p blocks for each gamma of an array,
+    (2, ..., 2, 2), from _tmsv_entries, counted in the physicality audit as
+    one tmsv each, at its closed-form _tmsv_nu."""
     gamma = np.asarray(gamma, dtype=float)
     entries = np.reshape([_tmsv_entries(x) for x in gamma.ravel().tolist()], gamma.shape + (2,))
     a, c = entries[..., 0], entries[..., 1]
     _record_in_audit(_tmsv_nu(a, c))
-    return _two_mode_std(a, a, c, -c)
+    return _two_mode_std(a, a, c)
 
 
 def tmsv(gamma: float, labels: tuple[str, str] = ("m1", "m2")) -> CovMat:
@@ -574,7 +569,7 @@ def tmsv(gamma: float, labels: tuple[str, str] = ("m1", "m2")) -> CovMat:
         raise ValueError(f"tmsv squeezing must lie in [0, 1), got {gamma}")
     a, c = _tmsv_entries(gamma)
     nu = _tmsv_nu(a, c)
-    return _certified(_two_mode_std(a, a, c, -c), labels, (nu, nu))
+    return _checked(_two_mode_std(a, a, c), labels, (nu, nu))
 
 
 def thermal(variance: float, label: str = "m1") -> CovMat:
@@ -582,14 +577,14 @@ def thermal(variance: float, label: str = "m1") -> CovMat:
     Certified by its spectrum, nu = variance."""
     if variance < 1.0:
         raise ValueError(f"thermal variance must be >= 1, got {variance}")
-    return _certified(np.diag([variance, variance]).astype(float), (label,), (variance,))
+    return _checked(np.full((2, 1, 1), variance, dtype=float), (label,), (variance,))
 
 
 def _squeezer_parts(g: float) -> np.ndarray:
     """two_mode_squeezer's x part over its p part, (2, 2, 2), range-checked,
     for the raw pipelines."""
-    if g < 1.0:
-        raise ValueError(f"squeezer gain must be >= 1, got {g}")
+    if not 1.0 <= g < math.inf:
+        raise ValueError(f"squeezer gain must be a finite value >= 1, got {g}")
     sg = math.sqrt(g)
     sgm = math.sqrt(g - 1.0)
     return np.array([[[sg, sgm], [sgm, sg]], [[sg, -sgm], [-sgm, sg]]])
@@ -637,19 +632,24 @@ def direct_sum(*states: CovMat) -> CovMat:
         raise ValueError("direct_sum needs at least one state")
     labels = tuple(lbl for s in states for lbl in s.labels)
     nus = np.concatenate([s._nus for s in states])
-    return _certified(_block_diag(*(s.matrix for s in states)), labels, nus)
+    return _checked(_block_diag(*(s._blocks for s in states)), labels, nus)
 
 
 def apply_symplectic(state: CovMat, s: Symplectic, target_labels: tuple[str, ...]) -> CovMat:
     """Apply a symplectic to the designated modes: sigma -> S sigma S^T with S
-    embedded as identity on every other mode."""
+    embedded as identity on every other mode, on the x and p blocks by S's
+    x and p parts. A map with an x-p term, such as a phase rotation, is
+    refused (_xp_blocks), as is a stack of maps."""
     target = tuple(target_labels)
     if len(target) != s.arity:
         raise ValueError(f"symplectic acts on {s.arity} modes, got {len(target)} labels")
     idx = [state.index(lbl) for lbl in target]
     if len(set(idx)) != len(idx):
         raise ValueError(f"target labels must be distinct, got {target}")
-    return CovMat(_act_on_modes(state.matrix, s.matrix, idx), state.labels)
+    if s.matrix.ndim != 2:
+        raise ValueError(f"expected one symplectic, got a stack of shape {s.matrix.shape}")
+    full = _embedded(_xp_blocks(s.matrix), idx, state.n_modes)
+    return _checked(full @ state._blocks @ np.swapaxes(full, -1, -2), state.labels)
 
 
 def partial_trace(state: CovMat, keep_labels: tuple[str, ...]) -> CovMat:
@@ -664,8 +664,8 @@ def partial_trace(state: CovMat, keep_labels: tuple[str, ...]) -> CovMat:
     idx = [state.index(lbl) for lbl in keep]
     if len(set(idx)) != len(idx):
         raise ValueError(f"keep labels must be distinct, got {keep}")
-    rows = np.concatenate([[2 * i, 2 * i + 1] for i in idx])
-    return CovMat(state.matrix[np.ix_(rows, rows)], keep)
+    idx = np.array(idx)
+    return _checked(state._blocks[:, idx[:, None], idx], keep)
 
 
 def symplectic_eigenvalues(state: CovMat) -> np.ndarray:
@@ -712,14 +712,14 @@ def _conditioned_state(state: CovMat, measured_label: str, quadrature: str | Non
         raise ValueError("cannot condition away the only remaining mode")
     m = state.index(measured_label)
     keep = [j for j in range(state.n_modes) if j != m]
-    blocks = _xp_blocks(state.matrix)
-    if _above_hp_scale(state.matrix):
+    blocks = state._blocks
+    if np.abs(blocks).max() > _HP_SCALE:
         blocks = _high_precision(
             blocks, lambda mp, exact: _heterodyne_blocks(exact, m, keep, quadrature).astype(float)
         )
     else:
         blocks = _heterodyne_blocks(blocks, m, keep, quadrature)
-    return CovMat(_interleaved(blocks), tuple(state.labels[j] for j in keep))
+    return _checked(blocks, tuple(state.labels[j] for j in keep))
 
 
 def condition_heterodyne(state: CovMat, measured_label: str) -> CovMat:
@@ -746,10 +746,10 @@ def condition_homodyne(state: CovMat, measured_label: str, quadrature: str = "x"
     return _conditioned_state(state, measured_label, quadrature)
 
 
-# Raw-array plumbing for the multimode pipelines. Intermediate states of a
-# long interferometer are scratch arithmetic, not results; working on bare
-# ndarrays here keeps CovMat construction (and its physicality audit) at the
-# contract boundaries where a state is actually handed back. The state-level
+# Raw-array plumbing for the multimode pipelines, on x blocks over p blocks:
+# intermediate states of a long interferometer are scratch arithmetic, not
+# results, and CovMat construction (and its physicality audit) stays at the
+# contract boundaries where a state is handed back. The state-level
 # operations above call the same functions, so each Gaussian operation lives
 # here once; they alone switch a conditioning to high precision.
 
@@ -768,33 +768,24 @@ def _block_diag(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _embedded(s: np.ndarray, idx, dim: int, width: int = 2) -> np.ndarray:
-    """A map on the mode slots idx (or a stack of them) embedded in dim rows
-    as identity on every other mode; width is a mode's number of rows: 2
-    for a whole map, 1 for its x or p part."""
-    rows = np.ravel([range(width * i, width * (i + 1)) for i in idx])
+def _embedded(s: np.ndarray, idx, dim: int) -> np.ndarray:
+    """The x or p part of a map on the mode slots idx (or a stack of
+    them), or both stacked, embedded in dim modes as identity on every
+    other mode."""
+    idx = np.asarray(idx)
     full = np.broadcast_to(np.eye(dim), s.shape[:-2] + (dim, dim)).copy()
-    full[..., rows[:, None], rows] = s
+    full[..., idx[:, None], idx] = s
     return full
 
 
-def _act_on_modes(mat: np.ndarray, s: np.ndarray, idx) -> np.ndarray:
-    """sigma -> S sigma S^T for a symplectic S on the mode slots idx, embedded
-    as identity on every other mode. Either may be a stack; leading axes
-    broadcast."""
-    full = _embedded(s, idx, mat.shape[-1])
-    return full @ mat @ np.swapaxes(full, -1, -2)
-
-
-def _channel_on_mode(mat: np.ndarray, i: int, tau: float, v: float) -> np.ndarray:
-    """Apply a phase-insensitive channel (tau, v) to mode slot i of a raw
-    matrix or of each matrix in a stack."""
-    out = mat.copy()
-    sl = slice(2 * i, 2 * i + 2)
+def _channel_on_mode(blocks: np.ndarray, i: int, tau: float, v: float) -> np.ndarray:
+    """Apply a phase-insensitive channel (tau, v) to mode slot i of x
+    blocks over p blocks (2, ..., n, n), a state or a stack."""
+    out = blocks.copy()
     root = math.sqrt(tau)
-    out[..., sl, :] *= root
-    out[..., :, sl] *= root
-    out[..., sl, sl] += v * np.eye(2)
+    out[..., i, :] *= root
+    out[..., :, i] *= root
+    out[..., i, i] += v
     return out
 
 

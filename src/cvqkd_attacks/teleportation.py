@@ -19,14 +19,12 @@ from .channels import ChannelKind, GaussChannel, apply_channel, classify
 from .gaussian import (
     CovMat,
     _block_diag,
-    _certified,
+    _checked,
     _embedded,
-    _interleaved,
     _splitter_part,
     _squeezer_parts,
     _tmsv_entries,
     _two_mode_std,
-    _xp_blocks,
 )
 
 # The teleportation attack's modes: Alice's pair (A, B), Eve's amplified
@@ -73,7 +71,7 @@ class ResourceState:
         a, b, c = self.a, self.b, self.c
         root = math.sqrt(max((a + b - 2.0 * c) * (a + b + 2.0 * c), 0.0))
         nus = (0.5 * (root + abs(b - a)), 0.5 * (root - abs(b - a)))
-        return _certified(_two_mode_std(a, b, c, -c), labels, nus)
+        return _checked(_two_mode_std(a, b, c), labels, nus)
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ def _eve_local_map(tau: float, t: float) -> np.ndarray:
 
 
 def _pipeline_raw(
-    input_matrix: np.ndarray,
+    inputs: np.ndarray,
     channel: GaussChannel,
     resource: np.ndarray,
     eta,
@@ -242,11 +240,13 @@ def _pipeline_raw(
     teleporting the second mode of a two-mode input (A, B), with the
     channel's environment traced out.
 
-    Resource matrix on (R1, R2); vacuum on (F1, F2). Order: squeeze
-    (signal, R1) at gain g, send the signal through the channel, tap
-    (R2, F1, F2) with _tapped_auxiliary's map at transmissivity eta and
-    auxiliary noise m, recombine (signal, R2) at t, which defaults to 1/g,
-    the attack's choice.
+    inputs is the (A, B) state and resource the one on (R1, R2), each as
+    x blocks over p blocks (2, 2, 2), as every state below the public API
+    is carried; vacuum on (F1, F2). Order: squeeze (signal, R1) at gain g,
+    send the signal through the channel, tap (R2, F1, F2) with
+    _tapped_auxiliary's map at transmissivity eta and auxiliary noise m,
+    recombine (signal, R2) at t, which defaults to 1/g, the attack's
+    choice.
     eta = 1 with m = 0 is an exact identity tap, which leaves the plain
     teleporter. Tracing the channel's environment commutes with the later
     optics, so the channel map is applied in place of its dilation. Eve's
@@ -266,27 +266,25 @@ def _pipeline_raw(
     Forming the raw (R1, R2) output first and mapping it afterwards would
     not do: its rounding, ~eps g a in every amplified entry, survives the
     map. Returns the kept state's x blocks over its p blocks on
-    _ATTACK_MODES (gaussian._interleaved forms its matrix); each block
-    equals that of the 12 x 12 state formed from the 12 x 12 maps, bit for
-    bit, as the x-p terms the full product adds are exact zeros. An input
-    that couples x and p is rejected.
+    _ATTACK_MODES; each block equals that of the 12 x 12 state formed from
+    the 12 x 12 maps, bit for bit, as the x-p terms the full product adds
+    are exact zeros.
 
     eta and m may be 1-D arrays of one length: the result is then the
     stack of kept states, one per (eta, m) pair. Scalars give one (2, 6, 6).
-    The resource may be one matrix shared by every pair or a matching
-    (..., 4, 4) stack, one per pair.
+    The resource may be one state shared by every pair or a matching
+    (2, k, 2, 2) stack, one per pair.
     """
     if not (g > 1.0 and math.isfinite(g)):
         raise ValueError(f"amplifier gain must be a finite value > 1, got {g}")
     t = 1.0 / g if t is None else t
     _, tap = _tapped_auxiliary(channel, eta, m)
-    parts = (_xp_blocks(input_matrix), _xp_blocks(resource))
-    joint = np.array([_block_diag(*(part[q] for part in parts), np.eye(2)) for q in (0, 1)])
+    joint = np.array([_block_diag(inputs[q], resource[q], np.eye(2)) for q in (0, 1)])
     # modes: the signal B is mode 1, then R1, R2, F1 and F2
-    after = _embedded(_splitter_part(t), (1, 3), 6, 1) @ _embedded(tap, (3, 4, 5), 6, 1)
-    squeeze = _embedded(_squeezer_parts(g), (1, 2), 6, 1)
+    after = _embedded(_splitter_part(t), (1, 3), 6) @ _embedded(tap, (3, 4, 5), 6)
+    squeeze = _embedded(_squeezer_parts(g), (1, 2), 6)
     squeeze[:, 1, :] *= math.sqrt(channel.tau)
-    local = _embedded(_eve_local_map(channel.tau, t), (2, 3), 6, 1)
+    local = _embedded(_eve_local_map(channel.tau, t), (2, 3), 6)
     # axes of length 1 after the quadrature's, so that the stacks pair
     ndim = max(part.ndim for part in (joint, after, squeeze, local))
     joint, after, squeeze, local = (
@@ -337,8 +335,8 @@ def _bell_record_raw(
     and m, and one resource or a stack of them, as for _pipeline_raw.
     """
     eta, tap = _tapped_auxiliary(channel, eta, m)
-    a_in, c_in = alice[0, 0], alice[0, 2]
-    a, c = resource[..., 0, 0], resource[..., 0, 2]
+    a_in, c_in = alice[0, ..., 0, 0], alice[0, ..., 0, 1]
+    a, c = resource[0, ..., 0, 0], resource[0, ..., 0, 1]
     s = a + a_in
     # the tap acts on (A, R2, v1, v2) given u column by column: A's
     # variance stays, A's covariance with R2 (-c c_in / s in x, its negative
@@ -383,7 +381,7 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
     if math.isinf(cfg.g):
         return apply_channel(state, ao_effective_channel(res, cfg), state.labels[1])
     # the resource was validated when it was built, and it is frozen
-    resource = _two_mode_std(res.a, res.b, res.c, -res.c)
+    resource = _two_mode_std(res.a, res.b, res.c)
     t = cfg.splitter_transmissivity()
-    blocks = _pipeline_raw(state.matrix, cfg.env, resource, 1.0, 0.0, cfg.g, t)
-    return CovMat(_interleaved(blocks[:, :2, :2]), state.labels)
+    blocks = _pipeline_raw(state._blocks, cfg.env, resource, 1.0, 0.0, cfg.g, t)
+    return _checked(blocks[:, :2, :2], state.labels)

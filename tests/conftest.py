@@ -25,3 +25,20 @@ def random_two_mode_state(rng, labels=("m1", "m2")) -> CovMat:
     )
     stirred = apply_symplectic(base, two_mode_squeezer(rng.uniform(1.0, 2.0)), labels)
     return apply_symplectic(stirred, beam_splitter(rng.uniform(0.1, 0.9)), labels)
+
+
+def embedded_whole(s, idx, dim: int) -> np.ndarray:
+    """A map on whole modes, interleaved in (x, p) order, on the mode slots
+    idx (or a stack of them), embedded in dim rows as identity on every
+    other mode: the 2n x 2n oracle of gaussian._embedded's x and p parts."""
+    rows = np.ravel([(2 * i, 2 * i + 1) for i in idx])
+    full = np.broadcast_to(np.eye(dim), s.shape[:-2] + (dim, dim)).copy()
+    full[..., rows[:, None], rows] = s
+    return full
+
+
+def act_whole(mat, s, idx) -> np.ndarray:
+    """sigma -> S sigma S^T on an interleaved matrix or stack, for a map S
+    on the mode slots idx embedded as identity on every other mode."""
+    full = embedded_whole(s, idx, mat.shape[-1])
+    return full @ mat @ np.swapaxes(full, -1, -2)

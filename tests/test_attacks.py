@@ -32,11 +32,9 @@ from cvqkd_attacks.gaussian import (
     CovMat,
     _block_diag,
     _channel_on_mode,
-    _embedded,
     _interleaved,
     _quadrature_blocks,
     _tmsv_entries,
-    _xp_blocks,
     beam_splitter,
     partial_trace,
     symplectic_form,
@@ -53,6 +51,7 @@ from cvqkd_attacks.teleportation import (
     _tapped_auxiliary,
     ao_effective_channel,
 )
+from conftest import embedded_whole
 
 THERMAL = GaussChannel(0.25, 0.7575)
 PURE = GaussChannel(0.25, 0.75)
@@ -81,7 +80,7 @@ def test_scenario_resolution():
     # the default runs at g = infinity: the Bell-record objective at the
     # optimum reproduces the row, and a finite gain sees less
     res = optimize_attack(sc, 0.9)
-    alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(0.9)
+    alice, resource = tmsv(sc.zeta)._blocks, _resource_matrix(0.9)
     m = float(_match_noise(0.9, res.eta_star, THERMAL.tau, THERMAL.v, sc.gain))
     at_inf = _eve_info_objective(sc, alice, resource, res.eta_star, m)
     assert abs(at_inf - res.eve_info_bits) <= 1e-13
@@ -212,11 +211,12 @@ def _circuit_formed_whole(alice, ch, resource, eta, m, g):
     # 3-mode map on (R2, F1, F2) interleaved whole
     t = 1.0 / g
     joint = _block_diag(alice, resource, np.eye(4))
-    squeeze = _embedded(two_mode_squeezer(g).matrix, (1, 2), 12)
+    squeeze = embedded_whole(two_mode_squeezer(g).matrix, (1, 2), 12)
     squeeze[..., 2:4, :] *= math.sqrt(ch.tau)
     tap = _interleaved(_tapped_auxiliary(ch, eta, m)[1])
-    after = _embedded(beam_splitter(t).matrix, (1, 3), 12) @ _embedded(tap, (3, 4, 5), 12)
-    local = _embedded(_interleaved(_eve_local_map(ch.tau, t)), (2, 3), 12)
+    after = embedded_whole(beam_splitter(t).matrix, (1, 3), 12)
+    after = after @ embedded_whole(tap, (3, 4, 5), 12)
+    local = embedded_whole(_interleaved(_eve_local_map(ch.tau, t)), (2, 3), 12)
     linear = local @ (after @ squeeze)
     noise = local @ after[..., :, 2:4]
     joint = linear @ joint @ np.swapaxes(linear, -1, -2)
@@ -229,20 +229,22 @@ def test_pipeline_blocks_are_the_whole_circuits_x_and_p_blocks(g):
     # the 6 x 6 maps on X over P give the 12 x 12 state's blocks bit for
     # bit, whose x-p entries are all exactly 0.0, for a stack and a point
     sc = scenario(gain=g)
-    alice = tmsv(sc.zeta, ("A", "B")).matrix
+    alice = tmsv(sc.zeta, ("A", "B"))
     etas = np.linspace(0.3, 0.9, 7)
     # taps below and above the cap on the auxiliary's kept squeezing
     noises = (1.0 - etas) * np.array([1.0, 1.2, 2.0, 3.0, 4.0, 8.0, 20.0])
     resources = _resource_matrix(np.linspace(0.5, 0.95, 7))
-    blocks = _pipeline_raw(alice, THERMAL, resources, etas, noises, g)
+    blocks = _pipeline_raw(alice._blocks, THERMAL, resources, etas, noises, g)
     assert blocks.shape == (2, 7, 6, 6)
-    whole = _circuit_formed_whole(alice, THERMAL, resources, etas, noises, g)
+    whole = _circuit_formed_whole(alice.matrix, THERMAL, _interleaved(resources), etas, noises, g)
     quads = _quadrature_blocks(whole)
     assert (quads[0, 1] == 0.0).all() and (quads[1, 0] == 0.0).all()
     assert np.array_equal(quads[[0, 1], [0, 1]], blocks)
     assert np.array_equal(_interleaved(blocks), whole)
     state = ao_attack_state(sc, 0.6, 0.5, 0.05)
-    one = _pipeline_raw(alice, THERMAL, _resource_matrix(0.6), 0.5, _auxiliary_noise(0.5, 0.05), g)
+    one = _pipeline_raw(
+        alice._blocks, THERMAL, _resource_matrix(0.6), 0.5, _auxiliary_noise(0.5, 0.05), g
+    )
     assert one.shape == (2, 6, 6)
     assert np.array_equal(_interleaved(one), state.matrix)
 
@@ -264,7 +266,7 @@ def test_attack_state_mode_inventory():
     st_pl = ao_attack_state(scenario(PURE, gain=1.0e3), 0.6, 0.5, 0.0)
     assert st_pl.labels == st.labels
     _assert_last_mode_decoupled_vacuum(st_pl.matrix)
-    _, given_u = _bell_record_raw(tmsv(0.7).matrix, PURE, _resource_matrix(0.6), 0.5, 0.5)
+    _, given_u = _bell_record_raw(tmsv(0.7)._blocks, PURE, _resource_matrix(0.6), 0.5, 0.5)
     assert given_u.shape == (2, 4, 4)
     _assert_last_mode_decoupled_vacuum(_interleaved(given_u))
 
@@ -491,29 +493,29 @@ def test_optimize_thermal_smoke():
     alice = tmsv(sc.zeta, ("A", "B"))
     resource = _resource_matrix(0.6)
     m = float(_match_noise(0.6, res.eta_star, THERMAL.tau, THERMAL.v, sc.gain))
-    ab, _ = _bell_record_raw(alice.matrix, THERMAL, resource, res.eta_star, m)
-    ab = _xp_blocks(CovMat(_interleaved(ab), ("A", "B")).matrix)
-    assert _channel_residual(ab, alice.matrix, THERMAL) == res.residual
+    ab, _ = _bell_record_raw(alice._blocks, THERMAL, resource, res.eta_star, m)
+    ab = CovMat(_interleaved(ab), ("A", "B"))._blocks
+    assert _channel_residual(ab, alice._blocks, THERMAL) == res.residual
     for g in (100.0, 1e4):
         assert simulation_residual(scenario(gain=g), 0.6, res.eta_star, res.kappa_star) <= 1e-8
 
 
 def test_channel_residual_on_a_stack_equals_each_matrix_alone():
     # as for channels._probe_channel: the stack must round as one matrix does
-    alice = tmsv(0.7, ("A", "B")).matrix
+    alice = tmsv(0.7, ("A", "B"))._blocks
     taus = np.random.default_rng(12).uniform(0.05, 0.95, 4000)
-    outs = np.array([_channel_on_mode(alice, 1, t, 1.05 * (1.0 - t)) for t in taus])
-    stacked = _channel_residual(_xp_blocks(outs), alice, THERMAL)
-    for out, value in zip(outs, stacked.tolist()):
-        assert float(_channel_residual(_xp_blocks(out), alice, THERMAL)) == value
+    outs = np.stack([_channel_on_mode(alice, 1, t, 1.05 * (1.0 - t)) for t in taus], axis=1)
+    stacked = _channel_residual(outs, alice, THERMAL)
+    for k, value in enumerate(stacked.tolist()):
+        assert float(_channel_residual(outs[:, k], alice, THERMAL)) == value
 
 
 def test_channel_residual_rejects_an_output_no_channel_on_b_gives():
     # every gain reads its residual here, so every gain gets the check that
     # the output keeps the phase-insensitive form with the reference untouched
     # (a state that couples x and p is refused by CovMat before it gets here)
-    alice = tmsv(0.7, ("A", "B")).matrix
-    out = _xp_blocks(_channel_on_mode(alice, 1, THERMAL.tau, THERMAL.v))
+    alice = tmsv(0.7, ("A", "B"))._blocks
+    out = _channel_on_mode(alice, 1, THERMAL.tau, THERMAL.v)
     assert _channel_residual(out, alice, THERMAL) <= 1e-12
     squeezed_p = out.copy()
     squeezed_p[1, 1, 1] += 1e-3
@@ -558,7 +560,7 @@ def test_stacked_objective_equals_per_point_calls(tau, reconciliation, g):
     ch = GaussChannel(tau, 1.01 * (1.0 - tau))
     sc = scenario(ch, reconciliation=reconciliation, gain=g)
     gamma = 0.97
-    alice = tmsv(sc.zeta, ("A", "B")).matrix
+    alice = tmsv(sc.zeta, ("A", "B"))._blocks
     resource = _resource_matrix(gamma)
     etas, noises = _matched_points(gamma, ch, g, 25, seed=int(100 * tau) + int(g))
     stacked = _eve_info_objective(sc, alice, resource, etas, noises)

@@ -31,7 +31,7 @@ from cvqkd_attacks.attacks import (
     gamma_min,
 )
 from cvqkd_attacks.channels import GaussChannel
-from cvqkd_attacks.gaussian import symplectic_form, tmsv
+from cvqkd_attacks.gaussian import _interleaved, symplectic_form, tmsv
 from cvqkd_attacks.keyrate import default_gamma_grid
 from cvqkd_attacks.teleportation import _is_pure_loss_like
 
@@ -92,7 +92,7 @@ def oracle_state(sc, gamma, eta, m, g=ORACLE_GAIN):
     ch = sc.channel
     dim = 12
     sigma = mpmath.zeros(dim, dim)
-    for at, b in ((0, tmsv(sc.zeta).matrix), (4, _resource_matrix(gamma))):
+    for at, b in ((0, tmsv(sc.zeta).matrix), (4, _interleaved(_resource_matrix(gamma)))):
         for i in range(4):
             for j in range(4):
                 sigma[at + i, at + j] = mpmath.mpf(float(b[i, j]))
@@ -187,7 +187,7 @@ def test_cases_cover_the_checked_ground():
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_closed_form_matches_the_60_digit_circuit(case):
     sc, gamma, eta, m = CASES[case]
-    alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
+    alice, resource = tmsv(sc.zeta)._blocks, _resource_matrix(gamma)
     closed = _eve_info_objective(sc, alice, resource, eta, m)
     assert abs(closed - oracle_eve_info(sc, gamma, eta, m)) <= 1e-11
 
@@ -208,7 +208,7 @@ def test_finite_gains_approach_the_closed_form_from_below(tau, reconciliation):
     lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, max(0.8 * ch.tau, 1e-4))
     eta = 0.5 * (lo + hi)
     m = float(_match_noise(gamma, eta, ch.tau, ch.v, math.inf))
-    alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
+    alice, resource = tmsv(sc.zeta)._blocks, _resource_matrix(gamma)
     values = [
         _eve_info_objective(dataclasses.replace(sc, gain=g), alice, resource, eta, m)
         for g in (1e2, 1e4, math.inf)
@@ -231,7 +231,7 @@ def test_stacked_closed_form_equals_per_point_calls():
                 etas = np.linspace(lo, hi, 23)[1:-1]
                 noises = _match_noise(gamma, etas, ch.tau, ch.v, math.inf)
             assert not np.isnan(noises).any()
-            alice = tmsv(sc.zeta).matrix
+            alice = tmsv(sc.zeta)._blocks
             stacked = _eve_info_objective(sc, alice, resource, etas, noises)
             assert stacked.shape == etas.shape
             for eta, m, value in zip(etas.tolist(), noises.tolist(), stacked.tolist()):

@@ -21,7 +21,6 @@ from cvqkd_attacks.gaussian import (
     CovMat,
     Symplectic,
     _channel_on_mode,
-    _xp_blocks,
     apply_symplectic,
     partial_trace,
     tmsv,
@@ -164,9 +163,9 @@ def test_probe_channel_on_a_stack_equals_each_matrix_alone():
     # on an array ** 2 squares, on a lone scalar it calls pow, and the two
     # round apart in about 1e-3 of cases: a stack must read what each
     # matrix reads alone
-    probe = tmsv(0.5, ("probe_ref", "probe_sig")).matrix
+    probe = tmsv(0.5, ("probe_ref", "probe_sig"))._blocks
     taus = np.random.default_rng(11).uniform(0.05, 0.95, 4000)
-    outs = np.array([_channel_on_mode(probe, 1, t, 1.05 * (1.0 - t)) for t in taus])
-    tau, v = _probe_channel(_xp_blocks(outs), probe)
-    for out, pair in zip(outs, zip(tau.tolist(), v.tolist())):
-        assert tuple(map(float, _probe_channel(_xp_blocks(out), probe))) == pair
+    outs = np.stack([_channel_on_mode(probe, 1, t, 1.05 * (1.0 - t)) for t in taus], axis=1)
+    tau, v = _probe_channel(outs, probe)
+    for k, pair in enumerate(zip(tau.tolist(), v.tolist())):
+        assert tuple(map(float, _probe_channel(outs[:, k], probe))) == pair

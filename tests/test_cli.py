@@ -553,9 +553,9 @@ def test_sweeps_that_need_the_high_precision_spectrum_print_a_table(
     refined = []
     real = cvqkd_attacks.gaussian._refined_spectrum
 
-    def counted(matrix):
-        refined.append(matrix.shape)
-        return real(matrix)
+    def counted(blocks):
+        refined.append(blocks.shape)
+        return real(blocks)
 
     monkeypatch.setattr(cvqkd_attacks.gaussian, "_refined_spectrum", counted)
     out = tmp_path / "table.csv"
@@ -712,6 +712,27 @@ def test_asymptotic_sweep_yields_a_sound_table(capsys, tmp_path, flags):
     for row in feasible:
         assert float(row["residual"]) <= 1e-8
         assert float(row["eve_info_bits"]) <= float(row["holevo_bits"])
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP defect 6: near g = 1 a row reads Eve's spectrum below 1 and the sweep "
+    "exits 2 (row 0.9998090972095025 direct at 1.000001, row 0.9999 at 1.0000000001)",
+)
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--g-policy", "finite:1.000001", "--reconciliation", "direct"],
+        ["--g-policy", "finite:1.0000000001"],
+    ],
+    ids=["gain-1.000001-direct", "gain-1.0000000001"],
+)
+def test_defect_6_low_gain_sweep_prints_a_table(capsys, tmp_path, flags):
+    out = tmp_path / "table.csv"
+    code = main(["sweep", *flags, "--output", str(out)])
+    assert "\n" not in capsys.readouterr().err.rstrip("\n")
+    assert code == 0
 
 
 @pytest.mark.parametrize("g_policy", ["asymptotic", "finite:100"])

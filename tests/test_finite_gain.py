@@ -98,7 +98,7 @@ def _errors(point, g):
     worst = {"objective": 0.0, "validated": 0.0}
     for reconciliation in RECONCILIATIONS:
         sc = dataclasses.replace(_scenario(tau, epsilon, reconciliation), gain=g)
-        alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
+        alice, resource = tmsv(sc.zeta)._blocks, _resource_matrix(gamma)
         truth = info[reconciliation]
         value = _eve_info_objective(sc, alice, resource, eta, _auxiliary_noise(eta, kappa))
         worst["objective"] = max(worst["objective"], abs(value - truth))
@@ -159,7 +159,7 @@ def test_stacked_finite_gain_objective_equals_per_point_calls():
     lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, 0.2)
     etas = np.linspace(lo, hi, 9)[1:-1]
     noises = _match_noise(gamma, etas, ch.tau, ch.v, sc.gain)
-    alice, resource = tmsv(sc.zeta).matrix, _resource_matrix(gamma)
+    alice, resource = tmsv(sc.zeta)._blocks, _resource_matrix(gamma)
     stacked = _eve_info_objective(sc, alice, resource, etas, noises)
     for eta, m, value in zip(etas.tolist(), noises.tolist(), stacked.tolist()):
         assert value == _eve_info_objective(sc, alice, resource, eta, m)

@@ -1,7 +1,7 @@
 """Every name a module imports is used: a static scan of src/ and tests/.
 Every private function or class the package defines has a caller in the
-package, and mpmath is imported by one function of it: static scans of
-src/.
+package, mpmath is imported by one function of it, and only gaussian.py
+knows the interleaved (x1, p1, ..., xn, pn) layout: static scans of src/.
 
 The package's __init__.py is skipped by the import scan, as its imports
 are re-exports.
@@ -135,3 +135,43 @@ def test_scan_finds_each_import_of_a_module_and_its_function():
 def test_package_imports_mpmath_in_one_function():
     sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
     assert functions_importing(sources, "mpmath") == ["_high_precision"]
+
+
+# the helpers that read or form the interleaved 2n x 2n layout; every other
+# module carries states and maps as x blocks over p blocks
+LAYOUT_NAMES = ("_interleaved", "_xp_blocks", "_quadrature_blocks", "symplectic_form")
+
+
+def names_referenced(source: str, names) -> list[str]:
+    """Which of names the source references, as a name, as an attribute or
+    in an import, sorted; a string or a docstring is no reference."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return sorted(found & set(names))
+
+
+def test_scan_finds_each_way_to_reference_a_name():
+    source = (
+        "from .gaussian import _interleaved as weave\nimport gaussian\n"
+        "gaussian._xp_blocks(1)\nsymplectic_form(2)\n'_quadrature_blocks'\n"
+    )
+    assert names_referenced(source, LAYOUT_NAMES) == [
+        "_interleaved",
+        "_xp_blocks",
+        "symplectic_form",
+    ]
+
+
+def test_only_gaussian_knows_the_interleaved_layout():
+    found = {
+        path.name: names_referenced(path.read_text(encoding="utf-8"), LAYOUT_NAMES)
+        for path in PACKAGE
+        if path.name != "gaussian.py"
+    }
+    assert {name: refs for name, refs in found.items() if refs} == {}

@@ -9,7 +9,6 @@ import cvqkd_attacks.gaussian as gaussian
 from cvqkd_attacks.channels import GaussChannel, effective_channel
 from cvqkd_attacks.gaussian import (
     CovMat,
-    _embedded,
     _quadrature_blocks,
     beam_splitter,
     thermal,
@@ -24,6 +23,7 @@ from cvqkd_attacks.teleportation import (
     ao_simulate,
     bk_effective_channel,
 )
+from conftest import embedded_whole
 
 
 def test_resource_state_validation():
@@ -220,9 +220,9 @@ def _tap_composed(eta, m):
     d = 1.0 - eta
     r = 0.5 * math.acosh(m / d)
     rho = max(r - 0.5 * math.acosh(3.0), 0.0)
-    squeeze = _embedded(two_mode_squeezer(math.cosh(r) ** 2).matrix, (1, 2), 6)
-    undo = np.linalg.inv(_embedded(two_mode_squeezer(math.cosh(rho) ** 2).matrix, (1, 2), 6))
-    whole = undo @ _embedded(beam_splitter(eta).matrix, (0, 1), 6) @ squeeze
+    squeeze = embedded_whole(two_mode_squeezer(math.cosh(r) ** 2).matrix, (1, 2), 6)
+    undo = np.linalg.inv(embedded_whole(two_mode_squeezer(math.cosh(rho) ** 2).matrix, (1, 2), 6))
+    whole = undo @ embedded_whole(beam_splitter(eta).matrix, (0, 1), 6) @ squeeze
     return _quadrature_blocks(whole)[[0, 1], [0, 1]]
 
 

@@ -46,11 +46,11 @@ def test_run_all_makes_its_anchor_rows_in_one_stack(cold_anchor_rows, stacks):
 def test_failing_anchor_row_raises_its_own_row_error(cold_anchor_rows, stacks, monkeypatch):
     # the objective fails only on calls that carry the 0.7 row's points; the
     # stack fails, and the rows rerun alone in order up to the failing one
-    marker = attacks._resource_matrix(0.7)[0, 0]
+    marker = attacks._resource_matrix(0.7)[0, 0, 0]
     real = attacks._eve_info_objective
 
     def failing(sc, alice, resource, eta, kappa):
-        if (resource[..., 0, 0] == marker).any():
+        if (resource[0, ..., 0, 0] == marker).any():
             raise ValueError("row failed")
         return real(sc, alice, resource, eta, kappa)
 
