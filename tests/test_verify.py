@@ -4,6 +4,7 @@ row what the optimizer gives it alone."""
 import math
 from dataclasses import astuple, fields
 
+import numpy as np
 import pytest
 
 import cvqkd_attacks.attacks as attacks
@@ -88,3 +89,49 @@ def test_physicality_battery_fails_when_the_audit_counted_nothing(monkeypatch):
     monkeypatch.setattr(verify, "physicality_audit", lambda: (math.inf, 0))
     (result,) = verify.run_all((battery,))
     assert result.measured == math.inf and not result.passed
+
+
+def _redraw(seed, trials, bounds):
+    """Draw `trials` tuples from default_rng(seed), one uniform draw per
+    bound in order; a bound is (low, high), or a function of the row drawn
+    so far that gives them."""
+    rng = np.random.default_rng(seed)
+    table = []
+    for _ in range(trials):
+        row = ()
+        for bound in bounds:
+            row += (rng.uniform(*(bound(row) if callable(bound) else bound)),)
+        table.append(row)
+    return tuple(table)
+
+
+@pytest.mark.parametrize(
+    "name, seed, trials, bounds",
+    [
+        ("_BK_AO_DRAWS", 20250816, 10, [(0.2, 0.95), (0.3, 0.95), (1.0, 1.2), (0.1, 1.0)]),
+        (
+            "_AO_PIPELINE_DRAWS",
+            815001,
+            20,
+            # gamma, g, tau, eps, and lam on the dependent bound min(1.0, g * tau)
+            [
+                (0.1, 0.9),
+                (2.0, 50.0),
+                (0.3, 0.95),
+                (1.0, 1.2),
+                lambda row: (0.1, min(1.0, row[1] * row[2])),
+            ],
+        ),
+        ("_CLONER_DRAWS", 815002, 10, [(0.1, 0.9), (1.0, 1.2), (0.2, 0.9)]),
+        ("_DILATION_DRAWS", 815003, 20, [(0.05, 0.95), (1.0, 3.0)]),
+    ],
+)
+def test_frozen_draws_are_the_generators_draws(name, seed, trials, bounds):
+    # the tables are the sampled checks' inputs, drawn once with numpy 2.4.6;
+    # a numpy whose stream differs fails here, and the tables stay as drawn
+    frozen = getattr(verify, name)
+    assert all(type(x) is float for row in frozen for x in row)
+    assert frozen == _redraw(seed, trials, bounds), (
+        f"{name} differs from default_rng({seed}) under numpy {np.__version__}; "
+        "the table was drawn with numpy 2.4.6 and stays the checks' input"
+    )
