@@ -129,7 +129,7 @@ def entropy_of_entanglement(gamma: float) -> float:
     identical to the von Neumann entropy of the reduced single-mode state.
     Returns math.inf for gamma >= 1.
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise ValueError(f"squeezing must be >= 0, got {gamma}")
     if gamma >= 1.0:
         return math.inf

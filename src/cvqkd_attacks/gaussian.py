@@ -21,9 +21,10 @@ them: validated where it is formed by arithmetic (a symplectic applied, a
 channel, a conditioning, a reordered partial trace), or certified by the
 spectrum it is known to have (tmsv, thermal, direct_sum,
 teleportation.ResourceState); partial_trace keeping every mode in its order
-returns the state itself. Only this module knows the interleaved layout: a
-CovMat forms its 2n x 2n matrix once (_interleaved), and reads a public one
-through _quadrature_blocks.
+returns the state itself. A map is phase-insensitive too, S_x (+) S_p, and
+a Symplectic keeps its x and p parts. Only this module knows the interleaved
+layout: a CovMat or a Symplectic forms its public 2n x 2n matrix once
+(_interleaved), and a public one is read through _quadrature_blocks.
 """
 
 from __future__ import annotations
@@ -65,7 +66,11 @@ _INVERSE_SIDE_SCALE = 1e5
 # Largest bound on the condition number of the diagonally equilibrated
 # matrix for which a double-precision spectrum above _HP_SCALE is trusted:
 # its nu's are good to a relative few eps * cond (_inverse_side), here a few
-# PHYSICALITY_TOL at worst; the attack's states stay below 1e6.
+# PHYSICALITY_TOL at worst. Some of the attack's states pass it and are
+# refined: its 6-mode state of a pure-loss sweep at g = 2e6 has a bound of
+# 2.0e8, and sweeps with zeta >= 0.957 give 6-mode states bounds from 5.6e6
+# to 2.2e7, whose refined nu's sat within 1.9e-12 of the doubles, but for
+# one low reading 1.6e-10 off.
 _CERTIFIED_COND = PHYSICALITY_TOL / sys.float_info.epsilon
 
 # Running audit of the smallest symplectic eigenvalue ever seen during
@@ -88,15 +93,6 @@ def _record_in_audit(nu_min: np.ndarray) -> None:
     """Count each state of a stack, given its smallest symplectic eigenvalue."""
     _audit["min_nu"] = min(_audit["min_nu"], float(np.min(nu_min, initial=math.inf)))
     _audit["count"] += np.size(nu_min)
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """The 2n x 2n symplectic form, block-diagonal [[0, 1], [-1, 0]]."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    return omega
 
 
 def _high_precision(matrix: np.ndarray, compute):
@@ -124,16 +120,14 @@ def _refined_spectrum(blocks: np.ndarray) -> np.ndarray:
     in doubles: the singular values of L_X^T L_P. Near nu = 1 the doubles
     carry noise ~eps * nu_max, which at entries ~1e10 swamps the 1e-9
     margin. A state without both factors is not positive definite; |eig| of
-    Omega sigma = [[0, P], [-X, 0]] in (x, p) order, each nu twice, then
-    words its rejection."""
+    _omega_sigma, each nu twice, then words its rejection, as
+    _eig_spectrum does in doubles."""
 
     def spectrum(mp, entries):
         try:
             lx, lp = (mp.cholesky(mp.matrix(part.tolist())) for part in entries)
         except ValueError:
-            x, p = entries
-            omega_sigma = mp.matrix(np.block([[0 * x, p], [-x, 0 * p]]).tolist())
-            eigs = mp.eig(omega_sigma, left=False, right=False)
+            eigs = mp.eig(mp.matrix(_omega_sigma(entries).tolist()), left=False, right=False)
             return sorted((abs(z) for z in eigs), reverse=True)[::2]
         return mp.svd_r(lx.T * lp, compute_uv=False)
 
@@ -235,8 +229,8 @@ def _split_spectrum(blocks: np.ndarray):
     more than the 2 x 2 arithmetic, and the asymptotic attack's spectra are
     all of this kind. Every other member takes LAPACK's factors
     (_factored_spectrum). A member without both factors gets
-    |eig(Omega sigma)| of its interleaved matrix (_eig_spectrum). The route
-    is chosen per member.
+    |eig(Omega sigma)| of its blocks (_eig_spectrum). The route is chosen
+    per member.
     """
     k, n = blocks.shape[1], blocks.shape[-1]
     # each member's largest |entry|: a reduction along the members' axis is
@@ -254,7 +248,7 @@ def _split_spectrum(blocks: np.ndarray):
     else:
         nus, definite, cond = _factored_spectrum(blocks, peak)
     if not definite.all():
-        nus[~definite] = _eig_spectrum(_interleaved(blocks[:, ~definite]))
+        nus[~definite] = _eig_spectrum(blocks[:, ~definite])
     return nus, definite, np.where(peak > _HP_SCALE, cond, 1.0)
 
 
@@ -311,11 +305,19 @@ def _two_mode_spectrum(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nus, (x22 > 0.0) & (p22 > 0.0)
 
 
-def _eig_spectrum(stack: np.ndarray) -> np.ndarray:
-    """|eig(Omega sigma)| of a (k, 2n, 2n) stack, descending, one per mode:
-    the spectrum of a matrix without a Cholesky factor, which only words
-    its rejection and feeds the audit."""
-    eigs = np.linalg.eigvals(symplectic_form(stack.shape[-1] // 2) @ stack)
+def _omega_sigma(blocks: np.ndarray) -> np.ndarray:
+    """Omega sigma = [[0, P], [-X, 0]] in (x, p) order, eigenvalues +/- i nu,
+    of x blocks over p blocks (2, ..., n, n) of doubles or of mpmath numbers;
+    assembled, not multiplied, so no entry can overflow."""
+    x, p = blocks
+    return np.block([[np.zeros_like(x), p], [-x, np.zeros_like(p)]])
+
+
+def _eig_spectrum(blocks: np.ndarray) -> np.ndarray:
+    """|eig(Omega sigma)| of x blocks over p blocks (2, k, n, n), descending,
+    one per mode: the spectrum of a matrix without a Cholesky factor, which
+    only words its rejection and feeds the audit."""
+    eigs = np.linalg.eigvals(_omega_sigma(blocks))
     # |eigs| carries each nu twice (the +/- i*nu pair); sorting makes the
     # pairs adjacent so taking every second entry deduplicates them
     return np.sort(np.abs(eigs), axis=-1)[:, ::-1][:, ::2]
@@ -468,36 +470,49 @@ def _two_mode_std(a, b, c) -> np.ndarray:
     return blocks
 
 
+def _two_mode_nus(a, b, c):
+    """The spectrum (nu_+, nu_-) of _two_mode_std's state, for floats or
+    arrays: nu_pm = (sqrt((a + b - 2c)(a + b + 2c)) +/- |b - a|) / 2. nu_- > 0
+    makes ab - c^2 = nu_+ nu_- positive, so the state is positive definite; a
+    negative radicand (c > (a + b) / 2) reads nu_- <= 0. At a = b both are
+    sqrt((a - c)(a + c)) bit for bit, >= 1 for _tmsv_entries' (a, c)."""
+    with np.errstate(invalid="ignore"):  # an infinite entry reads nan; _checked refuses it
+        root = np.sqrt(np.maximum((a + b - 2.0 * c) * (a + b + 2.0 * c), 0.0))
+        skew = np.abs(b - a)
+        return 0.5 * (root + skew), 0.5 * (root - skew)
+
+
 @dataclass(frozen=True, eq=False)
 class Symplectic:
-    """A real symplectic matrix acting on `arity` modes (S Omega S^T = Omega),
-    or a (..., 2 arity, 2 arity) stack of them, each checked on its own."""
+    """A real symplectic map on `arity` modes acting on x and p apart,
+    S = S_x (+) S_p, as every map of the package does: it keeps its x part
+    over its p part, (2, arity, arity) (_parts), beside the read-only
+    matrix. Construction refuses a stack, a non-finite entry and an x-p
+    term (_xp_blocks), then checks S Omega S^T = Omega, which for such a
+    map is S_x S_p^T = I (Weedbrook et al., RMP 84, 621 (2012))."""
 
     matrix: np.ndarray
     arity: int
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=float)
-        if mat.shape[-2:] != (2 * self.arity, 2 * self.arity):
+        if mat.shape != (2 * self.arity, 2 * self.arity):
             raise ValueError(
                 f"symplectic on {self.arity} modes must be {2*self.arity}x{2*self.arity}, "
                 f"got {mat.shape}"
             )
-        # a NaN would pass the comparison below
+        # a NaN would pass the comparisons below
         if not np.isfinite(mat).all():
             raise ValueError("symplectic matrix must not contain infs or NaNs")
-        omega = symplectic_form(self.arity)
-        dev = np.abs(mat @ omega @ np.swapaxes(mat, -1, -2) - omega).max(axis=(-2, -1))
-        # S Omega S^T entries are products of two entries of S, so rounding
+        parts = _xp_blocks(mat)
+        dev = np.abs(parts[0] @ parts[1].T - np.eye(self.arity)).max()
+        # S_x S_p^T entries are products of two entries of S, so rounding
         # scales with |S|^2; the tolerance is relative to that scale.
-        scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)) ** 2)
-        bad = dev > SYMPLECTIC_TOL * scale
-        if bad.any():
-            raise ValueError(
-                f"matrix is not symplectic (S Omega S^T deviates by {dev[bad][0]:.3g})"
-            )
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        if dev > SYMPLECTIC_TOL * max(1.0, np.abs(mat).max() ** 2):
+            raise ValueError(f"matrix is not symplectic (S Omega S^T deviates by {dev:.3g})")
+        for frozen in (mat, parts):
+            frozen.flags.writeable = False
+        vars(self).update(matrix=mat, _parts=parts)
 
 
 def _tmsv_textbook(gamma):
@@ -539,21 +554,14 @@ def _tmsv_entries(gamma: float) -> tuple[float, float]:
     return a, c
 
 
-def _tmsv_nu(a, c):
-    """The symplectic eigenvalue of both modes of a tmsv with stored entries
-    (a, c), sqrt((a - c)(a + c)), good to a few ulps; >= 1 for the entries
-    of _tmsv_entries, which make (a - c)(a + c) >= 1 exactly."""
-    return np.sqrt((a - c) * (a + c))
-
-
 def _tmsv_matrices(gamma: np.ndarray) -> np.ndarray:
     """tmsv(gamma)'s x blocks over p blocks for each gamma of an array,
     (2, ..., 2, 2), from _tmsv_entries, counted in the physicality audit as
-    one tmsv each, at its closed-form _tmsv_nu."""
+    one tmsv each, at its closed-form _two_mode_nus."""
     gamma = np.asarray(gamma, dtype=float)
     entries = np.reshape([_tmsv_entries(x) for x in gamma.ravel().tolist()], gamma.shape + (2,))
     a, c = entries[..., 0], entries[..., 1]
-    _record_in_audit(_tmsv_nu(a, c))
+    _record_in_audit(_two_mode_nus(a, a, c)[1])
     return _two_mode_std(a, a, c)
 
 
@@ -562,14 +570,12 @@ def tmsv(gamma: float, labels: tuple[str, str] = ("m1", "m2")) -> CovMat:
 
     Entries a = b = (1 + gamma^2)/(1 - gamma^2), c = 2 gamma/(1 - gamma^2)
     with sign pattern diag(c, -c) on the cross block, physically rounded
-    (_tmsv_entries). Certified by its closed-form spectrum, _tmsv_nu for
-    both modes.
+    (_tmsv_entries). Certified by its closed-form spectrum, _two_mode_nus.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"tmsv squeezing must lie in [0, 1), got {gamma}")
     a, c = _tmsv_entries(gamma)
-    nu = _tmsv_nu(a, c)
-    return _checked(_two_mode_std(a, a, c), labels, (nu, nu))
+    return _checked(_two_mode_std(a, a, c), labels, _two_mode_nus(a, a, c))
 
 
 def thermal(variance: float, label: str = "m1") -> CovMat:
@@ -598,25 +604,19 @@ def two_mode_squeezer(g: float) -> Symplectic:
     return Symplectic(_interleaved(_squeezer_parts(g)), 2)
 
 
-def _splitter_part(t) -> np.ndarray:
-    """beam_splitter's x part, which is its p part too, or the stack of
-    them, (..., 2, 2), range-checked, for the raw pipelines."""
-    t = np.asarray(t, dtype=float)
-    outside = ~((0.0 <= t) & (t <= 1.0))
-    if outside.any():
-        raise ValueError(f"beam splitter transmissivity must lie in [0, 1], got {t[outside][0]}")
-    st = np.sqrt(t)
-    sr = np.sqrt(1.0 - t)
-    part = np.empty(t.shape + (2, 2))
-    part[..., 0, 0] = part[..., 1, 1] = st
-    part[..., 0, 1] = -sr
-    part[..., 1, 0] = sr
-    return part
+def _splitter_part(t: float) -> np.ndarray:
+    """beam_splitter's x part, which is its p part too, (2, 2),
+    range-checked, for the raw pipelines."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"beam splitter transmissivity must lie in [0, 1], got {t}")
+    st = math.sqrt(t)
+    sr = math.sqrt(1.0 - t)
+    return np.array([[st, -sr], [sr, st]])
 
 
-def beam_splitter(t) -> Symplectic:
-    """Beam splitter of transmissivity t in [0, 1]; an array of t gives the
-    stack of splitters, one per entry.
+def beam_splitter(t: float) -> Symplectic:
+    """Beam splitter of transmissivity t in [0, 1], the same map on the x
+    and on the p quadratures.
 
     First output = sqrt(t) m1 - sqrt(1-t) m2, second = sqrt(1-t) m1 + sqrt(t) m2.
     """
@@ -638,17 +638,14 @@ def direct_sum(*states: CovMat) -> CovMat:
 def apply_symplectic(state: CovMat, s: Symplectic, target_labels: tuple[str, ...]) -> CovMat:
     """Apply a symplectic to the designated modes: sigma -> S sigma S^T with S
     embedded as identity on every other mode, on the x and p blocks by S's
-    x and p parts. A map with an x-p term, such as a phase rotation, is
-    refused (_xp_blocks), as is a stack of maps."""
+    x and p parts (a map with an x-p term is refused where it is built)."""
     target = tuple(target_labels)
     if len(target) != s.arity:
         raise ValueError(f"symplectic acts on {s.arity} modes, got {len(target)} labels")
     idx = [state.index(lbl) for lbl in target]
     if len(set(idx)) != len(idx):
         raise ValueError(f"target labels must be distinct, got {target}")
-    if s.matrix.ndim != 2:
-        raise ValueError(f"expected one symplectic, got a stack of shape {s.matrix.shape}")
-    full = _embedded(_xp_blocks(s.matrix), idx, state.n_modes)
+    full = _embedded(s._parts, idx, state.n_modes)
     return _checked(full @ state._blocks @ np.swapaxes(full, -1, -2), state.labels)
 
 

@@ -24,6 +24,7 @@ from .gaussian import (
     _splitter_part,
     _squeezer_parts,
     _tmsv_entries,
+    _two_mode_nus,
     _two_mode_std,
 )
 
@@ -65,13 +66,9 @@ class ResourceState:
 
     def to_covmat(self, labels: tuple[str, str] = ("res1", "res2")) -> CovMat:
         """The resource as a CovMat, certified by its closed-form spectrum
-        nu_pm = (sqrt((a + b - 2c)(a + b + 2c)) +/- |b - a|) / 2; nu_- > 0
-        makes ab - c^2 = nu_+ nu_- positive, so the matrix is positive
-        definite. A negative radicand (c > (a + b) / 2) reads nu_- <= 0."""
+        (_two_mode_nus), which also tells that it is positive definite."""
         a, b, c = self.a, self.b, self.c
-        root = math.sqrt(max((a + b - 2.0 * c) * (a + b + 2.0 * c), 0.0))
-        nus = (0.5 * (root + abs(b - a)), 0.5 * (root - abs(b - a)))
-        return _checked(_two_mode_std(a, b, c), labels, nus)
+        return _checked(_two_mode_std(a, b, c), labels, _two_mode_nus(a, b, c))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,16 @@ def random_two_mode_state(rng, labels=("m1", "m2")) -> CovMat:
     return apply_symplectic(stirred, beam_splitter(rng.uniform(0.1, 0.9)), labels)
 
 
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """The 2n x 2n symplectic form in (x1, p1, ..., xn, pn) order,
+    block-diagonal [[0, 1], [-1, 0]]: the oracle's Omega."""
+    omega = np.zeros((2 * n_modes, 2 * n_modes))
+    for k in range(n_modes):
+        omega[2 * k, 2 * k + 1] = 1.0
+        omega[2 * k + 1, 2 * k] = -1.0
+    return omega
+
+
 def embedded_whole(s, idx, dim: int) -> np.ndarray:
     """A map on whole modes, interleaved in (x, p) order, on the mode slots
     idx (or a stack of them), embedded in dim rows as identity on every

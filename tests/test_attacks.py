@@ -37,7 +37,6 @@ from cvqkd_attacks.gaussian import (
     _tmsv_entries,
     beam_splitter,
     partial_trace,
-    symplectic_form,
     tmsv,
     two_mode_squeezer,
     von_neumann_entropy,
@@ -51,7 +50,7 @@ from cvqkd_attacks.teleportation import (
     _tapped_auxiliary,
     ao_effective_channel,
 )
-from conftest import embedded_whole
+from conftest import embedded_whole, symplectic_form
 
 THERMAL = GaussChannel(0.25, 0.7575)
 PURE = GaussChannel(0.25, 0.75)
@@ -145,8 +144,10 @@ def test_entanglement_entropy_edges():
     assert entropy_of_entanglement(0.0) == 0.0
     assert entropy_of_entanglement(1.0) == math.inf
     assert entropy_of_entanglement(1.5) == math.inf
-    with pytest.raises(ValueError, match=">= 0"):
-        entropy_of_entanglement(-0.1)
+    # NaN passes both gamma < 0 and gamma >= 1
+    for gamma in (-0.1, math.nan):
+        with pytest.raises(ValueError, match=">= 0"):
+            entropy_of_entanglement(gamma)
 
 
 def test_entanglement_lower_bound_composes():

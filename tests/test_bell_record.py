@@ -31,9 +31,10 @@ from cvqkd_attacks.attacks import (
     gamma_min,
 )
 from cvqkd_attacks.channels import GaussChannel
-from cvqkd_attacks.gaussian import _interleaved, symplectic_form, tmsv
+from cvqkd_attacks.gaussian import _interleaved, tmsv
 from cvqkd_attacks.keyrate import default_gamma_grid
 from cvqkd_attacks.teleportation import _is_pure_loss_like
+from conftest import symplectic_form
 
 ORACLE_GAIN = 1e20
 ORACLE_DPS = 60

@@ -40,7 +40,6 @@ from cvqkd_attacks.gaussian import (
     physicality_audit,
     reset_physicality_audit,
     symplectic_eigenvalues,
-    symplectic_form,
     thermal,
     tmsv,
     two_mode_squeezer,
@@ -48,7 +47,7 @@ from cvqkd_attacks.gaussian import (
 )
 from cvqkd_attacks.keyrate import default_gamma_grid
 from cvqkd_attacks.teleportation import _ATTACK_MODES, _pipeline_raw
-from conftest import act_whole
+from conftest import act_whole, symplectic_form
 
 
 def test_symplectic_form_blocks():
@@ -143,16 +142,14 @@ def test_covmat_refuses_an_x_p_term_in_one_line(entry, message):
 
 
 def test_apply_symplectic_refuses_a_phase_rotation_in_one_line():
-    # a map with x-p terms is refused before it acts, both where its output
-    # would couple x and p (one arm of a tmsv) and where it would not: a
-    # quarter turn leaves a thermal mode exactly as it is
+    # a map with x-p terms is refused where it is built, so it can never
+    # act: both one whose output would couple x and p (on one arm of a
+    # tmsv) and a quarter turn, which leaves a thermal mode as it is
     cos, sin = math.cos(0.4), math.sin(0.4)
-    rot = Symplectic(np.array([[cos, sin], [-sin, cos]]), 1)
-    quarter = Symplectic(np.array([[0.0, 1.0], [-1.0, 0.0]]), 1)
     message = "state couples its x and p quadratures; expected a phase-insensitive one"
-    for state, s in ((tmsv(0.5, ("a", "b")), rot), (thermal(2.0, "b"), quarter)):
+    for rotation in ([[cos, sin], [-sin, cos]], [[0.0, 1.0], [-1.0, 0.0]]):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            apply_symplectic(state, s, ("b",))
+            Symplectic(np.array(rotation), 1)
 
 
 def test_covmat_freezes_matrix():
@@ -233,6 +230,9 @@ def test_beam_splitter_convention():
     assert math.isclose(out.matrix[2, 2], (1.0 - t) * 2.0 + t * 1.0, rel_tol=1e-14)
     # cross correlation sqrt(t(1-t)) (v1 - v2), sign fixed by the convention
     assert math.isclose(out.matrix[0, 2], math.sqrt(t * (1.0 - t)), rel_tol=1e-13)
+    # the map keeps its x and p parts, read-only, beside its matrix
+    s = beam_splitter(t)
+    assert np.array_equal(s._parts, _xp_blocks(s.matrix)) and not s._parts.flags.writeable
 
 
 @pytest.mark.parametrize("t", [-0.1, 1.1])
@@ -304,10 +304,11 @@ def test_apply_symplectic_validates_targets():
         apply_symplectic(st, beam_splitter(0.5), ("A",))
     with pytest.raises(ValueError, match="distinct"):
         apply_symplectic(st, beam_splitter(0.5), ("A", "A"))
-    # a stack of two maps would broadcast against the x and p blocks
-    message = "expected one symplectic, got a stack of shape (2, 4, 4)"
+    # a stack of two maps, which would broadcast against the x and p
+    # blocks, is no map
+    message = "symplectic on 2 modes must be 4x4, got (2, 4, 4)"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-        apply_symplectic(st, beam_splitter(np.array([0.3, 0.5])), ("A", "B"))
+        Symplectic(np.stack([beam_splitter(0.3).matrix, beam_splitter(0.5).matrix]), 2)
 
 
 def test_apply_symplectic_embeds_on_named_modes(rng):
@@ -1104,18 +1105,6 @@ def test_check_physical_stack_counts_each_member():
     for k, m in enumerate(members):
         assert np.array_equal(_interleaved(blocks[:, k]), tmsv((0.0, 0.4, 0.9)[k]).matrix)
         assert np.array_equal(nus[k], symplectic_eigenvalues(CovMat(m, ("a", "b"))))
-
-
-def test_stacked_beam_splitters_equal_single_ones_and_keep_the_domain():
-    ts = np.array([0.0, 0.3, 0.77, 1.0])
-    stack = beam_splitter(ts).matrix
-    assert stack.shape == (4, 4, 4)
-    for k, t in enumerate(ts):
-        assert np.array_equal(stack[k], beam_splitter(float(t)).matrix)
-    with pytest.raises(ValueError, match=re.escape("transmissivity must lie in [0, 1], got 1.3")):
-        beam_splitter(np.array([0.2, 1.3, 0.5]))
-    with pytest.raises(ValueError, match="not symplectic"):
-        Symplectic(np.stack([np.eye(4), np.diag([2.0, 2.0, 1.0, 1.0])]), 2)
 
 
 def test_high_precision_refuses_entries_it_cannot_resolve():

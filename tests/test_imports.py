@@ -1,7 +1,8 @@
 """Every name a module imports is used: a static scan of src/ and tests/.
 Every private function or class the package defines has a caller in the
-package, mpmath is imported by one function of it, and only gaussian.py
-knows the interleaved (x1, p1, ..., xn, pn) layout: static scans of src/.
+package, mpmath is imported by one function of it, only gaussian.py
+knows the interleaved (x1, p1, ..., xn, pn) layout, and it interleaves
+only to form a public matrix: static scans of src/.
 
 The package's __init__.py is skipped by the import scan, as its imports
 are re-exports.
@@ -94,10 +95,10 @@ def test_every_private_name_has_a_caller_in_the_package():
     assert private_without_caller(sources) == []
 
 
-def functions_importing(sources: list[str], module: str) -> list[str]:
-    """Where the sources import module (plainly, under an alias or from
-    it): the name of the innermost function around each import, or
-    "<module>" for one at module level, in source order."""
+def enclosing_functions(sources: list[str], hit) -> list[str]:
+    """The name of the innermost function around each node of the sources
+    for which hit(node) holds, or "<module>" for one at module level, in
+    source order."""
     found = []
 
     def visit(node, where):
@@ -105,19 +106,29 @@ def functions_importing(sources: list[str], module: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(name == module or name.startswith(module + ".") for name in names):
+            if hit(child):
                 found.append(where)
             visit(child, where)
 
     for source in sources:
         visit(ast.parse(source), "<module>")
     return found
+
+
+def functions_importing(sources: list[str], module: str) -> list[str]:
+    """Where the sources import module (plainly, under an alias or from
+    it), as enclosing_functions names them."""
+
+    def imports(node):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        return any(name == module or name.startswith(module + ".") for name in names)
+
+    return enclosing_functions(sources, imports)
 
 
 def test_scan_finds_each_import_of_a_module_and_its_function():
@@ -156,15 +167,31 @@ def names_referenced(source: str, names) -> list[str]:
     return sorted(found & set(names))
 
 
+def referencing(name: str):
+    """Whether a node references name, as names_referenced counts it."""
+    return lambda node: (
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+    )
+
+
 def test_scan_finds_each_way_to_reference_a_name():
     source = (
         "from .gaussian import _interleaved as weave\nimport gaussian\n"
         "gaussian._xp_blocks(1)\nsymplectic_form(2)\n'_quadrature_blocks'\n"
+        "def outer():\n    def inner():\n        return _interleaved\n"
+        "    return gaussian._interleaved(0)\n"
     )
     assert names_referenced(source, LAYOUT_NAMES) == [
         "_interleaved",
         "_xp_blocks",
         "symplectic_form",
+    ]
+    assert enclosing_functions([source], referencing("_interleaved")) == [
+        "<module>",
+        "inner",
+        "outer",
     ]
 
 
@@ -175,3 +202,16 @@ def test_only_gaussian_knows_the_interleaved_layout():
         if path.name != "gaussian.py"
     }
     assert {name: refs for name, refs in found.items() if refs} == {}
+
+
+def test_maps_and_states_interleave_only_to_form_a_public_matrix():
+    # states and maps alike are carried as x blocks over p blocks: gaussian
+    # interleaves them only where a CovMat or a Symplectic forms its public
+    # matrix, and no module defines the 2n x 2n symplectic form
+    gaussian = (ROOT / "src" / "cvqkd_attacks" / "gaussian.py").read_text(encoding="utf-8")
+    callers = enclosing_functions([gaussian], referencing("_interleaved"))
+    assert sorted(set(callers)) == ["_checked", "beam_splitter", "two_mode_squeezer"]
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
+    defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
+    assert "symplectic_form" not in defined
