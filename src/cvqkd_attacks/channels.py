@@ -138,10 +138,13 @@ def effective_channel(
     transform receives a TMSV probe CovMat labeled ("probe_ref", "probe_sig"),
     acts on the signal arm however it likes, and returns a state still
     containing both probe labels. The output must retain the standard
-    phase-insensitive form (x and p entries matching up to sign within atol).
+    phase-insensitive form (x and p entries matching up to sign within
+    atol >= 0).
     """
     if not 0.0 < gamma_probe < 1.0:
         raise ValueError(f"probe squeezing must lie in (0, 1), got {gamma_probe}")
+    if not atol >= 0.0:
+        raise ValueError(f"phase tolerance must be >= 0, got {atol}")
     probe = tmsv(gamma_probe, ("probe_ref", "probe_sig"))
     out = transform(probe)
     if not isinstance(out, CovMat):

@@ -11,10 +11,12 @@ one): X (+) P on its x and p quadratures, kept as one (2, ..., n, n) stack
 of x blocks over p blocks, acted on by the x and p parts of its maps, a
 measured mode removed per quadrature (_heterodyne_blocks), its spectrum
 read from the Cholesky factors of X and P (_split_spectrum), in closed form
-for two modes. _check_physical validates such a stack on that spectrum;
-_high_precision, the one importer of mpmath, takes a member that double
-precision cannot certify through the same factors (_refined_spectrum), and
-runs the same conditioning above _HP_SCALE, in 30 digits.
+for two modes. _check_physical validates such a stack on that spectrum,
+and one state of one or two modes within _INVERSE_SIDE_SCALE on Python
+floats by the same arithmetic (_lone_spectrum); _high_precision, the one
+importer of mpmath, takes a member that double precision cannot certify
+through the same factors (_refined_spectrum), and runs the same
+conditioning above _HP_SCALE, in 30 digits.
 
 Every operation reads and writes blocks, and _checked forms a CovMat of
 them: validated where it is formed by arithmetic (a symplectic applied, a
@@ -23,8 +25,8 @@ spectrum it is known to have (tmsv, thermal, direct_sum,
 teleportation.ResourceState); partial_trace keeping every mode in its order
 returns the state itself. A map is phase-insensitive too, S_x (+) S_p, and
 a Symplectic keeps its x and p parts. Only this module knows the interleaved
-layout: a CovMat or a Symplectic forms its public 2n x 2n matrix once
-(_interleaved), and a public one is read through _quadrature_blocks.
+layout: a Symplectic forms its public 2n x 2n matrix once, and a CovMat on
+first read (_interleaved); a public one is read through _quadrature_blocks.
 """
 
 from __future__ import annotations
@@ -89,10 +91,13 @@ def physicality_audit() -> tuple[float, int]:
     return _audit["min_nu"], _audit["count"]
 
 
-def _record_in_audit(nu_min: np.ndarray) -> None:
-    """Count each state of a stack, given its smallest symplectic eigenvalue."""
-    _audit["min_nu"] = min(_audit["min_nu"], float(np.min(nu_min, initial=math.inf)))
-    _audit["count"] += np.size(nu_min)
+def _record_in_audit(nu_min) -> None:
+    """Count each state of a stack, given its smallest symplectic
+    eigenvalue; one state's comes as a Python float."""
+    lone = isinstance(nu_min, float)
+    least = nu_min if lone else float(np.min(nu_min, initial=math.inf))
+    _audit["min_nu"] = min(_audit["min_nu"], least)
+    _audit["count"] += 1 if lone else np.size(nu_min)
 
 
 def _high_precision(matrix: np.ndarray, compute):
@@ -237,8 +242,11 @@ def _split_spectrum(blocks: np.ndarray):
     # several times faster than one over each member's few entries
     peak = np.abs(blocks).transpose(0, 2, 3, 1).reshape(2 * n * n, k).max(axis=0)
     if n == 2:
-        nus, definite = _two_mode_spectrum(blocks)
-        cond = np.full(k, np.inf)
+        nus, cond = np.empty((k, 2)), np.full(k, np.inf)
+        # each block's lower triangle, as LAPACK reads it
+        nus[:, 0], nus[:, 1], definite = _two_mode_spectrum(
+            *((part[:, 0, 0], part[:, 1, 0], part[:, 1, 1]) for part in blocks)
+        )
         # past the scale, or with a NaN entry
         factored = ~(peak <= _INVERSE_SIDE_SCALE)
         if factored.any():
@@ -275,34 +283,55 @@ def _factored_spectrum(blocks: np.ndarray, peak: np.ndarray):
     return nus, definite, cond
 
 
-def _two_mode_spectrum(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_split_spectrum's direct side for a (2, k, 2, 2) stack, written out:
-    the nu's, descending, and whether each member is positive definite, as
+def _two_mode_spectrum(x, p):
+    """_split_spectrum's direct side for two modes, written out once for
+    one state on floats (_lone_spectrum) and for a stack on arrays: x and p
+    are the lower triangles (s11, s21, s22) of X and of P, as LAPACK reads
+    them. Returns nu_+, nu_- and whether the state is positive definite, as
     all four Cholesky pivots of X and P are positive: l22 > 0 holds only
     where l11 > 0, since l11 <= 0 or a NaN leaves l22 a NaN.
 
     With the pivots l11 = sqrt(s11), l21 = s21 / l11, l22 = sqrt(s22 -
-    l21^2) of each block S (X or P, its lower triangle, as LAPACK reads it),
-    M = L_X^T L_P is the product the LAPACK route forms, and its singular
-    values are nu_+ = (hypot(m11 + m22, m12 - m21) + hypot(m11 - m22,
-    m12 + m21)) / 2, a sum of positive terms, and nu_- = |det M| / nu_+.
-    det M is taken from M's entries: the product of the pivots loses
-    ~eps * cond(sigma) on a squeezed member.
+    l21^2) of each block, M = L_X^T L_P is the product the LAPACK route
+    forms, and its singular values are nu_+ = (hypot(m11 + m22, m12 - m21)
+    + hypot(m11 - m22, m12 + m21)) / 2, a sum of positive terms, and
+    nu_- = |det M| / nu_+. det M is taken from M's entries: the product of
+    the pivots loses ~eps * cond(sigma) on a squeezed member.
     """
+    pivots = []
     with np.errstate(divide="ignore", invalid="ignore"):  # an indefinite member's pivots
-        # each pivot of L_X over the same pivot of L_P, (2, k): x11 is L_X's
-        # l11, p11 L_P's
-        l11 = np.sqrt(blocks[..., 0, 0])
-        l21 = blocks[..., 1, 0] / l11
-        l22 = np.sqrt(blocks[..., 1, 1] - l21 * l21)
-        (x11, p11), (x21, p21), (x22, p22) = l11, l21, l22
+        for s11, s21, s22 in (x, p):
+            l11 = np.sqrt(s11)
+            l21 = s21 / l11
+            pivots.append((l11, l21, np.sqrt(s22 - l21 * l21)))
+        (x11, x21, x22), (p11, p21, p22) = pivots
         m11, m12, m21, m22 = x11 * p11 + x21 * p21, x21 * p22, x22 * p21, x22 * p22
-        nus = np.empty(m11.shape + (2,))
         upper = 0.5 * (np.hypot(m11 + m22, m12 - m21) + np.hypot(m11 - m22, m12 + m21))
-        nus[:, 0] = upper
         # rounding can leave |det M| / nu_+ an ulp above nu_+ when they are equal
-        nus[:, 1] = np.minimum(np.abs(m11 * m22 - m12 * m21) / upper, upper)
-    return nus, (x22 > 0.0) & (p22 > 0.0)
+        lower = np.minimum(abs(m11 * m22 - m12 * m21) / upper, upper)
+    return upper, lower, (x22 > 0.0) & (p22 > 0.0)
+
+
+def _lone_spectrum(blocks: np.ndarray):
+    """The spectrum, descending, of one symmetrized state of one or two
+    modes, x block over p block (2, n, n), on Python floats by the stack
+    route's arithmetic: _two_mode_spectrum, and for one mode sqrt(x)
+    sqrt(p), which LAPACK's 1 x 1 Cholesky and SVD give. None where the
+    floats do not certify it, and _split_spectrum takes it unchanged: a
+    largest |entry| past _INVERSE_SIDE_SCALE, a NaN or non-positive pivot
+    (an indefinite matrix), or a reading below 1 - _REFINE_TRIGGER."""
+    e = blocks.ravel().tolist()
+    if max(map(abs, e)) > _INVERSE_SIDE_SCALE:
+        return None
+    if len(e) == 2:
+        definite = e[0] > 0.0 and e[1] > 0.0
+        nus = [math.sqrt(e[0]) * math.sqrt(e[1])] if definite else None
+    else:
+        upper, lower, definite = _two_mode_spectrum((e[0], e[2], e[3]), (e[4], e[6], e[7]))
+        nus = [upper, lower]
+    if not (definite and nus[-1] >= 1.0 - _REFINE_TRIGGER):
+        return None
+    return np.array(nus)
 
 
 def _omega_sigma(blocks: np.ndarray) -> np.ndarray:
@@ -325,13 +354,23 @@ def _eig_spectrum(blocks: np.ndarray) -> np.ndarray:
 
 def _symmetrized(mats: np.ndarray, axes) -> np.ndarray:
     """mats checked to be finite and, each member spanning axes, symmetric
-    to SYMMETRY_RTOL of its largest |entry|; then symmetrized."""
-    # a NaN or an inf entry leaves its member's largest |entry| non-finite
-    peak = np.abs(mats).max(axis=axes)
-    if not np.isfinite(peak).all():
-        raise ValueError("covariance matrix must not contain infs or NaNs")
+    to SYMMETRY_RTOL of its largest |entry|; then symmetrized. One state
+    (axes spanning mats) has its reductions run on Python floats."""
     transposed = np.swapaxes(mats, -1, -2)
-    if (np.abs(mats - transposed).max(axis=axes) > SYMMETRY_RTOL * np.maximum(peak, 1.0)).any():
+    if mats.ndim == len(axes):
+        entries = mats.ravel().tolist()
+        finite = all(map(math.isfinite, entries))
+        bound = SYMMETRY_RTOL * max(max(map(abs, entries)), 1.0)
+        asymmetric = finite and max(map(abs, (mats - transposed).ravel().tolist())) > bound
+    else:
+        # a NaN or an inf entry leaves its member's largest |entry| non-finite
+        peak = np.abs(mats).max(axis=axes)
+        finite = np.isfinite(peak).all()
+        bound = SYMMETRY_RTOL * np.maximum(peak, 1.0)
+        asymmetric = finite and (np.abs(mats - transposed).max(axis=axes) > bound).any()
+    if not finite:
+        raise ValueError("covariance matrix must not contain infs or NaNs")
+    if asymmetric:
         raise ValueError("covariance matrix is not symmetric")
     return 0.5 * (mats + transposed)
 
@@ -346,13 +385,19 @@ def _check_physical(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cannot certify takes the high-precision spectrum of its blocks
     (_refined_spectrum): above _HP_SCALE, an equilibrated condition
     bound past _CERTIFIED_COND or no Cholesky factor; at any scale, a
-    reading below 1 - _REFINE_TRIGGER. Each member counts once in the
-    physicality audit, as one CovMat construction would; a stack with an
-    unphysical member is counted whole, then rejected with the message the
-    first such member would raise on its own.
+    reading below 1 - _REFINE_TRIGGER. One state of one or two modes is
+    read on Python floats by the same arithmetic (_lone_spectrum), and
+    takes this route when they cannot certify it. Each member counts once
+    in the physicality audit, as one CovMat construction would; a stack
+    with an unphysical member is counted whole, then rejected with the
+    message the first such member would raise on its own.
     """
     blocks = _symmetrized(blocks, (0, -2, -1))
     lead, n = blocks.shape[1:-2], blocks.shape[-1]
+    lone = None if lead or n > 2 else _lone_spectrum(blocks)
+    if lone is not None:
+        _judge(lone)
+        return blocks, lone
     flat = blocks.reshape(2, -1, n, n)
     nus, definite, cond = _split_spectrum(flat)
     # the spectra are descending: the last column holds each minimum
@@ -367,17 +412,21 @@ def _check_physical(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _judge(nus: np.ndarray, definite=True) -> None:
     """Count each state of descending spectra nus in the physicality audit,
     then reject the first with a nu below 1 - PHYSICALITY_TOL, then any
-    not positive definite."""
-    nu_min = nus[..., -1]
+    not positive definite. One state's reductions run on Python floats."""
+    if nus.ndim == 1:
+        nu_min = float(nus[-1])
+        low = [nu_min] if nu_min < 1.0 - PHYSICALITY_TOL else []
+    else:
+        nu_min = nus[..., -1]
+        low = nu_min[nu_min < 1.0 - PHYSICALITY_TOL]
     _record_in_audit(nu_min)
-    low = nu_min < 1.0 - PHYSICALITY_TOL
-    if low.any():
+    if len(low):
         raise ValueError(
-            f"unphysical covariance matrix: smallest symplectic eigenvalue {nu_min[low][0]:.12g}"
+            f"unphysical covariance matrix: smallest symplectic eigenvalue {low[0]:.12g}"
         )
     # |eig(Omega sigma)| cannot see the sign of sigma: sigma + i Omega >= 0
     # also needs sigma > 0, which an indefinite matrix fails
-    if not np.all(definite):
+    if definite is not True and not definite.all():
         raise ValueError("unphysical covariance matrix: not positive definite")
 
 
@@ -400,8 +449,9 @@ class CovMat:
         2x2 diagonal blocks.
 
     A CovMat keeps its symmetrized x blocks over its p blocks, (2, n, n)
-    (_blocks), on which every operation of the package works, beside the
-    read-only matrix formed from them once, and its spectrum. Construction
+    (_blocks), on which every operation of the package works, and its
+    spectrum; the read-only matrix is formed from the blocks on first read
+    and then kept. Construction
     checks the shape, the entries (finite, symmetric) and that the matrix
     has no x-p term (_xp_blocks), then validates physicality on the blocks
     (_checked: every symplectic eigenvalue >= 1 - 1e-9, and the matrix
@@ -418,6 +468,17 @@ class CovMat:
         # a non-finite or asymmetric entry is named before an x-p term
         blocks = _xp_blocks(_symmetrized(mat, (-2, -1)))
         vars(self).update(vars(_checked(blocks, self.labels)))
+        # the caller's matrix goes: .matrix is formed from the blocks
+        del vars(self)["matrix"]
+
+    def __getattr__(self, name):
+        # only for an attribute not yet set: the public matrix, formed from
+        # the blocks on first read, then kept read-only
+        if name != "matrix":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        matrix = vars(self)["matrix"] = _interleaved(self._blocks)
+        matrix.flags.writeable = False
+        return matrix
 
     @property
     def n_modes(self) -> int:
@@ -453,8 +514,8 @@ def _checked(blocks: np.ndarray, labels, nus=None) -> CovMat:
         nus = np.sort(np.asarray(nus, dtype=float))[::-1].copy()
         _judge(nus)
     state = object.__new__(CovMat)
-    vars(state).update(matrix=_interleaved(blocks), labels=labels, _blocks=blocks, _nus=nus)
-    for frozen in (state.matrix, blocks, nus):
+    vars(state).update(labels=labels, _blocks=blocks, _nus=nus)
+    for frozen in (blocks, nus):
         frozen.flags.writeable = False
     return state
 

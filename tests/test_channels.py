@@ -153,6 +153,20 @@ def test_effective_channel_rejects_bad_transform():
         effective_channel(squeeze_signal)
 
 
+def test_effective_channel_refuses_a_nan_tolerance():
+    # a squeeze after the channel breaks the phase-insensitive form; a NaN
+    # atol would pass every deviation and return a channel
+    def squeezed_after_loss(probe: CovMat) -> CovMat:
+        lossy = apply_channel(probe, GaussChannel(0.5, 1.0), "probe_sig")
+        return apply_symplectic(lossy, Symplectic(np.diag([1.05, 1 / 1.05]), 1), ("probe_sig",))
+
+    with pytest.raises(ValueError, match=r"phase-insensitive on its input \(deviation 0\.358\)"):
+        effective_channel(squeezed_after_loss)
+    for atol in (math.nan, -1e-8):
+        with pytest.raises(ValueError, match=r"^phase tolerance must be >= 0, got"):
+            effective_channel(squeezed_after_loss, atol=atol)
+
+
 @pytest.mark.parametrize("gamma_probe", [0.0, 1.0, -0.2])
 def test_effective_channel_probe_domain(gamma_probe):
     with pytest.raises(ValueError, match="probe squeezing"):

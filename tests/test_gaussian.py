@@ -8,6 +8,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvqkd_attacks.gaussian
 from cvqkd_attacks.attacks import _match_noise, _resource_matrix, optimize_attacks
@@ -17,13 +19,17 @@ from cvqkd_attacks.gaussian import (
     _CERTIFIED_COND,
     _HP_SCALE,
     _INVERSE_SIDE_SCALE,
+    _REFINE_TRIGGER,
+    PHYSICALITY_TOL,
     CovMat,
     Symplectic,
     _block_diag,
     _check_physical,
+    _checked,
     _heterodyne_blocks,
     _high_precision,
     _interleaved,
+    _lone_spectrum,
     _quadrature_blocks,
     _refined_spectrum,
     _spectrum_entropy,
@@ -156,6 +162,27 @@ def test_covmat_freezes_matrix():
     st = thermal(2.0)
     with pytest.raises(ValueError):
         st.matrix[0, 0] = 99.0
+
+
+def test_constructed_matrix_is_formed_from_the_symmetrized_blocks_on_first_read():
+    # .matrix is the read-only interleave of the blocks, formed when first
+    # read and kept: never the caller's object, whose asymmetry within
+    # SYMMETRY_RTOL is averaged away
+    given_matrix = tmsv(0.4).matrix.copy()
+    given_matrix[2, 0] += 1e-13
+    state = CovMat(given_matrix, ("a", "b"))
+    assert "matrix" not in vars(state)
+    matrix = state.matrix
+    assert matrix is not given_matrix and state.matrix is matrix
+    assert not matrix.flags.writeable
+    assert np.array_equal(matrix, _interleaved(state._blocks))
+    assert np.array_equal(matrix, matrix.T)
+    assert matrix[0, 2] == 0.5 * (given_matrix[0, 2] + given_matrix[2, 0])
+    assert given_matrix[2, 0] != given_matrix[0, 2] and given_matrix.flags.writeable
+    assert repr(state).startswith("CovMat(matrix=array([[")
+    assert np.array_equal(state.block("b", "a"), matrix[2:, :2])
+    with pytest.raises(AttributeError, match="'CovMat' object has no attribute 'nus'"):
+        state.nus
 
 
 def test_covmat_block_and_index():
@@ -751,6 +778,78 @@ def test_covmat_rejects_non_finite_entries(bad):
     coupled[0, 1] = coupled[1, 0] = bad
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         CovMat(coupled, ("m1", "m2"))
+
+
+@st.composite
+def lone_states(draw):
+    """x block over p block (2, n, n) of one state of one or two modes,
+    A diag(nu) A^T over A^-T diag(nu) A^-1 scaled to a drawn largest
+    |entry|, around each edge of the float path: that entry either side of
+    _INVERSE_SIDE_SCALE, the least nu either side of 1 - _REFINE_TRIGGER
+    and of 1 - PHYSICALITY_TOL, and indefinite, asymmetric and non-finite
+    states."""
+    n = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["physical", "indefinite", "asymmetric", "non-finite"]))
+    edges = [1.0 - tol * f for tol in (_REFINE_TRIGGER, PHYSICALITY_TOL) for f in (0.9, 1.0, 1.1)]
+    nus = [draw(st.floats(1.0, 9.0)), draw(st.sampled_from([*edges, 1.0]) | st.floats(0.5, 4.0))]
+    nus = nus[2 - n :]
+    if kind == "indefinite":
+        nus[-1] = -nus[-1]
+    turn, shear = draw(st.floats(0.0, math.pi)), draw(st.floats(-0.9, 0.9))
+    rotation = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+    a = (rotation @ [[1.0, shear], [0.0, 1.0]])[:n, :n]
+    inverse = np.linalg.inv(a)
+    x, p = a @ np.diag(nus) @ a.T, inverse.T @ np.diag(nus) @ inverse
+    cut = _INVERSE_SIDE_SCALE
+    at_cut = st.sampled_from([np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)])
+    scale = draw(at_cut | st.floats(1.0, 1e7)) / np.abs(x).max()
+    blocks = np.array([x * scale, p / scale])
+    if kind == "asymmetric" and n == 2:
+        # within SYMMETRY_RTOL of the peak and symmetrized, or past it
+        blocks[0, 1, 0] += draw(st.sampled_from([1e-13, 1e-11])) * np.abs(blocks).max()
+    if kind == "non-finite":
+        blocks[draw(st.integers(0, 1)), -1, 0] = draw(st.sampled_from([math.nan, math.inf]))
+    return blocks
+
+
+def _outcome(check):
+    """check()'s value or its refusal's text, with the physicality audit it
+    left from a reset one."""
+    reset_physicality_audit()
+    try:
+        got = check()
+    except ValueError as exc:
+        got = str(exc)
+    return got, physicality_audit()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(blocks=lone_states())
+def test_lone_state_float_path_matches_the_stack_route_bit_for_bit(blocks):
+    # a lone state of one or two modes within _INVERSE_SIDE_SCALE is
+    # validated on Python floats, a stack of one on arrays: the symmetrized
+    # blocks, the spectrum, the audit and any refusal must agree bit for bit
+    # (one mode's nu is sqrt(x) sqrt(p); sqrt(x p) differs in the last bit)
+    def lone():
+        state = _checked(blocks, ("a", "b")[: blocks.shape[-1]])
+        return state._blocks.tobytes(), state._nus.tobytes()
+
+    def stacked():
+        symmetrized, nus = _check_physical(blocks[:, None])
+        return symmetrized[:, 0].tobytes(), nus[0].tobytes()
+
+    assert _outcome(lone) == _outcome(stacked)
+
+
+def test_float_path_takes_only_what_it_can_certify():
+    # the stack route keeps a largest |entry| past _INVERSE_SIDE_SCALE, a
+    # state without a Cholesky factor and a reading below 1 - _REFINE_TRIGGER
+    squeezed = tmsv(0.5)._blocks
+    assert np.array_equal(_lone_spectrum(squeezed), _split_spectrum(squeezed[:, None])[0][0])
+    assert _lone_spectrum(thermal(4.0)._blocks).tolist() == [4.0]
+    assert _lone_spectrum(np.array([[[2e5]], [[1e-5]]])) is None
+    assert _lone_spectrum(_xp_blocks(np.diag([0.5, -0.5, 1.0, 1.0]))) is None
+    assert _lone_spectrum(np.full((2, 1, 1), 1.0 - 2 * _REFINE_TRIGGER)) is None
 
 
 def test_attack_spectra_take_half_size_factors(monkeypatch):

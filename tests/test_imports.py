@@ -206,11 +206,12 @@ def test_only_gaussian_knows_the_interleaved_layout():
 
 def test_maps_and_states_interleave_only_to_form_a_public_matrix():
     # states and maps alike are carried as x blocks over p blocks: gaussian
-    # interleaves them only where a CovMat or a Symplectic forms its public
-    # matrix, and no module defines the 2n x 2n symplectic form
+    # interleaves them only where a CovMat (on the first read of .matrix,
+    # CovMat.__getattr__) or a Symplectic forms its public matrix, and no
+    # module defines the 2n x 2n symplectic form
     gaussian = (ROOT / "src" / "cvqkd_attacks" / "gaussian.py").read_text(encoding="utf-8")
     callers = enclosing_functions([gaussian], referencing("_interleaved"))
-    assert sorted(set(callers)) == ["_checked", "beam_splitter", "two_mode_squeezer"]
+    assert sorted(set(callers)) == ["__getattr__", "beam_splitter", "two_mode_squeezer"]
     sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
     nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
     defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
