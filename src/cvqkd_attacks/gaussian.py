@@ -11,12 +11,15 @@ one): X (+) P on its x and p quadratures, kept as one (2, ..., n, n) stack
 of x blocks over p blocks, acted on by the x and p parts of its maps, a
 measured mode removed per quadrature (_heterodyne_blocks), its spectrum
 read from the Cholesky factors of X and P (_split_spectrum), in closed form
-for two modes. _check_physical validates such a stack on that spectrum,
-and one state of one or two modes within _INVERSE_SIDE_SCALE on Python
-floats by the same arithmetic (_lone_spectrum); _high_precision, the one
-importer of mpmath, takes a member that double precision cannot certify
-through the same factors (_refined_spectrum), and runs the same
-conditioning above _HP_SCALE, in 30 digits.
+for two modes. A matrix without both factors is not positive definite and
+has no symplectic spectrum (Williamson's theorem needs sigma > 0): it is
+refused on that, with no eigensolve. _check_physical validates such a
+stack on that spectrum, and one state of one or two modes within
+_INVERSE_SIDE_SCALE on Python floats by the same arithmetic
+(_lone_spectrum); _high_precision, the one importer of mpmath, takes a
+definite member that double precision cannot certify through the same
+factors (_refined_spectrum), and runs the same conditioning above
+_HP_SCALE, in 30 digits.
 
 Every operation reads and writes blocks, and _checked forms a CovMat of
 them: validated where it is formed by arithmetic (a symplectic applied, a
@@ -93,9 +96,10 @@ def physicality_audit() -> tuple[float, int]:
 
 def _record_in_audit(nu_min) -> None:
     """Count each state of a stack, given its smallest symplectic
-    eigenvalue; one state's comes as a Python float."""
+    eigenvalue; one state's comes as a Python float. A NaN, a state with no
+    spectrum, is counted but leaves the minimum as it is."""
     lone = isinstance(nu_min, float)
-    least = nu_min if lone else float(np.min(nu_min, initial=math.inf))
+    least = nu_min if lone else float(np.fmin.reduce(np.ravel(nu_min), initial=math.inf))
     _audit["min_nu"] = min(_audit["min_nu"], least)
     _audit["count"] += 1 if lone else np.size(nu_min)
 
@@ -124,16 +128,14 @@ def _refined_spectrum(blocks: np.ndarray) -> np.ndarray:
     p block (2, n, n) in 30 digits, by the formula _factored_spectrum takes
     in doubles: the singular values of L_X^T L_P. Near nu = 1 the doubles
     carry noise ~eps * nu_max, which at entries ~1e10 swamps the 1e-9
-    margin. A state without both factors is not positive definite; |eig| of
-    _omega_sigma, each nu twice, then words its rejection, as
-    _eig_spectrum does in doubles."""
+    margin. A block without a 30-digit Cholesky factor is not positive
+    definite: its spectrum reads NaN, as _split_spectrum's does."""
 
     def spectrum(mp, entries):
         try:
             lx, lp = (mp.cholesky(mp.matrix(part.tolist())) for part in entries)
         except ValueError:
-            eigs = mp.eig(mp.matrix(_omega_sigma(entries).tolist()), left=False, right=False)
-            return sorted((abs(z) for z in eigs), reverse=True)[::2]
+            return [math.nan] * blocks.shape[-1]
         return mp.svd_r(lx.T * lp, compute_uv=False)
 
     nus = _high_precision(blocks, spectrum)
@@ -233,9 +235,9 @@ def _split_spectrum(blocks: np.ndarray):
     takes them in closed form (_two_mode_spectrum): a LAPACK call costs
     more than the 2 x 2 arithmetic, and the asymptotic attack's spectra are
     all of this kind. Every other member takes LAPACK's factors
-    (_factored_spectrum). A member without both factors gets
-    |eig(Omega sigma)| of its blocks (_eig_spectrum). The route is chosen
-    per member.
+    (_factored_spectrum). The route is chosen per member. A member without
+    both factors is not positive definite and has no symplectic spectrum:
+    its row reads NaN.
     """
     k, n = blocks.shape[1], blocks.shape[-1]
     # each member's largest |entry|: a reduction along the members' axis is
@@ -255,8 +257,7 @@ def _split_spectrum(blocks: np.ndarray):
             )
     else:
         nus, definite, cond = _factored_spectrum(blocks, peak)
-    if not definite.all():
-        nus[~definite] = _eig_spectrum(blocks[:, ~definite])
+    nus[~definite] = np.nan
     return nus, definite, np.where(peak > _HP_SCALE, cond, 1.0)
 
 
@@ -334,24 +335,6 @@ def _lone_spectrum(blocks: np.ndarray):
     return np.array(nus)
 
 
-def _omega_sigma(blocks: np.ndarray) -> np.ndarray:
-    """Omega sigma = [[0, P], [-X, 0]] in (x, p) order, eigenvalues +/- i nu,
-    of x blocks over p blocks (2, ..., n, n) of doubles or of mpmath numbers;
-    assembled, not multiplied, so no entry can overflow."""
-    x, p = blocks
-    return np.block([[np.zeros_like(x), p], [-x, np.zeros_like(p)]])
-
-
-def _eig_spectrum(blocks: np.ndarray) -> np.ndarray:
-    """|eig(Omega sigma)| of x blocks over p blocks (2, k, n, n), descending,
-    one per mode: the spectrum of a matrix without a Cholesky factor, which
-    only words its rejection and feeds the audit."""
-    eigs = np.linalg.eigvals(_omega_sigma(blocks))
-    # |eigs| carries each nu twice (the +/- i*nu pair); sorting makes the
-    # pairs adjacent so taking every second entry deduplicates them
-    return np.sort(np.abs(eigs), axis=-1)[:, ::-1][:, ::2]
-
-
 def _symmetrized(mats: np.ndarray, axes) -> np.ndarray:
     """mats checked to be finite and, each member spanning axes, symmetric
     to SYMMETRY_RTOL of its largest |entry|; then symmetrized. One state
@@ -381,11 +364,12 @@ def _check_physical(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     SYMMETRY_RTOL of the scale, positive definite (read from the Cholesky
     factors the spectrum is computed from, _split_spectrum) and every
     symplectic eigenvalue >= 1 - PHYSICALITY_TOL. Returns the symmetrized
-    blocks and the spectra, descending. A member that double precision
-    cannot certify takes the high-precision spectrum of its blocks
-    (_refined_spectrum): above _HP_SCALE, an equilibrated condition
-    bound past _CERTIFIED_COND or no Cholesky factor; at any scale, a
-    reading below 1 - _REFINE_TRIGGER. One state of one or two modes is
+    blocks and the spectra, descending. A positive-definite member that
+    double precision cannot certify takes the high-precision spectrum of its
+    blocks (_refined_spectrum): above _HP_SCALE, an equilibrated condition
+    bound past _CERTIFIED_COND; at any scale, a reading below
+    1 - _REFINE_TRIGGER. One without both Cholesky factors has no spectrum
+    (a NaN row) and is never refined. One state of one or two modes is
     read on Python floats by the same arithmetic (_lone_spectrum), and
     takes this route when they cannot certify it. Each member counts once
     in the physicality audit, as one CovMat construction would; a stack
@@ -401,38 +385,47 @@ def _check_physical(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flat = blocks.reshape(2, -1, n, n)
     nus, definite, cond = _split_spectrum(flat)
     # the spectra are descending: the last column holds each minimum
-    refine = (cond > _CERTIFIED_COND) | (nus[:, -1] < 1.0 - _REFINE_TRIGGER)
+    refine = definite & ((cond > _CERTIFIED_COND) | (nus[:, -1] < 1.0 - _REFINE_TRIGGER))
     for i in refine.nonzero()[0]:
         nus[i] = _refined_spectrum(flat[:, i])
     nus = nus.reshape(lead + (n,))
-    _judge(nus, definite)
+    _judge(nus)
     return blocks, nus
 
 
-def _judge(nus: np.ndarray, definite=True) -> None:
+def _judge(nus: np.ndarray) -> None:
     """Count each state of descending spectra nus in the physicality audit,
     then reject the first with a nu below 1 - PHYSICALITY_TOL, then any
-    not positive definite. One state's reductions run on Python floats."""
+    not positive definite (a NaN spectrum). One state's reductions run on
+    Python floats."""
     if nus.ndim == 1:
         nu_min = float(nus[-1])
         low = [nu_min] if nu_min < 1.0 - PHYSICALITY_TOL else []
+        spectrumless = math.isnan(nu_min)
     else:
         nu_min = nus[..., -1]
         low = nu_min[nu_min < 1.0 - PHYSICALITY_TOL]
+        spectrumless = np.isnan(nu_min).any()
     _record_in_audit(nu_min)
     if len(low):
         raise ValueError(
             f"unphysical covariance matrix: smallest symplectic eigenvalue {low[0]:.12g}"
         )
-    # |eig(Omega sigma)| cannot see the sign of sigma: sigma + i Omega >= 0
-    # also needs sigma > 0, which an indefinite matrix fails
-    if definite is not True and not definite.all():
+    if spectrumless:
         raise ValueError("unphysical covariance matrix: not positive definite")
+
+
+def _label_tuple(labels) -> tuple:
+    """Mode labels as a tuple; a str, which would split into its
+    characters, is refused."""
+    if isinstance(labels, str):
+        raise ValueError(f"mode labels must be a sequence of labels, not the string {labels!r}")
+    return tuple(labels)
 
 
 def _mode_labels(n: int, labels) -> tuple[str, ...]:
     """A state's n mode labels as strings, checked to be n distinct ones."""
-    labels = tuple(str(lbl) for lbl in labels)
+    labels = tuple(str(lbl) for lbl in _label_tuple(labels))
     if len(labels) != n:
         raise ValueError(f"expected {n} mode labels, got {len(labels)}")
     if len(set(labels)) != n:
@@ -700,7 +693,7 @@ def apply_symplectic(state: CovMat, s: Symplectic, target_labels: tuple[str, ...
     """Apply a symplectic to the designated modes: sigma -> S sigma S^T with S
     embedded as identity on every other mode, on the x and p blocks by S's
     x and p parts (a map with an x-p term is refused where it is built)."""
-    target = tuple(target_labels)
+    target = _label_tuple(target_labels)
     if len(target) != s.arity:
         raise ValueError(f"symplectic acts on {s.arity} modes, got {len(target)} labels")
     idx = [state.index(lbl) for lbl in target]
@@ -714,7 +707,7 @@ def partial_trace(state: CovMat, keep_labels: tuple[str, ...]) -> CovMat:
     """Restrict to the kept modes (principal submatrix), reordered to
     keep_labels. Keeping every mode in its order returns the (frozen) state
     itself."""
-    keep = tuple(keep_labels)
+    keep = _label_tuple(keep_labels)
     if keep == state.labels:
         return state
     if not keep:

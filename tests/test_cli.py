@@ -511,6 +511,18 @@ def test_sweep_grid_that_cannot_be_formed_exits_2_in_one_line(
             "error: row gamma = 0.4451652046870813: amplifier gain 1e+308 overflows",
             "the attack state's double precision",
         ),
+        # from about 1e11 off the default channel (ROADMAP defect 2), a source
+        # squeezing near 1 or pure loss sends the same refusal
+        (
+            ["--zeta", "0.99", "--g-policy", "finite:1e12", "--gamma-count", "6"],
+            "error: row gamma = 0.9994391680617926: matrix entry",
+            "leaves fewer than 16 of the 30 high-precision digits",
+        ),
+        (
+            ["--tau", "0.9", "--epsilon", "1", "--g-policy", "finite:1e12", "--gamma-count", "6"],
+            "error: row gamma = 0.9996516211771085: matrix entry",
+            "leaves fewer than 16 of the 30 high-precision digits",
+        ),
         # a source squeezing this close to 1 fails a row at the paper's own
         # gains (ROADMAP defect 2); the asymptotic policy gives a table
         (
@@ -519,7 +531,14 @@ def test_sweep_grid_that_cannot_be_formed_exits_2_in_one_line(
             "smallest symplectic eigenvalue",
         ),
     ],
-    ids=["gain-1e100", "gain-1e300", "gain-1e308", "zeta-0.999999-gain-100"],
+    ids=[
+        "gain-1e100",
+        "gain-1e300",
+        "gain-1e308",
+        "zeta-0.99-gain-1e12",
+        "pure-loss-gain-1e12",
+        "zeta-0.999999-gain-100",
+    ],
 )
 def test_sweep_row_failure_exits_2_without_traceback(capsys, tmp_path, flags, head, needle):
     out = tmp_path / "never.csv"

@@ -89,6 +89,27 @@ def test_covmat_rejects_label_mismatch():
         CovMat(np.eye(4), ("m1", "m1"))
 
 
+@pytest.mark.parametrize(
+    "call,labels",
+    [
+        (lambda: tmsv(0.5, "m1"), "m1"),
+        (lambda: tmsv(0.5, "xy"), "xy"),
+        (lambda: CovMat(np.eye(4), "AB"), "AB"),
+        (lambda: partial_trace(tmsv(0.5, ("a", "b")), "ab"), "ab"),
+        (lambda: partial_trace(tmsv(0.5, ("a", "b")), "a"), "a"),
+        (lambda: apply_symplectic(tmsv(0.5, ("a", "b")), beam_splitter(0.5), "ab"), "ab"),
+    ],
+    ids=["tmsv-two-chars", "tmsv-pair", "covmat", "partial-trace-all", "partial-trace-one",
+         "apply-symplectic"],
+)
+def test_defect_7_a_string_of_labels_is_refused(call, labels):
+    # a str is an iterable of its characters: taken as labels it would name
+    # one mode per character, or keep or target modes silently
+    message = f"mode labels must be a sequence of labels, not the string {labels!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_covmat_rejects_asymmetry():
     m = np.eye(2)
     m[0, 1] = 1e-6
@@ -732,18 +753,22 @@ def test_fast_spectrum_matches_60_digit_oracle():
 
 def test_fast_spectrum_stack_equals_each_member_alone(monkeypatch):
     # the second member has no Cholesky factor: the phase-insensitive stack
-    # is factored member by member, that one gets |eig(Omega sigma)| and its
-    # neighbours keep their factored spectra. The check refines the one
-    # below 1, and only it, in high precision
+    # is factored member by member, that one has no spectrum (a NaN row) and
+    # its neighbours keep their factored spectra. The check refines the
+    # definite member below 1, and only it, in high precision
     amplified = act_whole(tmsv(0.9).matrix, two_mode_squeezer(1e3).matrix, [0, 1])
-    members = [tmsv(0.3).matrix, np.diag([0.5, -0.5, 1.0, 1.0]), amplified]
+    members = [
+        tmsv(0.3).matrix,
+        np.diag([0.5, -0.5, 1.0, 1.0]),
+        amplified,
+        np.diag([0.5, 0.5, 1.0, 1.0]),
+    ]
     nus, definite, _ = _split_spectrum(_xp_blocks(np.stack(members)))
-    assert definite.tolist() == [True, False, True]
-    general = np.abs(np.linalg.eigvals(symplectic_form(2) @ members[1]))
-    assert np.array_equal(nus[1], np.sort(general)[::-1][::2])
+    assert definite.tolist() == [True, False, True, True]
+    assert np.isnan(nus[1]).all() and np.isfinite(nus[[0, 2, 3]]).all()
     for k, m in enumerate(members):
         one, one_definite = _spectrum_of(m)
-        assert np.array_equal(nus[k], one), k
+        assert np.array_equal(nus[k], one, equal_nan=True), k
         assert one_definite == definite[k]
     checked = _check_physical(_xp_blocks(np.stack(members[::2])))[1]
     assert np.array_equal(checked, _split_spectrum(_xp_blocks(np.stack(members[::2])))[0])
@@ -758,7 +783,10 @@ def test_fast_spectrum_stack_equals_each_member_alone(monkeypatch):
     message = "unphysical covariance matrix: smallest symplectic eigenvalue 0.5"
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         _check_physical(_xp_blocks(np.stack(members)))
-    assert len(refined) == 1 and np.array_equal(refined[0], _xp_blocks(members[1]))
+    assert len(refined) == 1 and np.array_equal(refined[0], _xp_blocks(members[3]))
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        CovMat(members[3], ("m1", "m2"))
+    message = "unphysical covariance matrix: not positive definite"
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         CovMat(members[1], ("m1", "m2"))
 
@@ -987,19 +1015,21 @@ def test_two_mode_spectrum_of_equal_nus_stays_descending():
 
 
 def test_two_mode_routes_are_chosen_per_member():
-    # a definite member takes the closed form, an indefinite one the
-    # general eigensolve, a graded one (entries past _INVERSE_SIDE_SCALE)
-    # LAPACK's factors read from both sides: in one stack each is bit for
-    # bit its lone value, and the rejection names the indefinite member's nu
+    # a definite member takes the closed form, an indefinite one no spectrum
+    # (a NaN row), a graded one (entries past _INVERSE_SIDE_SCALE) LAPACK's
+    # factors read from both sides: in one stack each is bit for bit its
+    # lone value, and the rejection names the indefinite member's lack of
+    # a factor
     graded = act_whole(tmsv(0.9).matrix, two_mode_squeezer(1e4).matrix, [0, 1])
     members = [tmsv(0.3).matrix, np.diag([0.5, -0.5, 1.0, 1.0]), 0.5 * (graded + graded.T)]
     assert _INVERSE_SIDE_SCALE < np.abs(members[2]).max() <= _HP_SCALE
     nus, definite, _ = _split_spectrum(_xp_blocks(np.stack(members)))
     assert definite.tolist() == [True, False, True]
+    assert np.isnan(nus[1]).all() and np.isfinite(nus[::2]).all()
     for k, m in enumerate(members):
         one, one_definite = _spectrum_of(m)
-        assert np.array_equal(nus[k], one) and one_definite == definite[k], k
-    message = "unphysical covariance matrix: smallest symplectic eigenvalue 0.5"
+        assert np.array_equal(nus[k], one, equal_nan=True) and one_definite == definite[k], k
+    message = "unphysical covariance matrix: not positive definite"
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         _check_physical(_xp_blocks(np.stack(members)))
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
@@ -1011,13 +1041,44 @@ def test_two_mode_routes_are_chosen_per_member():
     [np.diag([0.6, -0.4]), np.diag([3.0e6, 3.0e6, 0.6, -0.4])],
     ids=["unit-scale", "high-scale"],
 )
-def test_non_positive_definite_matrix_reports_general_spectrum(matrix):
-    # no Cholesky factor: the rejection must name the nu of the general route
-    nu_min = float(_spectrum_by_general_eig(matrix, 30).min())
-    assert nu_min < 1.0
-    message = f"unphysical covariance matrix: smallest symplectic eigenvalue {nu_min:.12g}"
+def test_non_positive_definite_matrix_is_refused_without_a_spectrum(matrix, monkeypatch):
+    # no Cholesky factor, so no symplectic spectrum: |eig(Omega sigma)|
+    # reads below 1 here, but the rejection names the missing factor, at
+    # any scale without high precision
+    assert _spectrum_by_general_eig(matrix, 30).min() < 1.0
+
+    def forbidden(matrix, compute):
+        raise AssertionError("an indefinite matrix took the high-precision route")
+
+    monkeypatch.setattr(cvqkd_attacks.gaussian, "_high_precision", forbidden)
+    message = "unphysical covariance matrix: not positive definite"
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         CovMat(matrix, tuple(f"m{i}" for i in range(matrix.shape[0] // 2)))
+
+
+def test_matrix_without_a_30_digit_factor_is_not_positive_definite(monkeypatch):
+    # X = [[2, 1], [1, 0.5 - 2^-54]] is indefinite (det X = -2^-53), but
+    # its last Cholesky pivot rounds positive in doubles, and nu_- reads
+    # 6.7e-9. The refinement
+    # finds no 30-digit Cholesky factor: the state has no spectrum, and it
+    # is refused on that, not on a nu
+    matrix = np.diag([2.0, 1.0, math.nextafter(0.5, 0.0), 1.0])
+    matrix[0, 2] = matrix[2, 0] = 1.0
+    nus, definite, _ = _split_spectrum(_xp_blocks(matrix[None]))
+    assert definite.all() and 0.0 < nus[0, -1] < 1e-8
+    assert np.isnan(_refined_spectrum(_xp_blocks(matrix))).all()
+    refined = []
+    real = cvqkd_attacks.gaussian._refined_spectrum
+    monkeypatch.setattr(
+        cvqkd_attacks.gaussian, "_refined_spectrum", lambda b: refined.append(b) or real(b)
+    )
+    reset_physicality_audit()
+    message = "unphysical covariance matrix: not positive definite"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        CovMat(matrix, ("m1", "m2"))
+    assert len(refined) == 1
+    # counted once, with no nu taken from it
+    assert physicality_audit() == (math.inf, 1)
 
 
 def _amplified_pair_with_thermal_partner() -> CovMat:
@@ -1219,7 +1280,7 @@ def test_high_precision_refuses_entries_it_cannot_resolve():
     # _HP_SCALE, are refused on that scale with one line
     message = "matrix entry 3e+15 leaves fewer than 16 of the 30 high-precision digits"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-        CovMat(np.diag([3e15, 3e15, 0.6, -0.4]), ("m1", "m2"))
+        CovMat(np.diag([3e15, 3e15, 0.6, 0.4]), ("m1", "m2"))
     hot = direct_sum(tmsv(0.5, ("a", "b")), thermal(4e14, "c"))
     message = "matrix entry 4e+14 leaves fewer than 16 of the 30 high-precision digits"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):

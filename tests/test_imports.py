@@ -1,8 +1,9 @@
 """Every name a module imports is used: a static scan of src/ and tests/.
 Every private function or class the package defines has a caller in the
-package, mpmath is imported by one function of it, only gaussian.py
-knows the interleaved (x1, p1, ..., xn, pn) layout, and it interleaves
-only to form a public matrix: static scans of src/.
+package, mpmath is imported by one function of it, no general
+eigensolver is called, only gaussian.py knows the interleaved
+(x1, p1, ..., xn, pn) layout, and it interleaves only to form a public
+matrix: static scans of src/.
 
 The package's __init__.py is skipped by the import scan, as its imports
 are re-exports.
@@ -193,6 +194,20 @@ def test_scan_finds_each_way_to_reference_a_name():
         "inner",
         "outer",
     ]
+
+
+# numpy's and mpmath's general eigensolvers: every symplectic spectrum is
+# read from Cholesky factors, and a matrix without them has none, so it is
+# refused rather than eigensolved
+EIGENSOLVERS = ("eig", "eigh", "eigvals", "eigvalsh", "eighe", "eigsy")
+
+
+def test_package_calls_no_general_eigensolver():
+    found = {
+        path.name: names_referenced(path.read_text(encoding="utf-8"), EIGENSOLVERS)
+        for path in PACKAGE
+    }
+    assert {name: refs for name, refs in found.items() if refs} == {}
 
 
 def test_only_gaussian_knows_the_interleaved_layout():
