@@ -82,16 +82,18 @@ class AttackScenario:
 
 @dataclass(frozen=True)
 class AttackResult:
-    """Outcome of one attack evaluation.
-
-    Infeasible results carry NaN in eta_star, kappa_star, eve_info_bits and
-    residual; ent_resource and holevo_bits stay meaningful.
-    """
+    """Outcome of one attack evaluation: Eve's tap transmissivity and
+    auxiliary noise (eta_star, noise_star), the point ao_attack_state and
+    simulation_residual take, and kappa_star, the auxiliary squeezing of
+    that noise, for the table only. Infeasible results carry NaN in those
+    three, eve_info_bits and residual; ent_resource and holevo_bits stay
+    meaningful."""
 
     gamma: float
     ent_resource: float
     eta_star: float
     kappa_star: float
+    noise_star: float
     eve_info_bits: float
     holevo_bits: float
     residual: float
@@ -277,40 +279,32 @@ def _resource_matrix(gamma) -> np.ndarray:
     return _tmsv_matrices(gamma)
 
 
-def _auxiliary_noise(eta: float, kappa: float) -> float:
-    """The noise m = d (1 + kappa^2)/(1 - kappa^2), d = 1 - eta, of a tap
-    at eta on an auxiliary tmsv(kappa), kappa checked to lie in [0, 1)."""
-    if not 0.0 <= kappa < 1.0:
-        raise ValueError(f"auxiliary squeezing must lie in [0, 1), got {kappa}")
-    return (1.0 - eta) * (1.0 + kappa * kappa) / (1.0 - kappa * kappa)
-
-
 def _auxiliary_squeezing(eta: float, m: float) -> float:
-    """kappa = sqrt((m - d)/(m + d)) of a tap's noise m; exactly 0 at m = d,
-    also at eta = 1, where the ratio is 0/0."""
+    """kappa = sqrt((m - d)/(m + d)), d = 1 - eta, of a tap's noise m;
+    exactly 0 at m = d, also at eta = 1, where the ratio is 0/0, and NaN
+    where eta and m are."""
     d = 1.0 - eta
     return 0.0 if m == d else math.sqrt((m - d) / (m + d))
 
 
-def ao_attack_state(sc: AttackScenario, gamma: float, eta: float, kappa: float) -> CovMat:
+def ao_attack_state(sc: AttackScenario, gamma: float, eta: float, m: float) -> CovMat:
     """Global state of the teleportation attack at the scenario's finite
-    gain, with Eve's tap at eta and an auxiliary tmsv(kappa): Alice's modes
-    (A, B) plus Eve's kept modes (P, Q, F1, F2). P and Q are her amplified
-    resource arms in her local basis (teleportation._eve_local_map): P
-    carries the amplified Bell record, Q has O(1) entries."""
+    gain, with Eve's tap at eta adding the auxiliary noise m, as a row's
+    (eta_star, noise_star): Alice's modes (A, B) plus Eve's kept modes
+    (P, Q, F1, F2). P and Q are her amplified resource arms in her local
+    basis (teleportation._eve_local_map): P carries the amplified Bell
+    record, Q has O(1) entries."""
     resource = _resource_matrix(gamma)
     alice = tmsv(sc.zeta, ("A", "B"))._blocks
-    blocks = _pipeline_raw(alice, sc.channel, resource, eta, _auxiliary_noise(eta, kappa), sc.gain)
-    return _checked(blocks, _ATTACK_MODES)
+    return _checked(_pipeline_raw(alice, sc.channel, resource, eta, m, sc.gain), _ATTACK_MODES)
 
 
-def simulation_residual(sc: AttackScenario, gamma: float, eta: float, kappa: float) -> float:
-    """|tau_eff - tau| + |v_eff - v| for the channel the attack actually
-    presents between A and B at the scenario's finite gain, read off the
-    (A, B) block of the attack state, the one block it checks."""
-    alice, m = tmsv(sc.zeta)._blocks, _auxiliary_noise(eta, kappa)
-    blocks = _pipeline_raw(alice, sc.channel, _resource_matrix(gamma), eta, m, sc.gain)
-    return _channel_residual(_check_physical(blocks[..., :2, :2])[0], alice, sc.channel)
+def simulation_residual(sc: AttackScenario, gamma: float, eta: float, m: float) -> float:
+    """|tau_eff - tau| + |v_eff - v| for the channel the attack presents
+    between A and B at the scenario's gain, finite or not, with Eve's tap
+    at eta adding the auxiliary noise m, read as a row's (_checked_point)."""
+    alice = tmsv(sc.zeta, ("A", "B"))._blocks
+    return float(_checked_point(sc, alice, _resource_matrix(gamma), eta, m)[1])
 
 
 def _bell_record_info(sc: AttackScenario, ab, given_u, validate: bool):
@@ -381,6 +375,15 @@ def _attack_point(sc: AttackScenario, alice, resource, eta, m, validate: bool = 
     return _eve_info_blocks(sc, blocks, _ATTACK_MODES, validate), blocks[..., :2, :2]
 
 
+def _checked_point(sc: AttackScenario, alice, resource, eta, m):
+    """Eve's information and the residual at (eta, m), checked: the
+    objective's arithmetic with validate=True (_attack_point), and the
+    residual of the (A, B) block it formed, checked to be physical and in
+    the phase-insensitive form (_channel_residual), at every gain."""
+    info, ab = _attack_point(sc, alice, resource, eta, m, validate=True)
+    return info, _channel_residual(_check_physical(ab)[0], alice, sc.channel)
+
+
 def _eve_info_objective(sc: AttackScenario, alice: np.ndarray, resource: np.ndarray, eta, m):
     """The optimizer's objective, _attack_point's information unchecked:
     the one seam through which the scan and the refit evaluate."""
@@ -448,10 +451,12 @@ def _match_noise(gamma: float, eta, tau: float, v: float, g: float):
     return np.where(np.abs((1.0 - 1.0 / g) * (d - m)) <= _ROOT_TOL * a, d, matched)[()]
 
 
-def _row_result(gamma, chi, eta=math.nan, kappa=math.nan, info=math.nan, residual=math.nan):
-    """A row's AttackResult; infeasible, with NaNs, unless given its point."""
-    ent = entropy_of_entanglement(gamma)
-    return AttackResult(gamma, ent, eta, kappa, info, chi, residual, residual <= _FEASIBLE_RESIDUAL)
+def _row_result(gamma, chi, eta=math.nan, m=math.nan, info=math.nan, residual=math.nan):
+    """A row's AttackResult, kappa_star read off (eta, m); infeasible, with
+    NaNs, unless given its point."""
+    ent, kappa = entropy_of_entanglement(gamma), _auxiliary_squeezing(eta, m)
+    feasible = residual <= _FEASIBLE_RESIDUAL
+    return AttackResult(gamma, ent, eta, kappa, m, info, chi, residual, feasible)
 
 
 # the scan: _SCAN_PASSES stacked passes of _SCAN_POINTS etas each, every
@@ -470,21 +475,14 @@ class RowError(ValueError):
 
 
 def _validated_rows(sc: AttackScenario, alice, resources, gammas, picks, chi):
-    """AttackResults of a stack of rows at their picked (eta, m): the
-    objective's own arithmetic, checked (_attack_point with validate=True),
-    in one call for all rows, and the residual of the (A, B) block that
-    call formed, checked to be physical and, by _channel_residual, in the
-    phase-insensitive form, at every gain."""
+    """AttackResults of a stack of rows at their picked (eta, m), checked
+    (_checked_point) in one call for all rows."""
     if not gammas:
         return []
     etas, noises = np.array(picks).T
-    info, ab = _attack_point(sc, alice, resources, etas, noises, validate=True)
-    residual = _channel_residual(_check_physical(ab)[0], alice, sc.channel)
+    info, residual = _checked_point(sc, alice, resources, etas, noises)
     rows = zip(gammas, picks, info.tolist(), residual.tolist())
-    return [
-        _row_result(gamma, chi, eta, _auxiliary_squeezing(eta, m), value, off)
-        for gamma, (eta, m), value, off in rows
-    ]
+    return [_row_result(gamma, chi, eta, m, value, off) for gamma, (eta, m), value, off in rows]
 
 
 def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
@@ -593,7 +591,7 @@ def _stacked_rows(sc: AttackScenario, gammas: tuple[float, ...]) -> list[AttackR
 
 
 def optimize_attacks(sc: AttackScenario, gammas) -> list[AttackResult]:
-    """Best (eta, kappa) for the teleportation attack at each resource of a
+    """Best (eta, m) for the teleportation attack at each resource of a
     grid: one AttackResult per gamma, in grid order.
 
     The noise-matching constraint leaves one free direction: eta is scanned
@@ -637,7 +635,7 @@ def optimize_attacks(sc: AttackScenario, gammas) -> list[AttackResult]:
 
 
 def optimize_attack(sc: AttackScenario, gamma: float) -> AttackResult:
-    """Best (eta, kappa) for the teleportation attack at one resource: the
+    """Best (eta, m) for the teleportation attack at one resource: the
     one-row case of optimize_attacks, which describes the search. The row
     depends on its gamma alone: no state carries over between rows.
     """

@@ -154,9 +154,10 @@ def _is_pure_loss_like(channel: GaussChannel) -> bool:
 
 def _tapped_auxiliary(channel: GaussChannel, eta, m):
     """Eve's tap on the resource arm R2, checked: eta in [0, 1] and her
-    auxiliary noise m >= d = 1 - eta, as arrays, and m = d (vacuum) on
-    pure-loss channels. Returns eta and the x over p parts (2, ..., 3, 3) of
-    one map per (eta, m) from (R2, v1, v2), v1 and v2 vacuum, to (R2', F1, F2).
+    auxiliary noise m finite and >= d = 1 - eta, as arrays, and m = d
+    (vacuum) on pure-loss channels. Returns eta and the x over p parts
+    (2, ..., 3, 3) of one map per (eta, m) from (R2, v1, v2), v1 and v2
+    vacuum, to (R2', F1, F2).
 
     R2 is mixed at eta with F1 of tmsv(kappa) = S(r) vacuum, cosh 2r = m / d,
     which adds the noise m; Eve then undoes the squeezing past cosh 2r0 = 3
@@ -178,6 +179,8 @@ def _tapped_auxiliary(channel: GaussChannel, eta, m):
     outside = ~((0.0 <= eta) & (eta <= 1.0))
     if outside.any():
         raise ValueError(f"mixing transmissivity must lie in [0, 1], got {eta[outside][0]}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"auxiliary noise {m[~np.isfinite(m)][0]} is not finite")
     d = 1.0 - eta
     short = ~(m >= d)
     if short.any():

@@ -270,9 +270,11 @@ def _check_physicality_battery() -> float:
     sc = _scenario()
     cloner_attack(sc)
     amplified = replace(sc, gain=1e6)
-    eve_info(ao_attack_state(amplified, 0.7, 0.6, 0.03), amplified)
+    # Eve's tap at eta = 0.6 on an auxiliary tmsv(0.03): the noise
+    # m = (1 - eta)(1 + 0.03^2)/(1 - 0.03^2); pure loss pins m = 1 - eta
+    eve_info(ao_attack_state(amplified, 0.7, 0.6, 0.4 * 1.0009 / 0.9991), amplified)
     pure = AttackScenario(GaussChannel(0.25, 0.75), zeta=0.7, gain=1e6)
-    eve_info(ao_attack_state(pure, 0.6, 0.25 / 0.36, 0.0), pure)
+    eve_info(ao_attack_state(pure, 0.6, 0.25 / 0.36, 1 - 0.25 / 0.36), pure)
     min_nu, count = physicality_audit()
     # an audit that counted no state has checked nothing
     return max(0.0, 1.0 - min_nu) if count else math.inf

@@ -10,7 +10,6 @@ import pytest
 from cvqkd_attacks.attacks import (
     AttackResult,
     AttackScenario,
-    _auxiliary_noise,
     _auxiliary_squeezing,
     _channel_residual,
     _eve_info_objective,
@@ -93,7 +92,7 @@ def test_scenario_resolution():
 
 def test_attack_result_guards_information_range():
     with pytest.raises(ValueError, match="outside"):
-        AttackResult(0.5, 1.0, 0.5, 0.0, 2.0, 1.0, 0.0, True)
+        AttackResult(0.5, 1.0, 0.5, 0.0, 0.5, 2.0, 1.0, 0.0, True)
 
 
 def _bk_noise(gamma: float, tau: float) -> float:
@@ -178,6 +177,7 @@ def test_cloner_thermal_loss():
     assert abs(res.eve_info_bits - res.holevo_bits) <= 1e-9
     assert res.residual <= 1e-12
     assert math.isnan(res.eta_star) and math.isnan(res.kappa_star)
+    assert math.isnan(res.noise_star)
     assert res.feasible
 
 
@@ -242,10 +242,8 @@ def test_pipeline_blocks_are_the_whole_circuits_x_and_p_blocks(g):
     assert (quads[0, 1] == 0.0).all() and (quads[1, 0] == 0.0).all()
     assert np.array_equal(quads[[0, 1], [0, 1]], blocks)
     assert np.array_equal(_interleaved(blocks), whole)
-    state = ao_attack_state(sc, 0.6, 0.5, 0.05)
-    one = _pipeline_raw(
-        alice._blocks, THERMAL, _resource_matrix(0.6), 0.5, _auxiliary_noise(0.5, 0.05), g
-    )
+    state = ao_attack_state(sc, 0.6, 0.5, 0.6)
+    one = _pipeline_raw(alice._blocks, THERMAL, _resource_matrix(0.6), 0.5, 0.6, g)
     assert one.shape == (2, 6, 6)
     assert np.array_equal(_interleaved(one), state.matrix)
 
@@ -260,11 +258,11 @@ def test_eve_info_rejects_a_state_that_couples_x_and_p():
 
 def test_attack_state_mode_inventory():
     sc = scenario(gain=1.0e3)
-    st = ao_attack_state(sc, 0.6, 0.5, 0.05)
+    st = ao_attack_state(sc, 0.6, 0.5, 0.6)
     assert st.labels == ("A", "B", "P", "Q", "F1", "F2")
     # pure loss keeps the layout, with F2 an exact, decoupled vacuum, at
     # finite gain and in the Bell record's conditional state
-    st_pl = ao_attack_state(scenario(PURE, gain=1.0e3), 0.6, 0.5, 0.0)
+    st_pl = ao_attack_state(scenario(PURE, gain=1.0e3), 0.6, 0.5, 0.5)
     assert st_pl.labels == st.labels
     _assert_last_mode_decoupled_vacuum(st_pl.matrix)
     _, given_u = _bell_record_raw(tmsv(0.7)._blocks, PURE, _resource_matrix(0.6), 0.5, 0.5)
@@ -280,15 +278,21 @@ def _assert_last_mode_decoupled_vacuum(mat):
 def test_attack_state_domain():
     sc = scenario(gain=1e3)
     with pytest.raises(ValueError, match="resource squeezing"):
-        ao_attack_state(sc, 1.0, 0.5, 0.0)
+        ao_attack_state(sc, 1.0, 0.5, 0.5)
     with pytest.raises(ValueError, match="mixing transmissivity"):
-        ao_attack_state(sc, 0.6, 1.2, 0.0)
-    with pytest.raises(ValueError, match="auxiliary squeezing"):
-        ao_attack_state(sc, 0.6, 0.5, -0.1)
+        ao_attack_state(sc, 0.6, 1.2, 0.5)
+    with pytest.raises(ValueError, match="auxiliary noise 0.4 below 1 - eta = 0.5"):
+        ao_attack_state(sc, 0.6, 0.5, 0.4)
+    # an unbounded noise is refused as such, not as an overflow of the gain
+    for m in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"auxiliary noise {m} is not finite"):
+            ao_attack_state(sc, 0.6, 0.5, m)
+        with pytest.raises(ValueError, match=f"auxiliary noise {m} is not finite"):
+            simulation_residual(sc, 0.6, 0.5, m)
     with pytest.raises(ValueError, match="finite"):
-        ao_attack_state(scenario(), 0.6, 0.5, 0.0)
+        ao_attack_state(scenario(), 0.6, 0.5, 0.5)
     with pytest.raises(ValueError, match="pins the auxiliary"):
-        ao_attack_state(scenario(PURE, gain=1e3), 0.6, 0.5, 0.3)
+        ao_attack_state(scenario(PURE, gain=1e3), 0.6, 0.5, 0.8)
 
 
 def test_feasible_window_brackets_the_matchable_etas():
@@ -302,8 +306,7 @@ def test_feasible_window_brackets_the_matchable_etas():
     m = _match_noise(0.6, mid, tau, v, g)
     assert m >= 1.0 - mid
     # the attack's state itself presents the target channel
-    kappa = _auxiliary_squeezing(mid, m)
-    assert simulation_residual(scenario(gain=g), 0.6, mid, kappa) <= 1e-10
+    assert simulation_residual(scenario(gain=g), 0.6, mid, m) <= 1e-10
     # outside the window the vacuum auxiliary already overshoots the noise
     if lo > 0.01:
         assert math.isnan(_match_noise(0.6, lo - 0.01, tau, v, g))
@@ -470,6 +473,7 @@ def test_optimize_pure_loss_closed_form():
     res = optimize_attack(sc, 0.6)
     assert math.isclose(res.eta_star, 0.25 / 0.36, rel_tol=1e-12)
     assert res.kappa_star == 0.0
+    assert res.noise_star == 1.0 - res.eta_star
     assert res.residual <= 1e-12
     assert res.feasible
     assert 0.0 < res.eve_info_bits < res.holevo_bits
@@ -494,11 +498,12 @@ def test_optimize_thermal_smoke():
     alice = tmsv(sc.zeta, ("A", "B"))
     resource = _resource_matrix(0.6)
     m = float(_match_noise(0.6, res.eta_star, THERMAL.tau, THERMAL.v, sc.gain))
+    assert m == res.noise_star
     ab, _ = _bell_record_raw(alice._blocks, THERMAL, resource, res.eta_star, m)
     ab = CovMat(_interleaved(ab), ("A", "B"))._blocks
     assert _channel_residual(ab, alice._blocks, THERMAL) == res.residual
     for g in (100.0, 1e4):
-        assert simulation_residual(scenario(gain=g), 0.6, res.eta_star, res.kappa_star) <= 1e-8
+        assert simulation_residual(scenario(gain=g), 0.6, res.eta_star, m) <= 1e-8
 
 
 def test_channel_residual_on_a_stack_equals_each_matrix_alone():
@@ -533,13 +538,13 @@ def test_bad_gain_gets_the_gain_message(g):
         with pytest.raises(ValueError, match="gain must be > 1"):
             scenario(gain=g)
         return
-    # the asymptotic scenario has no finite circuit to build
+    # the asymptotic scenario has no finite circuit to build, but its
+    # residual is read at g = inf, as its rows read theirs
     sc = scenario(gain=g)
-    message = "amplifier gain must be a finite value > 1"
-    with pytest.raises(ValueError, match=message):
-        ao_attack_state(sc, 0.6, 0.5, 0.05)
-    with pytest.raises(ValueError, match=message):
-        simulation_residual(sc, 0.6, 0.5, 0.05)
+    with pytest.raises(ValueError, match="amplifier gain must be a finite value > 1"):
+        ao_attack_state(sc, 0.6, 0.5, 0.6)
+    row = optimize_attack(sc, 0.6)
+    assert simulation_residual(sc, 0.6, row.eta_star, row.noise_star) == row.residual
 
 
 def _matched_points(gamma, ch, g, count, seed):

@@ -137,15 +137,6 @@ def oracle_eve_info(sc, gamma, eta, m, g=ORACLE_GAIN):
         return float(_mp_entropy(sigma[4:, 4:]) - _mp_entropy(cond[2:, 2:]))
 
 
-def row_noise(sc, row):
-    """The auxiliary noise m at a row's pick, as the optimizer matched it:
-    1 - eta* on pure loss, _match_noise at eta* on any other channel."""
-    ch = sc.channel
-    if _is_pure_loss_like(ch):
-        return 1.0 - row.eta_star
-    return float(_match_noise(row.gamma, row.eta_star, ch.tau, ch.v, sc.gain))
-
-
 def _scenario(tau, epsilon, reconciliation):
     return AttackScenario(GaussChannel(tau, (1.0 - tau) * epsilon), 0.7, reconciliation)
 

@@ -1,6 +1,7 @@
 """CLI surface: config round trips, CSV formatting, exit codes."""
 
 import csv
+import dataclasses
 import math
 import os
 import re
@@ -11,13 +12,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_bell_record import ORACLE_GAIN, oracle_eve_info, row_noise
+from test_bell_record import ORACLE_GAIN, oracle_eve_info
 
 import cvqkd_attacks.cli
 import cvqkd_attacks.gaussian
 import cvqkd_attacks.keyrate
 import cvqkd_attacks.verify
-from cvqkd_attacks.attacks import _feasible_eta_window, _match_noise, optimize_attack
+from cvqkd_attacks.attacks import (
+    AttackResult,
+    _feasible_eta_window,
+    _match_noise,
+    optimize_attack,
+    optimize_attacks,
+)
 from cvqkd_attacks.cli import (
     _FIELDS,
     CSV_HEADER,
@@ -31,7 +38,7 @@ from cvqkd_attacks.cli import (
     serialize_config,
     validate_config,
 )
-from cvqkd_attacks.keyrate import SweepRow, SweepTable, default_gamma_grid, sweep
+from cvqkd_attacks.keyrate import SweepRow, SweepTable, default_gamma_grid
 from cvqkd_attacks.verify import Check
 
 REPO = Path(__file__).resolve().parents[1]
@@ -200,6 +207,15 @@ def test_csv_header_is_frozen():
         "gamma,ent_ebits,eta_star,kappa_star,eve_info_bits,"
         "holevo_bits,key_rate_bits,residual,feasible"
     )
+
+
+def test_result_fields_that_the_benchmark_reads_by_name():
+    # bench/child.py records rows through dataclasses.asdict and checks them
+    # against the CSV's columns by name, so a field renamed or derived here
+    # would break the benchmark silently
+    kept = "gamma ent_resource eta_star kappa_star eve_info_bits holevo_bits residual feasible"
+    assert set(kept.split()) <= {field.name for field in dataclasses.fields(AttackResult)}
+    assert [field.name for field in dataclasses.fields(SweepRow)] == CSV_HEADER.split(",")
 
 
 def test_bad_flag_exits_1(capsys):
@@ -618,12 +634,12 @@ def test_high_gain_sweep_rows_match_the_oracle(capsys, tmp_path, fields, tol):
     cfg = RunConfig(**fields)
     sc = scenario_from(cfg)
     grid = default_gamma_grid(sc, cfg.gamma_count, cfg.gamma_lo, cfg.gamma_hi)
-    table = sweep(sc, cfg.beta, grid)
-    assert len(printed) == len(table.rows) == cfg.gamma_count
-    for line, row in zip(printed, table.rows):
+    rows = optimize_attacks(sc, grid)
+    assert len(printed) == len(rows) == cfg.gamma_count
+    for line, row in zip(printed, rows):
         assert row.feasible
         assert abs(float(line["eve_info_bits"]) - row.eve_info_bits) <= 5e-10
-        oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row_noise(sc, row), sc.gain)
+        oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row.noise_star, sc.gain)
         assert abs(row.eve_info_bits - oracle) <= tol, row.gamma
 
 
@@ -649,14 +665,14 @@ def test_additive_noise_sweep_rows_match_the_oracle(capsys, tmp_path, v, reconci
     printed = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
     cfg = RunConfig(**fields)
     sc = scenario_from(cfg)
-    table = sweep(sc, cfg.beta, default_gamma_grid(sc, cfg.gamma_count, cfg.gamma_lo, cfg.gamma_hi))
-    assert len(printed) == len(table.rows) == cfg.gamma_count
+    rows = optimize_attacks(sc, default_gamma_grid(sc, cfg.gamma_count, cfg.gamma_lo, cfg.gamma_hi))
+    assert len(printed) == len(rows) == cfg.gamma_count
     gain = sc.gain if math.isfinite(sc.gain) else ORACLE_GAIN
-    for line, row in zip(printed, table.rows):
+    for line, row in zip(printed, rows):
         assert line["feasible"] == "true" and row.feasible
         assert abs(float(line["eve_info_bits"]) - row.eve_info_bits) <= 5e-10
         assert row.residual <= 1e-8 and row.eve_info_bits <= row.holevo_bits
-        oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row_noise(sc, row), gain)
+        oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row.noise_star, gain)
         assert abs(row.eve_info_bits - oracle) <= 1e-9, row.gamma
 
 
@@ -675,20 +691,20 @@ def test_rows_whose_window_reaches_eta_1_match_the_oracle(capsys, tmp_path, flag
     cfg = RunConfig(gamma_count=int(flags[-1]))
     sc = scenario_from(cfg)
     ch = sc.channel
-    table = sweep(sc, cfg.beta, default_gamma_grid(sc, cfg.gamma_count))
-    assert len(printed) == len(table.rows) == cfg.gamma_count
+    rows = optimize_attacks(sc, default_gamma_grid(sc, cfg.gamma_count))
+    assert len(printed) == len(rows) == cfg.gamma_count
     rim = [
         row
-        for row in table.rows
+        for row in rows
         if row.feasible and _feasible_eta_window(row.gamma, ch.tau, ch.v, 0.2)[1] == 1.0
     ]
     assert 0.4909949955798073 in [row.gamma for row in rim]
-    for line, row in zip(printed, table.rows):
+    for line, row in zip(printed, rows):
         assert abs(float(line["eve_info_bits"]) - row.eve_info_bits) <= 5e-10
         if row.feasible:
             assert row.residual <= 1e-8 and row.eve_info_bits <= row.holevo_bits
     for row in rim:
-        oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row_noise(sc, row))
+        oracle = oracle_eve_info(sc, row.gamma, row.eta_star, row.noise_star)
         assert abs(row.eve_info_bits - oracle) <= 1e-9, row.gamma
 
 
@@ -700,7 +716,7 @@ def test_row_just_above_gamma_min_reaches_the_peak_at_the_rim():
     sc = scenario_from(RunConfig())
     gamma = 0.4453652046870813
     row = optimize_attack(sc, gamma)
-    oracle = oracle_eve_info(sc, gamma, row.eta_star, row_noise(sc, row))
+    oracle = oracle_eve_info(sc, gamma, row.eta_star, row.noise_star)
     assert abs(row.eve_info_bits - oracle) <= 1e-9
     eta = 0.9999991
     assert row.eta_star > eta and row.kappa_star > 0.999

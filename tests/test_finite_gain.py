@@ -7,10 +7,9 @@ teleportation._tapped_auxiliary. The oracle runs the same circuit from the
 same float inputs in mpmath, in the raw (R1, R2) basis, with the exact
 auxiliary tmsv of the tap's noise m, which a symplectic on Eve's modes does
 not change the entropies or the spectra of. Each point names its auxiliary
-by kappa, which the public ao_attack_state takes; the objective and the
-oracle take the noise m that ao_attack_state makes of it, so that every
-route sees the same input. Each point's oracle state is built once and
-serves both reconciliations.
+by the noise m that the objective, the public ao_attack_state and the
+oracle all take, so that every route sees the same input. Each point's
+oracle state is built once and serves both reconciliations.
 """
 
 import dataclasses
@@ -30,8 +29,6 @@ from test_bell_record import (
 )
 
 from cvqkd_attacks.attacks import (
-    _auxiliary_noise,
-    _auxiliary_squeezing,
     _eve_info_objective,
     _feasible_eta_window,
     _match_noise,
@@ -49,11 +46,10 @@ def _mid_window(tau, gamma):
     sc = _scenario(tau, 1.01, "reverse")
     lo, hi = _feasible_eta_window(gamma, sc.channel.tau, sc.channel.v, max(0.8 * tau, 1e-4))
     eta = 0.5 * (lo + hi)
-    m = float(_match_noise(gamma, eta, tau, sc.channel.v, math.inf))
-    return (tau, 1.01, gamma, eta, _auxiliary_squeezing(eta, m))
+    return (tau, 1.01, gamma, eta, float(_match_noise(gamma, eta, tau, sc.channel.v, math.inf)))
 
 
-# (tau, epsilon, gamma, eta, kappa): on the default thermal-loss channel the
+# (tau, epsilon, gamma, eta, m): on the default thermal-loss channel the
 # gamma_min row (eta = 1) and the middle of the window at gamma = 0.9999; a
 # high-transmissivity channel mid-window; on pure loss the closed-form eta of
 # a middle row that used to fail validation at g = 1e6 and of gamma = 0.9999
@@ -61,8 +57,8 @@ POINTS = (
     (0.25, 1.01, gamma_min(_scenario(0.25, 1.01, "reverse").channel), 1.0, 0.0),
     _mid_window(0.25, 0.9999),
     _mid_window(0.95, 1.0 - 0.3 * (1.0 - gamma_min(_scenario(0.95, 1.01, "reverse").channel))),
-    (0.25, 1.0, 0.98343, 0.25 / 0.98343**2, 0.0),
-    (0.25, 1.0, 0.9999, 0.25 / 0.9999**2, 0.0),
+    (0.25, 1.0, 0.98343, 0.25 / 0.98343**2, 1.0 - 0.25 / 0.98343**2),
+    (0.25, 1.0, 0.9999, 0.25 / 0.9999**2, 1.0 - 0.25 / 0.9999**2),
 )
 RECONCILIATIONS = {"reverse": "B", "direct": "A"}
 
@@ -71,8 +67,7 @@ RECONCILIATIONS = {"reverse": "B", "direct": "A"}
 def _oracle_states(point, g):
     """The 60-digit attack state at a point and gain, and the states
     conditioned on a heterodyne of B and of A."""
-    tau, epsilon, gamma, eta, kappa = POINTS[point]
-    m = _auxiliary_noise(eta, kappa)
+    tau, epsilon, gamma, eta, m = POINTS[point]
     with mpmath.workdps(ORACLE_DPS):
         sigma = oracle_state(_scenario(tau, epsilon, "reverse"), gamma, eta, m, g)
         return sigma, {label: oracle_heterodyne(sigma, "AB".index(label)) for label in "AB"}
@@ -93,23 +88,23 @@ def _oracle_info(point, g):
 def _errors(point, g):
     """|objective - oracle| for the optimizer's objective and for the
     validated eve_info, over both reconciliations."""
-    tau, epsilon, gamma, eta, kappa = POINTS[point]
+    tau, epsilon, gamma, eta, m = POINTS[point]
     info = _oracle_info(point, g)
     worst = {"objective": 0.0, "validated": 0.0}
     for reconciliation in RECONCILIATIONS:
         sc = dataclasses.replace(_scenario(tau, epsilon, reconciliation), gain=g)
         alice, resource = tmsv(sc.zeta)._blocks, _resource_matrix(gamma)
         truth = info[reconciliation]
-        value = _eve_info_objective(sc, alice, resource, eta, _auxiliary_noise(eta, kappa))
+        value = _eve_info_objective(sc, alice, resource, eta, m)
         worst["objective"] = max(worst["objective"], abs(value - truth))
-        validated = eve_info(ao_attack_state(sc, gamma, eta, kappa), sc)
+        validated = eve_info(ao_attack_state(sc, gamma, eta, m), sc)
         worst["validated"] = max(worst["validated"], abs(validated - truth))
     return worst
 
 
 def test_points_cover_the_checked_ground():
     assert POINTS[0][3] == 1.0 and POINTS[0][2] < 0.45
-    assert all(0.0 <= kappa < 1.0 and 0.0 < eta <= 1.0 for *_, eta, kappa in POINTS)
+    assert all(m >= 1.0 - eta and 0.0 < eta <= 1.0 for *_, eta, m in POINTS)
     assert sum(point[1] == 1.0 for point in POINTS) == 2
 
 
@@ -141,10 +136,10 @@ NU_MIN_TOL = 1e-11
 @pytest.mark.parametrize("g", [1e4, 1e8])
 @pytest.mark.parametrize("point", range(len(POINTS)))
 def test_attack_and_conditioned_states_read_the_oracle_nu_min(point, g):
-    tau, epsilon, gamma, eta, kappa = POINTS[point]
+    tau, epsilon, gamma, eta, m = POINTS[point]
     sigma, cond = _oracle_states(point, g)
     sc = dataclasses.replace(_scenario(tau, epsilon, "reverse"), gain=g)
-    state = ao_attack_state(sc, gamma, eta, kappa)
+    state = ao_attack_state(sc, gamma, eta, m)
     with mpmath.workdps(ORACLE_DPS):
         assert abs(symplectic_eigenvalues(state).min() - min(mp_spectrum(sigma))) <= NU_MIN_TOL
         for label in "AB":

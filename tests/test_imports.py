@@ -149,6 +149,40 @@ def test_package_imports_mpmath_in_one_function():
     assert functions_importing(sources, "mpmath") == ["_high_precision"]
 
 
+def functions_with_parameter(sources: list[str], name: str) -> list[str]:
+    """The names of the functions of the sources, sorted, that take a
+    parameter called name: positional, keyword-only or variadic."""
+    found = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [arg for arg in (args.vararg, args.kwarg) if arg]
+                if any(arg.arg == name for arg in params):
+                    found.append(getattr(node, "name", "<lambda>"))
+    return sorted(found)
+
+
+def test_scan_finds_each_kind_of_parameter():
+    source = (
+        "def plain(eta, kappa):\n    pass\n"
+        "def keyword(eta, *, kappa=0.0):\n    pass\n"
+        "def other(eta, m, kappa_star=1):\n    return lambda kappa: kappa\n"
+        "class Cls:\n    def method(self, /, kappa):\n        pass\n"
+        "def star(*kappa):\n    pass\n"
+    )
+    found = functions_with_parameter([source], "kappa")
+    assert found == ["<lambda>", "keyword", "method", "plain", "star"]
+
+
+def test_no_function_takes_the_auxiliary_squeezing():
+    # Eve's auxiliary enters the package as its noise m alone, from the
+    # optimizer to the public API; kappa is read off m for the table only
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    assert functions_with_parameter(sources, "kappa") == []
+
+
 # the helpers that read or form the interleaved 2n x 2n layout; every other
 # module carries states and maps as x blocks over p blocks
 LAYOUT_NAMES = ("_interleaved", "_xp_blocks", "_quadrature_blocks", "symplectic_form")

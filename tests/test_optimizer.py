@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_bell_record import ORACLE_GAIN, oracle_eve_info, row_noise
+from test_bell_record import ORACLE_GAIN, oracle_eve_info
 
 import cvqkd_attacks.attacks
 from cvqkd_attacks.attacks import (
@@ -25,7 +25,6 @@ from cvqkd_attacks.attacks import (
     AttackScenario,
     RowError,
     _attack_point,
-    _auxiliary_noise,
     _auxiliary_squeezing,
     _channel_residual,
     _eve_info_objective,
@@ -148,7 +147,7 @@ def _assert_rows_are_the_evaluators(sc, grid, rows):
     for gamma, row in zip(grid, rows):
         if row.feasible:
             resource = _resource_matrix(gamma)
-            m = row_noise(sc, row)
+            m = row.noise_star
             assert row.kappa_star == _auxiliary_squeezing(row.eta_star, m), gamma
             info, ab = _attack_point(sc, alice, resource, row.eta_star, m, validate=True)
             assert row.eve_info_bits == info, gamma
@@ -193,7 +192,7 @@ def test_checked_and_unchecked_routes_agree_on_every_row(g_policy, reconciliatio
     rows = optimize_attacks(sc, grid)
     assert len(grid) == 41 and all(row.feasible for row in rows)
     for gamma, row in zip(grid, rows):
-        point = (alice, _resource_matrix(gamma), row.eta_star, row_noise(sc, row))
+        point = (alice, _resource_matrix(gamma), row.eta_star, row.noise_star)
         checked = _attack_point(sc, *point, validate=True)[0]
         assert abs(checked - _eve_info_objective(sc, *point)) <= 1e-14, gamma
 
@@ -210,9 +209,8 @@ def test_stacked_validation_equals_the_single_row_kernels(
     tau, epsilon, zeta, reconciliation, gain
 ):
     # the rows of a sweep are validated as one stack; each must be what it
-    # is alone, and at finite gain the state-level API, which takes kappa*
-    # and turns it into its auxiliary noise once, must compute what the
-    # checked evaluator does at that noise
+    # is alone, and the public API at the row's (eta*, m*) must compute
+    # its residual, and at finite gain its attack state Eve's information
     channel = GaussChannel(tau, (1.0 - tau) * epsilon)
     assume(not is_entanglement_breaking(channel))
     sc = AttackScenario(channel, zeta, reconciliation, gain)
@@ -229,17 +227,49 @@ def test_stacked_validation_equals_the_single_row_kernels(
         stacked = optimize_attacks(sc, grid)
     assert _rows(stacked) == _rows(optimize_attack(sc, gamma) for gamma in grid)
     _assert_rows_are_the_evaluators(sc, grid, stacked)
-    alice = tmsv(zeta, ("A", "B"))._blocks
     for gamma, row in zip(grid, stacked):
-        if row.feasible and math.isfinite(gain):
-            m = _auxiliary_noise(row.eta_star, row.kappa_star)
-            info, ab = _attack_point(
-                sc, alice, _resource_matrix(gamma), row.eta_star, m, validate=True
-            )
-            state = ao_attack_state(sc, gamma, row.eta_star, row.kappa_star)
-            assert info == eve_info(state, sc)
-            residual = _channel_residual(_check_physical(ab)[0], alice, channel)
-            assert residual == simulation_residual(sc, gamma, row.eta_star, row.kappa_star)
+        if row.feasible:
+            point = (sc, gamma, row.eta_star, row.noise_star)
+            assert simulation_residual(*point) == row.residual
+            if math.isfinite(gain):
+                assert eve_info(ao_attack_state(*point), sc) == row.eve_info_bits
+
+
+# the rim row of this configuration, gamma = 0.5961183916454214, picks
+# kappa* = 0.9999999980, whose noise no double kappa gives back: through a
+# kappa the public state read Eve's information 1.57e-8 bits off the row and
+# the residual 8.3e-9 for the row's 3.3e-16
+RIM_FIELDS = dict(tau=0.558967405189762, epsilon=1.7335931429224525, g_policy="finite:4.50899")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        RIM_FIELDS,
+        dict(g_policy="finite:100"),
+        dict(g_policy="finite:1e6"),
+        dict(reconciliation="direct", g_policy="finite:1e6"),
+        dict(),
+        dict(reconciliation="direct"),
+    ],
+    ids=["rim", "finite-100", "finite-1e6", "direct-finite-1e6", "asymptotic", "direct"],
+)
+def test_public_api_reproduces_every_row_bit_for_bit(fields):
+    # each feasible row of the 41-row sweep, through the public helpers at
+    # its own (eta*, m*): the residual at every gain, and at finite gain
+    # Eve's information read off the attack state
+    sc, cfg = _config(**fields)
+    grid = _grid(sc, cfg, cfg.gamma_count)
+    rows = [row for row in optimize_attacks(sc, grid) if row.feasible]
+    assert len(rows) == 41
+    for row in rows:
+        point = (sc, row.gamma, row.eta_star, row.noise_star)
+        assert simulation_residual(*point) == row.residual, row.gamma
+        if math.isfinite(sc.gain):
+            assert eve_info(ao_attack_state(*point), sc) == row.eve_info_bits, row.gamma
+    if fields is RIM_FIELDS:
+        rim = next(row for row in rows if row.gamma == 0.5961183916454214)
+        assert rim.kappa_star > 0.999999998
 
 
 @pytest.mark.parametrize(
@@ -412,7 +442,7 @@ def test_rim_rows_reach_the_exact_maximum(case):
     gain = sc.gain if math.isfinite(sc.gain) else ORACLE_GAIN
     row = optimize_attack(sc, gamma)
     assert row.feasible
-    oracle = oracle_eve_info(sc, gamma, row.eta_star, row_noise(sc, row), gain)
+    oracle = oracle_eve_info(sc, gamma, row.eta_star, row.noise_star, gain)
     assert abs(row.eve_info_bits - oracle) <= 1e-9
     lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, max(0.8 * ch.tau, 1e-4))
     assert hi == 1.0
@@ -433,5 +463,5 @@ def test_defect_6_low_gain_row_matches_the_oracle():
     sc, _ = _config(g_policy="finite:1.000001")
     row = optimize_attack(sc, 0.9999)
     assert row.feasible
-    oracle = oracle_eve_info(sc, 0.9999, row.eta_star, row_noise(sc, row), sc.gain)
+    oracle = oracle_eve_info(sc, 0.9999, row.eta_star, row.noise_star, sc.gain)
     assert abs(row.eve_info_bits - oracle) <= 1e-10

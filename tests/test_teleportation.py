@@ -281,8 +281,12 @@ def test_tap_domain():
         _tapped_auxiliary(THERMAL, np.array([0.5, 1.5]), 0.5)
     with pytest.raises(ValueError, match="auxiliary noise 0.4 below 1 - eta = 0.5"):
         _tapped_auxiliary(THERMAL, 0.5, np.array([0.5, 0.4]))
-    with pytest.raises(ValueError, match="auxiliary noise nan"):
+    # a non-finite noise is refused as such: an infinite one passes m >= d
+    # and used to surface as an overflow of the amplifier gain
+    with pytest.raises(ValueError, match="auxiliary noise nan is not finite"):
         _tapped_auxiliary(THERMAL, 0.5, math.nan)
+    with pytest.raises(ValueError, match="auxiliary noise inf is not finite"):
+        _tapped_auxiliary(THERMAL, 0.5, np.array([0.5, math.inf]))
     with pytest.raises(ValueError, match="pins the auxiliary to vacuum"):
         _tapped_auxiliary(GaussChannel(0.25, 0.75), 0.5, 0.6)
     assert _tapped_auxiliary(GaussChannel(0.25, 0.75), 0.5, 0.5)[1].shape == (2, 3, 3)

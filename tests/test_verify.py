@@ -50,10 +50,10 @@ def test_failing_anchor_row_raises_its_own_row_error(cold_anchor_rows, stacks, m
     marker = attacks._resource_matrix(0.7)[0, 0, 0]
     real = attacks._eve_info_objective
 
-    def failing(sc, alice, resource, eta, kappa):
+    def failing(sc, alice, resource, eta, m):
         if (resource[0, ..., 0, 0] == marker).any():
             raise ValueError("row failed")
-        return real(sc, alice, resource, eta, kappa)
+        return real(sc, alice, resource, eta, m)
 
     monkeypatch.setattr(attacks, "_eve_info_objective", failing)
     with pytest.raises(RowError, match="^row failed$") as info:
