@@ -171,8 +171,9 @@ def holevo_bound(sc: AttackScenario) -> float:
         nu_given = (shared + a * (v + 1.0)) / (b + 1.0)
     else:
         nu_given = (shared + tau * a + v * (a + 1.0)) / (a + 1.0)
-    s_out = _spectrum_entropy(np.array([nu_plus, nu_minus]))
-    return s_out - _spectrum_entropy(np.array([nu_given]))
+    # one entropy call on both spectra; the pure mode nu = 1 adds exactly 0
+    s_out, s_given = _spectrum_entropy(np.array([[nu_plus, nu_minus], [nu_given, 1.0]]))
+    return float(s_out - s_given)
 
 
 def eve_info(full_state: CovMat, sc: AttackScenario) -> float:
@@ -241,19 +242,21 @@ def cloner_attack(sc: AttackScenario) -> AttackResult:
     """Entangling-cloner attack on a loss channel.
 
     Eve holds the environment of the channel's dilation, solved once by
-    channels._dilation_parameters: a tmsv(gamma) on (E1, E2) whose arm
-    variance matches the channel's excess noise, E1 mixed with Alice's
-    signal on a beam splitter of transmissivity tau. The global state is pure, so Eve's information
-    equals the Holevo bound; both are computed independently and
-    cross-checked to 1e-9. The result is feasible when the state presents
-    the channel within 1e-8 (_row_result).
+    channels._dilation_parameters: a tmsv on (E1, E2) whose arm variance is
+    the channel's input-referred noise eps, E1 mixed with Alice's signal on
+    a beam splitter of transmissivity tau. The global state is pure, so
+    Eve's information equals the Holevo bound; both are computed
+    independently and cross-checked to 1e-9. The row reports the
+    environment's squeezing gamma = sqrt((eps - 1)/(eps + 1)). The result
+    is feasible when the state presents the channel within 1e-8
+    (_row_result).
     """
     kind = classify(sc.channel)
     if kind not in (ChannelKind.THERMAL_LOSS, ChannelKind.PURE_LOSS, ChannelKind.IDENTITY):
         raise ValueError(f"entangling cloner covers loss channels, not {kind.value}")
     alice = tmsv(sc.zeta, ("A", "B"))
-    gamma_e, t = _dilation_parameters(sc.channel)
-    full = _dilated_state(alice, gamma_e, t, "B", ("E1", "E2"))
+    eps, t = _dilation_parameters(sc.channel)
+    full = _dilated_state(alice, eps, t, "B", ("E1", "E2"))
 
     info = eve_info(full, sc)
     chi = holevo_bound(sc)
@@ -264,7 +267,7 @@ def cloner_attack(sc: AttackScenario) -> AttackResult:
 
     # A and B lead the validated state (direct_sum puts alice first)
     residual = float(_channel_residual(full._blocks[:, :2, :2], alice._blocks, sc.channel))
-    return _row_result(gamma_e, chi, info=info, residual=residual)
+    return _row_result(math.sqrt((eps - 1.0) / (eps + 1.0)), chi, info=info, residual=residual)
 
 
 def _resource_matrix(gamma) -> np.ndarray:

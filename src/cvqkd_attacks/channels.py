@@ -17,8 +17,10 @@ from .gaussian import (
     CovMat,
     _channel_on_mode,
     _checked,
-    apply_symplectic,
-    beam_splitter,
+    _congruence,
+    _splitter_part,
+    _tmsv_correlation,
+    _tmsv_state,
     direct_sum,
     partial_trace,
     tmsv,
@@ -76,13 +78,15 @@ def classify(channel: GaussChannel) -> ChannelKind:
     tau = 1: identity when v = 0, additive noise otherwise. tau < 1: pure loss
     when v sits on the floor 1 - tau, thermal loss above it. tau > 1: pure
     amplifier on the floor tau - 1, thermal amplifier above it. Comparisons
-    use an absolute tolerance of 1e-12.
+    use an absolute tolerance of 1e-12 above the floor; a v below it, which
+    GaussChannel admits down to its 1e-9 slack, is on the floor, as the
+    dilation reads it (_dilation_parameters).
     """
     tau, v = channel.tau, channel.v
     if abs(tau - 1.0) <= KIND_TOL:
         return ChannelKind.IDENTITY if abs(v) <= KIND_TOL else ChannelKind.ADDITIVE_NOISE
     floor = abs(1.0 - tau)
-    on_floor = abs(v - floor) <= KIND_TOL
+    on_floor = v - floor <= KIND_TOL
     if tau < 1.0:
         return ChannelKind.PURE_LOSS if on_floor else ChannelKind.THERMAL_LOSS
     return ChannelKind.PURE_AMPLIFIER if on_floor else ChannelKind.THERMAL_AMPLIFIER
@@ -107,17 +111,20 @@ def dilation(channel: GaussChannel, env_labels: tuple[str, str] = ("env1", "env2
     Returns (environment CovMat, beam splitter transmissivity, label of the
     coupled environment mode), from _dilation_parameters.
     """
-    gamma, t = _dilation_parameters(channel)
-    return tmsv(gamma, env_labels), t, env_labels[0]
+    eps, t = _dilation_parameters(channel)
+    return _environment(eps, env_labels), t, env_labels[0]
 
 
 def _dilation_parameters(channel: GaussChannel) -> tuple[float, float]:
-    """(gamma, t) of the channel's dilation: the environment tmsv's
-    squeezing and the beam splitter's transmissivity. gamma solves
-    (1 + gamma^2)/(1 - gamma^2) = v/(1 - tau), 0 (vacuum) on exact pure
-    loss and below it, where GaussChannel's slack admits v down to
-    1 - tau - 1e-9; the identity gets vacuum and t = 1. Only loss channels
-    (tau < 1) and the identity admit this model here.
+    """(eps, t) of the channel's dilation: the variance of each arm of the
+    environment tmsv and the beam splitter's transmissivity. eps is the
+    input-referred noise v/(1 - tau), 1 (vacuum) on exact pure loss and
+    below it, where GaussChannel's slack admits v down to 1 - tau - 1e-9;
+    the identity gets vacuum and t = 1. Only loss channels (tau < 1) and
+    the identity admit this model here. The environment is built from eps
+    itself (_environment): rebuilt from the squeezing gamma that solves
+    (1 + gamma^2)/(1 - gamma^2) = eps, its variance would be off by a
+    relative ~2^-52 eps (8.9e-5 at eps = 2e12).
     """
     tau, v = channel.tau, channel.v
     if tau > 1.0 + KIND_TOL:
@@ -125,9 +132,15 @@ def _dilation_parameters(channel: GaussChannel) -> tuple[float, float]:
     if abs(tau - 1.0) <= KIND_TOL:
         if abs(v) > KIND_TOL:
             raise ValueError("additive-noise channel has no beam-splitter dilation")
-        return 0.0, 1.0
-    eps = max(v / (1.0 - tau), 1.0)
-    return math.sqrt((eps - 1.0) / (eps + 1.0)), tau
+        return 1.0, 1.0
+    return max(v / (1.0 - tau), 1.0), tau
+
+
+def _environment(eps: float, labels: tuple[str, str]) -> CovMat:
+    """The dilation's environment: the tmsv whose arms have variance eps,
+    its correlation rounded to the physical side as tmsv's is
+    (gaussian._tmsv_correlation)."""
+    return _tmsv_state(eps, _tmsv_correlation(eps), labels)
 
 
 def effective_channel(
@@ -139,7 +152,8 @@ def effective_channel(
     acts on the signal arm however it likes, and returns a state still
     containing both probe labels. The output must retain the standard
     phase-insensitive form (x and p entries matching up to sign within
-    atol >= 0).
+    atol >= 0). The one reduced state is read on Python floats
+    (_probe_channel).
     """
     if not 0.0 < gamma_probe < 1.0:
         raise ValueError(f"probe squeezing must lie in (0, 1), got {gamma_probe}")
@@ -150,38 +164,42 @@ def effective_channel(
     if not isinstance(out, CovMat):
         raise TypeError("transform must return a CovMat")
     reduced = partial_trace(out, ("probe_ref", "probe_sig"))
-    tau, v = _probe_channel(reduced._blocks, probe._blocks, atol)
-    return GaussChannel(float(tau), float(v))
+    return _probe_channel(reduced._blocks, probe._blocks, atol)
 
 
-def _probe_channel(out: np.ndarray, probe: np.ndarray, atol: float = 1e-8):
-    """(tau, v >= 0) of the channel that took the TMSV probe on (probe_ref,
-    probe_sig) to out, both given as x blocks over p blocks (2, 2, 2), or
-    to each state of a (2, ..., 2, 2) stack out; each output must keep the
-    phase-insensitive form within atol (_check_phase_insensitive) and each
-    pair be a physical GaussChannel."""
-    a_in, c_in = probe[0, ..., 0, 0], probe[0, ..., 0, 1]
+def _probe_channel(out: np.ndarray, probe: np.ndarray, atol: float = 1e-8) -> GaussChannel:
+    """The channel (tau, v >= 0) that took the TMSV probe on (probe_ref,
+    probe_sig) to out, both given as x blocks over p blocks (2, 2, 2),
+    read on Python floats; out must keep the phase-insensitive form within
+    atol (_check_phase_insensitive) and the pair be a physical
+    GaussChannel. ** on two floats is C pow, as np.float_power is on an
+    array (** on an array squares, which rounds differently in about 1e-3
+    of cases)."""
+    a_in, c_in = float(probe[0, 0, 0]), float(probe[0, 0, 1])
     _check_phase_insensitive(out, a_in, atol)
-    # float_power is C pow on every element, as ** is on one scalar; ** on
-    # an array squares, which rounds differently in about 1e-3 of cases
-    tau = np.float_power(out[0, ..., 0, 1] / c_in, 2)
-    v = np.maximum(out[0, ..., 1, 1] - tau * a_in, 0.0)
-    for pair in zip(np.ravel(tau).tolist(), np.ravel(v).tolist()):
-        GaussChannel(*pair)
-    return tau, v
+    cross, variance = float(out[0, 0, 1]), float(out[0, 1, 1])
+    tau = (cross / c_in) ** 2
+    return GaussChannel(tau, max(variance - tau * a_in, 0.0))
 
 
 def _check_phase_insensitive(out: np.ndarray, a_in: float, atol: float) -> None:
     """Raise unless out, x blocks over p blocks (2, ..., 2, 2), is a tmsv
     with reference variance a_in after a phase-insensitive channel on its
     second mode, within atol: x and p blocks equal up to the cross sign,
-    the reference untouched."""
-    dev = np.abs(out[0] - out[1] * np.array([[1.0, -1.0], [-1.0, 1.0]])).max(axis=(-2, -1))
-    dev = np.maximum(dev, np.abs(out[0, ..., 0, 0] - a_in))
-    bad = dev > atol
-    if bad.any():
+    the reference untouched. One state (2, 2, 2), whose entries its
+    callers have validated finite, is read on Python floats by the same
+    arithmetic."""
+    if out.ndim == 3:
+        x00, x01, x10, x11, p00, p01, p10, p11 = out.ravel().tolist()
+        dev = max(map(abs, (x00 - p00, x01 + p01, x10 + p10, x11 - p11, x00 - a_in)))
+        bad = [dev] if dev > atol else []
+    else:
+        dev = np.abs(out[0] - out[1] * np.array([[1.0, -1.0], [-1.0, 1.0]])).max(axis=(-2, -1))
+        dev = np.maximum(dev, np.abs(out[0, ..., 0, 0] - a_in))
+        bad = dev[dev > atol]
+    if len(bad):
         raise ValueError(
-            f"transform is not phase-insensitive on its input (deviation {dev[bad][0]:.3g})"
+            f"transform is not phase-insensitive on its input (deviation {bad[0]:.3g})"
         )
 
 
@@ -193,10 +211,14 @@ def loss_channel_state(
 
 
 def _dilated_state(
-    state: CovMat, gamma: float, t: float, target_label: str, env_labels: tuple[str, str]
+    state: CovMat, eps: float, t: float, target_label: str, env_labels: tuple[str, str]
 ) -> CovMat:
-    """state with the dilation's environment tmsv(gamma) on env_labels
-    appended, its first arm mixed with target_label on a beam splitter of
-    transmissivity t: loss_channel_state for a solved (gamma, t)."""
-    joint = direct_sum(state, tmsv(gamma, env_labels))
-    return apply_symplectic(joint, beam_splitter(t), (target_label, env_labels[0]))
+    """state with the dilation's environment of arm variance eps
+    (_environment) on env_labels appended, its first arm mixed with
+    target_label on a beam splitter of transmissivity t: loss_channel_state
+    for a solved (eps, t). The splitter's parts go through
+    apply_symplectic's congruence (gaussian._congruence), with no
+    Symplectic built and checked."""
+    joint = direct_sum(state, _environment(eps, env_labels))
+    part = _splitter_part(t)
+    return _congruence(joint, np.array([part, part]), (target_label, env_labels[0]))

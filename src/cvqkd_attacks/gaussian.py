@@ -24,12 +24,16 @@ _HP_SCALE, in 30 digits.
 Every operation reads and writes blocks, and _checked forms a CovMat of
 them: validated where it is formed by arithmetic (a symplectic applied, a
 channel, a conditioning, a reordered partial trace), or certified by the
-spectrum it is known to have (tmsv, thermal, direct_sum,
-teleportation.ResourceState); partial_trace keeping every mode in its order
-returns the state itself. A map is phase-insensitive too, S_x (+) S_p, and
-a Symplectic keeps its x and p parts. Only this module knows the interleaved
-layout: a Symplectic forms its public 2n x 2n matrix once, and a CovMat on
-first read (_interleaved); a public one is read through _quadrature_blocks.
+spectrum it is known to have (tmsv and the channel dilation's environment,
+thermal, direct_sum); teleportation.ResourceState is certified by its
+spectrum too, through the same branch (_certified), with no CovMat built.
+partial_trace keeping every mode in its order returns the state itself. A
+map is phase-insensitive too, S_x (+) S_p, and a Symplectic keeps its x and
+p parts; the package itself builds none, and applies its maps' parts
+through apply_symplectic's congruence (_congruence). Only this module knows
+the interleaved layout: a Symplectic forms its public 2n x 2n matrix once,
+and a CovMat on first read (_interleaved); a public one is read through
+_quadrature_blocks.
 """
 
 from __future__ import annotations
@@ -502,15 +506,24 @@ def _checked(blocks: np.ndarray, labels, nus=None) -> CovMat:
     if nus is None:
         blocks, nus = _check_physical(blocks)
     else:
-        if not np.isfinite(blocks).all():
-            raise ValueError("covariance matrix must not contain infs or NaNs")
-        nus = np.sort(np.asarray(nus, dtype=float))[::-1].copy()
-        _judge(nus)
+        nus = _certified(blocks, nus)
     state = object.__new__(CovMat)
     vars(state).update(labels=labels, _blocks=blocks, _nus=nus)
     for frozen in (blocks, nus):
         frozen.flags.writeable = False
     return state
+
+
+def _certified(blocks: np.ndarray, nus) -> np.ndarray:
+    """_checked's certified branch, for a state known by its spectrum nus
+    and built by no CovMat (teleportation.ResourceState): non-finite
+    blocks are refused, nus sorted descending and judged (_judge), which
+    counts the state once in the audit."""
+    if not np.isfinite(blocks).all():
+        raise ValueError("covariance matrix must not contain infs or NaNs")
+    nus = np.sort(np.asarray(nus, dtype=float))[::-1].copy()
+    _judge(nus)
+    return nus
 
 
 def _two_mode_std(a, b, c) -> np.ndarray:
@@ -585,13 +598,23 @@ def _tmsv_entries(gamma: float) -> tuple[float, float]:
     granularity of nu grows with the squeezing, so no choice of formula fixes
     this. c is the largest double at most the textbook c for which the
     stored pair satisfies (a - c)(a + c) >= 1 exactly, keeping the state on
-    the physical side. That is within a couple of ulps of the textbook c at
-    large squeezing, and further below it (relatively ~eps / gamma^2) at
-    small squeezing, where a - 1 carries few bits. The search starts from
-    sqrt((a - 1)(a + 1)), within a few ulps of the answer at any squeezing,
-    and settles in one to four exact checks.
+    the physical side (_tmsv_correlation). That is within a couple of ulps
+    of the textbook c at large squeezing, and further below it (relatively
+    ~eps / gamma^2) at small squeezing, where a - 1 carries few bits.
     """
     a, textbook = _tmsv_textbook(gamma)
+    return a, _tmsv_correlation(a, textbook)
+
+
+def _tmsv_correlation(a: float, cap: float = math.inf) -> float:
+    """The largest double c at most cap for which the stored pair (a, c)
+    satisfies (a - c)(a + c) >= 1 exactly: the physically rounded
+    correlation of the tmsv whose arms have variance a >= 1, below cap (the
+    textbook c of _tmsv_entries; none for a tmsv given by its variance, as
+    channels.dilation's environment is). The search starts from
+    sqrt((a - 1)(a + 1)), within a few ulps of the answer at any variance,
+    and settles in one to four exact checks.
+    """
     # the test runs on the exact binary values: with a = p/q and c = r/s
     # (q, s powers of two), a^2 - c^2 >= 1 is p^2 s^2 - r^2 q^2 >= q^2 s^2
     p, q = a.as_integer_ratio()
@@ -600,12 +623,12 @@ def _tmsv_entries(gamma: float) -> tuple[float, float]:
         r, s = c.as_integer_ratio()
         return (p * s) ** 2 - (r * q) ** 2 >= (q * s) ** 2
 
-    c = min(textbook, math.sqrt((a - 1.0) * (a + 1.0)))
+    c = min(cap, math.sqrt((a - 1.0) * (a + 1.0)))
     while not physical(c):
         c = math.nextafter(c, 0.0)
-    while c < textbook and physical(math.nextafter(c, math.inf)):
+    while c < cap and physical(math.nextafter(c, math.inf)):
         c = math.nextafter(c, math.inf)
-    return a, c
+    return c
 
 
 def _tmsv_matrices(gamma: np.ndarray) -> np.ndarray:
@@ -628,7 +651,12 @@ def tmsv(gamma: float, labels: tuple[str, str] = ("m1", "m2")) -> CovMat:
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"tmsv squeezing must lie in [0, 1), got {gamma}")
-    a, c = _tmsv_entries(gamma)
+    return _tmsv_state(*_tmsv_entries(gamma), labels)
+
+
+def _tmsv_state(a: float, c: float, labels) -> CovMat:
+    """The tmsv of physically rounded entries (a, c) as a CovMat, certified
+    by its closed-form spectrum, _two_mode_nus."""
     return _checked(_two_mode_std(a, a, c), labels, _two_mode_nus(a, a, c))
 
 
@@ -693,13 +721,22 @@ def apply_symplectic(state: CovMat, s: Symplectic, target_labels: tuple[str, ...
     """Apply a symplectic to the designated modes: sigma -> S sigma S^T with S
     embedded as identity on every other mode, on the x and p blocks by S's
     x and p parts (a map with an x-p term is refused where it is built)."""
+    return _congruence(state, s._parts, target_labels)
+
+
+def _congruence(state: CovMat, parts: np.ndarray, target_labels) -> CovMat:
+    """apply_symplectic on a map's x part over its p part (2, k, k), which
+    the caller knows to be symplectic: the state validated after
+    sigma -> S sigma S^T on the k target modes (channels._dilated_state
+    mixes on _splitter_part through it, with no Symplectic built)."""
     target = _label_tuple(target_labels)
-    if len(target) != s.arity:
-        raise ValueError(f"symplectic acts on {s.arity} modes, got {len(target)} labels")
+    arity = parts.shape[-1]
+    if len(target) != arity:
+        raise ValueError(f"symplectic acts on {arity} modes, got {len(target)} labels")
     idx = [state.index(lbl) for lbl in target]
     if len(set(idx)) != len(idx):
         raise ValueError(f"target labels must be distinct, got {target}")
-    full = _embedded(s._parts, idx, state.n_modes)
+    full = _embedded(parts, idx, state.n_modes)
     return _checked(full @ state._blocks @ np.swapaxes(full, -1, -2), state.labels)
 
 
@@ -731,20 +768,25 @@ def _spectrum_entropy(nus, pure_tol: float = 1e-12):
     Each mode adds (nu+1)/2 log2 (nu+1)/2 - (nu-1)/2 log2 (nu-1)/2. pure_tol
     is the spectrum's own noise: a mode within it of nu = 1 counts as pure
     and adds 0, the 0 log 0 limit. Next to nu = 1 the term is
-    ~(nu-1)/2 log2(2e/(nu-1)), up to 2e-11 bits at the default.
+    ~(nu-1)/2 log2(2e/(nu-1)), up to 2e-11 bits at the default. Above
+    nu = 1e4 the term takes its large-nu form, evaluated only for a call
+    in which some nu exceeds 1e4.
     """
     nus = np.asarray(nus, dtype=float)
     hi = 0.5 * (nus + 1.0)
     lo = 0.5 * (nus - 1.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = hi * np.log2(hi) - lo * np.log2(lo)
+        terms = hi * np.log2(hi) - lo * np.log2(lo)
         # the direct form subtracts two ~nu log2 nu sized terms; at large nu
         # that cancellation costs more absolute accuracy than the result has
-        product = 0.25 * (nus - 1.0) * (nus + 1.0)
-        # beyond nu ~ 2.7e154 the product overflows; its log is then a sum
-        log_product = np.where(np.isinf(product), np.log2(lo) + np.log2(hi), np.log2(product))
-        large = 0.5 * nus * np.log1p(2.0 / (nus - 1.0)) / math.log(2.0) + 0.5 * log_product
-    terms = np.where(nus <= 1.0 + pure_tol, 0.0, np.where(nus > 1.0e4, large, direct))
+        large = nus > 1.0e4
+        if large.any():
+            product = 0.25 * (nus - 1.0) * (nus + 1.0)
+            # beyond nu ~ 2.7e154 the product overflows; its log is then a sum
+            log_product = np.where(np.isinf(product), np.log2(lo) + np.log2(hi), np.log2(product))
+            asymptotic = 0.5 * nus * np.log1p(2.0 / (nus - 1.0)) / math.log(2.0)
+            terms = np.where(large, asymptotic + 0.5 * log_product, terms)
+    terms = np.where(nus <= 1.0 + pure_tol, 0.0, terms)
     total = terms.sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 

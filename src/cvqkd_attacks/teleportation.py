@@ -19,6 +19,7 @@ from .channels import ChannelKind, GaussChannel, apply_channel, classify
 from .gaussian import (
     CovMat,
     _block_diag,
+    _certified,
     _checked,
     _embedded,
     _splitter_part,
@@ -44,6 +45,9 @@ class ResourceState:
 
     Blocks diag(a, a), diag(b, b) and cross block diag(c, -c) with a, b >= 1
     and c >= 0. Anything outside this form is rejected, not generalized.
+    Construction certifies the state by its closed-form spectrum
+    (_two_mode_nus), which also tells that it is positive definite, and
+    counts it once in the physicality audit, with no CovMat built.
     """
 
     a: float
@@ -55,7 +59,8 @@ class ResourceState:
             raise ValueError(f"resource diagonals must be >= 1, got a={self.a}, b={self.b}")
         if not self.c >= 0.0:
             raise ValueError(f"resource correlation must be >= 0, got c={self.c}")
-        self.to_covmat()  # physicality check, by the closed-form spectrum
+        a, b, c = self.a, self.b, self.c
+        _certified(_two_mode_std(a, b, c), _two_mode_nus(a, b, c))
 
     @classmethod
     def from_tmsv(cls, gamma: float) -> "ResourceState":
@@ -65,8 +70,7 @@ class ResourceState:
         return cls(a, a, c)
 
     def to_covmat(self, labels: tuple[str, str] = ("res1", "res2")) -> CovMat:
-        """The resource as a CovMat, certified by its closed-form spectrum
-        (_two_mode_nus), which also tells that it is positive definite."""
+        """The resource as a CovMat, certified as at construction."""
         a, b, c = self.a, self.b, self.c
         return _checked(_two_mode_std(a, b, c), labels, _two_mode_nus(a, b, c))
 
@@ -247,8 +251,9 @@ def _pipeline_raw(
     _tapped_auxiliary's map at transmissivity eta and auxiliary noise m,
     recombine (signal, R2) at t, which defaults to 1/g, the attack's
     choice.
-    eta = 1 with m = 0 is an exact identity tap, which leaves the plain
-    teleporter. Tracing the channel's environment commutes with the later
+    eta = m = None leaves the tap out: the plain teleporter, which
+    ao_simulate runs, bit for bit the exact identity tap at eta = 1 and
+    m = 0 with none of its arithmetic. Tracing the channel's environment commutes with the later
     optics, so the channel map is applied in place of its dilation. Eve's
     amplified pair then leaves through _eve_local_map as (P, Q); every
     quantity reported is invariant under a symplectic on Eve's modes alone.
@@ -278,10 +283,13 @@ def _pipeline_raw(
     if not (g > 1.0 and math.isfinite(g)):
         raise ValueError(f"amplifier gain must be a finite value > 1, got {g}")
     t = 1.0 / g if t is None else t
-    _, tap = _tapped_auxiliary(channel, eta, m)
     joint = np.array([_block_diag(inputs[q], resource[q], np.eye(2)) for q in (0, 1)])
     # modes: the signal B is mode 1, then R1, R2, F1 and F2
-    after = _embedded(_splitter_part(t), (1, 3), 6) @ _embedded(tap, (3, 4, 5), 6)
+    after = _embedded(_splitter_part(t), (1, 3), 6)
+    if eta is None:
+        after = np.array([after, after])
+    else:
+        after = after @ _embedded(_tapped_auxiliary(channel, eta, m)[1], (3, 4, 5), 6)
     squeeze = _embedded(_squeezer_parts(g), (1, 2), 6)
     squeeze[:, 1, :] *= math.sqrt(channel.tau)
     local = _embedded(_eve_local_map(channel.tau, t), (2, 3), 6)
@@ -371,8 +379,9 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
     two-mode squeezer of gain g, send the amplified signal through the
     physical channel, recombine (signal, resource arm 2) on the beam splitter
     of transmissivity t = lam/(g tau), then trace out both resource arms.
-    This is _pipeline_raw with its tap at eta = 1 and m = 0, on the x and
-    p blocks of the phase-insensitive state.
+    This is _pipeline_raw with no tap (eta = m = None), on the x and p
+    blocks of the phase-insensitive state: bit for bit its exact identity
+    tap at eta = 1 and m = 0.
     At g = inf the teleporter is the standard one: its channel,
     ao_effective_channel, acts on the second mode.
     """
@@ -383,5 +392,5 @@ def ao_simulate(state: CovMat, res: ResourceState, cfg: TeleportConfig) -> CovMa
     # the resource was validated when it was built, and it is frozen
     resource = _two_mode_std(res.a, res.b, res.c)
     t = cfg.splitter_transmissivity()
-    blocks = _pipeline_raw(state._blocks, cfg.env, resource, 1.0, 0.0, cfg.g, t)
+    blocks = _pipeline_raw(state._blocks, cfg.env, resource, None, None, cfg.g, t)
     return _checked(blocks[:, :2, :2], state.labels)

@@ -6,6 +6,8 @@ from cvqkd_attacks.gaussian import (
     apply_symplectic,
     beam_splitter,
     direct_sum,
+    physicality_audit,
+    reset_physicality_audit,
     thermal,
     two_mode_squeezer,
 )
@@ -25,6 +27,18 @@ def random_two_mode_state(rng, labels=("m1", "m2")) -> CovMat:
     )
     stirred = apply_symplectic(base, two_mode_squeezer(rng.uniform(1.0, 2.0)), labels)
     return apply_symplectic(stirred, beam_splitter(rng.uniform(0.1, 0.9)), labels)
+
+
+def outcome(check):
+    """check()'s value or its refusal's text, with the physicality audit it
+    left from a reset one: what two routes that must agree bit for bit are
+    compared on."""
+    reset_physicality_audit()
+    try:
+        got = check()
+    except ValueError as exc:
+        got = str(exc)
+    return got, physicality_audit()
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

@@ -1,14 +1,21 @@
 """Phase-insensitive channel layer: taxonomy, dilation, identification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_two_mode_state
+from conftest import outcome, random_two_mode_state
 from cvqkd_attacks.channels import (
     ChannelKind,
     GaussChannel,
+    _check_phase_insensitive,
+    _dilated_state,
+    _dilation_parameters,
+    _environment,
     _probe_channel,
     apply_channel,
     classify,
@@ -22,9 +29,12 @@ from cvqkd_attacks.gaussian import (
     Symplectic,
     _channel_on_mode,
     apply_symplectic,
+    beam_splitter,
+    direct_sum,
     partial_trace,
     tmsv,
 )
+from cvqkd_attacks.verify import _CLONER_DRAWS, _DILATION_DRAWS
 
 
 def test_channel_validation():
@@ -61,6 +71,10 @@ def test_channel_rejects_nan(tau, v, needle):
         (1.5, 0.5, ChannelKind.PURE_AMPLIFIER),
         (1.5, 0.7, ChannelKind.THERMAL_AMPLIFIER),
         (1.0, 0.2, ChannelKind.ADDITIVE_NOISE),
+        # below the floor, inside GaussChannel's 1e-9 slack: on the floor
+        (0.5, 0.5 - 5e-10, ChannelKind.PURE_LOSS),
+        (1.5, 0.5 - 5e-10, ChannelKind.PURE_AMPLIFIER),
+        (0.5, 0.5 + 2e-12, ChannelKind.THERMAL_LOSS),
     ],
 )
 def test_classify(tau, v, kind):
@@ -112,7 +126,29 @@ def test_dilation_thermal_environment_variance():
     assert coupled == "a"
     # the coupled arm of the environment pair carries the channel's
     # input-referred noise as its variance
-    assert math.isclose(env.matrix[0, 0], 1.2, rel_tol=1e-12)
+    assert env.matrix[0, 0] == 0.75 * 1.2 / 0.75
+
+
+@pytest.mark.parametrize(
+    "tau,v", [(0.9999, 0.5), (0.9999, 1.9), (0.999999, 1.0), (0.99999999, 1.0), (0.3, 0.9)]
+)
+def test_dilation_round_trip_reads_the_channel_back(tau, v):
+    # the environment is built from its arm variance eps = v/(1 - tau)
+    # itself, its correlation the largest double c with (eps - c)(eps + c)
+    # >= 1 exactly; rebuilt from the squeezing that solves for eps, v read
+    # back 6.65e-9 off at tau = 0.99999999
+    ch = GaussChannel(tau, v)
+    env, _, _ = dilation(ch)
+    eps, c = env.matrix[0, 0], env.matrix[0, 2]
+    assert eps == v / (1.0 - tau)
+    assert (Fraction(eps) - Fraction(c)) * (Fraction(eps) + Fraction(c)) >= 1
+    above = Fraction(math.nextafter(c, math.inf))
+    assert (Fraction(eps) - above) * (Fraction(eps) + above) < 1
+    found = effective_channel(
+        lambda probe: loss_channel_state(probe, ch, "probe_sig", ("N1", "N2"))
+    )
+    two_ulps = 2 * np.finfo(float).eps
+    assert abs(found.tau - tau) <= two_ulps and abs(found.v - v) <= two_ulps
 
 
 def test_dilation_identity():
@@ -173,13 +209,84 @@ def test_effective_channel_probe_domain(gamma_probe):
         effective_channel(lambda probe: probe, gamma_probe=gamma_probe)
 
 
-def test_probe_channel_on_a_stack_equals_each_matrix_alone():
-    # on an array ** 2 squares, on a lone scalar it calls pow, and the two
-    # round apart in about 1e-3 of cases: a stack must read what each
-    # matrix reads alone
+def test_probe_channel_on_floats_reads_what_the_array_arithmetic_reads():
+    # the float read takes ** on two floats, C pow, as np.float_power does
+    # on an array; ** on an array squares, which rounds apart in about 1e-3
+    # of cases: each state must read what the array arithmetic reads on the
+    # whole stack
     probe = tmsv(0.5, ("probe_ref", "probe_sig"))._blocks
     taus = np.random.default_rng(11).uniform(0.05, 0.95, 4000)
     outs = np.stack([_channel_on_mode(probe, 1, t, 1.05 * (1.0 - t)) for t in taus], axis=1)
-    tau, v = _probe_channel(outs, probe)
+    a_in, c_in = probe[0, 0, 0], probe[0, 0, 1]
+    tau = np.float_power(outs[0, :, 0, 1] / c_in, 2)
+    v = np.maximum(outs[0, :, 1, 1] - tau * a_in, 0.0)
+    assert ((outs[0, :, 0, 1] / c_in) ** 2 != tau).any()
     for k, pair in enumerate(zip(tau.tolist(), v.tolist())):
-        assert tuple(map(float, _probe_channel(outs[:, k], probe))) == pair
+        channel = _probe_channel(outs[:, k], probe)
+        assert (channel.tau, channel.v) == pair
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    tau=st.floats(0.05, 1.5),
+    noise=st.floats(0.0, 2.0),
+    kick=st.tuples(st.integers(0, 7), st.sampled_from([0.0, 1e-9, 3e-9, -2e-8, 0.4])),
+    shift=st.sampled_from([0.0, 2e-9, -0.3]),
+    atol=st.sampled_from([0.0, 1e-9, 1e-8, 0.5]),
+)
+def test_phase_check_on_floats_equals_the_array_arithmetic(tau, noise, kick, shift, atol):
+    # one state is checked on Python floats, a stack of one on arrays: the
+    # verdict and the refusal's text, deviation included, must agree. A
+    # kick moves one entry; a shift moves the reference variance in both
+    # quadratures, which only the comparison with a_in sees
+    probe = tmsv(0.5, ("probe_ref", "probe_sig"))._blocks
+    out = _channel_on_mode(probe, 1, tau, noise)
+    where, size = kick
+    out.reshape(-1)[where] += size
+    out[:, 0, 0] += shift
+    a_in = probe[0, 0, 0]
+    lone = outcome(lambda: _check_phase_insensitive(out, a_in, atol))
+    assert lone == outcome(lambda: _check_phase_insensitive(out[:, None], a_in, atol))
+
+
+def _dilated_outcomes(state, eps, t, target, env):
+    """_dilated_state's state and, from the public pieces, apply_symplectic
+    on direct_sum(state, the environment of arm variance eps) with
+    beam_splitter(t): each state's blocks and spectrum as bytes, or its
+    refusal's text, with the audit each left."""
+
+    def lone():
+        out = _dilated_state(state, eps, t, target, env)
+        return out.labels, out._blocks.tobytes(), out._nus.tobytes()
+
+    def public():
+        joint = direct_sum(state, _environment(eps, env))
+        out = apply_symplectic(joint, beam_splitter(t), (target, env[0]))
+        return out.labels, out._blocks.tobytes(), out._nus.tobytes()
+
+    return outcome(lone), outcome(public)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    zeta=st.floats(0.0, 0.99),
+    eps=st.one_of(st.just(1.0), st.floats(1.0, 1e4)),
+    t=st.floats(0.0, 1.0),
+)
+def test_dilated_state_is_apply_symplectic_with_the_beam_splitter_bit_for_bit(zeta, eps, t):
+    # the dilation mixes on the splitter's parts through apply_symplectic's
+    # own congruence, with no Symplectic built
+    lone, public = _dilated_outcomes(tmsv(zeta, ("A", "B")), eps, t, "B", ("E1", "E2"))
+    assert lone == public
+
+
+def test_dilated_state_on_verifys_draws_is_apply_symplectic_bit_for_bit():
+    probe = tmsv(0.5, ("probe_ref", "probe_sig"))
+    for tau, eps in _DILATION_DRAWS:
+        parameters = _dilation_parameters(GaussChannel(tau, (1.0 - tau) * eps))
+        lone, public = _dilated_outcomes(probe, *parameters, "probe_sig", ("N1", "N2"))
+        assert lone == public
+    for tau, eps, zeta in _CLONER_DRAWS:
+        parameters = _dilation_parameters(GaussChannel(tau, (1.0 - tau) * eps))
+        lone, public = _dilated_outcomes(tmsv(zeta, ("A", "B")), *parameters, "B", ("E1", "E2"))
+        assert lone == public

@@ -442,6 +442,24 @@ def test_channel_default_point(capsys):
     assert "gamma_min = 0.445165" in out
 
 
+def test_sweep_below_the_floor_inside_the_slack_is_the_pure_loss_table(capsys, tmp_path):
+    # v = floor - 5e-10 is inside GaussChannel's 1e-9 slack, so the channel
+    # is pure loss, and its rows are those on the floor within the slack
+    assert main(["channel", "--tau", "0.5", "--v", "0.4999999995"]) == 0
+    assert "kind = pure_loss" in capsys.readouterr().out
+    tables = []
+    for v in ("0.4999999995", "0.5"):
+        out = tmp_path / f"{v}.csv"
+        args = ["--tau", "0.5", "--v", v, "--gamma-count", "4", "--output", str(out)]
+        assert main(["sweep", *args]) == 0
+        assert "rows = 4 (4 feasible)" in capsys.readouterr().out
+        lines = out.read_text(encoding="utf-8").splitlines()[1:]
+        tables.append([[float(x) for x in line.split(",")[:-1]] for line in lines])
+    below, floor = tables
+    gaps = [abs(x - y) for row, ref in zip(below, floor) for x, y in zip(row, ref)]
+    assert len(gaps) == 4 * 8 and max(gaps) <= 2e-9
+
+
 def test_sweep_rejects_entanglement_breaking(capsys):
     assert main(["sweep", "--tau", "0.25", "--v", "1.3"]) == 2
     assert "entanglement breaking" in capsys.readouterr().err

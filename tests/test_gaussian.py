@@ -53,7 +53,7 @@ from cvqkd_attacks.gaussian import (
 )
 from cvqkd_attacks.keyrate import default_gamma_grid
 from cvqkd_attacks.teleportation import _ATTACK_MODES, _pipeline_raw
-from conftest import act_whole, symplectic_form
+from conftest import act_whole, outcome, symplectic_form
 
 
 def test_symplectic_form_blocks():
@@ -451,6 +451,63 @@ def test_spectrum_entropy_matches_the_per_mode_loop(rng, pure_tol):
         assert type(single) is float and single == value
 
 
+def _entropy_every_branch(nus, pure_tol):
+    # reference: _spectrum_entropy's arithmetic with its large-nu form
+    # evaluated on every call, as it was before that form became conditional
+    nus = np.asarray(nus, dtype=float)
+    hi, lo = 0.5 * (nus + 1.0), 0.5 * (nus - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = hi * np.log2(hi) - lo * np.log2(lo)
+        product = 0.25 * (nus - 1.0) * (nus + 1.0)
+        log_product = np.where(np.isinf(product), np.log2(lo) + np.log2(hi), np.log2(product))
+        large = 0.5 * nus * np.log1p(2.0 / (nus - 1.0)) / math.log(2.0) + 0.5 * log_product
+    terms = np.where(nus <= 1.0 + pure_tol, 0.0, np.where(nus > 1.0e4, large, direct))
+    return terms.sum(axis=-1)
+
+
+# each side of the pure cut 1 + pure_tol and of the large-nu cut 1e4, the
+# overflow of the large form's product, NaN and inf
+ENTROPY_EDGES = [
+    1.0,
+    1.0 + 1e-12,
+    math.nextafter(1.0 + 1e-12, 2.0),
+    math.nextafter(1.0, 0.0),
+    1.0e4,
+    math.nextafter(1.0e4, math.inf),
+    2.7e154,
+    3.0e154,
+    1e300,
+    math.nan,
+    math.inf,
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(
+        st.lists(
+            st.one_of(st.sampled_from(ENTROPY_EDGES), st.floats(1.0, 2.0), st.floats(1.0, 1e12)),
+            min_size=3,
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    pure_tol=st.sampled_from([1e-12, 0.0]),
+)
+def test_spectrum_entropy_equals_its_every_branch_form_bit_for_bit(rows, pure_tol):
+    # the large-nu form is taken only for a call with some nu above 1e4, so
+    # each row must read what it read with both forms always evaluated,
+    # alone, stacked, and with a pure mode appended (holevo_bound's one
+    # call adds nu = 1 to its conditioned spectrum)
+    nus = np.array(rows)
+    expected = _entropy_every_branch(nus, pure_tol)
+    assert _spectrum_entropy(nus, pure_tol).tobytes() == expected.tobytes()
+    for row, value in zip(rows, expected.tolist()):
+        for spectrum in (row, row + [1.0]):
+            assert repr(_spectrum_entropy(np.array(spectrum), pure_tol)) == repr(value)
+
+
 def test_heterodyne_conditioning_matches_rational_schur():
     st = tmsv(0.5, ("A", "B"))
     a = Fraction(st.matrix[0, 0])
@@ -840,17 +897,6 @@ def lone_states(draw):
     return blocks
 
 
-def _outcome(check):
-    """check()'s value or its refusal's text, with the physicality audit it
-    left from a reset one."""
-    reset_physicality_audit()
-    try:
-        got = check()
-    except ValueError as exc:
-        got = str(exc)
-    return got, physicality_audit()
-
-
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(blocks=lone_states())
 def test_lone_state_float_path_matches_the_stack_route_bit_for_bit(blocks):
@@ -866,7 +912,7 @@ def test_lone_state_float_path_matches_the_stack_route_bit_for_bit(blocks):
         symmetrized, nus = _check_physical(blocks[:, None])
         return symmetrized[:, 0].tobytes(), nus[0].tobytes()
 
-    assert _outcome(lone) == _outcome(stacked)
+    assert outcome(lone) == outcome(stacked)
 
 
 def test_float_path_takes_only_what_it_can_certify():

@@ -3,7 +3,8 @@ Every private function or class the package defines has a caller in the
 package, mpmath is imported by one function of it, no general
 eigensolver is called, only gaussian.py knows the interleaved
 (x1, p1, ..., xn, pn) layout, and it interleaves only to form a public
-matrix: static scans of src/.
+matrix, and no function builds a public map but the constructors that
+return one: static scans of src/.
 
 The package's __init__.py is skipped by the import scan, as its imports
 are re-exports.
@@ -265,3 +266,53 @@ def test_maps_and_states_interleave_only_to_form_a_public_matrix():
     nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
     defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
     assert "symplectic_form" not in defined
+
+
+def callers_of(sources: list[str], names) -> list[tuple[str, str]]:
+    """(enclosing function, callee) for each call in the sources whose
+    callee is one of names, as a plain name or as an attribute, sorted; a
+    name that is only referenced, not called, is no call."""
+    found = []
+    for name in names:
+
+        def calls(node, name=name):
+            if not isinstance(node, ast.Call):
+                return False
+            func = node.func
+            return (isinstance(func, ast.Name) and func.id == name) or (
+                isinstance(func, ast.Attribute) and func.attr == name
+            )
+
+        found += [(where, name) for where in enclosing_functions(sources, calls)]
+    return sorted(found)
+
+
+# the public maps: a Symplectic and the constructors that build and check
+# one; below the public API every map is carried as its x and p parts
+PUBLIC_MAPS = ("Symplectic", "beam_splitter", "two_mode_squeezer")
+
+
+def test_scan_finds_each_call_of_a_name_and_its_function():
+    source = (
+        "from .gaussian import beam_splitter\nimport gaussian\n"
+        "def mix(t):\n    return gaussian.beam_splitter(t)\n"
+        "def squeeze(g):\n    def inner():\n        return two_mode_squeezer(g)\n"
+        "    return inner, Symplectic\n"
+        "S = Symplectic(1, 1)\n'beam_splitter(0.5)'\n"
+    )
+    assert callers_of([source], PUBLIC_MAPS) == [
+        ("<module>", "Symplectic"),
+        ("inner", "two_mode_squeezer"),
+        ("mix", "beam_splitter"),
+    ]
+
+
+def test_no_function_builds_a_public_map():
+    # the dilation mixes on the splitter's parts through apply_symplectic's
+    # congruence and the circuits embed the parts: only the two public
+    # constructors build a Symplectic, and nothing in the package calls them
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    assert callers_of(sources, PUBLIC_MAPS) == [
+        ("beam_splitter", "Symplectic"),
+        ("two_mode_squeezer", "Symplectic"),
+    ]

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvqkd_attacks.gaussian as gaussian
+import cvqkd_attacks.teleportation as teleportation
 from cvqkd_attacks.channels import GaussChannel, effective_channel
 from cvqkd_attacks.gaussian import (
     CovMat,
@@ -18,12 +21,14 @@ from cvqkd_attacks.gaussian import (
 from cvqkd_attacks.teleportation import (
     ResourceState,
     TeleportConfig,
+    _pipeline_raw,
     _tapped_auxiliary,
     ao_effective_channel,
     ao_simulate,
     bk_effective_channel,
 )
-from conftest import embedded_whole
+from cvqkd_attacks.verify import _AO_PIPELINE_DRAWS
+from conftest import embedded_whole, outcome
 
 
 def test_resource_state_validation():
@@ -66,6 +71,30 @@ def test_resource_state_rejects_what_its_closed_form_puts_below_physical():
         ResourceState(math.inf, 1.5, 0.5)
     with pytest.raises(ValueError, match="infs or NaNs"):
         ResourceState(1.5, 1.5, math.inf)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.one_of(st.floats(0.5, 20.0), st.sampled_from([1.0, math.inf, math.nan])),
+    b=st.one_of(st.floats(0.5, 20.0), st.sampled_from([1.0, math.inf, math.nan])),
+    c=st.one_of(st.floats(-1.0, 20.0), st.sampled_from([0.0, math.inf, math.nan])),
+)
+def test_resource_state_refuses_and_counts_as_its_covmat_does(a, b, c):
+    # construction certifies by the closed-form spectrum with no CovMat
+    # built: each refusal and the one audit count are those of building
+    # the CovMat itself at the same spectrum
+    def built():
+        ResourceState(a, b, c)
+
+    def as_covmat():
+        if not (a >= 1.0 and b >= 1.0):
+            raise ValueError(f"resource diagonals must be >= 1, got a={a}, b={b}")
+        if not c >= 0.0:
+            raise ValueError(f"resource correlation must be >= 0, got c={c}")
+        blocks = gaussian._two_mode_std(a, b, c)
+        gaussian._checked(blocks, ("r1", "r2"), gaussian._two_mode_nus(a, b, c))
+
+    assert outcome(built) == outcome(as_covmat)
 
 
 def test_teleport_config_validation():
@@ -180,6 +209,66 @@ def test_ao_pipeline_agrees_with_closed_form():
     formula = ao_effective_channel(res, cfg)
     piped = effective_channel(lambda probe: ao_simulate(probe, res, cfg))
     assert abs(piped.tau - formula.tau) + abs(piped.v - formula.v) <= 1e-9
+
+
+def _tapped_and_plain(zeta, gamma, g, tau, eps, lam):
+    """ao_simulate's outcome, and the same circuit's through the exact
+    identity tap (eta = 1, m = 0): the raw blocks of both pipelines and
+    each validated (A, B) state with its audit."""
+    res = ResourceState.from_tmsv(gamma)
+    cfg = TeleportConfig(lam, g, GaussChannel(tau, (1.0 - tau) * eps))
+    state = tmsv(zeta, ("A", "B"))
+    resource = gaussian._two_mode_std(res.a, res.b, res.c)
+    t = cfg.splitter_transmissivity()
+    tapped = _pipeline_raw(state._blocks, cfg.env, resource, 1.0, 0.0, g, t)
+    plain = _pipeline_raw(state._blocks, cfg.env, resource, None, None, g, t)
+
+    def public():
+        out = ao_simulate(state, res, cfg)
+        return out._blocks.tobytes(), out._nus.tobytes()
+
+    def through_the_tap():
+        out = gaussian._checked(tapped[:, :2, :2], state.labels)
+        return out._blocks.tobytes(), out._nus.tobytes()
+
+    assert plain.tobytes() == tapped.tobytes()
+    return outcome(public), outcome(through_the_tap)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    zeta=st.floats(0.0, 0.95),
+    gamma=st.floats(0.0, 0.99),
+    g=st.one_of(st.floats(1.01, 1e4), st.sampled_from([2.0, 100.0, 1e6])),
+    tau=st.floats(0.05, 1.0),
+    eps=st.floats(1.0, 1.5),
+    share=st.floats(0.0, 1.0),
+)
+def test_ao_simulate_is_the_identity_tapped_pipeline_bit_for_bit(zeta, gamma, g, tau, eps, share):
+    # the plain teleporter skips the tap; the exact identity tap adds only
+    # products with 1 and 0, so every entry, the (A, B) state's spectrum,
+    # the audit and any refusal are unchanged
+    public, tapped = _tapped_and_plain(zeta, gamma, g, tau, eps, share * min(1.0, g * tau))
+    assert public == tapped
+
+
+@pytest.mark.parametrize("draw", _AO_PIPELINE_DRAWS)
+def test_ao_simulate_on_verifys_draws_is_the_identity_tapped_pipeline(draw):
+    gamma, g, tau, eps, lam = draw
+    for zeta in (0.0, 0.5):
+        public, tapped = _tapped_and_plain(zeta, gamma, g, tau, eps, lam)
+        assert public == tapped
+
+
+def test_ao_simulate_runs_no_tap(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("ao_simulate built a tap")
+
+    monkeypatch.setattr(teleportation, "_tapped_auxiliary", forbidden)
+    res = ResourceState.from_tmsv(0.4)
+    cfg = TeleportConfig(0.3, 3.0, GaussChannel(0.7, 0.3 * 1.05))
+    piped = effective_channel(lambda probe: ao_simulate(probe, res, cfg))
+    assert abs(piped.v - ao_effective_channel(res, cfg).v) <= 1e-9
 
 
 def test_ao_simulate_needs_two_modes():
