@@ -393,18 +393,18 @@ def _eve_info_objective(sc: AttackScenario, alice: np.ndarray, resource: np.ndar
     return _attack_point(sc, alice, resource, eta, m)[0]
 
 
-def _feasible_eta_window(gamma: float, tau: float, v: float, lo: float):
+def _feasible_eta_window(gamma: float, tau: float, v: float):
     """Exact eta interval on which a vacuum auxiliary undershoots the target
-    noise (so that some auxiliary noise m >= 1 - eta can match it),
-    intersected with [lo, 1].
+    noise (so that some auxiliary noise m >= 1 - eta can match it), in [0, 1].
 
     Setting v_eff = v at m = 1 - eta reduces, after the g-dependent factors
     divide out, to (a-1) s^2 - 2 c sqrt(tau) s + (a tau + 1 - v) = 0 in
     s = sqrt(eta). Between the roots the matching constraint is reachable;
-    outside it is not, at any m. Returns None when the intersection is
-    empty. The interval collapses to {1} at gamma = gamma_min and narrows
-    like 1/a around eta ~ tau as gamma -> 1, which is why a fixed grid on
-    [lo, 1] cannot be trusted to hit it.
+    outside it is not, at any m. Both roots are positive, as a tau + 1 - v >
+    tau (a - 1) >= 0 on every channel AttackScenario accepts. Returns None
+    when the clipped interval is empty. It collapses to {1} at gamma =
+    gamma_min and narrows like 1/a around eta ~ tau as gamma -> 1, which is
+    why no fixed grid of etas can be trusted to hit it.
     """
     a, c = _tmsv_textbook(gamma)
     am1 = a - 1.0
@@ -418,7 +418,7 @@ def _feasible_eta_window(gamma: float, tau: float, v: float, lo: float):
     s_hi = (c * math.sqrt(tau) + root) / am1
     # widen by a rounding slack so a window grazing a clamp boundary (the
     # lower root sits exactly at 1 when gamma = gamma_min) keeps its endpoint
-    eta_lo = max(s_lo * s_lo - 1e-12, lo)
+    eta_lo = max(s_lo * s_lo - 1e-12, 0.0)
     eta_hi = min(s_hi * s_hi + 1e-12, 1.0)
     if eta_lo > eta_hi:
         return None
@@ -559,7 +559,6 @@ def _stacked_rows(sc: AttackScenario, gammas: tuple[float, ...]) -> list[AttackR
     ch = sc.channel
     tau, v = ch.tau, ch.v
     floor = gamma_min(ch) - 1e-9
-    lo = max(0.8 * tau, 1e-4)
     # each feasible row's (eta, m); the rows to scan wait with their
     # feasible windows
     picks, windows = {}, {}
@@ -571,7 +570,7 @@ def _stacked_rows(sc: AttackScenario, gammas: tuple[float, ...]) -> list[AttackR
         if _is_pure_loss_like(ch):
             eta = min(tau / (gamma * gamma), 1.0)
             picks[row] = (eta, 1.0 - eta)
-        elif (window := _feasible_eta_window(gamma, tau, v, lo)) is not None:
+        elif (window := _feasible_eta_window(gamma, tau, v)) is not None:
             windows[row] = window
 
     # row constants, built once a sweep: Alice's state and each row's

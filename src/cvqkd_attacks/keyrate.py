@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .attacks import AttackScenario, RowError, gamma_min, optimize_attacks
+from .gaussian import _tmsv_textbook
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,8 @@ class SweepTable:
 
 def mutual_information(sc: AttackScenario) -> float:
     """Alice-Bob mutual information under double heterodyne:
-    I(a:b) = log2 (a tau + v + 1) / (tau + v + 1), a = (1+zeta^2)/(1-zeta^2)."""
-    a = (1.0 + sc.zeta**2) / (1.0 - sc.zeta**2)
+    I(a:b) = log2 (a tau + v + 1) / (tau + v + 1), a = (1+zeta^2)/(1-zeta^2) as chi rounds it."""
+    a = _tmsv_textbook(sc.zeta)[0]
     tau, v = sc.channel.tau, sc.channel.v
     return math.log2((a * tau + v + 1.0) / (tau + v + 1.0))
 

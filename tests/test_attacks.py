@@ -313,7 +313,7 @@ def test_attack_state_domain():
 
 def test_feasible_window_brackets_the_matchable_etas():
     tau, v = THERMAL.tau, THERMAL.v
-    window = _feasible_eta_window(0.6, tau, v, 0.0)
+    window = _feasible_eta_window(0.6, tau, v)
     assert window is not None
     lo, hi = window
     assert 0.0 <= lo < hi <= 1.0
@@ -382,7 +382,7 @@ def _match_cases(count, seed):
         g_min = gamma_min(ch)
         gamma = g_min + (0.9999 - g_min) * float(rng.uniform())
         g = 10.0 ** float(rng.uniform(math.log10(1.3), 6.0))
-        lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, 0.0)
+        lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v)
         spread = 0.2 * (hi - lo)
         etas = np.clip(np.r_[lo, hi, rng.uniform(lo - spread, hi + spread, 6)], 0.0, 1.0)
         cases.append((gamma, etas, ch, g))
@@ -465,7 +465,7 @@ def test_kappa_at_gamma_min_and_full_tap_is_vacuum(ch, g):
 
 
 def test_feasible_window_empty_below_threshold():
-    assert _feasible_eta_window(0.3, THERMAL.tau, THERMAL.v, 0.0) is None
+    assert _feasible_eta_window(0.3, THERMAL.tau, THERMAL.v) is None
 
 
 def test_optimize_below_threshold_is_infeasible():
@@ -505,7 +505,7 @@ def test_optimize_thermal_smoke():
     assert 0.0 < res.eve_info_bits < res.holevo_bits
     assert 0.0 <= res.kappa_star < 1.0
     assert res.residual <= 1e-8
-    window = _feasible_eta_window(0.6, THERMAL.tau, THERMAL.v, 0.0)
+    window = _feasible_eta_window(0.6, THERMAL.tau, THERMAL.v)
     assert window[0] <= res.eta_star <= window[1]
     # at every gain the residual is read off the (A, B) block of the state
     # the row's information came from, as the cloner's is; here that is the
@@ -564,7 +564,7 @@ def test_bad_gain_gets_the_gain_message(g):
 
 
 def _matched_points(gamma, ch, g, count, seed):
-    lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, 0.0)
+    lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v)
     etas, noises = [], []
     for eta in np.random.default_rng(seed).uniform(lo, hi, 3 * count):
         m = _match_noise(gamma, float(eta), ch.tau, ch.v, g)

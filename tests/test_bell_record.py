@@ -155,7 +155,7 @@ def _cases():
             g_min = gamma_min(ch)
             cases.append((sc, g_min, 1.0, 0.0))
             for gamma in (1.0 - 0.3 * (1.0 - g_min), 0.9999):
-                lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, max(0.8 * ch.tau, 1e-4))
+                lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v)
                 for eta in (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)):
                     m = float(_match_noise(gamma, eta, ch.tau, ch.v, math.inf))
                     cases.append((sc, gamma, eta, m))
@@ -197,7 +197,7 @@ def test_finite_gains_approach_the_closed_form_from_below(tau, reconciliation):
     sc = _scenario(tau, 1.01, reconciliation)
     ch = sc.channel
     gamma = 1.0 - 0.1 * (1.0 - gamma_min(ch))
-    lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, max(0.8 * ch.tau, 1e-4))
+    lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v)
     eta = 0.5 * (lo + hi)
     m = float(_match_noise(gamma, eta, ch.tau, ch.v, math.inf))
     alice, resource = tmsv(sc.zeta)._blocks, _resource_matrix(gamma)
@@ -219,7 +219,7 @@ def test_stacked_closed_form_equals_per_point_calls():
                 etas = np.linspace(0.2, 0.4, 7)
                 noises = 1.0 - etas
             else:
-                lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, 0.0)
+                lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v)
                 etas = np.linspace(lo, hi, 23)[1:-1]
                 noises = _match_noise(gamma, etas, ch.tau, ch.v, math.inf)
             assert not np.isnan(noises).any()

@@ -714,7 +714,7 @@ def test_rows_whose_window_reaches_eta_1_match_the_oracle(capsys, tmp_path, flag
     rim = [
         row
         for row in rows
-        if row.feasible and _feasible_eta_window(row.gamma, ch.tau, ch.v, 0.2)[1] == 1.0
+        if row.feasible and _feasible_eta_window(row.gamma, ch.tau, ch.v)[1] == 1.0
     ]
     assert 0.4909949955798073 in [row.gamma for row in rim]
     for line, row in zip(printed, rows):

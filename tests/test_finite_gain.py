@@ -44,7 +44,7 @@ GAINS = (1.01, 1e2, 1e4, 1e6, 1e8)
 
 def _mid_window(tau, gamma):
     sc = _scenario(tau, 1.01, "reverse")
-    lo, hi = _feasible_eta_window(gamma, sc.channel.tau, sc.channel.v, max(0.8 * tau, 1e-4))
+    lo, hi = _feasible_eta_window(gamma, sc.channel.tau, sc.channel.v)
     eta = 0.5 * (lo + hi)
     return (tau, 1.01, gamma, eta, float(_match_noise(gamma, eta, tau, sc.channel.v, math.inf)))
 
@@ -151,7 +151,7 @@ def test_stacked_finite_gain_objective_equals_per_point_calls():
     sc = dataclasses.replace(_scenario(0.25, 1.01, "reverse"), gain=1e6)
     ch = sc.channel
     gamma = 0.9999
-    lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v, 0.2)
+    lo, hi = _feasible_eta_window(gamma, ch.tau, ch.v)
     etas = np.linspace(lo, hi, 9)[1:-1]
     noises = _match_noise(gamma, etas, ch.tau, ch.v, sc.gain)
     alice, resource = tmsv(sc.zeta)._blocks, _resource_matrix(gamma)

@@ -184,6 +184,24 @@ def test_no_function_takes_the_auxiliary_squeezing():
     assert functions_with_parameter(sources, "kappa") == []
 
 
+def test_the_eta_window_takes_no_floor():
+    # the scan spans each row's whole feasible window, whose ends follow from
+    # the resource and the channel alone: no function takes a hand-set floor
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    windows = [
+        node
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "_feasible_eta_window"
+    ]
+    assert len(windows) == 1
+    args = windows[0].args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    assert [arg.arg for arg in params] == ["gamma", "tau", "v"]
+    assert not (args.vararg or args.kwarg)
+    assert functions_with_parameter(sources, "lo") == []
+
+
 # the helpers that read or form the interleaved 2n x 2n layout; every other
 # module carries states and maps as x blocks over p blocks
 LAYOUT_NAMES = ("_interleaved", "_xp_blocks", "_quadrature_blocks", "symplectic_form")

@@ -6,6 +6,7 @@ import pytest
 
 from cvqkd_attacks.attacks import AttackScenario, gamma_min, optimize_attack
 from cvqkd_attacks.channels import GaussChannel
+from cvqkd_attacks.gaussian import _tmsv_entries
 from cvqkd_attacks.keyrate import (
     SweepRow,
     SweepTable,
@@ -27,6 +28,18 @@ def test_mutual_information_rational_case():
     # (5/6 + 7/4) / (9/4) = 31/27, checkable by hand
     sc = AttackScenario(GaussChannel(0.5, 0.75), zeta=0.5)
     assert math.isclose(mutual_information(sc), math.log2(31.0 / 27.0), rel_tol=1e-14)
+
+
+def test_mutual_information_reads_alices_variance_as_the_holevo_bound_does():
+    # zeta**2 and zeta * zeta round apart here, and a differs in its last
+    # bits between them: I(a:b) and chi must share one rounding of it
+    zeta = 0.8400304309147884
+    assert zeta**2 != zeta * zeta
+    a = _tmsv_entries(zeta)[0]
+    assert a != (1.0 + zeta**2) / (1.0 - zeta**2)
+    ch = SC.channel
+    expected = math.log2((a * ch.tau + ch.v + 1.0) / (ch.tau + ch.v + 1.0))
+    assert mutual_information(AttackScenario(ch, zeta)) == expected
 
 
 def test_key_rate_identity_and_domain():
