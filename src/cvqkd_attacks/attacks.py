@@ -19,15 +19,16 @@ from .channels import (
     ChannelKind,
     GaussChannel,
     _check_phase_insensitive,
-    _dilated_state,
-    _dilation_parameters,
     classify,
     is_entanglement_breaking,
 )
 from .gaussian import (
     CovMat,
+    _block_diag,
+    _channel_on_mode,
     _check_physical,
     _checked,
+    _embedded,
     _heterodyne_blocks,
     _spectrum_entropy,
     _split_spectrum,
@@ -40,8 +41,8 @@ from .teleportation import (
     _ATTACK_MODES,
     _BELL_RECORD_MODES,
     _bell_record_raw,
-    _is_pure_loss_like,
     _pipeline_raw,
+    _tapped_auxiliary,
 )
 
 _ROOT_TOL = 1e-12
@@ -241,22 +242,30 @@ def _channel_residual(ab: np.ndarray, alice: np.ndarray, ch: GaussChannel):
 def cloner_attack(sc: AttackScenario) -> AttackResult:
     """Entangling-cloner attack on a loss channel.
 
-    Eve holds the environment of the channel's dilation, solved once by
-    channels._dilation_parameters: a tmsv on (E1, E2) whose arm variance is
-    the channel's input-referred noise eps, E1 mixed with Alice's signal on
-    a beam splitter of transmissivity tau. The global state is pure, so
+    Eve runs the teleportation attack's tap (teleportation._tapped_auxiliary)
+    on Alice's signal B at eta = tau with auxiliary noise m = v, or the
+    vacuum's 1 - tau on a channel inside the floor, and keeps its (F1, F2)
+    as (E1, E2). The tap's entries stay O(1) however hot its auxiliary, so
+    the state is formed well as tau -> 1: the (A, B) block is the channel's
+    map on Alice's tmsv, the rest the tap's. The global state is pure, so
     Eve's information equals the Holevo bound; both are computed
-    independently and cross-checked to 1e-9. The row reports the
-    environment's squeezing gamma = sqrt((eps - 1)/(eps + 1)). The result
-    is feasible when the state presents the channel within 1e-8
-    (_row_result).
+    independently and cross-checked to 1e-9. The row's gamma is the
+    auxiliary's squeezing (_auxiliary_squeezing). The result is feasible
+    when the state presents the channel within 1e-8 (_row_result).
     """
     kind = classify(sc.channel)
     if kind not in (ChannelKind.THERMAL_LOSS, ChannelKind.PURE_LOSS, ChannelKind.IDENTITY):
         raise ValueError(f"entangling cloner covers loss channels, not {kind.value}")
-    alice = tmsv(sc.zeta, ("A", "B"))
-    eps, t = _dilation_parameters(sc.channel)
-    full = _dilated_state(alice, eps, t, "B", ("E1", "E2"))
+    # the identity's tau may sit up to KIND_TOL above 1; at eta = 1 the tap
+    # adds no noise
+    eta = min(sc.channel.tau, 1.0)
+    m = max(sc.channel.v, 1.0 - eta) if eta < 1.0 else 0.0
+    alice = tmsv(sc.zeta, ("A", "B"))._blocks
+    tap = _embedded(_tapped_auxiliary(eta, m)[1], (1, 2, 3), 4)
+    joint = tap @ _block_diag(alice, np.eye(2)) @ np.swapaxes(tap, -1, -2)
+    joint = 0.5 * (joint + np.swapaxes(joint, -1, -2))
+    joint[:, :2, :2] = _channel_on_mode(alice, 1, eta, m)
+    full = _checked(joint, ("A", "B", "E1", "E2"))
 
     info = eve_info(full, sc)
     chi = holevo_bound(sc)
@@ -265,9 +274,8 @@ def cloner_attack(sc: AttackScenario) -> AttackResult:
             f"purification check failed: S(x:E) = {info!r} but Holevo bound = {chi!r}"
         )
 
-    # A and B lead the validated state (direct_sum puts alice first)
-    residual = float(_channel_residual(full._blocks[:, :2, :2], alice._blocks, sc.channel))
-    return _row_result(math.sqrt((eps - 1.0) / (eps + 1.0)), chi, info=info, residual=residual)
+    residual = float(_channel_residual(full._blocks[:, :2, :2], alice, sc.channel))
+    return _row_result(_auxiliary_squeezing(eta, m), chi, info=info, residual=residual)
 
 
 def _resource_matrix(gamma) -> np.ndarray:
@@ -402,9 +410,11 @@ def _feasible_eta_window(gamma: float, tau: float, v: float):
     s = sqrt(eta). Between the roots the matching constraint is reachable;
     outside it is not, at any m. Both roots are positive, as a tau + 1 - v >
     tau (a - 1) >= 0 on every channel AttackScenario accepts. Returns None
-    when the clipped interval is empty. It collapses to {1} at gamma =
-    gamma_min and narrows like 1/a around eta ~ tau as gamma -> 1, which is
-    why no fixed grid of etas can be trusted to hit it.
+    when there are no real roots. It is {1} at gamma_min and below, where
+    the lower root passes 1 (as gamma_min's own rounding puts it at tiny
+    tau), leaving eta = 1 to _match_noise. It narrows like 1/a around
+    eta ~ tau as gamma -> 1, which is why no fixed grid of etas can be
+    trusted to hit it.
     """
     a, c = _tmsv_textbook(gamma)
     am1 = a - 1.0
@@ -418,11 +428,8 @@ def _feasible_eta_window(gamma: float, tau: float, v: float):
     s_hi = (c * math.sqrt(tau) + root) / am1
     # widen by a rounding slack so a window grazing a clamp boundary (the
     # lower root sits exactly at 1 when gamma = gamma_min) keeps its endpoint
-    eta_lo = max(s_lo * s_lo - 1e-12, 0.0)
-    eta_hi = min(s_hi * s_hi + 1e-12, 1.0)
-    if eta_lo > eta_hi:
-        return None
-    return eta_lo, eta_hi
+    eta_lo = min(max(s_lo * s_lo - 1e-12, 0.0), 1.0)
+    return eta_lo, min(s_hi * s_hi + 1e-12, 1.0)
 
 
 def _match_noise(gamma: float, eta, tau: float, v: float, g: float):
@@ -549,6 +556,10 @@ def _scan_windows(sc: AttackScenario, alice, resources, gammas, windows):
         wins = _eve_info_objective(sc, alice, resources[:, rows], vertex, noises) > top
         best_etas[rows[wins]], best_noises[rows[wins]] = vertex[wins], noises[wins]
     return best_etas, best_noises
+
+
+def _is_pure_loss_like(channel: GaussChannel) -> bool:
+    return classify(channel) in (ChannelKind.PURE_LOSS, ChannelKind.IDENTITY)
 
 
 def _stacked_rows(sc: AttackScenario, gammas: tuple[float, ...]) -> list[AttackResult]:

@@ -143,40 +143,34 @@ def _environment(eps: float, labels: tuple[str, str]) -> CovMat:
     return _tmsv_state(eps, _tmsv_correlation(eps), labels)
 
 
-def effective_channel(
-    transform, gamma_probe: float = 0.5, atol: float = 1e-8
-) -> GaussChannel:
+def effective_channel(transform) -> GaussChannel:
     """Identify the (tau, v) pair a black-box state transformation implements.
 
-    transform receives a TMSV probe CovMat labeled ("probe_ref", "probe_sig"),
-    acts on the signal arm however it likes, and returns a state still
-    containing both probe labels. The output must retain the standard
-    phase-insensitive form (x and p entries matching up to sign within
-    atol >= 0). The one reduced state is read on Python floats
+    transform receives a tmsv(0.5) probe CovMat labeled ("probe_ref",
+    "probe_sig"), acts on the signal arm however it likes, and returns a
+    state still containing both probe labels. The output must retain the
+    standard phase-insensitive form (x and p entries matching up to sign
+    within 1e-8). The one reduced state is read on Python floats
     (_probe_channel).
     """
-    if not 0.0 < gamma_probe < 1.0:
-        raise ValueError(f"probe squeezing must lie in (0, 1), got {gamma_probe}")
-    if not atol >= 0.0:
-        raise ValueError(f"phase tolerance must be >= 0, got {atol}")
-    probe = tmsv(gamma_probe, ("probe_ref", "probe_sig"))
+    probe = tmsv(0.5, ("probe_ref", "probe_sig"))
     out = transform(probe)
     if not isinstance(out, CovMat):
         raise TypeError("transform must return a CovMat")
     reduced = partial_trace(out, ("probe_ref", "probe_sig"))
-    return _probe_channel(reduced._blocks, probe._blocks, atol)
+    return _probe_channel(reduced._blocks, probe._blocks)
 
 
-def _probe_channel(out: np.ndarray, probe: np.ndarray, atol: float = 1e-8) -> GaussChannel:
+def _probe_channel(out: np.ndarray, probe: np.ndarray) -> GaussChannel:
     """The channel (tau, v >= 0) that took the TMSV probe on (probe_ref,
     probe_sig) to out, both given as x blocks over p blocks (2, 2, 2),
     read on Python floats; out must keep the phase-insensitive form within
-    atol (_check_phase_insensitive) and the pair be a physical
+    1e-8 (_check_phase_insensitive) and the pair be a physical
     GaussChannel. ** on two floats is C pow, as np.float_power is on an
     array (** on an array squares, which rounds differently in about 1e-3
     of cases)."""
     a_in, c_in = float(probe[0, 0, 0]), float(probe[0, 0, 1])
-    _check_phase_insensitive(out, a_in, atol)
+    _check_phase_insensitive(out, a_in, 1e-8)
     cross, variance = float(out[0, 0, 1]), float(out[0, 1, 1])
     tau = (cross / c_in) ** 2
     return GaussChannel(tau, max(variance - tau * a_in, 0.0))
@@ -206,19 +200,14 @@ def _check_phase_insensitive(out: np.ndarray, a_in: float, atol: float) -> None:
 def loss_channel_state(
     state: CovMat, channel: GaussChannel, target_label: str, env_labels: tuple[str, str]
 ) -> CovMat:
-    """Apply a loss channel by explicit dilation, keeping the environment modes."""
-    return _dilated_state(state, *_dilation_parameters(channel), target_label, env_labels)
-
-
-def _dilated_state(
-    state: CovMat, eps: float, t: float, target_label: str, env_labels: tuple[str, str]
-) -> CovMat:
-    """state with the dilation's environment of arm variance eps
-    (_environment) on env_labels appended, its first arm mixed with
-    target_label on a beam splitter of transmissivity t: loss_channel_state
-    for a solved (eps, t). The splitter's parts go through
-    apply_symplectic's congruence (gaussian._congruence), with no
-    Symplectic built and checked."""
+    """Apply a loss channel by explicit dilation, keeping the environment
+    modes: the dilation's environment (_dilation_parameters, _environment)
+    on env_labels, its first arm mixed with target_label on the splitter's
+    parts by apply_symplectic's congruence (gaussian._congruence), with no
+    Symplectic built. Its arm variance v/(1 - tau) grows without bound as
+    tau -> 1, so attacks.cloner_attack takes Eve's view of the channel from
+    the teleportation attack's tap instead, whose entries stay O(1)."""
+    eps, t = _dilation_parameters(channel)
     joint = direct_sum(state, _environment(eps, env_labels))
     part = _splitter_part(t)
     return _congruence(joint, np.array([part, part]), (target_label, env_labels[0]))

@@ -727,7 +727,7 @@ def apply_symplectic(state: CovMat, s: Symplectic, target_labels: tuple[str, ...
 def _congruence(state: CovMat, parts: np.ndarray, target_labels) -> CovMat:
     """apply_symplectic on a map's x part over its p part (2, k, k), which
     the caller knows to be symplectic: the state validated after
-    sigma -> S sigma S^T on the k target modes (channels._dilated_state
+    sigma -> S sigma S^T on the k target modes (channels.loss_channel_state
     mixes on _splitter_part through it, with no Symplectic built)."""
     target = _label_tuple(target_labels)
     arity = parts.shape[-1]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelKind, GaussChannel, apply_channel, classify
+from .channels import GaussChannel, apply_channel
 from .gaussian import (
     CovMat,
     _block_diag,
@@ -152,16 +152,13 @@ def ao_effective_channel(res: ResourceState, cfg: TeleportConfig) -> GaussChanne
         raise ValueError(f"resource cannot realize this gain: {exc}") from None
 
 
-def _is_pure_loss_like(channel: GaussChannel) -> bool:
-    return classify(channel) in (ChannelKind.PURE_LOSS, ChannelKind.IDENTITY)
-
-
-def _tapped_auxiliary(channel: GaussChannel, eta, m):
+def _tapped_auxiliary(eta, m):
     """Eve's tap on the resource arm R2, checked: eta in [0, 1] and her
-    auxiliary noise m finite and >= d = 1 - eta, as arrays, and m = d
-    (vacuum) on pure-loss channels. Returns eta and the x over p parts
-    (2, ..., 3, 3) of one map per (eta, m) from (R2, v1, v2), v1 and v2
-    vacuum, to (R2', F1, F2).
+    auxiliary noise m finite and >= d = 1 - eta, as arrays, and 0 at eta = 1,
+    where any other m needs an infinitely squeezed auxiliary. Returns eta and
+    the x over p parts (2, ..., 3, 3) of one map per (eta, m) from
+    (R2, v1, v2), v1 and v2 vacuum, to (R2', F1, F2): the entangling
+    cloner of the channel (eta, m), on which attacks.cloner_attack runs.
 
     R2 is mixed at eta with F1 of tmsv(kappa) = S(r) vacuum, cosh 2r = m / d,
     which adds the noise m; Eve then undoes the squeezing past cosh 2r0 = 3
@@ -189,8 +186,8 @@ def _tapped_auxiliary(channel: GaussChannel, eta, m):
     short = ~(m >= d)
     if short.any():
         raise ValueError(f"auxiliary noise {m[short][0]} below 1 - eta = {d[short][0]}")
-    if _is_pure_loss_like(channel) and (m != d).any():
-        raise ValueError("pure-loss channel pins the auxiliary to vacuum (m = 1 - eta)")
+    if (hot := (d == 0.0) & (m > 0.0)).any():
+        raise ValueError(f"auxiliary noise {m[hot][0]} at eta = 1 needs kappa = 1")
     q = 1.0 + np.sqrt(eta)
     w_plus, w_minus = np.sqrt(0.5 * (m + d)), np.sqrt(0.5 * (m - d))
     # ratio = cosh 2r; kept = cosh 2(r - rho), the variance Eve's modes keep
@@ -289,7 +286,7 @@ def _pipeline_raw(
     if eta is None:
         after = np.array([after, after])
     else:
-        after = after @ _embedded(_tapped_auxiliary(channel, eta, m)[1], (3, 4, 5), 6)
+        after = after @ _embedded(_tapped_auxiliary(eta, m)[1], (3, 4, 5), 6)
     squeeze = _embedded(_squeezer_parts(g), (1, 2), 6)
     squeeze[:, 1, :] *= math.sqrt(channel.tau)
     local = _embedded(_eve_local_map(channel.tau, t), (2, 3), 6)
@@ -342,7 +339,7 @@ def _bell_record_raw(
     cross the covariances of (A, B) with u. Scalars or 1-D arrays of eta
     and m, and one resource or a stack of them, as for _pipeline_raw.
     """
-    eta, tap = _tapped_auxiliary(channel, eta, m)
+    eta, tap = _tapped_auxiliary(eta, m)
     a_in, c_in = alice[0, ..., 0, 0], alice[0, ..., 0, 1]
     a, c = resource[0, ..., 0, 0], resource[0, ..., 0, 1]
     s = a + a_in

@@ -271,7 +271,8 @@ def _check_physicality_battery() -> float:
     cloner_attack(sc)
     amplified = replace(sc, gain=1e6)
     # Eve's tap at eta = 0.6 on an auxiliary tmsv(0.03): the noise
-    # m = (1 - eta)(1 + 0.03^2)/(1 - 0.03^2); pure loss pins m = 1 - eta
+    # m = (1 - eta)(1 + 0.03^2)/(1 - 0.03^2); on pure loss the optimizer's
+    # pick, m = 1 - eta
     eve_info(ao_attack_state(amplified, 0.7, 0.6, 0.4 * 1.0009 / 0.9991), amplified)
     pure = AttackScenario(GaussChannel(0.25, 0.75), zeta=0.7, gain=1e6)
     eve_info(ao_attack_state(pure, 0.6, 0.25 / 0.36, 1 - 0.25 / 0.36), pure)

@@ -182,8 +182,9 @@ def test_cloner_thermal_loss():
 
 
 def test_cloner_ancilla_is_the_dilation_environment():
-    # classified as pure loss, yet 1e-13 above the floor: the dilation's
-    # environment carries that excess noise, which a vacuum ancilla misses
+    # classified as pure loss, yet 1e-13 above the floor: the tap's
+    # auxiliary carries that excess noise, as the dilation's environment
+    # does, which a vacuum ancilla misses
     ch = GaussChannel(0.9, 0.1 + 1e-13)
     assert classify(ch) is ChannelKind.PURE_LOSS
     res = cloner_attack(scenario(ch))
@@ -201,20 +202,23 @@ def test_cloner_inside_the_channel_slack(tau, v):
     assert res.feasible
 
 
-@pytest.mark.xfail(
-    raises=RuntimeError,
-    strict=True,
-    reason="CHANGES FOUND, the cloner as tau -> 1: its dilated state, with arm variances "
-    "v/(1 - tau) of 5e3 and 1.9e6, is formed in double precision, and Eve's information misses "
-    "the Holevo bound by 2.8e-9 bits at tau = 0.9999 and 1.5e-3 bits at tau = 0.999999",
-)
-@pytest.mark.parametrize("tau,v", [(0.9999, 0.5), (0.999999, 1.9)])
-def test_cloner_near_a_lossless_channel_passes_its_purification_check(tau, v):
-    # the environment carries v/(1 - tau) exactly (channels._environment),
-    # which the dilation round trip reads back within 4.4e-16; the failure
-    # is in how the state is formed and read, not in its environment
-    res = cloner_attack(scenario(GaussChannel(tau, v)))
+NEAR_LOSSLESS = [
+    (tau, v)
+    for tau in (0.99, 0.9999, 0.999999, 1.0 - 1e-8, 1.0 - 1e-10)
+    for v in (1.0000001 * (1.0 - tau), 0.5, 1.0, 1.9)
+]
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.7, 0.95])
+@pytest.mark.parametrize("tau,v", NEAR_LOSSLESS)
+def test_cloner_near_a_lossless_channel_passes_its_purification_check(tau, v, zeta):
+    # the channel's dilation would carry an environment of arm variance
+    # v/(1 - tau), up to 1.9e10 here, in a raw basis; the tap's entries stay
+    # O(1) however hot its auxiliary
+    res = cloner_attack(AttackScenario(GaussChannel(tau, v), zeta))
     assert abs(res.eve_info_bits - res.holevo_bits) <= 1e-9
+    assert res.residual <= 1e-14
+    assert res.feasible
 
 
 def test_cloner_rejects_amplifiers():
@@ -230,7 +234,7 @@ def _circuit_formed_whole(alice, ch, resource, eta, m, g):
     joint = _block_diag(alice, resource, np.eye(4))
     squeeze = embedded_whole(two_mode_squeezer(g).matrix, (1, 2), 12)
     squeeze[..., 2:4, :] *= math.sqrt(ch.tau)
-    tap = _interleaved(_tapped_auxiliary(ch, eta, m)[1])
+    tap = _interleaved(_tapped_auxiliary(eta, m)[1])
     after = embedded_whole(beam_splitter(t).matrix, (1, 3), 12)
     after = after @ embedded_whole(tap, (3, 4, 5), 12)
     local = embedded_whole(_interleaved(_eve_local_map(ch.tau, t)), (2, 3), 12)
@@ -299,6 +303,11 @@ def test_attack_state_domain():
         ao_attack_state(sc, 0.6, 1.2, 0.5)
     with pytest.raises(ValueError, match="auxiliary noise 0.4 below 1 - eta = 0.5"):
         ao_attack_state(sc, 0.6, 0.5, 0.4)
+    # a splitter at eta = 1 passes R2 whole: its tap would not be symplectic
+    with pytest.raises(ValueError, match="auxiliary noise 1e-12 at eta = 1 needs kappa = 1"):
+        ao_attack_state(sc, 0.6, 1.0, 1e-12)
+    with pytest.raises(ValueError, match="auxiliary noise 1e-12 at eta = 1 needs kappa = 1"):
+        simulation_residual(scenario(), 0.6, 1.0, 1e-12)
     # an unbounded noise is refused as such, not as an overflow of the gain
     for m in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"auxiliary noise {m} is not finite"):
@@ -307,8 +316,21 @@ def test_attack_state_domain():
             simulation_residual(sc, 0.6, 0.5, m)
     with pytest.raises(ValueError, match="finite"):
         ao_attack_state(scenario(), 0.6, 0.5, 0.5)
-    with pytest.raises(ValueError, match="pins the auxiliary"):
-        ao_attack_state(scenario(PURE, gain=1e3), 0.6, 0.5, 0.8)
+
+
+@pytest.mark.parametrize("gain", [1e3, math.inf])
+def test_pure_loss_takes_any_auxiliary_noise(gain):
+    # the optimizer picks a vacuum auxiliary on pure loss (eta = tau /
+    # gamma^2, m = 1 - eta), but the public calls take any tap: 0.3 more
+    # noise presents PURE with 0.3 (1 - 1/g) more added noise
+    sc = scenario(PURE, gain=gain)
+    eta = PURE.tau / 0.36
+    assert simulation_residual(sc, 0.6, eta, 1.0 - eta) <= 1e-12
+    residual = simulation_residual(sc, 0.6, eta, 1.3 - eta)
+    assert abs(residual - 0.3 * (1.0 - 1.0 / gain)) <= 1e-12
+    if math.isfinite(gain):
+        state = ao_attack_state(sc, 0.6, eta, 1.3 - eta)
+        assert state.labels == ("A", "B", "P", "Q", "F1", "F2")
 
 
 def test_feasible_window_brackets_the_matchable_etas():
@@ -465,7 +487,10 @@ def test_kappa_at_gamma_min_and_full_tap_is_vacuum(ch, g):
 
 
 def test_feasible_window_empty_below_threshold():
-    assert _feasible_eta_window(0.3, THERMAL.tau, THERMAL.v) is None
+    # the window collapses to {1}, where no auxiliary matches the noise
+    assert gamma_min(THERMAL) > 0.3
+    assert _feasible_eta_window(0.3, THERMAL.tau, THERMAL.v) == (1.0, 1.0)
+    assert math.isnan(_match_noise(0.3, 1.0, THERMAL.tau, THERMAL.v, 1e3))
 
 
 def test_optimize_below_threshold_is_infeasible():

@@ -26,6 +26,7 @@ from cvqkd_attacks.attacks import (
     AttackScenario,
     _eve_info_objective,
     _feasible_eta_window,
+    _is_pure_loss_like,
     _match_noise,
     _resource_matrix,
     gamma_min,
@@ -33,7 +34,6 @@ from cvqkd_attacks.attacks import (
 from cvqkd_attacks.channels import GaussChannel
 from cvqkd_attacks.gaussian import _interleaved, tmsv
 from cvqkd_attacks.keyrate import default_gamma_grid
-from cvqkd_attacks.teleportation import _is_pure_loss_like
 from conftest import symplectic_form
 
 ORACLE_GAIN = 1e20

@@ -184,22 +184,47 @@ def test_no_function_takes_the_auxiliary_squeezing():
     assert functions_with_parameter(sources, "kappa") == []
 
 
+def signatures(sources: list[str], name: str) -> list[list[str]]:
+    """The parameter names, in order, of each function of the sources
+    called name; a variadic one is listed as *args or **kwargs."""
+    found = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name:
+                args = node.args
+                params = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
+                params += ["*" + args.vararg.arg] if args.vararg else []
+                params += ["**" + args.kwarg.arg] if args.kwarg else []
+                found.append(params)
+    return found
+
+
+def test_scan_lists_each_signature_of_a_name():
+    source = (
+        "def f(a, /, b, *rest, c, **kw):\n    pass\n"
+        "class Cls:\n    def f(self):\n        pass\n"
+        "def g(a):\n    pass\n"
+    )
+    assert signatures([source], "f") == [["a", "b", "c", "*rest", "**kw"], ["self"]]
+
+
 def test_the_eta_window_takes_no_floor():
     # the scan spans each row's whole feasible window, whose ends follow from
     # the resource and the channel alone: no function takes a hand-set floor
     sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
-    windows = [
-        node
-        for source in sources
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef) and node.name == "_feasible_eta_window"
-    ]
-    assert len(windows) == 1
-    args = windows[0].args
-    params = args.posonlyargs + args.args + args.kwonlyargs
-    assert [arg.arg for arg in params] == ["gamma", "tau", "v"]
-    assert not (args.vararg or args.kwarg)
+    assert signatures(sources, "_feasible_eta_window") == [["gamma", "tau", "v"]]
     assert functions_with_parameter(sources, "lo") == []
+
+
+def test_one_entangling_cloner():
+    # the entangling cloner is the teleportation attack's tap: the tap takes
+    # only its (eta, m), no channel, cloner_attack runs on it, and the
+    # attacks never form a channel's raw-basis dilation
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    assert signatures(sources, "_tapped_auxiliary") == [["eta", "m"]]
+    assert ("cloner_attack", "_tapped_auxiliary") in callers_of(sources, ["_tapped_auxiliary"])
+    attacks = (ROOT / "src" / "cvqkd_attacks" / "attacks.py").read_text(encoding="utf-8")
+    assert names_referenced(attacks, ("_dilated_state", "_dilation_parameters")) == []
 
 
 # the helpers that read or form the interleaved 2n x 2n layout; every other

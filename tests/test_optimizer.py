@@ -73,41 +73,43 @@ def dense_oracle(sc, gamma):
     "fields,pinned",
     [
         # the peak sits 9.1e-5 (0.4% of the window) above the lower edge
-        (dict(reconciliation="direct", gamma_count=11), (0.982360015, 1.677147740)),
+        (dict(reconciliation="direct", gamma_count=11), ((0.982360015, 1.677147740),)),
         (
             dict(g_policy="finite:100", gamma_hi=0.99, reconciliation="direct", gamma_count=11),
-            (0.977672878, 1.671996765),
+            ((0.977672878, 1.671996765),),
         ),
         # ROADMAP defect 8: the next four peak below eta = 0.8 tau, where a
         # scan clamped to eta >= 0.8 tau printed 1.557049288, 1.620536672,
         # 1.739438374 and 1.828364275 bits
         (
             dict(tau=0.3, epsilon=1.3, reconciliation="direct", gamma_count=41),
-            (0.799422332, 1.576773889),
+            ((0.799422332, 1.576773889),),
         ),
         (
             dict(tau=0.3, epsilon=1.3, g_policy="finite:100", reconciliation="direct",
                  gamma_count=11),
-            (0.871757888, 1.635188359),
+            ((0.871757888, 1.635188359),),
         ),
         (
             dict(tau=0.1, epsilon=1.05, reconciliation="direct", gamma_count=11),
-            (0.863244605, 1.740866899),
+            ((0.863244605, 1.740866899),),
         ),
         # the sampled row that fell furthest short, by 0.206 bits
         (
             dict(tau=0.41669883423168647, epsilon=2.313498782888016, zeta=0.8726500591755619,
                  g_policy="finite:1.2317710694235395", reconciliation="direct", gamma_count=8),
-            (0.737906686, 2.034749459),
+            ((0.737906686, 2.034749459),),
         ),
-        # the whole window lies below 1e-4, where a clamped scan found no row
+        # the whole window lies below 1e-4, where a clamped scan found no row;
+        # at the rounded gamma_min the lower root lies 1e-10 above 1, and
+        # the window, clipped to {1}, leaves eta = 1 to _match_noise
         (
             dict(tau=1e-6, epsilon=1.000001, reconciliation="direct", gamma_count=5),
-            (0.900021968, 1.848802434),
+            ((0.000292894, 0.971430787), (0.900021968, 1.848802434)),
         ),
         (
             dict(tau=1e-6, epsilon=1.000001, reconciliation="reverse", gamma_count=5),
-            (0.900021968, 1.2115968e-5),
+            ((0.000292894, 2.0468e-6), (0.900021968, 1.2115968e-5)),
         ),
     ],
     ids=[
@@ -122,25 +124,24 @@ def dense_oracle(sc, gamma):
     ],
 )
 def test_direct_rows_reach_the_dense_oracle(fields, pinned):
-    # every row past gamma_min is feasible and reaches the dense maximum of
-    # its whole window; the pinned row also matches the 60-digit circuit
+    # every row, gamma_min's too, is feasible and reaches the dense maximum
+    # of its whole window; each pinned row also matches the 60-digit circuit
     sc, cfg = _config(**fields)
     gain = sc.gain if math.isfinite(sc.gain) else ORACLE_GAIN
     grid = _grid(sc, cfg, cfg.gamma_count)
     rows = optimize_attacks(sc, grid)
-    assert all(row.feasible for row in rows[1:])
+    assert all(row.feasible for row in rows)
     checked = 0
     for gamma, res in zip(grid, rows):
-        if not res.feasible:
-            continue
         oracle = dense_oracle(sc, gamma)
         assert res.eve_info_bits >= oracle - 1e-9, (gamma, res.eve_info_bits, oracle)
-        if abs(gamma - pinned[0]) <= 1e-9:
-            assert res.eve_info_bits >= pinned[1], (gamma, res.eve_info_bits)
-            exact = oracle_eve_info(sc, gamma, res.eta_star, res.noise_star, gain)
-            assert abs(res.eve_info_bits - exact) <= 1e-9, (gamma, res.eve_info_bits, exact)
-            checked += 1
-    assert checked == 1
+        for pinned_gamma, bits in pinned:
+            if abs(gamma - pinned_gamma) <= 1e-9:
+                assert res.eve_info_bits >= bits, (gamma, res.eve_info_bits)
+                exact = oracle_eve_info(sc, gamma, res.eta_star, res.noise_star, gain)
+                assert abs(res.eve_info_bits - exact) <= 1e-9, (gamma, res.eve_info_bits, exact)
+                checked += 1
+    assert checked == len(pinned)
 
 
 @pytest.mark.parametrize(

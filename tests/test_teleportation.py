@@ -298,9 +298,6 @@ def test_ao_simulate_rejects_an_input_that_couples_x_and_p():
     assert "\n" not in str(info.value)
 
 
-THERMAL = GaussChannel(0.25, 0.7575)
-
-
 def _tap_composed(eta, m):
     """The tap from its parts on the interleaved (R2, F1, F2): tmsv(kappa) =
     S(r) vacuum on (F1, F2), cosh 2r = m / d, the splitter at eta on
@@ -321,7 +318,7 @@ def test_tap_is_the_splitter_on_a_squeezed_auxiliary_then_eves_local_map(eta, ra
     # below the cap (m / d <= 3) the textbook tap itself; above it Eve
     # undoes the rest of the squeezing, with every entry O(1)
     m = ratio * (1.0 - eta)
-    _, tap = _tapped_auxiliary(THERMAL, eta, m)
+    _, tap = _tapped_auxiliary(eta, m)
     composed = _tap_composed(eta, m)
     assert np.abs(tap - composed).max() <= 1e-13 * ratio
     # R2' is the channel's view: its added noise is m
@@ -339,13 +336,17 @@ def test_tap_stays_symplectic_and_order_one_as_kappa_nears_1(eta):
     d = 1.0 - eta
     for m in (d, 1.5 * d, 3.0 * d, d + 0.3, 2.0):
         if eta == 1.0 and m != d:
+            # no finite auxiliary adds noise through a splitter that passes
+            # R2 whole
+            with pytest.raises(ValueError, match=f"auxiliary noise {m} at eta = 1 needs kappa = 1"):
+                _tapped_auxiliary(eta, m)
             continue
-        _, tap = _tapped_auxiliary(THERMAL, eta, m)
+        _, tap = _tapped_auxiliary(eta, m)
         assert np.abs(tap[0] @ tap[1].T - np.eye(3)).max() <= 1e-14, m
         assert np.abs(tap).max() <= 3.0, m
     # a vacuum auxiliary leaves F2 an exact, decoupled vacuum; eta = 1 is
     # the identity
-    _, tap = _tapped_auxiliary(THERMAL, eta, d)
+    _, tap = _tapped_auxiliary(eta, d)
     assert (tap[:, 2] == [0.0, 0.0, 1.0]).all() and (tap[:, :, 2] == [0.0, 0.0, 1.0]).all()
     if eta == 1.0:
         assert (tap == np.eye(3)).all()
@@ -356,26 +357,25 @@ def test_stacked_tap_equals_lone_calls():
     etas = np.r_[rng.uniform(0.0, 1.0, 40), 1.0, 0.5]
     ratios = np.r_[1.0 + 10.0 ** rng.uniform(-6.0, 12.0, 40), 1.0, 3.0]
     noises = np.where(etas < 1.0, ratios * (1.0 - etas), 0.0)
-    stacked_eta, stacked = _tapped_auxiliary(THERMAL, etas, noises)
+    stacked_eta, stacked = _tapped_auxiliary(etas, noises)
     assert stacked.shape == (2, len(etas), 3, 3)
     assert np.array_equal(stacked_eta, etas)
     for k, (eta, m) in enumerate(zip(etas.tolist(), noises.tolist())):
-        _, one = _tapped_auxiliary(THERMAL, eta, m)
+        _, one = _tapped_auxiliary(eta, m)
         assert one.shape == (2, 3, 3)
         assert np.array_equal(stacked[:, k], one), k
 
 
 def test_tap_domain():
     with pytest.raises(ValueError, match="mixing transmissivity"):
-        _tapped_auxiliary(THERMAL, np.array([0.5, 1.5]), 0.5)
+        _tapped_auxiliary(np.array([0.5, 1.5]), 0.5)
     with pytest.raises(ValueError, match="auxiliary noise 0.4 below 1 - eta = 0.5"):
-        _tapped_auxiliary(THERMAL, 0.5, np.array([0.5, 0.4]))
+        _tapped_auxiliary(0.5, np.array([0.5, 0.4]))
     # a non-finite noise is refused as such: an infinite one passes m >= d
     # and used to surface as an overflow of the amplifier gain
     with pytest.raises(ValueError, match="auxiliary noise nan is not finite"):
-        _tapped_auxiliary(THERMAL, 0.5, math.nan)
+        _tapped_auxiliary(0.5, math.nan)
     with pytest.raises(ValueError, match="auxiliary noise inf is not finite"):
-        _tapped_auxiliary(THERMAL, 0.5, np.array([0.5, math.inf]))
-    with pytest.raises(ValueError, match="pins the auxiliary to vacuum"):
-        _tapped_auxiliary(GaussChannel(0.25, 0.75), 0.5, 0.6)
-    assert _tapped_auxiliary(GaussChannel(0.25, 0.75), 0.5, 0.5)[1].shape == (2, 3, 3)
+        _tapped_auxiliary(0.5, np.array([0.5, math.inf]))
+    with pytest.raises(ValueError, match="auxiliary noise 1e-300 at eta = 1 needs kappa = 1"):
+        _tapped_auxiliary(np.array([0.5, 1.0]), np.array([0.5, 1e-300]))
